@@ -11,7 +11,12 @@ so the gate travels between laptops and CI runners without retuning:
    committed floor (``--min-frac``, per ``backend:kernel:frac`` triple);
 3. **relative speedup** — a fast backend must actually beat the reference
    on the kernels it reimplements (``--min-speedup fast:ref:kernel:ratio``,
-   e.g. ``numba:numpy:classify_encode:5``).
+   e.g. ``numba:numpy:classify_encode:5``);
+4. **sweep amortisation** — on the NumPy reference backend, one batched
+   CPR / DPR sweep over eight 2 KB blocks must be at least
+   :data:`SWEEP_FLOOR` times faster than eight single calls: the per-call
+   fixed cost is paid once per batch, which is what makes small-message
+   collectives viable.
 
 Usage::
 
@@ -36,6 +41,10 @@ from repro.bench.kernels import (
     require_backend,
     run_kernel_bench,
 )
+
+
+#: minimum speedup of one 8 x 2 KB CPR / DPR sweep over eight single calls
+SWEEP_FLOOR = 3.0
 
 
 def _parse_triples(specs: list[str], parts: int, flag: str) -> list[list[str]]:
@@ -125,6 +134,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"({fast_e['gbps']:.3f} vs {ref_e['gbps']:.3f} GB/s)"
             )
 
+    for kernel in ("cpr", "dpr"):
+        row = doc["call_floor"]["numpy"][f"{kernel}_8x2kb_sweep"]
+        if row["speedup_over_calls"] < SWEEP_FLOOR:
+            failures.append(
+                f"numpy/{kernel}_8x2kb_sweep: {row['speedup_over_calls']:.2f}x "
+                f"over eight calls, floor {SWEEP_FLOOR:.2f}x"
+            )
+
     if failures:
         print("\nKERNEL GATE FAILED")
         for f in failures:
@@ -132,7 +149,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"\nkernel gate ok ({len(frac_gates)} roofline floors, "
-        f"{len(speedup_gates)} speedup floors)"
+        f"{len(speedup_gates)} speedup floors, "
+        f"sweep floor {SWEEP_FLOOR:.1f}x)"
     )
     return 0
 

@@ -16,6 +16,12 @@ as a *fraction of STREAM*.  The fraction is the roofline position: it is
 comparable across hosts in a way raw GB/s never is, and it is what
 ``benchmarks/kernel_gate.py`` gates on.  The committed baseline is only
 used for *relative* regression checks (default gate: >2x slower fails).
+
+Throughput at 16 MB says nothing about what a 2 KB ring block pays, so
+every run also records the **per-call floor** (``call_floor``): one CPR /
+DPR / HPR call on a 4 KB field, and CPR / DPR over eight 2 KB blocks both
+as eight calls and as one batched sweep — the amortisation
+``benchmarks/kernel_gate.py`` gates on.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from ..compression.encoding import (
     payload_offsets,
 )
 from ..compression.format import CompressedField
+from ..compression.fzlight import FZLight
 from ..homomorphic.hzdynamic import HZDynamic
 from ..kernels.dispatch import available_backends, backend_status, use_backend
 from .timing import best_of, throughput_gbps
@@ -52,6 +59,12 @@ REDUCE_KS = (2, 8, 16)
 
 _BLOCK_SIZE = 32
 _SELECT_FRACTION = 0.25
+
+#: The collectives' compressor geometry and error bound (CollectiveConfig).
+_FLOOR_THREADBLOCKS = 18
+_FLOOR_EB = 1e-4
+#: floor calls take ~0.1–1 ms: best-of needs many more runs than a 16 MB kernel
+_FLOOR_REPEAT_SCALE = 20
 
 
 def stream_triad_gbps(mb: float = 16.0, repeats: int = 3) -> dict[str, Any]:
@@ -184,6 +197,43 @@ def _bench_backend(
     return kernels
 
 
+def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
+    """Per-call fixed cost: tiny fields, where orchestration is the work."""
+    rng = np.random.default_rng(5)
+
+    def walk(n: int) -> np.ndarray:
+        return np.cumsum(rng.normal(0, 0.02, n)).astype(np.float32)
+
+    comp = FZLight(block_size=_BLOCK_SIZE, n_threadblocks=_FLOOR_THREADBLOCKS)
+    engine = HZDynamic(collect_stats=False)
+    field_a, field_b = walk(1024), walk(1024)
+    blocks = [walk(512) for _ in range(8)]
+    with use_backend(backend):
+        pair = comp.compress([field_a, field_b], abs_eb=_FLOOR_EB)
+        fields = comp.compress(blocks, abs_eb=_FLOOR_EB)
+        cases = {
+            "cpr_4kb": lambda: comp.compress(field_a, abs_eb=_FLOOR_EB),
+            "dpr_4kb": lambda: comp.decompress(pair[0]),
+            "hpr_4kb": lambda: engine.reduce_fused(pair),
+            "cpr_8x2kb_calls": lambda: [
+                comp.compress(b, abs_eb=_FLOOR_EB) for b in blocks
+            ],
+            "cpr_8x2kb_sweep": lambda: comp.compress(blocks, abs_eb=_FLOOR_EB),
+            "dpr_8x2kb_calls": lambda: [comp.decompress(f) for f in fields],
+            "dpr_8x2kb_sweep": lambda: comp.decompress(fields),
+        }
+        rows = {
+            name: {"seconds": best_of(fn, repeats=repeats, warmup=3).seconds}
+            for name, fn in cases.items()
+        }
+    for kernel in ("cpr", "dpr"):
+        rows[f"{kernel}_8x2kb_sweep"]["speedup_over_calls"] = (
+            rows[f"{kernel}_8x2kb_calls"]["seconds"]
+            / rows[f"{kernel}_8x2kb_sweep"]["seconds"]
+        )
+    return rows
+
+
 def run_kernel_bench(
     mb: float = 16.0,
     repeats: int = 3,
@@ -211,6 +261,10 @@ def run_kernel_bench(
             entry["frac_stream"] = (
                 entry["gbps"] / stream["gbps"] if stream["gbps"] > 0 else 0.0
             )
+    call_floor = {
+        name: _bench_call_floor(name, repeats * _FLOOR_REPEAT_SCALE)
+        for name in backends
+    }
     return {
         "bench": "kernels",
         "field_mb": n_elements * 4 / 1e6,
@@ -225,6 +279,7 @@ def run_kernel_bench(
         "stream": stream,
         "backend_status": backend_status(),
         "backends": results,
+        "call_floor": call_floor,
     }
 
 
@@ -234,9 +289,23 @@ def compare_to_baseline(
     """Regressions (``> tolerance×`` slower than baseline), empty if clean.
 
     Only kernels present in both documents are compared, so adding a
-    backend or a kernel never fails the gate by itself.
+    backend or a kernel never fails the gate by itself.  Per-call floor
+    rows are compared the same way, on seconds.
     """
     failures = []
+    for backend, base_rows in baseline.get("call_floor", {}).items():
+        cur_rows = current.get("call_floor", {}).get(backend, {})
+        for row, base in base_rows.items():
+            cur = cur_rows.get(row)
+            if cur is None or base["seconds"] <= 0:
+                continue
+            slowdown = cur["seconds"] / base["seconds"]
+            if slowdown > tolerance:
+                failures.append(
+                    f"{backend}/{row}: {cur['seconds'] * 1e6:.0f} us vs baseline "
+                    f"{base['seconds'] * 1e6:.0f} us ({slowdown:.2f}x slower, "
+                    f"tolerance {tolerance:.2f}x)"
+                )
     for backend, base_kernels in baseline.get("backends", {}).items():
         cur_kernels = current.get("backends", {}).get(backend)
         if cur_kernels is None:
@@ -279,6 +348,15 @@ def format_report(doc: dict[str, Any]) -> str:
                 f"  {kernel:18} {r['gbps']:8.3f} GB/s  "
                 f"({r['seconds'] * 1e3:8.2f} ms){frac}"
             )
+    for backend, rows in doc.get("call_floor", {}).items():
+        lines.append(f"[{backend}] per-call floor")
+        for row, r in rows.items():
+            gain = (
+                f"  ({r['speedup_over_calls']:.1f}x over 8 calls)"
+                if "speedup_over_calls" in r
+                else ""
+            )
+            lines.append(f"  {row:18} {r['seconds'] * 1e6:8.1f} us{gain}")
     unavailable = {
         k: v for k, v in doc.get("backend_status", {}).items() if v != "ok"
     }

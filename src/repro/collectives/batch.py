@@ -3,10 +3,11 @@
 The aggregation service's batching window coalesces ``k`` concurrent
 reduction sessions (same element count, same dtype, same rank count)
 into a single :func:`~repro.schedule.batched_fused_reduce` schedule: one
-prepare per rank covering all of its session vectors, one incast stream
-per rank carrying the whole batch, and ``k`` fused k-way folds on the
-root — one per session, each landing in its own ``("f", s)`` state key —
-before a single batched decode.
+prepare per rank covering all of its session vectors (one CPR kernel
+sweep over the rank's ``k`` vectors), one incast stream per rank carrying
+the whole batch, and ``k`` fused k-way folds on the root — one per
+session, each landing in its own ``("f", s)`` state key — before a single
+batched decode (one DPR sweep over the ``k`` results).
 
 Because the fused homomorphic fold is exact in the integer domain, the
 coalesced batch is **bit-identical** to ``k`` independent reductions:
@@ -64,7 +65,10 @@ def hzccl_batched_reduce(
 ) -> CollectiveResult:
     """Reduce ``k`` same-shaped sessions to the root in one fused schedule.
 
-    ``sessions[s]`` holds session ``s``'s per-rank contributions.  Unlike
+    ``sessions[s]`` holds session ``s``'s per-rank contributions; each
+    rank compresses its ``k`` vectors in one kernel sweep and the root
+    decodes the ``k`` results in one (``n`` CPR + 1 DPR calls a batch,
+    whatever ``k`` is).  Unlike
     the per-rank ``outputs`` convention of the single-session collectives,
     the returned ``outputs`` is indexed **by session**: ``outputs[s]`` is
     session ``s``'s reduced vector (held by the root).

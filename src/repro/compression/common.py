@@ -24,6 +24,7 @@ from ..utils.validation import ensure_float_array, ensure_positive
 __all__ = [
     "resolve_error_bound",
     "quantize",
+    "code_dtype",
     "dequantize",
     "lorenzo_encode",
     "lorenzo_decode",
@@ -66,13 +67,21 @@ def quantize(data: np.ndarray, error_bound: float) -> np.ndarray:
     data = ensure_float_array(data)
     error_bound = ensure_positive(error_bound, "error_bound")
     scaled = np.multiply(data, 1.0 / (2.0 * error_bound), dtype=np.float64)
-    peak = max(abs(float(scaled.max())), abs(float(scaled.min())))
+    dtype = code_dtype(max(abs(float(scaled.max())), abs(float(scaled.min()))))
+    np.rint(scaled, out=scaled)
+    return scaled.astype(dtype)
+
+
+def code_dtype(peak: float) -> type:
+    """Narrowest integer dtype for codes of magnitude up to ``peak``.
+
+    ``peak`` is the largest ``|x| / (2·eb)`` before rounding.  Raises
+    ``OverflowError`` when the codes would not fit int64 at all.
+    """
     if peak >= 2**62:
         raise OverflowError("error bound too small: quantised codes overflow int64")
-    np.rint(scaled, out=scaled)
     # < 2**30 leaves headroom so consecutive-code differences fit int32 too.
-    dtype = np.int32 if peak < 2**30 else np.int64
-    return scaled.astype(dtype)
+    return np.int32 if peak < 2**30 else np.int64
 
 
 def dequantize(codes: np.ndarray, error_bound: float) -> np.ndarray:

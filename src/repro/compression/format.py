@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,22 +81,21 @@ class BlockStructure:
         local = np.arange(self.n, dtype=np.int64) - np.repeat(
             self.bounds[:-1], lengths
         )
-        return np.repeat(self.block_starts[:-1] * self.block_size, lengths) + local
+        slots = np.repeat(self.block_starts[:-1] * self.block_size, lengths) + local
+        slots.setflags(write=False)
+        return slots
 
 
-_STRUCTURE_CACHE: dict[tuple[int, int, int], BlockStructure] = {}
-
-
+@lru_cache(maxsize=256)
 def block_structure(n: int, block_size: int, n_threadblocks: int) -> BlockStructure:
     """Compute (and memoise) the block geometry for a field shape.
 
     Geometry depends only on the triple, and collectives compress thousands
     of same-shaped chunks, so the cache removes redundant prefix-sum work.
+    The memo is a bounded LRU — a size sweep evicts its coldest geometry,
+    never the hot ones a running collective keeps touching — and the arrays
+    are read-only, because every field of that shape shares them.
     """
-    key = (n, block_size, n_threadblocks)
-    cached = _STRUCTURE_CACHE.get(key)
-    if cached is not None:
-        return cached
     bounds = threadblock_bounds(n, n_threadblocks)
     lengths = np.diff(bounds)
     blocks_per_tb = np.array(
@@ -106,7 +105,9 @@ def block_structure(n: int, block_size: int, n_threadblocks: int) -> BlockStruct
     block_starts = np.empty(n_threadblocks + 1, dtype=np.int64)
     block_starts[0] = 0
     np.cumsum(blocks_per_tb, out=block_starts[1:])
-    structure = BlockStructure(
+    for shared in (bounds, blocks_per_tb, block_starts):
+        shared.setflags(write=False)
+    return BlockStructure(
         n=n,
         block_size=block_size,
         n_threadblocks=n_threadblocks,
@@ -114,10 +115,6 @@ def block_structure(n: int, block_size: int, n_threadblocks: int) -> BlockStruct
         blocks_per_tb=blocks_per_tb,
         block_starts=block_starts,
     )
-    if len(_STRUCTURE_CACHE) > 256:  # unbounded growth guard for sweeps
-        _STRUCTURE_CACHE.clear()
-    _STRUCTURE_CACHE[key] = structure
-    return structure
 
 
 def deltas_to_blocks(deltas: np.ndarray, structure: BlockStructure) -> np.ndarray:

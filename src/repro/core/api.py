@@ -16,6 +16,8 @@ True
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..collectives import CollectiveResult
@@ -63,18 +65,24 @@ class HZCCL:
     # ------------------------------------------------------------------ #
     def compress(
         self,
-        data: np.ndarray,
+        data: np.ndarray | Sequence[np.ndarray],
         abs_eb: float | None = None,
         rel_eb: float | None = None,
-    ) -> CompressedField:
-        """fZ-light compression (defaults to the config's error bound)."""
+    ) -> CompressedField | list[CompressedField]:
+        """fZ-light compression (defaults to the config's error bound).
+
+        A list/tuple of arrays is compressed in one kernel sweep and comes
+        back as a list of fields, each byte-identical to a lone call.
+        """
         if abs_eb is None and rel_eb is None:
             abs_eb = self.config.error_bound
         with use_backend(self.config.kernel_backend):
             return self._compressor.compress(data, abs_eb=abs_eb, rel_eb=rel_eb)
 
-    def decompress(self, compressed: CompressedField) -> np.ndarray:
-        """fZ-light decompression."""
+    def decompress(
+        self, compressed: CompressedField | Sequence[CompressedField]
+    ) -> np.ndarray | list[np.ndarray]:
+        """fZ-light decompression (a sequence of fields → a list of arrays)."""
         with use_backend(self.config.kernel_backend):
             return self._compressor.decompress(compressed)
 

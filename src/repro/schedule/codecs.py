@@ -4,13 +4,22 @@ A :class:`PayloadCodec` supplies the *meaning* of the IR's abstract verbs
 — what ``prepare``/``pack``/``fold``/``finalize`` do to rank state, which
 kernel runs, and which virtual-clock bucket it is charged to:
 
-===============  ==========  =============================  ============
-codec            wire        fold                            decode
-===============  ==========  =============================  ============
-plain            raw floats  float add (CPT)                —
-DOC (C-Coll)     compressed  DPR decode + CPT add per round per block DPR
-homomorphic      compressed  HPR ``reduce_fused``           batched DPR
-===============  ==========  =============================  ============
+===============  ==========  ===============  ====================  ===============
+codec            wire        encode           fold                  decode
+===============  ==========  ===============  ====================  ===============
+plain            raw floats  —                float add (CPT)       —
+DOC (C-Coll)     compressed  CPR per block    DPR + CPT per round   DPR per block
+homomorphic      compressed  one CPR sweep    HPR ``reduce_fused``  one DPR sweep
+===============  ==========  ===============  ====================  ===============
+
+"Sweep" is literal: the homomorphic codec hands every block of a
+``prepare`` / ``finalize`` to **one** ``FZLight.compress`` /
+``FZLight.decompress`` call, which runs a single kernel pass over the
+concatenated block grid (the paper's compress-once / decode-once;
+``Discipline.finalize_batched=True`` in the cost model).  The DOC codecs
+stay one kernel invocation per block on purpose — that *is* the C-Coll
+discipline (``finalize_batched=False``), and the baseline must not get
+faster by accident.
 
 Rank state is ``state[rank][block_id]``: plain ``np.ndarray`` blocks for
 the plain codec, :class:`~repro.compression.format.CompressedField`
@@ -127,9 +136,21 @@ class _CompressedCodec(PayloadCodec):
         )
         self.eb = config.error_bound
 
+    def _compress_sweep(self, rank: int, blocks, state: State) -> None:
+        """Encode ``blocks`` in place with one CPR sweep, charged once."""
+        mine = state[rank]
+        with self.cluster.timed(rank, "CPR"):
+            fields = self.comp.compress(
+                [mine[b] for b in blocks], abs_eb=self.eb
+            )
+        mine.update(zip(blocks, fields))
+
 
 class DocReduceCodec(_CompressedCodec):
-    """C-Coll's DOC reduce-scatter: every round pays CPR → wire → DPR → CPT."""
+    """C-Coll's DOC reduce-scatter: every round pays CPR → wire → DPR → CPT.
+
+    One kernel invocation per block, never a sweep (see the module table).
+    """
 
     slots = {"setup": None, "exchange": "doc-exchange", "finalize": None}
 
@@ -149,7 +170,10 @@ class DocReduceCodec(_CompressedCodec):
 
 
 class DocGatherCodec(_CompressedCodec):
-    """C-Coll's allgather: compress once, forward bytes, decode per block."""
+    """C-Coll's allgather: compress once, forward bytes, decode per block.
+
+    One kernel invocation per block on both sides, never a sweep.
+    """
 
     slots = {"setup": "compress", "finalize": "decompress"}
 
@@ -183,6 +207,9 @@ class DocGatherCodec(_CompressedCodec):
 class HomomorphicCodec(_CompressedCodec):
     """hZCCL: compress once, fold compressed with HPR, decode once.
 
+    "Once" is one kernel sweep per call: ``prepare`` / ``finalize`` pass
+    their whole ``blocks`` tuple to a single ``compress`` / ``decompress``.
+
     ``slots`` varies per family (the fused allreduce's allgather stage
     skips setup because its inputs arrive compressed), so it is an
     instance attribute here.
@@ -203,11 +230,7 @@ class HomomorphicCodec(_CompressedCodec):
             self.slots = {"setup": "compress", "finalize": "decompress"}
 
     def prepare(self, rank, blocks, state):
-        with self.cluster.timed(rank, "CPR"):
-            for b in blocks:
-                state[rank][b] = self.comp.compress(
-                    state[rank][b], abs_eb=self.eb
-                )
+        self._compress_sweep(rank, blocks, state)
 
     def fold(self, rank, blocks, items, state, fresh=True):
         with self.cluster.timed(rank, "HPR"):
@@ -225,9 +248,10 @@ class HomomorphicCodec(_CompressedCodec):
             )
 
     def finalize(self, rank, blocks, state):
+        mine = state[rank]
         with self.cluster.timed(rank, "DPR"):
-            for b in blocks:
-                state[rank][b] = self.comp.decompress(state[rank][b])
+            decoded = self.comp.decompress([mine[b] for b in blocks])
+        mine.update(zip(blocks, decoded))
 
     # executed (and charged) like any decode, but booked as the paper's
     # uncharged own-block decompress by the cost model
@@ -248,11 +272,7 @@ class CompressedBcastCodec(_CompressedCodec):
         self.data = data
 
     def prepare(self, rank, blocks, state):
-        with self.cluster.timed(rank, "CPR"):
-            for b in blocks:
-                state[rank][b] = self.comp.compress(
-                    state[rank][b], abs_eb=self.eb
-                )
+        self._compress_sweep(rank, blocks, state)
 
     def store(self, rank, blocks, items, state):
         for b, item in zip(blocks, items):

@@ -62,8 +62,15 @@ class Discipline:
 
     The dry-run analogue of a :class:`~repro.schedule.codecs.PayloadCodec`
     — same verbs, rates instead of kernels.  ``finalize_batched`` selects
-    one invocation over all of a finalize op's blocks (hZCCL's batched
-    decode) versus one per block (C-Coll's per-chunk decodes).
+    one invocation over all of a finalize op's blocks versus one per
+    block, and mirrors what the codecs execute: ``HomomorphicCodec``
+    decodes a finalize op's blocks in one ``FZLight.decompress`` sweep,
+    while the DOC codecs call the kernel once per block (C-Coll's
+    per-chunk decodes — ``DOC_GATHER`` below).  ``prepare`` is charged one
+    invocation per op *as the generator emitted it*; the executor may hand
+    adjacent same-rank prepares to the codec as one sweep, so for the hz
+    disciplines the model's setup term is an upper bound on the executed
+    kernel-launch count, never an underestimate.
     """
 
     name: str

@@ -23,6 +23,7 @@ sequences, are unchanged by the refactor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Hashable
 
 from ..runtime.cluster import SimCluster
@@ -118,8 +119,7 @@ class ScheduleExecutor:
                 for b, item in zip(comm.blocks, received):
                     pending[(comm.dst, b)] = item
             # "account": wire/clock accounting only
-        for op in rnd.ops:
-            self._local(op, state, pending)
+        self._locals(rnd.ops, state, pending)
         if rnd.kind == "compute":
             cluster.end_compute_phase()
         else:
@@ -210,11 +210,30 @@ class ScheduleExecutor:
         return items
 
     # ------------------------------------------------------------------ #
+    def _locals(self, ops, state, pending, rank: int | None = None) -> None:
+        """Run a round's local ops (only ``rank``'s when given).
+
+        Adjacent ``prepare`` ops of one rank reach the codec as a single
+        call over all their blocks, so a codec that encodes a call's blocks
+        in one kernel sweep pays its fixed cost once per rank per setup
+        however finely the generator itemised the blocks.  Execution
+        policy only: the ``Schedule`` (and so ``schedule_cost``) still
+        holds one op per block.
+        """
+        if rank is not None:
+            ops = [op for op in ops if op.rank == rank]
+        runs = groupby(ops, key=lambda op: (op.rank, op.kind == "prepare"))
+        for (owner, prepare), run in runs:
+            if prepare:
+                blocks = tuple(b for op in run for b in op.blocks)
+                self.codec.prepare(owner, blocks, state)
+            else:
+                for op in run:
+                    self._local(op, state, pending)
+
     def _local(self, op: LocalOp, state, pending) -> None:
         codec = self.codec
-        if op.kind == "prepare":
-            codec.prepare(op.rank, op.blocks, state)
-        elif op.kind == "fold":
+        if op.kind == "fold":
             blocks, items = [], []
             for b in op.blocks:
                 item = pending.pop((op.rank, b))

@@ -502,7 +502,11 @@ def batched_fused_reduce(n: int, sessions: int, root: int = 0) -> Schedule:
     ``1/sessions``), all of a rank's session vectors ride one incast
     stream to the root, and the root runs one fused k-way fold *per
     session* — each landing in its own ``("f", s)`` key via
-    ``LocalOp.out`` — before a single batched decode.  Amortises the
+    ``LocalOp.out`` — before a single batched decode.  Under the
+    homomorphic codec both ends are literal kernel sweeps: a rank's
+    ``sessions`` vectors are one ``FZLight.compress`` call and the root's
+    ``sessions`` results one ``FZLight.decompress`` call (a DOC codec
+    would still invoke the kernel once per vector).  Amortises the
     per-message α and the per-call setup across the whole batch while
     keeping every session's arithmetic identical to a standalone
     :func:`direct_reduce` (the fused fold is exact in the integer

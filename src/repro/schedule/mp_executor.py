@@ -384,9 +384,7 @@ class _RankRuntime:
                         self.pending[(me, b)] = _DEGRADED
                 continue
             self._apply(comm, received, state)
-        for op in rnd.ops:
-            if op.rank == me:
-                self.shadow._local(op, state, self.pending)
+        self.shadow._locals(rnd.ops, state, self.pending, rank=me)
 
     def _apply(self, comm, received, state) -> None:
         if comm.action == "fold":

@@ -16,6 +16,11 @@ from repro.bench.kernels import (
     run_kernel_bench,
 )
 
+FLOOR_ROWS = (
+    "cpr_4kb", "dpr_4kb", "hpr_4kb",
+    "cpr_8x2kb_calls", "cpr_8x2kb_sweep",
+    "dpr_8x2kb_calls", "dpr_8x2kb_sweep",
+)
 EXPECTED_KERNELS = {"encode", "classify_encode", "decode", "decode_selected"} | {
     f"reduce_fused_k{k}" for k in REDUCE_KS
 }
@@ -46,6 +51,20 @@ class TestDocument:
                     r["gbps"] / stream["gbps"]
                 )
 
+    def test_call_floor_rows(self, small_doc):
+        """4 KB single calls and 8 x 2 KB calls-vs-sweep, per backend."""
+        assert set(small_doc["call_floor"]) == set(small_doc["backends"])
+        for rows in small_doc["call_floor"].values():
+            assert tuple(rows) == FLOOR_ROWS
+            assert all(r["seconds"] > 0 for r in rows.values())
+            for kernel in ("cpr", "dpr"):
+                sweep = rows[f"{kernel}_8x2kb_sweep"]
+                calls = rows[f"{kernel}_8x2kb_calls"]
+                assert sweep["speedup_over_calls"] == pytest.approx(
+                    calls["seconds"] / sweep["seconds"]
+                )
+                assert sweep["speedup_over_calls"] > 1.5  # gate asks 3x
+
     def test_json_serialisable(self, small_doc):
         restored = json.loads(json.dumps(small_doc))
         assert restored["bench"] == "kernels"
@@ -66,6 +85,15 @@ class TestCompare:
                 r["gbps"] /= 10.0
         failures = compare_to_baseline(slowed, small_doc, tolerance=2.0)
         assert failures and "slower" in failures[0]
+
+    def test_detects_call_floor_regression(self, small_doc):
+        slowed = json.loads(json.dumps(small_doc))
+        slowed["call_floor"]["numpy"]["cpr_4kb"]["seconds"] *= 10.0
+        failures = compare_to_baseline(slowed, small_doc, tolerance=2.0)
+        assert len(failures) == 1 and "numpy/cpr_4kb" in failures[0]
+        # a baseline from before the floor rows existed compares clean
+        old = {k: v for k, v in small_doc.items() if k != "call_floor"}
+        assert compare_to_baseline(slowed, old, tolerance=2.0) == []
 
     def test_new_backend_in_current_is_ignored(self, small_doc):
         baseline = json.loads(json.dumps(small_doc))
@@ -205,6 +233,14 @@ class TestKernelGateScript:
         proc = self._run("--min-speedup", "numpy:numpy:encode:99.0")
         assert proc.returncode == 1
         assert "floor 99.00x" in proc.stdout
+
+    def test_sweep_amortisation_is_gated(self):
+        """One 8 x 2 KB sweep must beat eight calls 3x on the reference
+        backend; the floor is a constant of the gate, not a flag."""
+        proc = self._run()
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "x over 8 calls" in proc.stdout
+        assert "sweep floor 3.0x" in proc.stdout
 
     def test_missing_required_backend_fails(self):
         proc = self._run("--require", "not-a-backend")

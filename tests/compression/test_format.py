@@ -33,6 +33,30 @@ class TestBlockStructure:
     def test_memoised(self):
         assert block_structure(50, 32, 2) is block_structure(50, 32, 2)
 
+    def test_size_sweep_keeps_the_hot_geometry(self):
+        """The memo is an LRU: 257 cold geometries evict each other, never
+        the one a running collective keeps touching (a ``clear()`` at the
+        cap dropped everything at once)."""
+        hot = block_structure(4096, 32, 18)
+        for n in range(5000, 5257):
+            block_structure(n, 32, 18)
+            assert block_structure(4096, 32, 18) is hot
+        assert block_structure.cache_info().currsize <= 256
+
+    def test_shared_arrays_are_read_only(self):
+        """Every field of a shape shares these arrays; none may edit them."""
+        field = FZLight(32, 3).compress(np.arange(100, dtype=np.float32), abs_eb=0.5)
+        structure = field.structure
+        for shared in (
+            structure.bounds,
+            structure.blocks_per_tb,
+            structure.block_starts,
+            structure.element_to_slot,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 7
+        assert block_structure(100, 32, 3).bounds[0] == 0
+
     def test_element_to_slot_bijective_into_grid(self):
         s = block_structure(100, 32, 3)
         slots = s.element_to_slot
