@@ -4,9 +4,10 @@ Shared backend for ``repro mp run`` / ``repro mp calibrate`` and the
 committed ``BENCH_mp.json``.  Two jobs:
 
 * :func:`build_case` — a registry of small, seeded schedule × codec ×
-  initial-state cases covering every collective family the Schedule IR
-  generates, so the CLI, the equivalence tests and the calibration loop
-  all run the *same* configurations;
+  initial-state cases, each one stage of a family-table row
+  (:mod:`repro.collectives`) with that row's seed rule, so the CLI, the
+  equivalence tests and the calibration loop all run the *same*
+  configurations the collectives do;
 * :func:`calibrate` — runs the cases on a real :class:`MPCluster`,
   measures wall-clock makespans, and fits them back into the cost
   model's α–β terms via :func:`repro.schedule.cost.fit_alpha_beta`,
@@ -31,7 +32,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..collectives.ring import split_blocks
+from ..collectives import FAMILIES as ROWS
+from ..runtime.cluster import SimCluster
 from ..runtime.faults import FaultPlan, RetryPolicy
 from ..runtime.mp_cluster import MPCluster, MPRun
 from ..runtime.nodemap import NodeMap
@@ -45,16 +47,7 @@ from ..schedule.cost import (
     fit_alpha_beta,
     wire_summary,
 )
-from ..schedule.executor import Outcome
-from ..schedule.generators import (
-    batched_fused_reduce,
-    binomial_bcast,
-    direct_reduce,
-    hierarchical_allreduce_schedule,
-    pipelined_ring_reduce_scatter,
-    rabenseifner_allreduce_schedule,
-    ring_reduce_scatter,
-)
+from ..schedule.executor import Outcome, ScheduleExecutor
 from ..schedule.ir import Schedule
 from ..schedule.mp_executor import CodecSpec, MPExecutor
 
@@ -72,22 +65,30 @@ __all__ = [
     "check_document",
 ]
 
-#: families ``repro mp run`` accepts (name → codec kind it uses)
-FAMILIES = {
-    "ring-rs": "plain",
-    "ring-rs-hz": "homomorphic",
-    "ring-rs-doc": "doc-reduce",
-    "pipelined-rs": "plain",
-    "rabenseifner": "plain",
+#: family → (codec kind it uses, the family-table leaf row whose stage and
+#: seed rule the case runs, the params bound to it).  A case may run a
+#: row's schedule under another codec: ``pipelined-rs`` is the pipelined
+#: reduce-scatter stage run plain.
+_CASES: dict[str, tuple[str, str, dict]] = {
+    "ring-rs": ("plain", "mpi_reduce_scatter", {}),
+    "ring-rs-hz": ("homomorphic", "hzccl_reduce_scatter", {}),
+    "ring-rs-doc": ("doc-reduce", "ccoll_reduce_scatter", {}),
+    "pipelined-rs": ("plain", "pipelined_reduce_scatter", {"chunks": 2}),
+    "rabenseifner": ("plain", "rabenseifner_allreduce", {}),
     # direct-reduce's root does a k-way fused fold: homomorphic only
-    "direct-reduce": "homomorphic",
+    "direct-reduce": ("homomorphic", "hzccl_reduce_direct", {}),
     # the aggregation service's coalesced plan: several sessions share
     # one incast, the root folds each with its own fused reduction
-    "batched-reduce": "homomorphic",
-    "bcast": "compressed-bcast",
-    "hierarchical": "plain",
-    "hierarchical-hz": "homomorphic",
+    "batched-reduce": ("homomorphic", "hzccl_batched_reduce", {"sessions": 3}),
+    "bcast": ("compressed-bcast", "compressed_bcast", {}),
+    "hierarchical": ("plain", "mpi_hierarchical_allreduce", {"inter": "ring"}),
+    "hierarchical-hz": (
+        "homomorphic", "hzccl_hierarchical_allreduce", {"inter": "ring"}
+    ),
 }
+
+#: families ``repro mp run`` accepts (name → codec kind it uses)
+FAMILIES = {family: kind for family, (kind, _, _) in _CASES.items()}
 
 #: the calibration sweep's family set (every wire style: plain exchange,
 #: pipelined overlap, recursive halving, incast, tree flows, compressed)
@@ -152,94 +153,41 @@ def build_case(
 ) -> MPCase:
     """Build one seeded case; ``make_state`` returns a fresh initial state
     each call so a case can be run repeatedly (MP and sim alike)."""
-    if family not in FAMILIES:
+    if family not in _CASES:
         raise ValueError(
             f"unknown family {family!r}; one of {', '.join(sorted(FAMILIES))}"
         )
-    kind = FAMILIES[family]
-    arrays = _rank_fields(n, elements, seed)
-    payload = elements * 4
-    spec = CodecSpec(kind) if kind != "compressed-bcast" else None
-
-    if family in ("ring-rs", "ring-rs-hz", "ring-rs-doc"):
-        schedule = ring_reduce_scatter(n)
-
-        def make_state() -> list:
-            return [dict(enumerate(split_blocks(a, n))) for a in arrays]
-
-    elif family == "pipelined-rs":
-        n_chunks = 2
-        schedule = pipelined_ring_reduce_scatter(n, n_chunks=n_chunks)
-
-        def make_state() -> list:
-            return [
-                {
-                    (b, c): chunk
-                    for b, block in enumerate(split_blocks(a, n))
-                    for c, chunk in enumerate(split_blocks(block, n_chunks))
-                }
-                for a in arrays
-            ]
-
-    elif family == "rabenseifner":
-        schedule = rabenseifner_allreduce_schedule(n)
-
-        def make_state() -> list:
-            return [dict(enumerate(split_blocks(a, n))) for a in arrays]
-
-    elif family == "direct-reduce":
-        schedule = direct_reduce(n, root=0)
-
-        def make_state() -> list:
-            return [{("vec", r): arrays[r].copy()} for r in range(n)]
-
-    elif family == "batched-reduce":
-        sessions = 3
-        batch = [
-            _rank_fields(n, elements, seed + 101 * s) for s in range(sessions)
-        ]
-        schedule = batched_fused_reduce(n, sessions, root=0)
-        # each rank contributes `sessions` whole vectors, so the plain
-        # payload the wire summary prices is the batch total
-        payload = elements * 4 * sessions
-
-        def make_state() -> list:
-            return [
-                {("v", s, r): batch[s][r].copy() for s in range(sessions)}
-                for r in range(n)
-            ]
-
-    elif family == "bcast":
-        data = arrays[0]
-        schedule = binomial_bcast(n, root=0, deliver=True)
-        spec = CodecSpec(kind, bcast_data=data)
-
-        def make_state() -> list:
-            return [{"data": data.copy()} if r == 0 else {}
-                    for r in range(n)]
-
-    elif family in ("hierarchical", "hierarchical-hz"):
+    kind, name, bound = _CASES[family]
+    row = ROWS[name]
+    (stage,) = row.stages
+    params = {"n": n, "root": 0, "network": None, **bound}
+    if "inter" in params:
         per_node = 2 if n % 2 == 0 and n >= 4 else 1
-        nodemap = NodeMap.regular(n, per_node)
-        schedule = hierarchical_allreduce_schedule(nodemap, inter="ring")
-
-        def make_state() -> list:
-            return [
-                dict(enumerate(split_blocks(a, nodemap.n_nodes)))
-                for a in arrays
-            ]
-
-    else:  # pragma: no cover - FAMILIES is checked above
-        raise AssertionError(family)
-
+        params["nodemap"] = NodeMap.regular(n, per_node)
+    sessions = params.get("sessions", 1)
+    batch = [
+        _rank_fields(n, elements, seed + 101 * s) for s in range(sessions)
+    ]
+    # what the row's seed rule takes: the batch of sessions, the
+    # broadcast's single payload, or one session's rank arrays
+    data: Any = batch[0]
+    if row.per_session:
+        data = batch
+    elif kind == "compressed-bcast":
+        data = batch[0][0]
     return MPCase(
         family=family,
         n_ranks=n,
         elements=elements,
-        schedule=schedule,
-        spec=spec,
-        make_state=make_state,
-        payload_bytes=payload,
+        schedule=stage.schedule(**params),
+        spec=CodecSpec(
+            kind, slots=stage.slots,
+            bcast_data=data if kind == "compressed-bcast" else None,
+        ),
+        make_state=lambda: row.seed(data, params),
+        # each rank contributes `sessions` whole vectors, so the plain
+        # payload the wire summary prices is the batch total
+        payload_bytes=elements * 4 * sessions,
     )
 
 
@@ -251,16 +199,11 @@ def sim_reference(
     plan: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
 ) -> Outcome:
-    """Run the same case on the simulated executor (the oracle).
-
-    Goes through the pipeline's schedule path so the oracle and the MP
-    run dispatch from the same :class:`~repro.core.pipeline.Plan` shape.
-    """
-    from ..core.pipeline import Plan, execute
-
-    plan_ = Plan.from_schedule(case.schedule, case.spec, family=case.family)
-    return execute(
-        plan_, state=case.make_state(), fault_plan=plan, retry=retry
+    """Run the same case on the simulated executor (the oracle)."""
+    extra = {} if retry is None else {"retry": retry}
+    cluster = SimCluster(case.n_ranks, faults=plan, **extra)
+    return ScheduleExecutor(cluster, case.spec.build(cluster)).run(
+        case.schedule, case.make_state()
     )
 
 

@@ -538,9 +538,9 @@ def _cmd_mp(args) -> int:
         states_equal,
     )
     from repro.bench.tables import format_table
-    from repro.core.pipeline import Plan, execute
     from repro.runtime.faults import FaultPlan
     from repro.runtime.mp_cluster import MPCluster
+    from repro.schedule import MPExecutor
 
     if args.mp_command == "run":
         plan = None
@@ -551,13 +551,11 @@ def _cmd_mp(args) -> int:
         case = build_case(
             args.family, args.ranks, args.elements, seed=args.seed
         )
-        # the same schedule-backed Plan drives both data planes: here the
-        # MP cluster, in sim_reference the simulated oracle
-        plan_ = Plan.from_schedule(case.schedule, case.spec, family=case.family)
+        # the same (schedule, spec, state) drives both data planes: here
+        # the MP cluster, in sim_reference the simulated oracle
         with MPCluster(args.ranks, transport=args.transport) as cluster:
-            run = execute(
-                plan_, state=case.make_state(), cluster=cluster,
-                fault_plan=plan,
+            run = MPExecutor(cluster, case.spec, plan=plan).run(
+                case.schedule, case.make_state()
             )
         print(
             f"{case.schedule.name} × {case.spec.kind} on {args.ranks} "

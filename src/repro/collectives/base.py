@@ -11,9 +11,7 @@ All three families (plain MPI, C-Coll, hZCCL) share:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -28,7 +26,6 @@ __all__ = [
     "CollectiveResult",
     "channel_stats",
     "split_blocks",
-    "traced_collective",
     "validate_local_data",
 ]
 
@@ -65,34 +62,6 @@ class CollectiveResult:
     @property
     def total_time(self) -> float:
         return self.breakdown.total_time
-
-
-_CollectiveFn = TypeVar("_CollectiveFn", bound=Callable[..., CollectiveResult])
-
-
-def traced_collective(name: str) -> Callable[[_CollectiveFn], _CollectiveFn]:
-    """Wrap a collective entry point in a ``collective`` trace span.
-
-    The wrapped function runs inside ``cluster.collective(name)``; once it
-    returns — through *any* path, including the degrade-and-fall-back early
-    returns — the scope's rebased trace slice is attached to the result.
-    The decorator expects the cluster as the first positional argument, the
-    convention every collective in this package follows.  Nested decorated
-    calls (Allreduce = Reduce_scatter + Allgather) each get their own
-    scoped slice; the outer span encloses both in the exported hierarchy.
-    """
-
-    def decorate(fn: _CollectiveFn) -> _CollectiveFn:
-        @functools.wraps(fn)
-        def wrapper(cluster: SimCluster, *args, **kwargs):
-            with cluster.collective(name) as scope:
-                result = fn(cluster, *args, **kwargs)
-            result.trace = scope.trace
-            return result
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
 
 
 def channel_stats(cluster: SimCluster) -> FaultStats | None:

@@ -20,43 +20,21 @@ from __future__ import annotations
 import numpy as np
 
 from ..runtime.cluster import SimCluster
-from ..schedule import (
-    HomomorphicCodec,
-    ScheduleExecutor,
-    batched_fused_reduce,
-)
-from .base import (
-    CollectiveResult,
-    channel_stats,
-    traced_collective,
-    validate_local_data,
-)
-from .rooted import mpi_reduce
+from . import rules
+from .base import CollectiveResult
+from .interpreter import Family, run
+from .rooted import MPI_REDUCE
 
 __all__ = ["hzccl_batched_reduce"]
 
-
-def _validate_batch(sessions, n_ranks: int) -> list[list[np.ndarray]]:
-    """Validate every session and pin the same-shape batching invariant."""
-    if not sessions:
-        raise ValueError("empty batch: need at least one session")
-    batch = [validate_local_data(s) for s in sessions]
-    for s, arrays in enumerate(batch):
-        if len(arrays) != n_ranks:
-            raise ValueError(
-                f"session {s}: got {len(arrays)} rank arrays for "
-                f"{n_ranks} ranks"
-            )
-        if arrays[0].shape != batch[0][0].shape:
-            raise ValueError(
-                f"session {s}: shape {arrays[0].shape} differs from "
-                f"session 0 shape {batch[0][0].shape} (batches must be "
-                "same-shaped)"
-            )
-    return batch
+HZCCL_BATCHED_REDUCE = Family(
+    "hzccl_batched_reduce",
+    checks=(rules.check_root, rules.check_batch),
+    seed=rules.seed_sessions, gather=rules.gather_session_folds,
+    fallback=MPI_REDUCE, per_session=True,
+)
 
 
-@traced_collective("hzccl_batched_reduce")
 def hzccl_batched_reduce(
     cluster: SimCluster,
     sessions: list[list[np.ndarray]],
@@ -77,39 +55,4 @@ def hzccl_batched_reduce(
     and every session reruns as a plain rooted Reduce (the standard
     degrade-to-plain contract, wire billed for both attempts).
     """
-    n = cluster.n_ranks
-    if not 0 <= root < n:
-        raise IndexError(f"root {root} out of range for {n} ranks")
-    batch = _validate_batch(sessions, n)
-    k = len(batch)
-    codec = HomomorphicCodec(cluster, config)
-    state: list[dict] = [
-        {("v", s, i): batch[s][i] for s in range(k)} for i in range(n)
-    ]
-    outcome = ScheduleExecutor(cluster, codec).run(
-        batched_fused_reduce(n, k, root), state
-    )
-    if outcome.degraded:
-        wire = outcome.wire
-        outputs = []
-        for arrays in batch:
-            fallback = mpi_reduce(cluster, list(arrays), root)
-            outputs.append(fallback.outputs[root])
-            wire += fallback.bytes_on_wire
-        return CollectiveResult(
-            outputs=outputs,
-            breakdown=cluster.breakdown(),
-            bytes_on_wire=wire,
-            pipeline_stats=codec.engine.stats,
-            degraded=True,
-            fault_stats=channel_stats(cluster),
-        )
-    outputs = [state[root][("f", s)] for s in range(k)]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        pipeline_stats=codec.engine.stats,
-        degraded=False,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(HZCCL_BATCHED_REDUCE, cluster, sessions, config, root=root)

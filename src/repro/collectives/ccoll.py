@@ -28,103 +28,41 @@ from __future__ import annotations
 import numpy as np
 
 from ..runtime.cluster import SimCluster
-from ..runtime.topology import Ring
-from ..schedule import (
-    DocGatherCodec,
-    DocReduceCodec,
-    ScheduleExecutor,
-    ring_allgather,
-    ring_reduce_scatter,
-)
-from .base import (
-    CollectiveResult,
-    channel_stats,
-    split_blocks,
-    traced_collective,
-    validate_local_data,
-)
-from .ring import mpi_allgather, mpi_reduce_scatter
+from . import rules
+from .base import CollectiveResult
+from .interpreter import Family, run
+from .ring import MPI_ALLGATHER, MPI_REDUCE_SCATTER
 
 __all__ = ["ccoll_reduce_scatter", "ccoll_allgather", "ccoll_allreduce"]
 
+CCOLL_REDUCE_SCATTER = Family(
+    "ccoll_reduce_scatter", **rules.REDUCE_SCATTER,
+    fallback=MPI_REDUCE_SCATTER,
+)
+CCOLL_ALLGATHER = Family(
+    "ccoll_allgather", **rules.ALLGATHER, fallback=MPI_ALLGATHER
+)
+CCOLL_ALLREDUCE = Family(
+    "ccoll_allreduce", steps=(CCOLL_REDUCE_SCATTER, CCOLL_ALLGATHER)
+)
 
-@traced_collective("ccoll_reduce_scatter")
+
 def ccoll_reduce_scatter(
     cluster: SimCluster, local_data: list[np.ndarray], config
 ) -> CollectiveResult:
     """C-Coll ring Reduce_scatter (DOC workflow each round)."""
-    arrays = validate_local_data(local_data)
-    n = cluster.n_ranks
-    if len(arrays) != n:
-        raise ValueError(f"got {len(arrays)} rank arrays for {n} ranks")
-    ring = Ring(n)
-    state = [dict(enumerate(split_blocks(a, n))) for a in arrays]
-    outcome = ScheduleExecutor(cluster, DocReduceCodec(cluster, config)).run(
-        ring_reduce_scatter(n), state
-    )
-    if outcome.degraded:
-        # Degrade: rerun the remainder on the plain uncompressed kernel.
-        fallback = mpi_reduce_scatter(cluster, local_data)
-        return CollectiveResult(
-            outputs=fallback.outputs,
-            breakdown=cluster.breakdown(),
-            bytes_on_wire=outcome.wire + fallback.bytes_on_wire,
-            degraded=True,
-            fault_stats=channel_stats(cluster),
-        )
-    outputs = [state[i][ring.owned_block(i)] for i in range(n)]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(CCOLL_REDUCE_SCATTER, cluster, local_data, config)
 
 
-@traced_collective("ccoll_allgather")
 def ccoll_allgather(
     cluster: SimCluster, chunks: list[np.ndarray], config
 ) -> CollectiveResult:
     """C-Coll ring Allgather: compress once, forward bytes, decompress all."""
-    n = cluster.n_ranks
-    if len(chunks) != n:
-        raise ValueError(f"got {len(chunks)} chunks for {n} ranks")
-    ring = Ring(n)
-    state = [{ring.owned_block(i): chunks[i]} for i in range(n)]
-    outcome = ScheduleExecutor(cluster, DocGatherCodec(cluster, config)).run(
-        ring_allgather(n), state
-    )
-    if outcome.degraded:
-        fallback = mpi_allgather(cluster, list(chunks))
-        return CollectiveResult(
-            outputs=fallback.outputs,
-            breakdown=cluster.breakdown(),
-            bytes_on_wire=outcome.wire + fallback.bytes_on_wire,
-            degraded=True,
-            fault_stats=channel_stats(cluster),
-        )
-    outputs = [
-        np.concatenate([state[i][k] for k in range(n)]) for i in range(n)
-    ]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(CCOLL_ALLGATHER, cluster, chunks, config)
 
 
-@traced_collective("ccoll_allreduce")
 def ccoll_allreduce(
     cluster: SimCluster, local_data: list[np.ndarray], config
 ) -> CollectiveResult:
     """C-Coll ring Allreduce: DOC Reduce_scatter then compressed Allgather."""
-    rs = ccoll_reduce_scatter(cluster, local_data, config)
-    ag = ccoll_allgather(cluster, rs.outputs, config)
-    return CollectiveResult(
-        outputs=ag.outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=rs.bytes_on_wire + ag.bytes_on_wire,
-        degraded=rs.degraded or ag.degraded,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(CCOLL_ALLREDUCE, cluster, local_data, config)

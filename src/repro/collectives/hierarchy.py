@@ -24,51 +24,24 @@ import numpy as np
 
 from ..runtime.cluster import SimCluster
 from ..runtime.nodemap import NodeMap
-from ..schedule import (
-    HomomorphicCodec,
-    PlainCodec,
-    ScheduleExecutor,
-    hierarchical_allreduce_schedule,
-    select_inter_family,
-)
-from .base import (
-    CollectiveResult,
-    channel_stats,
-    split_blocks,
-    traced_collective,
-    validate_local_data,
-)
-from .ring import mpi_allreduce
+from . import rules
+from .base import CollectiveResult
+from .interpreter import Family, run
+from .ring import MPI_ALLREDUCE
 
 __all__ = ["mpi_hierarchical_allreduce", "hzccl_hierarchical_allreduce"]
 
-
-def _setup(cluster: SimCluster, local_data, nodemap: NodeMap, inter):
-    arrays = validate_local_data(local_data)
-    n = cluster.n_ranks
-    if len(arrays) != n:
-        raise ValueError(f"got {len(arrays)} rank arrays for {n} ranks")
-    if nodemap.n_ranks != n:
-        raise ValueError(
-            f"NodeMap places {nodemap.n_ranks} ranks but the cluster has {n}"
-        )
-    if inter is None:
-        inter = select_inter_family(cluster.network, nodemap)
-    schedule = hierarchical_allreduce_schedule(nodemap, inter)
-    state = [
-        dict(enumerate(split_blocks(a, nodemap.n_nodes))) for a in arrays
-    ]
-    return arrays, schedule, state
+MPI_HIERARCHICAL_ALLREDUCE = Family(
+    "mpi_hierarchical_allreduce", **rules.PLACED_ALLREDUCE
+)
+# degrade-to-plain: rerun the whole collective on the flat uncompressed
+# ring (same contract as the other hzccl kernels)
+HZCCL_HIERARCHICAL_ALLREDUCE = Family(
+    "hzccl_hierarchical_allreduce", **rules.PLACED_ALLREDUCE,
+    fallback=MPI_ALLREDUCE,
+)
 
 
-def _outputs(state, n_ranks: int, n_nodes: int) -> list[np.ndarray]:
-    return [
-        np.concatenate([state[i][b] for b in range(n_nodes)])
-        for i in range(n_ranks)
-    ]
-
-
-@traced_collective("mpi_hierarchical_allreduce")
 def mpi_hierarchical_allreduce(
     cluster: SimCluster,
     local_data: list[np.ndarray],
@@ -76,19 +49,12 @@ def mpi_hierarchical_allreduce(
     inter: str | None = None,
 ) -> CollectiveResult:
     """Plain hierarchical Allreduce (float adds at both levels)."""
-    _, schedule, state = _setup(cluster, local_data, nodemap, inter)
-    outcome = ScheduleExecutor(cluster, PlainCodec(cluster)).run(
-        schedule, state
-    )
-    return CollectiveResult(
-        outputs=_outputs(state, cluster.n_ranks, nodemap.n_nodes),
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        fault_stats=channel_stats(cluster),
+    return run(
+        MPI_HIERARCHICAL_ALLREDUCE, cluster, local_data,
+        nodemap=nodemap, inter=inter,
     )
 
 
-@traced_collective("hzccl_hierarchical_allreduce")
 def hzccl_hierarchical_allreduce(
     cluster: SimCluster,
     local_data: list[np.ndarray],
@@ -104,25 +70,7 @@ def hzccl_hierarchical_allreduce(
     ring's ``n_ranks·CPR + (n_ranks−1)·HPR`` *invocations*, which is
     where the high-rank-count op-overhead dip of Fig. 10 comes from.
     """
-    _, schedule, state = _setup(cluster, local_data, nodemap, inter)
-    codec = HomomorphicCodec(cluster, config)
-    outcome = ScheduleExecutor(cluster, codec).run(schedule, state)
-    if outcome.degraded:
-        # degrade-to-plain: rerun the whole collective on the flat
-        # uncompressed ring (same contract as the other hzccl kernels)
-        fallback = mpi_allreduce(cluster, local_data)
-        return CollectiveResult(
-            outputs=fallback.outputs,
-            breakdown=cluster.breakdown(),
-            bytes_on_wire=outcome.wire + fallback.bytes_on_wire,
-            pipeline_stats=codec.engine.stats,
-            degraded=True,
-            fault_stats=channel_stats(cluster),
-        )
-    return CollectiveResult(
-        outputs=_outputs(state, cluster.n_ranks, nodemap.n_nodes),
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        pipeline_stats=codec.engine.stats,
-        fault_stats=channel_stats(cluster),
+    return run(
+        HZCCL_HIERARCHICAL_ALLREDUCE, cluster, local_data, config,
+        nodemap=nodemap, inter=inter,
     )

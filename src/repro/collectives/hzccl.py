@@ -20,10 +20,11 @@ The paper's co-design (§III-C).  Differences from C-Coll:
   (:func:`~repro.schedule.pipelined_ring_reduce_scatter`), something no
   monolithic send-then-fold loop could express.
 
-All variants are ring schedules run by the
+All variants are rows of the family table: ring schedules run by the
 :class:`~repro.schedule.ScheduleExecutor` under the
-:class:`~repro.schedule.HomomorphicCodec` — the collective-specific code
-below only seeds state, picks slot names, and handles degrade fallbacks.
+:class:`~repro.schedule.HomomorphicCodec`, interpreted by
+:func:`repro.collectives.interpreter.run` — the rows below only name the
+seed and gather rules and the plain family each one degrades to.
 
 Accuracy: each input is quantised exactly once and all reductions are
 exact in the integer domain, so the end-to-end error is bounded by
@@ -36,23 +37,10 @@ import numpy as np
 
 from ..compression.format import CompressedField
 from ..runtime.cluster import SimCluster
-from ..runtime.topology import Ring
-from ..schedule import (
-    SYNC_OVERHEAD_S,
-    HomomorphicCodec,
-    ScheduleExecutor,
-    pipelined_ring_reduce_scatter,
-    ring_allgather,
-    ring_reduce_scatter,
-)
-from .base import (
-    CollectiveResult,
-    channel_stats,
-    split_blocks,
-    traced_collective,
-    validate_local_data,
-)
-from .ring import mpi_allgather, mpi_allreduce, mpi_reduce_scatter
+from . import rules
+from .base import CollectiveResult
+from .interpreter import Family, run
+from .ring import MPI_ALLGATHER, MPI_ALLREDUCE, MPI_REDUCE_SCATTER
 
 __all__ = [
     "hzccl_reduce_scatter",
@@ -61,12 +49,47 @@ __all__ = [
     "hzccl_pipelined_allreduce",
 ]
 
-#: slot map for the fused allreduce's allgather stage: inputs arrive
-#: compressed, so there is no setup phase at all.
-_GATHER_SLOTS = {"setup": None, "finalize": "decompress"}
+# Stage-level fallback: a degraded stage finishes on its plain twin (the
+# outputs are then plain float blocks, fused hand-off or not) and the
+# allreduce carries on from there.
+HZCCL_REDUCE_SCATTER = Family(
+    "hzccl_reduce_scatter", **rules.REDUCE_SCATTER,
+    fallback=MPI_REDUCE_SCATTER,
+)
+#: the fused hand-off: no final decompression, ``outputs`` stay compressed
+HZCCL_REDUCE_SCATTER_FUSED = Family(
+    "hzccl_reduce_scatter_fused", span="hzccl_reduce_scatter",
+    **rules.REDUCE_SCATTER, fallback=MPI_REDUCE_SCATTER,
+)
+HZCCL_ALLGATHER_COMPRESSED = Family(
+    "hzccl_allgather_compressed", **rules.ALLGATHER,
+    fallback=MPI_ALLGATHER, compressed_input=True,
+)
+HZCCL_ALLREDUCE = Family(
+    "hzccl_allreduce",
+    steps=(HZCCL_REDUCE_SCATTER_FUSED, HZCCL_ALLGATHER_COMPRESSED),
+)
+
+# Whole-collective fallback: the two pipelined stages run inline under
+# one span and own no fallback, so either one aborting reruns the whole
+# allreduce plain.
+_PIPELINED_REDUCE_SCATTER = Family(
+    "pipelined_reduce_scatter", span=None,
+    seed=rules.seed_chunked_blocks, gather=rules.gather_owned_chunks,
+)
+_PIPELINED_ALLGATHER = Family(
+    "pipelined_allgather", span=None,
+    seed=rules.seed_owned_chunks, gather=rules.gather_concat,
+    compressed_input=True,
+)
+HZCCL_PIPELINED_ALLREDUCE = Family(
+    "hzccl_pipelined_allreduce",
+    checks=(rules.check_arrays,),
+    steps=(_PIPELINED_REDUCE_SCATTER, _PIPELINED_ALLGATHER),
+    fallback=MPI_ALLREDUCE,
+)
 
 
-@traced_collective("hzccl_reduce_scatter")
 def hzccl_reduce_scatter(
     cluster: SimCluster,
     local_data: list[np.ndarray],
@@ -79,39 +102,13 @@ def hzccl_reduce_scatter(
     ``outputs`` holds :class:`CompressedField` objects — the fused hand-off
     the hZCCL Allreduce exploits.
     """
-    arrays = validate_local_data(local_data)
-    n = cluster.n_ranks
-    if len(arrays) != n:
-        raise ValueError(f"got {len(arrays)} rank arrays for {n} ranks")
-    ring = Ring(n)
-    codec = HomomorphicCodec(cluster, config)
-    state = [dict(enumerate(split_blocks(a, n))) for a in arrays]
-    outcome = ScheduleExecutor(cluster, codec).run(
-        ring_reduce_scatter(n, finalize=not return_compressed), state
+    family = (
+        HZCCL_REDUCE_SCATTER_FUSED if return_compressed
+        else HZCCL_REDUCE_SCATTER
     )
-    if outcome.degraded:
-        # Degrade: finish on the plain uncompressed kernel (the outputs are
-        # then plain float blocks regardless of ``return_compressed``).
-        fallback = mpi_reduce_scatter(cluster, local_data)
-        return CollectiveResult(
-            outputs=fallback.outputs,
-            breakdown=cluster.breakdown(),
-            bytes_on_wire=outcome.wire + fallback.bytes_on_wire,
-            pipeline_stats=codec.engine.stats,
-            degraded=True,
-            fault_stats=channel_stats(cluster),
-        )
-    outputs = [state[i][ring.owned_block(i)] for i in range(n)]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        pipeline_stats=codec.engine.stats,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(family, cluster, local_data, config)
 
 
-@traced_collective("hzccl_allgather_compressed")
 def hzccl_allgather_compressed(
     cluster: SimCluster, chunks: list[CompressedField], config
 ) -> CollectiveResult:
@@ -119,46 +116,12 @@ def hzccl_allgather_compressed(
 
     No compression happens here — sizes are synchronised, compressed bytes
     ride the ring for ``N − 1`` rounds, and each rank decompresses the
-    gathered blocks once at the end.
+    gathered blocks once at the end.  Degrade: decompress the local
+    contributions and forward them plain.
     """
-    n = cluster.n_ranks
-    if len(chunks) != n:
-        raise ValueError(f"got {len(chunks)} compressed chunks for {n} ranks")
-    ring = Ring(n)
-    codec = HomomorphicCodec(cluster, config, slots=_GATHER_SLOTS)
-
-    for i in range(n):
-        cluster.clocks[i].charge("OTHER", SYNC_OVERHEAD_S)  # size sync only
-
-    state = [{ring.owned_block(i): chunks[i]} for i in range(n)]
-    outcome = ScheduleExecutor(cluster, codec).run(ring_allgather(n), state)
-    if outcome.degraded:
-        # Degrade: decompress the local contributions and forward plain.
-        plain_chunks = []
-        for i in range(n):
-            with cluster.timed(i, "DPR"):
-                plain_chunks.append(codec.comp.decompress(chunks[i]))
-        cluster.end_compute_phase()
-        fallback = mpi_allgather(cluster, plain_chunks)
-        return CollectiveResult(
-            outputs=fallback.outputs,
-            breakdown=cluster.breakdown(),
-            bytes_on_wire=outcome.wire + fallback.bytes_on_wire,
-            degraded=True,
-            fault_stats=channel_stats(cluster),
-        )
-    outputs = [
-        np.concatenate([state[i][k] for k in range(n)]) for i in range(n)
-    ]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(HZCCL_ALLGATHER_COMPRESSED, cluster, chunks, config)
 
 
-@traced_collective("hzccl_allreduce")
 def hzccl_allreduce(
     cluster: SimCluster, local_data: list[np.ndarray], config
 ) -> CollectiveResult:
@@ -168,24 +131,9 @@ def hzccl_allreduce(
     the Allgather stage forwards them without compressing — the paper's
     tailored optimisation on top of the per-stage gains.
     """
-    rs = hzccl_reduce_scatter(cluster, local_data, config, return_compressed=True)
-    if rs.degraded:
-        # The Reduce_scatter stage already fell back to plain blocks;
-        # finish with the plain allgather.
-        ag = mpi_allgather(cluster, rs.outputs)
-    else:
-        ag = hzccl_allgather_compressed(cluster, rs.outputs, config)
-    return CollectiveResult(
-        outputs=ag.outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=rs.bytes_on_wire + ag.bytes_on_wire,
-        pipeline_stats=rs.pipeline_stats,
-        degraded=rs.degraded or ag.degraded,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(HZCCL_ALLREDUCE, cluster, local_data, config)
 
 
-@traced_collective("hzccl_pipelined_allreduce")
 def hzccl_pipelined_allreduce(
     cluster: SimCluster,
     local_data: list[np.ndarray],
@@ -201,70 +149,7 @@ def hzccl_pipelined_allreduce(
     overlap wall-clock kernel runs); the outputs and the fault behaviour
     exercise the exact staged schedule the model prices.
     """
-    arrays = validate_local_data(local_data)
-    n = cluster.n_ranks
-    if len(arrays) != n:
-        raise ValueError(f"got {len(arrays)} rank arrays for {n} ranks")
-    ring = Ring(n)
-    codec = HomomorphicCodec(cluster, config)
-    state = [
-        {
-            (b, c): chunk
-            for b, block in enumerate(split_blocks(a, n))
-            for c, chunk in enumerate(split_blocks(block, n_chunks))
-        }
-        for a in arrays
-    ]
-    executor = ScheduleExecutor(cluster, codec)
-    rs = executor.run(
-        pipelined_ring_reduce_scatter(n, n_chunks, finalize=False), state
-    )
-    if rs.degraded:
-        fallback = mpi_allreduce(cluster, local_data)
-        return CollectiveResult(
-            outputs=fallback.outputs,
-            breakdown=cluster.breakdown(),
-            bytes_on_wire=rs.wire + fallback.bytes_on_wire,
-            pipeline_stats=codec.engine.stats,
-            degraded=True,
-            fault_stats=channel_stats(cluster),
-        )
-    # fused hand-off: owned chunks stay compressed into the allgather stage
-    for i in range(n):
-        cluster.clocks[i].charge("OTHER", SYNC_OVERHEAD_S)  # size sync only
-    ag_codec = HomomorphicCodec(
-        cluster, config, engine=codec.engine, slots=_GATHER_SLOTS
-    )
-    ag_state = [
-        {
-            (ring.owned_block(i), c): state[i][(ring.owned_block(i), c)]
-            for c in range(n_chunks)
-        }
-        for i in range(n)
-    ]
-    ag = ScheduleExecutor(cluster, ag_codec).run(
-        ring_allgather(n, chunks=n_chunks), ag_state
-    )
-    if ag.degraded:
-        fallback = mpi_allreduce(cluster, local_data)
-        return CollectiveResult(
-            outputs=fallback.outputs,
-            breakdown=cluster.breakdown(),
-            bytes_on_wire=rs.wire + ag.wire + fallback.bytes_on_wire,
-            pipeline_stats=codec.engine.stats,
-            degraded=True,
-            fault_stats=channel_stats(cluster),
-        )
-    outputs = [
-        np.concatenate(
-            [ag_state[i][(k, c)] for k in range(n) for c in range(n_chunks)]
-        )
-        for i in range(n)
-    ]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=rs.wire + ag.wire,
-        pipeline_stats=codec.engine.stats,
-        fault_stats=channel_stats(cluster),
+    return run(
+        HZCCL_PIPELINED_ALLREDUCE, cluster, local_data, config,
+        chunks=n_chunks,
     )

@@ -10,10 +10,9 @@ algorithm-agnostic: blocks are pre-compressed once and folded with
 hZ-dynamic regardless of which schedule moves them.
 
 The halving/doubling round structure is generated once by
-:func:`~repro.schedule.rabenseifner_allreduce_schedule`; both variants
-below run that same schedule through the
-:class:`~repro.schedule.ScheduleExecutor`, differing only in the payload
-codec (plain float adds vs. pre-compress / homomorphic fold / decompress).
+:func:`~repro.schedule.rabenseifner_allreduce_schedule`; both rows below
+run that same schedule, differing only in the payload codec (plain float
+adds vs. pre-compress / homomorphic fold / decompress).
 
 Rank counts must be powers of two (the classic formulation; MPICH's
 non-power-of-two pre-step is out of scope and rejected explicitly).
@@ -24,81 +23,31 @@ from __future__ import annotations
 import numpy as np
 
 from ..runtime.cluster import SimCluster
-from ..schedule import (
-    HomomorphicCodec,
-    PlainCodec,
-    ScheduleExecutor,
-    rabenseifner_allreduce_schedule,
-)
-from .base import (
-    CollectiveResult,
-    channel_stats,
-    split_blocks,
-    traced_collective,
-    validate_local_data,
-)
+from . import rules
+from .base import CollectiveResult
+from .interpreter import Family, run
 
 __all__ = ["rabenseifner_allreduce", "hzccl_rabenseifner_allreduce"]
 
+RABENSEIFNER_ALLREDUCE = Family("rabenseifner_allreduce", **rules.ALLREDUCE)
+# Degrade: rerun on the plain Rabenseifner schedule.
+HZCCL_RABENSEIFNER_ALLREDUCE = Family(
+    "hzccl_rabenseifner_allreduce", **rules.ALLREDUCE,
+    fallback=RABENSEIFNER_ALLREDUCE,
+)
 
-@traced_collective("rabenseifner_allreduce")
+
 def rabenseifner_allreduce(
     cluster: SimCluster, local_data: list[np.ndarray]
 ) -> CollectiveResult:
     """Plain Rabenseifner Allreduce (SUM)."""
-    arrays = validate_local_data(local_data)
-    n = cluster.n_ranks
-    if len(arrays) != n:
-        raise ValueError(f"got {len(arrays)} rank arrays for {n} ranks")
-    schedule = rabenseifner_allreduce_schedule(n)
-    state = [dict(enumerate(split_blocks(a, n))) for a in arrays]
-    outcome = ScheduleExecutor(cluster, PlainCodec(cluster)).run(
-        schedule, state
-    )
-    outputs = [
-        np.concatenate([state[i][j] for j in range(n)]) for i in range(n)
-    ]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(RABENSEIFNER_ALLREDUCE, cluster, local_data)
 
 
-@traced_collective("hzccl_rabenseifner_allreduce")
 def hzccl_rabenseifner_allreduce(
     cluster: SimCluster, local_data: list[np.ndarray], config
 ) -> CollectiveResult:
     """Homomorphic Rabenseifner Allreduce: pre-compress once, fold with
     hZ-dynamic through the halving schedule, forward compressed segments
     through the doubling schedule, decompress once."""
-    arrays = validate_local_data(local_data)
-    n = cluster.n_ranks
-    if len(arrays) != n:
-        raise ValueError(f"got {len(arrays)} rank arrays for {n} ranks")
-    schedule = rabenseifner_allreduce_schedule(n)
-    codec = HomomorphicCodec(cluster, config)
-    state = [dict(enumerate(split_blocks(a, n))) for a in arrays]
-    outcome = ScheduleExecutor(cluster, codec).run(schedule, state)
-    if outcome.degraded:
-        # Degrade: rerun on the plain Rabenseifner schedule.
-        fallback = rabenseifner_allreduce(cluster, local_data)
-        return CollectiveResult(
-            outputs=fallback.outputs,
-            breakdown=cluster.breakdown(),
-            bytes_on_wire=outcome.wire + fallback.bytes_on_wire,
-            pipeline_stats=codec.engine.stats,
-            degraded=True,
-            fault_stats=channel_stats(cluster),
-        )
-    outputs = [
-        np.concatenate([state[i][j] for j in range(n)]) for i in range(n)
-    ]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        pipeline_stats=codec.engine.stats,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(HZCCL_RABENSEIFNER_ALLREDUCE, cluster, local_data, config)

@@ -11,9 +11,9 @@ this repo is structured around:
 * ``allgather`` — ``N − 1`` forwarding rounds.
 * ``allreduce`` — reduce-scatter then allgather (bandwidth-optimal).
 
-The round structure lives in :mod:`repro.schedule.generators`; this module
-only seeds rank state, runs the :class:`~repro.schedule.ScheduleExecutor`
-under the plain codec, and assembles the outputs.  Every rank's arithmetic
+The round structure lives in :mod:`repro.schedule.generators` and the
+seed → run → assemble skeleton in :mod:`repro.collectives.interpreter`;
+this module only declares the three rows.  Every rank's arithmetic
 executes for real; only the wire time is modelled.
 """
 
@@ -22,48 +22,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..runtime.cluster import SimCluster
-from ..runtime.topology import Ring
-from ..schedule import (
-    PlainCodec,
-    ScheduleExecutor,
-    ring_allgather,
-    ring_reduce_scatter,
-)
-from .base import (
-    CollectiveResult,
-    channel_stats,
-    split_blocks,
-    traced_collective,
-    validate_local_data,
-)
+from . import rules
+from .base import CollectiveResult
+from .interpreter import Family, run
 
 __all__ = ["mpi_reduce_scatter", "mpi_allgather", "mpi_allreduce"]
 
+MPI_REDUCE_SCATTER = Family("mpi_reduce_scatter", **rules.REDUCE_SCATTER)
+MPI_ALLGATHER = Family("mpi_allgather", **rules.ALLGATHER)
+MPI_ALLREDUCE = Family(
+    "mpi_allreduce", steps=(MPI_REDUCE_SCATTER, MPI_ALLGATHER)
+)
 
-@traced_collective("mpi_reduce_scatter")
+
 def mpi_reduce_scatter(
     cluster: SimCluster, local_data: list[np.ndarray]
 ) -> CollectiveResult:
     """Ring Reduce_scatter with SUM; returns each rank's reduced block."""
-    arrays = validate_local_data(local_data)
-    n = cluster.n_ranks
-    if len(arrays) != n:
-        raise ValueError(f"got {len(arrays)} rank arrays for {n} ranks")
-    ring = Ring(n)
-    state = [dict(enumerate(split_blocks(a, n))) for a in arrays]
-    outcome = ScheduleExecutor(cluster, PlainCodec(cluster)).run(
-        ring_reduce_scatter(n), state
-    )
-    outputs = [state[i][ring.owned_block(i)] for i in range(n)]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(MPI_REDUCE_SCATTER, cluster, local_data)
 
 
-@traced_collective("mpi_allgather")
 def mpi_allgather(
     cluster: SimCluster, chunks: list[np.ndarray]
 ) -> CollectiveResult:
@@ -73,35 +51,11 @@ def mpi_allgather(
     composition this is the reduced block ``(i + 1) mod N`` from
     reduce-scatter, and the output concatenation is in block order.
     """
-    n = cluster.n_ranks
-    if len(chunks) != n:
-        raise ValueError(f"got {len(chunks)} chunks for {n} ranks")
-    ring = Ring(n)
-    state = [{ring.owned_block(i): np.asarray(chunks[i])} for i in range(n)]
-    outcome = ScheduleExecutor(cluster, PlainCodec(cluster)).run(
-        ring_allgather(n), state
-    )
-    outputs = [
-        np.concatenate([state[i][k] for k in range(n)]) for i in range(n)
-    ]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(MPI_ALLGATHER, cluster, chunks)
 
 
-@traced_collective("mpi_allreduce")
 def mpi_allreduce(
     cluster: SimCluster, local_data: list[np.ndarray]
 ) -> CollectiveResult:
     """Ring Allreduce (reduce-scatter + allgather) with SUM."""
-    rs = mpi_reduce_scatter(cluster, local_data)
-    ag = mpi_allgather(cluster, rs.outputs)
-    return CollectiveResult(
-        outputs=ag.outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=rs.bytes_on_wire + ag.bytes_on_wire,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(MPI_ALLREDUCE, cluster, local_data)

@@ -20,11 +20,11 @@ that compose naturally with the ring machinery:
 
 All schedules come from :mod:`repro.schedule.generators`
 (:func:`~repro.schedule.flat_gather`, :func:`~repro.schedule.direct_reduce`,
-:func:`~repro.schedule.binomial_bcast`) and run on the shared
-:class:`~repro.schedule.ScheduleExecutor`; the compressed gather's two
-historical degrade epilogues (mid-gather stream loss vs. an already
-degraded Reduce_scatter) now both funnel through the executor's single
-``UnrecoverableStreamError`` path and one plain-gather fallback below.
+:func:`~repro.schedule.binomial_bcast`) and run as rows of the family
+table under :func:`repro.collectives.interpreter.run`; the compressed
+gather's two degrade situations (mid-gather stream loss vs. an already
+degraded Reduce_scatter) both end on the one unspanned plain-gather row
+below.
 """
 
 from __future__ import annotations
@@ -32,24 +32,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..runtime.cluster import SimCluster
-from ..runtime.topology import Ring
-from ..schedule import (
-    CompressedBcastCodec,
-    HomomorphicCodec,
-    PlainCodec,
-    ScheduleExecutor,
-    binomial_bcast,
-    direct_reduce,
-    flat_gather,
-)
-from .base import (
-    CollectiveResult,
-    channel_stats,
-    traced_collective,
-    validate_local_data,
-)
-from .hzccl import hzccl_reduce_scatter
-from .ring import mpi_reduce_scatter
+from . import rules
+from .base import CollectiveResult
+from .hzccl import HZCCL_REDUCE_SCATTER_FUSED
+from .interpreter import Family, run
+from .ring import MPI_REDUCE_SCATTER
 
 __all__ = [
     "mpi_reduce",
@@ -59,92 +46,62 @@ __all__ = [
     "compressed_bcast",
 ]
 
-#: the compressed rooted reduce historically ran its gather and root
-#: decode without opening spans — ``""`` keeps the trace shape intact.
-_UNSPANNED_REDUCE_SLOTS = {"setup": None, "gather": "", "finalize": ""}
+# The gathers of reduced blocks to the root run inline under the Reduce's
+# own span (they never were collectives of their own).
+_PLAIN_GATHER = Family("plain_gather", span=None, **rules.ROOT_GATHER)
+_PLAIN_GATHER_UNSPANNED = Family(
+    "plain_gather_unspanned", span=None, **rules.ROOT_GATHER
+)
+# Degrade: decompress at the owners, gather the plain blocks (the aborted
+# compressed gather's partial wire is not billed — its transfers never
+# completed as a message).
+_HZCCL_GATHER = Family(
+    "hzccl_gather", span=None, **rules.ROOT_GATHER,
+    fallback=_PLAIN_GATHER_UNSPANNED, compressed_input=True,
+    bill_aborted_wire=False,
+)
+MPI_REDUCE = Family(
+    "mpi_reduce", checks=(rules.check_root,),
+    steps=(MPI_REDUCE_SCATTER, _PLAIN_GATHER),
+)
+HZCCL_REDUCE = Family(
+    "hzccl_reduce", checks=(rules.check_root,),
+    steps=(HZCCL_REDUCE_SCATTER_FUSED, _HZCCL_GATHER),
+)
+# Degrade: rerun as a plain rooted Reduce.
+HZCCL_REDUCE_DIRECT = Family(
+    "hzccl_reduce_direct",
+    checks=(rules.check_arrays, rules.check_root),
+    seed=rules.seed_vectors, gather=rules.gather_root_fused,
+    fallback=MPI_REDUCE,
+)
+MPI_BCAST = Family(
+    "mpi_bcast", checks=(rules.check_payload,),
+    seed=rules.seed_root_payload, gather=rules.gather_replicas,
+)
+# Per-rank stream loss degrades *individually* (the stage's
+# ``per_op_degrade``), so there is no family to fall back to.
+COMPRESSED_BCAST = Family(
+    "compressed_bcast", checks=(rules.check_payload,),
+    seed=rules.seed_root_payload, gather=rules.gather_delivered,
+)
 
 
-def _plain_gather(cluster, blocks, root, spanned):
-    """Gather plain ``blocks`` (rank-indexed) to the root; returns
-    ``(wire, result)`` with the result concatenated in block order."""
-    n = cluster.n_ranks
-    ring = Ring(n)
-    codec = PlainCodec(cluster)
-    if not spanned:
-        codec.slots = {**PlainCodec.slots, "gather": ""}
-    state = [{ring.owned_block(i): blocks[i]} for i in range(n)]
-    outcome = ScheduleExecutor(cluster, codec).run(flat_gather(n, root), state)
-    return outcome.wire, np.concatenate([state[root][k] for k in range(n)])
-
-
-@traced_collective("mpi_reduce")
 def mpi_reduce(
     cluster: SimCluster, local_data: list[np.ndarray], root: int = 0
 ) -> CollectiveResult:
     """Plain Reduce: ring Reduce_scatter + gather of blocks to the root."""
-    n = cluster.n_ranks
-    if not 0 <= root < n:
-        raise IndexError(f"root {root} out of range for {n} ranks")
-    rs = mpi_reduce_scatter(cluster, local_data)
-    wire, result = _plain_gather(cluster, rs.outputs, root, spanned=True)
-    outputs: list = [None] * n
-    outputs[root] = result
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=rs.bytes_on_wire + wire,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(MPI_REDUCE, cluster, local_data, root=root)
 
 
-@traced_collective("hzccl_reduce")
 def hzccl_reduce(
     cluster: SimCluster, local_data: list[np.ndarray], config, root: int = 0
 ) -> CollectiveResult:
     """hZCCL Reduce: compressed Reduce_scatter, compressed gather, one
     decompression at the root only."""
-    n = cluster.n_ranks
-    if not 0 <= root < n:
-        raise IndexError(f"root {root} out of range for {n} ranks")
-    ring = Ring(n)
-    rs = hzccl_reduce_scatter(cluster, local_data, config, return_compressed=True)
-    degraded = rs.degraded
-    if degraded:
-        # Reduce_scatter already fell back: the blocks are plain floats.
-        wire, result = _plain_gather(cluster, rs.outputs, root, spanned=False)
-    else:
-        codec = HomomorphicCodec(cluster, config, slots=_UNSPANNED_REDUCE_SLOTS)
-        state = [{ring.owned_block(i): rs.outputs[i]} for i in range(n)]
-        outcome = ScheduleExecutor(cluster, codec).run(
-            flat_gather(n, root, finalize=True), state
-        )
-        if outcome.degraded:
-            # Degrade: decompress at the owners, gather the plain blocks
-            # (the aborted compressed gather's partial wire is not billed —
-            # its transfers never completed as a message).
-            degraded = True
-            plain = []
-            for i in range(n):
-                with cluster.timed(i, "DPR"):
-                    plain.append(codec.comp.decompress(rs.outputs[i]))
-            cluster.end_compute_phase()
-            wire, result = _plain_gather(cluster, plain, root, spanned=False)
-        else:
-            wire = outcome.wire
-            result = np.concatenate([state[root][k] for k in range(n)])
-    outputs: list = [None] * n
-    outputs[root] = result
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=rs.bytes_on_wire + wire,
-        pipeline_stats=rs.pipeline_stats,
-        degraded=degraded,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(HZCCL_REDUCE, cluster, local_data, config, root=root)
 
 
-@traced_collective("hzccl_reduce_direct")
 def hzccl_reduce_direct(
     cluster: SimCluster, local_data: list[np.ndarray], config, root: int = 0
 ) -> CollectiveResult:
@@ -155,60 +112,16 @@ def hzccl_reduce_direct(
     homomorphic work no longer scales with ``N`` decode/encode round trips.
     The result is byte-identical to any pairwise schedule.
     """
-    arrays = validate_local_data(local_data)
-    n = cluster.n_ranks
-    if len(arrays) != n:
-        raise ValueError(f"got {len(arrays)} rank arrays for {n} ranks")
-    if not 0 <= root < n:
-        raise IndexError(f"root {root} out of range for {n} ranks")
-    codec = HomomorphicCodec(cluster, config)
-    state = [{("vec", i): arrays[i]} for i in range(n)]
-    outcome = ScheduleExecutor(cluster, codec).run(direct_reduce(n, root), state)
-    if outcome.degraded:
-        # Degrade: rerun as a plain rooted Reduce.
-        fallback = mpi_reduce(cluster, local_data, root)
-        return CollectiveResult(
-            outputs=fallback.outputs,
-            breakdown=cluster.breakdown(),
-            bytes_on_wire=outcome.wire + fallback.bytes_on_wire,
-            pipeline_stats=codec.engine.stats,
-            degraded=True,
-            fault_stats=channel_stats(cluster),
-        )
-    outputs: list = [None] * n
-    outputs[root] = state[root]["fused"]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        pipeline_stats=codec.engine.stats,
-        degraded=False,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(HZCCL_REDUCE_DIRECT, cluster, local_data, config, root=root)
 
 
-@traced_collective("mpi_bcast")
 def mpi_bcast(
     cluster: SimCluster, data: np.ndarray, root: int = 0
 ) -> CollectiveResult:
     """Plain binomial-tree broadcast of ``data`` from the root."""
-    data = validate_local_data([data])[0]
-    n = cluster.n_ranks
-    state: list[dict] = [{} for _ in range(n)]
-    state[root]["data"] = data
-    outcome = ScheduleExecutor(cluster, PlainCodec(cluster)).run(
-        binomial_bcast(n, root), state
-    )
-    outputs = [data.copy() for _ in range(n)]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(MPI_BCAST, cluster, data, root=root)
 
 
-@traced_collective("compressed_bcast")
 def compressed_bcast(
     cluster: SimCluster, data: np.ndarray, config, root: int = 0
 ) -> CollectiveResult:
@@ -219,21 +132,4 @@ def compressed_bcast(
     (``CommOp(degrade="op")``): the root re-sends that rank's share plain
     while every other rank still decodes the compressed stream.
     """
-    data = validate_local_data([data])[0]
-    n = cluster.n_ranks
-    codec = CompressedBcastCodec(cluster, config, data)
-    state: list[dict] = [{} for _ in range(n)]
-    state[root]["data"] = data
-    outcome = ScheduleExecutor(cluster, codec).run(
-        binomial_bcast(n, root, deliver=True), state
-    )
-    outputs = [
-        data.copy() if i == root else state[i]["data"] for i in range(n)
-    ]
-    return CollectiveResult(
-        outputs=outputs,
-        breakdown=cluster.breakdown(),
-        bytes_on_wire=outcome.wire,
-        degraded=outcome.degraded,
-        fault_stats=channel_stats(cluster),
-    )
+    return run(COMPRESSED_BCAST, cluster, data, config, root=root)

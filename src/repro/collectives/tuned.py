@@ -4,10 +4,10 @@
 actual data's roughness, describe the call as a
 :class:`~repro.core.pipeline.CollectiveRequest`, and let the pipeline's
 ``plan()`` resolve it (persisted table → in-memory LRU → live
-enumeration) and ``execute()`` run the picked candidate through the
-*existing* family entry point (:func:`run_candidate`) — so the tuned
-path inherits every family's fault handling and degrade-to-plain
-contract unchanged, and repeated shapes hit the process-wide
+enumeration) and ``execute()`` run the picked candidate's family-table
+row (the same row :func:`run_candidate` resolves) — so the tuned path
+inherits every family's fault handling and degrade-to-plain contract
+unchanged, and repeated shapes hit the process-wide
 :class:`~repro.core.pipeline.PlanCache`.
 
 Hierarchical picks need placement information: when the caller passes no
@@ -29,12 +29,14 @@ import numpy as np
 
 from ..runtime.cluster import SimCluster
 from ..runtime.nodemap import NodeMap
-from ..schedule.tuner import Candidate, TuningTable, classify_roughness
+from ..schedule.tuner import (
+    Candidate,
+    TuningTable,
+    candidate_family,
+    classify_roughness,
+)
 from .base import CollectiveResult, validate_local_data
-from .hierarchy import hzccl_hierarchical_allreduce, mpi_hierarchical_allreduce
-from .hzccl import hzccl_allreduce, hzccl_pipelined_allreduce
-from .rabenseifner import hzccl_rabenseifner_allreduce, rabenseifner_allreduce
-from .ring import mpi_allreduce
+from .interpreter import FAMILIES, run
 
 __all__ = ["tuned_allreduce", "run_candidate"]
 
@@ -46,27 +48,9 @@ def run_candidate(
     config,
     nodemap: NodeMap | None = None,
 ) -> CollectiveResult:
-    """Dispatch one tuner candidate to its family entry point."""
-    if cand.hierarchical:
-        if nodemap is None:
-            raise ValueError(f"candidate {cand.slug()} needs a nodemap")
-        inter = cand.family.removeprefix("hier-")
-        if cand.codec == "hz":
-            return hzccl_hierarchical_allreduce(
-                cluster, local_data, config, nodemap, inter
-            )
-        return mpi_hierarchical_allreduce(cluster, local_data, nodemap, inter)
-    if cand.family == "pipelined":
-        return hzccl_pipelined_allreduce(
-            cluster, local_data, config, n_chunks=cand.chunks
-        )
-    if cand.family == "rabenseifner":
-        if cand.codec == "hz":
-            return hzccl_rabenseifner_allreduce(cluster, local_data, config)
-        return rabenseifner_allreduce(cluster, local_data)
-    if cand.codec == "hz":
-        return hzccl_allreduce(cluster, local_data, config)
-    return mpi_allreduce(cluster, local_data)
+    """Run one tuner candidate as its family-table row."""
+    name, params = candidate_family(cand, "allreduce", nodemap)
+    return run(FAMILIES[name], cluster, local_data, config, **params)
 
 
 def tuned_allreduce(
@@ -84,7 +68,7 @@ def tuned_allreduce(
     never fails — it falls back to live candidate enumeration, memoised
     process-wide.
     """
-    # Lazy: core.pipeline imports this module back (for run_candidate).
+    # Lazy: core.pipeline imports this package back (for the family rows).
     from ..core.pipeline import (
         CollectiveRequest,
         PayloadSpec,

@@ -26,9 +26,7 @@ from ..compression.format import CompressedField
 from ..compression.fzlight import FZLight
 from ..homomorphic.hzdynamic import HZDynamic
 from ..kernels.dispatch import use_backend
-from ..runtime.cluster import SimCluster
 from ..runtime.nodemap import NodeMap
-from ..runtime.trace import TraceLog
 from ..schedule.tuner import classify_roughness
 from .config import CollectiveConfig
 from .pipeline import CollectiveRequest, PayloadSpec, execute, plan
@@ -96,17 +94,6 @@ class HZCCL:
     # ------------------------------------------------------------------ #
     # collectives
     # ------------------------------------------------------------------ #
-    def _cluster(self, n_ranks: int) -> SimCluster:
-        return SimCluster(
-            n_ranks=n_ranks,
-            network=self.config.network,
-            thread_speedup=self.config.thread_speedup,
-            multithread=self.config.multithread,
-            trace=TraceLog() if self.trace else None,
-            faults=self.config.fault_plan,
-            retry=self.config.retry,
-        )
-
     def _run(self, request: CollectiveRequest, data) -> CollectiveResult:
         """plan → execute with this facade's config/trace settings."""
         return execute(

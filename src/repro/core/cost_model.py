@@ -34,21 +34,7 @@ from ..homomorphic.hzdynamic import HZDynamic
 from ..runtime.clock import Breakdown
 from ..runtime.network import NetworkModel
 from ..runtime.nodemap import NodeMap
-from ..schedule import (
-    DOC_GATHER,
-    DOC_REDUCE,
-    HZ_GATHER,
-    HZ_REDUCE,
-    PLAIN,
-    combine,
-    direct_reduce,
-    hierarchical_allreduce_schedule,
-    pipelined_ring_reduce_scatter,
-    ring_allgather,
-    ring_reduce_scatter,
-    schedule_cost,
-    select_inter_family,
-)
+from ..schedule.families import family_cost
 from ..utils.validation import ensure_positive, ensure_positive_int
 
 __all__ = [
@@ -270,139 +256,80 @@ def matched_network(
 # ---------------------------------------------------------------------- #
 # §III-C round models — analytic dry runs of the executor's schedules
 # ---------------------------------------------------------------------- #
-# Every model below prices the *same* Schedule object the functional
-# executor runs (repro.schedule.generators), paired with the matching
-# charge Discipline instead of a PayloadCodec.  The closed forms of
-# §III-C — (N−1)(CPR+DPR+CPT) for C-Coll, N·CPR+(N−1)·HPR+1·DPR for
-# hZCCL, and so on — fall out of the round walk instead of being
-# hand-derived per family, so a new schedule generator is priced for
-# free (see model_hzccl_allreduce_pipelined).
+# Every model below prices its family-table row
+# (repro.schedule.families): the *same* Schedule objects the interpreter
+# runs, paired with each stage's charge Discipline instead of a
+# PayloadCodec.  The closed forms of §III-C — (N−1)(CPR+DPR+CPT) for
+# C-Coll, N·CPR+(N−1)·HPR+1·DPR for hZCCL, and so on — fall out of the
+# round walk instead of being hand-derived per family, so a new row is
+# priced for free (see model_hzccl_allreduce_pipelined).
 
 
-def _args(n_nodes: int, total_bytes: int) -> None:
-    ensure_positive_int(n_nodes, "n_nodes")
-    ensure_positive(total_bytes, "total_bytes")
+def _flat_model(family: str, doc: str, name: str | None = None):
+    """A ``model_*`` function pricing one flat (rank-count) family row."""
+
+    def model(
+        n_nodes: int,
+        total_bytes: int,
+        rates: CostRates,
+        network: NetworkModel,
+        multithread: bool = False,
+        thread_speedup: float = 6.0,
+    ) -> Breakdown:
+        ensure_positive_int(n_nodes, "n_nodes")
+        ensure_positive(total_bytes, "total_bytes")
+        return family_cost(
+            family, total_bytes, rates, network, multithread, thread_speedup,
+            n=n_nodes,
+        )
+
+    model.__doc__ = doc
+    model.__name__ = model.__qualname__ = name or f"model_{family}"
+    return model
 
 
-def model_mpi_reduce_scatter(
-    n_nodes: int,
-    total_bytes: int,
-    rates: CostRates,
-    network: NetworkModel,
-    multithread: bool = False,
-    thread_speedup: float = 6.0,
-) -> Breakdown:
-    """Plain ring Reduce_scatter: ``(N−1)`` rounds of send + local add."""
-    _args(n_nodes, total_bytes)
-    return schedule_cost(
-        ring_reduce_scatter(n_nodes), PLAIN, total_bytes, rates, network,
-        multithread, thread_speedup,
-    )
-
-
-def model_mpi_allreduce(
-    n_nodes: int,
-    total_bytes: int,
-    rates: CostRates,
-    network: NetworkModel,
-    multithread: bool = False,
-    thread_speedup: float = 6.0,
-) -> Breakdown:
-    """Plain ring Allreduce = Reduce_scatter + Allgather."""
-    _args(n_nodes, total_bytes)
-    return combine(
-        schedule_cost(
-            ring_reduce_scatter(n_nodes), PLAIN, total_bytes, rates,
-            network, multithread, thread_speedup,
-        ),
-        schedule_cost(
-            ring_allgather(n_nodes), PLAIN, total_bytes, rates, network,
-            multithread, thread_speedup,
-        ),
-    )
-
-
-def model_ccoll_reduce_scatter(
-    n_nodes: int,
-    total_bytes: int,
-    rates: CostRates,
-    network: NetworkModel,
-    multithread: bool = False,
-    thread_speedup: float = 6.0,
-) -> Breakdown:
-    """C-Coll: ``(N−1)(CPR + DPR + CPT)`` plus compressed transfers."""
-    _args(n_nodes, total_bytes)
-    return schedule_cost(
-        ring_reduce_scatter(n_nodes), DOC_REDUCE, total_bytes, rates,
-        network, multithread, thread_speedup,
-    )
-
-
-def model_ccoll_allreduce(
-    n_nodes: int,
-    total_bytes: int,
-    rates: CostRates,
-    network: NetworkModel,
-    multithread: bool = False,
-    thread_speedup: float = 6.0,
-) -> Breakdown:
-    """C-Coll Allreduce: ``N·CPR + 2(N−1)·DPR + (N−1)·CPT`` (§III-C2)."""
-    _args(n_nodes, total_bytes)
-    return combine(
-        schedule_cost(
-            ring_reduce_scatter(n_nodes), DOC_REDUCE, total_bytes, rates,
-            network, multithread, thread_speedup,
-        ),
-        schedule_cost(
-            ring_allgather(n_nodes), DOC_GATHER, total_bytes, rates,
-            network, multithread, thread_speedup,
-        ),
-    )
-
-
-def model_hzccl_reduce_scatter(
-    n_nodes: int,
-    total_bytes: int,
-    rates: CostRates,
-    network: NetworkModel,
-    multithread: bool = False,
-    thread_speedup: float = 6.0,
-) -> Breakdown:
-    """hZCCL: ``N·CPR + (N−1)·HPR + 1·DPR`` plus compressed transfers."""
-    _args(n_nodes, total_bytes)
-    return schedule_cost(
-        ring_reduce_scatter(n_nodes), HZ_REDUCE, total_bytes, rates,
-        network, multithread, thread_speedup,
-    )
-
-
-def model_hzccl_allreduce(
-    n_nodes: int,
-    total_bytes: int,
-    rates: CostRates,
-    network: NetworkModel,
-    multithread: bool = False,
-    thread_speedup: float = 6.0,
-) -> Breakdown:
+model_mpi_reduce_scatter = _flat_model(
+    "mpi_reduce_scatter",
+    """Plain ring Reduce_scatter: ``(N−1)`` rounds of send + local add.""",
+)
+model_mpi_allreduce = _flat_model(
+    "mpi_allreduce",
+    """Plain ring Allreduce = Reduce_scatter + Allgather.""",
+)
+model_ccoll_reduce_scatter = _flat_model(
+    "ccoll_reduce_scatter",
+    """C-Coll: ``(N−1)(CPR + DPR + CPT)`` plus compressed transfers.""",
+)
+model_ccoll_allreduce = _flat_model(
+    "ccoll_allreduce",
+    """C-Coll Allreduce: ``N·CPR + 2(N−1)·DPR + (N−1)·CPT`` (§III-C2).""",
+)
+model_hzccl_reduce_scatter = _flat_model(
+    "hzccl_reduce_scatter",
+    """hZCCL: ``N·CPR + (N−1)·HPR + 1·DPR`` plus compressed transfers.""",
+)
+model_hzccl_allreduce = _flat_model(
+    "hzccl_allreduce",
     """hZCCL fused Allreduce: ``N·CPR + (N−1)·HPR + (N−1)·DPR`` (§III-C2).
 
     The Reduce_scatter stage runs with ``finalize=False`` (the fused
     hand-off: its output stays compressed) and the Allgather stage's final
     decompression covers all gathered chunks in one batched kernel call.
-    """
-    _args(n_nodes, total_bytes)
-    return combine(
-        schedule_cost(
-            ring_reduce_scatter(n_nodes, finalize=False), HZ_REDUCE,
-            total_bytes, rates, network, multithread, thread_speedup,
-        ),
-        schedule_cost(
-            ring_allgather(n_nodes), HZ_GATHER, total_bytes, rates,
-            network, multithread, thread_speedup,
-        ),
-    )
+    """,
+)
+model_hzccl_reduce = _flat_model(
+    "hzccl_reduce_direct",
+    """hZCCL direct rooted Reduce: flat gather + one fused ``N``-way fold.
 
-
+    Every rank compresses its full vector in parallel (one CPR over
+    ``total_bytes``), the ``N − 1`` compressed streams converge on the root
+    (incast: the root's link serialises the messages), and the root pays a
+    single fused homomorphic reduction — ``N·IFE + 1·FE`` per byte via
+    :meth:`CostRates.fused_hpr_s_per_byte` instead of the pairwise fold's
+    ``(N−1)·HPR`` — followed by one decompression.
+    """,
+    name="model_hzccl_reduce",
+)
 def model_hzccl_allreduce_pipelined(
     n_nodes: int,
     total_bytes: int,
@@ -422,50 +349,24 @@ def model_hzccl_allreduce_pipelined(
     round *makespans* and is deliberately below the bucket sum whenever
     the overlap hides anything.
     """
-    _args(n_nodes, total_bytes)
-    return combine(
-        schedule_cost(
-            pipelined_ring_reduce_scatter(n_nodes, n_chunks, finalize=False),
-            HZ_REDUCE, total_bytes, rates, network, multithread,
-            thread_speedup,
-        ),
-        schedule_cost(
-            ring_allgather(n_nodes, chunks=n_chunks), HZ_GATHER,
-            total_bytes, rates, network, multithread, thread_speedup,
-        ),
+    ensure_positive_int(n_nodes, "n_nodes")
+    ensure_positive(total_bytes, "total_bytes")
+    return family_cost(
+        "hzccl_pipelined_allreduce", total_bytes, rates, network,
+        multithread, thread_speedup, n=n_nodes, chunks=n_chunks,
     )
 
 
-def model_hzccl_reduce(
-    n_nodes: int,
-    total_bytes: int,
-    rates: CostRates,
-    network: NetworkModel,
-    multithread: bool = False,
-    thread_speedup: float = 6.0,
+def _placed_cost(
+    family, nodemap, total_bytes, rates, network, inter, multithread,
+    thread_speedup,
 ) -> Breakdown:
-    """hZCCL direct rooted Reduce: flat gather + one fused ``N``-way fold.
-
-    Every rank compresses its full vector in parallel (one CPR over
-    ``total_bytes``), the ``N − 1`` compressed streams converge on the root
-    (incast: the root's link serialises the messages), and the root pays a
-    single fused homomorphic reduction — ``N·IFE + 1·FE`` per byte via
-    :meth:`CostRates.fused_hpr_s_per_byte` instead of the pairwise fold's
-    ``(N−1)·HPR`` — followed by one decompression.
-    """
-    _args(n_nodes, total_bytes)
-    return schedule_cost(
-        direct_reduce(n_nodes, 0), HZ_REDUCE, total_bytes, rates, network,
-        multithread, thread_speedup,
+    ensure_positive_int(nodemap.n_ranks, "n_nodes")
+    ensure_positive(total_bytes, "total_bytes")
+    return family_cost(
+        family, total_bytes, rates, network, multithread, thread_speedup,
+        n=nodemap.n_ranks, nodemap=nodemap, inter=inter,
     )
-
-
-def _hierarchical_schedule(
-    nodemap: NodeMap, network: NetworkModel, inter: str | None
-):
-    if inter is None:
-        inter = select_inter_family(network, nodemap)
-    return hierarchical_allreduce_schedule(nodemap, inter)
 
 
 def model_mpi_hierarchical_allreduce(
@@ -486,10 +387,9 @@ def model_mpi_hierarchical_allreduce(
     round's *declared* flow count — the whole point of the hierarchy is
     that the fabric never sees ``n_ranks`` concurrent flows.
     """
-    _args(nodemap.n_ranks, total_bytes)
-    return schedule_cost(
-        _hierarchical_schedule(nodemap, network, inter), PLAIN,
-        total_bytes, rates, network, multithread, thread_speedup,
+    return _placed_cost(
+        "mpi_hierarchical_allreduce", nodemap, total_bytes, rates, network,
+        inter, multithread, thread_speedup,
     )
 
 
@@ -511,8 +411,7 @@ def model_hzccl_hierarchical_allreduce(
     on the fabric, and far fewer kernel invocations — which is exactly
     the regime (Fig. 10's dip) where the flat schedules fall over.
     """
-    _args(nodemap.n_ranks, total_bytes)
-    return schedule_cost(
-        _hierarchical_schedule(nodemap, network, inter), HZ_REDUCE,
-        total_bytes, rates, network, multithread, thread_speedup,
+    return _placed_cost(
+        "hzccl_hierarchical_allreduce", nodemap, total_bytes, rates, network,
+        inter, multithread, thread_speedup,
     )

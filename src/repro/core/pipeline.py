@@ -9,19 +9,17 @@ pipeline makes the three stages explicit:
 * :class:`CollectiveRequest` — a frozen description of *what* the caller
   wants: op, payload spec, rank count, placement, kernel/codec choice,
   tuning intent.  Hashable, so repeated shapes share plans.
-* :class:`Plan` — the resolved *how*: the runner (an existing family
-  entry point, chosen by the same dispatch rules the facade used),
-  optionally the explicit :class:`~repro.schedule.Schedule` +
-  :class:`~repro.schedule.CodecSpec` pair for schedule-backed plans, the
+* :class:`Plan` — the resolved *how*: the family-table row
+  (:class:`~repro.collectives.Family`) plus the params bound to it, the
   tuner's pick and cost estimate when tuning.  One :func:`plan` function
-  subsumes the static-family dispatch, the tuner lookup, and the
-  hierarchical/flat demotion — with identical error messages, picks, and
-  (via :func:`execute`) identical ``tuner.*`` counters.
-* :func:`execute` — runs a plan: family runners over a
-  :class:`~repro.runtime.cluster.SimCluster`, or schedule-backed plans
-  on either the simulated :class:`~repro.schedule.ScheduleExecutor` or
-  the real multi-process :class:`~repro.schedule.MPExecutor` — same
-  ``Plan``, caller's choice of data plane.
+  is a lookup into that table — by ``(op, kernel)`` for static requests,
+  by the tuner's candidate otherwise, with the hierarchical/flat
+  demotion — and keeps the facade's error messages, picks, and (via
+  :func:`execute`) ``tuner.*`` counters.
+* :func:`execute` — runs a plan's row through the one interpreter,
+  :func:`repro.collectives.run`, on a
+  :class:`~repro.runtime.cluster.SimCluster` and always returns a
+  :class:`~repro.collectives.CollectiveResult`.
 
 :class:`PlanCache` keys plans on (request, network, planning-relevant
 config fields, table file stamp), so repeated shapes skip dispatch and
@@ -38,43 +36,23 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 import numpy as np
 
-from ..collectives import (
-    CollectiveResult,
-    ccoll_allreduce,
-    ccoll_reduce_scatter,
-    compressed_bcast,
-    hzccl_allreduce,
-    hzccl_batched_reduce,
-    hzccl_hierarchical_allreduce,
-    hzccl_reduce,
-    hzccl_reduce_direct,
-    hzccl_reduce_scatter,
-    mpi_allreduce,
-    mpi_bcast,
-    mpi_hierarchical_allreduce,
-    mpi_reduce,
-    mpi_reduce_scatter,
-)
+from ..collectives import FAMILIES, CollectiveResult, Family, run
 from ..kernels.dispatch import use_backend
 from ..obs.metrics import METRICS
 from ..runtime.cluster import SimCluster
 from ..runtime.nodemap import NodeMap
 from ..runtime.trace import TraceLog
-from ..schedule import (
-    CodecSpec,
-    Schedule,
-    ScheduleExecutor,
-    batched_fused_reduce,
-    select_inter_family,
-)
+from ..schedule import select_inter_family
+from ..schedule.families import family_cost
 from ..schedule.tuner import (
     Candidate,
     TuningKey,
     TuningTable,
+    candidate_family,
     fabric_name,
     load_default_table,
     lookup_entry,
@@ -82,6 +60,7 @@ from ..schedule.tuner import (
     size_bucket,
 )
 from .config import DEFAULT_CONFIG, CollectiveConfig
+from .cost_model import PAPER_BROADWELL
 
 __all__ = [
     "PayloadSpec",
@@ -95,6 +74,38 @@ __all__ = [
 ]
 
 _KERNELS = ("hzccl", "ccoll", "mpi")
+
+#: static dispatch: (op, kernel) → family-table row.  An allreduce with a
+#: nodemap looks up op "hierarchical".
+_STATIC = {
+    ("reduce_scatter", "hzccl"): "hzccl_reduce_scatter",
+    ("reduce_scatter", "ccoll"): "ccoll_reduce_scatter",
+    ("reduce_scatter", "mpi"): "mpi_reduce_scatter",
+    ("allreduce", "hzccl"): "hzccl_allreduce",
+    ("allreduce", "ccoll"): "ccoll_allreduce",
+    ("allreduce", "mpi"): "mpi_allreduce",
+    ("hierarchical", "hzccl"): "hzccl_hierarchical_allreduce",
+    ("hierarchical", "mpi"): "mpi_hierarchical_allreduce",
+    ("reduce", "hzccl"): "hzccl_reduce",
+    ("reduce", "hzccl-direct"): "hzccl_reduce_direct",
+    ("reduce", "mpi"): "mpi_reduce",
+    ("bcast", "hzccl"): "compressed_bcast",
+    ("bcast", "mpi"): "mpi_bcast",
+    ("batched-reduce", "hzccl"): "hzccl_batched_reduce",
+}
+#: what a kernel the op has no row for is told
+_EXPECTED_KERNEL = {
+    "reduce_scatter": f"kernel must be one of {_KERNELS}",
+    "allreduce": f"kernel must be one of {_KERNELS}",
+    "hierarchical": (
+        "hierarchical allreduce supports kernels 'hzccl' and 'mpi'"
+    ),
+    "reduce": "kernel must be 'hzccl', 'hzccl-direct' or 'mpi'",
+    "bcast": "kernel must be 'hzccl' or 'mpi'",
+    "batched-reduce": "batched-reduce runs the 'hzccl' kernel only",
+}
+#: plan slugs that are not simply the kernel name
+_SLUGS = {"hierarchical": "hier-{inter}", "batched-reduce": "batched-fused"}
 
 #: ops a request can carry.  ``batched-reduce`` is the aggregation
 #: service's fused coalescing plan; the rest mirror the facade methods.
@@ -162,56 +173,35 @@ class CollectiveRequest:
 
 @dataclass
 class Plan:
-    """A resolved collective: a runner and/or a (schedule, codec spec).
+    """A resolved collective: a family-table row and its bound params.
 
-    ``runner(cluster, data) -> CollectiveResult`` wraps an existing
-    family entry point, so the plan inherits every family's fault
-    handling and degrade contract unchanged; schedule-backed plans also
-    carry the explicit ``schedule``/``spec`` pair and run on either
-    executor through :func:`execute`.  ``pick`` / ``source`` /
-    ``flat_fallback`` record a tuned plan's decision for the ``tuner.*``
-    counters; ``cost_s`` is the modelled estimate where the resolution
-    produced one (the tuner's entry, the batched plan's dry run).
+    ``spec`` is the :class:`~repro.collectives.Family` row and ``params``
+    what :func:`plan` bound to it (root, placement, pipeline depth), so
+    :func:`execute` is one call into the interpreter and the plan
+    inherits the row's fault handling and degrade contract.  ``family``
+    is the user-facing slug (kernel name, ``hier-<inter>``, tuner slug).
+    ``pick`` / ``source`` / ``flat_fallback`` record a tuned plan's
+    decision for the ``tuner.*`` counters; ``cost_s`` is the modelled
+    estimate where the resolution produced one (the tuner's entry, or
+    the row's priced stages when the request states its payload size).
     """
 
     request: CollectiveRequest
     config: CollectiveConfig
     family: str
-    runner: Callable[[SimCluster, Any], CollectiveResult] | None = None
-    schedule: Schedule | None = None
-    spec: CodecSpec | None = None
+    spec: Family
+    params: dict[str, Any]
     cost_s: float | None = None
     source: str = "static"
     pick: Candidate | None = None
     flat_fallback: bool = False
 
-    @classmethod
-    def from_schedule(
-        cls,
-        schedule: Schedule,
-        spec: CodecSpec,
-        config: CollectiveConfig | None = None,
-        family: str = "",
-    ) -> "Plan":
-        """Wrap an explicit (schedule, codec spec) pair — the ``repro
-        mp`` path and ad-hoc schedule-backed callers."""
-        return cls(
-            request=CollectiveRequest(
-                op="reduce_scatter", n_ranks=schedule.n_ranks
-            ),
-            config=config or DEFAULT_CONFIG,
-            family=family or schedule.name,
-            schedule=schedule,
-            spec=spec,
-            source="schedule",
-        )
-
 
 class PlanCache:
     """Thread-safe LRU of resolved plans, keyed by request shape.
 
-    Plans are stateless (runners close over frozen config and pure
-    entry points), so sharing one across calls — and across the
+    Plans are stateless (a frozen config, an immutable table row and
+    its params), so sharing one across calls — and across the
     service's worker threads — is safe.  Hits/misses are counted both
     locally (``hit_rate()``, reported by ``BENCH_service.json``) and in
     the global registry (``plan.cache.hit`` / ``plan.cache.miss``).
@@ -298,49 +288,15 @@ def _plan_key(request, config, network, rates):
     return tuple(parts)
 
 
-def _default_rates():
-    # Lazy: core.cost_model imports back into this package's siblings
-    # and plan() may never need rates at all.
-    from .cost_model import PAPER_BROADWELL
-
-    return PAPER_BROADWELL
-
-
 # --------------------------------------------------------------------- #
 # plan(): one resolver for every entry point
 # --------------------------------------------------------------------- #
-def _candidate_runner(op, cand, config, request):
-    """Map a tuner candidate to its family entry point (one closure)."""
-    if op == "allreduce":
-        # lazy: tuned.py is a thin wrapper over this module
-        from ..collectives.tuned import run_candidate
-
-        nodemap = request.nodemap
-
-        def run(cluster, data):
-            return run_candidate(cand, cluster, data, config, nodemap)
-
-        return run
-    root = request.root
-    if op == "reduce":
-        if cand.family == "direct":
-            return lambda cl, d: hzccl_reduce_direct(cl, d, config, root=root)
-        if cand.codec == "hz":
-            return lambda cl, d: hzccl_reduce(cl, d, config, root=root)
-        return lambda cl, d: mpi_reduce(cl, d, root=root)
-    if op == "bcast":
-        if cand.codec == "hz":
-            return lambda cl, d: compressed_bcast(cl, d, config, root=root)
-        return lambda cl, d: mpi_bcast(cl, d, root=root)
-    raise ValueError(f"no tuned dispatch for op {op!r}")
-
-
 def _tuned_plan(request, config, network, table, rates) -> Plan:
     """The tuner path: table → memo → enumeration, then demotion."""
     if request.roughness is None:
         raise ValueError("tune=True requests need a classified roughness")
     if rates is None:
-        rates = _default_rates()
+        rates = PAPER_BROADWELL
     if table is None:
         table = load_default_table(resolve_table_path(config))
     key = TuningKey(
@@ -356,11 +312,13 @@ def _tuned_plan(request, config, network, table, rates) -> Plan:
     cand, cost, flat_fallback = entry.pick, entry.cost_s, False
     if cand.hierarchical and request.nodemap is None:
         cand, cost, flat_fallback = entry.flat_pick, entry.flat_cost_s, True
+    name, params = candidate_family(cand, request.op, request.nodemap)
     return Plan(
         request=request,
         config=config,
         family=cand.slug(),
-        runner=_candidate_runner(request.op, cand, config, request),
+        spec=FAMILIES[name],
+        params={"root": request.root, **params},
         cost_s=cost,
         source=source,
         pick=cand,
@@ -368,124 +326,39 @@ def _tuned_plan(request, config, network, table, rates) -> Plan:
     )
 
 
-def _batched_plan(request, config, rates, network) -> Plan:
-    root = request.root
-    schedule = batched_fused_reduce(request.n_ranks, request.sessions, root)
-    spec = CodecSpec(
-        kind="homomorphic",
-        error_bound=config.error_bound,
-        block_size=config.block_size,
-        n_threadblocks=config.n_threadblocks,
-    )
-    cost = None
-    if request.payload.nbytes > 0:
-        from ..schedule.cost import HZ_REDUCE, schedule_cost
-
-        cost = schedule_cost(
-            schedule,
-            HZ_REDUCE,
-            request.payload.nbytes * request.sessions,
-            rates if rates is not None else _default_rates(),
-            network,
-        ).total_time
-    return Plan(
-        request,
-        config,
-        "batched-fused",
-        runner=lambda cl, batch: hzccl_batched_reduce(
-            cl, batch, config, root=root
-        ),
-        schedule=schedule,
-        spec=spec,
-        cost_s=cost,
-    )
-
-
 def _plan_uncached(request, config, network, table, rates) -> Plan:
-    op, kernel = request.op, request.kernel
-
     if request.tune:
         return _tuned_plan(request, config, network, table, rates)
 
-    if op == "reduce_scatter":
-        if kernel == "hzccl":
-            return Plan(request, config, "hzccl",
-                        lambda cl, d: hzccl_reduce_scatter(cl, d, config))
-        if kernel == "ccoll":
-            return Plan(request, config, "ccoll",
-                        lambda cl, d: ccoll_reduce_scatter(cl, d, config))
-        if kernel == "mpi":
-            return Plan(request, config, "mpi",
-                        lambda cl, d: mpi_reduce_scatter(cl, d))
-        raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
-
-    if op == "allreduce":
-        if request.nodemap is not None:
-            nodemap = request.nodemap
-            inter = request.inter
-            if inter is None:
-                # the hierarchical decision point: resolve the inter-node
-                # family now so the plan is fully explicit
-                inter = select_inter_family(network, nodemap)
-            if kernel == "hzccl":
-                return Plan(
-                    request, config, f"hier-{inter}",
-                    lambda cl, d: hzccl_hierarchical_allreduce(
-                        cl, d, config, nodemap, inter
-                    ),
-                )
-            if kernel == "mpi":
-                return Plan(
-                    request, config, f"hier-{inter}",
-                    lambda cl, d: mpi_hierarchical_allreduce(
-                        cl, d, nodemap, inter
-                    ),
-                )
-            raise ValueError(
-                "hierarchical allreduce supports kernels 'hzccl' and "
-                f"'mpi', got {kernel!r}"
-            )
-        if kernel == "hzccl":
-            return Plan(request, config, "hzccl",
-                        lambda cl, d: hzccl_allreduce(cl, d, config))
-        if kernel == "ccoll":
-            return Plan(request, config, "ccoll",
-                        lambda cl, d: ccoll_allreduce(cl, d, config))
-        if kernel == "mpi":
-            return Plan(request, config, "mpi",
-                        lambda cl, d: mpi_allreduce(cl, d))
-        raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
-
-    if op == "reduce":
-        root = request.root
-        if kernel == "hzccl":
-            return Plan(request, config, "hzccl",
-                        lambda cl, d: hzccl_reduce(cl, d, config, root=root))
-        if kernel == "hzccl-direct":
-            return Plan(
-                request, config, "hzccl-direct",
-                lambda cl, d: hzccl_reduce_direct(cl, d, config, root=root),
-            )
-        if kernel == "mpi":
-            return Plan(request, config, "mpi",
-                        lambda cl, d: mpi_reduce(cl, d, root=root))
-        raise ValueError(
-            f"kernel must be 'hzccl', 'hzccl-direct' or 'mpi', got {kernel!r}"
-        )
-
-    if op == "bcast":
-        root = request.root
-        if kernel == "hzccl":
-            return Plan(
-                request, config, "hzccl",
-                lambda cl, d: compressed_bcast(cl, d, config, root=root),
-            )
-        if kernel == "mpi":
-            return Plan(request, config, "mpi",
-                        lambda cl, d: mpi_bcast(cl, d, root=root))
-        raise ValueError(f"kernel must be 'hzccl' or 'mpi', got {kernel!r}")
-
-    return _batched_plan(request, config, rates, network)
+    hierarchical = request.op == "allreduce" and request.nodemap is not None
+    op = "hierarchical" if hierarchical else request.op
+    name = _STATIC.get((op, request.kernel))
+    if name is None:
+        raise ValueError(f"{_EXPECTED_KERNEL[op]}, got {request.kernel!r}")
+    params: dict[str, Any] = {
+        "root": request.root, "sessions": request.sessions,
+    }
+    inter = request.inter
+    if hierarchical:
+        if inter is None:
+            # the hierarchical decision point: resolve the inter-node
+            # family now so the plan is fully explicit
+            inter = select_inter_family(network, request.nodemap)
+        params.update(nodemap=request.nodemap, inter=inter)
+    cost = None
+    if request.payload.nbytes > 0:
+        cost = family_cost(
+            name,
+            request.payload.nbytes * request.sessions,
+            rates if rates is not None else PAPER_BROADWELL,
+            network,
+            n=request.n_ranks,
+            **params,
+        ).total_time
+    slug = _SLUGS.get(op, "{kernel}").format(
+        kernel=request.kernel, inter=inter
+    )
+    return Plan(request, config, slug, FAMILIES[name], params, cost_s=cost)
 
 
 def plan(
@@ -524,7 +397,7 @@ def plan(
 
 
 # --------------------------------------------------------------------- #
-# execute(): one dispatcher for every data plane
+# execute(): one calling shape, one return type
 # --------------------------------------------------------------------- #
 def _sim_cluster(n_ranks, config, trace):
     return SimCluster(
@@ -538,64 +411,25 @@ def _sim_cluster(n_ranks, config, trace):
     )
 
 
-def _mp_cluster_type():
-    from ..runtime.mp_cluster import MPCluster
-
-    return MPCluster
-
-
 def execute(
     plan_: Plan,
-    local_data=None,
+    local_data,
     *,
-    state=None,
-    cluster=None,
+    cluster: SimCluster | None = None,
     config: CollectiveConfig | None = None,
     trace: bool = False,
-    fault_plan=None,
-    retry=None,
-):
-    """Run a plan.
+) -> CollectiveResult:
+    """Run a plan's family row and return its :class:`CollectiveResult`.
 
-    Two calling shapes:
-
-    * ``execute(plan, local_data)`` — the facade path: builds a
-      :class:`SimCluster` from the execute-time ``config`` (default:
-      the plan's), runs the plan's family runner under the configured
-      kernel backend, and emits the tuned path's ``tuner.*`` counters.
-      Returns the family's :class:`CollectiveResult`.
-    * ``execute(plan, state=..., cluster=...)`` — the schedule path:
-      runs the plan's explicit (schedule, spec) pair on whichever data
-      plane ``cluster`` is — an ``MPCluster`` dispatches to
-      :class:`~repro.schedule.MPExecutor`, anything else (``None``
-      builds a fresh simulated cluster) to the simulated
-      :class:`~repro.schedule.ScheduleExecutor`.  Returns the
-      executor's outcome (state, wire bytes, degraded flag).
+    ``cluster=None`` builds a :class:`SimCluster` from the execute-time
+    ``config`` (default: the plan's) — fault plan, retry, thread mode and
+    ``trace`` are read here, never from the cached plan.  The row runs
+    under the configured kernel backend; a tuned plan emits its
+    ``tuner.*`` counters.  To run an ad-hoc ``(schedule, codec spec,
+    state)`` triple, call :class:`~repro.schedule.ScheduleExecutor` or
+    :class:`~repro.schedule.MPExecutor` directly.
     """
     config = config or plan_.config
-    if state is not None:
-        if plan_.schedule is None or plan_.spec is None:
-            raise ValueError(
-                "state-based execution needs a schedule-backed plan"
-            )
-        if isinstance(cluster, _mp_cluster_type()):
-            from ..schedule import MPExecutor
-
-            return MPExecutor(
-                cluster, plan_.spec, plan=fault_plan, retry=retry
-            ).run(plan_.schedule, state)
-        if cluster is None:
-            if retry is not None:
-                cluster = SimCluster(
-                    plan_.schedule.n_ranks, faults=fault_plan, retry=retry
-                )
-            else:
-                cluster = SimCluster(plan_.schedule.n_ranks, faults=fault_plan)
-        codec = plan_.spec.build(cluster)
-        return ScheduleExecutor(cluster, codec).run(plan_.schedule, state)
-
-    if plan_.runner is None:
-        raise ValueError("data-based execution needs a runner-backed plan")
     if cluster is None:
         cluster = _sim_cluster(plan_.request.n_ranks, config, trace)
     if plan_.pick is not None and METRICS.enabled:
@@ -605,4 +439,6 @@ def execute(
         if plan_.flat_fallback:
             METRICS.inc("tuner.flat_fallback")
     with use_backend(config.kernel_backend):
-        return plan_.runner(cluster, local_data)
+        return run(
+            plan_.spec, cluster, local_data, plan_.config, **plan_.params
+        )

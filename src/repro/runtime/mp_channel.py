@@ -15,7 +15,11 @@ Channel kinds
   written only by the writer) · ``capacity`` data bytes.  Cursors are
   monotonic (position = cursor mod capacity), so full/empty are never
   ambiguous and each side mutates exactly one cursor — the classic SPSC
-  discipline that needs no lock.  Writers and readers spin-sleep with an
+  discipline that needs no lock.  Both cursors live in one aligned
+  ``np.uint64`` view, so each publish is a single 8-byte store the peer
+  can never see half-written (``struct.pack_into`` zero-fills and then
+  writes byte by byte); the only ordering the protocol needs is "payload
+  bytes before the tail store".  Writers and readers spin-sleep with an
   exponentially backed-off poll (≤ ~1 ms) until space/data appears, the
   deadline expires (:class:`MPTimeoutError`) or the supplied ``poll``
   callback raises (the abort path).
@@ -48,6 +52,8 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 __all__ = [
     "FRAME_DATA",
     "FRAME_FORCED",
@@ -71,7 +77,6 @@ __all__ = [
 _MAGIC = b"RPMP"
 #: magic(4) · kind(u8) · flags(u8) · attempt(u16) · nbytes(u64) · length(u64)
 _HEADER = struct.Struct("<4sBBHQQ")
-_CURSOR = struct.Struct("<Q")
 _DATA_OFFSET = 16  # two u64 cursors
 
 #: frame kinds
@@ -133,6 +138,8 @@ class ShmRing:
     def __init__(self, shm: shared_memory.SharedMemory, capacity: int) -> None:
         self.shm = shm
         self.capacity = capacity
+        #: [head, tail] — each load/store is one aligned 8-byte access
+        self._cursors = np.frombuffer(shm.buf, dtype=np.uint64, count=2)
 
     @classmethod
     def create(cls, name: str, capacity: int) -> "ShmRing":
@@ -146,10 +153,10 @@ class ShmRing:
 
     # ------------------------------------------------------------------ #
     def _head(self) -> int:
-        return _CURSOR.unpack_from(self.shm.buf, 0)[0]
+        return int(self._cursors[0])
 
     def _tail(self) -> int:
-        return _CURSOR.unpack_from(self.shm.buf, 8)[0]
+        return int(self._cursors[1])
 
     def send_bytes(
         self,
@@ -164,7 +171,9 @@ class ShmRing:
         waited = 0
         while mv.nbytes:
             free = cap - (self._tail() - self._head())
-            if free == 0:
+            # no portable fence on weaker memory models: an incoherent
+            # cursor pair is re-read like a full ring, never trusted
+            if not 0 < free <= cap:
                 if poll is not None:
                     poll()
                 now = time.monotonic()
@@ -181,7 +190,7 @@ class ShmRing:
             buf[_DATA_OFFSET + pos:_DATA_OFFSET + pos + first] = mv[:first]
             if n > first:
                 buf[_DATA_OFFSET:_DATA_OFFSET + n - first] = mv[first:n]
-            _CURSOR.pack_into(buf, 8, tail + n)
+            self._cursors[1] = tail + n
             mv = mv[n:]
 
     def recv_bytes(
@@ -198,7 +207,7 @@ class ShmRing:
         waited = 0
         while got < n:
             avail = self._tail() - self._head()
-            if avail == 0:
+            if not 0 < avail <= cap:  # empty, or incoherent: re-read
                 if poll is not None:
                     poll()
                 now = time.monotonic()
@@ -219,12 +228,13 @@ class ShmRing:
                 out[got + first:got + take] = buf[
                     _DATA_OFFSET:_DATA_OFFSET + take - first
                 ]
-            _CURSOR.pack_into(buf, 0, head + take)
+            self._cursors[0] = head + take
             got += take
         return bytes(out)
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
+        self._cursors = None  # drop the buffer export before unmapping
         try:
             self.shm.close()
         except (OSError, BufferError):  # pragma: no cover - teardown race

@@ -4,6 +4,8 @@
   ``Round``/``Phase``/``Schedule``;
 * :mod:`~repro.schedule.generators` — pure schedule generators (ring,
   chunk-pipelined ring, Rabenseifner, rooted trees);
+* :mod:`~repro.schedule.families` — the stage half of the family table:
+  which (schedule, codec, discipline) stages make up each collective;
 * :mod:`~repro.schedule.codecs` — payload disciplines (plain / DOC /
   homomorphic) the executor pairs a schedule with;
 * :mod:`~repro.schedule.executor` — the single engine all collective
@@ -40,6 +42,7 @@ from .cost import (
     wire_summary,
 )
 from .executor import Outcome, ScheduleExecutor
+from .families import STAGES, StageSpec, family_cost, priced_stages
 from .mp_executor import CodecSpec, MPExecutor
 from .generators import (
     INTER_FAMILIES,
@@ -63,6 +66,7 @@ from .tuner import (
     TuningKey,
     TuningTable,
     TuningTableError,
+    candidate_family,
     candidate_stages,
     classify_roughness,
     enumerate_candidates,
@@ -106,6 +110,11 @@ __all__ = [
     # executor
     "ScheduleExecutor",
     "Outcome",
+    # family table (stage half)
+    "StageSpec",
+    "STAGES",
+    "priced_stages",
+    "family_cost",
     # mp executor (the real data plane)
     "MPExecutor",
     "CodecSpec",
@@ -132,6 +141,7 @@ __all__ = [
     "TuningTable",
     "TuningTableError",
     "enumerate_candidates",
+    "candidate_family",
     "candidate_stages",
     "score_candidate",
     "tune_point",

@@ -132,17 +132,20 @@ class CodecSpec:
             error_bound=self.error_bound,
         )
         if self.kind == "plain":
-            return PlainCodec(cluster)
-        if self.kind == "doc-reduce":
-            return DocReduceCodec(cluster, config)
-        if self.kind == "doc-gather":
-            return DocGatherCodec(cluster, config)
-        if self.kind == "homomorphic":
-            slots = dict(self.slots) if self.slots is not None else None
-            return HomomorphicCodec(cluster, config, slots=slots)
-        return CompressedBcastCodec(
-            cluster, config, np.asarray(self.bcast_data, dtype=np.float32)
-        )
+            codec = PlainCodec(cluster)
+        elif self.kind == "doc-reduce":
+            codec = DocReduceCodec(cluster, config)
+        elif self.kind == "doc-gather":
+            codec = DocGatherCodec(cluster, config)
+        elif self.kind == "homomorphic":
+            codec = HomomorphicCodec(cluster, config)
+        else:
+            codec = CompressedBcastCodec(
+                cluster, config, np.asarray(self.bcast_data, dtype=np.float32)
+            )
+        if self.slots is not None:
+            codec.slots = dict(self.slots)
+        return codec
 
 
 @dataclass(frozen=True)

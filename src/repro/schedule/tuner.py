@@ -57,17 +57,8 @@ from ..runtime.fabrics import (
 )
 from ..runtime.network import NetworkModel
 from ..runtime.nodemap import NodeMap
-from .cost import HZ_BCAST, HZ_GATHER, HZ_REDUCE, PLAIN, schedule_cost
-from .generators import (
-    binomial_bcast,
-    direct_reduce,
-    flat_gather,
-    hierarchical_allreduce_schedule,
-    pipelined_ring_reduce_scatter,
-    rabenseifner_allreduce_schedule,
-    ring_allgather,
-    ring_reduce_scatter,
-)
+from .cost import schedule_cost
+from .families import priced_stages
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -88,6 +79,7 @@ __all__ = [
     "classify_roughness",
     "rates_for_roughness",
     "enumerate_candidates",
+    "candidate_family",
     "candidate_stages",
     "score_candidate",
     "tune_point",
@@ -367,6 +359,51 @@ def enumerate_candidates(
     return tuple(cands)
 
 
+#: (op, family, codec) → the family-table row a candidate is priced and
+#: run as; every ``hier-*`` family shares the one hierarchical row
+_CANDIDATE_FAMILIES = {
+    ("allreduce", "ring", "plain"): "mpi_allreduce",
+    ("allreduce", "ring", "hz"): "hzccl_allreduce",
+    ("allreduce", "pipelined", "hz"): "hzccl_pipelined_allreduce",
+    ("allreduce", "rabenseifner", "plain"): "rabenseifner_allreduce",
+    ("allreduce", "rabenseifner", "hz"): "hzccl_rabenseifner_allreduce",
+    ("allreduce", "hier", "plain"): "mpi_hierarchical_allreduce",
+    ("allreduce", "hier", "hz"): "hzccl_hierarchical_allreduce",
+    ("reduce", "ring", "plain"): "mpi_reduce",
+    ("reduce", "ring", "hz"): "hzccl_reduce",
+    ("reduce", "direct", "hz"): "hzccl_reduce_direct",
+    ("bcast", "binomial", "plain"): "mpi_bcast",
+    ("bcast", "binomial", "hz"): "compressed_bcast",
+}
+
+
+def candidate_family(
+    cand: Candidate, op: str = "allreduce", nodemap: NodeMap | None = None
+) -> tuple[str, dict]:
+    """``(family name, params)`` of the table row ``cand`` stands for.
+
+    The name keys :data:`repro.schedule.families.STAGES` (pricing) and
+    ``repro.collectives.FAMILIES`` (running); the params are the ones the
+    candidate itself binds — pipeline depth and, for hierarchical
+    candidates, placement and the inter-node family.
+    """
+    if op not in TUNABLE_OPS:
+        raise ValueError(f"no tuned dispatch for op {op!r}")
+    params: dict = {"chunks": cand.chunks}
+    family = cand.family
+    if cand.hierarchical:
+        if nodemap is None:
+            raise ValueError(f"candidate {cand.slug()} needs a nodemap")
+        family = "hier"
+        params.update(
+            nodemap=nodemap, inter=cand.family.removeprefix("hier-")
+        )
+    name = _CANDIDATE_FAMILIES.get((op, family, cand.codec))
+    if name is None:
+        raise ValueError(f"candidate {cand.slug()} does not implement {op!r}")
+    return name, params
+
+
 @lru_cache(maxsize=512)
 def candidate_stages(
     cand: Candidate, n: int, nodemap: NodeMap | None = None,
@@ -381,53 +418,14 @@ def candidate_stages(
     size and roughness class scored against the same ``(cand, n)`` reuses
     it instead of rebuilding (see ``tests/schedule/test_profile_reuse``).
 
-    The rooted ops price against the canonical ``root=0`` schedules —
-    their generators are root-isomorphic, so the modelled cost is
-    root-independent and the table stays root-agnostic.
+    The stages are read from the candidate's family-table row, so they
+    are the objects the interpreter executes.  The rooted ops price
+    against the canonical ``root=0`` schedules — their generators are
+    root-isomorphic, so the modelled cost is root-independent and the
+    table stays root-agnostic.
     """
-    if op == "reduce":
-        if cand.family == "direct":
-            return ((direct_reduce(n, 0), HZ_REDUCE),)
-        if cand.codec == "hz":
-            return (
-                (ring_reduce_scatter(n, finalize=False), HZ_REDUCE),
-                (flat_gather(n, 0, finalize=True), HZ_GATHER),
-            )
-        return (
-            (ring_reduce_scatter(n), PLAIN),
-            (flat_gather(n, 0), PLAIN),
-        )
-    if op == "bcast":
-        if cand.codec == "hz":
-            return ((binomial_bcast(n, 0, finalize=True), HZ_BCAST),)
-        return ((binomial_bcast(n, 0), PLAIN),)
-    if cand.hierarchical:
-        if nodemap is None:
-            raise ValueError(f"candidate {cand.slug()} needs a nodemap")
-        inter = cand.family.removeprefix("hier-")
-        sched = hierarchical_allreduce_schedule(nodemap, inter)
-        return ((sched, HZ_REDUCE if cand.codec == "hz" else PLAIN),)
-    if cand.family == "ring":
-        if cand.codec == "hz":
-            return (
-                (ring_reduce_scatter(n, finalize=False), HZ_REDUCE),
-                (ring_allgather(n), HZ_GATHER),
-            )
-        return (
-            (ring_reduce_scatter(n), PLAIN),
-            (ring_allgather(n), PLAIN),
-        )
-    if cand.family == "pipelined":
-        return (
-            (
-                pipelined_ring_reduce_scatter(n, cand.chunks, finalize=False),
-                HZ_REDUCE,
-            ),
-            (ring_allgather(n, chunks=cand.chunks), HZ_GATHER),
-        )
-    # rabenseifner: one halving/doubling schedule covers both stages
-    sched = rabenseifner_allreduce_schedule(n)
-    return ((sched, HZ_REDUCE if cand.codec == "hz" else PLAIN),)
+    name, params = candidate_family(cand, op, nodemap)
+    return priced_stages(name, n=n, **params)
 
 
 # --------------------------------------------------------------------- #

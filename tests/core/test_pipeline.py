@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro import HZCCL, CollectiveConfig
-from repro.collectives import hzccl_allreduce
+from repro.collectives import CollectiveResult, hzccl_allreduce
 from repro.core.pipeline import (
     PLAN_CACHE,
+    REQUEST_OPS,
     CollectiveRequest,
     PayloadSpec,
     Plan,
@@ -18,7 +21,6 @@ from repro.core.pipeline import (
 )
 from repro.obs.metrics import METRICS, metrics_enabled
 from repro.runtime import SimCluster
-from repro.schedule import CodecSpec, batched_fused_reduce
 
 
 @pytest.fixture()
@@ -72,7 +74,7 @@ class TestStaticDispatch:
                 CollectiveRequest(op=op, n_ranks=4, kernel=kernel),
                 cache=None,
             )
-            assert p.family == family and p.runner is not None
+            assert p.family == family and p.spec is not None
             assert p.source == "static" and p.pick is None
 
     def test_unknown_kernels_keep_exact_messages(self):
@@ -120,7 +122,7 @@ class TestBatchedPlan:
             cache=None,
         )
         assert p.family == "batched-fused"
-        assert p.schedule is not None and p.spec is not None
+        assert p.spec is not None
         assert p.cost_s is not None and p.cost_s > 0
 
     def test_batched_execute_matches_independent_reduces(self, data4):
@@ -203,36 +205,25 @@ class TestPlanCache:
         assert PLAN_CACHE.hits >= 1
 
 
-class TestExecuteStatePath:
-    def test_from_schedule_runs_on_sim_executor(self):
-        schedule = batched_fused_reduce(4, 2, root=0)
-        spec = CodecSpec(kind="homomorphic", error_bound=1e-4)
-        p = Plan.from_schedule(schedule, spec)
-        assert p.source == "schedule" and p.family == schedule.name
-        rng = np.random.default_rng(3)
-        batch = [
-            [rng.normal(size=256).astype(np.float32) for _ in range(4)]
-            for _ in range(2)
-        ]
-        state = [
-            {("v", s, r): batch[s][r].copy() for s in range(2)}
-            for r in range(4)
-        ]
-        outcome = execute(p, state=state)
-        assert not outcome.degraded and outcome.wire > 0
-
-    def test_state_path_requires_schedule(self):
-        p = plan(CollectiveRequest(op="reduce", n_ranks=2), cache=None)
-        with pytest.raises(ValueError, match="schedule-backed plan"):
-            execute(p, state=[{}, {}])
-
-    def test_data_path_requires_runner(self):
-        schedule = batched_fused_reduce(2, 1, root=0)
-        p = Plan.from_schedule(
-            schedule, CodecSpec(kind="homomorphic", error_bound=1e-4)
-        )
-        with pytest.raises(ValueError, match="runner-backed plan"):
-            execute(p, [np.zeros(8, dtype=np.float32)] * 2)
+class TestExecuteOneShape:
+    def test_no_state_parameter_and_one_result_type(self, data4):
+        # the schedule-backed ``execute(plan, state=...)`` shape is gone:
+        # (schedule, spec, state) callers use the executors directly
+        params = inspect.signature(execute).parameters
+        assert not {"state", "fault_plan", "retry"} & set(params)
+        assert not hasattr(Plan, "from_schedule")
+        payloads = {
+            "bcast": data4[0],
+            "batched-reduce": [data4, [a * 2 for a in data4]],
+        }
+        for op in REQUEST_OPS:
+            request = CollectiveRequest(
+                op=op, n_ranks=4, sessions=2 if op == "batched-reduce" else 1
+            )
+            result = execute(
+                plan(request, cache=None), payloads.get(op, data4)
+            )
+            assert isinstance(result, CollectiveResult), op
 
 
 class TestTunedPlanMetadata:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.runtime.mp_channel import (
@@ -34,6 +36,27 @@ def ring():
 
 def _deadline(seconds: float = 2.0) -> float:
     return time.monotonic() + seconds
+
+
+_TEAR_BYTES = 200_000
+_TEAR_FRAMES = 300
+
+
+def _tear_payload(i: int) -> bytes:
+    # 5x the ring's capacity, so every frame wraps and refills it
+    return bytes([i % 251]) * (300 + i % 7)
+
+
+def _stream(ring: ShmRing) -> None:
+    # one-byte messages: one cursor store per call on either side, both
+    # sides busy, so stores and the peer's loads collide as often as the
+    # protocol allows; then whole frames much larger than the ring
+    for i in range(_TEAR_BYTES):
+        ring.send_bytes(bytes([i % 251]), _deadline(10.0))
+    for i in range(_TEAR_FRAMES):
+        send_frame(
+            ring, Frame(FRAME_DATA, payload=_tear_payload(i)), _deadline(10.0)
+        )
 
 
 class TestShmRing:
@@ -75,6 +98,40 @@ class TestShmRing:
 
         with pytest.raises(MPAbortedError):
             ring.recv_bytes(1, _deadline(5.0), poll)
+
+    def test_cursors_never_tear_across_processes(self):
+        # Regression (ROADMAP 3a): cursors published with struct.pack_into
+        # are zero-filled then written byte-wise, so the peer process could
+        # load a torn value -> negative avail / oversized free -> desync.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        ring = ShmRing.create("repro-test-ring-tear", capacity=64)
+        writer = multiprocessing.get_context("fork").Process(
+            target=_stream, args=(ring,)
+        )
+        # an observer of its own: a torn *store* is visible to any load
+        cursors = np.frombuffer(ring.shm.buf, dtype=np.uint64, count=2)
+        try:
+            writer.start()
+            last_tail = 0
+            for i in range(_TEAR_BYTES):
+                got = ring.recv_bytes(1, _deadline(10.0))
+                assert got[0] == i % 251, f"byte {i} out of sequence"
+                tail = int(cursors[1])
+                assert tail >= last_tail, f"tail stepped back at byte {i}"
+                last_tail = tail
+            for i in range(_TEAR_FRAMES):
+                frame = recv_frame(ring, _deadline(10.0))
+                assert frame.payload == _tear_payload(i), f"frame {i} damaged"
+            writer.join(10.0)
+            assert not writer.is_alive() and writer.exitcode == 0
+        finally:
+            del cursors
+            if writer.is_alive():
+                writer.terminate()
+                writer.join(5.0)
+            ring.close()
+            ring.unlink()
 
     def test_minimum_capacity_enforced(self):
         with pytest.raises(ValueError, match=">= 64"):
