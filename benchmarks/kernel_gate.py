@@ -16,7 +16,13 @@ so the gate travels between laptops and CI runners without retuning:
    CPR / DPR sweep over eight 2 KB blocks must be at least
    :data:`SWEEP_FLOOR` times faster than eight single calls: the per-call
    fixed cost is paid once per batch, which is what makes small-message
-   collectives viable.
+   collectives viable;
+5. **fold against the DOC step it replaces** — on the NumPy reference
+   backend, at the 4 KB per-call floor, one HPR must cost no more than
+   :data:`FOLD_OVER_DOC_CEILING` times the two DPRs and one CPR a DOC
+   round pays for the same reduction (the paper's Table 4 condition, here
+   where per-call fixed cost decides it).  A ratio of two measurements of
+   the same run, so as host-independent as the sweep gate.
 
 Usage::
 
@@ -45,6 +51,14 @@ from repro.bench.kernels import (
 
 #: minimum speedup of one 8 x 2 KB CPR / DPR sweep over eight single calls
 SWEEP_FLOOR = 3.0
+#: maximum hpr_4kb / (2 x dpr_4kb + cpr_4kb)
+FOLD_OVER_DOC_CEILING = 1.0
+
+
+def fold_over_doc(floor: dict) -> float:
+    """``hpr_4kb`` over the DOC step it replaces, from ``call_floor`` rows."""
+    doc_step = 2 * floor["dpr_4kb"]["seconds"] + floor["cpr_4kb"]["seconds"]
+    return floor["hpr_4kb"]["seconds"] / doc_step
 
 
 def _parse_triples(specs: list[str], parts: int, flag: str) -> list[list[str]]:
@@ -142,6 +156,17 @@ def main(argv: list[str] | None = None) -> int:
                 f"over eight calls, floor {SWEEP_FLOOR:.2f}x"
             )
 
+    ratio = fold_over_doc(doc["call_floor"]["numpy"])
+    print(
+        f"[numpy] fold vs DOC step at 4 KB: hpr_4kb / (2 x dpr_4kb + cpr_4kb)"
+        f" = {ratio:.2f} (ceiling {FOLD_OVER_DOC_CEILING:.2f})"
+    )
+    if ratio > FOLD_OVER_DOC_CEILING:
+        failures.append(
+            f"numpy/hpr_4kb: {ratio:.2f}x the DOC step it replaces "
+            f"(2 x dpr_4kb + cpr_4kb), ceiling {FOLD_OVER_DOC_CEILING:.2f}x"
+        )
+
     if failures:
         print("\nKERNEL GATE FAILED")
         for f in failures:
@@ -150,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"\nkernel gate ok ({len(frac_gates)} roofline floors, "
         f"{len(speedup_gates)} speedup floors, "
-        f"sweep floor {SWEEP_FLOOR:.1f}x)"
+        f"sweep floor {SWEEP_FLOOR:.1f}x, "
+        f"fold/DOC ceiling {FOLD_OVER_DOC_CEILING:.2f})"
     )
     return 0
 

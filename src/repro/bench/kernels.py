@@ -21,13 +21,20 @@ Throughput at 16 MB says nothing about what a 2 KB ring block pays, so
 every run also records the **per-call floor** (``call_floor``): one CPR /
 DPR / HPR call on a 4 KB field, and CPR / DPR over eight 2 KB blocks both
 as eight calls and as one batched sweep — the amortisation
-``benchmarks/kernel_gate.py`` gates on.
+``benchmarks/kernel_gate.py`` gates on.  ``fold_split`` takes one dense
+k = 2 fold apart (engine wrapper, operand decodes, accumulate, classify +
+encode, result container), the stages timed inside the fold, at a 2 KB
+ring block, the 4 KB floor probe and a 256 KB block: the biggest row is
+where the next fold optimisation should look.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import time
+from contextlib import contextmanager
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -41,12 +48,20 @@ from ..compression.encoding import (
 )
 from ..compression.format import CompressedField
 from ..compression.fzlight import FZLight
+from ..homomorphic import hzdynamic
 from ..homomorphic.hzdynamic import HZDynamic
-from ..kernels.dispatch import available_backends, backend_status, use_backend
+from ..kernels.dispatch import (
+    KernelBackend,
+    available_backends,
+    backend_status,
+    use_backend,
+)
+from ..kernels.numpy_backend import make_reduce_fused
 from .timing import best_of, throughput_gbps
 
 __all__ = [
     "REDUCE_KS",
+    "FOLD_STAGES",
     "stream_triad_gbps",
     "require_backend",
     "run_kernel_bench",
@@ -65,6 +80,12 @@ _FLOOR_THREADBLOCKS = 18
 _FLOOR_EB = 1e-4
 #: floor calls take ~0.1–1 ms: best-of needs many more runs than a 16 MB kernel
 _FLOOR_REPEAT_SCALE = 20
+
+#: The stages one dense fold is split into, in execution order.
+FOLD_STAGES = ("wrapper", "decode", "accumulate", "classify_encode", "container")
+#: float32 elements per operand of the split: a ``sim-small`` ring block,
+#: the floor probe, a ``sim-large`` / ``mp-ring`` block
+_SPLIT_ELEMENTS = {"2kb": 512, "4kb": 1024, "256kb": 65536}
 
 
 def stream_triad_gbps(mb: float = 16.0, repeats: int = 3) -> dict[str, Any]:
@@ -234,6 +255,119 @@ def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
     return rows
 
 
+@contextmanager
+def _engine_kernels(backend: KernelBackend):
+    """Make ``HZDynamic`` resolve ``backend`` whatever the registry says."""
+    original = hzdynamic.get_backend
+    hzdynamic.get_backend = lambda: backend
+    try:
+        yield
+    finally:
+        hzdynamic.get_backend = original
+
+
+def _fold_stages(
+    kernels: KernelBackend, pair: list[CompressedField], repeats: int
+) -> dict[str, Any]:
+    """Seconds per stage of ``HZDynamic().reduce_fused(pair)``, and the fold.
+
+    The stages are timed inside the fold, not each on its own: a kernel
+    called alone in a loop runs warmer than it does between the others, and
+    the difference is a fifth of a 2 KB fold.  The engine runs over the
+    reference k-way pipeline (:func:`make_reduce_fused` — what the NumPy
+    backend runs) on ``kernels``' own ``decode_blocks`` and
+    ``classify_encode``, each behind a stopwatch; ``accumulate`` is the
+    pipeline less those two (zero-fill, adds, the statistics' zero
+    tracking, glue), ``wrapper`` the engine less the pipeline and less the
+    ``container`` it ends with, which is timed apart.  Reported: the split
+    of the fastest staged run, beside the best unstaged ``fold``;
+    ``stages_over_fold`` is their ratio, i.e. what the stopwatches cost.
+    """
+    engine = HZDynamic()  # statistics on, as in the collectives
+    spent = dict.fromkeys(("decode", "classify_encode", "pipeline"), 0.0)
+
+    def staged(fn, stage):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            spent[stage] += time.perf_counter() - t0
+            return out
+
+        return call
+
+    pipeline = make_reduce_fused(
+        staged(kernels.decode_blocks, "decode"),
+        staged(kernels.classify_encode, "classify_encode"),
+        pass_layouts=True,
+    )
+    stopwatched = replace(kernels, reduce_fused=staged(pipeline, "pipeline"))
+
+    # staged and unstaged runs alternate, so both see the same box
+    fold, best = float("inf"), None
+    for run in range(repeats + 3):  # three warm-ups, as best_of
+        spent.update(dict.fromkeys(spent, 0.0))
+        with _engine_kernels(stopwatched):
+            t0 = time.perf_counter()
+            folded = engine.reduce_fused(pair)
+            total = time.perf_counter() - t0
+        with _engine_kernels(kernels):
+            t0 = time.perf_counter()
+            engine.reduce_fused(pair)
+            plain = time.perf_counter() - t0
+        if run >= 3:
+            fold = min(fold, plain)
+            if best is None or total < best[0]:
+                best = (total, dict(spent))
+    total, spent = best
+
+    a = pair[0]
+    weights = np.ones(len(pair), dtype=np.int64)
+    container = best_of(
+        lambda: CompressedField(
+            n=a.n,
+            error_bound=a.error_bound,
+            block_size=a.block_size,
+            n_threadblocks=a.n_threadblocks,
+            outliers=weights @ np.array([f.outliers for f in pair]),
+            predictor=a.predictor,
+            rows=a.rows,
+            cols=a.cols,
+            code_lengths=folded.code_lengths,
+            payload=folded.payload,
+            _offsets=folded.offsets,
+        ),
+        repeats=repeats,
+        warmup=3,
+    ).seconds
+    return {
+        "fold": fold,
+        "wrapper": total - spent["pipeline"] - container,
+        "decode": spent["decode"],
+        "accumulate": spent["pipeline"]
+        - spent["decode"]
+        - spent["classify_encode"],
+        "classify_encode": spent["classify_encode"],
+        "container": container,
+        "stages_over_fold": total / fold,
+    }
+
+
+def _bench_fold_split(backend: str, repeats: int) -> dict[str, Any]:
+    """One dense k = 2 fold at the facade geometry, split by stage."""
+    rng = np.random.default_rng(9)
+    comp = FZLight(block_size=_BLOCK_SIZE, n_threadblocks=_FLOOR_THREADBLOCKS)
+    split = {}
+    with use_backend(backend) as kernels:
+        for label, n in _SPLIT_ELEMENTS.items():
+            walks = [
+                np.cumsum(rng.normal(0, 0.02, n)).astype(np.float32)
+                for _ in range(2)
+            ]
+            pair = comp.compress(walks, abs_eb=_FLOOR_EB)
+            split[label] = _fold_stages(kernels, pair, repeats)
+    return split
+
+
 def run_kernel_bench(
     mb: float = 16.0,
     repeats: int = 3,
@@ -265,6 +399,10 @@ def run_kernel_bench(
         name: _bench_call_floor(name, repeats * _FLOOR_REPEAT_SCALE)
         for name in backends
     }
+    fold_split = {
+        name: _bench_fold_split(name, repeats * _FLOOR_REPEAT_SCALE)
+        for name in backends
+    }
     return {
         "bench": "kernels",
         "field_mb": n_elements * 4 / 1e6,
@@ -280,6 +418,7 @@ def run_kernel_bench(
         "backend_status": backend_status(),
         "backends": results,
         "call_floor": call_floor,
+        "fold_split": fold_split,
     }
 
 
@@ -357,6 +496,18 @@ def format_report(doc: dict[str, Any]) -> str:
                 else ""
             )
             lines.append(f"  {row:18} {r['seconds'] * 1e6:8.1f} us{gain}")
+    for backend, split in doc.get("fold_split", {}).items():
+        lines.append(f"[{backend}] one dense k=2 fold by stage (us)")
+        lines.append(
+            f"  {'':8}" + "".join(f"{stage:>16}" for stage in FOLD_STAGES)
+            + f"{'fold':>10}{'stages/fold':>13}"
+        )
+        for size, r in split.items():
+            lines.append(
+                f"  {size:8}"
+                + "".join(f"{r[stage] * 1e6:16.1f}" for stage in FOLD_STAGES)
+                + f"{r['fold'] * 1e6:10.1f}{r['stages_over_fold']:13.2f}"
+            )
     unavailable = {
         k: v for k, v in doc.get("backend_status", {}).items() if v != "ok"
     }

@@ -39,6 +39,7 @@ import numpy as np
 
 from ..kernels.dispatch import get_backend
 from ..kernels.plan import (  # noqa: F401  (canonical home; re-exported API)
+    StreamLayout,
     block_payload_nbytes,
     payload_offsets,
     required_bits,
@@ -108,6 +109,7 @@ def decode_blocks(
     block_size: int = DEFAULT_BLOCK_SIZE,
     offsets: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    layout: StreamLayout | None = None,
 ) -> np.ndarray:
     """Inverse fixed-length encoding for the full block set.
 
@@ -124,10 +126,13 @@ def decode_blocks(
         into (int32 only when every code length ≤ 31); callers on the
         homomorphic hot path use this to recycle an accumulator-sized
         scratch buffer across operands.
+    layout : optional :class:`~repro.kernels.plan.StreamLayout` of the
+        stream (``CompressedField.layout``); the grouped kernels walk it
+        instead of looking it up by the code lengths.
     """
     block_size = _check_block_size(block_size)
     return get_backend().decode_blocks(
-        code_lengths, payload, block_size, offsets=offsets, out=out
+        code_lengths, payload, block_size, offsets=offsets, out=out, layout=layout
     )
 
 

@@ -26,8 +26,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ..kernels.plan import StreamLayout, stream_layout
 from ..utils.chunking import num_blocks, threadblock_bounds
-from .encoding import payload_offsets
 
 __all__ = [
     "BlockStructure",
@@ -170,16 +170,34 @@ class CompressedField:
     #: second dimension for 3-D predictors (0 otherwise)
     cols: int = 0
     _offsets: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: found on first use (see ``layout``); not an init argument, so
+    #: ``dataclasses.replace`` never carries one over to new code lengths
+    _layout: StreamLayout | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def structure(self) -> BlockStructure:
         return block_structure(self.n, self.block_size, self.n_threadblocks)
 
     @property
+    def layout(self) -> StreamLayout:
+        """The stream layout of this field's code lengths (found once, kept).
+
+        Shared with every field of the same signature; the encoder that
+        emitted this stream has usually built it already.
+        """
+        if self._layout is None:
+            self._layout = stream_layout(
+                self.code_lengths, self.block_size, self._offsets
+            )
+        return self._layout
+
+    @property
     def offsets(self) -> np.ndarray:
-        """Per-block payload offsets (lazily computed, then cached)."""
+        """Per-block payload offsets (the layout's, unless given)."""
         if self._offsets is None:
-            self._offsets = payload_offsets(self.code_lengths, self.block_size)
+            self._offsets = self.layout.offsets
         return self._offsets
 
     @property

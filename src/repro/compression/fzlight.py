@@ -39,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from ..kernels.arena import get_arena
+from ..kernels.plan import StreamLayout, stream_layout
 from ..utils.pool import shared_executor
 from ..utils.validation import (
     ensure_float_array,
@@ -399,11 +400,13 @@ class FZLight:
         ordered = [fields[i] for group in groups for i in group.members]
         code_lengths = _back_to_back([f.code_lengths for f in ordered], "fz.lens")
         payload = _back_to_back([f.payload for f in ordered], "fz.pay")
-        offsets = (
-            ordered[0].offsets
+        # a lone field brings its layout; a batch is one longer stream
+        layout = (
+            ordered[0].layout
             if len(ordered) == 1
-            else payload_offsets(code_lengths, bs)
+            else stream_layout(code_lengths, bs)
         )
+        offsets = layout.offsets
         # a stream whose sizes disagree with its geometry would shift every
         # later member's slice: refuse it before decoding anything
         b0 = 0
@@ -415,11 +418,10 @@ class FZLight:
                 fld.validate()  # raises, naming the mismatch
             b0 = b1
 
-        wide = int(code_lengths.max(initial=0)) > 31
         grid = arena.take(
-            "fz.grid", (n_blocks, bs), np.int64 if wide else np.int32
+            "fz.grid", (n_blocks, bs), np.int64 if layout.max_c > 31 else np.int32
         )
-        self._decode(code_lengths, payload, offsets, grid)
+        self._decode(code_lengths, payload, layout, grid)
 
         flat = grid.reshape(-1)
         out: list[np.ndarray | None] = [None] * len(fields)
@@ -445,15 +447,16 @@ class FZLight:
         self,
         code_lengths: np.ndarray,
         payload: np.ndarray,
-        offsets: np.ndarray,
+        layout: StreamLayout,
         grid: np.ndarray,
     ) -> None:
         """Decode the whole stream into the ``(n_blocks, block_size)`` grid."""
         bs = grid.shape[1]
         if not self.parallel or self.n_threadblocks == 1:
-            decode_blocks(code_lengths, payload, bs, offsets=offsets, out=grid)
+            decode_blocks(code_lengths, payload, bs, out=grid, layout=layout)
             return
         edges, pool = self._pool_ranges(grid.shape[0])
+        offsets = layout.offsets
 
         def decode_range(lo: int, hi: int) -> None:
             decode_blocks(

@@ -51,7 +51,7 @@ from ..compression.encoding import (
 )
 from ..compression.format import CompressedField
 from ..kernels.arena import get_arena
-from ..kernels.dispatch import get_backend
+from ..kernels.dispatch import KernelBackend, get_backend
 from ..obs.metrics import METRICS
 
 __all__ = ["PipelineStats", "HZDynamic", "homomorphic_sum"]
@@ -234,7 +234,7 @@ class HZDynamic:
         if nonconst.size and factor != 0:
             deltas = decode_selected(nonconst, a.code_lengths, a.offsets, a.payload, bs)
             deltas *= factor
-            lens, payload_rows, offs = _encode_with_offsets(deltas, bs)
+            lens, payload_rows, offs = encode_into(deltas, bs)
             out_lengths[nonconst] = lens
             out_offsets = payload_offsets(out_lengths, bs)
             payload = np.empty(int(out_offsets[-1]), dtype=np.uint8)
@@ -323,44 +323,47 @@ class HZDynamic:
         # (k, nb) contribution matrix: operand j contributes to a block iff
         # the block is non-constant there and the weight is non-zero
         # (scaling by a non-zero integer preserves zero-ness exactly).
-        nzmat = np.stack([f.code_lengths != 0 for f in fields])
-        nzmat &= (w != 0)[:, None]
-        contrib = nzmat.sum(axis=0)
+        lens_mat = np.array([f.code_lengths for f in fields])
+        nzmat = lens_mat != 0
+        if weights is not None:
+            nzmat &= (w != 0)[:, None]
+        contrib = np.add.reduce(nzmat, axis=0, dtype=np.intp)
 
-        # first (and, for copy blocks, only) contributing operand per block
-        owner = np.argmax(nzmat, axis=0)
+        # a block with one contributor is that operand's bytes verbatim —
+        # unless its weight scales them, which takes the accumulator
         single = contrib == 1
-        copy_mask = single & (w[owner] == 1)
-        acc_mask = (contrib >= 2) | (single & ~copy_mask)
-        const_count = nb - int(copy_mask.sum()) - int(acc_mask.sum())
+        if weights is None:
+            owner, copy_mask = None, single
+        else:
+            owner = np.argmax(nzmat, axis=0)
+            copy_mask = single & (w[owner] == 1)
+        copy_count = int(np.count_nonzero(copy_mask))
+        acc_count = int(np.count_nonzero(contrib)) - copy_count
+        const_count = nb - copy_count - acc_count
 
         if self.collect_stats:
             self.stats.fused_calls += 1
             self.stats.fused_operands += k
-            self.stats.kway += np.array(
-                [const_count, int(copy_mask.sum()), int(acc_mask.sum())],
-                dtype=np.int64,
-            )
+            self.stats.kway += (const_count, copy_count, acc_count)
         if METRICS.enabled:
             METRICS.inc("hz.fused_calls")
             METRICS.inc("hz.fused_operands", k)
             METRICS.inc("hz.blocks.constant", const_count)
-            METRICS.inc("hz.blocks.copy", int(copy_mask.sum()))
-            METRICS.inc("hz.blocks.accumulate", int(acc_mask.sum()))
+            METRICS.inc("hz.blocks.copy", copy_count)
+            METRICS.inc("hz.blocks.accumulate", acc_count)
 
-        out_outliers = np.zeros_like(a.outliers)
-        for j, f in enumerate(fields):
-            if w[j]:
-                out_outliers += w[j] * f.outliers
-
-        dense = int(acc_mask.sum()) > self.DENSE_THRESHOLD * nb
-        if dense:
+        # one backend for the whole call: resolved here, not per kernel
+        backend = get_backend()
+        if acc_count > self.DENSE_THRESHOLD * nb:
             code_lengths, payload, out_offsets = self._accumulate_dense(
-                fields, w, nzmat, bs
+                backend, fields, w, lens_mat, nzmat, bs
             )
         else:
+            if owner is None:
+                owner = np.argmax(nzmat, axis=0)
             code_lengths, payload, out_offsets = self._accumulate_sparse(
-                fields, w, nzmat, owner, copy_mask, acc_mask, const_count, bs
+                backend, fields, w, lens_mat, nzmat, owner, copy_mask,
+                ~(copy_mask | (contrib == 0)), const_count, bs,
             )
 
         return CompressedField(
@@ -368,7 +371,8 @@ class HZDynamic:
             error_bound=a.error_bound,
             block_size=bs,
             n_threadblocks=a.n_threadblocks,
-            outliers=out_outliers,
+            # zero weights add nothing, exactly as leaving the operand out
+            outliers=w @ np.array([f.outliers for f in fields]),
             predictor=a.predictor,
             rows=a.rows,
             cols=a.cols,
@@ -380,8 +384,10 @@ class HZDynamic:
     # ------------------------------------------------------------------ #
     def _accumulate_dense(
         self,
+        backend: KernelBackend,
         fields: Sequence[CompressedField],
         w: np.ndarray,
+        lens_mat: np.ndarray,
         nzmat: np.ndarray,
         bs: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -399,24 +405,24 @@ class HZDynamic:
 
         The accumulator and every decode temporary come from the
         thread-local arena — a warmed steady state allocates nothing
-        beyond the output stream itself.  Pipeline statistics come back as
-        the ``zero_after`` Z-matrix ("partial sum through operands 0..j is
-        identically zero" per block), computed inside the same sweep and
-        reduced to fold-equivalent counts afterwards.
+        beyond the output stream itself — and every operand brings its
+        stream layout, so nothing about a stream is derived twice.
+        Pipeline statistics come back as the ``zero_after`` Z-matrix
+        ("partial sum through operands 0..j is identically zero" per
+        block), computed inside the same sweep and reduced to
+        fold-equivalent counts afterwards.
         """
-        nb = fields[0].code_lengths.size
         track = self.collect_stats
-        lens_mat = np.stack([f.code_lengths for f in fields])
-        offs_mat = np.stack([f.offsets for f in fields])
-        acc = get_arena().take("hz.acc", (nb, bs), np.int64)
-        out_lengths, payload, out_offsets, zero_after = get_backend().reduce_fused(
+        acc = get_arena().take("hz.acc", (lens_mat.shape[1], bs), np.int64)
+        out_lengths, payload, out_offsets, zero_after = backend.reduce_fused(
             lens_mat,
-            offs_mat,
+            [f.offsets for f in fields],
             [f.payload for f in fields],
             w,
             bs,
             acc=acc,
             track=track,
+            layouts=[f.layout for f in fields],
         )
         if track:
             self._record_fold_stats(zero_after, nzmat)
@@ -424,8 +430,10 @@ class HZDynamic:
 
     def _accumulate_sparse(
         self,
+        backend: KernelBackend,
         fields: Sequence[CompressedField],
         w: np.ndarray,
+        lens_mat: np.ndarray,
         nzmat: np.ndarray,
         owner: np.ndarray,
         copy_mask: np.ndarray,
@@ -458,8 +466,7 @@ class HZDynamic:
 
         out_lengths = np.zeros_like(fields[0].code_lengths)
         if copy_idx.size:
-            lengths_mat = np.stack([f.code_lengths for f in fields])
-            out_lengths[copy_idx] = lengths_mat[owner[copy_idx], copy_idx]
+            out_lengths[copy_idx] = lens_mat[owner[copy_idx], copy_idx]
 
         lens_acc = payload_acc = offsets_acc = None
         if acc_idx.size:
@@ -476,7 +483,7 @@ class HZDynamic:
                 if w[j]:
                     sel = np.nonzero(nzmat[j][acc_idx])[0]
                     if sel.size:
-                        dj = decode_selected(
+                        dj = backend.decode_selected(
                             acc_idx[sel],
                             f.code_lengths,
                             f.offsets,
@@ -489,7 +496,7 @@ class HZDynamic:
                         acc[sel] += dj
                 if p4 is not None and p4.size:
                     azero[p4] = ~acc[p4].any(axis=1)
-            lens_acc, payload_acc, offsets_acc = _encode_with_offsets(acc, bs)
+            lens_acc, payload_acc, offsets_acc = backend.classify_encode(acc, bs)
             out_lengths[acc_idx] = lens_acc
 
         out_offsets = payload_offsets(out_lengths, bs)
@@ -523,19 +530,13 @@ class HZDynamic:
         ``zero_after[j-1]`` against operand *j*'s constancy, and all
         ``k − 1`` steps reduce in one vectorised pass.
         """
-        az = zero_after[:-1]
-        bz = ~nzmat[1:]
-        nz_a = ~az
-        nz_b = nzmat[1:]
-        self.stats.counts += np.array(
-            [
-                int((az & bz).sum()),
-                int((az & nz_b).sum()),
-                int((nz_a & bz).sum()),
-                int((nz_a & nz_b).sum()),
-            ],
-            dtype=np.int64,
-        )
+        az, nz_b = zero_after[:-1], nzmat[1:]
+        # three counts fix the 2 x 2 table of (partial is zero, operand is)
+        a_zero = int(np.count_nonzero(az))
+        b_nonzero = int(np.count_nonzero(nz_b))
+        p2 = int(np.count_nonzero(az & nz_b))
+        p1, p4 = a_zero - p2, b_nonzero - p2
+        self.stats.counts += (p1, p2, az.size - p1 - p2 - p4, p4)
 
     def _record_fold_step(self, azero: np.ndarray, bzero: np.ndarray) -> np.ndarray:
         """Record one fold step's pipeline counts; returns pipeline-4 rows.
@@ -665,14 +666,6 @@ class HZDynamic:
         raise ValueError(
             f"order must be 'fused', 'sequential' or 'tree', got {order!r}"
         )
-
-
-def _encode_with_offsets(
-    deltas: np.ndarray, block_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The backend lays out offsets while sizing the payload; nothing is
-    # recomputed here.
-    return encode_into(deltas, block_size)
 
 
 def homomorphic_sum(

@@ -6,7 +6,9 @@ Public surface:
   (explicit override > ``REPRO_KERNEL_BACKEND`` env var > auto), and the
   :func:`use_backend` scoping context manager;
 * :mod:`repro.kernels.plan` — the shared argsort-based
-  :class:`~repro.kernels.plan.GroupingPlan` and payload-layout geometry;
+  :class:`~repro.kernels.plan.GroupingPlan`, payload geometry, and the
+  per-signature :class:`~repro.kernels.plan.StreamLayout` the grouped
+  kernels walk (:func:`~repro.kernels.plan.stream_layout`);
 * :mod:`repro.kernels.arena` — the thread-local scratch-buffer arena.
 
 The stable entry point for callers is still
@@ -28,9 +30,11 @@ from .dispatch import (
 )
 from .plan import (
     GroupingPlan,
+    StreamLayout,
     block_payload_nbytes,
     payload_offsets,
     required_bits,
+    stream_layout,
 )
 
 __all__ = [
@@ -38,6 +42,7 @@ __all__ = [
     "GroupingPlan",
     "KernelBackend",
     "ScratchArena",
+    "StreamLayout",
     "available_backends",
     "backend_status",
     "block_payload_nbytes",
@@ -48,5 +53,6 @@ __all__ = [
     "register_backend",
     "required_bits",
     "set_backend",
+    "stream_layout",
     "use_backend",
 ]

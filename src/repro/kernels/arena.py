@@ -19,6 +19,9 @@ Rules of the road:
 * Buffers only grow (geometrically, to amortise creeping sizes); call
   :meth:`~ScratchArena.clear` to release them (tests, memory-pressure
   hooks).
+* A view is built once per ``(tag, shape, dtype)`` and handed out again
+  until the tag's buffer is replaced: a kernel asks for the same few dozen
+  views on every call, and constructing one costs more than the lookup.
 """
 
 from __future__ import annotations
@@ -29,12 +32,18 @@ import numpy as np
 
 __all__ = ["ScratchArena", "get_arena"]
 
+#: Views remembered per arena.  A view is ~100 bytes and holds no data of
+#: its own, but shapes follow the data (one per group size), so the memo is
+#: emptied when it fills rather than left to grow with a service's uptime.
+VIEW_MEMO_ENTRIES = 1024
+
 
 class ScratchArena:
     """A pool of named, growable scratch buffers backing kernel temporaries."""
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
         #: Count of backing-buffer creations/growths since construction (or
         #: the last :meth:`clear`).  A warmed steady state must not move
         #: this — the allocation-freedom tests pin exactly that.
@@ -55,6 +64,19 @@ class ScratchArena:
         geometrically when the request exceeds its capacity, so repeated
         slightly-larger requests do not reallocate every call.
         """
+        key = (tag, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            view = self._new_view(tag, shape, dtype)
+            if len(self._views) >= VIEW_MEMO_ENTRIES:
+                self._views.clear()
+            self._views[key] = view
+        if zero:
+            view.fill(0)
+        return view
+
+    def _new_view(self, tag: str, shape, dtype) -> np.ndarray:
+        """Size ``tag``'s buffer for the request and build the view on it."""
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape),)
         dtype = np.dtype(dtype)
@@ -70,10 +92,11 @@ class ScratchArena:
             buf = np.empty(capacity, dtype=np.uint8)
             self._buffers[tag] = buf
             self.allocations += 1
-        view = buf[:nbytes].view(dtype).reshape(shape)
-        if zero:
-            view.fill(0)
-        return view
+            # views of the buffer this one replaces must not be handed out
+            # again: they would keep it alive and alias nothing current
+            for stale in [key for key in self._views if key[0] == tag]:
+                del self._views[stale]
+        return buf[:nbytes].view(dtype).reshape(shape)
 
     @property
     def nbytes(self) -> int:
@@ -87,6 +110,7 @@ class ScratchArena:
     def clear(self) -> None:
         """Drop every buffer (memory is released to the allocator)."""
         self._buffers.clear()
+        self._views.clear()
         self.allocations = 0
 
 

@@ -110,6 +110,7 @@ def decode_blocks(
     block_size: int,
     offsets: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    layout=None,  # the grouped NumPy kernels' stream layout: no use here
 ) -> np.ndarray:
     code_lengths = np.asarray(code_lengths, dtype=np.uint8)
     nb = code_lengths.size

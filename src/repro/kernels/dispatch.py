@@ -10,7 +10,11 @@ engine:
 homomorphic accumulate).  The fused entry points are optional in a
 backend module — when absent the registry installs fallbacks built from
 the backend's own kernels, so every resolved :class:`KernelBackend`
-carries the full surface.
+carries the full surface.  ``decode_blocks`` takes an optional
+``layout=`` and ``reduce_fused`` an optional ``layouts=`` (the streams'
+:class:`~repro.kernels.plan.StreamLayout`, when the caller holds them):
+the grouped NumPy kernels walk them, a backend with no use for them
+accepts and ignores them.
 
 Three backends ship with the repo:
 

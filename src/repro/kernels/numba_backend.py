@@ -109,6 +109,7 @@ def decode_blocks(
     block_size: int,
     offsets: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    layout=None,  # the grouped NumPy kernels' stream layout: no use here
 ) -> np.ndarray:
     code_lengths = np.asarray(code_lengths, dtype=np.uint8)
     nb = code_lengths.size
@@ -178,6 +179,7 @@ def reduce_fused(
     block_size: int,
     acc: np.ndarray | None = None,
     track: bool = False,
+    layouts=None,  # ignored, as in decode_blocks
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Single-sweep k-way homomorphic accumulate (dense strategy).
 

@@ -3,9 +3,15 @@
 This is the reworked hot path behind :mod:`repro.compression.encoding`.
 Relative to the original in-module kernels it
 
-* builds one :class:`~repro.kernels.plan.GroupingPlan` (a single stable
-  radix argsort) instead of ``np.unique`` plus a full ``code_lengths == c``
-  scan and fancy gather per distinct code length;
+* walks one :class:`~repro.kernels.plan.StreamLayout` per stream — the
+  groups of a single stable radix argsort, each with its row size, its
+  slice / run copies / gather indices already worked out — instead of
+  ``np.unique`` plus a full ``code_lengths == c`` scan and fancy gather
+  per distinct code length.  A layout is a pure function of the code
+  lengths, so it is built once per signature and shared: the encoder asks
+  for the one of the stream it emits, a field hands its own to
+  ``decode_blocks`` / ``reduce_fused``, and nothing about a stream is
+  derived twice;
 * serves every temporary (magnitude planes, sign masks, index matrices,
   per-group row buffers) from the thread-local scratch
   :class:`~repro.kernels.arena.ScratchArena`, so steady-state calls make no
@@ -18,8 +24,9 @@ Relative to the original in-module kernels it
 * replaces the per-bit Horner loops of the residual-bit codec with
   ``packbits``/sliding-``uint16``-window kernels, and the masked
   ``np.negative(..., where=signs)`` with a branchless xor/subtract;
-* keeps gather/scatter index matrices in ``int32`` whenever the payload is
-  under 2 GiB, halving the index-construction traffic.
+* keeps the gather/scatter index matrices it still has to build (streams
+  too long for their layout to keep them) in ``int32`` whenever the payload
+  is under 2 GiB, halving the index-construction traffic.
 
 The emitted streams are byte-identical to the original implementation (and
 to the Numba backend) — the wire format is pinned by the parity suite.
@@ -27,10 +34,18 @@ to the Numba backend) — the wire format is pinned by the parity suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .arena import ScratchArena, get_arena
-from .plan import GroupingPlan, payload_offsets, required_bits
+from .plan import (
+    GroupLayout,
+    StreamLayout,
+    flat_row_indices,
+    required_bits,
+    stream_layout,
+)
 
 __all__ = [
     "NAME",
@@ -59,16 +74,7 @@ _OVERFLOW_MSG = (
 # --------------------------------------------------------------------- #
 # row movement: slice fast paths + word-granularity gather/scatter
 # --------------------------------------------------------------------- #
-def _run_cuts(idx: np.ndarray) -> np.ndarray | None:
-    """Split points between maximal consecutive-ascending runs of ``idx``.
-
-    Returns ``None`` when ``idx`` is one consecutive ascending run.
-    """
-    cuts = np.flatnonzero(np.diff(idx) != 1)
-    return None if cuts.size == 0 else cuts + 1
-
-
-def _word_view(payload: np.ndarray, block_size: int) -> np.ndarray | None:
+def _word_view(payload: np.ndarray, layout: StreamLayout) -> np.ndarray | None:
     """``uint32`` view of ``payload`` when the geometry/alignment allows it.
 
     With ``block_size % 32 == 0`` every row occupies ``(bs//8)·(1+c)``
@@ -76,99 +82,85 @@ def _word_view(payload: np.ndarray, block_size: int) -> np.ndarray | None:
     runtime requirement left is that the buffer itself starts on a 4-byte
     boundary (NumPy allocations do; arbitrary caller slices may not).
     """
-    if block_size % 32 or payload.size % 4 or not payload.flags.c_contiguous:
+    if layout.unit != 4 or payload.size % 4 or not payload.flags.c_contiguous:
         return None
-    if payload.ctypes.data % 4:
-        return None
-    return payload.view(np.uint32)
+    words = payload.view(np.uint32)
+    return words if words.flags.aligned else None
 
 
-def _row_index_matrix(
-    starts: np.ndarray,
-    row_len: int,
+def _row_indices(
+    group: GroupLayout,
+    layout: StreamLayout,
+    unit: int,
     arena: ScratchArena,
-    tag: str,
-    idx_dtype: type,
 ) -> np.ndarray:
-    """``(len(starts), row_len)`` flat indices ``starts[i] + j``."""
-    mat = arena.take(tag, (starts.size, row_len), idx_dtype)
-    np.add(
-        starts.astype(idx_dtype)[:, None],
-        np.arange(row_len, dtype=idx_dtype),
-        out=mat,
-    )
-    return mat
+    """Flat ``unit``-byte indices of the group's rows in the payload.
+
+    The layout's own when it keeps them at this granularity; otherwise
+    built into scratch, in ``int32`` whenever the payload is under 2 GiB.
+    """
+    if unit == layout.unit:
+        if group.index is not None:
+            return group.index
+        first = group.first
+    else:  # a word-granular layout over a payload that is not word-aligned
+        first = group.first * layout.unit
+    idx_dtype = np.int32 if int(layout.offsets[-1]) < 2**31 else np.int64
+    width = group.row_nbytes // unit
+    out = arena.take("mv.idx", (group.ng, width), idx_dtype)
+    return flat_row_indices(first, width, out=out)
 
 
 def _gather_rows(
+    group: GroupLayout,
+    layout: StreamLayout,
     payload: np.ndarray,
     pay32: np.ndarray | None,
-    offsets: np.ndarray,
-    idx: np.ndarray,
-    row_nbytes: int,
     arena: ScratchArena,
-    idx_dtype: type,
 ) -> np.ndarray:
-    """Collect ``(len(idx), row_nbytes)`` payload rows for blocks ``idx``."""
-    ng = idx.size
-    cuts = _run_cuts(idx)
-    if cuts is None:
-        lo = int(offsets[idx[0]])
-        return payload[lo : lo + ng * row_nbytes].reshape(ng, row_nbytes)
-    rows = arena.take("mv.rows", (ng, row_nbytes), np.uint8)
-    if cuts.size + 1 <= max(ng // 8, 1):
-        # few long runs: plain slice copies, no index matrices at all
-        bounds = np.concatenate(([0], cuts, [ng]))
-        for r in range(bounds.size - 1):
-            s, e = int(bounds[r]), int(bounds[r + 1])
-            lo = int(offsets[idx[s]])
-            rows[s:e].reshape(-1)[:] = payload[lo : lo + (e - s) * row_nbytes]
-        return rows
-    starts = offsets[idx]
-    if pay32 is not None:
-        src = _row_index_matrix(
-            starts >> 2, row_nbytes // 4, arena, "mv.idx", idx_dtype
+    """Collect the group's ``(ng, row_nbytes)`` payload rows."""
+    ng, row_nbytes = group.ng, group.row_nbytes
+    if group.lo >= 0:
+        return payload[group.lo : group.lo + ng * row_nbytes].reshape(
+            ng, row_nbytes
         )
-        np.take(pay32, src.reshape(-1), out=rows.view(np.uint32).reshape(-1))
+    rows = arena.take("mv.rows", (ng, row_nbytes), np.uint8)
+    if group.runs is not None:
+        flat = arena.take("mv.rows", ng * row_nbytes, np.uint8)
+        for r0, r1, lo in group.runs:
+            flat[r0:r1] = payload[lo : lo + r1 - r0]
+    elif pay32 is not None:
+        pay32.take(
+            _row_indices(group, layout, 4, arena),
+            out=arena.take("mv.rows", ng * row_nbytes // 4, np.uint32),
+        )
     else:
-        src = _row_index_matrix(starts, row_nbytes, arena, "mv.idx", idx_dtype)
-        np.take(payload, src.reshape(-1), out=rows.reshape(-1))
+        payload.take(
+            _row_indices(group, layout, 1, arena),
+            out=arena.take("mv.rows", ng * row_nbytes, np.uint8),
+        )
     return rows
 
 
 def _scatter_rows(
+    group: GroupLayout,
+    layout: StreamLayout,
+    rows: np.ndarray,
     payload: np.ndarray,
     pay32: np.ndarray | None,
-    offsets: np.ndarray,
-    idx: np.ndarray,
-    rows: np.ndarray,
-    row_nbytes: int,
     arena: ScratchArena,
-    idx_dtype: type,
 ) -> None:
-    """Place ``rows`` into the payload at blocks ``idx`` (inverse gather)."""
-    ng = idx.size
-    cuts = _run_cuts(idx)
-    if cuts is None:
-        lo = int(offsets[idx[0]])
-        payload[lo : lo + ng * row_nbytes] = rows.reshape(-1)
-        return
-    if cuts.size + 1 <= max(ng // 8, 1):
-        bounds = np.concatenate(([0], cuts, [ng]))
-        for r in range(bounds.size - 1):
-            s, e = int(bounds[r]), int(bounds[r + 1])
-            lo = int(offsets[idx[s]])
-            payload[lo : lo + (e - s) * row_nbytes] = rows[s:e].reshape(-1)
-        return
-    starts = offsets[idx]
-    if pay32 is not None:
-        dest = _row_index_matrix(
-            starts >> 2, row_nbytes // 4, arena, "mv.idx", idx_dtype
-        )
-        pay32[dest.reshape(-1)] = rows.view(np.uint32).reshape(-1)
+    """Place the group's encoded ``rows`` into the payload (inverse gather)."""
+    if group.runs is not None:
+        flat = rows.reshape(-1)
+        for r0, r1, lo in group.runs:
+            payload[lo : lo + r1 - r0] = flat[r0:r1]
+    elif pay32 is not None:
+        pay32[_row_indices(group, layout, 4, arena)] = rows.view(
+            np.uint32
+        ).reshape(-1)
     else:
-        dest = _row_index_matrix(starts, row_nbytes, arena, "mv.idx", idx_dtype)
-        payload[dest.reshape(-1)] = rows.reshape(-1)
+        payload[_row_indices(group, layout, 1, arena)] = rows.reshape(-1)
 
 
 # --------------------------------------------------------------------- #
@@ -210,6 +202,23 @@ def _encode_group(
             r8[...] = t
             bits = np.unpackbits(r8, axis=1).reshape(ng, bs, 8)[:, :, :rem]
             out[:, pos:] = np.packbits(bits.reshape(ng, bs * rem), axis=1)
+
+
+@lru_cache(maxsize=None)
+def _residual_window(rem: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each element's ``rem`` residual bits sit in the packed bytes.
+
+    Returns the byte each element's bits start in and the right shift that
+    brings them to the bottom of a ``uint16`` window over that byte and
+    the next.  At most 7 × (block sizes in use) entries, a few hundred
+    bytes each.
+    """
+    bitpos = np.arange(bs, dtype=np.int64) * rem
+    shift = (16 - rem - (bitpos & 7)).astype(np.uint16)
+    first_byte = bitpos >> 3
+    for shared in (first_byte, shift):
+        shared.setflags(write=False)
+    return first_byte, shift
 
 
 def _decode_group(
@@ -254,10 +263,9 @@ def _decode_group(
             w[...] = packed
             np.left_shift(w, np.uint16(8), out=w)
             w[:, :-1] |= packed[:, 1:]
-            bitpos = np.arange(bs, dtype=np.int64) * rem
-            shift = (16 - rem - (bitpos & 7)).astype(np.uint16)
+            first_byte, shift = _residual_window(rem, bs)
             g16 = arena.take("cg.g16", (ng, bs), np.uint16)
-            np.take(w, bitpos >> 3, axis=1, out=g16)
+            w.take(first_byte, axis=1, out=g16)
             np.right_shift(g16, shift, out=g16)
             np.bitwise_and(g16, np.uint16((1 << rem) - 1), out=g16)
             high = g16
@@ -288,20 +296,25 @@ def _decode_group(
 def encode_with_offsets(
     deltas: np.ndarray, block_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-length-encode ``(n_blocks, bs)`` deltas; offsets come free."""
+    """Fixed-length-encode ``(n_blocks, bs)`` deltas; offsets come free.
+
+    The offsets are the emitted stream's shared layout's, hence read-only.
+    """
     arena = get_arena()
     deltas = np.ascontiguousarray(deltas)
     nb, bs = deltas.shape
     if nb == 0:
         lens = np.zeros(0, dtype=np.uint8)
-        return lens, np.empty(0, dtype=np.uint8), payload_offsets(lens, bs)
+        return lens, np.empty(0, dtype=np.uint8), stream_layout(lens, bs).offsets
     # per-block max |delta| without materialising the abs array
     max_mag = np.maximum(deltas.max(axis=1), -deltas.min(axis=1))
     global_max = int(max_mag.max())
     if global_max >= (1 << MAX_CODE_LENGTH):
         raise OverflowError(_OVERFLOW_MSG)
     code_lengths = required_bits(max_mag)
-    offsets = payload_offsets(code_lengths, bs)
+    # whoever decodes this stream next finds the layout built
+    layout = stream_layout(code_lengths, bs)
+    offsets = layout.offsets
     total = int(offsets[-1])
     payload = np.empty(total, dtype=np.uint8)
     if total == 0:
@@ -314,33 +327,33 @@ def encode_with_offsets(
         m32 = arena.take("enc.mags", deltas.shape, np.int32)
         m32[...] = deltas
         np.abs(m32, out=m32)
-        mags = m32.view(np.uint32)
+        mags = arena.take("enc.mags", deltas.shape, np.uint32)
     else:
         m64 = arena.take("enc.mags64", deltas.shape, np.int64)
         np.abs(deltas, out=m64, casting="unsafe")
         mags = arena.take("enc.mags", deltas.shape, np.uint32)
         mags[...] = m64
-    plan = GroupingPlan.from_code_lengths(code_lengths)
-    idx_dtype = np.int32 if total < 2**31 else np.int64
-    pay32 = _word_view(payload, bs)
-    for c, idx in plan.groups():
+    pay32 = _word_view(payload, layout)
+    for group in layout.groups:
+        c, ng = group.c, group.ng
         if c == 0:
             continue
-        ng = idx.size
-        row_nbytes = (bs // 8) * (1 + c)
-        if idx[-1] - idx[0] == ng - 1:  # plan order is ascending per group
-            lo = int(idx[0])
-            gm, gs = mags[lo : lo + ng], signs[lo : lo + ng]
+        if group.row0 >= 0:
+            gm = mags[group.row0 : group.row0 + ng]
+            gs = signs[group.row0 : group.row0 + ng]
         else:
             gm = arena.take("enc.gmags", (ng, bs), np.uint32)
-            np.take(mags, idx, axis=0, out=gm)
+            mags.take(group.rows, axis=0, out=gm)
             gs = arena.take("enc.gsigns", (ng, bs), np.bool_)
-            np.take(signs, idx, axis=0, out=gs)
-        rows = arena.take("enc.rows", (ng, row_nbytes), np.uint8)
-        _encode_group(gm, gs, c, rows, arena)
-        _scatter_rows(
-            payload, pay32, offsets, idx, rows, row_nbytes, arena, idx_dtype
-        )
+            signs.take(group.rows, axis=0, out=gs)
+        if group.lo >= 0:
+            # one run of blocks: encode straight into its payload slice
+            rows = payload[group.lo : group.lo + ng * group.row_nbytes]
+            _encode_group(gm, gs, c, rows.reshape(ng, group.row_nbytes), arena)
+        else:
+            rows = arena.take("enc.rows", (ng, group.row_nbytes), np.uint8)
+            _encode_group(gm, gs, c, rows, arena)
+            _scatter_rows(group, layout, rows, payload, pay32, arena)
     return code_lengths, payload, offsets
 
 
@@ -357,14 +370,24 @@ def decode_blocks(
     block_size: int,
     offsets: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    layout: StreamLayout | None = None,
 ) -> np.ndarray:
-    """Decode the full block set; see :func:`repro.compression.encoding.decode_blocks`."""
-    arena = get_arena()
+    """Decode the full block set; see :func:`repro.compression.encoding.decode_blocks`.
+
+    ``layout`` is the stream's :class:`~repro.kernels.plan.StreamLayout`
+    when the caller holds it (a field carries its own); otherwise it is
+    looked up, or built, from the code lengths.
+    """
     code_lengths = np.asarray(code_lengths, dtype=np.uint8)
     nb = code_lengths.size
-    if offsets is None:
-        offsets = payload_offsets(code_lengths, block_size)
-    max_c = int(code_lengths.max(initial=0))
+    if layout is None:
+        layout = stream_layout(code_lengths, block_size, offsets)
+    elif layout.n_blocks != nb or layout.block_size != block_size:
+        raise ValueError(
+            f"layout describes {layout.n_blocks} blocks of {layout.block_size}, "
+            f"the stream has {nb} of {block_size}"
+        )
+    max_c = layout.max_c
     if out is None:
         dtype = np.int32 if max_c <= 31 else np.int64
         out = np.empty((nb, block_size), dtype=dtype)
@@ -377,8 +400,7 @@ def decode_blocks(
             raise ValueError("int32 out cannot hold 32-bit magnitudes")
         if out.dtype not in (np.int32, np.int64):
             raise ValueError(f"out dtype must be int32/int64, got {out.dtype}")
-    plan = GroupingPlan.from_code_lengths(code_lengths)
-    _decode_grouped(plan, None, code_lengths, offsets, payload, block_size, out, arena)
+    _decode_grouped(layout, payload, out, get_arena())
     return out
 
 
@@ -396,7 +418,6 @@ def decode_selected(
     is fully overwritten — the homomorphic hot loop passes an arena view
     here so steady-state subset decodes allocate nothing.
     """
-    arena = get_arena()
     indices = np.asarray(indices, dtype=np.int64)
     code_lengths = np.asarray(code_lengths, dtype=np.uint8)
     if out is None:
@@ -408,47 +429,40 @@ def decode_selected(
         )
     if indices.size == 0:
         return out
-    plan = GroupingPlan.from_code_lengths(code_lengths[indices])
-    _decode_grouped(
-        plan, indices, code_lengths, offsets, payload, block_size, out, arena
+    # a selection's layout is as particular as the selection: built, used
+    # once, not cached
+    layout = StreamLayout(
+        code_lengths[indices], block_size, offsets, blocks=indices
     )
+    _decode_grouped(layout, payload, out, get_arena())
     return out
 
 
 def _decode_grouped(
-    plan: GroupingPlan,
-    indices: np.ndarray | None,
-    code_lengths: np.ndarray,
-    offsets: np.ndarray,
+    layout: StreamLayout,
     payload: np.ndarray,
-    block_size: int,
     out: np.ndarray,
     arena: ScratchArena,
 ) -> None:
-    """Shared decode driver; ``indices`` maps output rows to block ids."""
-    total = int(offsets[-1])
-    idx_dtype = np.int32 if total < 2**31 else np.int64
-    pay32 = _word_view(payload, block_size)
-    for c, pos in plan.groups():
-        blocks = pos if indices is None else indices[pos]
-        ng = pos.size
-        if c == 0:
-            if ng and pos[-1] - pos[0] == ng - 1:
-                out[int(pos[0]) : int(pos[0]) + ng] = 0
+    """Shared decode driver: one gather + one group decode per code length."""
+    block_size = layout.block_size
+    pay32 = _word_view(payload, layout)
+    for group in layout.groups:
+        ng = group.ng
+        if group.c == 0:
+            if group.row0 >= 0:
+                out[group.row0 : group.row0 + ng] = 0
             else:
-                out[pos] = 0
+                out[group.rows] = 0
             continue
-        row_nbytes = (block_size // 8) * (1 + c)
-        rows = _gather_rows(
-            payload, pay32, offsets, blocks, row_nbytes, arena, idx_dtype
-        )
-        if pos[-1] - pos[0] == ng - 1:  # output rows contiguous: in place
-            target = out[int(pos[0]) : int(pos[0]) + ng]
-            _decode_group(rows, c, block_size, target, arena)
+        rows = _gather_rows(group, layout, payload, pay32, arena)
+        if group.row0 >= 0:  # output rows contiguous: in place
+            target = out[group.row0 : group.row0 + ng]
+            _decode_group(rows, group.c, block_size, target, arena)
         else:
             dec = arena.take("dec.rows", (ng, block_size), out.dtype)
-            _decode_group(rows, c, block_size, dec, arena)
-            out[pos] = dec
+            _decode_group(rows, group.c, block_size, dec, arena)
+            out[group.rows] = dec
 
 
 # --------------------------------------------------------------------- #
@@ -462,7 +476,7 @@ def _decode_grouped(
 classify_encode = encode_with_offsets
 
 
-def make_reduce_fused(decode_blocks_fn, classify_encode_fn):
+def make_reduce_fused(decode_blocks_fn, classify_encode_fn, pass_layouts=False):
     """Build a reference k-way ``reduce_fused`` from a backend's own kernels.
 
     The returned callable implements the dense full-stream strategy —
@@ -472,6 +486,11 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn):
     this as the fallback for backends (custom or stub) that do not ship a
     native fused kernel, so ``HZDynamic.reduce_fused`` can rely on the
     entry point existing everywhere.
+
+    ``offs_mat`` is only ever indexed by operand, so any sequence of ``k``
+    offset arrays will do.  ``layouts`` (the operands' stream layouts, when
+    the caller holds them) reach ``decode_blocks_fn`` only with
+    ``pass_layouts``; a backend that has no use for them ignores them.
     """
 
     def reduce_fused(
@@ -482,6 +501,7 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn):
         block_size: int,
         acc: np.ndarray | None = None,
         track: bool = False,
+        layouts: list[StreamLayout | None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
         arena = get_arena()
         k, nb = lens_mat.shape
@@ -496,8 +516,8 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn):
             acc.fill(0)
         zero_after = np.empty((k, nb), dtype=bool) if track else None
         scratch = arena.take("rf.dec", (nb, block_size), np.int64)
-        for j in range(k):
-            w = int(weights[j])
+        hand_over = pass_layouts and layouts is not None
+        for j, w in enumerate(weights.tolist()):
             if w != 0:
                 decoded = decode_blocks_fn(
                     lens_mat[j],
@@ -505,6 +525,7 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn):
                     block_size,
                     offsets=offs_mat[j],
                     out=scratch,
+                    **({"layout": layouts[j]} if hand_over else {}),
                 )
                 if w != 1:
                     decoded *= w
@@ -521,4 +542,4 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn):
 #: :func:`make_reduce_fused` for the contract; the Numba backend replaces
 #: this with a single-sweep JIT kernel (one pass over each block across all
 #: k operands, ``prange`` over thread-blocks).
-reduce_fused = make_reduce_fused(decode_blocks, classify_encode)
+reduce_fused = make_reduce_fused(decode_blocks, classify_encode, pass_layouts=True)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.bench.kernels import (
+    FOLD_STAGES,
     REDUCE_KS,
     compare_to_baseline,
     format_report,
@@ -65,6 +66,33 @@ class TestDocument:
                 )
                 assert sweep["speedup_over_calls"] > 1.5  # gate asks 3x
 
+    def test_fold_split_rows(self, small_doc):
+        """One dense k = 2 fold per size, split into stages that add up."""
+        assert set(small_doc["fold_split"]) == set(small_doc["backends"])
+        for split in small_doc["fold_split"].values():
+            assert tuple(split) == ("2kb", "4kb", "256kb")
+            for rows in split.values():
+                assert set(rows) == {"fold", "stages_over_fold", *FOLD_STAGES}
+                assert all(rows[stage] > 0 for stage in FOLD_STAGES)
+                # the stages are one staged run's; the fold is the best
+                # unstaged one, so their ratio is the stopwatches' cost
+                # plus this box's jitter (committed rows: within 10 %)
+                staged = sum(rows[stage] for stage in FOLD_STAGES)
+                assert rows["stages_over_fold"] == pytest.approx(
+                    staged / rows["fold"]
+                )
+                assert 0.7 < rows["stages_over_fold"] < 1.6
+            # the kernels, not the engine around them, are most of a fold
+            big = split["256kb"]
+            assert big["decode"] + big["classify_encode"] > 0.5 * big["fold"]
+
+    def test_committed_fold_split_adds_up(self):
+        committed = json.loads(
+            (Path(__file__).resolve().parents[2] / "BENCH_kernels.json").read_text()
+        )
+        for rows in committed["fold_split"]["numpy"].values():
+            assert 0.9 <= rows["stages_over_fold"] <= 1.1
+
     def test_json_serialisable(self, small_doc):
         restored = json.loads(json.dumps(small_doc))
         assert restored["bench"] == "kernels"
@@ -72,6 +100,7 @@ class TestDocument:
     def test_report_renders(self, small_doc):
         text = format_report(small_doc)
         assert "encode" in text and "GB/s" in text
+        assert "fold by stage" in text and "classify_encode" in text
 
 
 class TestCompare:
@@ -91,6 +120,11 @@ class TestCompare:
         slowed["call_floor"]["numpy"]["cpr_4kb"]["seconds"] *= 10.0
         failures = compare_to_baseline(slowed, small_doc, tolerance=2.0)
         assert len(failures) == 1 and "numpy/cpr_4kb" in failures[0]
+        # the fold's floor is compared like the compressor's
+        slowed["call_floor"]["numpy"]["hpr_4kb"]["seconds"] *= 10.0
+        failures = compare_to_baseline(slowed, small_doc, tolerance=2.0)
+        assert len(failures) == 2 and "numpy/hpr_4kb" in failures[1]
+        assert "10.00x slower" in failures[1]
         # a baseline from before the floor rows existed compares clean
         old = {k: v for k, v in small_doc.items() if k != "call_floor"}
         assert compare_to_baseline(slowed, old, tolerance=2.0) == []
@@ -241,6 +275,32 @@ class TestKernelGateScript:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "x over 8 calls" in proc.stdout
         assert "sweep floor 3.0x" in proc.stdout
+
+    def test_fold_against_doc_step_is_gated(self):
+        """Table 4's condition at the 4 KB floor: HPR <= 2 DPR + CPR on the
+        reference backend, reported in the gate's table."""
+        proc = self._run()
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "fold vs DOC step at 4 KB" in proc.stdout
+        assert "fold/DOC ceiling 1.00" in proc.stdout
+
+    def test_fold_slower_than_doc_step_fails(self):
+        """The gate's arithmetic, on a document where the fold loses."""
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "kernel_gate", self.REPO / "benchmarks" / "kernel_gate.py"
+        )
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        floor = {
+            "cpr_4kb": {"seconds": 1e-4},
+            "dpr_4kb": {"seconds": 1e-4},
+            "hpr_4kb": {"seconds": 2.9e-4},
+        }
+        assert gate.fold_over_doc(floor) == pytest.approx(2.9 / 3)
+        floor["hpr_4kb"]["seconds"] = 3.3e-4
+        assert gate.fold_over_doc(floor) > gate.FOLD_OVER_DOC_CEILING
 
     def test_missing_required_backend_fails(self):
         proc = self._run("--require", "not-a-backend")

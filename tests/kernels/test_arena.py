@@ -70,6 +70,55 @@ class TestTake:
             raise AssertionError("negative dim accepted")
 
 
+class TestViewMemo:
+    """One view per (tag, shape, dtype), dropped with the buffer it was on."""
+
+    def test_same_request_returns_the_same_view(self):
+        a = ScratchArena()
+        v = a.take("x", (4, 8), np.int32)
+        assert a.take("x", (4, 8), np.int32) is v
+        assert a.take("x", (8, 4), np.int32) is not v
+        assert a.take("x", (4, 8), np.uint32) is not v
+        assert a.take("y", (4, 8), np.int32) is not v
+
+    def test_view_taken_before_growth_is_never_handed_out_again(self):
+        a = ScratchArena()
+        old = a.take("x", 16, np.int64)
+        other = a.take("y", 16, np.int64)
+        a.take("x", 1024, np.int64)  # replaces x's buffer
+        new = a.take("x", 16, np.int64)
+        assert new is not old
+        assert not np.shares_memory(new, old)
+        assert np.shares_memory(new, a.take("x", 1024, np.int64))
+        assert a.take("y", 16, np.int64) is other  # other tags keep theirs
+
+    def test_clear_drops_views_with_the_buffers(self):
+        a = ScratchArena()
+        old = a.take("x", 16)
+        a.clear()
+        new = a.take("x", 16)
+        assert new is not old and not np.shares_memory(new, old)
+
+    def test_zero_clears_a_memoised_view(self):
+        a = ScratchArena()
+        v = a.take("x", 8, np.int64, zero=True)
+        v[...] = 7
+        again = a.take("x", 8, np.int64, zero=True)
+        assert again is v and not again.any()
+        v[...] = 7
+        assert a.take("x", 8, np.int64).sum() == 56  # zero=False leaves it be
+
+    def test_memo_is_bounded(self):
+        from repro.kernels.arena import VIEW_MEMO_ENTRIES
+
+        a = ScratchArena()
+        a.take("x", 2 * VIEW_MEMO_ENTRIES + 10)
+        for n in range(1, 2 * VIEW_MEMO_ENTRIES + 10):
+            a.take("x", n)
+        assert len(a._views) <= VIEW_MEMO_ENTRIES
+        assert a.allocations == 1
+
+
 class TestAllocationCounter:
     def test_counts_creations_and_growths_only(self):
         a = ScratchArena()
@@ -101,6 +150,26 @@ class TestAllocationCounter:
         steady = engine.reduce_fused(fields)
         assert arena.allocations == baseline
         np.testing.assert_array_equal(steady.payload, warm.payload)
+
+    def test_allocations_flat_across_100_warmed_folds(self):
+        """Memoised views change nothing about which buffers exist."""
+        from repro.compression.fzlight import FZLight
+        from repro.homomorphic.hzdynamic import HZDynamic
+
+        rng = np.random.default_rng(2)
+        comp = FZLight(block_size=32, n_threadblocks=18)
+        pair = comp.compress(
+            [np.cumsum(rng.normal(0, 0.02, 512)).astype(np.float32) for _ in range(2)],
+            abs_eb=1e-4,
+        )
+        engine = HZDynamic()
+        arena = get_arena()
+        arena.clear()
+        warm = engine.reduce_fused(pair).to_bytes()
+        baseline = arena.allocations
+        for _ in range(100):
+            assert engine.reduce_fused(pair).to_bytes() == warm
+        assert arena.allocations == baseline
 
     def test_sparse_reduce_steady_state_allocates_nothing(self):
         """The gather strategy's accumulator/decode rows are arena-served
