@@ -6,6 +6,7 @@ run in the chaos CI job, keeping the main matrix fast.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench.mp import (
@@ -14,9 +15,11 @@ from repro.bench.mp import (
     sim_reference,
     states_equal,
 )
+from repro.runtime.cluster import SimCluster
 from repro.runtime.faults import FaultPlan
 from repro.runtime.mp_cluster import MPCluster, MPClusterError
-from repro.schedule.mp_executor import MPExecutor
+from repro.schedule.executor import ScheduleExecutor
+from repro.schedule.mp_executor import CodecSpec, MPExecutor
 
 pytestmark = pytest.mark.chaos
 
@@ -43,21 +46,120 @@ def test_family_matches_simulator_n8(cluster8, family):
     assert states_equal(run.state, ref.state)
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("family", ["ring-rs", "bcast"])
-def test_chaos_plan_matches_simulator(cluster4, family, seed):
-    # the sender walks the same per-link fault indices the simulator
-    # consumes, so injected faults (drops, damage, duplicates, per-op
-    # degrades) leave identical state and wire accounting
-    plan = FaultPlan.chaos(seed, 4, intensity=0.05)
-    case = build_case(family, 4, 8192, seed=seed)
-    run = MPExecutor(cluster4, case.spec, plan=plan).run(
+#: intensities of the seeded matrix: 0.05 is mostly healthy, 0.1 reaches
+#: retransmits / duplicates / damaged frames on every wire style without
+#: exhausting a stream, 0.3 adds forced plain deliveries, the broadcast's
+#: per-op degrades and runs that abort at schedule level
+INTENSITIES = (0.05, 0.1, 0.3)
+SEEDS = range(4)
+
+#: MP ``run.stats`` key → the simulator's ``FaultStats`` it must equal
+#: (summed over ranks) on every run that does not abort
+COUNTERS = {
+    "forced_deliveries": lambda s: s.forced_deliveries,
+    "duplicates_discarded": lambda s: s.duplicates,
+    "damaged_rejected": lambda s: s.corruptions + s.truncations,
+}
+
+
+def _sim(case, plan):
+    """The simulator's outcome and fault counters for one seeded run."""
+    cluster = SimCluster(case.n_ranks, faults=plan)
+    outcome = ScheduleExecutor(cluster, case.spec.build(cluster)).run(
         case.schedule, case.make_state()
     )
-    ref = sim_reference(case, plan=plan)
-    assert run.degraded == ref.degraded
-    assert run.wire == ref.wire
-    assert states_equal(run.state, ref.state)
+    return outcome, cluster.channel.stats
+
+
+def _aborts(case, ref) -> bool:
+    # the broadcast degrades comm by comm; every other family's comms
+    # abandon the schedule
+    return ref.degraded and case.family != "bcast"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_chaos_plan_matches_simulator(cluster4, family, seed):
+    # the sender walks the same per-link fault indices the simulator
+    # consumes, so injected faults (drops, damage, duplicates, forced
+    # deliveries, per-op degrades) leave identical state, wire accounting
+    # and fault counters on every wire style
+    case = build_case(family, 4, 8192, seed=seed)
+    for intensity in INTENSITIES:
+        plan = FaultPlan.chaos(seed, 4, intensity=intensity)
+        ref, ref_stats = _sim(case, plan)
+        if _aborts(case, ref):
+            # ranks stop at different comms, so only the flag and the
+            # poison contract carry over — on a cluster of its own
+            with MPCluster(4) as doomed:
+                run = MPExecutor(doomed, case.spec, plan=plan).run(
+                    case.schedule, case.make_state()
+                )
+                assert run.degraded is True
+                with pytest.raises(MPClusterError, match="poisoned"):
+                    doomed.run_schedule(
+                        case.schedule, case.spec, case.make_state()
+                    )
+            continue
+        run = MPExecutor(cluster4, case.spec, plan=plan).run(
+            case.schedule, case.make_state()
+        )
+        assert run.degraded == ref.degraded, intensity
+        assert run.wire == ref.wire, intensity
+        assert states_equal(run.state, ref.state), intensity
+        for key, expected in COUNTERS.items():
+            assert run.stats[key] == expected(ref_stats), (intensity, key)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_chaos_matrix_exercises_every_counter(family):
+    # the matrix above only guards an arm if its non-aborting runs really
+    # retransmit, duplicate and damage something there
+    seen = dict.fromkeys(("retransmissions", "duplicates", "damaged"), 0)
+    for seed in SEEDS:
+        case = build_case(family, 4, 8192, seed=seed)
+        for intensity in INTENSITIES:
+            ref, stats = _sim(case, FaultPlan.chaos(seed, 4, intensity))
+            if not _aborts(case, ref):
+                seen["retransmissions"] += stats.retransmissions
+                seen["duplicates"] += stats.duplicates
+                seen["damaged"] += stats.corruptions + stats.truncations
+    assert all(seen.values()), seen
+
+
+def test_staged_comm_degrades_per_op_on_a_real_receiver():
+    # the stage-then-fold schedule of tests/chaos/test_stage_degrade.py:
+    # every attempt of the staged stream is corrupted, so rank 1 degrades
+    # that one comm (the broadcast codec's plain re-send), parks the
+    # sentinel and its later fold skips the block — same state, wire and
+    # counters as the simulator, and no abort, so the cluster stays usable
+    from tests.chaos.test_stage_degrade import _blocks, _stage_then_fold
+
+    a, b = _blocks()
+    schedule = _stage_then_fold()
+    spec = CodecSpec(
+        "compressed-bcast", block_size=8, n_threadblocks=3, bcast_data=a + b
+    )
+    plan = FaultPlan(seed=7, corrupt_rate=1.0)
+
+    def make_state():
+        return [{0: a.copy()}, {0: b.copy()}]
+
+    sim = SimCluster(2, faults=plan)
+    ref = ScheduleExecutor(sim, spec.build(sim)).run(schedule, make_state())
+    assert ref.degraded is True
+    with MPCluster(2) as cluster:
+        for _ in range(2):
+            run = MPExecutor(cluster, spec, plan=plan).run(
+                schedule, make_state()
+            )
+            assert run.degraded is True
+            assert run.wire == ref.wire
+            assert states_equal(run.state, ref.state)
+            np.testing.assert_array_equal(run.state[1][0], a + b)
+            for key, expected in COUNTERS.items():
+                assert run.stats[key] == expected(sim.channel.stats), key
+            assert run.stats["failed_streams"] == 1
 
 
 def test_chaos_replay_is_deterministic(cluster4):
