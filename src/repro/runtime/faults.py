@@ -10,7 +10,10 @@ message_index)``, never on wall time or call interleaving, so any run
 replays bit-identically from its seed.
 
 Delivery goes through a :class:`ResilientChannel` owned by the
-:class:`~repro.runtime.cluster.SimCluster`:
+:class:`~repro.runtime.cluster.SimCluster`.  What happens to a message,
+attempt by attempt, is written once (:meth:`ResilientChannel.attempts`);
+the simulated channel walks it charging virtual time, the multi-process
+sender walks it emitting frames:
 
 * a **dropped** message is detected by receiver timeout; the sender
   retransmits after a bounded exponential backoff, and every wait is
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
 from ..compression.format import from_bytes
 from ..obs.metrics import METRICS
@@ -53,6 +56,8 @@ __all__ = [
     "Delivery",
     "ResilientChannel",
     "UnrecoverableStreamError",
+    "DAMAGE_VERDICTS",
+    "parse_stream",
 ]
 
 _MASK = (1 << 64) - 1
@@ -354,8 +359,7 @@ class UnrecoverableStreamError(RuntimeError):
         self.attempts = attempts
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """Outcome of one (possibly retransmitted) delivery.
 
     ``nbytes`` counts the bytes this delivery put on the wire *through the
@@ -366,6 +370,20 @@ class Delivery:
     payload: Any
     nbytes: int
     attempts: int = 1
+
+
+#: the :meth:`ResilientChannel.attempts` verdicts that put a damaged copy
+#: on the wire
+DAMAGE_VERDICTS = ("CORRUPT", "TRUNCATE")
+
+
+def parse_stream(blob: bytes):
+    """A receiver's validation of one compressed stream: the wire format's
+    checksummed parse, ``None`` when it rejects the bytes."""
+    try:
+        return from_bytes(blob)
+    except (ValueError, OverflowError):
+        return None
 
 
 class ResilientChannel:
@@ -416,9 +434,8 @@ class ResilientChannel:
         concurrency and link speed into the congestion law (see
         :meth:`SimCluster.charge_comm`).
         """
-        factor = (
-            self.plan.bandwidth_factor(source, dest) if self.plan is not None else 1.0
-        )
+        plan = self.cluster.faults
+        factor = 1.0 if plan is None else plan.bandwidth_factor(source, dest)
         return self.cluster.charge_comm(
             dest,
             nbytes,
@@ -428,6 +445,120 @@ class ResilientChannel:
         )
 
     # ------------------------------------------------------------------ #
+    def attempts(
+        self, source: int, dest: int, reliable: bool
+    ) -> Iterator[tuple[int, int, str, bool]]:
+        """The attempt walk of one message on ``source → dest``.
+
+        Yields ``(attempt, link index, verdict, duplicate)`` per
+        transmission, consuming one per-link fault index each: ``"DROP"``
+        (nothing arrives), ``"CORRUPT"`` / ``"TRUNCATE"`` (a damaged copy
+        arrives) or ``"OK"``, plus whether an extra wire copy rides along.
+        The consumer stops iterating once an attempt is accepted.  When
+        ``max_attempts`` are spent a ``reliable`` (plain) message escalates
+        to one last ``"FORCED"`` delivery; any other raises
+        :class:`UnrecoverableStreamError`.  Every fault counter is kept
+        here, so whoever walks — the simulated channel charging virtual
+        time, the multi-process sender emitting frames — counts alike.
+        """
+        plan, policy, stats = self.plan, self.retry, self.stats
+        for attempt in range(policy.max_attempts):
+            index = self._next_index(source, dest)
+            decision = plan.decide(source, dest, index)
+            if attempt:
+                stats.retransmissions += 1
+            verdict = "OK"
+            if decision.drop:
+                stats.drops += 1
+                stats.timeouts += 1
+                verdict = "DROP"
+            elif decision.truncate:
+                stats.truncations += 1
+                verdict = "TRUNCATE"
+            elif decision.corrupt:
+                stats.corruptions += 1
+                verdict = "CORRUPT"
+            if decision.duplicate:
+                stats.duplicates += 1
+            yield attempt, index, verdict, decision.duplicate
+        if not reliable:
+            raise UnrecoverableStreamError(source, dest, policy.max_attempts)
+        # Reliable floor: the transport escalates (think a slow verified
+        # path) and the payload arrives after one final penalty — plain
+        # delivery must terminate, never raise.
+        stats.retransmissions += 1
+        stats.forced_deliveries += 1
+        yield policy.max_attempts, -1, "FORCED", False
+
+    def damage(
+        self, blob: bytes, source: int, dest: int, index: int, verdict: str
+    ) -> bytes:
+        """The bytes a ``CORRUPT`` / ``TRUNCATE`` attempt puts on the wire
+        (``blob`` itself only when it is empty: nothing there to change)."""
+        return self.plan.corrupt_stream(
+            blob, source, dest, index, truncate=verdict == "TRUNCATE"
+        )
+
+    def _deliver(
+        self, source, dest, payload, nbytes, stream, charge_base, n_flows, link_scale
+    ) -> Delivery:
+        """Walk one message, charging virtual time per attempt.
+
+        ``stream`` is ``None`` on the plain path.  The two paths differ in
+        three places only: the base-charge rule (``charge_base``), what
+        damaged means (the plain transport's checksum always catches it; a
+        compressed stream is damaged byte for byte and must fail the wire
+        format's validation), and exhaustion (``reliable``).
+        """
+        self.stats.messages += 1
+        cluster = self.cluster
+        if cluster.faults is None:  # healthy fabric: no walk to take
+            if charge_base:
+                cluster.charge_comm(
+                    dest, nbytes, n_flows=n_flows, link_scale=link_scale
+                )
+            return Delivery(payload, nbytes if charge_base else 0)
+        policy = self.retry
+        charged = 0
+
+        def charge() -> None:
+            nonlocal charged
+            self.charge_link(source, dest, nbytes, n_flows, link_scale)
+            charged += nbytes
+
+        for attempt, index, verdict, duplicate in self.attempts(
+            source, dest, reliable=stream is None
+        ):
+            if verdict == "DROP":
+                cluster.record_fault(dest, "DROP", nbytes=nbytes)
+                self._wait(dest, policy.timeout_s + policy.delay(attempt), "TIMEOUT")
+                continue
+            if verdict == "FORCED":
+                self._wait(dest, policy.timeout_s, "TIMEOUT")
+            if charge_base or attempt > 0:
+                charge()
+            if verdict in DAMAGE_VERDICTS:
+                cluster.record_fault(dest, verdict, nbytes=nbytes)
+                rejected = stream is None
+                if not rejected:
+                    blob = stream.to_bytes()
+                    damaged = self.damage(blob, source, dest, index, verdict)
+                    # the checksummed parse does the rejecting; bytes that
+                    # parsed yet differ would be a checksum collision —
+                    # nothing but the intact stream is ever accepted
+                    rejected = parse_stream(damaged) is None or damaged != blob
+                if rejected:
+                    self._wait(
+                        dest,
+                        cluster.network.latency_s + policy.delay(attempt),
+                        "RETRY",
+                    )
+                    continue
+            if duplicate:
+                cluster.record_fault(dest, "DUPLICATE", nbytes=nbytes)
+                charge()
+            return Delivery(payload, charged, attempt + 1)
+
     def deliver_plain(
         self,
         source: int,
@@ -443,64 +574,9 @@ class ResilientChannel:
         payload always arrives intact — plain delivery is the floor the
         compressed paths degrade to, so it can never fail itself.
         """
-        self.stats.messages += 1
-
-        def charge(factor: float = 1.0) -> float:
-            return self.cluster.charge_comm(
-                dest,
-                nbytes,
-                bandwidth_factor=factor,
-                n_flows=n_flows,
-                link_scale=link_scale,
-            )
-
-        plan = self.plan
-        if plan is None:
-            charge()
-            return Delivery(payload, nbytes)
-        policy = self.retry
-        factor = plan.bandwidth_factor(source, dest)
-        charged = 0
-        for attempt in range(policy.max_attempts):
-            decision = plan.decide(source, dest, self._next_index(source, dest))
-            if decision.drop:
-                self.stats.drops += 1
-                self.stats.timeouts += 1
-                self.cluster.record_fault(dest, "DROP", nbytes=nbytes)
-                self._wait(dest, policy.timeout_s + policy.delay(attempt), "TIMEOUT")
-                continue
-            charge(factor)
-            charged += nbytes
-            if decision.corrupt or decision.truncate:
-                # transport checksum catches the damage; NACK and retry
-                if decision.truncate:
-                    self.stats.truncations += 1
-                else:
-                    self.stats.corruptions += 1
-                self.cluster.record_fault(
-                    dest, "TRUNCATE" if decision.truncate else "CORRUPT", nbytes=nbytes
-                )
-                self._wait(
-                    dest,
-                    self.cluster.network.latency_s + policy.delay(attempt),
-                    "RETRY",
-                )
-                continue
-            if decision.duplicate:
-                self.stats.duplicates += 1
-                self.cluster.record_fault(dest, "DUPLICATE", nbytes=nbytes)
-                charge(factor)
-                charged += nbytes
-            self.stats.retransmissions += attempt
-            return Delivery(payload, charged, attempt + 1)
-        # Reliable floor: after max_attempts the transport escalates (think
-        # a slow verified path) and the payload arrives with one final
-        # penalty charge — plain delivery must terminate, never raise.
-        self.stats.retransmissions += policy.max_attempts
-        self.stats.forced_deliveries += 1
-        self._wait(dest, policy.timeout_s, "TIMEOUT")
-        charge(factor)
-        return Delivery(payload, charged + nbytes, policy.max_attempts + 1)
+        return self._deliver(
+            source, dest, payload, nbytes, None, True, n_flows, link_scale
+        )
 
     def deliver_compressed(
         self,
@@ -525,77 +601,10 @@ class ResilientChannel:
         bundles or the broadcast tree); the channel then charges only the
         fault handling (timeouts, retransmissions).
         """
-        self.stats.messages += 1
-        nbytes = stream.nbytes
-        cluster = self.cluster
-
-        def charge(factor: float = 1.0) -> float:
-            return cluster.charge_comm(
-                dest,
-                nbytes,
-                bandwidth_factor=factor,
-                n_flows=n_flows,
-                link_scale=link_scale,
-            )
-
-        plan = self.plan
-        if plan is None:
-            if charge_base:
-                charge()
-                return Delivery(stream, nbytes)
-            return Delivery(stream, 0)
-        policy = self.retry
-        factor = plan.bandwidth_factor(source, dest)
-        charged = 0
-        for attempt in range(policy.max_attempts):
-            index = self._next_index(source, dest)
-            decision = plan.decide(source, dest, index)
-            if decision.drop:
-                self.stats.drops += 1
-                self.stats.timeouts += 1
-                cluster.record_fault(dest, "DROP", nbytes=nbytes)
-                self._wait(dest, policy.timeout_s + policy.delay(attempt), "TIMEOUT")
-                continue
-            if charge_base or attempt > 0:
-                charge(factor)
-                charged += nbytes
-            if decision.corrupt or decision.truncate:
-                blob = stream.to_bytes()
-                damaged = plan.corrupt_stream(
-                    blob, source, dest, index, truncate=decision.truncate
-                )
-                if decision.truncate:
-                    self.stats.truncations += 1
-                else:
-                    self.stats.corruptions += 1
-                cluster.record_fault(
-                    dest, "TRUNCATE" if decision.truncate else "CORRUPT", nbytes=nbytes
-                )
-                intact = False
-                try:
-                    from_bytes(damaged)
-                    # The parse only succeeds if the damage happened to be
-                    # reverted (impossible for our injector, which always
-                    # changes bytes) — accept nothing but bit-identical.
-                    intact = damaged == blob
-                except (ValueError, OverflowError):
-                    intact = False
-                if not intact:
-                    self._wait(
-                        dest,
-                        cluster.network.latency_s + policy.delay(attempt),
-                        "RETRY",
-                    )
-                    continue
-            if decision.duplicate:
-                self.stats.duplicates += 1
-                cluster.record_fault(dest, "DUPLICATE", nbytes=nbytes)
-                charge(factor)
-                charged += nbytes
-            self.stats.retransmissions += attempt
-            return Delivery(stream, charged, attempt + 1)
-        self.stats.retransmissions += policy.max_attempts - 1
-        raise UnrecoverableStreamError(source, dest, policy.max_attempts)
+        return self._deliver(
+            source, dest, stream, stream.nbytes, stream, charge_base,
+            n_flows, link_scale,
+        )
 
     # ------------------------------------------------------------------ #
     def degrade(self, reason: str = "stream-unrecoverable") -> None:

@@ -68,6 +68,7 @@ __all__ = [
     "MPAbortedError",
     "ShmRing",
     "SocketChannel",
+    "frame_bytes",
     "send_frame",
     "recv_frame",
     "dump_items",
@@ -315,12 +316,8 @@ class SocketChannel:
 # --------------------------------------------------------------------- #
 # framing
 # --------------------------------------------------------------------- #
-def send_frame(
-    channel,
-    frame: Frame,
-    deadline: float,
-    poll: Callable[[], None] | None = None,
-) -> None:
+def frame_bytes(frame: Frame) -> bytes:
+    """``frame`` as it goes on a channel: header, then payload."""
     header = _HEADER.pack(
         _MAGIC,
         frame.kind,
@@ -329,7 +326,16 @@ def send_frame(
         frame.nbytes,
         len(frame.payload),
     )
-    channel.send_bytes(header + frame.payload, deadline, poll)
+    return header + frame.payload
+
+
+def send_frame(
+    channel,
+    frame: Frame,
+    deadline: float,
+    poll: Callable[[], None] | None = None,
+) -> None:
+    channel.send_bytes(frame_bytes(frame), deadline, poll)
 
 
 def recv_frame(

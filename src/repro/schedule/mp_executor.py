@@ -1,39 +1,46 @@
 """Multi-process execution of the Schedule IR (the real data plane).
 
 :class:`MPExecutor` runs the **same frozen** :class:`~repro.schedule.ir.
-Schedule` objects as :class:`~repro.schedule.executor.ScheduleExecutor`,
-but for real: one OS process per rank (see
-:mod:`repro.runtime.mp_cluster`), payload bytes moving over shared-memory
-rings or sockets (see :mod:`repro.runtime.mp_channel`), and wall-clock
-receive deadlines derived from the same :class:`~repro.runtime.faults.
-RetryPolicy` the simulator models.  The correctness contract is
-**bit-identical** ``state`` and **identical** ``wire`` versus the
-simulator for every schedule × codec pair, faults included.
+Schedule` objects through the **same round loop** as the simulator, but
+for real: one OS process per rank (see :mod:`repro.runtime.mp_cluster`),
+each running :class:`~repro.schedule.executor.ScheduleExecutor` *as its
+rank* over a rank-local :class:`SimCluster`, with a :class:`_RankWire`
+moving the payloads whose other end is another process — bytes over
+shared-memory rings or sockets (see :mod:`repro.runtime.mp_channel`),
+under wall-clock receive deadlines derived from the same
+:class:`~repro.runtime.faults.RetryPolicy` the simulator models.  Pack
+order, delivery order, fold/store/stage, local ops, self-deliveries
+(``src == dst`` comms, e.g. the broadcast tree's representative flows)
+and both degrade paths are therefore the simulator's by construction;
+the rank-local cluster doubles as the codec's compute-charge sink, so
+each rank reports real measured kernel seconds for the calibration loop.
+
+The correctness contract is **bit-identical** ``state``, **identical**
+``wire`` and equal fault counters versus the simulator for every
+schedule × codec pair, seeded faults and per-op degrades included — on
+every run that does not *abort* at schedule level.  When a
+``degrade="schedule"`` stream is unrecoverable the ranks stop at
+different comms, so an aborted run matches the simulator on ``degraded``
+only: its ``wire`` and counters are the sum of wherever each rank
+happened to stop, its state is partial, and the cluster is poisoned
+(undelivered frames may sit in the channels).
 
 How the fault semantics carry over
 ----------------------------------
-The simulator's :class:`~repro.runtime.faults.ResilientChannel` consumes
-one deterministic per-link fault index per transmission attempt.  Here
-the *sender* owns that sequence: for every managed transfer it walks the
-same ``plan.decide(src, dst, index)`` attempts the simulator would, and
-emits one frame per non-dropped attempt — flagged ``DAMAGED`` when the
-plan corrupts/truncates it (compressed payloads are damaged **for real**
-with ``plan.corrupt_stream`` and rejected by the wire format's checksum
-at the receiver), flagged ``DUPLICATE`` for the extra wire copy, kind
-``FORCED`` for the plain path's reliable-floor escalation, and kind
-``FAIL`` when a compressed stream exhausts ``max_attempts`` (the
-receiver raises :class:`UnrecoverableStreamError`, same degrade contract
-as the simulator).  The receiver accounts ``frame.nbytes`` — the
-*scheduled* logical size carried in the header — under exactly the
-simulator's charging rules, which is what makes ``bytes_on_wire`` match
-to the byte.
-
-Self-deliveries (``src == dst`` comms, e.g. the broadcast tree's
-representative flows) and every ``LocalOp`` are executed by delegating
-to a rank-local :class:`ScheduleExecutor` over a rank-local
-:class:`SimCluster` — zero drift by construction, and the local cluster
-doubles as the codec's compute-charge sink, so each rank reports real
-measured kernel seconds for the calibration loop.
+:meth:`ResilientChannel.attempts <repro.runtime.faults.ResilientChannel.
+attempts>` is the one attempt walk: one deterministic per-link fault
+index and one verdict per transmission.  The simulated channel consumes
+it by charging virtual time; here the *sender* consumes it by emitting
+one frame per non-dropped attempt — flagged ``DAMAGED`` when the plan
+corrupts/truncates it (compressed payloads are damaged **for real** and
+rejected by the wire format's checksum at the receiver), flagged
+``DUPLICATE`` for the extra wire copy, kind ``FORCED`` for the plain
+path's reliable-floor escalation, and kind ``FAIL`` when a compressed
+stream exhausts ``max_attempts`` (the receiver raises
+:class:`UnrecoverableStreamError`, same degrade contract as the
+simulator).  The receiver accounts ``frame.nbytes`` — the *scheduled*
+logical size carried in the header — under exactly the simulator's
+charging rules, which is what makes ``bytes_on_wire`` match to the byte.
 
 Deadlock freedom: each worker runs one background sender thread **per
 destination** (so a slow receiver can never block frames bound for a
@@ -47,15 +54,21 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Hashable
+from typing import Any
 
 import numpy as np
 
-from ..compression.format import from_bytes
 from ..runtime.cluster import SimCluster
-from ..runtime.faults import FaultPlan, RetryPolicy, UnrecoverableStreamError
+from ..runtime.faults import (
+    DAMAGE_VERDICTS,
+    FaultPlan,
+    ResilientChannel,
+    RetryPolicy,
+    UnrecoverableStreamError,
+    parse_stream,
+)
 from ..runtime.mp_channel import (
     FLAG_COMPRESSED,
     FLAG_DAMAGED,
@@ -67,9 +80,9 @@ from ..runtime.mp_channel import (
     Frame,
     MPAbortedError,
     dump_items,
+    frame_bytes,
     load_items,
     recv_frame,
-    send_frame,
 )
 from ..runtime.mp_cluster import MPCluster, RankResult
 from .codecs import (
@@ -79,8 +92,8 @@ from .codecs import (
     HomomorphicCodec,
     PlainCodec,
 )
-from .executor import _DEGRADED, Outcome, ScheduleExecutor
-from .ir import Round, Schedule
+from .executor import Outcome, ScheduleExecutor, carriage
+from .ir import Schedule
 
 __all__ = ["CodecSpec", "MPExecutor", "RankJob", "execute_rank"]
 
@@ -220,9 +233,7 @@ class _SenderPool:
 
     # ------------------------------------------------------------------ #
     def put_frame(self, dst: int, frame: Frame) -> None:
-        buf = bytearray()
-        send_frame(_Collector(buf), frame, deadline=0.0)
-        self._queues[dst].put(("send", bytes(buf)))
+        self._queues[dst].put(("send", frame_bytes(frame)))
 
     def put_sleep(self, dst: int, seconds: float) -> None:
         if seconds > 0.0:
@@ -248,178 +259,45 @@ class _SenderPool:
             t.join(timeout=2.0)
 
 
-class _Collector:
-    """Minimal channel adapter collecting frame bytes into a buffer."""
-
-    def __init__(self, buf: bytearray) -> None:
-        self._buf = buf
-
-    def send_bytes(self, data: bytes, deadline, poll=None) -> None:
-        self._buf += data
-
-
 # --------------------------------------------------------------------- #
-# worker-side rank interpreter
+# worker side: one rank's wire under the shared round loop
 # --------------------------------------------------------------------- #
-class _RankRuntime:
-    """Executes one rank's share of a schedule over real channels."""
+def _desync(comm, frame: Frame, expected: str) -> RuntimeError:
+    return RuntimeError(
+        f"channel desync on {comm.src}→{comm.dst}: expected {expected}, "
+        f"got frame kind {frame.kind} flags {frame.flags}"
+    )
+
+
+class _RankWire:
+    """Moves one rank's cross-process payloads for :class:`ScheduleExecutor`.
+
+    ``send`` / ``receive`` read a comm's :data:`~repro.schedule.executor.
+    TRANSPORT` row the way the simulator's ``_deliver`` does: a payer
+    outside the channel becomes a ``RAW`` frame announcing the scheduled
+    size, a managed ride becomes the frames of one attempt walk.
+    """
 
     def __init__(
         self,
         rank: int,
-        n_ranks: int,
+        channel: ResilientChannel,
+        compressed: bool,
         send_channels: dict[int, Any],
         recv_channels: dict[int, Any],
         job: RankJob,
         poll_control,
     ) -> None:
         self.rank = rank
-        self.n_ranks = n_ranks
+        #: the rank-local simulator's channel: the per-link fault indices
+        #: (one table with the self-deliveries) and the fault counters
+        self.channel = channel
+        self.compressed = compressed
         self.recv_channels = recv_channels
         self.job = job
         self.poll_control = poll_control
         self.pool = _SenderPool(send_channels, job.recv_deadline_s)
-        # rank-local simulator: compute-charge sink for the codec, exact
-        # self-delivery semantics, and the per-link fault index table
-        self.sim = SimCluster(n_ranks, faults=job.plan, retry=job.retry)
-        self.codec = job.spec.build(self.sim)
-        self.shadow = ScheduleExecutor(self.sim, self.codec)
-        self.outcome: Outcome | None = None
-        self.pending: dict[tuple[int, Hashable], Any] = {}
-        self.stats = {
-            "frames_sent": 0,
-            "frames_received": 0,
-            "retransmits": 0,
-            "forced_deliveries": 0,
-            "failed_streams": 0,
-            "damaged_rejected": 0,
-            "duplicates_discarded": 0,
-        }
-
-    # ------------------------------------------------------------------ #
-    def execute(self) -> RankResult:
-        job = self.job
-        me = self.rank
-        # sparse rank-indexed state: this worker only ever touches its own
-        # slice (codec verbs are all rank-local); None elsewhere keeps any
-        # accidental cross-rank access loudly fatal
-        state: list = [None] * self.n_ranks
-        state[me] = job.state
-        self.outcome = outcome = Outcome(state=state)
-        start = time.perf_counter()
-        aborted_schedule = False
-        try:
-            try:
-                for phase in job.schedule.phases:
-                    if self.codec.phase_name(phase.slot) is None:
-                        continue
-                    for rnd in phase.rounds:
-                        self._round(rnd, state)
-            except UnrecoverableStreamError:
-                # degrade="schedule": the whole run is abandoned, exactly
-                # like the simulator's top-level catch
-                self.sim.channel.degrade()
-                outcome.degraded = True
-                aborted_schedule = True
-            if not aborted_schedule:
-                self.pool.flush()
-        except BaseException:
-            self.pool.abort()
-            raise
-        else:
-            if aborted_schedule:
-                self.pool.abort()
-        seconds = time.perf_counter() - start
-        clock = self.sim.clocks[me]
-        compute_s = sum(
-            clock.buckets.get(b, 0.0) for b in SimCluster._COMPUTE_BUCKETS
-        )
-        return RankResult(
-            rank=me,
-            state=state[me],
-            wire=outcome.wire,
-            degraded=outcome.degraded,
-            schedule_aborted=aborted_schedule,
-            seconds=seconds,
-            compute_seconds=compute_s,
-            stats=self.stats,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _round(self, rnd: Round, state) -> None:
-        me = self.rank
-        outcome = self.outcome
-        flows = rnd.concurrency if rnd.concurrency > 0 else None
-        scale = rnd.link_scale
-        # pack pass: snapshot every outgoing payload before any delivery
-        # can mutate state (the simulator's pack pass), then ship the
-        # cross-rank ones — in comm order, so per-link fault indices
-        # follow schedule order exactly like the simulator's delivery loop
-        packed: dict[int, tuple[tuple, int]] = {}
-        for i, comm in enumerate(rnd.comms):
-            if comm.src != me:
-                continue
-            items = self.codec.pack(me, comm.blocks, state)
-            sent = sum(int(item.nbytes) for item in items)
-            packed[i] = (items, sent)
-            if comm.dst != me:
-                self._send_comm(comm, items, sent)
-        # delivery pass: everything arriving at this rank (remote receives
-        # and self-deliveries alike) applies in comm order — the order the
-        # simulator folds/stores in
-        for i, comm in enumerate(rnd.comms):
-            if comm.dst != me:
-                continue
-            if comm.src == me:
-                items, sent = packed[i]
-                self._self_deliver(comm, items, sent, flows, scale, state)
-                continue
-            try:
-                received = self._receive_comm(comm)
-            except UnrecoverableStreamError:
-                if comm.degrade != "op":
-                    raise
-                self.sim.channel.degrade()
-                outcome.degraded = True
-                outcome.wire += self.codec.degrade_receive(comm, state)
-                if comm.action == "stage":
-                    for b in comm.blocks:
-                        self.pending[(me, b)] = _DEGRADED
-                continue
-            self._apply(comm, received, state)
-        self.shadow._locals(rnd.ops, state, self.pending, rank=me)
-
-    def _apply(self, comm, received, state) -> None:
-        if comm.action == "fold":
-            self.codec.fold(
-                comm.dst, comm.blocks, received, state, fresh=comm.fresh
-            )
-        elif comm.action == "store":
-            self.codec.store(comm.dst, comm.blocks, received, state)
-        elif comm.action == "stage":
-            for b, item in zip(comm.blocks, received):
-                self.pending[(comm.dst, b)] = item
-        # "account": wire accounting only
-
-    def _self_deliver(self, comm, items, sent, flows, scale, state) -> None:
-        """A src == dst comm never touches a channel: replay the simulator
-        verbatim through the rank-local executor (flows, faults and all)."""
-        outcome = self.outcome
-        try:
-            received = self.shadow._deliver(
-                comm, items, sent, outcome, flows, scale
-            )
-        except UnrecoverableStreamError:
-            if comm.degrade != "op":
-                raise
-            self.sim.channel.degrade()
-            outcome.degraded = True
-            outcome.wire += self.codec.degrade_receive(comm, state)
-            if comm.action == "stage":
-                for b in comm.blocks:
-                    self.pending[(comm.dst, b)] = _DEGRADED
-            return
-        self._apply(comm, received, state)
+        self.stats = {"frames_sent": 0, "frames_received": 0, "failed_streams": 0}
 
     # ------------------------------------------------------------------ #
     # sender side
@@ -429,188 +307,71 @@ class _RankRuntime:
         self.stats["frames_sent"] += 1
 
     def _pace(self, dst: int, seconds: float) -> None:
-        if self.job.time_scale > 0.0:
-            self.pool.put_sleep(dst, self.job.time_scale * seconds)
+        # time_scale 0 (the default) injects faults without real waits
+        self.pool.put_sleep(dst, self.job.time_scale * seconds)
 
-    def _next_index(self, dst: int) -> int:
-        # one coherent per-link table with the self-delivery path
-        return self.sim.channel._next_index(self.rank, dst)
-
-    def _send_comm(self, comm, items, sent: int) -> None:
-        compressed = self.codec.compressed_wire
-        transport = comm.transport
-        dst = comm.dst
-        if transport in ("link", "bundle"):
-            if not compressed:
-                self._send_plain(dst, items, sent)
-            elif transport == "link":
-                self._send_compressed(dst, items[0])
-            else:
-                # aggregate manifest first (the simulator charges the
-                # scheduled transfer before the per-item validations)
-                self._emit(dst, Frame(FRAME_RAW, nbytes=sent))
-                for item in items:
-                    self._send_compressed(dst, item)
-            return
-        if transport == "sender":
-            if compressed:
-                self._emit(dst, Frame(FRAME_RAW, nbytes=sent))
-                for item in items:
-                    self._send_compressed(dst, item)
-            else:
-                self._emit(
-                    dst, Frame(FRAME_RAW, nbytes=sent, payload=dump_items(items))
-                )
-            return
-        if transport == "flow":
-            # non-self flow (no generator emits one today): raw transfer,
-            # receiver applies the representative-flow multiplier
-            self._emit(
-                dst, Frame(FRAME_RAW, nbytes=sent, payload=dump_items(items))
-            )
-            return
-        # "faults-only": the scheduled transfer is charged elsewhere
-        if compressed:
+    def send(self, comm, items, sent: int) -> None:
+        _, ride, copies = carriage(comm, self.compressed)
+        if ride == "raw" or copies:
+            # the scheduled transfer itself; the items ride in it when
+            # nothing manages them
+            blob = dump_items(items) if ride == "raw" else b""
+            self._emit(comm.dst, Frame(FRAME_RAW, nbytes=sent, payload=blob))
+        if ride == "plain":
+            self._transmit(comm.dst, dump_items(items), sent, 0)
+        elif ride == "stream":
             for item in items:
-                self._send_compressed(dst, item)
-        else:
-            self._emit(
-                dst, Frame(FRAME_RAW, nbytes=sent, payload=dump_items(items))
-            )
-
-    def _send_plain(self, dst: int, items, sent: int) -> None:
-        """Reliable plain transfer: mirrors ``ResilientChannel.deliver_plain``
-        attempt for attempt (same per-link fault indices, same charges)."""
-        plan = self.job.plan
-        blob = dump_items(items)
-        if plan is None:
-            self._emit(dst, Frame(FRAME_DATA, nbytes=sent, payload=blob))
-            return
-        policy = self.job.retry
-        me = self.rank
-        for attempt in range(policy.max_attempts):
-            decision = plan.decide(me, dst, self._next_index(dst))
-            if decision.drop:
-                self._pace(dst, policy.timeout_s + policy.delay(attempt))
-                continue
-            if decision.corrupt or decision.truncate:
-                # the transport checksum rejects it; payload intact so the
-                # receiver only needs the flag (the plain path is lossless)
-                self._emit(
-                    dst,
-                    Frame(
-                        FRAME_DATA,
-                        flags=FLAG_DAMAGED,
-                        attempt=attempt,
-                        nbytes=sent,
-                        payload=blob,
-                    ),
+                self._transmit(
+                    comm.dst, item.to_bytes(), int(item.nbytes), FLAG_COMPRESSED
                 )
-                self._pace(dst, policy.delay(attempt))
-                continue
-            if decision.duplicate:
-                # wire copy first, deliverable copy second: the receiver
-                # counts the duplicate and keeps exactly one payload
-                self._emit(
-                    dst,
-                    Frame(
-                        FRAME_DATA,
-                        flags=FLAG_DUPLICATE,
-                        attempt=attempt,
-                        nbytes=sent,
-                        payload=blob,
-                    ),
-                )
-            if attempt > 0:
-                self.stats["retransmits"] += 1
-            self._emit(
-                dst,
-                Frame(FRAME_DATA, attempt=attempt, nbytes=sent, payload=blob),
-            )
-            return
-        # reliable floor: the transport escalates and delivers anyway
-        self.stats["forced_deliveries"] += 1
-        self._pace(dst, policy.timeout_s)
-        self._emit(
-            dst,
-            Frame(
-                FRAME_FORCED,
-                attempt=policy.max_attempts,
-                nbytes=sent,
-                payload=blob,
-            ),
-        )
 
-    def _send_compressed(self, dst: int, stream) -> None:
-        """Validated compressed transfer: mirrors ``deliver_compressed``.
+    def _transmit(self, dst: int, blob: bytes, nbytes: int, flags: int) -> None:
+        """One managed message: a frame per non-dropped attempt of the
+        channel's walk (``flags``: 0 plain, ``FLAG_COMPRESSED`` a stream).
 
-        Injected corruption damages the serialised bytes **for real**; the
-        receiver's checksum validation does the rejecting.  After
-        ``max_attempts`` a ``FAIL`` frame tells the receiver to raise
-        :class:`UnrecoverableStreamError`.
+        A damaged plain frame keeps its payload — the transport checksum
+        is modelled by the flag; a damaged stream is damaged **for real**
+        and the receiver's validation does the rejecting.  An exhausted
+        stream ends in a ``FAIL`` frame: the receiver raises.
         """
-        plan = self.job.plan
-        blob = stream.to_bytes()
-        nbytes = int(stream.nbytes)
-        base = Frame(
-            FRAME_DATA, flags=FLAG_COMPRESSED, nbytes=nbytes, payload=blob
-        )
-        if plan is None:
-            self._emit(dst, base)
+        channel, me = self.channel, self.rank
+        attempt = 0
+
+        # reads the walk's current ``attempt`` at call time
+        def emit(kind: int, extra: int = 0, payload: bytes = blob) -> None:
+            frame = Frame(kind, flags | extra, attempt, nbytes, payload)
+            self._emit(dst, frame)
+
+        if channel.plan is None:
+            emit(FRAME_DATA)
             return
-        policy = self.job.retry
-        me = self.rank
-        for attempt in range(policy.max_attempts):
-            index = self._next_index(dst)
-            decision = plan.decide(me, dst, index)
-            if decision.drop:
-                self._pace(dst, policy.timeout_s + policy.delay(attempt))
-                continue
-            if decision.corrupt or decision.truncate:
-                damaged = plan.corrupt_stream(
-                    blob, me, dst, index, truncate=decision.truncate
-                )
-                if damaged != blob:
-                    self._emit(
-                        dst,
-                        Frame(
-                            FRAME_DATA,
-                            flags=FLAG_COMPRESSED | FLAG_DAMAGED,
-                            attempt=attempt,
-                            nbytes=nbytes,
-                            payload=damaged,
-                        ),
-                    )
-                    self._pace(dst, policy.delay(attempt))
+        policy = channel.retry
+        try:
+            for attempt, index, verdict, duplicate in channel.attempts(
+                me, dst, reliable=not flags
+            ):
+                if verdict == "DROP":
+                    self._pace(dst, policy.timeout_s + policy.delay(attempt))
                     continue
-                # degenerate empty-stream case: damage was a no-op and the
-                # simulator accepts the bit-identical bytes — deliver
-            if decision.duplicate:
-                self._emit(
-                    dst,
-                    Frame(
-                        FRAME_DATA,
-                        flags=FLAG_COMPRESSED | FLAG_DUPLICATE,
-                        attempt=attempt,
-                        nbytes=nbytes,
-                        payload=blob,
-                    ),
-                )
-            if attempt > 0:
-                self.stats["retransmits"] += 1
-            self._emit(
-                dst,
-                Frame(
-                    FRAME_DATA,
-                    flags=FLAG_COMPRESSED,
-                    attempt=attempt,
-                    nbytes=nbytes,
-                    payload=blob,
-                ),
-            )
-            return
-        self.stats["failed_streams"] += 1
-        self._emit(dst, Frame(FRAME_FAIL, attempt=policy.max_attempts))
+                if verdict in DAMAGE_VERDICTS:
+                    damaged = blob
+                    if flags:
+                        damaged = channel.damage(blob, me, dst, index, verdict)
+                    if not flags or damaged != blob:
+                        emit(FRAME_DATA, FLAG_DAMAGED, damaged)
+                        self._pace(dst, policy.delay(attempt))
+                        continue
+                kind = FRAME_DATA
+                if verdict == "FORCED":
+                    self._pace(dst, policy.timeout_s)
+                    kind = FRAME_FORCED
+                if duplicate:
+                    emit(kind, FLAG_DUPLICATE)  # wire copy first
+                emit(kind)
+                return
+        except UnrecoverableStreamError:
+            self.stats["failed_streams"] += 1
+            self._emit(dst, Frame(FRAME_FAIL, attempt=policy.max_attempts))
 
     # ------------------------------------------------------------------ #
     # receiver side
@@ -624,128 +385,55 @@ class _RankRuntime:
         self.stats["frames_received"] += 1
         return frame
 
-    def _receive_comm(self, comm):
+    def receive(self, comm, outcome: Outcome):
         """Receive one comm's payload, accounting wire bytes exactly as the
         simulator's :meth:`ScheduleExecutor._deliver` would."""
-        outcome = self.outcome
-        compressed = self.codec.compressed_wire
-        transport = comm.transport
-        if transport in ("link", "bundle"):
-            if not compressed:
-                items, charged = self._recv_plain(comm)
-                outcome.wire += charged
-                return items
-            if transport == "link":
-                stream, charged = self._recv_compressed(comm, charge_base=True)
-                outcome.wire += charged
-                return (stream,)
-            manifest = self._recv_frame(comm.src)
-            self._expect_raw(manifest, comm)
-            outcome.wire += manifest.nbytes
-            received = []
-            for _ in comm.blocks:
-                stream, charged = self._recv_compressed(
-                    comm, charge_base=False
-                )
-                outcome.wire += charged
-                received.append(stream)
-            return tuple(received)
-        if transport == "sender":
-            if compressed:
-                manifest = self._recv_frame(comm.src)
-                self._expect_raw(manifest, comm)
-                outcome.wire += manifest.nbytes
-                received = []
-                for _ in comm.blocks:
-                    stream, charged = self._recv_compressed(
-                        comm, charge_base=False
-                    )
-                    outcome.wire += charged
-                    received.append(stream)
-                return tuple(received)
+        payer, ride, copies = carriage(comm, self.compressed)
+        if ride == "raw" or copies:
             frame = self._recv_frame(comm.src)
-            self._expect_raw(frame, comm)
-            outcome.wire += frame.nbytes
+            if frame.kind != FRAME_RAW:
+                raise _desync(comm, frame, "a raw transfer")
+            outcome.wire += copies * frame.nbytes
+        if ride == "raw":
             return load_items(frame.payload)
-        if transport == "flow":
-            frame = self._recv_frame(comm.src)
-            self._expect_raw(frame, comm)
-            outcome.wire += comm.wire_count * frame.nbytes
-            return load_items(frame.payload)
-        # "faults-only"
-        if compressed:
-            received = []
-            for _ in comm.blocks:
-                stream, charged = self._recv_compressed(comm, charge_base=False)
-                outcome.wire += charged
-                received.append(stream)
-            return tuple(received)
-        frame = self._recv_frame(comm.src)
-        self._expect_raw(frame, comm)
-        return load_items(frame.payload)
+        if ride == "plain":
+            return self._collect(comm, outcome, 0, True)
+        return tuple(
+            self._collect(comm, outcome, FLAG_COMPRESSED, payer == "channel")
+            for _ in comm.blocks
+        )
 
-    @staticmethod
-    def _expect_raw(frame: Frame, comm) -> None:
-        if frame.kind != FRAME_RAW:
-            raise RuntimeError(
-                f"channel desync on {comm.src}→{comm.dst}: expected a raw "
-                f"transfer, got frame kind {frame.kind}"
-            )
-
-    def _recv_plain(self, comm) -> tuple[tuple, int]:
-        """Counterpart of :meth:`_send_plain`: every frame of the reliable
-        plain path is charged, duplicates and damage included."""
+    def _collect(self, comm, outcome: Outcome, flags: int, charge_base: bool):
+        """Counterpart of :meth:`_transmit`: frames are charged under the
+        simulator's rule (the base charge only when ``charge_base`` or on a
+        retransmission; duplicates always) and every payload goes through
+        its decoder — a stream's is the wire format's checksummed parser —
+        until one is accepted.  A ``FAIL`` frame raises with nothing billed,
+        like the simulated delivery that raised."""
         charged = 0
+        kinds = (FRAME_DATA,) if flags else (FRAME_DATA, FRAME_FORCED)
+        decode = parse_stream if flags else load_items
         while True:
             frame = self._recv_frame(comm.src)
-            if frame.kind not in (FRAME_DATA, FRAME_FORCED):
-                raise RuntimeError(
-                    f"channel desync on {comm.src}→{comm.dst}: unexpected "
-                    f"frame kind {frame.kind} on the plain path"
-                )
-            charged += frame.nbytes
-            if frame.flags & FLAG_DUPLICATE:
-                self.stats["duplicates_discarded"] += 1
-                continue
-            if frame.flags & FLAG_DAMAGED:
-                self.stats["damaged_rejected"] += 1
-                continue
-            return load_items(frame.payload), charged
-
-    def _recv_compressed(self, comm, charge_base: bool) -> tuple[Any, int]:
-        """Counterpart of :meth:`_send_compressed`: frames are charged under
-        the simulator's rule (base charge only when ``charge_base`` or on a
-        retransmission; duplicates always), and every payload is validated
-        through the wire format's checksummed parser before acceptance."""
-        charged = 0
-        while True:
-            frame = self._recv_frame(comm.src)
-            if frame.kind == FRAME_FAIL:
+            if flags and frame.kind == FRAME_FAIL:
                 raise UnrecoverableStreamError(
                     comm.src, comm.dst, self.job.retry.max_attempts
                 )
-            if frame.kind != FRAME_DATA or not frame.flags & FLAG_COMPRESSED:
-                raise RuntimeError(
-                    f"channel desync on {comm.src}→{comm.dst}: unexpected "
-                    f"frame on the compressed path"
+            if frame.kind not in kinds or (frame.flags & FLAG_COMPRESSED) != flags:
+                raise _desync(
+                    comm, frame, "a stream" if flags else "a plain message"
                 )
-            if frame.flags & FLAG_DUPLICATE or charge_base or frame.attempt > 0:
+            duplicate = frame.flags & FLAG_DUPLICATE
+            if duplicate or charge_base or frame.attempt > 0:
                 charged += frame.nbytes
-            if frame.flags & FLAG_DUPLICATE:
-                self.stats["duplicates_discarded"] += 1
+            if duplicate:
                 continue
-            intact = True
-            try:
-                stream = from_bytes(frame.payload)
-            except (ValueError, OverflowError):
-                intact = False
-            # a parseable-but-flagged frame would mean a checksum collision
-            # on damaged bytes; reject it like the simulator (which accepts
-            # nothing but bit-identical streams)
-            if not intact or frame.flags & FLAG_DAMAGED:
-                self.stats["damaged_rejected"] += 1
-                continue
-            return stream, charged
+            payload = decode(frame.payload)
+            # a flagged frame that still parsed would be a checksum
+            # collision on damaged bytes: rejected like the simulator does
+            if payload is not None and not frame.flags & FLAG_DAMAGED:
+                outcome.wire += charged
+                return payload
 
 
 def execute_rank(
@@ -757,9 +445,51 @@ def execute_rank(
     poll_control,
 ) -> RankResult:
     """Worker entry point: run one rank's share of one schedule."""
-    return _RankRuntime(
-        rank, n_ranks, send_channels, recv_channels, job, poll_control
-    ).execute()
+    # rank-local simulator: the codec's compute-charge sink, the channel
+    # self-deliveries go through, and the per-link fault index table
+    sim = SimCluster(n_ranks, faults=job.plan, retry=job.retry)
+    codec = job.spec.build(sim)
+    wire = _RankWire(
+        rank, sim.channel, codec.compressed_wire, send_channels,
+        recv_channels, job, poll_control,
+    )
+    # sparse rank-indexed state: this worker only ever touches its own
+    # slice (codec verbs are all rank-local); None elsewhere keeps any
+    # accidental cross-rank access loudly fatal
+    state: list = [None] * n_ranks
+    state[rank] = job.state
+    start = time.perf_counter()
+    try:
+        outcome = ScheduleExecutor(sim, codec, rank, wire).run(
+            job.schedule, state
+        )
+        if not outcome.aborted:
+            wire.pool.flush()
+    finally:
+        # after a flush this is a no-op; after an abort or an error it
+        # drops the frames nobody will read
+        wire.pool.abort()
+    seconds = time.perf_counter() - start
+    buckets = sim.clocks[rank].buckets
+    faults = sim.channel.stats
+    return RankResult(
+        rank=rank,
+        state=state[rank],
+        wire=outcome.wire,
+        degraded=outcome.degraded,
+        schedule_aborted=outcome.aborted,
+        seconds=seconds,
+        compute_seconds=sum(
+            buckets.get(b, 0.0) for b in SimCluster._COMPUTE_BUCKETS
+        ),
+        # the walk's counters under the data plane's key names
+        stats=wire.stats | {
+            "retransmits": faults.retransmissions,
+            "forced_deliveries": faults.forced_deliveries,
+            "damaged_rejected": faults.corruptions + faults.truncations,
+            "duplicates_discarded": faults.duplicates,
+        },
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -205,12 +205,20 @@ def test_executor_coalesces_a_ranks_adjacent_prepares(family):
 
 
 def test_rank_filtered_locals_coalesce_too():
-    """The MP runtime reaches the same helper with ``rank=me``."""
+    """An executor playing one rank (an MP worker's shape) runs the same
+    loop: that rank's prepares, coalesced, and nobody else's."""
+    from repro.schedule.ir import Schedule
+
     cluster = SimCluster(N, network=CONFIG.network)
     codec = RecordingCodec(cluster)
-    ops = ring_reduce_scatter(N).phases[0].rounds[0].ops
-    ScheduleExecutor(cluster, codec)._locals(ops, [{}] * N, {}, rank=3)
+    setup_only = Schedule(
+        "setup-only", N, phases=ring_reduce_scatter(N).phases[:1]
+    )
+    state = [None] * N
+    state[3] = {}
+    outcome = ScheduleExecutor(cluster, codec, rank=3).run(setup_only, state)
     assert codec.prepared == [(3, tuple(range(N)))]
+    assert not outcome.degraded and not outcome.aborted
 
 
 def test_coalescing_never_crosses_ranks_or_kinds():
