@@ -22,7 +22,12 @@ so the gate travels between laptops and CI runners without retuning:
    :data:`FOLD_OVER_DOC_CEILING` times the two DPRs and one CPR a DOC
    round pays for the same reduction (the paper's Table 4 condition, here
    where per-call fixed cost decides it).  A ratio of two measurements of
-   the same run, so as host-independent as the sweep gate.
+   the same run, so as host-independent as the sweep gate;
+6. **fold against the DOC ring step, at the ring-block size** — on the
+   NumPy reference backend, on the dense 256 KB block, one HPR must cost
+   no more than :data:`RING_FOLD_OVER_DOC_CEILING` times one DPR plus one
+   CPR: what ``ccoll`` pays per ring round for the fold HPR replaces
+   (§III-C, here where kernel throughput decides it).
 
 Usage::
 
@@ -53,12 +58,20 @@ from repro.bench.kernels import (
 SWEEP_FLOOR = 3.0
 #: maximum hpr_4kb / (2 x dpr_4kb + cpr_4kb)
 FOLD_OVER_DOC_CEILING = 1.0
+#: maximum hpr_256kb / (dpr_256kb + cpr_256kb)
+RING_FOLD_OVER_DOC_CEILING = 1.0
 
 
 def fold_over_doc(floor: dict) -> float:
     """``hpr_4kb`` over the DOC step it replaces, from ``call_floor`` rows."""
     doc_step = 2 * floor["dpr_4kb"]["seconds"] + floor["cpr_4kb"]["seconds"]
     return floor["hpr_4kb"]["seconds"] / doc_step
+
+
+def ring_fold_over_doc(floor: dict) -> float:
+    """``hpr_256kb`` over one DOC ring round (DPR + add + CPR)."""
+    doc_step = floor["dpr_256kb"]["seconds"] + floor["cpr_256kb"]["seconds"]
+    return floor["hpr_256kb"]["seconds"] / doc_step
 
 
 def _parse_triples(specs: list[str], parts: int, flag: str) -> list[list[str]]:
@@ -156,16 +169,22 @@ def main(argv: list[str] | None = None) -> int:
                 f"over eight calls, floor {SWEEP_FLOOR:.2f}x"
             )
 
-    ratio = fold_over_doc(doc["call_floor"]["numpy"])
-    print(
-        f"[numpy] fold vs DOC step at 4 KB: hpr_4kb / (2 x dpr_4kb + cpr_4kb)"
-        f" = {ratio:.2f} (ceiling {FOLD_OVER_DOC_CEILING:.2f})"
-    )
-    if ratio > FOLD_OVER_DOC_CEILING:
-        failures.append(
-            f"numpy/hpr_4kb: {ratio:.2f}x the DOC step it replaces "
-            f"(2 x dpr_4kb + cpr_4kb), ceiling {FOLD_OVER_DOC_CEILING:.2f}x"
+    floor = doc["call_floor"]["numpy"]
+    for size, row, doc_step, ratio, ceiling in (
+        ("4 KB", "hpr_4kb", "2 x dpr_4kb + cpr_4kb", fold_over_doc(floor),
+         FOLD_OVER_DOC_CEILING),
+        ("256 KB", "hpr_256kb", "dpr_256kb + cpr_256kb",
+         ring_fold_over_doc(floor), RING_FOLD_OVER_DOC_CEILING),
+    ):
+        print(
+            f"[numpy] fold vs DOC step at {size}: "
+            f"{row} / ({doc_step}) = {ratio:.2f} (ceiling {ceiling:.2f})"
         )
+        if ratio > ceiling:
+            failures.append(
+                f"numpy/{row}: {ratio:.2f}x the DOC step it replaces "
+                f"({doc_step}), ceiling {ceiling:.2f}x"
+            )
 
     if failures:
         print("\nKERNEL GATE FAILED")
@@ -176,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         f"\nkernel gate ok ({len(frac_gates)} roofline floors, "
         f"{len(speedup_gates)} speedup floors, "
         f"sweep floor {SWEEP_FLOOR:.1f}x, "
-        f"fold/DOC ceiling {FOLD_OVER_DOC_CEILING:.2f})"
+        f"fold/DOC ceiling {FOLD_OVER_DOC_CEILING:.2f}, "
+        f"ring fold/DOC ceiling {RING_FOLD_OVER_DOC_CEILING:.2f})"
     )
     return 0
 

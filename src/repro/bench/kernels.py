@@ -21,7 +21,9 @@ Throughput at 16 MB says nothing about what a 2 KB ring block pays, so
 every run also records the **per-call floor** (``call_floor``): one CPR /
 DPR / HPR call on a 4 KB field, and CPR / DPR over eight 2 KB blocks both
 as eight calls and as one batched sweep — the amortisation
-``benchmarks/kernel_gate.py`` gates on.  ``fold_split`` takes one dense
+``benchmarks/kernel_gate.py`` gates on — plus one CPR / DPR / HPR call on
+the dense 256 KB ``fold_split`` block, the ring step the gate weighs the
+fold against.  ``fold_split`` takes one dense
 k = 2 fold apart (engine wrapper, operand decodes, accumulate, classify +
 encode, result container), the stages timed inside the fold, at a 2 KB
 ring block, the 4 KB floor probe and a 256 KB block: the biggest row is
@@ -218,8 +220,15 @@ def _bench_backend(
     return kernels
 
 
+def _dense_pair(n: int) -> list[np.ndarray]:
+    """The two float32 random walks of ``n`` elements a dense fold folds."""
+    rng = np.random.default_rng(n)
+    return [np.cumsum(rng.normal(0, 0.02, n)).astype(np.float32) for _ in range(2)]
+
+
 def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
-    """Per-call fixed cost: tiny fields, where orchestration is the work."""
+    """Per-call fixed cost on tiny fields, where orchestration is the work,
+    and the same three calls on the dense 256 KB ``fold_split`` block."""
     rng = np.random.default_rng(5)
 
     def walk(n: int) -> np.ndarray:
@@ -229,13 +238,18 @@ def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
     engine = HZDynamic(collect_stats=False)
     field_a, field_b = walk(1024), walk(1024)
     blocks = [walk(512) for _ in range(8)]
+    ring_walks = _dense_pair(_SPLIT_ELEMENTS["256kb"])
     with use_backend(backend):
         pair = comp.compress([field_a, field_b], abs_eb=_FLOOR_EB)
         fields = comp.compress(blocks, abs_eb=_FLOOR_EB)
+        ring = comp.compress(ring_walks, abs_eb=_FLOOR_EB)
         cases = {
             "cpr_4kb": lambda: comp.compress(field_a, abs_eb=_FLOOR_EB),
             "dpr_4kb": lambda: comp.decompress(pair[0]),
             "hpr_4kb": lambda: engine.reduce_fused(pair),
+            "cpr_256kb": lambda: comp.compress(ring_walks[0], abs_eb=_FLOOR_EB),
+            "dpr_256kb": lambda: comp.decompress(ring[0]),
+            "hpr_256kb": lambda: engine.reduce_fused(ring),
             "cpr_8x2kb_calls": lambda: [
                 comp.compress(b, abs_eb=_FLOOR_EB) for b in blocks
             ],
@@ -354,16 +368,11 @@ def _fold_stages(
 
 def _bench_fold_split(backend: str, repeats: int) -> dict[str, Any]:
     """One dense k = 2 fold at the facade geometry, split by stage."""
-    rng = np.random.default_rng(9)
     comp = FZLight(block_size=_BLOCK_SIZE, n_threadblocks=_FLOOR_THREADBLOCKS)
     split = {}
     with use_backend(backend) as kernels:
         for label, n in _SPLIT_ELEMENTS.items():
-            walks = [
-                np.cumsum(rng.normal(0, 0.02, n)).astype(np.float32)
-                for _ in range(2)
-            ]
-            pair = comp.compress(walks, abs_eb=_FLOOR_EB)
+            pair = comp.compress(_dense_pair(n), abs_eb=_FLOOR_EB)
             split[label] = _fold_stages(kernels, pair, repeats)
     return split
 

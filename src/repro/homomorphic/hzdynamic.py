@@ -71,7 +71,7 @@ class PipelineStats:
     ``kway`` additionally records the fused classification itself:
     ``[constant, copy, accumulate]`` block counts, i.e. how many blocks
     were constant in every operand, non-constant in exactly one operand
-    (verbatim copy), or accumulated through the shared int64 buffer.
+    (verbatim copy), or accumulated through the shared accumulator.
     ``fused_calls`` / ``fused_operands`` count engine invocations and
     their total operand count (``fused_operands / fused_calls`` is the
     mean reduction width k).
@@ -271,7 +271,7 @@ class HZDynamic:
           nothing stored;
         * non-constant in exactly one operand with weight 1 → pipelines
           2/3, that operand's bytes are copied verbatim;
-        * everything else → one shared int64 accumulation: each
+        * everything else → one shared accumulation: each
           contributing operand's deltas are decoded **once**, scaled by
           their weight, accumulated, and the result re-encoded **once** —
           ``O(k)`` decodes + 1 encode, versus ``(k−1)·(2 decodes +
@@ -525,7 +525,7 @@ class HZDynamic:
         ``0..j`` is identically zero" — exactly the running ``azero`` flag
         the stepwise :meth:`_record_fold_step` maintains (a non-constant
         contribution with a non-zero integer weight can never be zero, and
-        the fused kernel re-scans the accumulator after every operand).
+        the fused kernel reports the flag after every operand).
         The pairwise fold's step-*j* classification therefore reads
         ``zero_after[j-1]`` against operand *j*'s constancy, and all
         ``k − 1`` steps reduce in one vectorised pass.

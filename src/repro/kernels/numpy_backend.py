@@ -26,7 +26,10 @@ Relative to the original in-module kernels it
   ``np.negative(..., where=signs)`` with a branchless xor/subtract;
 * keeps the gather/scatter index matrices it still has to build (streams
   too long for their layout to keep them) in ``int32`` whenever the payload
-  is under 2 GiB, halving the index-construction traffic.
+  is under 2 GiB, halving the index-construction traffic;
+* classifies a block by one OR-reduction over the ``uint32`` magnitudes
+  the payload is built from, and folds in ``int32`` whenever the operands'
+  code lengths prove the sum fits.
 
 The emitted streams are byte-identical to the original implementation (and
 to the Numba backend) — the wire format is pinned by the parity suite.
@@ -64,6 +67,8 @@ NAME = "numpy"
 #: Magnitudes are stored in at most 32 bits, mirroring the 32-bit unsigned
 #: integer arrays of fZ-light/cuSZp.
 MAX_CODE_LENGTH = 32
+
+_INT32_MAX = (1 << 31) - 1
 
 _OVERFLOW_MSG = (
     "prediction delta exceeds 32-bit magnitude; the error bound is too "
@@ -306,12 +311,23 @@ def encode_with_offsets(
     if nb == 0:
         lens = np.zeros(0, dtype=np.uint8)
         return lens, np.empty(0, dtype=np.uint8), stream_layout(lens, bs).offsets
-    # per-block max |delta| without materialising the abs array
-    max_mag = np.maximum(deltas.max(axis=1), -deltas.min(axis=1))
-    global_max = int(max_mag.max())
-    if global_max >= (1 << MAX_CODE_LENGTH):
-        raise OverflowError(_OVERFLOW_MSG)
-    code_lengths = required_bits(max_mag)
+    # A block's code length is the bit length of its largest magnitude,
+    # which is the bit length of the OR of all of them: one reduction over
+    # the magnitudes the payload is built from anyway.
+    mags = arena.take("enc.mags", deltas.shape, np.uint32)
+    if deltas.dtype == np.int32:
+        # abs maps -2**31 onto itself, whose uint32 view is exactly 2**31
+        np.abs(deltas, out=mags.view(np.int32))
+        block_or = np.bitwise_or.reduce(mags, axis=1)
+    else:
+        m64 = arena.take("enc.mags64", deltas.shape, np.int64)
+        np.abs(deltas.astype(np.int64, copy=False), out=m64)
+        block_or = np.bitwise_or.reduce(m64, axis=1)
+        # abs(-2**63) stays negative, so the range test catches it too
+        if not 0 <= int(np.bitwise_or.reduce(block_or)) < 1 << MAX_CODE_LENGTH:
+            raise OverflowError(_OVERFLOW_MSG)
+        mags[...] = m64
+    code_lengths = required_bits(block_or)
     # whoever decodes this stream next finds the layout built
     layout = stream_layout(code_lengths, bs)
     offsets = layout.offsets
@@ -321,18 +337,6 @@ def encode_with_offsets(
         return code_lengths, payload, offsets
     signs = arena.take("enc.signs", deltas.shape, np.bool_)
     np.less(deltas, 0, out=signs)
-    if global_max <= 0x7FFFFFFF:
-        # |delta| < 2**31: the int64 -> int32 cast is exact, and abs can
-        # run in-place at half the memory traffic
-        m32 = arena.take("enc.mags", deltas.shape, np.int32)
-        m32[...] = deltas
-        np.abs(m32, out=m32)
-        mags = arena.take("enc.mags", deltas.shape, np.uint32)
-    else:
-        m64 = arena.take("enc.mags64", deltas.shape, np.int64)
-        np.abs(deltas, out=m64, casting="unsafe")
-        mags = arena.take("enc.mags", deltas.shape, np.uint32)
-        mags[...] = m64
     pay32 = _word_view(payload, layout)
     for group in layout.groups:
         c, ng = group.c, group.ng
@@ -491,6 +495,11 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn, pass_layouts=False):
     offset arrays will do.  ``layouts`` (the operands' stream layouts, when
     the caller holds them) reach ``decode_blocks_fn`` only with
     ``pass_layouts``; a backend that has no use for them ignores them.
+
+    The fold accumulates in int32 whenever the operands' widest code
+    lengths prove every partial sum fits (``Σ |w_j|·(2**max_c_j − 1) ≤
+    2**31 − 1``), in the caller's ``acc`` memory, and in int64 otherwise;
+    the emitted stream is the same either way.
     """
 
     def reduce_fused(
@@ -503,36 +512,67 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn, pass_layouts=False):
         track: bool = False,
         layouts: list[StreamLayout | None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        arena = get_arena()
         k, nb = lens_mat.shape
-        if acc is None:
-            acc = np.zeros((nb, block_size), dtype=np.int64)
-        else:
-            if acc.shape != (nb, block_size) or acc.dtype != np.int64:
-                raise ValueError(
-                    f"acc must be {(nb, block_size)} int64, got "
-                    f"{acc.shape} {acc.dtype}"
-                )
-            acc.fill(0)
-        zero_after = np.empty((k, nb), dtype=bool) if track else None
-        scratch = arena.take("rf.dec", (nb, block_size), np.int64)
+        if acc is not None and (
+            acc.shape != (nb, block_size) or acc.dtype != np.int64
+        ):
+            raise ValueError(
+                f"acc must be {(nb, block_size)} int64, got "
+                f"{acc.shape} {acc.dtype}"
+            )
+        w_list = weights.tolist()
         hand_over = pass_layouts and layouts is not None
-        for j, w in enumerate(weights.tolist()):
+        widths = [
+            int(lens.max(initial=0)) if layout is None else layout.max_c
+            for lens, layout in zip(lens_mat, layouts or [None] * k)
+        ]
+        # every partial sum is at most sum_j |w_j|·(2**c_j - 1) in magnitude;
+        # when that fits 31 bits the whole fold runs in int32
+        bound = sum(abs(w) * ((1 << c) - 1) for w, c in zip(w_list, widths))
+        dtype = np.int32 if bound <= _INT32_MAX else np.int64
+        if acc is None:
+            acc = np.empty((nb, block_size), dtype=dtype)
+        elif dtype == np.int32:
+            # the caller's buffer read as int32: no second accumulator
+            acc = acc.reshape(-1).view(np.int32)[: nb * block_size]
+            acc = acc.reshape(nb, block_size)
+        scratch = get_arena().take("rf.dec", (nb, block_size), dtype)
+        zero_after = np.empty((k, nb), dtype=bool) if track else None
+        if track:
+            # Z-matrix row 0 is operand 0's constant blocks (a non-zero
+            # block times a non-zero weight stays non-zero), row k-1 the
+            # output's (set below); only the rows between scan the sum
+            if w_list[0]:
+                np.equal(lens_mat[0], 0, out=zero_after[0])
+            else:
+                zero_after[0] = True
+        started = False
+        for j, w in enumerate(w_list):
             if w != 0:
+                # the first contributor decodes straight into the accumulator
                 decoded = decode_blocks_fn(
                     lens_mat[j],
                     payloads[j],
                     block_size,
                     offsets=offs_mat[j],
-                    out=scratch,
+                    out=scratch if started else acc,
                     **({"layout": layouts[j]} if hand_over else {}),
                 )
                 if w != 1:
                     decoded *= w
-                acc += decoded
-            if track:
-                np.logical_not(acc.any(axis=1), out=zero_after[j])
+                if started:
+                    acc += decoded
+                started = True
+            if track and 0 < j < k - 1:
+                if w != 0:
+                    np.logical_not(acc.any(axis=1), out=zero_after[j])
+                else:  # an operand that adds nothing leaves the sum as it was
+                    zero_after[j] = zero_after[j - 1]
+        if not started:
+            acc.fill(0)
         out_lengths, payload, offsets = classify_encode_fn(acc, block_size)
+        if track:
+            np.equal(out_lengths, 0, out=zero_after[k - 1])
         return out_lengths, payload, offsets, zero_after
 
     return reduce_fused

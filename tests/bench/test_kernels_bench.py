@@ -19,6 +19,7 @@ from repro.bench.kernels import (
 
 FLOOR_ROWS = (
     "cpr_4kb", "dpr_4kb", "hpr_4kb",
+    "cpr_256kb", "dpr_256kb", "hpr_256kb",
     "cpr_8x2kb_calls", "cpr_8x2kb_sweep",
     "dpr_8x2kb_calls", "dpr_8x2kb_sweep",
 )
@@ -283,9 +284,11 @@ class TestKernelGateScript:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "fold vs DOC step at 4 KB" in proc.stdout
         assert "fold/DOC ceiling 1.00" in proc.stdout
+        # and §III-C's condition at the ring-block size: HPR <= DPR + CPR
+        assert "fold vs DOC step at 256 KB" in proc.stdout
+        assert "ring fold/DOC ceiling 1.00" in proc.stdout
 
-    def test_fold_slower_than_doc_step_fails(self):
-        """The gate's arithmetic, on a document where the fold loses."""
+    def _gate(self):
         import importlib.util
 
         spec = importlib.util.spec_from_file_location(
@@ -293,6 +296,30 @@ class TestKernelGateScript:
         )
         gate = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(gate)
+        return gate
+
+    def test_ring_fold_slower_than_doc_ring_step_fails(self):
+        """The 256 KB gate's arithmetic: one DPR + one CPR per ring round."""
+        gate = self._gate()
+        floor = {
+            "cpr_256kb": {"seconds": 6e-4},
+            "dpr_256kb": {"seconds": 5e-4},
+            "hpr_256kb": {"seconds": 8.8e-4},
+        }
+        assert gate.ring_fold_over_doc(floor) == pytest.approx(0.8)
+        assert gate.ring_fold_over_doc(floor) <= gate.RING_FOLD_OVER_DOC_CEILING
+        floor["hpr_256kb"]["seconds"] = 1.3e-3
+        assert gate.ring_fold_over_doc(floor) > gate.RING_FOLD_OVER_DOC_CEILING
+
+    def test_committed_ring_fold_passes_its_gate(self):
+        committed = json.loads((self.REPO / "BENCH_kernels.json").read_text())
+        gate = self._gate()
+        floor = committed["call_floor"]["numpy"]
+        assert gate.ring_fold_over_doc(floor) <= gate.RING_FOLD_OVER_DOC_CEILING
+
+    def test_fold_slower_than_doc_step_fails(self):
+        """The gate's arithmetic, on a document where the fold loses."""
+        gate = self._gate()
         floor = {
             "cpr_4kb": {"seconds": 1e-4},
             "dpr_4kb": {"seconds": 1e-4},

@@ -108,6 +108,44 @@ class TestViewMemo:
         v[...] = 7
         assert a.take("x", 8, np.int64).sum() == 56  # zero=False leaves it be
 
+    def test_narrow_and_wide_folds_keep_the_buffers_flat(self):
+        """An int32 fold reads the engine's int64 accumulator as int32 and
+        takes its decode scratch under the int64 fold's tag: interleaving
+        100 of each after one warm-up adds no buffer, no tag and no byte."""
+        from repro.compression.format import CompressedField
+        from repro.compression.fzlight import FZLight
+        from repro.homomorphic.hzdynamic import HZDynamic
+        from repro.kernels.numpy_backend import encode_with_offsets
+
+        rng = np.random.default_rng(4)
+        comp = FZLight(block_size=32, n_threadblocks=18)
+        narrow = comp.compress(
+            [np.cumsum(rng.normal(0, 0.02, 4096)).astype(np.float32) for _ in range(2)],
+            abs_eb=1e-4,
+        )
+        wide = []
+        for c in (31, 1):  # 2**31 - 1 + 1: one past the int32 limit
+            deltas = rng.integers(-(2**c) + 1, 2**c, size=(128, 32))
+            deltas[:, 0] = 2**c - 1
+            lens, payload, _ = encode_with_offsets(deltas, 32)
+            wide.append(
+                CompressedField(
+                    n=deltas.size, error_bound=1e-3, block_size=32,
+                    n_threadblocks=1, outliers=np.zeros(1, dtype=np.int64),
+                    code_lengths=lens, payload=payload,
+                )
+            )
+        engine = HZDynamic()
+        arena = get_arena()
+        arena.clear()
+        warm = [engine.reduce_fused(pair).to_bytes() for pair in (narrow, wide)]
+        assert max(engine.reduce_fused(wide).code_lengths) == 32
+        baseline = (arena.allocations, arena.tags, arena.nbytes)
+        for _ in range(100):
+            for pair, expected in zip((narrow, wide), warm):
+                assert engine.reduce_fused(pair).to_bytes() == expected
+        assert (arena.allocations, arena.tags, arena.nbytes) == baseline
+
     def test_memo_is_bounded(self):
         from repro.kernels.arena import VIEW_MEMO_ENTRIES
 
