@@ -8,16 +8,27 @@ schedule sends each worker its rank-local job over a ``Pipe``, collects
 per-rank results, and merges them.  All data-plane traffic flows worker
 ↔ worker over the channels; the parent never touches payload bytes.
 
+Jobs and results are frames (``FRAME_JOB``) of the data plane's own
+serialiser (:func:`~repro.runtime.mp_channel.dump_items`), written with
+``sendmsg`` straight from the arrays and read into one aligned buffer on
+the other side — the pipe is an AF_UNIX socket pair, driven through a
+:class:`~repro.runtime.mp_channel.SocketChannel`.  ``Connection.send``
+carries only the tiny control words: ``"run"`` (a job frame follows),
+``"abort"`` and ``"stop"``.
+
 Fail-clean is the design rule real OS processes force on us:
 
 * every blocking receive in a worker carries a real wall-clock deadline
   (derived from the job's :class:`~repro.runtime.faults.RetryPolicy` via
   ``max_transfer_wait_s``), so a dead peer becomes an exception, not a
   hang;
-* the parent's collect loop watches worker liveness — a crashed rank
-  turns into an ``MPClusterError`` naming the rank and exit code;
+* the parent's collect loop blocks in ``multiprocessing.connection.wait``
+  on the result pipes *and* the workers' process sentinels, so a reply
+  and a crash wake it alike — a crashed rank turns into an
+  ``MPClusterError`` naming the rank and exit code at once, long before
+  any peer's receive deadline;
 * any error or schedule-level degrade triggers an **abort broadcast**:
-  pending workers see ``("abort",)`` on their job pipe (polled inside
+  pending workers see ``"abort"`` on their job pipe (polled inside
   every channel spin loop), unwind with
   :class:`~repro.runtime.mp_channel.MPAbortedError`, acknowledge, and
   return to the job loop;
@@ -25,7 +36,7 @@ Fail-clean is the design rule real OS processes force on us:
   cluster marks itself *poisoned* and refuses further jobs — restart it
   (cheap: one ``fork`` per rank) rather than risk desynchronised rings.
 
-Shutdown sends every worker ``("abort",)`` then ``("stop",)`` — a worker
+Shutdown sends every worker ``"abort"`` then ``"stop"`` — a worker
 mid-run aborts first, an idle worker ignores the stale abort — joins with
 a timeout, terminates stragglers, and unlinks every shared-memory
 segment.  ``MPCluster`` is a context manager; the ``with`` block is the
@@ -45,12 +56,25 @@ import socket
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any
 
 import multiprocessing as mp
 
 from .faults import FaultPlan, RetryPolicy
-from .mp_channel import MPAbortedError, ShmRing, SocketChannel
+from .mp_channel import (
+    FRAME_JOB,
+    Frame,
+    MPAbortedError,
+    MPChannelError,
+    SenderPool,
+    ShmRing,
+    SocketChannel,
+    dump_items,
+    load_items,
+    recv_frame,
+    send_frame,
+)
 
 __all__ = ["MPCluster", "MPClusterError", "MPRun", "RankResult"]
 
@@ -103,6 +127,13 @@ class MPRun:
     stats: dict = field(default_factory=dict)
 
 
+def _control_channel(conn) -> SocketChannel:
+    """A frame channel over a ``Pipe`` end's socket (a dup of its fd)."""
+    return SocketChannel(
+        socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM)
+    )
+
+
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
@@ -111,35 +142,39 @@ def _worker_main(rank, n_ranks, conn, send_channels, recv_channels) -> None:
     # must not depend on repro.schedule at import time.
     from ..schedule.mp_executor import execute_rank
 
+    ctl = _control_channel(conn)
+    pool = SenderPool(send_channels)  # started once, reused by every job
+
     def poll_control() -> None:
         """Raise MPAbortedError if the parent broadcast an abort."""
         while conn.poll(0):
             try:
-                msg = conn.recv()
+                word = conn.recv()
             except EOFError:
                 raise MPAbortedError("control pipe closed") from None
-            if msg[0] in ("abort", "stop"):
+            if word in ("abort", "stop"):
                 raise MPAbortedError("aborted by control plane")
 
     while True:
         try:
-            msg = conn.recv()
+            word = conn.recv()
         except (EOFError, KeyboardInterrupt):
             break
-        if msg[0] == "stop":
+        if word == "stop":
             break
-        if msg[0] == "abort":  # stale abort from a finished job
+        if word != "run":  # a stale abort from a finished job
             continue
-        job = msg[1]
         try:
+            frame = recv_frame(ctl, time.monotonic() + DEFAULT_RECV_TIMEOUT_S)
+            (job,) = load_items(frame.payload)
             result = execute_rank(
-                rank, n_ranks, send_channels, recv_channels, job, poll_control
+                rank, n_ranks, pool, recv_channels, job, poll_control
             )
-            conn.send(("ok", rank, result))
+            reply = dump_items(("ok", rank, result))
         except MPAbortedError:
-            conn.send(("aborted", rank))
+            reply = dump_items(("aborted", rank))
         except BaseException as exc:  # report, never die silently
-            conn.send(
+            reply = dump_items(
                 (
                     "error",
                     rank,
@@ -147,6 +182,12 @@ def _worker_main(rank, n_ranks, conn, send_channels, recv_channels) -> None:
                     traceback.format_exc(),
                 )
             )
+        send_frame(
+            ctl,
+            Frame(FRAME_JOB, payload=reply),
+            time.monotonic() + DEFAULT_JOB_TIMEOUT_S,
+        )
+    pool.close()
 
 
 # --------------------------------------------------------------------- #
@@ -190,6 +231,8 @@ class MPCluster:
         self.time_scale = time_scale
         self._procs: list = []
         self._conns: list = []
+        #: frame channels over the same pipes: jobs out, results back
+        self._ctl: list[SocketChannel] = []
         self._rings: list[ShmRing] = []
         self._sockets: list = []
         self._started = False
@@ -257,6 +300,7 @@ class MPCluster:
                 child_conn.close()  # the worker holds its copy
                 self._procs.append(proc)
                 self._conns.append(parent_conn)
+                self._ctl.append(_control_channel(parent_conn))
         except BaseException:
             self._teardown(force=True)
             raise
@@ -323,8 +367,13 @@ class MPCluster:
                 recv_deadline_s=deadline_s,
             )
             try:
-                self._conns[rank].send(("run", job))
-            except OSError as exc:
+                self._conns[rank].send("run")
+                send_frame(
+                    self._ctl[rank],
+                    Frame(FRAME_JOB, payload=dump_items((job,))),
+                    time.monotonic() + self.recv_timeout_s,
+                )
+            except (OSError, MPChannelError) as exc:
                 # a worker died between the liveness check and dispatch
                 self.shutdown()
                 raise MPClusterError(
@@ -351,51 +400,60 @@ class MPCluster:
             abort_sent = True
             for r in sorted(pending):
                 try:
-                    self._conns[r].send(("abort",))
+                    self._conns[r].send("abort")
                 except (OSError, BrokenPipeError):
                     pass
 
         while pending:
-            progressed = False
-            for r in sorted(pending):
-                conn = self._conns[r]
-                if conn.poll(0):
-                    msg = conn.recv()
-                    progressed = True
-                    pending.discard(r)
-                    if msg[0] == "ok":
-                        results[r] = msg[2]
-                        if msg[2].schedule_aborted:
-                            # peers may block forever on frames this rank
-                            # will never send — release them now
-                            broadcast_abort()
-                    elif msg[0] == "aborted":
-                        aborted.add(r)
-                    else:  # ("error", rank, summary, traceback)
-                        failures[r] = msg[2]
-                        if first_traceback is None:
-                            first_traceback = msg[3]
-                        broadcast_abort()
-                elif not self._procs[r].is_alive():
-                    # catch a result racing the exit before declaring death
-                    if conn.poll(0.2):
-                        continue
-                    pending.discard(r)
-                    failures[r] = (
-                        f"worker died without reporting "
-                        f"(exitcode {self._procs[r].exitcode})"
-                    )
-                    progressed = True
-                    broadcast_abort()
-            if pending and time.monotonic() > deadline:
+            # a reply and a death wake the parent alike: no timer, no probe
+            watched = {}
+            for r in pending:
+                watched[self._conns[r]] = r
+                watched[self._procs[r].sentinel] = r
+            ready = wait(list(watched), max(0.0, deadline - time.monotonic()))
+            if not ready:
                 for r in sorted(pending):
                     failures[r] = (
                         f"no result within the {self.job_timeout_s:.0f}s "
                         f"job deadline"
                     )
-                pending.clear()
-            if pending and not progressed:
-                time.sleep(0.002)
+                break
+            for r in sorted({watched[obj] for obj in ready}):
+                pending.discard(r)
+                msg = lost = None
+                # a reply sent just before the exit is already in the pipe
+                if self._conns[r].poll(0):
+                    try:
+                        frame = recv_frame(
+                            self._ctl[r], time.monotonic() + self.recv_timeout_s
+                        )
+                        msg = load_items(frame.payload)
+                    except MPChannelError as exc:  # e.g. reset by a death
+                        lost = exc
+                if msg is None:
+                    proc = self._procs[r]
+                    proc.join(timeout=1.0)  # reaped: its sentinel has fired
+                    failures[r] = (
+                        f"reply lost: {lost}"
+                        if proc.exitcode is None
+                        else "worker died without reporting "
+                        f"(exitcode {proc.exitcode})"
+                    )
+                    broadcast_abort()
+                    continue
+                if msg[0] == "ok":
+                    results[r] = msg[2]
+                    if msg[2].schedule_aborted:
+                        # peers may block forever on frames this rank
+                        # will never send — release them now
+                        broadcast_abort()
+                elif msg[0] == "aborted":
+                    aborted.add(r)
+                else:  # ("error", rank, summary, traceback)
+                    failures[r] = msg[2]
+                    if first_traceback is None:
+                        first_traceback = msg[3]
+                    broadcast_abort()
 
         if failures:
             # a failed run leaves channels in an unknown state: tear the
@@ -444,8 +502,8 @@ class MPCluster:
         self._closed = True
         for conn in self._conns:
             try:
-                conn.send(("abort",))
-                conn.send(("stop",))
+                conn.send("abort")
+                conn.send("stop")
             except (OSError, BrokenPipeError):
                 pass
         per_join = join_timeout_s / max(len(self._procs), 1)
@@ -466,6 +524,8 @@ class MPCluster:
                 conn.close()
             except OSError:  # pragma: no cover - teardown race
                 pass
+        for ctl in self._ctl:
+            ctl.close()
         for ring in self._rings:
             ring.close()
             ring.unlink()
@@ -476,6 +536,7 @@ class MPCluster:
                 pass
         self._procs = []
         self._conns = []
+        self._ctl = []
         self._rings = []
         self._sockets = []
 

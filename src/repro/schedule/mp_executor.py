@@ -44,15 +44,14 @@ charging rules, which is what makes ``bytes_on_wire`` match to the byte.
 
 Deadlock freedom: each worker runs one background sender thread **per
 destination** (so a slow receiver can never block frames bound for a
-different rank) and receivers drain their incoming comms in schedule
-order; since every frame queued in a round is consumed in that same
-round, the only waits are true data dependencies.
+different rank; the worker starts them once, see
+:class:`~repro.runtime.mp_channel.SenderPool`) and receivers drain their
+incoming comms in schedule order; since every frame queued in a round is
+consumed in that same round, the only waits are true data dependencies.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -78,9 +77,8 @@ from ..runtime.mp_channel import (
     FRAME_FORCED,
     FRAME_RAW,
     Frame,
-    MPAbortedError,
+    SenderPool,
     dump_items,
-    frame_bytes,
     load_items,
     recv_frame,
 )
@@ -175,91 +173,6 @@ class RankJob:
 
 
 # --------------------------------------------------------------------- #
-# per-destination sender threads
-# --------------------------------------------------------------------- #
-class _SenderPool:
-    """One background writer thread per destination rank.
-
-    The main thread enqueues prebuilt frame bytes (and optional pacing
-    sleeps); each thread drains its queue into that destination's
-    channel.  Per-destination threads mean a full ring toward one slow
-    receiver can never delay frames bound for another rank — the
-    property that makes arbitrary schedules deadlock-free.
-    """
-
-    def __init__(self, channels: dict[int, Any], deadline_s: float) -> None:
-        self._deadline_s = deadline_s
-        self._abort = threading.Event()
-        self._failures: dict[int, str] = {}
-        self._queues: dict[int, queue.Queue] = {}
-        self._threads: dict[int, threading.Thread] = {}
-        for dst, channel in channels.items():
-            q: queue.Queue = queue.Queue()
-            t = threading.Thread(
-                target=self._drain,
-                args=(dst, channel, q),
-                name=f"repro-mp-send-{dst}",
-                daemon=True,
-            )
-            self._queues[dst] = q
-            self._threads[dst] = t
-            t.start()
-
-    def _poll(self) -> None:
-        if self._abort.is_set():
-            raise MPAbortedError("sender pool aborted")
-
-    def _drain(self, dst: int, channel, q: queue.Queue) -> None:
-        try:
-            while True:
-                item = q.get()
-                if item is None:
-                    return
-                kind, value = item
-                if kind == "sleep":
-                    # paced in small slices so aborts stay responsive
-                    end = time.monotonic() + value
-                    while time.monotonic() < end:
-                        self._poll()
-                        time.sleep(min(0.01, max(0.0, end - time.monotonic())))
-                else:
-                    channel.send_bytes(
-                        value, time.monotonic() + self._deadline_s, self._poll
-                    )
-        except MPAbortedError:
-            pass
-        except Exception as exc:  # surfaced by flush()
-            self._failures[dst] = f"{type(exc).__name__}: {exc}"
-
-    # ------------------------------------------------------------------ #
-    def put_frame(self, dst: int, frame: Frame) -> None:
-        self._queues[dst].put(("send", frame_bytes(frame)))
-
-    def put_sleep(self, dst: int, seconds: float) -> None:
-        if seconds > 0.0:
-            self._queues[dst].put(("sleep", seconds))
-
-    def flush(self) -> None:
-        """Block until every queued frame is on the wire; raise on failure."""
-        for q in self._queues.values():
-            q.put(None)
-        for t in self._threads.values():
-            t.join()
-        if self._failures:
-            detail = "; ".join(
-                f"→{dst}: {msg}" for dst, msg in sorted(self._failures.items())
-            )
-            raise RuntimeError(f"sender threads failed: {detail}")
-
-    def abort(self) -> None:
-        self._abort.set()
-        for q in self._queues.values():
-            q.put(None)
-        for t in self._threads.values():
-            t.join(timeout=2.0)
-
-
-# --------------------------------------------------------------------- #
 # worker side: one rank's wire under the shared round loop
 # --------------------------------------------------------------------- #
 def _desync(comm, frame: Frame, expected: str) -> RuntimeError:
@@ -283,7 +196,7 @@ class _RankWire:
         rank: int,
         channel: ResilientChannel,
         compressed: bool,
-        send_channels: dict[int, Any],
+        pool: SenderPool,
         recv_channels: dict[int, Any],
         job: RankJob,
         poll_control,
@@ -296,7 +209,7 @@ class _RankWire:
         self.recv_channels = recv_channels
         self.job = job
         self.poll_control = poll_control
-        self.pool = _SenderPool(send_channels, job.recv_deadline_s)
+        self.pool = pool
         self.stats = {"frames_sent": 0, "frames_received": 0, "failed_streams": 0}
 
     # ------------------------------------------------------------------ #
@@ -325,9 +238,10 @@ class _RankWire:
                     comm.dst, item.to_bytes(), int(item.nbytes), FLAG_COMPRESSED
                 )
 
-    def _transmit(self, dst: int, blob: bytes, nbytes: int, flags: int) -> None:
+    def _transmit(self, dst: int, blob, nbytes: int, flags: int) -> None:
         """One managed message: a frame per non-dropped attempt of the
-        channel's walk (``flags``: 0 plain, ``FLAG_COMPRESSED`` a stream).
+        channel's walk (``flags``: 0 plain — ``blob`` is the parts of
+        :func:`dump_items` —, ``FLAG_COMPRESSED`` a stream's bytes).
 
         A damaged plain frame keeps its payload — the transport checksum
         is modelled by the flag; a damaged stream is damaged **for real**
@@ -338,7 +252,7 @@ class _RankWire:
         attempt = 0
 
         # reads the walk's current ``attempt`` at call time
-        def emit(kind: int, extra: int = 0, payload: bytes = blob) -> None:
+        def emit(kind: int, extra: int = 0, payload=blob) -> None:
             frame = Frame(kind, flags | extra, attempt, nbytes, payload)
             self._emit(dst, frame)
 
@@ -439,19 +353,24 @@ class _RankWire:
 def execute_rank(
     rank: int,
     n_ranks: int,
-    send_channels: dict[int, Any],
+    pool: SenderPool,
     recv_channels: dict[int, Any],
     job: RankJob,
     poll_control,
 ) -> RankResult:
-    """Worker entry point: run one rank's share of one schedule."""
+    """Worker entry point: run one rank's share of one schedule.
+
+    ``pool`` is the worker's long-lived sender pool; the job leaves it
+    empty — flushed, or on an abort or an error drained unsent.
+    """
     # rank-local simulator: the codec's compute-charge sink, the channel
     # self-deliveries go through, and the per-link fault index table
     sim = SimCluster(n_ranks, faults=job.plan, retry=job.retry)
     codec = job.spec.build(sim)
+    pool.deadline_s = job.recv_deadline_s
     wire = _RankWire(
-        rank, sim.channel, codec.compressed_wire, send_channels,
-        recv_channels, job, poll_control,
+        rank, sim.channel, codec.compressed_wire, pool, recv_channels, job,
+        poll_control,
     )
     # sparse rank-indexed state: this worker only ever touches its own
     # slice (codec verbs are all rank-local); None elsewhere keeps any
@@ -464,11 +383,11 @@ def execute_rank(
             job.schedule, state
         )
         if not outcome.aborted:
-            wire.pool.flush()
+            pool.flush()
     finally:
         # after a flush this is a no-op; after an abort or an error it
         # drops the frames nobody will read
-        wire.pool.abort()
+        pool.abort()
     seconds = time.perf_counter() - start
     buckets = sim.clocks[rank].buckets
     faults = sim.channel.stats

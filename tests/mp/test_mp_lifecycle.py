@@ -1,0 +1,76 @@
+"""Worker lifecycle on the real plane: deaths seen by event, no leaks."""
+
+from __future__ import annotations
+
+import glob
+import os
+import signal
+import threading
+import time
+
+import pytest
+
+from repro.bench.mp import build_case
+from repro.runtime.mp_cluster import MPCluster, MPClusterError
+from repro.schedule.mp_executor import MPExecutor
+
+
+def _segments() -> list[str]:
+    return glob.glob(f"/dev/shm/repro-mp-{os.getpid()}-*")
+
+
+@pytest.mark.parametrize("transport", ["shm", "socket"])
+def test_rank_killed_mid_schedule_fails_fast_and_leaks_nothing(transport):
+    # rank 1 is frozen before dispatch, so its peers block on its frames;
+    # then it is SIGKILLed.  Its process sentinel wakes the parent, which
+    # aborts the peers: the run fails in well under the 10 s receive
+    # deadline a peer would otherwise sit out.
+    case = build_case("ring-rs", 3, 4096, seed=1)
+    cluster = MPCluster(3, transport=transport)
+    cluster.start()
+    try:
+        victim = cluster._procs[1].pid
+        os.kill(victim, signal.SIGSTOP)
+        killed_at: list[float] = []
+
+        def kill_later() -> None:
+            time.sleep(0.3)
+            killed_at.append(time.monotonic())
+            os.kill(victim, signal.SIGKILL)
+
+        killer = threading.Thread(target=kill_later)
+        killer.start()
+        try:
+            with pytest.raises(MPClusterError, match="rank 1: worker died"):
+                cluster.run_schedule(
+                    case.schedule, case.spec, case.make_state()
+                )
+            raised_at = time.monotonic()
+        finally:
+            killer.join()
+        assert raised_at - killed_at[0] < 2.0
+    finally:
+        cluster.shutdown()
+    assert _segments() == []
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs Linux /proc"
+)
+def test_sender_threads_are_started_once_per_worker():
+    case = build_case("ring-rs", 3, 4096, seed=1)
+    with MPCluster(3, transport="socket") as cluster:
+
+        def threads() -> list[int]:
+            return [
+                len(os.listdir(f"/proc/{p.pid}/task")) for p in cluster._procs
+            ]
+
+        executor = MPExecutor(cluster, case.spec)
+        executor.run(case.schedule, case.make_state())
+        after_one = threads()
+        for _ in range(49):
+            executor.run(case.schedule, case.make_state())
+        assert threads() == after_one
+        # the main thread plus one sender per peer, alive between jobs
+        assert all(count >= 3 for count in after_one)
