@@ -32,6 +32,7 @@ from ..collectives import (
     mpi_hierarchical_allreduce,
 )
 from ..compression.fzlight import FZLight
+from ..core.analysis import error_bounds
 from ..core.config import CollectiveConfig
 from ..core.cost_model import (
     PAPER_BROADWELL,
@@ -163,7 +164,8 @@ def executed_sweep() -> list[dict]:
         hz_comm = _trace_comm(cluster)
         assert not hz.degraded
         err = max(float(np.max(np.abs(o - exact))) for o in hz.outputs)
-        assert err <= n * config.error_bound + 1e-12
+        bound = error_bounds(n, config.error_bound, "hzccl").max_error
+        assert err <= bound + 1e-12
         hz_model = model_hzccl_hierarchical_allreduce(
             nodemap, total, replace(PAPER_BROADWELL, ratio=ratio), network,
             inter="ring",

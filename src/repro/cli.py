@@ -572,16 +572,18 @@ def _cmd_mp(args) -> int:
         if args.no_verify:
             return 0
         ref = sim_reference(case, plan=plan)
-        if run.degraded and ref.degraded:
-            # schedule-level degrades abort at rank-dependent points; the
-            # contract is the matching degraded flag, not matching state
-            print("  verify: both degraded (flags match)")
-            return 0
-        ok = (
-            states_equal(run.state, ref.state)
-            and run.wire == ref.wire
-            and run.degraded == ref.degraded
-        )
+        if ref.aborted:
+            # a schedule-level degrade aborts at rank-dependent points; the
+            # contract is the degraded flag, not matching state.  Per-op
+            # degrades (bcast) finish the run and are compared in full.
+            ok, verdict = run.degraded, "both degraded (flags match)"
+        else:
+            ok = (
+                states_equal(run.state, ref.state)
+                and run.wire == ref.wire
+                and run.degraded == ref.degraded
+            )
+            verdict = f"bit-identical to the simulator (wire {ref.wire} B)"
         if not ok:
             print(
                 f"  verify: MISMATCH vs simulator "
@@ -589,7 +591,7 @@ def _cmd_mp(args) -> int:
                 f"degraded {run.degraded} vs {ref.degraded})"
             )
             return 1
-        print(f"  verify: bit-identical to the simulator (wire {ref.wire} B)")
+        print(f"  verify: {verdict}")
         return 0
 
     # calibrate

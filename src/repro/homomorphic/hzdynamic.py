@@ -44,11 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..compression.encoding import (
-    decode_selected,
-    encode_into,
-    payload_offsets,
-)
+from ..compression.encoding import payload_offsets
 from ..compression.format import CompressedField
 from ..kernels.arena import get_arena
 from ..kernels.dispatch import KernelBackend, get_backend
@@ -218,44 +214,17 @@ class HZDynamic:
     def scale(self, a: CompressedField, factor: int) -> CompressedField:
         """Homomorphic integer scaling (linearity extension).
 
-        Only integer factors keep the representation exact.  For fused
-        weighted combinations prefer :meth:`reduce_fused` with a
-        ``weights`` vector — it never materialises the scaled copy this
-        method returns.
+        The one-operand case of :meth:`reduce_fused` (weight ``factor``);
+        ``factor == 1`` returns a copy.  Only integer factors keep the
+        representation exact.  For fused weighted combinations pass the
+        whole ``weights`` vector to :meth:`reduce_fused` — it never
+        materialises the scaled copy this method returns.
         """
         if int(factor) != factor:
             raise ValueError("homomorphic scaling requires an integer factor")
-        factor = int(factor)
         if factor == 1:
             return a.copy()
-        bs = a.block_size
-        nonconst = np.nonzero(a.code_lengths != 0)[0]
-        out_lengths = np.zeros_like(a.code_lengths)
-        if nonconst.size and factor != 0:
-            deltas = decode_selected(nonconst, a.code_lengths, a.offsets, a.payload, bs)
-            deltas *= factor
-            lens, payload_rows, offs = encode_into(deltas, bs)
-            out_lengths[nonconst] = lens
-            out_offsets = payload_offsets(out_lengths, bs)
-            payload = np.empty(int(out_offsets[-1]), dtype=np.uint8)
-            dst = _row_copy_indices(out_offsets[nonconst], np.diff(offs))
-            payload[dst] = payload_rows
-        else:
-            out_offsets = payload_offsets(out_lengths, bs)
-            payload = np.empty(0, dtype=np.uint8)
-        return CompressedField(
-            n=a.n,
-            error_bound=a.error_bound,
-            block_size=bs,
-            n_threadblocks=a.n_threadblocks,
-            outliers=a.outliers * factor,
-            predictor=a.predictor,
-            rows=a.rows,
-            cols=a.cols,
-            code_lengths=out_lengths,
-            payload=payload,
-            _offsets=out_offsets,
-        )
+        return self.reduce_fused((a,), weights=(factor,))
 
     # ------------------------------------------------------------------ #
     def reduce_fused(
@@ -315,8 +284,8 @@ class HZDynamic:
                     "operands are not homomorphically compatible (need "
                     "identical length, block geometry and error bound)"
                 )
-        if k == 1:
-            return a if w[0] == 1 else self.scale(a, int(w[0]))
+        if k == 1 and w[0] == 1:
+            return a
 
         bs = a.block_size
         nb = a.code_lengths.size

@@ -52,18 +52,15 @@ def linear_combination(
     weights: list[int],
     engine: HZDynamic | None = None,
 ) -> CompressedField:
-    """Exact ``Σ wᵢ·xᵢ`` on compressed operands, integer weights only."""
+    """Exact ``Σ wᵢ·xᵢ`` on compressed operands, integer weights only.
+
+    One fused :meth:`HZDynamic.reduce_fused` call: every operand is
+    decoded once and the sum encoded once.
+    """
     if len(fields) != len(weights):
         raise ValueError("fields and weights must have the same length")
-    if not fields:
-        raise ValueError("need at least one field")
     engine = engine or HZDynamic(collect_stats=False)
-    acc: CompressedField | None = None
-    for field, weight in zip(fields, weights):
-        term = engine.scale(field, int(weight))
-        acc = term if acc is None else engine.add(acc, term)
-    assert acc is not None
-    return acc
+    return engine.reduce_fused(fields, weights)
 
 
 def _decode_codes(field: CompressedField) -> np.ndarray:

@@ -16,20 +16,21 @@ carries the full surface.  ``decode_blocks`` takes an optional
 the grouped NumPy kernels walk them, a backend with no use for them
 accepts and ignores them.
 
-Three backends ship with the repo:
+Two backends ship with the repo:
 
 * ``numpy`` — the reworked vectorised reference (always available);
 * ``numba`` — fused parallel JIT kernels, available only when the
-  optional ``numba`` package is installed (``pip install repro[perf]``);
-* ``cupy`` — the GPU-port seam (classification on device, serialisation
-  still host-side); probed for status but **never** auto-selected until
-  the RawKernel port lands — opt in explicitly.
+  optional ``numba`` package is installed (``pip install repro[perf]``).
+
+Any other backend (a device port, a test double) joins through
+:func:`register_backend`; it is never auto-selected.
 
 Resolution order for the active backend:
 
 1. an explicit :func:`set_backend` / :func:`use_backend` call;
 2. the ``REPRO_KERNEL_BACKEND`` environment variable;
-3. ``"auto"``: ``numba`` if importable, else ``numpy``.
+3. ``"auto"``: the first built-in that loaded — ``numba`` if
+   importable, else ``numpy``.
 
 Backends must emit **byte-identical** streams — the homomorphic operators
 and the CRC-validated wire format depend on it — so switching backends is
@@ -62,16 +63,11 @@ __all__ = [
 
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-#: Module paths probed for the built-in backends.
+#: Module paths probed for the built-in backends, in "auto" preference order.
 _BUILTIN_MODULES = {
     "numba": "repro.kernels.numba_backend",
     "numpy": "repro.kernels.numpy_backend",
-    "cupy": "repro.kernels.cupy_backend",
 }
-#: "auto" preference order.  ``cupy`` is deliberately absent: until its
-#: serialisation runs on the device, host staging makes it a poor default
-#: — select it explicitly (see the module docstring).
-_AUTO_ORDER = ("numba", "numpy")
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,7 @@ def _resolve_name(name: str | None) -> str:
         name = (env.strip() if env is not None else "") or "auto"
     name = name.strip().lower()
     if name == "auto":
-        for candidate in _AUTO_ORDER:
+        for candidate in _BUILTIN_MODULES:
             if candidate in _registry:
                 return candidate
         raise RuntimeError("no kernel backends available")

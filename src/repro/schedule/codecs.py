@@ -38,7 +38,6 @@ from typing import Any, Hashable, Sequence
 
 import numpy as np
 
-from ..compression.format import CompressedField
 from ..compression.fzlight import FZLight
 from ..homomorphic.hzdynamic import HZDynamic
 from ..runtime.cluster import SimCluster
@@ -209,25 +208,13 @@ class HomomorphicCodec(_CompressedCodec):
 
     "Once" is one kernel sweep per call: ``prepare`` / ``finalize`` pass
     their whole ``blocks`` tuple to a single ``compress`` / ``decompress``.
-
-    ``slots`` varies per family (the fused allreduce's allgather stage
-    skips setup because its inputs arrive compressed), so it is an
-    instance attribute here.
     """
 
-    def __init__(
-        self,
-        cluster: SimCluster,
-        config,
-        engine: HZDynamic | None = None,
-        slots: dict[str, str | None] | None = None,
-    ) -> None:
+    slots = {"setup": "compress", "finalize": "decompress"}
+
+    def __init__(self, cluster: SimCluster, config) -> None:
         super().__init__(cluster, config)
-        self.engine = engine if engine is not None else HZDynamic()
-        if slots is not None:
-            self.slots = slots
-        else:
-            self.slots = {"setup": "compress", "finalize": "decompress"}
+        self.engine = HZDynamic()
 
     def prepare(self, rank, blocks, state):
         self._compress_sweep(rank, blocks, state)

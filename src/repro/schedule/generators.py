@@ -19,6 +19,7 @@ Block-id conventions
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from typing import Callable, Hashable
 
@@ -705,93 +706,33 @@ def _intra_rounds(
     return tuple(rounds)
 
 
-def _inter_ring_rounds(leaders: tuple[int, ...]) -> tuple[Round, ...]:
-    """Ring reduce-scatter + allgather over one leader rank per node."""
-    k = len(leaders)
-    ring = Ring(k)
-    rounds = []
-    for j in range(k - 1):
-        rounds.append(
-            Round(
-                kind="exchange",
-                comms=tuple(
-                    CommOp(
-                        src=leaders[ring.predecessor(i)],
-                        dst=leaders[i],
-                        blocks=(ring.recv_block(i, j),),
-                        action="fold",
-                    )
-                    for i in range(k)
-                ),
-                concurrency=k,
-            )
-        )
-    for j in range(k - 1):
-        rounds.append(
-            Round(
-                kind="exchange",
-                comms=tuple(
-                    CommOp(
-                        src=leaders[ring.predecessor(i)],
-                        dst=leaders[i],
-                        blocks=(
-                            ring.allgather_send_block(ring.predecessor(i), j),
-                        ),
-                        action="store",
-                    )
-                    for i in range(k)
-                ),
-                concurrency=k,
-            )
-        )
-    return tuple(rounds)
+def _inter_rounds(inter: str, leaders: tuple[int, ...]) -> tuple[Round, ...]:
+    """The flat family's exchange rounds over one leader rank per node.
 
-
-def _inter_rabenseifner_rounds(leaders: tuple[int, ...]) -> tuple[Round, ...]:
-    """Rabenseifner halving/doubling over one leader rank per node."""
+    ``ring`` is :func:`ring_reduce_scatter` then :func:`ring_allgather`,
+    ``rabenseifner`` the halving and doubling of
+    :func:`rabenseifner_allreduce_schedule`, both over ``k`` ranks.  Flat
+    rank ``i`` becomes ``leaders[i]`` and every round is charged
+    ``k``-way congestion — the fabric sees one flow per node.
+    """
     k = len(leaders)
-    levels = _check_power_of_two(k)
-    plans = [list(rabenseifner_ranges(k, i, levels)) for i in range(k)]
-    rounds = []
-    for r in range(levels):
-        rounds.append(
-            Round(
-                kind="exchange",
-                comms=tuple(
-                    CommOp(
-                        src=leaders[plans[i][r][1]],
-                        dst=leaders[i],
-                        blocks=tuple(range(*plans[i][r][2])),
-                        action="fold",
-                        transport="bundle",
-                    )
-                    for i in range(k)
-                ),
-                concurrency=k,
-            )
+    flat = (
+        (ring_reduce_scatter(k), ring_allgather(k)) if inter == "ring"
+        else (rabenseifner_allreduce_schedule(k),)
+    )
+    return tuple(
+        replace(
+            rnd,
+            comms=tuple(
+                replace(c, src=leaders[c.src], dst=leaders[c.dst])
+                for c in rnd.comms
+            ),
+            concurrency=k,
         )
-    holdings: list[list[int]] = [[i] for i in range(k)]
-    for r in range(levels - 1, -1, -1):
-        snapshot = [list(h) for h in holdings]
-        comms = []
-        for i in range(k):
-            partner = i ^ (k >> (r + 1))
-            comms.append(
-                CommOp(
-                    src=leaders[partner],
-                    dst=leaders[i],
-                    blocks=tuple(snapshot[partner]),
-                    action="store",
-                    transport="bundle",
-                )
-            )
-            holdings[i] = snapshot[i] + [
-                b for b in snapshot[partner] if b not in snapshot[i]
-            ]
-        rounds.append(
-            Round(kind="exchange", comms=tuple(comms), concurrency=k)
-        )
-    return tuple(rounds)
+        for schedule in flat
+        for rnd in schedule.rounds()
+        if rnd.kind == "exchange"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -806,10 +747,11 @@ def hierarchical_allreduce_schedule(
     1. *intra-reduce* — per-node binomial tree folds every rank's full
        vector onto its leader over the fast local links
        (``link_scale = intra_scale``, congestion = per-node sends);
-    2. *inter* — the chosen family (``ring`` reduce-scatter + allgather,
-       or ``rabenseifner`` halving/doubling, power-of-two node counts
-       only) over the ``n_nodes`` leader ranks, charged ``n_nodes``-way
-       congestion — the fabric sees one flow per node, not per rank;
+    2. *inter* — the chosen flat family's exchange rounds (``ring``
+       reduce-scatter + allgather, or ``rabenseifner`` halving/doubling,
+       power-of-two node counts only) relabelled onto the ``n_nodes``
+       leader ranks, charged ``n_nodes``-way congestion — the fabric sees
+       one flow per node, not per rank;
     3. *intra-bcast* — the reduce tree reversed, leaders pushing all
        fully-reduced blocks back down;
     4. one batched *finalize* per rank.
@@ -847,11 +789,9 @@ def hierarchical_allreduce_schedule(
     if intra_reduce:
         phases.append(Phase("intra-reduce", intra_reduce))
     if k > 1:
-        make_inter = (
-            _inter_ring_rounds if inter == "ring"
-            else _inter_rabenseifner_rounds
+        phases.append(
+            Phase(f"inter-{inter}", _inter_rounds(inter, nodemap.leaders()))
         )
-        phases.append(Phase(f"inter-{inter}", make_inter(nodemap.leaders())))
     intra_bcast = _intra_rounds(nodemap, blocks, "bcast")
     if intra_bcast:
         phases.append(Phase("intra-bcast", intra_bcast))

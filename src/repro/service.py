@@ -19,7 +19,8 @@ is the asyncio front door that closes the gap (DESIGN.md §16):
   hit the process-wide :data:`~repro.core.pipeline.PLAN_CACHE` and the
   fused fold keeps every session **bit-identical** to a lone call;
 * **observability** — ``service.*`` counters in :data:`repro.obs.METRICS`
-  plus per-tenant submit counters, mirrored by :meth:`stats`;
+  plus per-tenant submit counters (the first :data:`TENANT_COUNTERS`
+  tenants by name, the rest as ``other``), mirrored by :meth:`stats`;
 * **graceful drain** — :meth:`drain` flushes every open window and waits
   for in-flight batches; :meth:`stop` closes admission first.  A caller
   that cancels its ``submit`` before the flush is skipped without
@@ -65,6 +66,11 @@ __all__ = [
     "SessionResult",
     "TenantQuotaExceeded",
 ]
+
+#: distinct tenants that get their own ``service.tenant.<name>.submitted``
+#: counter; later tenants share ``service.tenant.other.submitted``, so a
+#: stream of fresh tenant names cannot grow the metrics registry
+TENANT_COUNTERS = 64
 
 
 class ServiceSaturated(RuntimeError):
@@ -171,6 +177,7 @@ class AggregationService:
         self._tasks: set[asyncio.Task] = set()
         self._pending = 0
         self._tenant_pending: dict[str, int] = {}
+        self._metric_tenants: set[str] = set()
         self._closed = False
         # lifetime counters, mirrored into METRICS when enabled
         self._counts = {
@@ -224,7 +231,11 @@ class AggregationService:
         self._tenant_pending[tenant] = held + 1
         self._count("submitted")
         if METRICS.enabled:
-            METRICS.inc(f"service.tenant.{tenant}.submitted")
+            named = self._metric_tenants
+            if len(named) < TENANT_COUNTERS:
+                named.add(tenant)
+            label = tenant if tenant in named else "other"
+            METRICS.inc(f"service.tenant.{label}.submitted")
 
         key = BatchKey.of(arrays, root)
         session = _Session(

@@ -42,7 +42,7 @@ class TestDocument:
                 assert r["seconds"] > 0 and r["gbps"] > 0
 
     def test_status_covers_builtins(self, small_doc):
-        assert {"numpy", "numba", "cupy"} <= set(small_doc["backend_status"])
+        assert {"numpy", "numba"} <= set(small_doc["backend_status"])
 
     def test_stream_baseline_and_fractions(self, small_doc):
         stream = small_doc["stream"]

@@ -11,6 +11,7 @@ import pytest
 
 from repro.compression import FZLightND
 from repro.compression.common import dequantize, quantize
+from repro.core.analysis import error_bounds
 from repro.datasets import snapshot_series
 from repro.homomorphic import HZDynamic
 from repro.runtime.topology import Ring
@@ -73,7 +74,7 @@ class TestVolumeReduction:
         total = engine.reduce([comp.compress(v, abs_eb=eb) for v in volumes])
         exact = np.sum(np.stack(volumes).astype(np.float64), axis=0)
         err = np.abs(comp.decompress(total).astype(np.float64) - exact).max()
-        assert err <= n * eb * 1.001
+        assert err <= error_bounds(n, eb, "hzccl").max_error * 1.001
 
     def test_pipeline_mix_reported_for_volumes(self):
         volumes = snapshot_series("sim1", 2, scale=0.004, seed=2)

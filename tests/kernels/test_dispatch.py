@@ -34,7 +34,7 @@ class TestDiscovery:
 
     def test_status_reports_every_builtin(self):
         status = backend_status()
-        assert set(status) >= {"numpy", "numba", "cupy"}
+        assert set(status) >= {"numpy", "numba"}
         assert status["numpy"] == "ok"
 
     def test_auto_prefers_numba_else_numpy(self):

@@ -16,7 +16,7 @@ Hypothesis drives dtypes × block sizes × adversarial block mixes
 blocks, the int32 minimum) so the classes the dynamic pipeline dispatches
 on all appear, and operand sets on both sides of the width rule that lets
 the NumPy fold accumulate in int32.
-Backends that are not installed (numba, cupy) are skipped per-backend;
+Backends that are not installed (numba) are skipped per-backend;
 the scalar loops always run, so the JIT layout is exercised everywhere.
 """
 

@@ -22,6 +22,7 @@ from repro import HZCCL, CollectiveConfig
 from repro.obs.metrics import METRICS, metrics_enabled
 from repro.runtime.faults import FaultPlan
 from repro.service import (
+    TENANT_COUNTERS,
     AggregationService,
     BatchKey,
     ServiceClosed,
@@ -277,6 +278,26 @@ class TestObservability:
             assert METRICS.counter("service.wire_bytes") > 0
             hist = METRICS.histogram("service.batch.sessions")
             assert hist.count == 1 and hist.vmax == 3
+
+    def test_tenant_counter_names_are_bounded(self):
+        data = _session_data(2, 16, 0)
+
+        async def go():
+            async with AggregationService(window_s=0.0, max_batch=100,
+                                          max_pending=1000) as svc:
+                await asyncio.gather(
+                    *(svc.submit(data, tenant=f"t{i}") for i in range(1000))
+                )
+
+        with metrics_enabled():
+            asyncio.run(go())
+            names = [n for n in METRICS.counters()
+                     if n.startswith("service.tenant.")]
+            assert len(names) <= TENANT_COUNTERS + 1
+            assert METRICS.counter("service.tenant.t0.submitted") == 1
+            assert METRICS.counter("service.tenant.other.submitted") == (
+                1000 - TENANT_COUNTERS
+            )
 
     def test_stats_reports_plan_cache(self):
         svc = AggregationService()
