@@ -18,11 +18,11 @@ Calibration methodology: each sample's communication residual is
 into the rank-local clock, so compute is measured, not modelled).  The
 structural wire terms come from :func:`wire_summary`; compressed runs
 scale the critical-path bytes by the *achieved* ratio (measured wire ÷
-plain total), so no compression ratio is ever assumed.  Makespans on a
-shared-memory data plane are microseconds-scale and noisy, hence
-``repeats`` with best-of selection and a deliberately generous CI
-ceiling — the gate catches a broken model (orders of magnitude), not
-scheduler jitter.
+plain total), so no compression ratio is ever assumed.  Makespans on
+socket channels between co-located processes are milliseconds-scale and
+noisy, hence ``repeats`` with best-of selection and a deliberately
+generous CI ceiling — the gate catches a broken model (orders of
+magnitude), not scheduler jitter.
 """
 
 from __future__ import annotations
@@ -256,7 +256,6 @@ def calibrate(
     ranks: tuple[int, ...] = (8,),
     elements: tuple[int, ...] = (65536, 262144),
     families: tuple[str, ...] = CALIBRATION_FAMILIES,
-    transport: str = "shm",
     repeats: int = 3,
     seed: int = 0,
 ) -> dict:
@@ -271,7 +270,7 @@ def calibrate(
     """
     measured: list[tuple[MPCase, MPRun]] = []
     for n in ranks:
-        with MPCluster(n, transport=transport) as cluster:
+        with MPCluster(n) as cluster:
             for family in families:
                 for elems in elements:
                     case = build_case(family, n, elems, seed=seed)
@@ -312,7 +311,6 @@ def calibrate(
             }
         )
     return {
-        "transport": transport,
         "ranks": list(ranks),
         "elements": list(elements),
         "repeats": repeats,

@@ -193,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--ranks", type=int, default=4)
     pm.add_argument("--elements", type=int, default=16384,
                     help="float32 elements per rank")
-    pm.add_argument("--transport", choices=["shm", "socket"], default="shm",
-                    help="shared-memory rings (default) or unix sockets")
     pm.add_argument("--seed", type=int, default=0, help="data seed")
     pm.add_argument("--chaos", type=float, default=0.0, metavar="INTENSITY",
                     help="inject a seeded FaultPlan.chaos at this intensity")
@@ -217,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=_MP_FAMILIES,
                     help="family to measure (repeatable; default: the "
                          "calibration set)")
-    pc.add_argument("--transport", choices=["shm", "socket"], default="shm")
     pc.add_argument("--repeats", type=int, default=3,
                     help="best-of repeats per point (default 3)")
     pc.add_argument("-o", "--output", default=None, metavar="PATH",
@@ -553,13 +550,13 @@ def _cmd_mp(args) -> int:
         )
         # the same (schedule, spec, state) drives both data planes: here
         # the MP cluster, in sim_reference the simulated oracle
-        with MPCluster(args.ranks, transport=args.transport) as cluster:
+        with MPCluster(args.ranks) as cluster:
             run = MPExecutor(cluster, case.spec, plan=plan).run(
                 case.schedule, case.make_state()
             )
         print(
             f"{case.schedule.name} × {case.spec.kind} on {args.ranks} "
-            f"processes ({args.transport})"
+            "processes"
         )
         print(
             f"  makespan {run.makespan_s * 1e3:.3f} ms  "
@@ -599,7 +596,6 @@ def _cmd_mp(args) -> int:
         ranks=tuple(args.ranks) if args.ranks else (8,),
         elements=tuple(args.elements) if args.elements else (65536, 262144),
         families=tuple(args.family) if args.family else CALIBRATION_FAMILIES,
-        transport=args.transport,
         repeats=args.repeats,
     )
     print(format_table(

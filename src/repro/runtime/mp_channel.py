@@ -1,39 +1,24 @@
 """Byte transport for the multi-process data plane.
 
 This module is *pure transport*: fixed-header frames moved between OS
-processes over one of two interchangeable channel kinds, with **real**
-wall-clock deadlines on every blocking operation, the one serialiser
-that turns wire items into frame payloads, and the long-lived sender
-threads that drain frames into channels.  What a frame *means* (fault
-injection, retransmission accounting, codec actions) lives in
-:mod:`repro.schedule.mp_executor`; process lifecycle lives in
-:mod:`repro.runtime.mp_cluster`.
+processes over socket channels, with **real** wall-clock deadlines on
+every blocking operation, the one serialiser that turns wire items into
+frame payloads, and the long-lived sender threads that drain frames into
+channels.  What a frame *means* (fault injection, retransmission
+accounting, codec actions) lives in :mod:`repro.schedule.mp_executor`;
+process lifecycle lives in :mod:`repro.runtime.mp_cluster`.
 
-Channel kinds
--------------
-* :class:`ShmRing` — a single-producer/single-consumer byte ring in one
-  ``multiprocessing.shared_memory`` segment per directed rank pair.
-  Layout: ``head`` (u64, written only by the reader) · ``tail`` (u64,
-  written only by the writer) · ``capacity`` data bytes.  Cursors are
-  monotonic (position = cursor mod capacity), so full/empty are never
-  ambiguous and each side mutates exactly one cursor — the classic SPSC
-  discipline that needs no lock.  Both cursors live in one aligned
-  ``np.uint64`` view, so each publish is a single 8-byte store the peer
-  can never see half-written (``struct.pack_into`` zero-fills and then
-  writes byte by byte); the only ordering the protocol needs is "payload
-  bytes before the tail store".  Writers and readers spin-sleep with an
-  exponentially backed-off poll (≤ ~1 ms) until space/data appears, the
-  deadline expires (:class:`MPTimeoutError`) or the supplied ``poll``
-  callback raises (the abort path).
-* :class:`SocketChannel` — the fallback when shared memory is undesired:
-  one ``socket.socketpair()`` (AF_UNIX stream) per directed pair,
-  inherited across ``fork``.  The socket stays in blocking mode; every
-  call is tried with ``MSG_DONTWAIT`` and, when it would block, waits in
-  ``poll(2)`` in short slices, so the ``poll`` callback and the deadline
-  keep their meaning and a ``multiprocessing`` connection sharing the
-  descriptor is never switched to non-blocking under its feet.  Its send
-  buffer is sized for a whole frame, so a writer rarely waits on its
-  reader.
+The channel
+-----------
+:class:`SocketChannel` is one end of a ``socket.socketpair()`` (AF_UNIX
+stream): one pair per directed rank pair, inherited across ``fork``, and
+one per worker for its job pipe.  The socket stays in blocking mode;
+every call is tried with ``MSG_DONTWAIT`` and, when it would block,
+waits in ``poll(2)`` in short slices, so the ``poll`` callback (the
+abort path) and the deadline (:class:`MPTimeoutError`) keep their
+meaning and a ``multiprocessing`` connection sharing the descriptor is
+never switched to non-blocking under its feet.  Its send buffer is sized
+for a whole frame, so a writer rarely waits on its reader.
 
 Frames
 ------
@@ -45,8 +30,8 @@ the serialised length, so the data plane reproduces ``bytes_on_wire``
 bit-for-bit regardless of serialisation overhead.
 
 A frame's payload is one bytes-like object or a list of them, written
-back to back without being joined (``sendmsg`` on a socket, one write
-after another on a ring).  A received frame's payload is one
+back to back without being joined (one gathering ``sendmsg``).  A
+received frame's payload is one
 ``memoryview`` over a fresh, page-aligned buffer that the
 whole body is read into.
 
@@ -85,7 +70,6 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -105,7 +89,6 @@ __all__ = [
     "MPTimeoutError",
     "MPAbortedError",
     "SenderPool",
-    "ShmRing",
     "SocketChannel",
     "frame_buffers",
     "send_frame",
@@ -117,7 +100,6 @@ __all__ = [
 _MAGIC = b"RPMP"
 #: magic(4) · kind(u8) · flags(u8) · attempt(u16) · nbytes(u64) · length(u64)
 _HEADER = struct.Struct("<4sBBHQQ")
-_DATA_OFFSET = 16  # two u64 cursors
 
 #: frame kinds
 FRAME_DATA = 1    # one transmission attempt's payload
@@ -136,8 +118,6 @@ FLAG_COMPRESSED = 4  # payload is a CompressedField.to_bytes() stream
 ALIGN = 64
 _PAGE = mmap.PAGESIZE
 
-_POLL_MIN_S = 50e-6
-_POLL_MAX_S = 2e-3
 #: most buffers handed to one ``sendmsg`` (POSIX guarantees 16, Linux 1024)
 _IOV_BATCH = 512
 #: socket send buffer asked for: room for a whole job or block frame, so a
@@ -162,7 +142,7 @@ class MPTimeoutError(MPChannelError):
 
     def __init__(self, what: str, waited_s: float) -> None:
         super().__init__(
-            f"{what} exceeded its {waited_s:.3f}s real deadline"
+            f"{what} exceeded its real deadline after {waited_s:.3f}s"
         )
         self.waited_s = waited_s
 
@@ -187,11 +167,6 @@ class Frame:
     payload: Any = b""
 
 
-def _sleep_poll(waited: int) -> float:
-    """Exponentially backed-off poll interval for spin loops."""
-    return min(_POLL_MIN_S * (1 << min(waited, 6)), _POLL_MAX_S)
-
-
 def _aligned_buffer(n: int) -> np.ndarray:
     """``n`` fresh bytes starting on a page, hence an :data:`ALIGN`, boundary.
 
@@ -204,134 +179,8 @@ def _aligned_buffer(n: int) -> np.ndarray:
     return raw[start:start + n]
 
 
-class _Channel:
-    """The one-buffer conveniences over ``send_buffers`` / ``recv_into``."""
-
-    def send_bytes(self, data, deadline: float, poll=None) -> None:
-        self.send_buffers((data,), deadline, poll)
-
-    def recv_bytes(self, n: int, deadline: float, poll=None) -> bytes:
-        out = bytearray(n)
-        self.recv_into(memoryview(out), deadline, poll)
-        return bytes(out)
-
-
-class ShmRing(_Channel):
-    """SPSC byte ring over one shared-memory segment (see module doc)."""
-
-    def __init__(self, shm: shared_memory.SharedMemory, capacity: int) -> None:
-        self.shm = shm
-        self.capacity = capacity
-        #: [head, tail] — each load/store is one aligned 8-byte access
-        self._cursors = np.frombuffer(shm.buf, dtype=np.uint64, count=2)
-
-    @classmethod
-    def create(cls, name: str, capacity: int) -> "ShmRing":
-        if capacity < 64:
-            raise ValueError("ring capacity must be >= 64 bytes")
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=_DATA_OFFSET + capacity
-        )
-        shm.buf[:_DATA_OFFSET] = b"\x00" * _DATA_OFFSET
-        return cls(shm, capacity)
-
-    # ------------------------------------------------------------------ #
-    def _head(self) -> int:
-        return int(self._cursors[0])
-
-    def _tail(self) -> int:
-        return int(self._cursors[1])
-
-    def send_buffers(
-        self,
-        buffers: Sequence[Any],
-        deadline: float,
-        poll: Callable[[], None] | None = None,
-    ) -> None:
-        """Write every buffer fully, in order, spinning while the ring is
-        full."""
-        buf = self.shm.buf
-        cap = self.capacity
-        waited = 0
-        for data in buffers:
-            mv = memoryview(data).cast("B")
-            while mv.nbytes:
-                free = cap - (self._tail() - self._head())
-                # no portable fence on weaker memory models: an incoherent
-                # cursor pair is re-read like a full ring, never trusted
-                if not 0 < free <= cap:
-                    if poll is not None:
-                        poll()
-                    if time.monotonic() >= deadline:
-                        raise MPTimeoutError("shm ring write", waited_s=0.0)
-                    time.sleep(_sleep_poll(waited))
-                    waited += 1
-                    continue
-                waited = 0
-                tail = self._tail()
-                n = min(mv.nbytes, free)
-                pos = tail % cap
-                first = min(n, cap - pos)
-                buf[_DATA_OFFSET + pos:_DATA_OFFSET + pos + first] = mv[:first]
-                if n > first:
-                    buf[_DATA_OFFSET:_DATA_OFFSET + n - first] = mv[first:n]
-                self._cursors[1] = tail + n
-                mv = mv[n:]
-
-    def recv_into(
-        self,
-        out: memoryview,
-        deadline: float,
-        poll: Callable[[], None] | None = None,
-    ) -> None:
-        """Fill ``out`` exactly, spinning while the ring is empty."""
-        buf = self.shm.buf
-        cap = self.capacity
-        n = out.nbytes
-        got = 0
-        waited = 0
-        while got < n:
-            avail = self._tail() - self._head()
-            if not 0 < avail <= cap:  # empty, or incoherent: re-read
-                if poll is not None:
-                    poll()
-                if time.monotonic() >= deadline:
-                    raise MPTimeoutError("shm ring read", waited_s=0.0)
-                time.sleep(_sleep_poll(waited))
-                waited += 1
-                continue
-            waited = 0
-            head = self._head()
-            take = min(n - got, avail)
-            pos = head % cap
-            first = min(take, cap - pos)
-            out[got:got + first] = buf[
-                _DATA_OFFSET + pos:_DATA_OFFSET + pos + first
-            ]
-            if take > first:
-                out[got + first:got + take] = buf[
-                    _DATA_OFFSET:_DATA_OFFSET + take - first
-                ]
-            self._cursors[0] = head + take
-            got += take
-
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        self._cursors = None  # drop the buffer export before unmapping
-        try:
-            self.shm.close()
-        except (OSError, BufferError):  # pragma: no cover - teardown race
-            pass
-
-    def unlink(self) -> None:
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-class SocketChannel(_Channel):
-    """Stream-socket channel with sliced waits (the shm fallback)."""
+class SocketChannel:
+    """One end of a stream socket pair, with deadline-bounded sliced waits."""
 
     #: longest single wait in poll(2); keeps abort polling responsive
     _SLICE_MS = 20
@@ -344,14 +193,18 @@ class SocketChannel(_Channel):
         self._writable = select.poll()
         self._writable.register(sock.fileno(), select.POLLOUT)
 
-    def _wait(self, poller, what: str, deadline: float, poll) -> None:
-        """Block until ``poller`` fires, one slice at a time."""
+    def _wait(
+        self, poller, what: str, start: float, deadline: float, poll
+    ) -> None:
+        """Block until ``poller`` fires, one slice at a time; ``start`` is
+        when the calling send or receive began."""
         while True:
             if poll is not None:
                 poll()
-            left = deadline - time.monotonic()
+            now = time.monotonic()
+            left = deadline - now
             if left <= 0:
-                raise MPTimeoutError(what, waited_s=0.0)
+                raise MPTimeoutError(what, waited_s=now - start)
             if poller.poll(min(self._SLICE_MS, int(left * 1e3) + 1)):
                 return
 
@@ -362,6 +215,7 @@ class SocketChannel(_Channel):
         poll: Callable[[], None] | None = None,
     ) -> None:
         """Write every buffer fully, in order, with gathering ``sendmsg``."""
+        start = time.monotonic()
         views = [memoryview(b).cast("B") for b in buffers]
         views = [v for v in views if v.nbytes]
         i = 0
@@ -371,7 +225,9 @@ class SocketChannel(_Channel):
                     views[i:i + _IOV_BATCH], (), socket.MSG_DONTWAIT
                 )
             except BlockingIOError:
-                self._wait(self._writable, "socket write", deadline, poll)
+                self._wait(
+                    self._writable, "socket write", start, deadline, poll
+                )
                 continue
             except OSError as exc:
                 raise MPChannelError(f"socket write failed: {exc}") from exc
@@ -390,13 +246,16 @@ class SocketChannel(_Channel):
         poll: Callable[[], None] | None = None,
     ) -> None:
         """Fill ``out`` exactly."""
+        start = time.monotonic()
         n = out.nbytes
         got = 0
         while got < n:
             try:
                 k = self.sock.recv_into(out[got:], n - got, socket.MSG_DONTWAIT)
             except BlockingIOError:
-                self._wait(self._readable, "socket read", deadline, poll)
+                self._wait(
+                    self._readable, "socket read", start, deadline, poll
+                )
                 continue
             except OSError as exc:
                 raise MPChannelError(f"socket read failed: {exc}") from exc
@@ -544,7 +403,7 @@ class SenderPool:
 
     A worker starts its pool once.  The main thread enqueues frames (and
     optional pacing sleeps); each thread drains its queue into that
-    destination's channel.  Per-destination threads mean a full ring
+    destination's channel.  Per-destination threads mean a full socket
     toward one slow receiver can never delay frames bound for another
     rank — the property that makes arbitrary schedules deadlock-free.  A
     job ends in :meth:`flush` (every queue joined) or :meth:`abort` (what
@@ -586,11 +445,7 @@ class SenderPool:
                     continue
                 kind, value = item
                 if kind == "sleep":
-                    # paced in small slices so aborts stay responsive
-                    end = time.monotonic() + value
-                    while time.monotonic() < end:
-                        self._poll()
-                        time.sleep(min(0.01, max(0.0, end - time.monotonic())))
+                    self._abort.wait(value)  # an abort ends the pause at once
                 else:
                     channel.send_buffers(
                         value, time.monotonic() + self.deadline_s, self._poll

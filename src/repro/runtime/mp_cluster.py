@@ -1,11 +1,12 @@
 """Process lifecycle for the multi-process data plane.
 
 An :class:`MPCluster` owns one OS process per rank plus a full mesh of
-directed point-to-point channels (shared-memory rings by default, AF_UNIX
-socket pairs as the fallback — see :mod:`repro.runtime.mp_channel`).  The
-parent is pure *control plane*: it forks the workers once, then per
-schedule sends each worker its rank-local job over a ``Pipe``, collects
-per-rank results, and merges them.  All data-plane traffic flows worker
+directed point-to-point channels: one AF_UNIX ``socket.socketpair()`` per
+ordered rank pair, each end driven through a
+:class:`~repro.runtime.mp_channel.SocketChannel`.  The parent is pure
+*control plane*: it forks the workers once, then per schedule sends
+each worker its rank-local job over a ``Pipe``, collects per-rank
+results, and merges them.  All data-plane traffic flows worker
 ↔ worker over the channels; the parent never touches payload bytes.
 
 Jobs and results are frames (``FRAME_JOB``) of the data plane's own
@@ -29,17 +30,17 @@ Fail-clean is the design rule real OS processes force on us:
   any peer's receive deadline;
 * any error or schedule-level degrade triggers an **abort broadcast**:
   pending workers see ``"abort"`` on their job pipe (polled inside
-  every channel spin loop), unwind with
+  every channel wait), unwind with
   :class:`~repro.runtime.mp_channel.MPAbortedError`, acknowledge, and
   return to the job loop;
 * aborted runs can leave undelivered frames in the channels, so the
   cluster marks itself *poisoned* and refuses further jobs — restart it
-  (cheap: one ``fork`` per rank) rather than risk desynchronised rings.
+  (cheap: one ``fork`` per rank) rather than risk desynchronised channels.
 
 Shutdown sends every worker ``"abort"`` then ``"stop"`` — a worker
 mid-run aborts first, an idle worker ignores the stale abort — joins with
-a timeout, terminates stragglers, and unlinks every shared-memory
-segment.  ``MPCluster`` is a context manager; the ``with`` block is the
+a timeout, terminates stragglers, and closes every pipe and socket the
+parent holds.  ``MPCluster`` is a context manager; the ``with`` block is the
 recommended lifecycle.
 
 The worker's schedule interpreter lives in
@@ -50,8 +51,6 @@ worker main, keeping ``runtime`` free of a module-level dependency on
 
 from __future__ import annotations
 
-import os
-import secrets
 import socket
 import time
 import traceback
@@ -68,7 +67,6 @@ from .mp_channel import (
     MPAbortedError,
     MPChannelError,
     SenderPool,
-    ShmRing,
     SocketChannel,
     dump_items,
     load_items,
@@ -82,7 +80,6 @@ __all__ = ["MPCluster", "MPClusterError", "MPRun", "RankResult"]
 #: loaded CI box, small enough that a wedged run fails in seconds.
 DEFAULT_RECV_TIMEOUT_S = 10.0
 DEFAULT_JOB_TIMEOUT_S = 120.0
-DEFAULT_RING_CAPACITY = 1 << 20
 
 
 class MPClusterError(RuntimeError):
@@ -199,8 +196,8 @@ class MPCluster:
     Parameters
     ----------
     n_ranks : worker count (one OS process each).
-    transport : ``"shm"`` (shared-memory rings) or ``"socket"``.
-    ring_capacity : per-directed-pair ring size in bytes (shm only).
+    transport : ``"socket"``, the only channel kind; kept as a keyword so
+        callers that name it keep working.
     recv_timeout_s : floor on a worker's per-frame receive deadline; the
         effective deadline also honours the job's scaled
         ``RetryPolicy.max_transfer_wait_s()``.
@@ -213,19 +210,20 @@ class MPCluster:
     def __init__(
         self,
         n_ranks: int,
-        transport: str = "shm",
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
+        transport: str = "socket",
         recv_timeout_s: float = DEFAULT_RECV_TIMEOUT_S,
         job_timeout_s: float = DEFAULT_JOB_TIMEOUT_S,
         time_scale: float = 0.0,
     ) -> None:
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
-        if transport not in ("shm", "socket"):
-            raise ValueError(f"unknown transport {transport!r}")
+        if transport != "socket":
+            raise ValueError(
+                f"transport {transport!r} is not available: the "
+                "shared-memory transport was removed, every channel is a "
+                "socket pair"
+            )
         self.n_ranks = n_ranks
-        self.transport = transport
-        self.ring_capacity = ring_capacity
         self.recv_timeout_s = recv_timeout_s
         self.job_timeout_s = job_timeout_s
         self.time_scale = time_scale
@@ -233,7 +231,6 @@ class MPCluster:
         self._conns: list = []
         #: frame channels over the same pipes: jobs out, results back
         self._ctl: list[SocketChannel] = []
-        self._rings: list[ShmRing] = []
         self._sockets: list = []
         self._started = False
         self._closed = False
@@ -263,20 +260,9 @@ class MPCluster:
         # recv_channels[j][i] is the same underlying pipe, read side.
         send_channels: list[dict[int, Any]] = [{} for _ in range(n)]
         recv_channels: list[dict[int, Any]] = [{} for _ in range(n)]
-        uid = secrets.token_hex(4)
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                if self.transport == "shm":
-                    ring = ShmRing.create(
-                        f"repro-mp-{os.getpid()}-{uid}-{i}-{j}",
-                        self.ring_capacity,
-                    )
-                    self._rings.append(ring)
-                    send_channels[i][j] = ring
-                    recv_channels[j][i] = ring
-                else:
+                if i != j:
                     a, b = socket.socketpair()
                     self._sockets.extend((a, b))
                     send_channels[i][j] = SocketChannel(a)
@@ -526,9 +512,6 @@ class MPCluster:
                 pass
         for ctl in self._ctl:
             ctl.close()
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
         for sock in self._sockets:
             try:
                 sock.close()
@@ -537,11 +520,11 @@ class MPCluster:
         self._procs = []
         self._conns = []
         self._ctl = []
-        self._rings = []
         self._sockets = []
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
-        if self._started and not self._closed:
+        # getattr: __init__ may have raised before setting the flags
+        if getattr(self, "_started", False) and not self._closed:
             try:
                 self.shutdown(join_timeout_s=1.0)
             except Exception:

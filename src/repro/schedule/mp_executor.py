@@ -6,7 +6,7 @@ for real: one OS process per rank (see :mod:`repro.runtime.mp_cluster`),
 each running :class:`~repro.schedule.executor.ScheduleExecutor` *as its
 rank* over a rank-local :class:`SimCluster`, with a :class:`_RankWire`
 moving the payloads whose other end is another process — bytes over
-shared-memory rings or sockets (see :mod:`repro.runtime.mp_channel`),
+socket pairs (see :mod:`repro.runtime.mp_channel`),
 under wall-clock receive deadlines derived from the same
 :class:`~repro.runtime.faults.RetryPolicy` the simulator models.  Pack
 order, delivery order, fold/store/stage, local ops, self-deliveries
