@@ -34,19 +34,10 @@ import numpy as np
 
 from ..collectives import FAMILIES as ROWS
 from ..runtime.cluster import SimCluster
-from ..runtime.faults import FaultPlan, RetryPolicy
+from ..runtime.faults import FaultPlan, FaultStats
 from ..runtime.mp_cluster import MPCluster, MPRun
 from ..runtime.nodemap import NodeMap
-from ..schedule.cost import (
-    DOC_GATHER,
-    DOC_REDUCE,
-    HZ_REDUCE,
-    PLAIN,
-    CalibrationSample,
-    Discipline,
-    fit_alpha_beta,
-    wire_summary,
-)
+from ..schedule.cost import CalibrationSample, fit_alpha_beta, wire_summary
 from ..schedule.executor import Outcome, ScheduleExecutor
 from ..schedule.ir import Schedule
 from ..schedule.mp_executor import CodecSpec, MPExecutor
@@ -109,14 +100,6 @@ CALIBRATION_FAMILIES = (
 #: multiple-× error, not tens of percent.
 DEFAULT_ERROR_CEILING = 1.5
 
-_DISCIPLINES: dict[str, Discipline] = {
-    "plain": PLAIN,
-    "homomorphic": HZ_REDUCE,
-    "doc-reduce": DOC_REDUCE,
-    "doc-gather": DOC_GATHER,
-    "compressed-bcast": PLAIN,  # wire terms are discipline-independent
-}
-
 
 @dataclass
 class MPCase:
@@ -130,10 +113,6 @@ class MPCase:
     make_state: Callable[[], list] = field(repr=False)
     #: per-rank plain payload size the wire summary is evaluated at
     payload_bytes: int = 0
-
-    @property
-    def discipline(self) -> Discipline:
-        return _DISCIPLINES[self.spec.kind]
 
 
 def _smooth_field(elements: int, seed: int) -> np.ndarray:
@@ -195,16 +174,17 @@ def build_case(
 # sim reference + state comparison (shared by tests and `mp run --verify`)
 # --------------------------------------------------------------------- #
 def sim_reference(
-    case: MPCase,
-    plan: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
-) -> Outcome:
-    """Run the same case on the simulated executor (the oracle)."""
-    extra = {} if retry is None else {"retry": retry}
-    cluster = SimCluster(case.n_ranks, faults=plan, **extra)
-    return ScheduleExecutor(cluster, case.spec.build(cluster)).run(
+    case: MPCase, plan: FaultPlan | None = None
+) -> tuple[Outcome, FaultStats]:
+    """Run the same case on the simulated executor (the oracle).
+
+    Returns the outcome and the simulated channel's fault counters.
+    """
+    cluster = SimCluster(case.n_ranks, faults=plan)
+    outcome = ScheduleExecutor(cluster, case.spec.build(cluster)).run(
         case.schedule, case.make_state()
     )
+    return outcome, cluster.channel.stats
 
 
 def _values_equal(a: Any, b: Any) -> bool:
@@ -278,7 +258,7 @@ def calibrate(
 
     samples = []
     for case, run in measured:
-        ws = wire_summary(case.schedule, case.discipline, case.payload_bytes)
+        ws = wire_summary(case.schedule, case.payload_bytes)
         # achieved wire scale: 1.0 for plain runs (measured wire equals
         # the plain total exactly), the real compression ratio otherwise
         scale = run.wire / ws.total_bytes if ws.total_bytes > 0 else 1.0

@@ -568,7 +568,7 @@ def _cmd_mp(args) -> int:
             print("  " + "  ".join(f"{k} {v}" for k, v in interesting.items()))
         if args.no_verify:
             return 0
-        ref = sim_reference(case, plan=plan)
+        ref, _ = sim_reference(case, plan=plan)
         if ref.aborted:
             # a schedule-level degrade aborts at rank-dependent points; the
             # contract is the degraded flag, not matching state.  Per-op

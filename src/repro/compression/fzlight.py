@@ -14,10 +14,11 @@ fZ-light is the paper's from-scratch CPU compressor, built on three ideas:
    :mod:`repro.compression.encoding`.
 
 This Python port keeps the algorithm and data layout bit-for-bit faithful;
-the "threads" of the paper map onto thread-blocks processed either in one
-vectorised sweep (default — NumPy already saturates memory bandwidth) or on
-a real :class:`~concurrent.futures.ThreadPoolExecutor` (``parallel=True``;
-NumPy kernels release the GIL).
+the "threads" of the paper map onto thread-blocks processed in one
+vectorised sweep.  NumPy already saturates memory bandwidth: on a 2-vCPU
+host a thread pool over block ranges lost to the single sweep at every
+size up to 16 MB.  Concurrent callers are safe, since each thread sweeps
+in its own scratch arena.
 
 **Batched sweeps.**  A NumPy kernel call costs ~0.15 ms before it touches
 any data, which is all a 2 KB ring block costs — so ``compress`` /
@@ -31,7 +32,6 @@ per-member calls.  A single array is simply a batch of one.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -39,48 +39,25 @@ from typing import Sequence
 import numpy as np
 
 from ..kernels.arena import get_arena
-from ..kernels.plan import StreamLayout, stream_layout
-from ..utils.pool import shared_executor
+from ..kernels.plan import stream_layout
 from ..utils.validation import (
     ensure_float_array,
     ensure_positive_int,
 )
 from .common import code_dtype, resolve_error_bound
-from .encoding import (
-    DEFAULT_BLOCK_SIZE,
-    decode_blocks,
-    encode_blocks,
-    encode_into,
-    payload_offsets,
-)
+from .encoding import DEFAULT_BLOCK_SIZE, decode_blocks, encode_into
 from .format import BlockStructure, CompressedField, block_structure
 
 __all__ = [
     "FZLight",
     "compress",
     "decompress",
-    "resolve_workers",
     "DEFAULT_THREADBLOCKS",
 ]
 
 #: The paper fixes compression at 36 threads (two Broadwell sockets) for the
 #: compressor studies and 18 (one socket) inside collectives.
 DEFAULT_THREADBLOCKS = 36
-
-
-def resolve_workers(n_tasks: int, max_workers: int | None = None) -> int:
-    """Thread-pool width for ``n_tasks`` per-thread-block chunks.
-
-    Defaults to the host's CPU count — the previous silent hard cap of 16
-    workers ignored both the machine and configurations like the paper's
-    ``n_threadblocks=36`` two-socket runs.  Pass ``max_workers`` to pin the
-    width explicitly (e.g. 36 to mirror the paper's compressor studies on a
-    wide enough host).
-    """
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    ensure_positive_int(max_workers, "max_workers")
-    return max(1, min(int(n_tasks), max_workers))
 
 
 #: Elements per prediction / prefix-sum slab: 128 KB of int64, so a slab
@@ -199,11 +176,6 @@ class FZLight:
     block_size : elements per small block (multiple of 8; paper uses 32).
     n_threadblocks : number of large chunks, i.e. the simulated OpenMP
         thread count.
-    parallel : when True, encode/decode contiguous runs of the block grid
-        on a thread pool (multi-thread mode); when False, one vectorised
-        sweep (single-thread mode).
-    max_workers : thread-pool cap in parallel mode; ``None`` (default)
-        derives it from ``os.cpu_count()`` via :func:`resolve_workers`.
 
     :meth:`compress` and :meth:`decompress` take one array / field or a
     sequence of them.  A sequence is processed in **one** kernel sweep over
@@ -229,13 +201,9 @@ class FZLight:
 
     block_size: int = DEFAULT_BLOCK_SIZE
     n_threadblocks: int = DEFAULT_THREADBLOCKS
-    parallel: bool = False
-    max_workers: int | None = None
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.n_threadblocks, "n_threadblocks")
-        if self.max_workers is not None:
-            ensure_positive_int(self.max_workers, "max_workers")
         if self.block_size % 8 or self.block_size <= 0:
             raise ValueError("block_size must be a positive multiple of 8")
 
@@ -313,7 +281,7 @@ class FZLight:
                 np.subtract(codes[:, :, 1:], codes[:, :, :-1], out=slots[:, :, 1:])
                 firsts[:, cols] = codes[:, :, 0]
 
-        code_lengths, payload, offsets = self._encode(grid.reshape(n_blocks, bs))
+        code_lengths, payload, offsets = encode_into(grid.reshape(n_blocks, bs), bs)
 
         # every field's arrays are slices of the sweep's
         fields: list[CompressedField | None] = [None] * len(arrays)
@@ -334,30 +302,6 @@ class FZLight:
                     _offsets=offsets[b0 : b1 + 1] - lo,
                 )
         return fields
-
-    def _pool_ranges(self, n_blocks: int) -> tuple[np.ndarray, object]:
-        """Contiguous block-row ranges, one per pool task, and the pool."""
-        tasks = min(self.n_threadblocks, n_blocks)
-        edges = np.linspace(0, n_blocks, tasks + 1).astype(np.int64)
-        return edges, shared_executor(resolve_workers(tasks, self.max_workers))
-
-    def _encode(
-        self, blocks: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Code lengths, payload and payload offsets of the block grid."""
-        if not self.parallel or self.n_threadblocks == 1:
-            return encode_into(blocks, self.block_size)
-        edges, pool = self._pool_ranges(blocks.shape[0])
-        parts = list(
-            pool.map(
-                lambda lo, hi: encode_blocks(blocks[lo:hi], self.block_size),
-                edges[:-1],
-                edges[1:],
-            )
-        )
-        code_lengths = np.concatenate([p[0] for p in parts])
-        payload = np.concatenate([p[1] for p in parts])
-        return code_lengths, payload, payload_offsets(code_lengths, self.block_size)
 
     # ------------------------------------------------------------------ #
     # decompression
@@ -421,7 +365,7 @@ class FZLight:
         grid = arena.take(
             "fz.grid", (n_blocks, bs), np.int64 if layout.max_c > 31 else np.int32
         )
-        self._decode(code_lengths, payload, layout, grid)
+        decode_blocks(code_lengths, payload, bs, out=grid, layout=layout)
 
         flat = grid.reshape(-1)
         out: list[np.ndarray | None] = [None] * len(fields)
@@ -442,31 +386,6 @@ class FZLight:
             for j, i in enumerate(group.members):
                 out[i] = decoded[j]
         return out
-
-    def _decode(
-        self,
-        code_lengths: np.ndarray,
-        payload: np.ndarray,
-        layout: StreamLayout,
-        grid: np.ndarray,
-    ) -> None:
-        """Decode the whole stream into the ``(n_blocks, block_size)`` grid."""
-        bs = grid.shape[1]
-        if not self.parallel or self.n_threadblocks == 1:
-            decode_blocks(code_lengths, payload, bs, out=grid, layout=layout)
-            return
-        edges, pool = self._pool_ranges(grid.shape[0])
-        offsets = layout.offsets
-
-        def decode_range(lo: int, hi: int) -> None:
-            decode_blocks(
-                code_lengths[lo:hi],
-                payload[int(offsets[lo]) : int(offsets[hi])],
-                bs,
-                out=grid[lo:hi],
-            )
-
-        list(pool.map(decode_range, edges[:-1], edges[1:]))
 
 
 def compress(

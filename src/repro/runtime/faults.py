@@ -291,16 +291,6 @@ class RetryPolicy:
                 stacklevel=3,
             )
 
-    def max_transfer_wait_s(self) -> float:
-        """Upper bound on one delivery's total timeout + backoff wait.
-
-        Every attempt waits at most ``timeout_s`` before declaring loss and
-        at most ``max_delay_s`` before retransmitting, so ``max_attempts``
-        transmissions can never wait longer than this — the bound the
-        multi-process data plane derives its *real* receive deadlines from.
-        """
-        return self.max_attempts * (self.timeout_s + self.max_delay_s)
-
     def delay(self, attempt: int) -> float:
         """Backoff delay before retransmission ``attempt`` (0-based)."""
         if self.base_delay_s == 0.0:

@@ -12,13 +12,13 @@ The channel
 -----------
 :class:`SocketChannel` is one end of a ``socket.socketpair()`` (AF_UNIX
 stream): one pair per directed rank pair, inherited across ``fork``, and
-one per worker for its job pipe.  The socket stays in blocking mode;
-every call is tried with ``MSG_DONTWAIT`` and, when it would block,
-waits in ``poll(2)`` in short slices, so the ``poll`` callback (the
-abort path) and the deadline (:class:`MPTimeoutError`) keep their
-meaning and a ``multiprocessing`` connection sharing the descriptor is
-never switched to non-blocking under its feet.  Its send buffer is sized
-for a whole frame, so a writer rarely waits on its reader.
+one per worker for its control link to the parent.  Every call is tried
+with ``MSG_DONTWAIT`` and, when it would block, waits in ``poll(2)``:
+in short slices when a ``poll`` callback (the abort path) must run
+between them, otherwise in one wait to the deadline — no deadline at all
+when it is infinite.  A passed deadline raises :class:`MPTimeoutError`.
+The send buffer is sized for a whole frame, so a writer rarely waits on
+its reader.
 
 Frames
 ------
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import copyreg
 import io
+import math
 import mmap
 import pickle
 import queue
@@ -81,6 +82,8 @@ __all__ = [
     "FRAME_FAIL",
     "FRAME_RAW",
     "FRAME_JOB",
+    "FRAME_ABORT",
+    "FRAME_STOP",
     "FLAG_DUPLICATE",
     "FLAG_DAMAGED",
     "FLAG_COMPRESSED",
@@ -107,6 +110,8 @@ FRAME_FORCED = 2  # plain path's escalated delivery after max_attempts
 FRAME_FAIL = 3    # compressed stream unrecoverable; no payload
 FRAME_RAW = 4     # unmanaged transfer (no fault machinery)
 FRAME_JOB = 5     # control plane: a rank's job, or its reply
+FRAME_ABORT = 6   # control plane: abandon the running job
+FRAME_STOP = 7    # control plane: leave the job loop
 
 #: frame flags
 FLAG_DUPLICATE = 1  # extra wire copy; receiver counts and discards
@@ -196,8 +201,8 @@ class SocketChannel:
     def _wait(
         self, poller, what: str, start: float, deadline: float, poll
     ) -> None:
-        """Block until ``poller`` fires, one slice at a time; ``start`` is
-        when the calling send or receive began."""
+        """Block until ``poller`` fires; ``start`` is when the calling send
+        or receive began.  A ``poll`` callback runs between slices."""
         while True:
             if poll is not None:
                 poll()
@@ -205,8 +210,15 @@ class SocketChannel:
             left = deadline - now
             if left <= 0:
                 raise MPTimeoutError(what, waited_s=now - start)
-            if poller.poll(min(self._SLICE_MS, int(left * 1e3) + 1)):
+            ms = None if left == math.inf else int(left * 1e3) + 1
+            if poll is not None:
+                ms = min(self._SLICE_MS, ms or self._SLICE_MS)
+            if poller.poll(ms):
                 return
+
+    def readable(self) -> bool:
+        """Whether a read would not block: data waits, or the peer is gone."""
+        return bool(self._readable.poll(0))
 
     def send_buffers(
         self,
@@ -401,9 +413,9 @@ def load_items(body) -> tuple[Any, ...]:
 class SenderPool:
     """One long-lived writer thread per destination rank.
 
-    A worker starts its pool once.  The main thread enqueues frames (and
-    optional pacing sleeps); each thread drains its queue into that
-    destination's channel.  Per-destination threads mean a full socket
+    A worker starts its pool once.  The main thread enqueues frames;
+    each thread drains its queue into that destination's channel.
+    Per-destination threads mean a full socket
     toward one slow receiver can never delay frames bound for another
     rank — the property that makes arbitrary schedules deadlock-free.  A
     job ends in :meth:`flush` (every queue joined) or :meth:`abort` (what
@@ -436,20 +448,16 @@ class SenderPool:
 
     def _drain(self, dst: int, channel, q: queue.Queue) -> None:
         while True:
-            item = q.get()
+            buffers = q.get()
             try:
-                if item is None:
+                if buffers is None:
                     return
                 # an aborted job's leftovers, or frames behind a broken link
                 if self._abort.is_set() or dst in self._failures:
                     continue
-                kind, value = item
-                if kind == "sleep":
-                    self._abort.wait(value)  # an abort ends the pause at once
-                else:
-                    channel.send_buffers(
-                        value, time.monotonic() + self.deadline_s, self._poll
-                    )
+                channel.send_buffers(
+                    buffers, time.monotonic() + self.deadline_s, self._poll
+                )
             except MPAbortedError:
                 pass
             except Exception as exc:  # surfaced by flush()
@@ -459,11 +467,7 @@ class SenderPool:
 
     # ------------------------------------------------------------------ #
     def put_frame(self, dst: int, frame: Frame) -> None:
-        self._queues[dst].put(("send", frame_buffers(frame)))
-
-    def put_sleep(self, dst: int, seconds: float) -> None:
-        if seconds > 0.0:
-            self._queues[dst].put(("sleep", seconds))
+        self._queues[dst].put(frame_buffers(frame))
 
     def flush(self) -> None:
         """Block until every queued frame is on the wire; raise on failure."""

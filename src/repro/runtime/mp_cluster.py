@@ -5,31 +5,33 @@ directed point-to-point channels: one AF_UNIX ``socket.socketpair()`` per
 ordered rank pair, each end driven through a
 :class:`~repro.runtime.mp_channel.SocketChannel`.  The parent is pure
 *control plane*: it forks the workers once, then per schedule sends
-each worker its rank-local job over a ``Pipe``, collects per-rank
-results, and merges them.  All data-plane traffic flows worker
-↔ worker over the channels; the parent never touches payload bytes.
+each worker its rank-local job, collects per-rank results, and merges
+them.  All data-plane traffic flows worker ↔ worker over the channels;
+the parent never touches payload bytes.
 
-Jobs and results are frames (``FRAME_JOB``) of the data plane's own
-serialiser (:func:`~repro.runtime.mp_channel.dump_items`), written with
-``sendmsg`` straight from the arrays and read into one aligned buffer on
-the other side — the pipe is an AF_UNIX socket pair, driven through a
-:class:`~repro.runtime.mp_channel.SocketChannel`.  ``Connection.send``
-carries only the tiny control words: ``"run"`` (a job frame follows),
-``"abort"`` and ``"stop"``.
+Each worker has one more socket pair, its control link to the parent,
+and it carries frames of the data plane's own format and nothing else:
+``FRAME_JOB`` for a job and for the worker's reply (bodies of the one
+serialiser, :func:`~repro.runtime.mp_channel.dump_items`, written with
+``sendmsg`` straight from the arrays), ``FRAME_ABORT`` and
+``FRAME_STOP``.  An idle worker waits for its next control frame with no
+deadline.  During a job the parent sends nothing but an abort or a stop,
+so the worker takes a readable control socket as an abort and leaves the
+frame unread; back in its job loop it skips an ``ABORT`` (the stale
+abort of a job already answered) and exits on ``STOP``.
 
 Fail-clean is the design rule real OS processes force on us:
 
-* every blocking receive in a worker carries a real wall-clock deadline
-  (derived from the job's :class:`~repro.runtime.faults.RetryPolicy` via
-  ``max_transfer_wait_s``), so a dead peer becomes an exception, not a
-  hang;
+* every blocking receive in a worker during a job carries a real
+  wall-clock deadline (``recv_timeout_s``), so a dead peer becomes an
+  exception, not a hang;
 * the parent's collect loop blocks in ``multiprocessing.connection.wait``
-  on the result pipes *and* the workers' process sentinels, so a reply
-  and a crash wake it alike — a crashed rank turns into an
+  on the control sockets *and* the workers' process sentinels, so a
+  reply and a crash wake it alike — a crashed rank turns into an
   ``MPClusterError`` naming the rank and exit code at once, long before
   any peer's receive deadline;
 * any error or schedule-level degrade triggers an **abort broadcast**:
-  pending workers see ``"abort"`` on their job pipe (polled inside
+  pending workers see their control socket turn readable (polled inside
   every channel wait), unwind with
   :class:`~repro.runtime.mp_channel.MPAbortedError`, acknowledge, and
   return to the job loop;
@@ -37,11 +39,10 @@ Fail-clean is the design rule real OS processes force on us:
   cluster marks itself *poisoned* and refuses further jobs — restart it
   (cheap: one ``fork`` per rank) rather than risk desynchronised channels.
 
-Shutdown sends every worker ``"abort"`` then ``"stop"`` — a worker
-mid-run aborts first, an idle worker ignores the stale abort — joins with
-a timeout, terminates stragglers, and closes every pipe and socket the
-parent holds.  ``MPCluster`` is a context manager; the ``with`` block is the
-recommended lifecycle.
+Shutdown sends every worker ``STOP`` — a worker mid-run aborts first,
+then reads it — joins with a timeout, terminates stragglers, and closes
+every socket the parent holds.  ``MPCluster`` is a context manager; the
+``with`` block is the recommended lifecycle.
 
 The worker's schedule interpreter lives in
 :mod:`repro.schedule.mp_executor` and is imported lazily inside the
@@ -51,6 +52,7 @@ worker main, keeping ``runtime`` free of a module-level dependency on
 
 from __future__ import annotations
 
+import math
 import socket
 import time
 import traceback
@@ -62,7 +64,9 @@ import multiprocessing as mp
 
 from .faults import FaultPlan, RetryPolicy
 from .mp_channel import (
+    FRAME_ABORT,
     FRAME_JOB,
+    FRAME_STOP,
     Frame,
     MPAbortedError,
     MPChannelError,
@@ -76,10 +80,11 @@ from .mp_channel import (
 
 __all__ = ["MPCluster", "MPClusterError", "MPRun", "RankResult"]
 
-#: floor on a worker's per-frame receive deadline — generous enough for a
-#: loaded CI box, small enough that a wedged run fails in seconds.
+#: a worker's per-frame receive deadline during a job — generous enough
+#: for a loaded CI box, small enough that a wedged run fails in seconds.
 DEFAULT_RECV_TIMEOUT_S = 10.0
-DEFAULT_JOB_TIMEOUT_S = 120.0
+#: parent-side ceiling on one schedule end to end
+JOB_TIMEOUT_S = 120.0
 
 
 class MPClusterError(RuntimeError):
@@ -124,45 +129,34 @@ class MPRun:
     stats: dict = field(default_factory=dict)
 
 
-def _control_channel(conn) -> SocketChannel:
-    """A frame channel over a ``Pipe`` end's socket (a dup of its fd)."""
-    return SocketChannel(
-        socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM)
-    )
-
-
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
-def _worker_main(rank, n_ranks, conn, send_channels, recv_channels) -> None:
+def _worker_main(rank, n_ranks, ctl_sock, send_channels, recv_channels) -> None:
     # Lazy import: the worker interprets schedules, but the runtime layer
     # must not depend on repro.schedule at import time.
     from ..schedule.mp_executor import execute_rank
 
-    ctl = _control_channel(conn)
+    ctl = SocketChannel(ctl_sock)
     pool = SenderPool(send_channels)  # started once, reused by every job
 
     def poll_control() -> None:
-        """Raise MPAbortedError if the parent broadcast an abort."""
-        while conn.poll(0):
-            try:
-                word = conn.recv()
-            except EOFError:
-                raise MPAbortedError("control pipe closed") from None
-            if word in ("abort", "stop"):
-                raise MPAbortedError("aborted by control plane")
+        """Raise MPAbortedError once the parent has sent anything: mid-job
+        that is an ABORT or a STOP, left for the job loop to read."""
+        if ctl.readable():
+            raise MPAbortedError("aborted by control plane")
 
     while True:
         try:
-            word = conn.recv()
-        except (EOFError, KeyboardInterrupt):
+            # idle: one poll(2) with no deadline until the parent speaks
+            frame = recv_frame(ctl, math.inf)
+        except (MPChannelError, KeyboardInterrupt):
             break
-        if word == "stop":
+        if frame.kind == FRAME_STOP:
             break
-        if word != "run":  # a stale abort from a finished job
+        if frame.kind != FRAME_JOB:  # the stale abort of a job answered
             continue
         try:
-            frame = recv_frame(ctl, time.monotonic() + DEFAULT_RECV_TIMEOUT_S)
             (job,) = load_items(frame.payload)
             result = execute_rank(
                 rank, n_ranks, pool, recv_channels, job, poll_control
@@ -182,7 +176,7 @@ def _worker_main(rank, n_ranks, conn, send_channels, recv_channels) -> None:
         send_frame(
             ctl,
             Frame(FRAME_JOB, payload=reply),
-            time.monotonic() + DEFAULT_JOB_TIMEOUT_S,
+            time.monotonic() + JOB_TIMEOUT_S,
         )
     pool.close()
 
@@ -198,13 +192,8 @@ class MPCluster:
     n_ranks : worker count (one OS process each).
     transport : ``"socket"``, the only channel kind; kept as a keyword so
         callers that name it keep working.
-    recv_timeout_s : floor on a worker's per-frame receive deadline; the
-        effective deadline also honours the job's scaled
-        ``RetryPolicy.max_transfer_wait_s()``.
-    job_timeout_s : parent-side ceiling on one schedule end to end.
-    time_scale : seconds of real sleep per modelled second of fault
-        pacing (timeout/backoff).  0 (default) injects faults without
-        pacing — deterministic replay at full speed.
+    recv_timeout_s : a worker's per-frame receive deadline during a job,
+        and the parent's on each job it sends and each reply it reads.
     """
 
     def __init__(
@@ -212,8 +201,6 @@ class MPCluster:
         n_ranks: int,
         transport: str = "socket",
         recv_timeout_s: float = DEFAULT_RECV_TIMEOUT_S,
-        job_timeout_s: float = DEFAULT_JOB_TIMEOUT_S,
-        time_scale: float = 0.0,
     ) -> None:
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
@@ -225,11 +212,8 @@ class MPCluster:
             )
         self.n_ranks = n_ranks
         self.recv_timeout_s = recv_timeout_s
-        self.job_timeout_s = job_timeout_s
-        self.time_scale = time_scale
         self._procs: list = []
-        self._conns: list = []
-        #: frame channels over the same pipes: jobs out, results back
+        #: one control link per worker: jobs and signals out, replies back
         self._ctl: list[SocketChannel] = []
         self._sockets: list = []
         self._started = False
@@ -269,13 +253,14 @@ class MPCluster:
                     recv_channels[j][i] = SocketChannel(b)
         try:
             for rank in range(n):
-                parent_conn, child_conn = ctx.Pipe()
+                ctl, child = socket.socketpair()
+                self._ctl.append(SocketChannel(ctl))
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(
                         rank,
                         n,
-                        child_conn,
+                        child,
                         send_channels[rank],
                         recv_channels[rank],
                     ),
@@ -283,10 +268,8 @@ class MPCluster:
                     daemon=True,
                 )
                 proc.start()
-                child_conn.close()  # the worker holds its copy
+                child.close()  # the worker holds its copy
                 self._procs.append(proc)
-                self._conns.append(parent_conn)
-                self._ctl.append(_control_channel(parent_conn))
         except BaseException:
             self._teardown(force=True)
             raise
@@ -334,12 +317,6 @@ class MPCluster:
                     f"(exitcode {proc.exitcode}); start a fresh MPCluster"
                 )
         retry = retry if retry is not None else RetryPolicy()
-        deadline_s = max(
-            self.recv_timeout_s,
-            # honour paced fault waits: a fully faulted transfer sleeps
-            # this long for real before its final attempt resolves
-            4.0 * self.time_scale * retry.max_transfer_wait_s(),
-        )
         from ..schedule.mp_executor import RankJob  # lazy, see module doc
 
         for rank in range(self.n_ranks):
@@ -349,11 +326,9 @@ class MPCluster:
                 state=state[rank],
                 plan=plan,
                 retry=retry,
-                time_scale=self.time_scale,
-                recv_deadline_s=deadline_s,
+                recv_deadline_s=self.recv_timeout_s,
             )
             try:
-                self._conns[rank].send("run")
                 send_frame(
                     self._ctl[rank],
                     Frame(FRAME_JOB, payload=dump_items((job,))),
@@ -377,7 +352,7 @@ class MPCluster:
         aborted: set[int] = set()
         pending = set(range(n))
         abort_sent = False
-        deadline = time.monotonic() + self.job_timeout_s
+        deadline = time.monotonic() + JOB_TIMEOUT_S
 
         def broadcast_abort() -> None:
             nonlocal abort_sent
@@ -385,30 +360,27 @@ class MPCluster:
                 return
             abort_sent = True
             for r in sorted(pending):
-                try:
-                    self._conns[r].send("abort")
-                except (OSError, BrokenPipeError):
-                    pass
+                self._signal(r, FRAME_ABORT)
 
         while pending:
             # a reply and a death wake the parent alike: no timer, no probe
             watched = {}
             for r in pending:
-                watched[self._conns[r]] = r
+                watched[self._ctl[r].sock] = r
                 watched[self._procs[r].sentinel] = r
             ready = wait(list(watched), max(0.0, deadline - time.monotonic()))
             if not ready:
                 for r in sorted(pending):
                     failures[r] = (
-                        f"no result within the {self.job_timeout_s:.0f}s "
+                        f"no result within the {JOB_TIMEOUT_S:.0f}s "
                         f"job deadline"
                     )
                 break
             for r in sorted({watched[obj] for obj in ready}):
                 pending.discard(r)
                 msg = lost = None
-                # a reply sent just before the exit is already in the pipe
-                if self._conns[r].poll(0):
+                # a reply sent just before the exit is already on the socket
+                if self._ctl[r].readable():
                     try:
                         frame = recv_frame(
                             self._ctl[r], time.monotonic() + self.recv_timeout_s
@@ -480,18 +452,24 @@ class MPCluster:
             stats=stats,
         )
 
+    def _signal(self, rank: int, kind: int) -> None:
+        """Send ``rank`` a payload-free control frame (``ABORT``/``STOP``);
+        a worker that is gone is left to its sentinel."""
+        try:
+            send_frame(
+                self._ctl[rank], Frame(kind), time.monotonic() + self.recv_timeout_s
+            )
+        except MPChannelError:
+            pass
+
     # ------------------------------------------------------------------ #
     def shutdown(self, join_timeout_s: float = 5.0) -> None:
         """Stop the workers and release every OS resource (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send("abort")
-                conn.send("stop")
-            except (OSError, BrokenPipeError):
-                pass
+        for rank in range(len(self._ctl)):
+            self._signal(rank, FRAME_STOP)
         per_join = join_timeout_s / max(len(self._procs), 1)
         for proc in self._procs:
             proc.join(timeout=per_join)
@@ -505,11 +483,6 @@ class MPCluster:
                 if proc.is_alive():  # pragma: no cover - last resort
                     proc.kill()
                     proc.join(timeout=1.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - teardown race
-                pass
         for ctl in self._ctl:
             ctl.close()
         for sock in self._sockets:
@@ -518,7 +491,6 @@ class MPCluster:
             except OSError:  # pragma: no cover - teardown race
                 pass
         self._procs = []
-        self._conns = []
         self._ctl = []
         self._sockets = []
 

@@ -387,10 +387,12 @@ class WireSummary:
     total_bytes: float
 
 
-def wire_summary(
-    schedule: Schedule, discipline: Discipline, total_bytes: int
-) -> WireSummary:
-    """The α–β wire terms of ``schedule`` at ``total_bytes`` per rank."""
+def wire_summary(schedule: Schedule, total_bytes: int) -> WireSummary:
+    """The α–β wire terms of ``schedule`` at ``total_bytes`` per rank.
+
+    They come from the comms alone, so any discipline's profile gives
+    them; the plain one is used.
+    """
     ensure_positive(total_bytes, "total_bytes")
     n = schedule.n_ranks
 
@@ -399,7 +401,7 @@ def wire_summary(
 
     hops, crit, messages, total = 0, 0.0, 0, 0.0
     for _overlap, comm_spec, _rows, _flows, _scale, wire_tot in _profile(
-        schedule, discipline
+        schedule, PLAIN
     ):
         tot_nd, tot_w, n_msgs = wire_tot
         messages += n_msgs

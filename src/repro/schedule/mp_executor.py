@@ -7,8 +7,8 @@ each running :class:`~repro.schedule.executor.ScheduleExecutor` *as its
 rank* over a rank-local :class:`SimCluster`, with a :class:`_RankWire`
 moving the payloads whose other end is another process — bytes over
 socket pairs (see :mod:`repro.runtime.mp_channel`),
-under wall-clock receive deadlines derived from the same
-:class:`~repro.runtime.faults.RetryPolicy` the simulator models.  Pack
+under the cluster's wall-clock receive deadline, with the faults of the
+same :class:`~repro.runtime.faults.FaultPlan` the simulator models.  Pack
 order, delivery order, fold/store/stage, local ops, self-deliveries
 (``src == dst`` comms, e.g. the broadcast tree's representative flows)
 and both degrade paths are therefore the simulator's by construction;
@@ -168,7 +168,6 @@ class RankJob:
     state: dict
     plan: FaultPlan | None
     retry: RetryPolicy
-    time_scale: float
     recv_deadline_s: float
 
 
@@ -219,10 +218,6 @@ class _RankWire:
         self.pool.put_frame(dst, frame)
         self.stats["frames_sent"] += 1
 
-    def _pace(self, dst: int, seconds: float) -> None:
-        # time_scale 0 (the default) injects faults without real waits
-        self.pool.put_sleep(dst, self.job.time_scale * seconds)
-
     def send(self, comm, items, sent: int) -> None:
         _, ride, copies = carriage(comm, self.compressed)
         if ride == "raw" or copies:
@@ -259,13 +254,11 @@ class _RankWire:
         if channel.plan is None:
             emit(FRAME_DATA)
             return
-        policy = channel.retry
         try:
             for attempt, index, verdict, duplicate in channel.attempts(
                 me, dst, reliable=not flags
             ):
                 if verdict == "DROP":
-                    self._pace(dst, policy.timeout_s + policy.delay(attempt))
                     continue
                 if verdict in DAMAGE_VERDICTS:
                     damaged = blob
@@ -273,19 +266,17 @@ class _RankWire:
                         damaged = channel.damage(blob, me, dst, index, verdict)
                     if not flags or damaged != blob:
                         emit(FRAME_DATA, FLAG_DAMAGED, damaged)
-                        self._pace(dst, policy.delay(attempt))
                         continue
-                kind = FRAME_DATA
-                if verdict == "FORCED":
-                    self._pace(dst, policy.timeout_s)
-                    kind = FRAME_FORCED
+                kind = FRAME_FORCED if verdict == "FORCED" else FRAME_DATA
                 if duplicate:
                     emit(kind, FLAG_DUPLICATE)  # wire copy first
                 emit(kind)
                 return
         except UnrecoverableStreamError:
             self.stats["failed_streams"] += 1
-            self._emit(dst, Frame(FRAME_FAIL, attempt=policy.max_attempts))
+            self._emit(
+                dst, Frame(FRAME_FAIL, attempt=channel.retry.max_attempts)
+            )
 
     # ------------------------------------------------------------------ #
     # receiver side

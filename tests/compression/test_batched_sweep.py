@@ -92,12 +92,11 @@ class TestBatchEqualsLoop:
     @given(
         batch=array_batches(),
         geometry=st.sampled_from(GEOMETRIES),
-        parallel=st.booleans(),
         eb=st.sampled_from([("abs", 1e-4), ("abs", 1e-2), ("rel", 1e-3)]),
     )
-    def test_compress_and_decompress(self, batch, geometry, parallel, eb):
+    def test_compress_and_decompress(self, batch, geometry, eb):
         block_size, n_tb = geometry
-        comp = FZLight(block_size, n_tb, parallel=parallel, max_workers=2)
+        comp = FZLight(block_size, n_tb)
         kwargs = {f"{eb[0]}_eb": eb[1]}
         if eb[0] == "rel":  # a zero-range field has no usable relative bound
             batch = [b for b in batch if np.ptp(b) > 0]

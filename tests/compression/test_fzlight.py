@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.compression import check_error_bound
-from repro.compression.fzlight import FZLight, compress, decompress, resolve_workers
+from repro.compression.fzlight import FZLight, compress, decompress
 
 
 class TestRoundTrip:
@@ -60,19 +60,6 @@ class TestRoundTrip:
 
 
 class TestModes:
-    def test_parallel_matches_serial(self, smooth_data):
-        serial = FZLight().compress(smooth_data, abs_eb=1e-4)
-        parallel = FZLight(parallel=True).compress(smooth_data, abs_eb=1e-4)
-        np.testing.assert_array_equal(serial.code_lengths, parallel.code_lengths)
-        np.testing.assert_array_equal(serial.payload, parallel.payload)
-        np.testing.assert_array_equal(serial.outliers, parallel.outliers)
-
-    def test_parallel_decompress_matches(self, smooth_data):
-        field = FZLight().compress(smooth_data, abs_eb=1e-4)
-        np.testing.assert_array_equal(
-            FZLight(parallel=True).decompress(field), FZLight().decompress(field)
-        )
-
     def test_deterministic(self, smooth_data, compressor):
         a = compressor.compress(smooth_data, abs_eb=1e-4)
         b = compressor.compress(smooth_data, abs_eb=1e-4)
@@ -97,39 +84,6 @@ class TestModes:
     def test_rejects_bad_threadblocks(self):
         with pytest.raises(ValueError):
             FZLight(n_threadblocks=0)
-
-
-class TestWorkerResolution:
-    def test_derives_from_cpu_count(self, monkeypatch):
-        """The pool width tracks the host, not a silent hard cap of 16."""
-        monkeypatch.setattr("repro.compression.fzlight.os.cpu_count", lambda: 36)
-        assert resolve_workers(100) == 36
-        monkeypatch.setattr("repro.compression.fzlight.os.cpu_count", lambda: None)
-        assert resolve_workers(100) == 1
-
-    def test_capped_by_task_count(self, monkeypatch):
-        monkeypatch.setattr("repro.compression.fzlight.os.cpu_count", lambda: 64)
-        assert resolve_workers(5) == 5
-        assert resolve_workers(0) == 1  # executor needs at least one worker
-
-    def test_explicit_cap_wins(self):
-        assert resolve_workers(100, max_workers=36) == 36
-        assert resolve_workers(4, max_workers=36) == 4
-
-    def test_rejects_bad_cap(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            resolve_workers(10, max_workers=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            FZLight(max_workers=-2)
-
-    def test_parallel_with_explicit_workers_matches_serial(self, smooth_data):
-        serial = FZLight().compress(smooth_data, abs_eb=1e-4)
-        wide = FZLight(parallel=True, max_workers=3)
-        parallel = wide.compress(smooth_data, abs_eb=1e-4)
-        assert serial.to_bytes() == parallel.to_bytes()
-        np.testing.assert_array_equal(
-            wide.decompress(parallel), FZLight().decompress(serial)
-        )
 
 
 class TestCompressionQuality:

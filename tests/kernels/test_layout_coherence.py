@@ -150,28 +150,39 @@ def test_mis_sized_field_is_refused_before_any_batch_mate_is_decoded(monkeypatch
 
 
 def test_layouts_built_from_pool_threads_are_consistent():
-    """``parallel=True`` decodes block ranges on pool threads, each range a
-    stream of its own: concurrent lookups and builds, one answer."""
+    """Sweeps run concurrently on threads (the aggregation service runs
+    each batch in a worker thread): concurrent lookups and builds, one
+    answer."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(8)
     data = [
         np.cumsum(rng.normal(0, 0.02, 1 << 15)).astype(np.float32) for _ in range(4)
     ]
-    serial = FZLight(block_size=32, n_threadblocks=18)
-    pooled = FZLight(block_size=32, n_threadblocks=18, parallel=True, max_workers=4)
-    for round_ in range(3):
-        flood_layout_cache()
-        fields = pooled.compress(data, abs_eb=1e-4)
-        for mine, theirs in zip(fields, serial.compress(data, abs_eb=1e-4)):
-            assert mine.to_bytes() == theirs.to_bytes()
-        flood_layout_cache()
-        for mine, theirs in zip(pooled.decompress(fields), serial.decompress(fields)):
-            np.testing.assert_array_equal(mine, theirs)
+    comp = FZLight(block_size=32, n_threadblocks=18)
+    want_fields = [f.to_bytes() for f in comp.compress(data, abs_eb=1e-4)]
+    fields = comp.compress(data, abs_eb=1e-4)
+    want_arrays = [comp.decompress(f) for f in fields]
+
+    def sweep(i: int):
+        if i % 3 == 0:
+            flood_layout_cache()
+        if i % 2:
+            return i, [f.to_bytes() for f in comp.compress(data, abs_eb=1e-4)]
+        return i, comp.decompress(fields)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for i, got in pool.map(sweep, range(12), timeout=120):
+            if i % 2:
+                assert got == want_fields
+            else:
+                for mine, theirs in zip(got, want_arrays):
+                    np.testing.assert_array_equal(mine, theirs)
     # More threads than cores, switching as often as the interpreter allows,
     # asking for a few signatures that keep falling out of a flooded cache:
     # every answer describes its stream, and the cache's byte count is still
     # the sum of what it holds (a lost update would leave it off).
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
 
     signatures = [rng.integers(0, 12, size=256).astype(np.uint8) for _ in range(6)]
     want = [

@@ -40,7 +40,7 @@ def cluster8():
 def test_family_matches_simulator_n8(cluster8, family):
     case = build_case(family, 8, 16384, seed=23)
     run = MPExecutor(cluster8, case.spec).run(case.schedule, case.make_state())
-    ref = sim_reference(case)
+    ref, _ = sim_reference(case)
     assert run.degraded == ref.degraded is False
     assert run.wire == ref.wire
     assert states_equal(run.state, ref.state)
@@ -63,15 +63,6 @@ COUNTERS = {
 }
 
 
-def _sim(case, plan):
-    """The simulator's outcome and fault counters for one seeded run."""
-    cluster = SimCluster(case.n_ranks, faults=plan)
-    outcome = ScheduleExecutor(cluster, case.spec.build(cluster)).run(
-        case.schedule, case.make_state()
-    )
-    return outcome, cluster.channel.stats
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_chaos_plan_matches_simulator(cluster4, family, seed):
@@ -82,7 +73,7 @@ def test_chaos_plan_matches_simulator(cluster4, family, seed):
     case = build_case(family, 4, 8192, seed=seed)
     for intensity in INTENSITIES:
         plan = FaultPlan.chaos(seed, 4, intensity=intensity)
-        ref, ref_stats = _sim(case, plan)
+        ref, ref_stats = sim_reference(case, plan)
         if ref.aborted:
             # ranks stop at different comms, so only the flag and the
             # poison contract carry over — on a cluster of its own
@@ -114,7 +105,7 @@ def test_chaos_matrix_exercises_every_counter(family):
     for seed in SEEDS:
         case = build_case(family, 4, 8192, seed=seed)
         for intensity in INTENSITIES:
-            ref, stats = _sim(case, FaultPlan.chaos(seed, 4, intensity))
+            ref, stats = sim_reference(case, FaultPlan.chaos(seed, 4, intensity))
             if not ref.aborted:
                 seen["retransmissions"] += stats.retransmissions
                 seen["duplicates"] += stats.duplicates
@@ -182,7 +173,7 @@ def test_schedule_degrade_poisons_the_cluster():
         run = MPExecutor(cluster, case.spec, plan=plan).run(
             case.schedule, case.make_state()
         )
-        ref = sim_reference(case, plan=plan)
+        ref, _ = sim_reference(case, plan=plan)
         assert run.degraded is True
         assert ref.degraded is True
         with pytest.raises(MPClusterError, match="poisoned"):

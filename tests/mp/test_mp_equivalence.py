@@ -34,7 +34,7 @@ def cluster4():
 
 def _assert_equivalent(cluster, case):
     run = MPExecutor(cluster, case.spec).run(case.schedule, case.make_state())
-    ref = sim_reference(case)
+    ref, _ = sim_reference(case)
     assert run.degraded == ref.degraded is False
     assert run.wire == ref.wire
     assert states_equal(run.state, ref.state)

@@ -9,7 +9,9 @@ import time
 
 import pytest
 
-from repro.bench.mp import build_case
+from repro.bench.mp import build_case, sim_reference, states_equal
+from repro.runtime.faults import FaultPlan
+from repro.runtime.mp_channel import FRAME_ABORT
 from repro.runtime.mp_cluster import MPCluster, MPClusterError
 from repro.schedule.mp_executor import MPExecutor
 
@@ -54,7 +56,7 @@ def test_rank_killed_mid_schedule_fails_fast_and_leaks_nothing():
         assert raised_at - killed_at[0] < 2.0
     finally:
         cluster.shutdown()
-    # every socket pair and pipe the cluster opened is closed again
+    # every socket pair the cluster opened is closed again
     assert _open_fds() == fds
 
 
@@ -76,6 +78,54 @@ def test_sender_threads_are_started_once_per_worker():
         assert threads() == after_one
         # the main thread plus one sender per peer, alive between jobs
         assert all(count >= 3 for count in after_one)
+
+
+def _assert_matches_simulator(cluster, case) -> None:
+    run = MPExecutor(cluster, case.spec).run(case.schedule, case.make_state())
+    ref, _ = sim_reference(case)
+    assert run.degraded == ref.degraded is False
+    assert run.wire == ref.wire
+    assert states_equal(run.state, ref.state)
+
+
+def test_idle_workers_outwait_the_receive_deadline():
+    # an idle worker waits for its next control frame with no deadline:
+    # idling longer than recv_timeout_s, before the first job and between
+    # two, costs nothing
+    case = build_case("ring-rs", 2, 4096, seed=1)
+    with MPCluster(2, recv_timeout_s=0.2) as cluster:
+        for _ in range(2):
+            time.sleep(0.5)
+            _assert_matches_simulator(cluster, case)
+
+
+def test_stale_abort_to_an_idle_worker_is_skipped():
+    case = build_case("ring-rs", 2, 4096, seed=1)
+    with MPCluster(2) as cluster:
+        for rank in range(2):
+            cluster._signal(rank, FRAME_ABORT)
+        time.sleep(0.1)  # the workers read the aborts while idle
+        _assert_matches_simulator(cluster, case)
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+def test_shutdown_lets_every_worker_exit_cleanly(poisoned):
+    # STOP reaches idle workers, even behind the stale aborts a poisoning
+    # run leaves unread; none has to be terminated
+    case = build_case("ring-rs-hz", 4, 8192, seed=1)
+    plan = FaultPlan(seed=3, corrupt_rate=0.9) if poisoned else None
+    cluster = MPCluster(4)
+    cluster.start()
+    procs = list(cluster._procs)
+    try:
+        run = MPExecutor(cluster, case.spec, plan=plan).run(
+            case.schedule, case.make_state()
+        )
+        assert run.degraded is poisoned
+        assert (cluster._poisoned is not None) is poisoned
+    finally:
+        cluster.shutdown()
+    assert [p.exitcode for p in procs] == [0] * 4
 
 
 def test_only_the_socket_transport_is_accepted():
