@@ -56,30 +56,32 @@ __all__ = [
     "check_document",
 ]
 
-#: family → (codec kind it uses, the family-table leaf row whose stage and
-#: seed rule the case runs, the params bound to it).  A case may run a
-#: row's schedule under another codec: ``pipelined-rs`` is the pipelined
-#: reduce-scatter stage run plain.
-_CASES: dict[str, tuple[str, str, dict]] = {
-    "ring-rs": ("plain", "mpi_reduce_scatter", {}),
-    "ring-rs-hz": ("homomorphic", "hzccl_reduce_scatter", {}),
-    "ring-rs-doc": ("doc-reduce", "ccoll_reduce_scatter", {}),
-    "pipelined-rs": ("plain", "pipelined_reduce_scatter", {"chunks": 2}),
-    "rabenseifner": ("plain", "rabenseifner_allreduce", {}),
+#: family → (the family-table leaf row whose stage and seed rule the case
+#: runs, the params bound to it).  A case runs under its row's codec kind.
+_CASES: dict[str, tuple[str, dict]] = {
+    "ring-rs": ("mpi_reduce_scatter", {}),
+    "ring-rs-hz": ("hzccl_reduce_scatter", {}),
+    "ring-rs-doc": ("ccoll_reduce_scatter", {}),
+    "pipelined-rs": ("pipelined_reduce_scatter", {"chunks": 2}),
+    "rabenseifner": ("rabenseifner_allreduce", {}),
     # direct-reduce's root does a k-way fused fold: homomorphic only
-    "direct-reduce": ("homomorphic", "hzccl_reduce_direct", {}),
+    "direct-reduce": ("hzccl_reduce_direct", {}),
     # the aggregation service's coalesced plan: several sessions share
     # one incast, the root folds each with its own fused reduction
-    "batched-reduce": ("homomorphic", "hzccl_batched_reduce", {"sessions": 3}),
-    "bcast": ("compressed-bcast", "compressed_bcast", {}),
-    "hierarchical": ("plain", "mpi_hierarchical_allreduce", {"inter": "ring"}),
-    "hierarchical-hz": (
-        "homomorphic", "hzccl_hierarchical_allreduce", {"inter": "ring"}
-    ),
+    "batched-reduce": ("hzccl_batched_reduce", {"sessions": 3}),
+    "bcast": ("compressed_bcast", {}),
+    "hierarchical": ("mpi_hierarchical_allreduce", {"inter": "ring"}),
+    "hierarchical-hz": ("hzccl_hierarchical_allreduce", {"inter": "ring"}),
 }
+#: the one case run under another codec: the pipelined reduce-scatter
+#: stage, run plain
+_KIND_OVERRIDES = {"pipelined-rs": "plain"}
 
 #: families ``repro mp run`` accepts (name → codec kind it uses)
-FAMILIES = {family: kind for family, (kind, _, _) in _CASES.items()}
+FAMILIES = {
+    family: _KIND_OVERRIDES.get(family, ROWS[name].stages[0].codec)
+    for family, (name, _) in _CASES.items()
+}
 
 #: the calibration sweep's family set (every wire style: plain exchange,
 #: pipelined overlap, recursive halving, incast, tree flows, compressed)
@@ -136,7 +138,8 @@ def build_case(
         raise ValueError(
             f"unknown family {family!r}; one of {', '.join(sorted(FAMILIES))}"
         )
-    kind, name, bound = _CASES[family]
+    name, bound = _CASES[family]
+    kind = FAMILIES[family]
     row = ROWS[name]
     (stage,) = row.stages
     params = {"n": n, "root": 0, "network": None, **bound}

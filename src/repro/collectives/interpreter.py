@@ -1,7 +1,7 @@
 """The collective half of the family table, and its one interpreter.
 
 :mod:`repro.schedule.families` declares *what a family's stages are*
-(schedule, codec, discipline).  A :class:`Family` row adds what only a
+(schedule × codec).  A :class:`Family` row adds what only a
 collective knows — the span it runs under, how its input is validated,
 how rank state is seeded from the data and outputs gathered from it, and
 the plain family it degrades to — and :func:`run` interprets any row:
@@ -206,8 +206,9 @@ def _run_stage(family: Family, cluster, data, config, p):
         stage.codec, *knobs, slots=stage.slots,
         bcast_data=data if stage.codec == "compressed-bcast" else None,
     ).build(cluster)
-    outcome = ScheduleExecutor(cluster, codec).run(stage.schedule(**p), state)
-    stats = codec.engine.stats if stage.folds else None
+    schedule = stage.schedule(**p)
+    outcome = ScheduleExecutor(cluster, codec).run(schedule, state)
+    stats = codec.engine.stats if stage.folds(schedule) else None
     if outcome.degraded and not stage.per_op_degrade:
         raise _Aborted(outcome.wire, stats)
     return family.gather(state, data, p), outcome.wire, outcome.degraded, stats

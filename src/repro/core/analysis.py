@@ -1,4 +1,4 @@
-"""Closed-form cost and error analysis (paper §III-C formulas, symbolic).
+"""Closed-form cost and error analysis (paper §III-C).
 
 The paper derives its co-design advantage analytically:
 
@@ -8,7 +8,13 @@ The paper derives its co-design advantage analytically:
 * Allreduce — ``T_CColl − T_hZCCL = (N−1)(DPR − HPR) + (N−1)·CPT``
   (§III-C2).
 
-This module evaluates those operation-count identities on a
+The operation counts behind those identities are not written out here:
+:func:`reduce_scatter_counts` / :func:`allreduce_counts` count them off
+the dry run of the family rows the interpreter executes — each stage
+priced under its codec's one charge table
+(:func:`~repro.schedule.families.priced_stages`), its block operations
+summed per bucket by :func:`~repro.schedule.cost.block_counts` — so they
+cannot drift from what runs.  This module evaluates the identities on a
 :class:`~repro.core.cost_model.CostRates` instance (so the break-even
 condition can be inspected directly), and provides the companion *error*
 analysis: worst-case and RMS error bounds for the three kernels, which the
@@ -18,8 +24,11 @@ integration tests validate against Monte-Carlo functional runs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
+from ..schedule.cost import block_counts
+from ..schedule.families import priced_stages
 from ..utils.validation import ensure_positive, ensure_positive_int
 from .cost_model import CostRates
 
@@ -33,6 +42,9 @@ __all__ = [
     "ErrorBounds",
     "error_bounds",
 ]
+
+#: kernels with ``<kernel>_reduce_scatter`` / ``<kernel>_allreduce`` rows
+_KERNELS = ("mpi", "ccoll", "hzccl")
 
 
 @dataclass(frozen=True)
@@ -54,28 +66,32 @@ class OperationCounts:
         ) + (self.cpr + self.dpr + self.cpt + self.hpr) * rates.op_overhead_s
 
 
-def reduce_scatter_counts(n: int, kernel: str) -> OperationCounts:
-    """§III-C1 operation counts for Reduce_scatter."""
+def _row_counts(op: str, n: int, kernel: str) -> OperationCounts:
+    """Block operations per bucket of family ``<kernel>_<op>`` at ``n``
+    ranks: each round's busiest rank, summed over rounds and stages."""
     ensure_positive_int(n, "n")
-    if kernel == "ccoll":
-        return OperationCounts(cpr=n - 1, dpr=n - 1, cpt=n - 1, hpr=0)
-    if kernel == "hzccl":
-        return OperationCounts(cpr=n, dpr=1, cpt=0, hpr=n - 1)
-    if kernel == "mpi":
-        return OperationCounts(cpr=0, dpr=0, cpt=n - 1, hpr=0)
-    raise ValueError(f"unknown kernel {kernel!r}")
+    if kernel not in _KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    counts: Counter[str] = Counter()
+    for schedule, table in priced_stages(f"{kernel}_{op}", n=n):
+        counts.update(block_counts(schedule, table))
+    return OperationCounts(
+        cpr=counts["CPR"], dpr=counts["DPR"], cpt=counts["CPT"],
+        hpr=counts["HPR"],
+    )
+
+
+def reduce_scatter_counts(n: int, kernel: str) -> OperationCounts:
+    """§III-C1 operation counts for Reduce_scatter: C-Coll
+    ``(N−1)(CPR + DPR + CPT)``, hZCCL ``N·CPR + (N−1)·HPR + DPR``."""
+    return _row_counts("reduce_scatter", n, kernel)
 
 
 def allreduce_counts(n: int, kernel: str) -> OperationCounts:
-    """§III-C2 operation counts for Allreduce (fused for hZCCL)."""
-    ensure_positive_int(n, "n")
-    if kernel == "ccoll":
-        return OperationCounts(cpr=n, dpr=2 * (n - 1), cpt=n - 1, hpr=0)
-    if kernel == "hzccl":
-        return OperationCounts(cpr=n, dpr=n - 1, cpt=0, hpr=n - 1)
-    if kernel == "mpi":
-        return OperationCounts(cpr=0, dpr=0, cpt=n - 1, hpr=0)
-    raise ValueError(f"unknown kernel {kernel!r}")
+    """§III-C2 operation counts for Allreduce (fused for hZCCL): C-Coll
+    ``N·CPR + 2(N−1)·DPR + (N−1)·CPT``, hZCCL ``N·CPR + (N−1)(HPR + DPR)``.
+    """
+    return _row_counts("allreduce", n, kernel)
 
 
 def cost_advantage_reduce_scatter(

@@ -258,8 +258,8 @@ def matched_network(
 # ---------------------------------------------------------------------- #
 # Every model below prices its family-table row
 # (repro.schedule.families): the *same* Schedule objects the interpreter
-# runs, paired with each stage's charge Discipline instead of a
-# PayloadCodec.  The closed forms of §III-C — (N−1)(CPR+DPR+CPT) for
+# runs, paired with each stage's codec's charge table (its Discipline)
+# instead of the codec itself.  The closed forms of §III-C — (N−1)(CPR+DPR+CPT) for
 # C-Coll, N·CPR+(N−1)·HPR+1·DPR for hZCCL, and so on — fall out of the
 # round walk instead of being hand-derived per family, so a new row is
 # priced for free (see model_hzccl_allreduce_pipelined).

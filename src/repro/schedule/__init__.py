@@ -5,9 +5,10 @@
 * :mod:`~repro.schedule.generators` — pure schedule generators (ring,
   chunk-pipelined ring, Rabenseifner, rooted trees);
 * :mod:`~repro.schedule.families` — the stage half of the family table:
-  which (schedule, codec, discipline) stages make up each collective;
-* :mod:`~repro.schedule.codecs` — payload disciplines (plain / DOC /
-  homomorphic) the executor pairs a schedule with;
+  which (schedule, codec) stages make up each collective;
+* :mod:`~repro.schedule.codecs` — payload codecs (plain / DOC /
+  homomorphic) the executor pairs a schedule with, each declaring the one
+  charge table it runs and is priced under;
 * :mod:`~repro.schedule.executor` — the single engine all collective
   families run on;
 * :mod:`~repro.schedule.cost` — analytic dry runs of the same schedule
@@ -26,11 +27,6 @@ from .codecs import (
     PlainCodec,
 )
 from .cost import (
-    DOC_GATHER,
-    DOC_REDUCE,
-    HZ_GATHER,
-    HZ_REDUCE,
-    PLAIN,
     CalibrationFit,
     CalibrationSample,
     Discipline,
@@ -79,6 +75,11 @@ from .tuner import (
     tune_point,
 )
 
+#: derived, not declared here: the homomorphic codec's table, and that
+#: table with the compressed allgather's slots (kept importable by name)
+HZ_REDUCE = HomomorphicCodec.discipline
+HZ_GATHER = STAGES["hzccl_allgather_compressed"][0].discipline
+
 __all__ = [
     # ir
     "CommOp",
@@ -120,9 +121,6 @@ __all__ = [
     "CodecSpec",
     # cost
     "Discipline",
-    "PLAIN",
-    "DOC_REDUCE",
-    "DOC_GATHER",
     "HZ_REDUCE",
     "HZ_GATHER",
     "schedule_cost",

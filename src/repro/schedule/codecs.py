@@ -12,14 +12,24 @@ DOC (C-Coll)     compressed  CPR per block    DPR + CPT per round   DPR per bloc
 homomorphic      compressed  one CPR sweep    HPR ``reduce_fused``  one DPR sweep
 ===============  ==========  ===============  ====================  ===============
 
+Each codec class declares its row **once**, as its ``discipline``: a
+:class:`~repro.schedule.cost.Discipline` naming every verb's charges,
+whether streams ride the wire compressed, whether a finalize is one
+kernel sweep, and the phase ``slots``.  It is the only verb → kernel
+table: the codec's methods time their kernels under the buckets it names
+(:meth:`PayloadCodec._timed`), :func:`~repro.schedule.cost.schedule_cost`
+prices a dry run with it, and ``repro.core.analysis`` counts the §III-C
+operations off those dry runs.  :data:`CODECS` maps the codec kind a
+family stage names to its class.
+
 "Sweep" is literal: the homomorphic codec hands every block of a
 ``prepare`` / ``finalize`` to **one** ``FZLight.compress`` /
 ``FZLight.decompress`` call, which runs a single kernel pass over the
 concatenated block grid (the paper's compress-once / decode-once;
-``Discipline.finalize_batched=True`` in the cost model).  The DOC codecs
-stay one kernel invocation per block on purpose — that *is* the C-Coll
-discipline (``finalize_batched=False``), and the baseline must not get
-faster by accident.
+``finalize_batched=True``).  The DOC codecs stay one kernel invocation
+per block on purpose — that *is* the C-Coll discipline
+(``finalize_batched=False``), and the baseline must not get faster by
+accident.
 
 Rank state is ``state[rank][block_id]``: plain ``np.ndarray`` blocks for
 the plain codec, :class:`~repro.compression.format.CompressedField`
@@ -27,13 +37,16 @@ streams for the compressed ones (the homomorphic codec's whole point is
 that state *stays* compressed across every fold).
 
 ``slots`` maps a phase's abstract slot name to the user-facing span name;
-``None`` skips the phase entirely (a plain ring has no compress phase)
-and ``""`` runs the phase without opening a span (the rooted reduce's
-historical un-spanned gather).
+``None`` skips the phase entirely (a plain ring has no compress phase) —
+in the executor and in the dry run alike — and ``""`` runs the phase
+without opening a span (the rooted reduce's historical un-spanned
+gather).  A family stage that overrides them runs, and is priced, under
+its codec's table with its own ``slots`` (:func:`discipline_of`).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Hashable, Sequence
 
 import numpy as np
@@ -41,6 +54,7 @@ import numpy as np
 from ..compression.fzlight import FZLight
 from ..homomorphic.hzdynamic import HZDynamic
 from ..runtime.cluster import SimCluster
+from .cost import Discipline
 from .ir import CommOp
 
 __all__ = [
@@ -51,6 +65,8 @@ __all__ = [
     "DocGatherCodec",
     "HomomorphicCodec",
     "CompressedBcastCodec",
+    "CODECS",
+    "discipline_of",
 ]
 
 #: size-synchronisation bookkeeping per rank ("OTHER" bucket)
@@ -58,27 +74,40 @@ SYNC_OVERHEAD_S = 2e-6
 
 State = list[dict[Hashable, Any]]
 
+#: a compressed codec's span names for its encode and decode phases
+_SPANNED = (("setup", "compress"), ("finalize", "decompress"))
+
 
 class PayloadCodec:
     """Base codec: raw floats on the wire, no per-verb compute.
 
-    Subclasses override the verbs they charge for.  ``items`` returned by
-    :meth:`pack` are one wire object per block id (``np.ndarray`` or
+    Subclasses declare their ``discipline`` and override the verbs it
+    charges, timing each kernel with :meth:`_timed`.  ``items`` returned
+    by :meth:`pack` are one wire object per block id (``np.ndarray`` or
     ``CompressedField``) — the executor sums their ``nbytes`` for round
     accounting and hands them back to ``fold``/``store`` on the receive
     side.
     """
 
-    #: compressed streams on the wire → validated channel delivery.
-    compressed_wire = False
-    #: slot → span name overrides (None = skip phase, "" = no span).
-    slots: dict[str, str | None] = {}
+    #: the verb → kernel table; the base one charges nothing and skips no
+    #: phase
+    discipline = Discipline("raw", compressed_wire=False)
 
-    def __init__(self, cluster: SimCluster) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # each verb's clock buckets in charge order, read once per class
+        cls.buckets = {
+            verb: tuple(b for b, _ in getattr(cls.discipline, verb))
+            for verb in ("prepare", "pack", "fold", "finalize")
+        }
+
+    def __init__(self, cluster: SimCluster, config=None) -> None:
         self.cluster = cluster
 
-    def phase_name(self, slot: str) -> str | None:
-        return self.slots.get(slot, slot)
+    def _timed(self, rank: int, verb: str):
+        """Time one ``verb`` kernel on ``rank``, charged to the bucket the
+        table names first for that verb."""
+        return self.cluster.timed(rank, self.buckets[verb][0])
 
     # ------------------------------------------------------------------ #
     def prepare(self, rank: int, blocks, state: State) -> None:
@@ -114,10 +143,13 @@ class PayloadCodec:
 class PlainCodec(PayloadCodec):
     """The "MPI" baseline: raw float blocks, folds are CPT float adds."""
 
-    slots = {"setup": None, "finalize": None}
+    discipline = Discipline(
+        "plain", compressed_wire=False, fold=(("CPT", "cpt"),),
+        slots=(("setup", None), ("finalize", None)),
+    )
 
     def fold(self, rank, blocks, items, state, fresh=True):
-        with self.cluster.timed(rank, "CPT"):
+        with self._timed(rank, "fold"):
             for b, item in zip(blocks, items):
                 # initial blocks are views into caller arrays, so the fold
                 # must allocate rather than accumulate in place
@@ -125,8 +157,6 @@ class PlainCodec(PayloadCodec):
 
 
 class _CompressedCodec(PayloadCodec):
-    compressed_wire = True
-
     def __init__(self, cluster: SimCluster, config) -> None:
         super().__init__(cluster)
         self.comp = FZLight(
@@ -138,7 +168,7 @@ class _CompressedCodec(PayloadCodec):
     def _compress_sweep(self, rank: int, blocks, state: State) -> None:
         """Encode ``blocks`` in place with one CPR sweep, charged once."""
         mine = state[rank]
-        with self.cluster.timed(rank, "CPR"):
+        with self._timed(rank, "prepare"):
             fields = self.comp.compress(
                 [mine[b] for b in blocks], abs_eb=self.eb
             )
@@ -151,20 +181,26 @@ class DocReduceCodec(_CompressedCodec):
     One kernel invocation per block, never a sweep (see the module table).
     """
 
-    slots = {"setup": None, "exchange": "doc-exchange", "finalize": None}
+    discipline = Discipline(
+        "doc-reduce", compressed_wire=True, pack=(("CPR", "cpr"),),
+        fold=(("DPR", "dpr"), ("CPT", "cpt")),
+        slots=(("setup", None), ("exchange", "doc-exchange"),
+               ("finalize", None)),
+    )
 
     def pack(self, rank, blocks, state):
-        with self.cluster.timed(rank, "CPR"):
+        with self._timed(rank, "pack"):
             return tuple(
                 self.comp.compress(state[rank][b], abs_eb=self.eb)
                 for b in blocks
             )
 
     def fold(self, rank, blocks, items, state, fresh=True):
+        decode, add = self.buckets["fold"]
         for b, item in zip(blocks, items):
-            with self.cluster.timed(rank, "DPR"):
+            with self.cluster.timed(rank, decode):
                 decoded = self.comp.decompress(item)
-            with self.cluster.timed(rank, "CPT"):
+            with self.cluster.timed(rank, add):
                 state[rank][b] = state[rank][b] + decoded
 
 
@@ -174,7 +210,10 @@ class DocGatherCodec(_CompressedCodec):
     One kernel invocation per block on both sides, never a sweep.
     """
 
-    slots = {"setup": "compress", "finalize": "decompress"}
+    discipline = Discipline(
+        "doc-gather", compressed_wire=True, prepare=(("CPR", "cpr"),),
+        finalize=(("DPR", "dpr"),), finalize_batched=False, slots=_SPANNED,
+    )
 
     def __init__(self, cluster: SimCluster, config) -> None:
         super().__init__(cluster, config)
@@ -183,7 +222,7 @@ class DocGatherCodec(_CompressedCodec):
     def prepare(self, rank, blocks, state):
         for b in blocks:
             self._plain[(rank, b)] = state[rank][b]
-            with self.cluster.timed(rank, "CPR"):
+            with self._timed(rank, "prepare"):
                 state[rank][b] = self.comp.compress(
                     state[rank][b], abs_eb=self.eb
                 )
@@ -193,7 +232,7 @@ class DocGatherCodec(_CompressedCodec):
         # one decode invocation per foreign block — the DOC discipline has
         # no batched decode
         for b in blocks:
-            with self.cluster.timed(rank, "DPR"):
+            with self._timed(rank, "finalize"):
                 state[rank][b] = self.comp.decompress(state[rank][b])
 
     def finalize_local(self, rank, blocks, state):
@@ -208,9 +247,13 @@ class HomomorphicCodec(_CompressedCodec):
 
     "Once" is one kernel sweep per call: ``prepare`` / ``finalize`` pass
     their whole ``blocks`` tuple to a single ``compress`` / ``decompress``.
+    A k-way ``fold_fused`` is charged like a fold.
     """
 
-    slots = {"setup": "compress", "finalize": "decompress"}
+    discipline = Discipline(
+        "hz-reduce", compressed_wire=True, prepare=(("CPR", "cpr"),),
+        fold=(("HPR", "hpr"),), finalize=(("DPR", "dpr"),), slots=_SPANNED,
+    )
 
     def __init__(self, cluster: SimCluster, config) -> None:
         super().__init__(cluster, config)
@@ -220,7 +263,7 @@ class HomomorphicCodec(_CompressedCodec):
         self._compress_sweep(rank, blocks, state)
 
     def fold(self, rank, blocks, items, state, fresh=True):
-        with self.cluster.timed(rank, "HPR"):
+        with self._timed(rank, "fold"):
             for b, item in zip(blocks, items):
                 # one fused fold of the local partial with the incoming
                 # compressed block (k = 2 instance of the k-way kernel)
@@ -229,14 +272,14 @@ class HomomorphicCodec(_CompressedCodec):
                 )
 
     def fold_fused(self, rank, blocks, state, fanin, out="fused"):
-        with self.cluster.timed(rank, "HPR"):
+        with self._timed(rank, "fold"):
             state[rank][out] = self.engine.reduce_fused(
                 [state[rank][b] for b in blocks]
             )
 
     def finalize(self, rank, blocks, state):
         mine = state[rank]
-        with self.cluster.timed(rank, "DPR"):
+        with self._timed(rank, "finalize"):
             decoded = self.comp.decompress([mine[b] for b in blocks])
         mine.update(zip(blocks, decoded))
 
@@ -248,11 +291,17 @@ class HomomorphicCodec(_CompressedCodec):
 class CompressedBcastCodec(_CompressedCodec):
     """Compressed broadcast: CPR at the root, per-rank validated DPR.
 
-    A rank whose stream is unrecoverable degrades *individually*: the
-    root re-sends that rank's share plain (``degrade_receive``).
+    The delivery ``store`` is the decode, charged like a finalize (the dry
+    run prices it through the generator's ``finalize=True`` variant, as it
+    cannot see a store).  A rank whose stream is unrecoverable degrades
+    *individually*: the root re-sends that rank's share plain
+    (``degrade_receive``).
     """
 
-    slots = {"setup": "compress", "finalize": "decompress"}
+    discipline = Discipline(
+        "hz-bcast", compressed_wire=True, prepare=(("CPR", "cpr"),),
+        finalize=(("DPR", "dpr"),), slots=_SPANNED,
+    )
 
     def __init__(self, cluster: SimCluster, config, data: np.ndarray) -> None:
         super().__init__(cluster, config)
@@ -263,7 +312,7 @@ class CompressedBcastCodec(_CompressedCodec):
 
     def store(self, rank, blocks, items, state):
         for b, item in zip(blocks, items):
-            with self.cluster.timed(rank, "DPR"):
+            with self._timed(rank, "finalize"):
                 state[rank][b] = self.comp.decompress(item)
 
     def degrade_receive(self, comm, state):
@@ -271,3 +320,21 @@ class CompressedBcastCodec(_CompressedCodec):
         for b in comm.blocks:
             state[comm.dst][b] = self.data.copy()
         return self.data.nbytes
+
+
+#: codec kind (what a family stage and a
+#: :class:`~repro.schedule.mp_executor.CodecSpec` name) → codec class
+CODECS: dict[str, type[PayloadCodec]] = {
+    "plain": PlainCodec,
+    "doc-reduce": DocReduceCodec,
+    "doc-gather": DocGatherCodec,
+    "homomorphic": HomomorphicCodec,
+    "compressed-bcast": CompressedBcastCodec,
+}
+
+
+def discipline_of(kind: str, slots=None) -> Discipline:
+    """Codec ``kind``'s table, with ``slots`` replacing its phase slots
+    when given (a family stage that runs phases unspanned or skips them)."""
+    table = CODECS[kind].discipline
+    return table if slots is None else replace(table, slots=slots)

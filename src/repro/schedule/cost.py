@@ -1,10 +1,14 @@
 """Cost-model dry runs over the *same* schedule objects the executor runs.
 
 Where the executor pairs a schedule with a :class:`PayloadCodec` (real
-kernels, virtual clocks), :func:`schedule_cost` pairs it with a
-:class:`Discipline` — a pure charge table mapping the IR's verbs to
-``(bucket, rate)`` pairs — and evaluates the closed-form §III-C costs:
+kernels, virtual clocks), :func:`schedule_cost` pairs it with that
+codec's :class:`Discipline` — the pure charge table mapping the IR's
+verbs to ``(bucket, rate)`` pairs that every codec class declares once
+(:mod:`repro.schedule.codecs`; this module defines the type and builds
+no table) — and evaluates the closed-form §III-C costs:
 
+* a phase whose slot the table maps to ``None`` is skipped, as the
+  executor skips it;
 * per round, each clock bucket is charged the **max over ranks** (the
   bulk-synchronous round closes on its slowest participant);
 * ``exchange`` rounds add one transfer of the largest in-flight message,
@@ -17,9 +21,11 @@ kernels, virtual clocks), :func:`schedule_cost` pairs it with a
   ``total_time`` is the sum of round *makespans*, deliberately less than
   the sum of its buckets.
 
-Schedules are structurally profiled once per discipline (ranks collapse
-to distinct charge rows), so dry-running a 512-rank ring costs roughly a
-round loop, not a quarter-million dataclass visits per call.
+Schedules are structurally profiled once per table (ranks collapse to
+distinct charge rows), so dry-running a 512-rank ring costs roughly a
+round loop, not a quarter-million dataclass visits per call.  The same
+profile yields the α–β wire terms (:func:`wire_summary`) and the block
+operations each bucket is charged (:func:`block_counts`).
 """
 
 from __future__ import annotations
@@ -36,12 +42,8 @@ from .ir import Schedule
 
 __all__ = [
     "Discipline",
-    "PLAIN",
-    "DOC_REDUCE",
-    "DOC_GATHER",
-    "HZ_REDUCE",
-    "HZ_GATHER",
     "schedule_cost",
+    "block_counts",
     "combine",
     "profile_stats",
     "WireSummary",
@@ -60,17 +62,19 @@ Charge = tuple[tuple[str, str], ...]
 class Discipline:
     """Pure charge table: what each IR verb costs under one payload style.
 
-    The dry-run analogue of a :class:`~repro.schedule.codecs.PayloadCodec`
-    — same verbs, rates instead of kernels.  ``finalize_batched`` selects
-    one invocation over all of a finalize op's blocks versus one per
-    block, and mirrors what the codecs execute: ``HomomorphicCodec``
-    decodes a finalize op's blocks in one ``FZLight.decompress`` sweep,
-    while the DOC codecs call the kernel once per block (C-Coll's
-    per-chunk decodes — ``DOC_GATHER`` below).  ``prepare`` is charged one
+    Each :class:`~repro.schedule.codecs.PayloadCodec` class carries one as
+    its ``discipline`` — same verbs, rates instead of kernels.
+    ``finalize_batched`` selects one invocation over all of a finalize
+    op's blocks versus one per block, and mirrors what the codecs execute:
+    ``HomomorphicCodec`` decodes a finalize op's blocks in one
+    ``FZLight.decompress`` sweep, while the DOC codecs call the kernel once
+    per block (C-Coll's per-chunk decodes).  ``prepare`` is charged one
     invocation per op *as the generator emitted it*; the executor may hand
     adjacent same-rank prepares to the codec as one sweep, so for the hz
-    disciplines the model's setup term is an upper bound on the executed
-    kernel-launch count, never an underestimate.
+    tables the model's setup term is an upper bound on the executed
+    kernel-launch count, never an underestimate.  A ``fold_fused`` op is
+    charged to the ``fold`` bucket at the fused k-way rate.  ``slots`` maps
+    a phase slot to its span name (see :meth:`phase_name`).
     """
 
     name: str
@@ -80,46 +84,12 @@ class Discipline:
     fold: Charge = ()
     finalize: Charge = ()
     finalize_batched: bool = True
+    slots: tuple[tuple[str, str | None], ...] = ()
 
-
-PLAIN = Discipline("plain", compressed_wire=False, fold=(("CPT", "cpt"),))
-DOC_REDUCE = Discipline(
-    "doc-reduce",
-    compressed_wire=True,
-    pack=(("CPR", "cpr"),),
-    fold=(("DPR", "dpr"), ("CPT", "cpt")),
-)
-DOC_GATHER = Discipline(
-    "doc-gather",
-    compressed_wire=True,
-    prepare=(("CPR", "cpr"),),
-    finalize=(("DPR", "dpr"),),
-    finalize_batched=False,
-)
-HZ_REDUCE = Discipline(
-    "hz-reduce",
-    compressed_wire=True,
-    prepare=(("CPR", "cpr"),),
-    fold=(("HPR", "hpr"),),
-    finalize=(("DPR", "dpr"),),
-)
-#: the fused allreduce's allgather stage: inputs arrive compressed (no
-#: prepare) and leave through one batched decode.
-HZ_GATHER = Discipline(
-    "hz-gather",
-    compressed_wire=True,
-    finalize=(("DPR", "dpr"),),
-)
-#: compressed broadcast: one encode at the root, compressed bytes on the
-#: tree, one decode per receiving rank (the tuner prices the decode via
-#: the generator's ``finalize=True`` pricing variant — the executed
-#: schedule decodes on the delivery store, which a dry run cannot see).
-HZ_BCAST = Discipline(
-    "hz-bcast",
-    compressed_wire=True,
-    prepare=(("CPR", "cpr"),),
-    finalize=(("DPR", "dpr"),),
-)
+    def phase_name(self, slot: str) -> str | None:
+        """The span a ``slot`` phase runs under: ``None`` skips the phase
+        (executor and dry run alike), ``""`` runs it without a span."""
+        return dict(self.slots).get(slot, slot)
 
 
 # --------------------------------------------------------------------- #
@@ -135,8 +105,9 @@ HZ_BCAST = Discipline(
 # thousands of throwaway schedules cannot accumulate profiles, and a
 # recycled id() can never serve a stale profile (the old entry is gone
 # before the id can be reused).  Each live schedule carries one memo of
-# profiles keyed by discipline name.
-_PROFILE_CACHE: dict[int, tuple[weakref.ref, dict[str, list]]] = {}
+# profiles keyed by the table's *value* (two tables may share a name —
+# a stage's slot override keeps its codec's), ``None`` for the comms alone.
+_PROFILE_CACHE: dict[int, tuple[weakref.ref, dict[Discipline | None, list]]] = {}
 
 # Build/hit counters over the life of the process.  The tuner's candidate
 # enumeration depends on profile *reuse* (one build per (schedule,
@@ -161,12 +132,15 @@ def _coeff(schedule: Schedule, blocks) -> tuple[int, float]:
     return nd, w
 
 
-def _profile(schedule: Schedule, discipline: Discipline) -> list:
+def _profile(schedule: Schedule, discipline: Discipline | None) -> list:
+    """Per-round charge rows and wire terms of ``schedule`` under
+    ``discipline`` (``None``: no charges, no phase skipped — the comms
+    alone)."""
     key = id(schedule)
     hit = _PROFILE_CACHE.get(key)
     if hit is not None and hit[0]() is schedule:
         memo = hit[1]
-        cached = memo.get(discipline.name)
+        cached = memo.get(discipline)
         if cached is not None:
             _PROFILE_STATS["hits"] += 1
             return cached
@@ -177,8 +151,19 @@ def _profile(schedule: Schedule, discipline: Discipline) -> list:
         )
         _PROFILE_CACHE[key] = (ref, memo)
 
+    pack, fold, prepare, finalize = (
+        getattr(discipline, verb, ())
+        for verb in ("pack", "fold", "prepare", "finalize")
+    )
+    # a phase the table skips is skipped here too, as the executor does
+    rounds = [
+        rnd
+        for phase in schedule.phases
+        if discipline is None or discipline.phase_name(phase.slot) is not None
+        for rnd in phase.rounds
+    ]
     profile = []
-    for rnd in schedule.rounds():
+    for rnd in rounds:
         serial: dict[int, dict] = defaultdict(dict)
         over: dict[int, dict] = defaultdict(dict)
 
@@ -206,33 +191,34 @@ def _profile(schedule: Schedule, discipline: Discipline) -> list:
                     > wire_max[0] / schedule.n_ranks + wire_max[1]
                 ):
                     wire_max = (nd, w)
-            for bucket, rate in discipline.pack:
+            for bucket, rate in pack:
                 add(serial, comm.src, bucket, rate, nd, w, 1)
             if comm.action == "fold":
-                for bucket, rate in discipline.fold:
+                for bucket, rate in fold:
                     add(serial, comm.dst, bucket, rate, nd, w,
                         1 if comm.fresh else 0)
 
         for op in rnd.ops:
             nd, w = _coeff(schedule, op.blocks)
             if op.kind == "prepare":
-                for bucket, rate in discipline.prepare:
+                for bucket, rate in prepare:
                     add(serial, op.rank, bucket, rate, nd, w,
                         1 if op.fresh else 0)
             elif op.kind == "fold":
                 table = over if rnd.overlap else serial
-                for bucket, rate in discipline.fold:
+                for bucket, rate in fold:
                     add(table, op.rank, bucket, rate, nd, w,
                         1 if op.fresh else 0)
             elif op.kind == "fold_fused":
                 # the fused rate (k·IFE + FE) already spans all k operands
                 # — the size coefficient is one operand, not their sum
                 nd1, w1 = _coeff(schedule, op.blocks[:1])
-                add(serial, op.rank, "HPR", ("fused", op.fanin), nd1, w1,
-                    1 if op.fresh else 0)
-            elif op.kind == "finalize":
+                for bucket, _rate in fold[:1]:
+                    add(serial, op.rank, bucket, ("fused", op.fanin), nd1,
+                        w1, 1 if op.fresh else 0)
+            elif op.kind == "finalize" and finalize:
                 n_inv = 1 if discipline.finalize_batched else len(op.blocks)
-                for bucket, rate in discipline.finalize:
+                for bucket, rate in finalize:
                     add(serial, op.rank, bucket, rate, nd, w, n_inv)
             # finalize_local: executed functionally, uncharged here — the
             # paper books N−1 decodes by not counting the own-block one
@@ -265,7 +251,7 @@ def _profile(schedule: Schedule, discipline: Discipline) -> list:
             )
         )
 
-    memo[discipline.name] = profile
+    memo[discipline] = profile
     _PROFILE_STATS["builds"] += 1
     return profile
 
@@ -354,6 +340,31 @@ def schedule_cost(
     return Breakdown(buckets=full, total_time=total)
 
 
+def block_counts(schedule: Schedule, discipline: Discipline) -> dict[str, int]:
+    """Block operations each clock bucket is charged in a dry run.
+
+    Per round, a rank's count is the number of default-weighted blocks
+    (``1/n`` of the payload each) its charges cover; the round adds its
+    max over ranks, as :func:`schedule_cost` adds its slowest rank's time.
+    These count blocks, not kernel invocations: a batched sweep over
+    ``k`` blocks counts ``k``.
+    """
+    counts: dict[str, int] = defaultdict(int)
+    for _overlap, _comm, rows, _flows, _scale, _wire in _profile(
+        schedule, discipline
+    ):
+        most: dict[str, int] = {}
+        for srow, orow in rows:
+            mine: dict[str, int] = defaultdict(int)
+            for (bucket, _rate), (nd, _w, _n_ov) in srow + orow:
+                mine[bucket] += nd
+            for bucket, nd in mine.items():
+                most[bucket] = max(most.get(bucket, 0), nd)
+        for bucket, nd in most.items():
+            counts[bucket] += nd
+    return dict(counts)
+
+
 def combine(*parts: Breakdown) -> Breakdown:
     """Sum stage Breakdowns (reduce-scatter + allgather compositions)."""
     full = {
@@ -390,8 +401,8 @@ class WireSummary:
 def wire_summary(schedule: Schedule, total_bytes: int) -> WireSummary:
     """The α–β wire terms of ``schedule`` at ``total_bytes`` per rank.
 
-    They come from the comms alone, so any discipline's profile gives
-    them; the plain one is used.
+    They come from the comms alone: every phase is walked, whatever a
+    codec would skip.
     """
     ensure_positive(total_bytes, "total_bytes")
     n = schedule.n_ranks
@@ -401,7 +412,7 @@ def wire_summary(schedule: Schedule, total_bytes: int) -> WireSummary:
 
     hops, crit, messages, total = 0, 0.0, 0, 0.0
     for _overlap, comm_spec, _rows, _flows, _scale, wire_tot in _profile(
-        schedule, PLAIN
+        schedule, None
     ):
         tot_nd, tot_w, n_msgs = wire_tot
         messages += n_msgs

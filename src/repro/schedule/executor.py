@@ -120,7 +120,7 @@ class ScheduleExecutor:
         pending: dict[tuple[int, Hashable], Any] = {}
         try:
             for phase in schedule.phases:
-                name = self.codec.phase_name(phase.slot)
+                name = self.codec.discipline.phase_name(phase.slot)
                 if name is None:
                     continue  # this discipline has nothing to do here
                 # "" runs the phase without opening a span
@@ -212,7 +212,7 @@ class ScheduleExecutor:
         :data:`TRANSPORT` row."""
         cluster = self.cluster
         channel = cluster.channel
-        payer, ride, copies = carriage(comm, self.codec.compressed_wire)
+        payer, ride, copies = carriage(comm, self.codec.discipline.compressed_wire)
         src, dst = comm.src, comm.dst
         if payer == "link":
             channel.charge_link(src, dst, sent, flows, scale)

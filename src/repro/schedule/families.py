@@ -1,13 +1,18 @@
 """The stage half of the collective family table.
 
 Every collective family is declared **once**: which schedule generator
-its stages call, under which codec (a picklable
-:class:`~repro.schedule.mp_executor.CodecSpec` kind plus slot map), and
-which :class:`~repro.schedule.cost.Discipline` prices it.  This module
-holds that half of each row — :data:`STAGES` maps a family name to its
-ordered tuple of :class:`StageSpec` — so the tuner
-(:func:`~repro.schedule.tuner.candidate_stages`) and the analytic model
-(``repro.core.cost_model.model_*``) price, and the interpreter in
+its stages call and under which codec kind (a
+:data:`~repro.schedule.codecs.CODECS` key, built on either plane by a
+picklable :class:`~repro.schedule.mp_executor.CodecSpec`).  A stage is
+schedule × codec: it names no charge table of its own.  What prices it
+is its codec's one declared :class:`~repro.schedule.cost.Discipline`,
+with the stage's ``slots`` when it overrides them
+(:attr:`StageSpec.discipline`) — the table the codec executes under.
+This module holds that half of each row — :data:`STAGES` maps a family
+name to its ordered tuple of :class:`StageSpec` — so the tuner
+(:func:`~repro.schedule.tuner.candidate_stages`), the analytic model
+(``repro.core.cost_model.model_*``) and the §III-C operation counts
+(``repro.core.analysis``) price, and the interpreter in
 :mod:`repro.collectives.interpreter` runs, the *same* stage objects: what
 is priced is what is executed.  The collective half of a row (span name,
 validation, seed and gather rules, the plain family it degrades to) lives
@@ -18,9 +23,10 @@ plus one row: a ``StageSpec`` tuple here, a ``Family`` there.
 
 A quirk of one family is a field of its stage, never a branch in the
 interpreter: ``sync_sizes`` (the size-sync charge ahead of a compressed
-allgather), ``slots`` (phases run unspanned or skipped), ``per_op_degrade``
-(the compressed broadcast degrades rank by rank and never aborts) and
-``priced`` (a pricing-only schedule variant).
+allgather), ``slots`` (phases run unspanned or skipped — a skipped phase
+is skipped by the dry run too), ``per_op_degrade`` (the compressed
+broadcast degrades rank by rank and never aborts) and ``priced`` (a
+pricing-only schedule variant).
 
 A stage's schedule is a generator call written as data: the generator,
 the names of the run's bound params it takes positionally (``n``,
@@ -32,21 +38,12 @@ of a row gets the same ``Schedule`` object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Callable
 
 from ..runtime.clock import Breakdown
-from .cost import (
-    DOC_GATHER,
-    DOC_REDUCE,
-    HZ_BCAST,
-    HZ_GATHER,
-    HZ_REDUCE,
-    PLAIN,
-    Discipline,
-    combine,
-    schedule_cost,
-)
+from .codecs import discipline_of
+from .cost import Discipline, combine, schedule_cost
 from .generators import (
     batched_fused_reduce,
     binomial_bcast,
@@ -68,15 +65,14 @@ Slots = tuple[tuple[str, "str | None"], ...]
 
 @dataclass(frozen=True, eq=False)
 class StageSpec:
-    """One executor stage of a family: schedule × codec × discipline."""
+    """One executor stage of a family: schedule × codec."""
 
     #: the (cached) schedule generator, the bound params it takes
     #: positionally, and its fixed keyword arguments
     generator: Callable[..., Schedule]
     args: tuple[str, ...]
-    #: :class:`~repro.schedule.mp_executor.CodecSpec` kind
+    #: :data:`~repro.schedule.codecs.CODECS` kind
     codec: str
-    discipline: Discipline
     fixed: tuple[tuple[str, Any], ...] = ()
     #: slot → span name (``None`` skips the phase, ``""`` runs it without
     #: a span); ``None`` keeps the codec's defaults
@@ -103,11 +99,22 @@ class StageSpec:
             *(params[name] for name in self.args), **dict(fixed)
         )
 
-    @property
-    def folds(self) -> bool:
-        """Runs homomorphic folds, so its engine's pipeline stats mean
-        something (a forward-and-decode stage has none to report)."""
-        return self.codec == "homomorphic" and bool(self.discipline.fold)
+    @cached_property
+    def discipline(self) -> Discipline:
+        """The table this stage is priced and run under: its codec's, with
+        the stage's ``slots`` if it names any.  One object per stage, so
+        every pricing of the stage reads the same table."""
+        return discipline_of(self.codec, self.slots)
+
+    def folds(self, schedule: Schedule) -> bool:
+        """Whether ``schedule`` (this stage's, as run) folds homomorphically,
+        so the engine's pipeline stats mean something (a forward-and-decode
+        stage has none to report)."""
+        return self.codec == "homomorphic" and any(
+            any(comm.action == "fold" for comm in rnd.comms)
+            or any(op.kind in ("fold", "fold_fused") for op in rnd.ops)
+            for rnd in schedule.rounds()
+        )
 
 
 # flat_gather takes an optional callable, so the generator itself is not
@@ -127,59 +134,55 @@ _ROOTED = ("n", "root")
 _PLACED = ("nodemap", "inter", "network")
 #: the fused hand-off: the owned block stays compressed (no decode phase)
 _FUSED = (("finalize", False),)
-#: inputs arrive compressed: no setup phase at all
+#: inputs arrive compressed: no setup phase at all (the ring allgather's
+#: prepare ops are neither run nor priced)
 _GATHER_SLOTS = (("setup", None), ("finalize", "decompress"))
 #: the compressed rooted reduce historically ran its gather and root
 #: decode without opening spans — ``""`` keeps the trace shape intact
 _UNSPANNED_REDUCE_SLOTS = (("setup", None), ("gather", ""), ("finalize", ""))
 _UNSPANNED_PLAIN_SLOTS = (("setup", None), ("finalize", None), ("gather", ""))
 
-_RS_PLAIN = StageSpec(ring_reduce_scatter, _N, "plain", PLAIN)
-_AG_PLAIN = StageSpec(ring_allgather, _N, "plain", PLAIN)
-_RS_DOC = StageSpec(ring_reduce_scatter, _N, "doc-reduce", DOC_REDUCE)
-_AG_DOC = StageSpec(ring_allgather, _N, "doc-gather", DOC_GATHER)
-_RS_HZ = StageSpec(ring_reduce_scatter, _N, "homomorphic", HZ_REDUCE)
-_RS_HZ_FUSED = StageSpec(
-    ring_reduce_scatter, _N, "homomorphic", HZ_REDUCE, fixed=_FUSED
-)
+_RS_PLAIN = StageSpec(ring_reduce_scatter, _N, "plain")
+_AG_PLAIN = StageSpec(ring_allgather, _N, "plain")
+_RS_DOC = StageSpec(ring_reduce_scatter, _N, "doc-reduce")
+_AG_DOC = StageSpec(ring_allgather, _N, "doc-gather")
+_RS_HZ = StageSpec(ring_reduce_scatter, _N, "homomorphic")
+_RS_HZ_FUSED = StageSpec(ring_reduce_scatter, _N, "homomorphic", fixed=_FUSED)
 _AG_HZ = StageSpec(
-    ring_allgather, _N, "homomorphic", HZ_GATHER,
-    slots=_GATHER_SLOTS, sync_sizes=True,
+    ring_allgather, _N, "homomorphic", slots=_GATHER_SLOTS, sync_sizes=True,
 )
 _PIPELINED_RS = StageSpec(
-    pipelined_ring_reduce_scatter, ("n", "chunks"), "homomorphic", HZ_REDUCE,
+    pipelined_ring_reduce_scatter, ("n", "chunks"), "homomorphic",
     fixed=_FUSED,
 )
 _PIPELINED_AG = StageSpec(
-    ring_allgather, ("n", "chunks"), "homomorphic", HZ_GATHER,
+    ring_allgather, ("n", "chunks"), "homomorphic",
     slots=_GATHER_SLOTS, sync_sizes=True,
 )
-_GATHER_PLAIN = StageSpec(_flat_gather, _ROOTED, "plain", PLAIN)
+_GATHER_PLAIN = StageSpec(_flat_gather, _ROOTED, "plain")
 _GATHER_PLAIN_UNSPANNED = StageSpec(
-    _flat_gather, _ROOTED, "plain", PLAIN, slots=_UNSPANNED_PLAIN_SLOTS
+    _flat_gather, _ROOTED, "plain", slots=_UNSPANNED_PLAIN_SLOTS
 )
 _GATHER_HZ = StageSpec(
-    _flat_gather, _ROOTED, "homomorphic", HZ_GATHER,
+    _flat_gather, _ROOTED, "homomorphic",
     fixed=(("finalize", True),), slots=_UNSPANNED_REDUCE_SLOTS,
 )
-_DIRECT_HZ = StageSpec(direct_reduce, _ROOTED, "homomorphic", HZ_REDUCE)
+_DIRECT_HZ = StageSpec(direct_reduce, _ROOTED, "homomorphic")
 _BATCHED_HZ = StageSpec(
-    batched_fused_reduce, ("n", "sessions", "root"), "homomorphic", HZ_REDUCE
+    batched_fused_reduce, ("n", "sessions", "root"), "homomorphic"
 )
-_BCAST_PLAIN = StageSpec(binomial_bcast, _ROOTED, "plain", PLAIN)
+_BCAST_PLAIN = StageSpec(binomial_bcast, _ROOTED, "plain")
 _BCAST_HZ = StageSpec(
-    binomial_bcast, _ROOTED, "compressed-bcast", HZ_BCAST,
+    binomial_bcast, _ROOTED, "compressed-bcast",
     fixed=(("deliver", True),), per_op_degrade=True,
     priced=(("finalize", True),),
 )
-_RABENSEIFNER_PLAIN = StageSpec(
-    rabenseifner_allreduce_schedule, _N, "plain", PLAIN
-)
+_RABENSEIFNER_PLAIN = StageSpec(rabenseifner_allreduce_schedule, _N, "plain")
 _RABENSEIFNER_HZ = StageSpec(
-    rabenseifner_allreduce_schedule, _N, "homomorphic", HZ_REDUCE
+    rabenseifner_allreduce_schedule, _N, "homomorphic"
 )
-_HIERARCHICAL_PLAIN = StageSpec(_hierarchical, _PLACED, "plain", PLAIN)
-_HIERARCHICAL_HZ = StageSpec(_hierarchical, _PLACED, "homomorphic", HZ_REDUCE)
+_HIERARCHICAL_PLAIN = StageSpec(_hierarchical, _PLACED, "plain")
+_HIERARCHICAL_HZ = StageSpec(_hierarchical, _PLACED, "homomorphic")
 
 #: family name → ordered stages.  A composed family lists the very stage
 #: objects of the families it nests (allreduce = reduce-scatter ∘

@@ -83,13 +83,7 @@ from ..runtime.mp_channel import (
     recv_frame,
 )
 from ..runtime.mp_cluster import MPCluster, RankResult
-from .codecs import (
-    CompressedBcastCodec,
-    DocGatherCodec,
-    DocReduceCodec,
-    HomomorphicCodec,
-    PlainCodec,
-)
+from .codecs import CODECS, discipline_of
 from .executor import Outcome, ScheduleExecutor, carriage
 from .ir import Schedule
 
@@ -109,7 +103,7 @@ class CodecSpec:
     byte-identical streams regardless of who runs the encode.
     """
 
-    kind: str  # plain | doc-reduce | doc-gather | homomorphic | compressed-bcast
+    kind: str  # a repro.schedule.codecs.CODECS key
     error_bound: float = 1e-3
     block_size: int = 32
     n_threadblocks: int = 8
@@ -119,43 +113,27 @@ class CodecSpec:
     #: full payload for the compressed broadcast's per-rank plain fallback
     bcast_data: Any = None
 
-    _KINDS = (
-        "plain",
-        "doc-reduce",
-        "doc-gather",
-        "homomorphic",
-        "compressed-bcast",
-    )
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in CODECS:
             raise ValueError(
-                f"unknown codec kind {self.kind!r}; one of {self._KINDS}"
+                f"unknown codec kind {self.kind!r}; one of {tuple(CODECS)}"
             )
         if self.kind == "compressed-bcast" and self.bcast_data is None:
             raise ValueError("compressed-bcast needs bcast_data")
 
     def build(self, cluster: SimCluster):
-        """Construct the codec bound to ``cluster`` as its charge sink."""
+        """Construct the codec bound to ``cluster`` as its charge sink,
+        under its kind's table with this spec's ``slots``."""
         config = SimpleNamespace(
             block_size=self.block_size,
             n_threadblocks=self.n_threadblocks,
             error_bound=self.error_bound,
         )
-        if self.kind == "plain":
-            codec = PlainCodec(cluster)
-        elif self.kind == "doc-reduce":
-            codec = DocReduceCodec(cluster, config)
-        elif self.kind == "doc-gather":
-            codec = DocGatherCodec(cluster, config)
-        elif self.kind == "homomorphic":
-            codec = HomomorphicCodec(cluster, config)
-        else:
-            codec = CompressedBcastCodec(
-                cluster, config, np.asarray(self.bcast_data, dtype=np.float32)
-            )
-        if self.slots is not None:
-            codec.slots = dict(self.slots)
+        data = () if self.bcast_data is None else (
+            np.asarray(self.bcast_data, dtype=np.float32),
+        )
+        codec = CODECS[self.kind](cluster, config, *data)
+        codec.discipline = discipline_of(self.kind, self.slots)
         return codec
 
 
@@ -360,8 +338,8 @@ def execute_rank(
     codec = job.spec.build(sim)
     pool.deadline_s = job.recv_deadline_s
     wire = _RankWire(
-        rank, sim.channel, codec.compressed_wire, pool, recv_channels, job,
-        poll_control,
+        rank, sim.channel, codec.discipline.compressed_wire, pool,
+        recv_channels, job, poll_control,
     )
     # sparse rank-indexed state: this worker only ever touches its own
     # slice (codec verbs are all rank-local); None elsewhere keeps any

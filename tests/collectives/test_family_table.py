@@ -16,6 +16,7 @@ from repro.core.pipeline import CollectiveRequest, plan
 from repro.runtime import SimCluster
 from repro.runtime.nodemap import NodeMap
 from repro.schedule import ScheduleExecutor, families
+from repro.schedule.codecs import CODECS
 from repro.schedule.families import STAGES
 from repro.schedule.tuner import (
     TUNABLE_OPS,
@@ -164,13 +165,7 @@ def executed(monkeypatch):
     return seen
 
 
-CODEC_CLASS = {
-    "plain": "PlainCodec",
-    "doc-reduce": "DocReduceCodec",
-    "doc-gather": "DocGatherCodec",
-    "homomorphic": "HomomorphicCodec",
-    "compressed-bcast": "CompressedBcastCodec",
-}
+CODEC_CLASS = {kind: codec.__name__ for kind, codec in CODECS.items()}
 
 
 def _assert_priced_is_run(row: Family, priced, executed, params):

@@ -1,6 +1,6 @@
 """Regression tests for the schedule-profile cache in the cost model.
 
-The cache maps ``id(schedule)`` → profile for O(1) dry-run lookups.  Two
+The cache maps ``id(schedule)`` → profile for O(1) dry-run lookups.  Three
 historical bugs are pinned here:
 
 * the cache used to hold a **strong** reference to every schedule it
@@ -8,23 +8,31 @@ historical bugs are pinned here:
   profiles without bound;
 * because entries outlived their schedules, a recycled ``id()`` could
   serve a *stale* profile for a brand-new, structurally different
-  schedule.
+  schedule;
+* an entry's memo was keyed by the charge table's *name*, so a second
+  table that kept it (as a stage's slot override keeps its codec's) was
+  served the first table's profile.
 
 The fix keys the entry by id but holds only a ``weakref`` whose callback
 evicts the entry the moment the schedule is collected — before its id
-can ever be reused — plus an identity check on lookup.
+can ever be reused — plus an identity check on lookup, and keys the memo
+by the table's value.
 """
 
 import gc
+from dataclasses import replace
 
 import pytest
 
 from repro.core.cost_model import PAPER_BROADWELL
 from repro.runtime.network import NetworkModel
-from repro.schedule.cost import HZ_REDUCE, PLAIN, _PROFILE_CACHE, schedule_cost
+from repro.schedule.codecs import HomomorphicCodec, PlainCodec
+from repro.schedule.cost import _PROFILE_CACHE, schedule_cost
 from repro.schedule.ir import CommOp, Phase, Round, Schedule
 
 NET = NetworkModel()
+PLAIN = PlainCodec.discipline
+HZ_REDUCE = HomomorphicCodec.discipline
 
 
 def _throwaway_schedule(n: int, tag: int) -> Schedule:
@@ -89,7 +97,7 @@ def test_profiles_memoised_per_discipline():
     plain = schedule_cost(sched, PLAIN, 1 << 16, PAPER_BROADWELL, NET)
     hz = schedule_cost(sched, HZ_REDUCE, 1 << 16, PAPER_BROADWELL, NET)
     memo = _PROFILE_CACHE[id(sched)][1]
-    assert set(memo) == {"plain", "hz-reduce"}
+    assert set(memo) == {PLAIN, HZ_REDUCE}
     # repeat calls reproduce exactly (served from the memo)
     assert (
         schedule_cost(sched, PLAIN, 1 << 16, PAPER_BROADWELL, NET).total_time
@@ -107,3 +115,17 @@ def test_rejects_non_positive_bytes():
     sched = _throwaway_schedule(4, tag=4)
     with pytest.raises(ValueError):
         schedule_cost(sched, PLAIN, 0, PAPER_BROADWELL, NET)
+
+
+def test_tables_sharing_a_name_are_profiled_apart():
+    """The memo is keyed by the table's value: a table that keeps another's
+    name is priced by its own charges, not served the other's profile."""
+    hpr_fold = replace(PLAIN, fold=(("HPR", "hpr"),))
+    sched = _throwaway_schedule(4, tag=5)
+    schedule_cost(sched, PLAIN, 1 << 16, PAPER_BROADWELL, NET)
+    cost = schedule_cost(sched, hpr_fold, 1 << 16, PAPER_BROADWELL, NET)
+    fresh = schedule_cost(
+        _throwaway_schedule(4, tag=6), hpr_fold, 1 << 16, PAPER_BROADWELL, NET
+    )
+    assert cost.buckets["CPT"] == 0.0
+    assert cost.buckets["HPR"] == fresh.buckets["HPR"] > 0.0

@@ -39,7 +39,7 @@ def _distinct_stage_pairs() -> int:
         for sched, disc in candidate_stages(
             cand, N, NODEMAP if cand.hierarchical else None
         ):
-            pairs.add((id(sched), disc.name))
+            pairs.add((id(sched), disc))
     return len(pairs)
 
 
