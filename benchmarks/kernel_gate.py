@@ -27,7 +27,14 @@ so the gate travels between laptops and CI runners without retuning:
    NumPy reference backend, on the dense 256 KB block, one HPR must cost
    no more than :data:`RING_FOLD_OVER_DOC_CEILING` times one DPR plus one
    CPR: what ``ccoll`` pays per ring round for the fold HPR replaces
-   (§III-C, here where kernel throughput decides it).
+   (§III-C, here where kernel throughput decides it);
+7. **the ring fold as executed, against the paper's HPR** — on the NumPy
+   reference backend, at the 256 KB ring block, one ring round's compute
+   as the collectives run it (``ring_fold_256kb``: the rank's quantised
+   partial plus one received stream, then the encode of the sum) must
+   cost no more than :data:`RING_FOLD_OVER_HPR_CEILING` times one
+   two-stream HPR (``hpr_256kb``) of the same run: keeping the own
+   partial quantised must keep paying for itself.
 
 Usage::
 
@@ -60,6 +67,8 @@ SWEEP_FLOOR = 3.0
 FOLD_OVER_DOC_CEILING = 1.0
 #: maximum hpr_256kb / (dpr_256kb + cpr_256kb)
 RING_FOLD_OVER_DOC_CEILING = 1.0
+#: maximum ring_fold_256kb / hpr_256kb
+RING_FOLD_OVER_HPR_CEILING = 0.9
 
 
 def fold_over_doc(floor: dict) -> float:
@@ -72,6 +81,11 @@ def ring_fold_over_doc(floor: dict) -> float:
     """``hpr_256kb`` over one DOC ring round (DPR + add + CPR)."""
     doc_step = floor["dpr_256kb"]["seconds"] + floor["cpr_256kb"]["seconds"]
     return floor["hpr_256kb"]["seconds"] / doc_step
+
+
+def ring_fold_over_hpr(floor: dict) -> float:
+    """``ring_fold_256kb`` over the two-stream ``hpr_256kb``."""
+    return floor["ring_fold_256kb"]["seconds"] / floor["hpr_256kb"]["seconds"]
 
 
 def _parse_triples(specs: list[str], parts: int, flag: str) -> list[list[str]]:
@@ -186,6 +200,17 @@ def main(argv: list[str] | None = None) -> int:
                 f"({doc_step}), ceiling {ceiling:.2f}x"
             )
 
+    ratio = ring_fold_over_hpr(floor)
+    print(
+        f"[numpy] ring fold vs HPR at 256 KB: ring_fold_256kb / hpr_256kb "
+        f"= {ratio:.2f} (ceiling {RING_FOLD_OVER_HPR_CEILING:.2f})"
+    )
+    if ratio > RING_FOLD_OVER_HPR_CEILING:
+        failures.append(
+            f"numpy/ring_fold_256kb: {ratio:.2f}x the two-stream HPR "
+            f"(hpr_256kb), ceiling {RING_FOLD_OVER_HPR_CEILING:.2f}x"
+        )
+
     if failures:
         print("\nKERNEL GATE FAILED")
         for f in failures:
@@ -196,7 +221,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(speedup_gates)} speedup floors, "
         f"sweep floor {SWEEP_FLOOR:.1f}x, "
         f"fold/DOC ceiling {FOLD_OVER_DOC_CEILING:.2f}, "
-        f"ring fold/DOC ceiling {RING_FOLD_OVER_DOC_CEILING:.2f})"
+        f"ring fold/DOC ceiling {RING_FOLD_OVER_DOC_CEILING:.2f}, "
+        f"ring fold/HPR ceiling {RING_FOLD_OVER_HPR_CEILING:.2f})"
     )
     return 0
 

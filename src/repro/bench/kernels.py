@@ -23,7 +23,10 @@ DPR / HPR call on a 4 KB field, and CPR / DPR over eight 2 KB blocks both
 as eight calls and as one batched sweep — the amortisation
 ``benchmarks/kernel_gate.py`` gates on — plus one CPR / DPR / HPR call on
 the dense 256 KB ``fold_split`` block, the ring step the gate weighs the
-fold against.  ``fold_split`` takes one dense
+fold against.  The ``hpr_*`` rows are the paper's HPR (two compressed
+operands); the ``ring_fold_*`` rows are one ring round's compute as the
+collectives run it — a quantised own partial plus one received stream,
+then the encode of the sum.  ``fold_split`` takes one dense
 k = 2 fold apart (engine wrapper, operand decodes, accumulate, classify +
 encode, result container), the stages timed inside the fold, at a 2 KB
 ring block, the 4 KB floor probe and a 256 KB block: the biggest row is
@@ -48,7 +51,7 @@ from ..compression.encoding import (
     encode_into,
     payload_offsets,
 )
-from ..compression.format import CompressedField
+from ..compression.format import CompressedField, QuantisedField
 from ..compression.fzlight import FZLight
 from ..homomorphic import hzdynamic
 from ..homomorphic.hzdynamic import HZDynamic
@@ -59,7 +62,7 @@ from ..kernels.dispatch import (
     use_backend,
 )
 from ..kernels.numpy_backend import make_reduce_fused
-from .timing import best_of, throughput_gbps
+from .timing import best_of, best_of_each, throughput_gbps
 
 __all__ = [
     "REDUCE_KS",
@@ -228,7 +231,9 @@ def _dense_pair(n: int) -> list[np.ndarray]:
 
 def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
     """Per-call fixed cost on tiny fields, where orchestration is the work,
-    and the same three calls on the dense 256 KB ``fold_split`` block."""
+    and the same three calls on the dense 256 KB ``fold_split`` block; at
+    both sizes also one ring round's fold as the collectives run it (the
+    rank's own partial quantised, one received stream, the sum coded)."""
     rng = np.random.default_rng(5)
 
     def walk(n: int) -> np.ndarray:
@@ -239,17 +244,28 @@ def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
     field_a, field_b = walk(1024), walk(1024)
     blocks = [walk(512) for _ in range(8)]
     ring_walks = _dense_pair(_SPLIT_ELEMENTS["256kb"])
+    def ring_fold(own: QuantisedField, received: CompressedField):
+        # one ring round's compute: fold the received stream into the
+        # rank's quantised partial, then code the sum it sends next; the
+        # fold consumes its partial, so each call folds a fresh copy
+        partial = replace(own, deltas=own.deltas.copy())
+        return comp.compress(engine.reduce_fused((partial, received)))
+
     with use_backend(backend):
         pair = comp.compress([field_a, field_b], abs_eb=_FLOOR_EB)
         fields = comp.compress(blocks, abs_eb=_FLOOR_EB)
         ring = comp.compress(ring_walks, abs_eb=_FLOOR_EB)
+        own_4kb = comp.quantise(field_a, abs_eb=_FLOOR_EB)
+        own_256kb = comp.quantise(ring_walks[0], abs_eb=_FLOOR_EB)
         cases = {
             "cpr_4kb": lambda: comp.compress(field_a, abs_eb=_FLOOR_EB),
             "dpr_4kb": lambda: comp.decompress(pair[0]),
             "hpr_4kb": lambda: engine.reduce_fused(pair),
+            "ring_fold_4kb": lambda: ring_fold(own_4kb, pair[1]),
             "cpr_256kb": lambda: comp.compress(ring_walks[0], abs_eb=_FLOOR_EB),
             "dpr_256kb": lambda: comp.decompress(ring[0]),
             "hpr_256kb": lambda: engine.reduce_fused(ring),
+            "ring_fold_256kb": lambda: ring_fold(own_256kb, ring[1]),
             "cpr_8x2kb_calls": lambda: [
                 comp.compress(b, abs_eb=_FLOOR_EB) for b in blocks
             ],
@@ -257,9 +273,12 @@ def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
             "dpr_8x2kb_calls": lambda: [comp.decompress(f) for f in fields],
             "dpr_8x2kb_sweep": lambda: comp.decompress(fields),
         }
+        # the gates read these rows as ratios of one another
         rows = {
-            name: {"seconds": best_of(fn, repeats=repeats, warmup=3).seconds}
-            for name, fn in cases.items()
+            name: {"seconds": seconds}
+            for name, seconds in best_of_each(
+                cases, repeats=repeats, warmup=3
+            ).items()
         }
     for kernel in ("cpr", "dpr"):
         rows[f"{kernel}_8x2kb_sweep"]["speedup_over_calls"] = (

@@ -56,6 +56,7 @@ __all__ = [
     "decode_blocks",
     "decode_selected",
     "encode_into",
+    "ensure_codable",
 ]
 
 DEFAULT_BLOCK_SIZE = 32
@@ -173,3 +174,24 @@ def encode_into(
     block_size = _check_block_size(block_size)
     deltas = _check_deltas(deltas, block_size)
     return get_backend().classify_encode(deltas, block_size)
+
+
+def ensure_codable(deltas: np.ndarray, bound: int) -> int:
+    """Check that ``deltas`` (``|deltas| <= bound``) fit the coder.
+
+    Returns ``bound`` when it already proves every magnitude fits in
+    :data:`MAX_CODE_LENGTH` bits, and otherwise the true peak magnitude
+    after one pass; raises ``OverflowError`` — the encoder's error — when
+    that peak does not fit.  A caller holding deltas it has not encoded
+    yet raises here, where an encode would have.
+    """
+    if bound < 1 << MAX_CODE_LENGTH:
+        return bound
+    # abs(-2**63) stays negative, so the range test catches it too
+    peak = int(np.abs(deltas).max(initial=0))
+    if not 0 <= peak < 1 << MAX_CODE_LENGTH:
+        raise OverflowError(
+            "prediction delta exceeds 32-bit magnitude; the error bound is "
+            "too tight for this data's dynamic range"
+        )
+    return peak

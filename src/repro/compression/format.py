@@ -35,6 +35,7 @@ __all__ = [
     "deltas_to_blocks",
     "blocks_to_deltas",
     "CompressedField",
+    "QuantisedField",
     "from_bytes",
 ]
 
@@ -292,6 +293,38 @@ class CompressedField:
             rows=self.rows,
             cols=self.cols,
         )
+
+
+@dataclass
+class QuantisedField:
+    """One array quantised but not yet coded: what an encode would encode.
+
+    ``deltas`` is the padded ``(total_blocks, block_size)`` grid of Lorenzo
+    deltas the fixed-length coder reads, ``outliers`` the thread-block
+    outliers, so ``FZLight.compress`` of a quantised field emits exactly
+    the stream compressing the original array would.  A collective keeps a
+    rank's own blocks in this form until a comm sends them: a homomorphic
+    fold adds a received stream into ``deltas`` in place, and a finalize
+    dequantises without decoding.  Never sent, never serialised.
+
+    ``bound`` is an upper bound on ``|deltas|``; a fold reads it to decide
+    whether its sum still fits int32.
+    """
+
+    n: int
+    error_bound: float
+    block_size: int
+    n_threadblocks: int
+    outliers: np.ndarray  # (n_threadblocks,) int64
+    deltas: np.ndarray  # (total_blocks, block_size) int32 / int64, owned
+    bound: int
+    #: fZ-light's 1-D Lorenzo stream only
+    predictor: int = PREDICTOR_LORENZO_1D
+    rows: int = 0
+    cols: int = 0
+
+    structure = CompressedField.structure
+    compatible_with = CompressedField.compatible_with
 
 
 def from_bytes(stream: bytes | memoryview) -> CompressedField:

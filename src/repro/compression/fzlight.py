@@ -32,6 +32,10 @@ per-member calls.  A single array is simply a batch of one.
 
 from __future__ import annotations
 
+import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -45,8 +49,18 @@ from ..utils.validation import (
     ensure_positive_int,
 )
 from .common import code_dtype, resolve_error_bound
-from .encoding import DEFAULT_BLOCK_SIZE, decode_blocks, encode_into
-from .format import BlockStructure, CompressedField, block_structure
+from .encoding import (
+    DEFAULT_BLOCK_SIZE,
+    decode_blocks,
+    encode_into,
+    ensure_codable,
+)
+from .format import (
+    BlockStructure,
+    CompressedField,
+    QuantisedField,
+    block_structure,
+)
 
 __all__ = [
     "FZLight",
@@ -123,6 +137,64 @@ class _Group:
         )
 
 
+def _refs_when_unreferenced() -> int:
+    """What :func:`sys.getrefcount` reports, from :func:`_free_grid`'s
+    scan, for a grid nothing else refers to (the kept list, the loop
+    variable, the call's argument — measured, as interpreters differ)."""
+    for grid in [np.empty(0)]:
+        return sys.getrefcount(grid)
+
+
+_UNREFERENCED = _refs_when_unreferenced()
+#: bytes of grids kept for reuse; beyond them a grid is not kept
+_KEPT_BYTES = 8 << 20
+_KEPT: list[np.ndarray] = []
+_KEPT_LOCK = threading.Lock()
+
+
+def _unlock_in_child() -> None:
+    # a forked child (an MPCluster worker) must not inherit the lock in
+    # whatever state another thread of the parent left it
+    global _KEPT_LOCK
+    _KEPT_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_unlock_in_child)
+
+
+def _free_grid(n: int, dtype) -> np.ndarray:
+    """A zeroed ``n``-element grid that no quantised field still views.
+
+    Quantised fields own their deltas, so a sweep cannot hand out arena
+    scratch — but allocating a fresh grid per sweep and freeing it when
+    its blocks were coded reshaped the allocator's heap for whatever ran
+    next: a plain op after hz got its fold buffers carved back to back
+    from the freed grids, 16 bytes apart modulo a page, and lost ~15 % to
+    4K aliasing.  So grids are recycled: the smallest kept grid that is
+    large enough and that nothing but the pool refers to (every field
+    viewing it is gone) is taken again, and one is allocated only when
+    none is free.  One pool per process, so threads share its bound.
+    """
+    nbytes = n * np.dtype(dtype).itemsize
+    with _KEPT_LOCK:
+        best = None
+        for grid in _KEPT:
+            if (
+                grid.nbytes >= nbytes
+                and (best is None or grid.nbytes < best.nbytes)
+                and sys.getrefcount(grid) == _UNREFERENCED
+            ):
+                best = grid
+        if best is None:
+            best = np.empty(nbytes, dtype=np.uint8)
+            if sum(grid.nbytes for grid in _KEPT) + nbytes <= _KEPT_BYTES:
+                _KEPT.append(best)
+        # viewed before the lock goes, so no other thread can take it
+        grid = best[:nbytes]
+    grid.fill(0)
+    return grid.view(dtype)
+
+
 @lru_cache(maxsize=256)
 def _layout(
     shapes: tuple[tuple[int, int], ...], block_size: int
@@ -149,6 +221,58 @@ def _back_to_back(parts: list[np.ndarray], tag: str) -> np.ndarray:
         return parts[0]
     out = get_arena().take(tag, sum(p.size for p in parts), parts[0].dtype)
     return np.concatenate(parts, out=out)
+
+
+def _deltas_back_to_back(held: list[QuantisedField]) -> np.ndarray:
+    """The deltas of ``held``, back to back, in the widest of their dtypes."""
+    widest = max(held, key=lambda q: q.deltas.itemsize).deltas.dtype
+    parts = [q.deltas.reshape(-1) for q in held]
+    if len(parts) == 1:
+        return parts[0]
+    out = get_arena().take("fz.grid", sum(p.size for p in parts), widest)
+    return np.concatenate(parts, out=out)
+
+
+def _caller_order(positions: list[int], items: list) -> list:
+    """``items`` (one per caller position in ``positions``) in caller order."""
+    out = [None] * len(items)
+    for i, item in zip(positions, items):
+        out[i] = item
+    return out
+
+
+def _encode(grid: np.ndarray, held: list[QuantisedField]) -> list[CompressedField]:
+    """Code ``grid`` — the deltas of ``held``, back to back — in one pass
+    and slice the stream into one field per member (views of the sweep's
+    arrays)."""
+    bs = held[0].block_size
+    code_lengths, payload, offsets = encode_into(grid.reshape(-1, bs), bs)
+    fields, b0 = [], 0
+    for q in held:
+        b1 = b0 + q.structure.total_blocks
+        lo, hi = int(offsets[b0]), int(offsets[b1])
+        fields.append(
+            CompressedField(
+                n=q.n,
+                error_bound=q.error_bound,
+                block_size=bs,
+                n_threadblocks=q.n_threadblocks,
+                outliers=q.outliers,
+                code_lengths=code_lengths[b0:b1],
+                payload=payload[lo:hi],
+                _offsets=offsets[b0 : b1 + 1] - lo,
+            )
+        )
+        b0 = b1
+    return fields
+
+
+def _is_quantised(data) -> bool:
+    return isinstance(data, QuantisedField) or (
+        isinstance(data, (list, tuple))
+        and bool(data)
+        and all(isinstance(q, QuantisedField) for q in data)
+    )
 
 
 def _sweeps(sizes: list[int], kinds: list | None = None):
@@ -212,7 +336,7 @@ class FZLight:
     # ------------------------------------------------------------------ #
     def compress(
         self,
-        data: np.ndarray | Sequence[np.ndarray],
+        data: np.ndarray | QuantisedField | Sequence,
         abs_eb: float | None = None,
         rel_eb: float | None = None,
     ) -> CompressedField | list[CompressedField]:
@@ -221,22 +345,76 @@ class FZLight:
         A list/tuple of arrays comes back as a list of fields in the same
         order, each byte-identical to compressing that array alone (a
         relative bound resolves against each array's own range).
+
+        :class:`QuantisedField` input (one or a sequence) is only coded —
+        it already carries its error bound — into exactly the stream
+        compressing its original array gives.
         """
+        if _is_quantised(data):
+            if abs_eb is not None or rel_eb is not None:
+                raise ValueError("a quantised field already has its error bound")
+            batch = not isinstance(data, QuantisedField)
+            held = list(data) if batch else [data]
+            fields = []
+            for lo, hi in _sweeps(
+                [q.n for q in held], [q.block_size for q in held]
+            ):
+                part = held[lo:hi]
+                fields += _encode(_deltas_back_to_back(part), part)
+            return fields if batch else fields[0]
+        batch, arrays = self._arrays(data, "compress")
+        fields: list[CompressedField] = []
+        for lo, hi in _sweeps([a.size for a in arrays]):
+            grid, positions, held = self._quantise_sweep(
+                arrays[lo:hi], abs_eb, rel_eb, private=False
+            )
+            fields += _caller_order(positions, _encode(grid, held))
+        return fields if batch else fields[0]
+
+    def quantise(
+        self,
+        data: np.ndarray | Sequence[np.ndarray],
+        abs_eb: float | None = None,
+        rel_eb: float | None = None,
+    ) -> QuantisedField | list[QuantisedField]:
+        """Quantise and predict ``data`` without coding it.
+
+        Same arguments, batching and sweep as :meth:`compress`, which is
+        this plus one fixed-length coding pass: ``compress(quantise(x))``
+        is byte-identical to ``compress(x)``.  Every member owns its
+        deltas (disjoint slices of a grid no other live field views, never
+        arena scratch), so a homomorphic fold may add into them in place.
+        """
+        batch, arrays = self._arrays(data, "quantise")
+        held: list[QuantisedField] = []
+        for lo, hi in _sweeps([a.size for a in arrays]):
+            _, positions, part = self._quantise_sweep(
+                arrays[lo:hi], abs_eb, rel_eb, private=True
+            )
+            held += _caller_order(positions, part)
+        return held if batch else held[0]
+
+    @staticmethod
+    def _arrays(data, verb: str) -> tuple[bool, list[np.ndarray]]:
+        """``(is a batch, the float32 arrays)`` of one array or a sequence."""
         batch = isinstance(data, (list, tuple)) and all(
             isinstance(a, np.ndarray) for a in data
         )
         arrays = [ensure_float_array(a) for a in (data if batch else (data,))]
         if not arrays:
-            raise ValueError("cannot compress an empty batch")
-        fields: list[CompressedField] = []
-        for lo, hi in _sweeps([a.size for a in arrays]):
-            fields += self._compress_sweep(arrays[lo:hi], abs_eb, rel_eb)
-        return fields if batch else fields[0]
+            raise ValueError(f"cannot {verb} an empty batch")
+        return batch, arrays
 
-    def _compress_sweep(
-        self, arrays: list[np.ndarray], abs_eb, rel_eb
-    ) -> list[CompressedField]:
-        """Quantise → predict → encode every array in one pass each."""
+    def _quantise_sweep(
+        self, arrays: list[np.ndarray], abs_eb, rel_eb, private: bool
+    ) -> tuple[np.ndarray, list[int], list[QuantisedField]]:
+        """Quantise → predict every array in one pass each.
+
+        Returns the sweep's delta grid, the caller positions of its
+        members in grid order, and the members in that order, each a view
+        of its slice of the grid.  The grid is arena scratch unless
+        ``private`` (the members then outlive the sweep).
+        """
         bounds = [
             resolve_error_bound(a, abs_eb=abs_eb, rel_eb=rel_eb) for a in arrays
         ]
@@ -267,7 +445,10 @@ class FZLight:
         # of every thread-block stays 0; its code is the thread-block's
         # outlier.
         dtype = code_dtype(peak)
-        grid = arena.take("fz.grid", n_blocks * bs, dtype, zero=True)
+        if private:
+            grid = _free_grid(n_blocks * bs, dtype)
+        else:
+            grid = arena.take("fz.grid", n_blocks * bs, dtype, zero=True)
         outliers = [
             np.zeros((len(group.members), n_tb), dtype=np.int64) for group in groups
         ]
@@ -281,60 +462,67 @@ class FZLight:
                 np.subtract(codes[:, :, 1:], codes[:, :, :-1], out=slots[:, :, 1:])
                 firsts[:, cols] = codes[:, :, 0]
 
-        code_lengths, payload, offsets = encode_into(grid.reshape(n_blocks, bs), bs)
-
-        # every field's arrays are slices of the sweep's
-        fields: list[CompressedField | None] = [None] * len(arrays)
+        # every |code| is at most ceil(peak), so a delta at most twice that
+        bound = 2 * math.ceil(peak)
+        if private:
+            bound = ensure_codable(grid, bound)
+        positions, held = [], []
         for group, firsts in zip(groups, outliers):
             per_field = group.structure.total_blocks
             for j, i in enumerate(group.members):
                 b0 = group.block0 + j * per_field
-                b1 = b0 + per_field
-                lo, hi = int(offsets[b0]), int(offsets[b1])
-                fields[i] = CompressedField(
-                    n=group.structure.n,
-                    error_bound=bounds[i],
-                    block_size=bs,
-                    n_threadblocks=n_tb,
-                    outliers=firsts[j],
-                    code_lengths=code_lengths[b0:b1],
-                    payload=payload[lo:hi],
-                    _offsets=offsets[b0 : b1 + 1] - lo,
+                positions.append(i)
+                held.append(
+                    QuantisedField(
+                        n=group.structure.n,
+                        error_bound=bounds[i],
+                        block_size=bs,
+                        n_threadblocks=n_tb,
+                        outliers=firsts[j],
+                        deltas=grid[b0 * bs : (b0 + per_field) * bs].reshape(
+                            per_field, bs
+                        ),
+                        bound=bound,
+                    )
                 )
-        return fields
+        return grid, positions, held
 
     # ------------------------------------------------------------------ #
     # decompression
     # ------------------------------------------------------------------ #
     def decompress(
-        self, compressed: CompressedField | Sequence[CompressedField]
+        self,
+        compressed: CompressedField | QuantisedField | Sequence,
     ) -> np.ndarray | list[np.ndarray]:
         """Reconstruct float32 data; error is bounded by ``error_bound``.
 
         A sequence of fields comes back as a list of arrays in the same
         order, bit-identical to decompressing each alone.  Every field is
         decoded under its own geometry and error bound; only neighbours with
-        one block size share a decode sweep.
+        one block size share a decode sweep.  A :class:`QuantisedField`
+        has nothing to decode: it is only dequantised, bit-identical to
+        decompressing its compressed stream.
         """
-        batch = not isinstance(compressed, CompressedField)
+        batch = not isinstance(compressed, (CompressedField, QuantisedField))
         fields = list(compressed) if batch else [compressed]
         if not fields:
             raise ValueError("cannot decompress an empty batch")
         out: list[np.ndarray] = []
         for lo, hi in _sweeps(
-            [f.n for f in fields], [f.block_size for f in fields]
+            [f.n for f in fields],
+            [(f.block_size, isinstance(f, QuantisedField)) for f in fields],
         ):
             out += self._decompress_sweep(fields[lo:hi])
         return out if batch else out[0]
 
-    def _decompress_sweep(self, fields: list[CompressedField]) -> list[np.ndarray]:
+    def _decompress_sweep(self, fields: list) -> list[np.ndarray]:
         """Decode → segmented prefix sum → dequantise, one pass each.
 
         The prefix sums run on *contiguous* runs of the decoded delta grid
         (each thread-block's real deltas sit in one run; padding only
         trails it), so neither they nor the dequantise pay a gather — the
         memory-access property the paper's multi-layer partitioning exists
-        to provide.
+        to provide.  Quantised members bring that grid already decoded.
         """
         arena = get_arena()
         bs = fields[0].block_size
@@ -342,6 +530,34 @@ class FZLight:
             tuple((f.n, f.n_threadblocks) for f in fields), bs
         )
         ordered = [fields[i] for group in groups for i in group.members]
+        if isinstance(ordered[0], QuantisedField):
+            flat = _deltas_back_to_back(ordered)
+        else:
+            flat = self._decode_sweep(ordered, n_blocks, bs).reshape(-1)
+        out: list[np.ndarray | None] = [None] * len(fields)
+        for group in groups:
+            m, structure = len(group.members), group.structure
+            outliers = arena.take("fz.out", (m, structure.n_threadblocks), np.int64)
+            twice_eb = np.empty((m, 1, 1))
+            for j, i in enumerate(group.members):
+                outliers[j] = fields[i].outliers
+                twice_eb[j] = 2.0 * fields[i].error_bound
+            # members of one geometry come back as the rows of one array
+            decoded = np.empty((m, structure.n), dtype=np.float32)
+            for slots, cols, values in group.runs(flat, decoded):
+                codes = arena.take("fz.codes", slots.shape, np.int64)
+                np.cumsum(slots, axis=2, dtype=np.int64, out=codes)
+                codes += outliers[:, cols, None]
+                np.multiply(codes, twice_eb, out=values, dtype=np.float64)
+            for j, i in enumerate(group.members):
+                out[i] = decoded[j]
+        return out
+
+    @staticmethod
+    def _decode_sweep(
+        ordered: list[CompressedField], n_blocks: int, bs: int
+    ) -> np.ndarray:
+        """The deltas of ``ordered``'s streams, back to back, in arena scratch."""
         code_lengths = _back_to_back([f.code_lengths for f in ordered], "fz.lens")
         payload = _back_to_back([f.payload for f in ordered], "fz.pay")
         # a lone field brings its layout; a batch is one longer stream
@@ -362,30 +578,10 @@ class FZLight:
                 fld.validate()  # raises, naming the mismatch
             b0 = b1
 
-        grid = arena.take(
+        grid = get_arena().take(
             "fz.grid", (n_blocks, bs), np.int64 if layout.max_c > 31 else np.int32
         )
-        decode_blocks(code_lengths, payload, bs, out=grid, layout=layout)
-
-        flat = grid.reshape(-1)
-        out: list[np.ndarray | None] = [None] * len(fields)
-        for group in groups:
-            m, structure = len(group.members), group.structure
-            outliers = arena.take("fz.out", (m, structure.n_threadblocks), np.int64)
-            twice_eb = np.empty((m, 1, 1))
-            for j, i in enumerate(group.members):
-                outliers[j] = fields[i].outliers
-                twice_eb[j] = 2.0 * fields[i].error_bound
-            # members of one geometry come back as the rows of one array
-            decoded = np.empty((m, structure.n), dtype=np.float32)
-            for slots, cols, values in group.runs(flat, decoded):
-                codes = arena.take("fz.codes", slots.shape, np.int64)
-                np.cumsum(slots, axis=2, dtype=np.int64, out=codes)
-                codes += outliers[:, cols, None]
-                np.multiply(codes, twice_eb, out=values, dtype=np.float64)
-            for j, i in enumerate(group.members):
-                out[i] = decoded[j]
-        return out
+        return decode_blocks(code_lengths, payload, bs, out=grid, layout=layout)
 
 
 def compress(

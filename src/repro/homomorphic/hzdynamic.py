@@ -35,6 +35,16 @@ for free; :meth:`HZDynamic.reduce_fused` accepts per-operand integer
 weights so a weighted combination (including negation) fuses into the
 single accumulation pass.  Non-linear reductions (min/max) are *not*
 homomorphic in this representation and are rejected explicitly.
+
+**The quantised operand.**  One operand may be a
+:class:`~repro.compression.format.QuantisedField` — an array quantised
+but not yet coded, which is how a collective holds a rank's own partial
+(NCCLZ's reduce-on-quantised-integers, HoSZp's homomorphic ops on the
+quantised form).  Then only the *streams* are decoded: their weighted
+deltas are added into that operand's grid in place, and the sum comes
+back quantised, to be coded once when a comm sends it.  The bytes the
+sum codes to, and the recorded statistics, are exactly those of the same
+fold over all-stream operands.
 """
 
 from __future__ import annotations
@@ -44,13 +54,19 @@ from typing import Sequence
 
 import numpy as np
 
-from ..compression.encoding import payload_offsets
-from ..compression.format import CompressedField
+from ..compression.encoding import (
+    decode_blocks,
+    ensure_codable,
+    payload_offsets,
+)
+from ..compression.format import CompressedField, QuantisedField
 from ..kernels.arena import get_arena
 from ..kernels.dispatch import KernelBackend, get_backend
 from ..obs.metrics import METRICS
 
 __all__ = ["PipelineStats", "HZDynamic", "homomorphic_sum"]
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass
@@ -229,9 +245,9 @@ class HZDynamic:
     # ------------------------------------------------------------------ #
     def reduce_fused(
         self,
-        fields: Sequence[CompressedField],
+        fields: Sequence[CompressedField | QuantisedField],
         weights: Sequence[int] | None = None,
-    ) -> CompressedField:
+    ) -> CompressedField | QuantisedField:
         """Fused k-way homomorphic reduction ``Σ wᵢ·xᵢ`` (default ``wᵢ = 1``).
 
         Classifies every block **once** across all ``k`` operands:
@@ -262,6 +278,15 @@ class HZDynamic:
         ``counts`` match what the sequential pairwise fold would have
         recorded (including blocks whose partial sums cancel to a constant
         mid-fold), while ``kway`` records the fused classification.
+
+        At most one operand may be a :class:`QuantisedField`, with weight
+        1 (anything else raises ``ValueError``).  It is **consumed**: the
+        streams are decoded and added into its grid in place, and the
+        result is a :class:`QuantisedField` over that grid (widened to
+        int64 only when the magnitude bound says int32 could overflow).
+        Coding it gives the stream this call returns for the all-stream
+        operands, and the statistics are that call's; a block's
+        "non-constant" flag is ``deltas.any(axis=1)``.
         """
         k = len(fields)
         if k == 0:
@@ -284,19 +309,36 @@ class HZDynamic:
                     "operands are not homomorphically compatible (need "
                     "identical length, block geometry and error bound)"
                 )
+        held = [j for j, f in enumerate(fields) if isinstance(f, QuantisedField)]
+        if len(held) > 1:
+            raise ValueError(
+                f"at most one quantised operand per fold, got {len(held)}"
+            )
+        if held and w[held[0]] != 1:
+            raise ValueError(
+                f"a quantised operand folds with weight 1, got {w[held[0]]}"
+            )
         if k == 1 and w[0] == 1:
             return a
 
         bs = a.block_size
-        nb = a.code_lengths.size
         # (k, nb) contribution matrix: operand j contributes to a block iff
         # the block is non-constant there and the weight is non-zero
         # (scaling by a non-zero integer preserves zero-ness exactly).
-        lens_mat = np.array([f.code_lengths for f in fields])
-        nzmat = lens_mat != 0
+        if held:
+            # a quantised block would code to a non-zero length iff any
+            # of its deltas is non-zero
+            nzmat = np.array([
+                f.deltas.any(axis=1) if j == held[0] else f.code_lengths != 0
+                for j, f in enumerate(fields)
+            ])
+        else:
+            lens_mat = np.array([f.code_lengths for f in fields])
+            nzmat = lens_mat != 0
         if weights is not None:
             nzmat &= (w != 0)[:, None]
         contrib = np.add.reduce(nzmat, axis=0, dtype=np.intp)
+        nb = contrib.size
 
         # a block with one contributor is that operand's bytes verbatim —
         # unless its weight scales them, which takes the accumulator
@@ -320,6 +362,8 @@ class HZDynamic:
             METRICS.inc("hz.blocks.constant", const_count)
             METRICS.inc("hz.blocks.copy", copy_count)
             METRICS.inc("hz.blocks.accumulate", acc_count)
+        if held:
+            return self._fold_quantised(fields, w, held[0], nzmat)
 
         # one backend for the whole call: resolved here, not per kernel
         backend = get_backend()
@@ -348,6 +392,80 @@ class HZDynamic:
             code_lengths=code_lengths,
             payload=payload,
             _offsets=out_offsets,
+        )
+
+    # ------------------------------------------------------------------ #
+    def _fold_quantised(
+        self,
+        fields: Sequence,
+        w: np.ndarray,
+        p: int,
+        nzmat: np.ndarray,
+    ) -> QuantisedField:
+        """Fold the streams of ``fields`` into the quantised operand ``p``.
+
+        Only the streams are decoded; their weighted deltas are added into
+        operand ``p``'s own grid, which the fold consumes, and the sum
+        comes back quantised (int64 only when the magnitude bound says
+        int32 could overflow, the rule of the dense kernel).  Coding the
+        result later gives exactly the stream the all-stream fold emits:
+        integer addition is exact and fixed-length coding deterministic.
+        Fold-equivalent statistics come from the same Z-matrix as the
+        dense strategy's, from partial sums taken in operand order.
+        """
+        own = fields[p]
+        k = len(fields)
+        # streams that add something: a constant stream decodes to zeros
+        adds = [
+            j for j, f in enumerate(fields)
+            if j != p and w[j] and f.layout.max_c
+        ]
+        bound = own.bound + sum(
+            abs(int(w[j])) * ((1 << fields[j].layout.max_c) - 1) for j in adds
+        )
+        grid = own.deltas
+        if grid.dtype == np.int32 and bound > _INT32_MAX:
+            grid = grid.astype(np.int64)
+        arena = get_arena()
+        scratch = arena.take("hz.dec", grid.shape, grid.dtype)
+        # Z-matrix rows 1..k-2 need the partial sums in operand order; the
+        # ones before operand p leave its grid out, so they gather apart
+        track = self.collect_stats
+        rows = track and k > 2
+        acc = grid
+        if rows and p > 0:
+            acc = arena.take("hz.acc", grid.shape, grid.dtype, zero=True)
+        if track:
+            zero_after = np.empty((k - 1, nzmat.shape[1]), dtype=bool)
+            zero_after[0] = ~nzmat[0]
+        for j, f in enumerate(fields):
+            added = j in adds
+            if added:
+                decoded = decode_blocks(
+                    f.code_lengths, f.payload, own.block_size,
+                    offsets=f.offsets, out=scratch, layout=f.layout,
+                )
+                if w[j] != 1:
+                    decoded *= int(w[j])
+                np.add(acc, decoded, out=acc)
+            if j == p and acc is not grid:
+                np.add(grid, acc, out=grid)
+                acc, added = grid, True
+            if rows and 0 < j < k - 1:
+                zero_after[j] = (
+                    ~acc.any(axis=1) if added else zero_after[j - 1]
+                )
+        if track:
+            self._record_fold_stats(zero_after, nzmat)
+        return QuantisedField(
+            n=own.n,
+            error_bound=own.error_bound,
+            block_size=own.block_size,
+            n_threadblocks=own.n_threadblocks,
+            # zero weights add nothing, exactly as leaving the operand out
+            outliers=w @ np.array([f.outliers for f in fields]),
+            deltas=grid,
+            bound=ensure_codable(grid, bound),
         )
 
     # ------------------------------------------------------------------ #
@@ -394,7 +512,7 @@ class HZDynamic:
             layouts=[f.layout for f in fields],
         )
         if track:
-            self._record_fold_stats(zero_after, nzmat)
+            self._record_fold_stats(zero_after[:-1], nzmat)
         return out_lengths, payload, out_offsets
 
     def _accumulate_sparse(
@@ -490,16 +608,16 @@ class HZDynamic:
     ) -> None:
         """Fold-equivalent pipeline counts from the fused sweep's Z-matrix.
 
-        ``zero_after[j, i]`` is "block *i*'s partial sum through operands
-        ``0..j`` is identically zero" — exactly the running ``azero`` flag
-        the stepwise :meth:`_record_fold_step` maintains (a non-constant
-        contribution with a non-zero integer weight can never be zero, and
-        the fused kernel reports the flag after every operand).
-        The pairwise fold's step-*j* classification therefore reads
-        ``zero_after[j-1]`` against operand *j*'s constancy, and all
-        ``k − 1`` steps reduce in one vectorised pass.
+        ``zero_after[j, i]`` (rows ``0..k-2``) is "block *i*'s partial sum
+        through operands ``0..j`` is identically zero" — exactly the
+        running ``azero`` flag the stepwise :meth:`_record_fold_step`
+        maintains (a non-constant contribution with a non-zero integer
+        weight can never be zero, and the fused kernel reports the flag
+        after every operand).  The pairwise fold's step-*j* classification
+        therefore reads ``zero_after[j-1]`` against operand *j*'s
+        constancy, and all ``k − 1`` steps reduce in one vectorised pass.
         """
-        az, nz_b = zero_after[:-1], nzmat[1:]
+        az, nz_b = zero_after, nzmat[1:]
         # three counts fix the 2 x 2 table of (partial is zero, operand is)
         a_zero = int(np.count_nonzero(az))
         b_nonzero = int(np.count_nonzero(nz_b))

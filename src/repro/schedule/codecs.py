@@ -4,13 +4,15 @@ A :class:`PayloadCodec` supplies the *meaning* of the IR's abstract verbs
 — what ``prepare``/``pack``/``fold``/``finalize`` do to rank state, which
 kernel runs, and which virtual-clock bucket it is charged to:
 
-===============  ==========  ===============  ====================  ===============
-codec            wire        encode           fold                  decode
-===============  ==========  ===============  ====================  ===============
-plain            raw floats  —                float add (CPT)       —
-DOC (C-Coll)     compressed  CPR per block    DPR + CPT per round   DPR per block
-homomorphic      compressed  one CPR sweep    HPR ``reduce_fused``  one DPR sweep
-===============  ==========  ===============  ====================  ===============
+===============  ==========  ================  ====================  ===============
+codec            wire        encode            fold                  decode
+===============  ==========  ================  ====================  ===============
+plain            raw floats  —                 float add (CPT)       —
+DOC (C-Coll)     compressed  CPR per block     DPR + CPT per round   DPR per block
+homomorphic      compressed  one quantise      HPR ``reduce_fused``  one DPR sweep
+                             sweep; CPR codes  (decodes only the     (dequantises
+                             what is sent      received stream)      the own block)
+===============  ==========  ================  ====================  ===============
 
 Each codec class declares its row **once**, as its ``discipline``: a
 :class:`~repro.schedule.cost.Discipline` naming every verb's charges,
@@ -23,7 +25,7 @@ operations off those dry runs.  :data:`CODECS` maps the codec kind a
 family stage names to its class.
 
 "Sweep" is literal: the homomorphic codec hands every block of a
-``prepare`` / ``finalize`` to **one** ``FZLight.compress`` /
+``prepare`` / ``finalize`` to **one** ``FZLight.quantise`` /
 ``FZLight.decompress`` call, which runs a single kernel pass over the
 concatenated block grid (the paper's compress-once / decode-once;
 ``finalize_batched=True``).  The DOC codecs stay one kernel invocation
@@ -34,7 +36,16 @@ accident.
 Rank state is ``state[rank][block_id]``: plain ``np.ndarray`` blocks for
 the plain codec, :class:`~repro.compression.format.CompressedField`
 streams for the compressed ones (the homomorphic codec's whole point is
-that state *stays* compressed across every fold).
+that state *stays* compressed across every fold).  Inside a run the
+homomorphic codec keeps a rank's own blocks one step earlier, as
+:class:`~repro.compression.format.QuantisedField` — the Lorenzo deltas
+an encode would code: a block is coded when a comm first sends it (and
+the stream replaces it), a fold adds a received stream into the rank's
+quantised partial in place, and a finalize dequantises it without a
+decode.  The table still prices the paper's ``N·CPR + (N−1)·HPR + DPR``;
+the deferred encodes are charged to ``prepare``'s bucket.  The executor
+ends every run with :meth:`PayloadCodec.seal`, which codes what is still
+quantised, so a run hands back arrays and streams only.
 
 ``slots`` maps a phase's abstract slot name to the user-facing span name;
 ``None`` skips the phase entirely (a plain ring has no compress phase) —
@@ -51,6 +62,7 @@ from typing import Any, Hashable, Sequence
 
 import numpy as np
 
+from ..compression.format import QuantisedField
 from ..compression.fzlight import FZLight
 from ..homomorphic.hzdynamic import HZDynamic
 from ..runtime.cluster import SimCluster
@@ -132,6 +144,10 @@ class PayloadCodec:
     def finalize(self, rank: int, blocks, state: State) -> None:
         """Post-schedule decode of ``blocks`` in place."""
 
+    def seal(self, rank: int, state: State) -> None:
+        """End of run: leave ``rank``'s state in wire-ready types (a codec
+        that defers coding codes what it still holds)."""
+
     def finalize_local(self, rank: int, blocks, state: State) -> None:
         """Decode/copy the rank's own contribution (uncharged in the model)."""
 
@@ -164,15 +180,6 @@ class _CompressedCodec(PayloadCodec):
             n_threadblocks=config.n_threadblocks,
         )
         self.eb = config.error_bound
-
-    def _compress_sweep(self, rank: int, blocks, state: State) -> None:
-        """Encode ``blocks`` in place with one CPR sweep, charged once."""
-        mine = state[rank]
-        with self._timed(rank, "prepare"):
-            fields = self.comp.compress(
-                [mine[b] for b in blocks], abs_eb=self.eb
-            )
-        mine.update(zip(blocks, fields))
 
 
 class DocReduceCodec(_CompressedCodec):
@@ -245,9 +252,18 @@ class DocGatherCodec(_CompressedCodec):
 class HomomorphicCodec(_CompressedCodec):
     """hZCCL: compress once, fold compressed with HPR, decode once.
 
-    "Once" is one kernel sweep per call: ``prepare`` / ``finalize`` pass
-    their whole ``blocks`` tuple to a single ``compress`` / ``decompress``.
-    A k-way ``fold_fused`` is charged like a fold.
+    A rank's own blocks stay quantised (:class:`~repro.compression.format.
+    QuantisedField`) until a comm sends them: ``prepare`` is one quantise
+    sweep, ``pack`` codes only what leaves (once — the stream replaces the
+    block in state), a fold decodes only the received stream and adds it
+    into the rank's partial in place, and ``finalize`` dequantises a
+    still-quantised block without decoding it.  Coding is charged where
+    the table prices it, to ``prepare``'s bucket; the run's ``seal`` codes
+    what no comm sent (the fused hand-off's owned block), so nothing
+    quantised leaves a run.  "Once" is one kernel sweep per call:
+    ``prepare`` / ``finalize`` pass their whole ``blocks`` tuple to a
+    single ``quantise`` / ``decompress``.  A k-way ``fold_fused`` is
+    charged like a fold.
     """
 
     discipline = Discipline(
@@ -260,7 +276,26 @@ class HomomorphicCodec(_CompressedCodec):
         self.engine = HZDynamic()
 
     def prepare(self, rank, blocks, state):
-        self._compress_sweep(rank, blocks, state)
+        mine = state[rank]
+        with self._timed(rank, "prepare"):
+            held = self.comp.quantise([mine[b] for b in blocks], abs_eb=self.eb)
+        mine.update(zip(blocks, held))
+
+    def _encode_held(self, rank: int, blocks, mine: dict) -> None:
+        """Code the still-quantised ones of ``blocks`` in one sweep, in
+        place, charged as the prepare encode it was deferred from."""
+        held = [b for b in blocks if isinstance(mine[b], QuantisedField)]
+        if held:
+            with self._timed(rank, "prepare"):
+                fields = self.comp.compress([mine[b] for b in held])
+            mine.update(zip(held, fields))
+
+    def pack(self, rank, blocks, state):
+        self._encode_held(rank, blocks, state[rank])
+        return super().pack(rank, blocks, state)
+
+    def seal(self, rank, state):
+        self._encode_held(rank, tuple(state[rank]), state[rank])
 
     def fold(self, rank, blocks, items, state, fresh=True):
         with self._timed(rank, "fold"):
@@ -272,10 +307,13 @@ class HomomorphicCodec(_CompressedCodec):
                 )
 
     def fold_fused(self, rank, blocks, state, fanin, out="fused"):
+        mine = state[rank]
         with self._timed(rank, "fold"):
-            state[rank][out] = self.engine.reduce_fused(
-                [state[rank][b] for b in blocks]
-            )
+            mine[out] = self.engine.reduce_fused([mine[b] for b in blocks])
+        # a quantised operand was folded in place: the result holds it now
+        for b in blocks:
+            if isinstance(mine[b], QuantisedField):
+                del mine[b]
 
     def finalize(self, rank, blocks, state):
         mine = state[rank]
@@ -308,7 +346,12 @@ class CompressedBcastCodec(_CompressedCodec):
         self.data = data
 
     def prepare(self, rank, blocks, state):
-        self._compress_sweep(rank, blocks, state)
+        mine = state[rank]
+        with self._timed(rank, "prepare"):
+            fields = self.comp.compress(
+                [mine[b] for b in blocks], abs_eb=self.eb
+            )
+        mine.update(zip(blocks, fields))
 
     def store(self, rank, blocks, items, state):
         for b, item in zip(blocks, items):

@@ -132,6 +132,10 @@ class ScheduleExecutor:
             # degradation; the entry point reruns on its plain fallback
             self.cluster.channel.degrade()
             outcome.degraded = outcome.aborted = True
+        # what the codec still holds uncoded (say, the owned block of a
+        # fused hand-off) leaves the run in wire-ready form
+        for rank in range(len(state)) if self.rank is None else (self.rank,):
+            self.codec.seal(rank, state)
         return outcome
 
     # ------------------------------------------------------------------ #

@@ -46,9 +46,11 @@ def test_driver_protocol_and_traced_kernel_counts():
     traced = last_line(bench(*common, "--trace", "1"))
     assert list(traced["metrics"]) == [m["name"] for m in declared["per_layer"]]
     got = {k: v["value"] for k, v in traced["metrics"].items()}
-    # 8 ranks: one CPR sweep per rank, 7 ring folds per rank, and per rank
-    # one DPR sweep over the foreign blocks plus one for its own
-    assert got["compression.cpr_calls_per_op"] == 8
+    # 8 ranks: per rank 8 encodes (7 reduce-scatter sends of a quantised
+    # partial + the seal of the owned block; the quantise sweep is not a
+    # traced target), 7 ring folds, and one DPR sweep over the foreign
+    # blocks plus one for its own
+    assert got["compression.cpr_calls_per_op"] == 64
     assert got["homomorphic.hpr_calls_per_op"] == 56
     assert got["compression.dpr_calls_per_op"] == 16
     assert got["core.layers_sum_frac"] >= 0.95

@@ -18,8 +18,8 @@ from repro.bench.kernels import (
 )
 
 FLOOR_ROWS = (
-    "cpr_4kb", "dpr_4kb", "hpr_4kb",
-    "cpr_256kb", "dpr_256kb", "hpr_256kb",
+    "cpr_4kb", "dpr_4kb", "hpr_4kb", "ring_fold_4kb",
+    "cpr_256kb", "dpr_256kb", "hpr_256kb", "ring_fold_256kb",
     "cpr_8x2kb_calls", "cpr_8x2kb_sweep",
     "dpr_8x2kb_calls", "dpr_8x2kb_sweep",
 )
@@ -311,11 +311,43 @@ class TestKernelGateScript:
         floor["hpr_256kb"]["seconds"] = 1.3e-3
         assert gate.ring_fold_over_doc(floor) > gate.RING_FOLD_OVER_DOC_CEILING
 
+    def test_ring_fold_not_cheaper_than_hpr_fails(self):
+        """Gate 7's arithmetic: the executed ring round against the
+        paper's two-stream HPR of the same run."""
+        gate = self._gate()
+        floor = {
+            "hpr_256kb": {"seconds": 1e-3},
+            "ring_fold_256kb": {"seconds": 6e-4},
+        }
+        assert gate.ring_fold_over_hpr(floor) == pytest.approx(0.6)
+        assert gate.ring_fold_over_hpr(floor) <= gate.RING_FOLD_OVER_HPR_CEILING
+        floor["ring_fold_256kb"]["seconds"] = 9.5e-4
+        assert gate.ring_fold_over_hpr(floor) > gate.RING_FOLD_OVER_HPR_CEILING
+
+    def test_ring_fold_gate_trips_in_the_script(self, tmp_path, monkeypatch,
+                                                capsys):
+        """The script fails, naming the row, when the ring fold is no
+        cheaper than HPR in the document it measured."""
+        gate = self._gate()
+        doc = run_kernel_bench(mb=0.25, repeats=1, backends=("numpy",))
+        floor = doc["call_floor"]["numpy"]
+        # gates 4-6 pass by construction; the ring fold costs one HPR
+        for kernel in ("cpr", "dpr"):
+            floor[f"{kernel}_8x2kb_sweep"]["speedup_over_calls"] = 10.0
+        for row in ("hpr_4kb", "hpr_256kb", "ring_fold_256kb"):
+            floor[row]["seconds"] = 1e-9
+        monkeypatch.setattr(gate, "run_kernel_bench", lambda **_: doc)
+        assert gate.main(["--mb", "0.25", "--repeats", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "ring fold vs HPR at 256 KB" in out
+        assert "numpy/ring_fold_256kb: 1.00x the two-stream HPR" in out
+
     def test_committed_ring_fold_passes_its_gate(self):
         committed = json.loads((self.REPO / "BENCH_kernels.json").read_text())
         gate = self._gate()
         floor = committed["call_floor"]["numpy"]
         assert gate.ring_fold_over_doc(floor) <= gate.RING_FOLD_OVER_DOC_CEILING
+        assert gate.ring_fold_over_hpr(floor) <= gate.RING_FOLD_OVER_HPR_CEILING
 
     def test_fold_slower_than_doc_step_fails(self):
         """The gate's arithmetic, on a document where the fold loses."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.tables import format_table, print_table
-from repro.bench.timing import best_of, throughput_gbps
+from repro.bench.timing import best_of, best_of_each, throughput_gbps
 
 
 class TestBestOf:
@@ -24,6 +24,22 @@ class TestBestOf:
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
             best_of(lambda: None, repeats=0)
+
+
+class TestBestOfEach:
+    def test_cases_take_turns(self):
+        calls = []
+        best = best_of_each(
+            {"a": lambda: calls.append("a"), "b": lambda: calls.append("b")},
+            repeats=2, warmup=1,
+        )
+        assert calls == ["a", "b"] * 3
+        assert set(best) == {"a", "b"}
+        assert all(0 <= s < 1 for s in best.values())
+
+    def test_rejects_zero_repeats(self):
+        with pytest.raises(ValueError):
+            best_of_each({"a": lambda: None}, repeats=0)
 
 
 class TestThroughputGbps:

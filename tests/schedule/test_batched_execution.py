@@ -2,11 +2,14 @@
 
 The homomorphic codec hands each ``prepare`` / ``finalize`` to one
 ``FZLight`` call and the executor coalesces a rank's adjacent ``prepare``
-ops, so an hz collective launches the CPR kernel once per rank per setup
-and the DPR kernel at most twice per rank per finalize (foreign blocks,
-own block) — while the DOC baseline keeps C-Coll's one invocation per
-block.  Counts are taken the way the repo benchmark's traced pass takes
-them: by wrapping the three public kernel entry points.
+ops, so an hz collective launches the quantise sweep (its CPR pass) once
+per rank per setup and the DPR kernel at most twice per rank per finalize
+(foreign blocks, own block) — while the DOC baseline keeps C-Coll's one
+invocation per block.  A rank's own blocks stay quantised until a comm
+sends them, so the hz encodes (``FZLight.compress``) are one per packed
+block set plus one per block no comm sent, and a ring fold decodes only
+the stream it received.  Counts are taken the way the repo benchmark's
+traced pass takes them: by wrapping the public kernel entry points.
 """
 
 import time
@@ -44,18 +47,21 @@ def make_data(n=N, size=4099):
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """Calls and wall seconds of CPR / DPR / HPR, keyed like the clock buckets."""
+    """Calls per kernel entry point, and wall seconds per clock bucket:
+    the quantise sweep and the encodes are both CPR work."""
     calls, seconds = Counter(), Counter()
     targets = (
-        (FZLight, "compress", "CPR"),
-        (FZLight, "decompress", "DPR"),
-        (HZDynamic, "reduce_fused", "HPR"),
+        (FZLight, "quantise", "quantise", "CPR"),
+        (FZLight, "compress", "CPR", "CPR"),
+        (FZLight, "decompress", "DPR", "DPR"),
+        (HZDynamic, "reduce_fused", "HPR", "HPR"),
     )
-    for cls, name, bucket in targets:
+    for cls, name, key, bucket in targets:
         original = getattr(cls, name)
 
-        def wrapper(self, *args, _original=original, _bucket=bucket, **kwargs):
-            calls[_bucket] += 1
+        def wrapper(self, *args, _original=original, _key=key,
+                    _bucket=bucket, **kwargs):
+            calls[_key] += 1
             start = time.perf_counter()
             try:
                 return _original(self, *args, **kwargs)
@@ -68,29 +74,43 @@ def kernel_calls(monkeypatch):
 
 
 HZ_ALLREDUCES = {
-    # family: (runner, CPR, HPR, DPR)
-    "ring": (lambda cl, d: C.hzccl_allreduce(cl, d, CONFIG), N, 56, 2 * N),
+    # family: (runner, quantise, CPR encodes, HPR, DPR).  Encodes: one per
+    # comm that sends a still-quantised block set, plus the run's seal of
+    # what no comm sent.
+    # ring: n−1 reduce-scatter sends per rank + the seal of the owned
+    # block at the fused hand-off; the allgather forwards streams only
+    "ring": (lambda cl, d: C.hzccl_allreduce(cl, d, CONFIG), N, N * N, 56,
+             2 * N),
+    # two chunks per ring round: 2·(n−1) sends per rank + one seal of
+    # both owned chunks
     "pipelined": (
         lambda cl, d: C.hzccl_pipelined_allreduce(cl, d, CONFIG, n_chunks=2),
-        N, 2 * 56, 2 * N,
+        N, N * (2 * (N - 1) + 1), 2 * 56, 2 * N,
     ),
+    # log2 n halving sends per rank + the first doubling send of the
+    # owned block; later doublings forward streams
     "rabenseifner": (
-        lambda cl, d: C.hzccl_rabenseifner_allreduce(cl, d, CONFIG), N, 56, N
+        lambda cl, d: C.hzccl_rabenseifner_allreduce(cl, d, CONFIG),
+        N, N * (3 + 1), 56, N,
     ),
+    # 4 non-leaders send their vector; 4 leaders send once per inter-ring
+    # reduce-scatter round (3) and once more their owned block
     "hierarchical": (
         lambda cl, d: C.hzccl_hierarchical_allreduce(cl, d, CONFIG, PAIRS),
-        N, 28, N,
+        N, 4 + 4 * (3 + 1), 28, N,
     ),
 }
 
 
 @pytest.mark.parametrize("family", sorted(HZ_ALLREDUCES))
 def test_hz_allreduce_sweeps_once_per_rank(kernel_calls, family):
-    run, cpr, hpr, dpr = HZ_ALLREDUCES[family]
+    run, quantise, cpr, hpr, dpr = HZ_ALLREDUCES[family]
     data = make_data()
     result = run(SimCluster(N, network=CONFIG.network), data)
     assert not result.degraded
-    assert dict(kernel_calls) == {"CPR": cpr, "HPR": hpr, "DPR": dpr}
+    assert dict(kernel_calls) == {
+        "quantise": quantise, "CPR": cpr, "HPR": hpr, "DPR": dpr,
+    }
     assert kernel_calls["DPR"] <= 2 * N
     exact = np.sum(np.stack(data, dtype=np.float64), axis=0)
     for out in result.outputs:
@@ -102,14 +122,21 @@ def test_batched_reduce_is_one_sweep_per_rank_and_one_at_the_root(kernel_calls):
     result = C.hzccl_batched_reduce(
         SimCluster(N, network=CONFIG.network), sessions, CONFIG
     )
-    assert dict(kernel_calls) == {"CPR": N, "HPR": 5, "DPR": 1}
+    # the n−1 senders code their 5 vectors in one call each; the root folds
+    # its own quantised and decodes none of them
+    assert dict(kernel_calls) == {
+        "quantise": N, "CPR": N - 1, "HPR": 5, "DPR": 1,
+    }
     assert len(result.outputs) == 5
 
 
 def test_rooted_and_bcast_counts(kernel_calls):
     data = make_data()
     C.hzccl_reduce(SimCluster(N, network=CONFIG.network), data, CONFIG)
-    assert dict(kernel_calls) == {"CPR": N, "HPR": 56, "DPR": 1}
+    # the fused reduce-scatter's n−1 sends + seal per rank, as in "ring"
+    assert dict(kernel_calls) == {
+        "quantise": N, "CPR": N * N, "HPR": 56, "DPR": 1,
+    }
     kernel_calls.clear()
     C.compressed_bcast(SimCluster(N, network=CONFIG.network), data[0], CONFIG)
     assert dict(kernel_calls) == {"CPR": 1, "DPR": N - 1}
@@ -150,7 +177,8 @@ def test_clock_buckets_charged_once_per_rank_per_phase(kernel_calls):
     result = C.hzccl_allreduce(cluster, make_data(), CONFIG)
     per_rank = Counter((rank, bucket) for rank, bucket, _ in cluster.charges)
     for rank in range(N):
-        assert per_rank[rank, "CPR"] == 1  # the setup sweep
+        # the setup sweep, n−1 sends and the seal of the owned block
+        assert per_rank[rank, "CPR"] == 1 + N
         assert per_rank[rank, "DPR"] == 2  # foreign blocks + own block
         assert per_rank[rank, "HPR"] == N - 1  # one fold per ring round
     # a charge is the wall time of its kernel call plus the codec's list
@@ -245,7 +273,8 @@ def test_coalescing_never_crosses_ranks_or_kinds():
 
 def test_sweep_codec_state_matches_per_block_calls():
     """The codec's one-call prepare/finalize leave exactly the state the
-    per-block calls left (fields byte-identical, decodes bit-identical)."""
+    per-block calls left (coded fields byte-identical, decodes
+    bit-identical)."""
     cluster = SimCluster(2, network=CONFIG.network)
     codec = HomomorphicCodec(cluster, CONFIG)
     rng = np.random.default_rng(2)
@@ -257,7 +286,7 @@ def test_sweep_codec_state_matches_per_block_calls():
     codec.prepare(0, tuple(blocks), state)
     for b, data in blocks.items():
         alone = codec.comp.compress(data, abs_eb=CONFIG.error_bound)
-        assert state[0][b].to_bytes() == alone.to_bytes()
+        assert codec.comp.compress(state[0][b]).to_bytes() == alone.to_bytes()
     fields = dict(state[0])
     codec.finalize(0, (3, 0, 2), state)
     for b in (3, 0, 2):
@@ -265,3 +294,42 @@ def test_sweep_codec_state_matches_per_block_calls():
             state[0][b], codec.comp.decompress(fields[b])
         )
     assert state[0][1] is fields[1]  # not named, not touched
+
+
+def test_a_ring_fold_decodes_only_the_stream_it_received(monkeypatch):
+    """Ring reduce-scatter with finalize: each of a rank's n−1 folds runs
+    one decode pass (the received stream; the own partial is quantised),
+    the finalize dequantises without decoding, and a rank codes only the
+    n−1 partials it sends."""
+    from repro.kernels import numpy_backend, use_backend
+
+    decodes = Counter()
+    decode_grouped = numpy_backend._decode_grouped
+
+    def counting(*args, **kwargs):
+        decodes["all"] += 1
+        return decode_grouped(*args, **kwargs)
+
+    monkeypatch.setattr(numpy_backend, "_decode_grouped", counting)
+    per_fold = []
+    reduce_fused = HZDynamic.reduce_fused
+
+    def fold(self, *args, **kwargs):
+        before = decodes["all"]
+        try:
+            return reduce_fused(self, *args, **kwargs)
+        finally:
+            per_fold.append(decodes["all"] - before)
+
+    monkeypatch.setattr(HZDynamic, "reduce_fused", fold)
+    cluster = ChargeLog(N, network=CONFIG.network)
+    with use_backend("numpy"):
+        result = C.hzccl_reduce_scatter(cluster, make_data(), CONFIG)
+    assert not result.degraded
+    assert per_fold == [1] * (N * (N - 1))
+    assert decodes["all"] == N * (N - 1)  # none at the finalize
+    per_rank = Counter((rank, bucket) for rank, bucket, _ in cluster.charges)
+    for rank in range(N):
+        assert per_rank[rank, "CPR"] == 1 + (N - 1)  # sweep + sends
+        assert per_rank[rank, "HPR"] == N - 1
+        assert per_rank[rank, "DPR"] == 1
