@@ -18,12 +18,7 @@ import numpy as np
 import pytest
 
 from repro.bench.tables import format_table
-from repro.collectives import (
-    hzccl_allreduce,
-    hzccl_rabenseifner_allreduce,
-    mpi_allreduce,
-    rabenseifner_allreduce,
-)
+from repro.collectives import FAMILIES, run
 from repro.core.config import CollectiveConfig
 from repro.runtime.cluster import SimCluster
 from repro.runtime.network import NetworkModel
@@ -50,11 +45,18 @@ def measure():
     ):
         local = _data(rng, size)
         config = CollectiveConfig(error_bound=1e-4, network=net)
-        ring_mpi = mpi_allreduce(SimCluster(N_RANKS, network=net), local)
-        rab_mpi = rabenseifner_allreduce(SimCluster(N_RANKS, network=net), local)
-        ring_hz = hzccl_allreduce(SimCluster(N_RANKS, network=net), local, config)
-        rab_hz = hzccl_rabenseifner_allreduce(
-            SimCluster(N_RANKS, network=net), local, config
+        ring_mpi = run(FAMILIES["mpi_allreduce"], SimCluster(N_RANKS, network=net), local)
+        rab_mpi = run(
+            FAMILIES["rabenseifner_allreduce"],
+            SimCluster(N_RANKS, network=net), local,
+        )
+        ring_hz = run(
+            FAMILIES["hzccl_allreduce"], SimCluster(N_RANKS, network=net),
+            local, config,
+        )
+        rab_hz = run(
+            FAMILIES["hzccl_rabenseifner_allreduce"],
+            SimCluster(N_RANKS, network=net), local, config,
         )
         results[regime] = (ring_mpi, rab_mpi, ring_hz, rab_hz)
         rows.append(

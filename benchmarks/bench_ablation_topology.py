@@ -14,12 +14,9 @@ from __future__ import annotations
 
 
 from repro.bench.tables import format_table
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    model_hzccl_allreduce,
-    model_mpi_allreduce,
-)
+from repro.core.cost_model import PAPER_BROADWELL
 from repro.runtime.fabrics import DragonflyNetwork, FatTreeNetwork, TorusNetwork
+from repro.schedule import family_cost
 
 TOTAL = 646_000_000
 NODES = (8, 64, 512)
@@ -36,8 +33,8 @@ def sweep():
     for name, fabric in FABRICS.items():
         speedups = []
         for n in NODES:
-            mpi = model_mpi_allreduce(n, TOTAL, PAPER_BROADWELL, fabric, True).total_time
-            hz = model_hzccl_allreduce(n, TOTAL, PAPER_BROADWELL, fabric, True).total_time
+            mpi = family_cost("mpi_allreduce", TOTAL, PAPER_BROADWELL, fabric, True, n=n).total_time
+            hz = family_cost("hzccl_allreduce", TOTAL, PAPER_BROADWELL, fabric, True, n=n).total_time
             speedups.append(mpi / hz)
         series[name] = speedups
         rows.append([name] + speedups)

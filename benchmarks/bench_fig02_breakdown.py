@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.tables import format_table
-from repro.collectives import ccoll_allreduce
+from repro.collectives import FAMILIES, run
 from repro.core.config import CollectiveConfig
 from repro.core.cost_model import matched_network
 from repro.runtime.cluster import SimCluster
@@ -49,7 +49,7 @@ def _run(multithread: bool) -> dict[str, float]:
         N_RANKS, network=network, multithread=multithread,
         thread_speedup=config.thread_speedup,
     )
-    res = ccoll_allreduce(cluster, _local_data(), config)
+    res = run(FAMILIES["ccoll_allreduce"], cluster, _local_data(), config)
     pct = res.breakdown.percentages()
     doc = pct["CPR"] + pct["DPR"] + pct["CPT"] + pct["HPR"]
     return {"DPR+CPT+CPR": doc, "MPI": pct["MPI"], "OTHER": pct["OTHER"]}

@@ -22,16 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.tables import format_table
-from repro.collectives import ccoll_reduce_scatter, hzccl_reduce_scatter
+from repro.collectives import FAMILIES, run
 from repro.core.config import CollectiveConfig
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    matched_network,
-    model_ccoll_reduce_scatter,
-    model_hzccl_reduce_scatter,
-)
+from repro.core.cost_model import PAPER_BROADWELL, matched_network
 from repro.runtime.cluster import SimCluster
 from repro.runtime.network import OMNIPATH_100G
+from repro.schedule import family_cost
 
 from conftest import cached_field, measured_rates
 
@@ -59,11 +55,15 @@ def functional_runs():
         eb = resolve_error_bound(data[0], rel_eb=1e-4)  # paper-equivalent bound
         for mt in (False, True):
             config = CollectiveConfig(error_bound=eb, network=network, multithread=mt)
-            hz = hzccl_reduce_scatter(
-                SimCluster(N_FUNCTIONAL, network=network, multithread=mt), data, config
+            hz = run(
+                FAMILIES["hzccl_reduce_scatter"],
+                SimCluster(N_FUNCTIONAL, network=network, multithread=mt),
+                data, config,
             )
-            cc = ccoll_reduce_scatter(
-                SimCluster(N_FUNCTIONAL, network=network, multithread=mt), data, config
+            cc = run(
+                FAMILIES["ccoll_reduce_scatter"],
+                SimCluster(N_FUNCTIONAL, network=network, multithread=mt),
+                data, config,
             )
             speedup = cc.total_time / hz.total_time
             ratios[(name, mt)] = speedup
@@ -83,8 +83,8 @@ def modelled_runs():
             OMNIPATH_100G, rates
         )
         for mt in (False, True):
-            cc = model_ccoll_reduce_scatter(N_PAPER, total, rates, network, mt)
-            hz = model_hzccl_reduce_scatter(N_PAPER, total, rates, network, mt)
+            cc = family_cost("ccoll_reduce_scatter", total, rates, network, mt, n=N_PAPER)
+            hz = family_cost("hzccl_reduce_scatter", total, rates, network, mt, n=N_PAPER)
             speedup = cc.total_time / hz.total_time
             ratios[(label, mt)] = speedup
             rows.append(

@@ -16,22 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.tables import format_table
-from repro.collectives import (
-    ccoll_allreduce,
-    hzccl_allgather_compressed,
-    hzccl_allreduce,
-    hzccl_reduce_scatter,
-)
+from repro.collectives import FAMILIES, run
 from repro.compression import resolve_error_bound
 from repro.core.config import CollectiveConfig
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    matched_network,
-    model_ccoll_allreduce,
-    model_hzccl_allreduce,
-)
+from repro.core.cost_model import PAPER_BROADWELL, matched_network
 from repro.runtime.cluster import SimCluster
 from repro.runtime.network import OMNIPATH_100G
+from repro.schedule import family_cost
 
 from conftest import cached_field, measured_rates
 
@@ -54,11 +45,15 @@ def functional_runs():
         eb = resolve_error_bound(data[0], rel_eb=1e-4)
         for mt in (False, True):
             config = CollectiveConfig(error_bound=eb, network=network, multithread=mt)
-            hz = hzccl_allreduce(
-                SimCluster(N_FUNCTIONAL, network=network, multithread=mt), data, config
+            hz = run(
+                FAMILIES["hzccl_allreduce"],
+                SimCluster(N_FUNCTIONAL, network=network, multithread=mt),
+                data, config,
             )
-            cc = ccoll_allreduce(
-                SimCluster(N_FUNCTIONAL, network=network, multithread=mt), data, config
+            cc = run(
+                FAMILIES["ccoll_allreduce"],
+                SimCluster(N_FUNCTIONAL, network=network, multithread=mt),
+                data, config,
             )
             ratios[(name, mt)] = cc.total_time / hz.total_time
             rows.append(
@@ -92,8 +87,8 @@ def test_fig08_modelled():
             OMNIPATH_100G, rates
         )
         for mt in (False, True):
-            cc = model_ccoll_allreduce(N_PAPER, total, rates, network, mt)
-            hz = model_hzccl_allreduce(N_PAPER, total, rates, network, mt)
+            cc = family_cost("ccoll_allreduce", total, rates, network, mt, n=N_PAPER)
+            hz = family_cost("hzccl_allreduce", total, rates, network, mt, n=N_PAPER)
             ratios[(label, mt)] = cc.total_time / hz.total_time
             rows.append(
                 [label, "MT" if mt else "ST", cc.total_time, hz.total_time,
@@ -126,14 +121,14 @@ def test_fusion_removes_doc_stages():
     config = CollectiveConfig(error_bound=eb, network=network)
 
     fused_cluster = SimCluster(N_FUNCTIONAL, network=network)
-    rs = hzccl_reduce_scatter(fused_cluster, data, config, return_compressed=True)
+    rs = run(FAMILIES["hzccl_reduce_scatter_fused"], fused_cluster, data, config)
     cpr_after_rs = fused_cluster.breakdown().buckets["CPR"]
-    hzccl_allgather_compressed(fused_cluster, rs.outputs, config)
+    run(FAMILIES["hzccl_allgather_compressed"], fused_cluster, rs.outputs, config)
     cpr_after_ag = fused_cluster.breakdown().buckets["CPR"]
     assert cpr_after_ag == cpr_after_rs, "fused Allgather must not compress"
 
     cc_cluster = SimCluster(N_FUNCTIONAL, network=network)
-    cc = ccoll_allreduce(cc_cluster, data, config)
+    cc = run(FAMILIES["ccoll_allreduce"], cc_cluster, data, config)
     # C-Coll compresses in *both* stages: strictly more CPR invocations
     assert cc.breakdown.buckets["CPR"] > cpr_after_ag * 0.99
 

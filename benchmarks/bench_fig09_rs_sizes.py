@@ -13,14 +13,9 @@ from __future__ import annotations
 
 
 from repro.bench.tables import format_table
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    matched_network,
-    model_ccoll_reduce_scatter,
-    model_hzccl_reduce_scatter,
-    model_mpi_reduce_scatter,
-)
+from repro.core.cost_model import PAPER_BROADWELL, matched_network
 from repro.runtime.network import OMNIPATH_100G
+from repro.schedule import family_cost
 
 from conftest import measured_rates
 
@@ -34,9 +29,9 @@ def sweep(rates, network):
     for mb in SIZES_MB:
         total = mb * 10**6
         for mt in (False, True):
-            mpi = model_mpi_reduce_scatter(N_NODES, total, rates, network, mt).total_time
-            cc = model_ccoll_reduce_scatter(N_NODES, total, rates, network, mt).total_time
-            hz = model_hzccl_reduce_scatter(N_NODES, total, rates, network, mt).total_time
+            mpi = family_cost("mpi_reduce_scatter", total, rates, network, mt, n=N_NODES).total_time
+            cc = family_cost("ccoll_reduce_scatter", total, rates, network, mt, n=N_NODES).total_time
+            hz = family_cost("hzccl_reduce_scatter", total, rates, network, mt, n=N_NODES).total_time
             series[("cc", mt)].append(mpi / cc)
             series[("hz", mt)].append(mpi / hz)
             rows.append(

@@ -14,13 +14,9 @@ from __future__ import annotations
 
 
 from repro.bench.tables import format_table
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    model_ccoll_reduce_scatter,
-    model_hzccl_reduce_scatter,
-    model_mpi_reduce_scatter,
-)
+from repro.core.cost_model import PAPER_BROADWELL
 from repro.runtime.network import OMNIPATH_100G
+from repro.schedule import family_cost
 
 from conftest import measured_rates  # noqa: F401  (kept for interactive use)
 
@@ -34,9 +30,18 @@ def sweep():
     cc_speedups = {False: [], True: []}
     for n in NODES:
         for mt in (False, True):
-            mpi = model_mpi_reduce_scatter(n, TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
-            cc = model_ccoll_reduce_scatter(n, TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
-            hz = model_hzccl_reduce_scatter(n, TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
+            mpi = family_cost(
+                "mpi_reduce_scatter", TOTAL_BYTES, PAPER_BROADWELL,
+                OMNIPATH_100G, mt, n=n,
+            ).total_time
+            cc = family_cost(
+                "ccoll_reduce_scatter", TOTAL_BYTES, PAPER_BROADWELL,
+                OMNIPATH_100G, mt, n=n,
+            ).total_time
+            hz = family_cost(
+                "hzccl_reduce_scatter", TOTAL_BYTES, PAPER_BROADWELL,
+                OMNIPATH_100G, mt, n=n,
+            ).total_time
             hz_speedups[mt].append(mpi / hz)
             cc_speedups[mt].append(mpi / cc)
             rows.append([n, "MT" if mt else "ST", mpi, cc, hz, mpi / cc, mpi / hz])
@@ -83,8 +88,8 @@ def test_fig10_congestion_drives_growth():
     flat_net = replace(OMNIPATH_100G, congestion_per_log2=0.0)
     speedups = []
     for n in (8, 64, 512):
-        mpi = model_mpi_reduce_scatter(n, TOTAL_BYTES, PAPER_BROADWELL, flat_net, True).total_time
-        hz = model_hzccl_reduce_scatter(n, TOTAL_BYTES, PAPER_BROADWELL, flat_net, True).total_time
+        mpi = family_cost("mpi_reduce_scatter", TOTAL_BYTES, PAPER_BROADWELL, flat_net, True, n=n).total_time
+        hz = family_cost("hzccl_reduce_scatter", TOTAL_BYTES, PAPER_BROADWELL, flat_net, True, n=n).total_time
         speedups.append(mpi / hz)
     assert speedups[-1] <= speedups[0] * 1.05
 

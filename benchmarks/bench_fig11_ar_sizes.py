@@ -8,14 +8,9 @@ from __future__ import annotations
 
 
 from repro.bench.tables import format_table
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    matched_network,
-    model_ccoll_allreduce,
-    model_hzccl_allreduce,
-    model_mpi_allreduce,
-)
+from repro.core.cost_model import PAPER_BROADWELL, matched_network
 from repro.runtime.network import OMNIPATH_100G
+from repro.schedule import family_cost
 
 from conftest import measured_rates
 
@@ -29,9 +24,9 @@ def sweep(rates, network):
     for mb in SIZES_MB:
         total = mb * 10**6
         for mt in (False, True):
-            mpi = model_mpi_allreduce(N_NODES, total, rates, network, mt).total_time
-            cc = model_ccoll_allreduce(N_NODES, total, rates, network, mt).total_time
-            hz = model_hzccl_allreduce(N_NODES, total, rates, network, mt).total_time
+            mpi = family_cost("mpi_allreduce", total, rates, network, mt, n=N_NODES).total_time
+            cc = family_cost("ccoll_allreduce", total, rates, network, mt, n=N_NODES).total_time
+            hz = family_cost("hzccl_allreduce", total, rates, network, mt, n=N_NODES).total_time
             series[("cc", mt)].append(mpi / cc)
             series[("hz", mt)].append(mpi / hz)
             rows.append([mb, "MT" if mt else "ST", mpi, cc, hz, mpi / cc, mpi / hz])

@@ -10,15 +10,9 @@ from __future__ import annotations
 
 
 from repro.bench.tables import format_table
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    model_ccoll_allreduce,
-    model_hzccl_allreduce,
-    model_hzccl_reduce_scatter,
-    model_mpi_allreduce,
-    model_mpi_reduce_scatter,
-)
+from repro.core.cost_model import PAPER_BROADWELL
 from repro.runtime.network import OMNIPATH_100G
+from repro.schedule import family_cost
 
 TOTAL_BYTES = 646_000_000
 NODES = (2, 4, 8, 16, 32, 64, 128, 256, 512)
@@ -30,9 +24,18 @@ def sweep():
     cc = {False: [], True: []}
     for n in NODES:
         for mt in (False, True):
-            t_mpi = model_mpi_allreduce(n, TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
-            t_cc = model_ccoll_allreduce(n, TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
-            t_hz = model_hzccl_allreduce(n, TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
+            t_mpi = family_cost(
+                "mpi_allreduce", TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G,
+                mt, n=n,
+            ).total_time
+            t_cc = family_cost(
+                "ccoll_allreduce", TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G,
+                mt, n=n,
+            ).total_time
+            t_hz = family_cost(
+                "hzccl_allreduce", TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G,
+                mt, n=n,
+            ).total_time
             hz[mt].append(t_mpi / t_hz)
             cc[mt].append(t_mpi / t_cc)
             rows.append([n, "MT" if mt else "ST", t_mpi, t_cc, t_hz, t_mpi / t_cc, t_mpi / t_hz])
@@ -73,16 +76,21 @@ def test_fig12_scalability():
 def test_fig12_ar_declines_less_than_rs():
     """The paper's explicit cross-figure claim: Reduce_scatter loses more
     of its peak speedup at 512 nodes than Allreduce does."""
-    def drop(model_kernel, model_mpi):
+    def drop(op):
         speedups = []
         for n in NODES:
-            mpi = model_mpi(n, TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G, True).total_time
-            ker = model_kernel(n, TOTAL_BYTES, PAPER_BROADWELL, OMNIPATH_100G, True).total_time
+            mpi, ker = (
+                family_cost(
+                    f"{kernel}_{op}", TOTAL_BYTES, PAPER_BROADWELL,
+                    OMNIPATH_100G, True, n=n,
+                ).total_time
+                for kernel in ("mpi", "hzccl")
+            )
             speedups.append(mpi / ker)
         return (max(speedups) - speedups[-1]) / max(speedups)
 
-    rs_drop = drop(model_hzccl_reduce_scatter, model_mpi_reduce_scatter)
-    ar_drop = drop(model_hzccl_allreduce, model_mpi_allreduce)
+    rs_drop = drop("reduce_scatter")
+    ar_drop = drop("allreduce")
     assert ar_drop < rs_drop
 
 

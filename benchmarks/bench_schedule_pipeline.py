@@ -22,12 +22,9 @@ import json
 import pathlib
 
 from repro.bench.tables import format_table
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    model_hzccl_allreduce,
-    model_hzccl_allreduce_pipelined,
-)
+from repro.core.cost_model import PAPER_BROADWELL
 from repro.runtime.network import OMNIPATH_100G
+from repro.schedule import family_cost
 
 MB = 1 << 20
 SIZES_MB = (4, 16, 64, 256)
@@ -41,13 +38,14 @@ def sweep() -> dict:
     for n in NODE_COUNTS:
         for mb in SIZES_MB:
             for mt in (False, True):
-                base = model_hzccl_allreduce(
-                    n, mb * MB, PAPER_BROADWELL, OMNIPATH_100G, mt
+                base = family_cost(
+                    "hzccl_allreduce", mb * MB, PAPER_BROADWELL, OMNIPATH_100G,
+                    mt, n=n,
                 )
                 piped = {
-                    k: model_hzccl_allreduce_pipelined(
-                        n, mb * MB, PAPER_BROADWELL, OMNIPATH_100G, mt,
-                        n_chunks=k,
+                    k: family_cost(
+                        "hzccl_pipelined_allreduce", mb * MB, PAPER_BROADWELL,
+                        OMNIPATH_100G, mt, n=n, chunks=k,
                     ).total_time
                     for k in CHUNK_COUNTS
                 }

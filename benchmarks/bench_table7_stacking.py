@@ -17,14 +17,9 @@ from repro.apps.image_stacking import make_exposures, stack_images
 from repro.bench.tables import format_table
 from repro.compression import resolve_error_bound
 from repro.core.config import CollectiveConfig
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    matched_network,
-    model_ccoll_allreduce,
-    model_hzccl_allreduce,
-    model_mpi_allreduce,
-)
+from repro.core.cost_model import PAPER_BROADWELL, matched_network
 from repro.runtime.network import OMNIPATH_100G
+from repro.schedule import family_cost
 
 from conftest import measured_rates
 
@@ -82,9 +77,9 @@ def test_table7_speedups_modelled():
     total = SHAPE[0] * SHAPE[1] * 4 * 64  # 64 exposures of this size
     rows, ratios = [], {}
     for mt in (False, True):
-        mpi = model_mpi_allreduce(64, total, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
-        cc = model_ccoll_allreduce(64, total, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
-        hz = model_hzccl_allreduce(64, total, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
+        mpi = family_cost("mpi_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, mt, n=64).total_time
+        cc = family_cost("ccoll_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, mt, n=64).total_time
+        hz = family_cost("hzccl_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, mt, n=64).total_time
         ratios[mt] = (mpi / hz, mpi / cc)
         rows.append([f"hZCCL ({'MT' if mt else 'ST'})", mpi / hz])
         rows.append([f"C-Coll ({'MT' if mt else 'ST'})", mpi / cc])
@@ -108,8 +103,8 @@ def test_table7_doc_share_contrast_modelled():
     77.96 %, MT: 59.04 → 38.61 %)."""
     total = SHAPE[0] * SHAPE[1] * 4 * 64
     for mt in (False, True):
-        cc = model_ccoll_allreduce(64, total, PAPER_BROADWELL, OMNIPATH_100G, mt)
-        hz = model_hzccl_allreduce(64, total, PAPER_BROADWELL, OMNIPATH_100G, mt)
+        cc = family_cost("ccoll_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, mt, n=64)
+        hz = family_cost("hzccl_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, mt, n=64)
         assert hz.doc_time / hz.total_time < cc.doc_time / cc.total_time, mt
 
 

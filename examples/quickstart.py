@@ -65,16 +65,19 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 4. What that buys at the paper's scale (§III-C cost model)
     # ------------------------------------------------------------------ #
-    from repro.core import PAPER_BROADWELL, model_hzccl_allreduce, model_mpi_allreduce
+    from repro.core import PAPER_BROADWELL
     from repro.runtime import OMNIPATH_100G
+    from repro.schedule import family_cost
 
     total = 646_000_000  # the paper's full RTM message
     for n_nodes in (64, 512):
-        t_mpi = model_mpi_allreduce(
-            n_nodes, total, PAPER_BROADWELL, OMNIPATH_100G, multithread=True
+        t_mpi = family_cost(
+            "mpi_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, True,
+            n=n_nodes,
         ).total_time
-        t_hz = model_hzccl_allreduce(
-            n_nodes, total, PAPER_BROADWELL, OMNIPATH_100G, multithread=True
+        t_hz = family_cost(
+            "hzccl_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, True,
+            n=n_nodes,
         ).total_time
         print(f"modelled {n_nodes:3d}-node Allreduce (646 MB, MT): "
               f"hZCCL {t_mpi / t_hz:.2f}x faster than MPI")

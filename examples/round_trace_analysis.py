@@ -11,9 +11,9 @@ Run:  python examples/round_trace_analysis.py
 
 import numpy as np
 
-from repro.collectives import hzccl_reduce_scatter
-from repro.core import calibrated_config
+from repro.collectives import FAMILIES, run
 from repro.compression import resolve_error_bound
+from repro.core import calibrated_config
 from repro.datasets import snapshot_series
 from repro.runtime import SimCluster, TraceLog
 
@@ -27,7 +27,7 @@ def main() -> None:
     config = calibrated_config(snapshots[0], error_bound=eb)
 
     cluster = SimCluster(n_ranks, network=config.network, trace=TraceLog())
-    res = hzccl_reduce_scatter(cluster, snapshots, config)
+    res = run(FAMILIES["hzccl_reduce_scatter"], cluster, snapshots, config)
     print(f"hZCCL Reduce_scatter over {n_ranks} ranks: "
           f"{res.total_time * 1e3:.2f} ms simulated, "
           f"{cluster.trace.n_rounds} rounds\n")

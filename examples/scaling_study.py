@@ -11,37 +11,26 @@ Run:  python examples/scaling_study.py [--csv]
 import sys
 
 from repro.bench.tables import format_table
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    model_ccoll_allreduce,
-    model_ccoll_reduce_scatter,
-    model_hzccl_allreduce,
-    model_hzccl_reduce_scatter,
-    model_mpi_allreduce,
-    model_mpi_reduce_scatter,
-)
+from repro.core.cost_model import PAPER_BROADWELL
 from repro.runtime.network import OMNIPATH_100G
+from repro.schedule import family_cost
 
 NODES = (2, 4, 8, 16, 32, 64, 128, 256, 512)
 TOTAL = 646_000_000  # the full RTM dataset message of the paper
 
 
 def series(op: str):
-    models = {
-        "reduce_scatter": (
-            model_mpi_reduce_scatter,
-            model_ccoll_reduce_scatter,
-            model_hzccl_reduce_scatter,
-        ),
-        "allreduce": (model_mpi_allreduce, model_ccoll_allreduce, model_hzccl_allreduce),
-    }[op]
     rows = []
     for n in NODES:
         row = [n]
         for mt in (False, True):
+            # each kernel's family-table row, priced by name
             mpi, cc, hz = (
-                m(n, TOTAL, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
-                for m in models
+                family_cost(
+                    f"{kernel}_{op}", TOTAL, PAPER_BROADWELL, OMNIPATH_100G,
+                    mt, n=n,
+                ).total_time
+                for kernel in ("mpi", "ccoll", "hzccl")
             )
             row += [mpi / cc, mpi / hz]
         rows.append(row)

@@ -12,8 +12,8 @@ Run:  python examples/seismic_snapshot_reduce.py
 import numpy as np
 
 from repro import HZCCL
-from repro.core import calibrated_config
 from repro.compression import resolve_error_bound
+from repro.core import calibrated_config
 from repro.datasets import snapshot_series
 
 
@@ -42,11 +42,11 @@ def main() -> None:
     res = lib.reduce(snapshots, root=0)
     print("\nwho decompressed? (the co-design's asymmetry)")
     # re-run on an explicit cluster to inspect per-rank clocks
-    from repro.collectives import hzccl_reduce
+    from repro.collectives import FAMILIES, run
     from repro.runtime import SimCluster
 
     cluster = SimCluster(n_shots, network=lib.config.network)
-    hzccl_reduce(cluster, snapshots, lib.config, root=0)
+    run(FAMILIES["hzccl_reduce"], cluster, snapshots, lib.config, root=0)
     for i, clock in enumerate(cluster.clocks):
         print(f"  rank {i}: DPR {clock.buckets['DPR'] * 1e3:6.2f} ms, "
               f"HPR {clock.buckets['HPR'] * 1e3:6.2f} ms")

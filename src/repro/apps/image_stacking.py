@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..collectives import ccoll_allreduce, hzccl_allreduce, mpi_allreduce
 from ..compression.metrics import nrmse as nrmse_metric
 from ..compression.metrics import psnr as psnr_metric
+from ..core.api import HZCCL
 from ..core.config import CollectiveConfig
 from ..runtime.clock import Breakdown
-from ..runtime.cluster import SimCluster
 from ..utils.rng import make_rng
 from ..utils.validation import ensure_positive_int
 
@@ -99,7 +98,10 @@ def stack_images(
     Parameters
     ----------
     exposures : one image per simulated rank (equal shapes).
-    method : ``"mpi"`` (uncompressed), ``"ccoll"`` (DOC) or ``"hzccl"``.
+    method : ``"mpi"`` (uncompressed), ``"ccoll"`` (DOC) or ``"hzccl"`` —
+        the facade's allreduce kernel, so the run goes through
+        ``plan()``/``execute()`` and honours the config's fault plan and
+        retry policy.
     reference : optional exact stack to score PSNR/NRMSE against.
     """
     if method not in METHODS:
@@ -110,18 +112,7 @@ def stack_images(
     shape = exposures[0].shape
     n = len(exposures)
     flat = [np.ascontiguousarray(e, dtype=np.float32).ravel() for e in exposures]
-    cluster = SimCluster(
-        n_ranks=n,
-        network=config.network,
-        thread_speedup=config.thread_speedup,
-        multithread=config.multithread,
-    )
-    if method == "mpi":
-        res = mpi_allreduce(cluster, flat)
-    elif method == "ccoll":
-        res = ccoll_allreduce(cluster, flat, config)
-    else:
-        res = hzccl_allreduce(cluster, flat, config)
+    res = HZCCL(config).allreduce(flat, kernel=method)
 
     stacked = (res.outputs[0].astype(np.float64) / n).astype(np.float32)
     stacked = stacked.reshape(shape)

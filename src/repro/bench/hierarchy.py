@@ -27,20 +27,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..collectives import (
-    hzccl_hierarchical_allreduce,
-    mpi_hierarchical_allreduce,
-)
+from ..collectives import FAMILIES, run
 from ..compression.fzlight import FZLight
 from ..core.analysis import error_bounds
 from ..core.config import CollectiveConfig
-from ..core.cost_model import (
-    PAPER_BROADWELL,
-    model_hzccl_allreduce,
-    model_hzccl_hierarchical_allreduce,
-    model_mpi_allreduce,
-    model_mpi_hierarchical_allreduce,
-)
+from ..core.cost_model import PAPER_BROADWELL
 from ..runtime import (
     DragonflyNetwork,
     FatTreeNetwork,
@@ -49,7 +40,7 @@ from ..runtime import (
     TorusNetwork,
     TraceLog,
 )
-from ..schedule import select_inter_family
+from ..schedule import family_cost, select_inter_family
 
 __all__ = [
     "FABRICS",
@@ -92,6 +83,12 @@ def model_sweep(ranks=MODEL_RANKS) -> list[dict]:
             total = mb * MB
             for fabric, network in FABRICS.items():
                 inter = select_inter_family(network, nodemap)
+
+                def cost(name, **params):
+                    return family_cost(
+                        name, total, PAPER_BROADWELL, network, n=n, **params
+                    ).total_time
+
                 points.append(
                     {
                         "n_ranks": n,
@@ -99,18 +96,14 @@ def model_sweep(ranks=MODEL_RANKS) -> list[dict]:
                         "size_mb": mb,
                         "fabric": fabric,
                         "inter": inter,
-                        "flat_hzccl_s": model_hzccl_allreduce(
-                            n, total, PAPER_BROADWELL, network
-                        ).total_time,
-                        "hier_hzccl_s": model_hzccl_hierarchical_allreduce(
-                            nodemap, total, PAPER_BROADWELL, network
-                        ).total_time,
-                        "flat_mpi_s": model_mpi_allreduce(
-                            n, total, PAPER_BROADWELL, network
-                        ).total_time,
-                        "hier_mpi_s": model_mpi_hierarchical_allreduce(
-                            nodemap, total, PAPER_BROADWELL, network
-                        ).total_time,
+                        "flat_hzccl_s": cost("hzccl_allreduce"),
+                        "hier_hzccl_s": cost(
+                            "hzccl_hierarchical_allreduce", nodemap=nodemap
+                        ),
+                        "flat_mpi_s": cost("mpi_allreduce"),
+                        "hier_mpi_s": cost(
+                            "mpi_hierarchical_allreduce", nodemap=nodemap
+                        ),
                     }
                 )
     return points
@@ -140,7 +133,10 @@ def executed_sweep() -> list[dict]:
         exact = np.sum(np.stack(data), axis=0)
 
         cluster = SimCluster(n, network=network, trace=TraceLog())
-        plain = mpi_hierarchical_allreduce(cluster, data, nodemap, inter="ring")
+        plain = run(
+            FAMILIES["mpi_hierarchical_allreduce"], cluster, data,
+            nodemap=nodemap, inter="ring",
+        )
         plain_comm = _trace_comm(cluster)
         # float32 sums associate differently across the two trees; the
         # disagreement is bounded by accumulation rounding, not algorithm
@@ -148,8 +144,9 @@ def executed_sweep() -> list[dict]:
             plain.outputs[0], exact, rtol=1e-4,
             atol=1e-5 * float(np.max(np.abs(exact))),
         )
-        plain_model = model_mpi_hierarchical_allreduce(
-            nodemap, total, PAPER_BROADWELL, network, inter="ring"
+        plain_model = family_cost(
+            "mpi_hierarchical_allreduce", total, PAPER_BROADWELL, network,
+            n=n, nodemap=nodemap, inter="ring",
         ).buckets["MPI"]
 
         # re-rate the model at the data's actual mean compression ratio so
@@ -158,17 +155,19 @@ def executed_sweep() -> list[dict]:
             data[0], abs_eb=config.error_bound
         ).compression_ratio
         cluster = SimCluster(n, network=network, trace=TraceLog())
-        hz = hzccl_hierarchical_allreduce(
-            cluster, data, config, nodemap, inter="ring"
+        hz = run(
+            FAMILIES["hzccl_hierarchical_allreduce"], cluster, data, config,
+            nodemap=nodemap, inter="ring",
         )
         hz_comm = _trace_comm(cluster)
         assert not hz.degraded
         err = max(float(np.max(np.abs(o - exact))) for o in hz.outputs)
         bound = error_bounds(n, config.error_bound, "hzccl").max_error
         assert err <= bound + 1e-12
-        hz_model = model_hzccl_hierarchical_allreduce(
-            nodemap, total, replace(PAPER_BROADWELL, ratio=ratio), network,
-            inter="ring",
+        hz_model = family_cost(
+            "hzccl_hierarchical_allreduce", total,
+            replace(PAPER_BROADWELL, ratio=ratio), network,
+            n=n, nodemap=nodemap, inter="ring",
         ).buckets["MPI"]
 
         points.append(

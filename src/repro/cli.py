@@ -347,30 +347,21 @@ def _cmd_pipelines(args) -> int:
 
 def _cmd_scaling(args) -> int:
     from repro.bench.tables import format_table
-    from repro.core.cost_model import (
-        PAPER_BROADWELL,
-        model_ccoll_allreduce,
-        model_ccoll_reduce_scatter,
-        model_hzccl_allreduce,
-        model_hzccl_reduce_scatter,
-        model_mpi_allreduce,
-        model_mpi_reduce_scatter,
-    )
+    from repro.core.cost_model import PAPER_BROADWELL
     from repro.runtime.network import OMNIPATH_100G
+    from repro.schedule import family_cost
 
-    models = {
-        "reduce_scatter": (
-            model_mpi_reduce_scatter, model_ccoll_reduce_scatter, model_hzccl_reduce_scatter
-        ),
-        "allreduce": (model_mpi_allreduce, model_ccoll_allreduce, model_hzccl_allreduce),
-    }[args.op]
     total = args.mb * 10**6
     rows = []
     for n in (2, 4, 8, 16, 32, 64, 128, 256, 512):
         row = [n]
         for mt in (False, True):
             mpi, cc, hz = (
-                m(n, total, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time for m in models
+                family_cost(
+                    f"{kernel}_{args.op}", total, PAPER_BROADWELL,
+                    OMNIPATH_100G, mt, n=n,
+                ).total_time
+                for kernel in ("mpi", "ccoll", "hzccl")
             )
             row += [mpi / cc, mpi / hz]
         rows.append(row)

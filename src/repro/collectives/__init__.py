@@ -7,34 +7,20 @@ Three kernels, all ring-based at heart:
   workflow (the state-of-the-art baseline).
 * :mod:`~repro.collectives.hzccl` — the paper's homomorphic co-design.
 
-Every named entry point is one :class:`~repro.collectives.interpreter.Family`
-row plus a call to the one interpreter,
-:func:`~repro.collectives.interpreter.run` (DESIGN.md §11); ``FAMILIES``
-maps each row's name to it.
+Every collective is one :class:`~repro.collectives.interpreter.Family`
+row, declared in the module that documents its algorithm; ``FAMILIES``
+maps each row's name to it, and the one interpreter runs any of them
+(DESIGN.md §11)::
+
+    run(FAMILIES["hzccl_allreduce"], cluster, local_data, config)
+    run(FAMILIES["hzccl_reduce"], cluster, local_data, config, root=1)
 """
 
+# importing the row modules declares their rows into FAMILIES
+from . import batch, ccoll, hierarchy, hzccl, rabenseifner, ring, rooted  # noqa: F401
 from .base import CollectiveResult, split_blocks, validate_local_data
-from .batch import hzccl_batched_reduce
-from .ccoll import ccoll_allgather, ccoll_allreduce, ccoll_reduce_scatter
-from .hierarchy import hzccl_hierarchical_allreduce, mpi_hierarchical_allreduce
 from .interpreter import FAMILIES, Family, run
 from .p2p import p2p_allreduce, p2p_hzccl_allreduce, p2p_reduce_scatter
-from .rabenseifner import hzccl_rabenseifner_allreduce, rabenseifner_allreduce
-from .hzccl import (
-    hzccl_allgather_compressed,
-    hzccl_allreduce,
-    hzccl_pipelined_allreduce,
-    hzccl_reduce_scatter,
-)
-from .ring import mpi_allgather, mpi_allreduce, mpi_reduce_scatter
-from .rooted import (
-    compressed_bcast,
-    hzccl_reduce,
-    hzccl_reduce_direct,
-    mpi_bcast,
-    mpi_reduce,
-)
-from .tuned import run_candidate, tuned_allreduce
 
 __all__ = [
     "CollectiveResult",
@@ -43,29 +29,7 @@ __all__ = [
     "run",
     "split_blocks",
     "validate_local_data",
-    "mpi_reduce_scatter",
-    "mpi_allgather",
-    "mpi_allreduce",
-    "ccoll_reduce_scatter",
-    "ccoll_allgather",
-    "ccoll_allreduce",
-    "hzccl_reduce_scatter",
-    "hzccl_allgather_compressed",
-    "hzccl_allreduce",
-    "hzccl_pipelined_allreduce",
     "p2p_reduce_scatter",
     "p2p_allreduce",
     "p2p_hzccl_allreduce",
-    "mpi_reduce",
-    "hzccl_reduce",
-    "hzccl_reduce_direct",
-    "mpi_bcast",
-    "compressed_bcast",
-    "hzccl_batched_reduce",
-    "rabenseifner_allreduce",
-    "hzccl_rabenseifner_allreduce",
-    "mpi_hierarchical_allreduce",
-    "hzccl_hierarchical_allreduce",
-    "tuned_allreduce",
-    "run_candidate",
 ]

@@ -17,15 +17,10 @@ changing a single decoded byte (pinned by the service property tests).
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..runtime.cluster import SimCluster
 from . import rules
-from .base import CollectiveResult
-from .interpreter import Family, run
+from .interpreter import Family
 from .rooted import MPI_REDUCE
 
-__all__ = ["hzccl_batched_reduce"]
 
 HZCCL_BATCHED_REDUCE = Family(
     "hzccl_batched_reduce",
@@ -33,26 +28,3 @@ HZCCL_BATCHED_REDUCE = Family(
     seed=rules.seed_sessions, gather=rules.gather_session_folds,
     fallback=MPI_REDUCE, per_session=True,
 )
-
-
-def hzccl_batched_reduce(
-    cluster: SimCluster,
-    sessions: list[list[np.ndarray]],
-    config,
-    root: int = 0,
-) -> CollectiveResult:
-    """Reduce ``k`` same-shaped sessions to the root in one fused schedule.
-
-    ``sessions[s]`` holds session ``s``'s per-rank contributions; each
-    rank compresses its ``k`` vectors in one kernel sweep and the root
-    decodes the ``k`` results in one (``n`` CPR + 1 DPR calls a batch,
-    whatever ``k`` is).  Unlike
-    the per-rank ``outputs`` convention of the single-session collectives,
-    the returned ``outputs`` is indexed **by session**: ``outputs[s]`` is
-    session ``s``'s reduced vector (held by the root).
-
-    Degrade: an unrecoverable compressed stream aborts the whole batch
-    and every session reruns as a plain rooted Reduce (the standard
-    degrade-to-plain contract, wire billed for both attempts).
-    """
-    return run(HZCCL_BATCHED_REDUCE, cluster, sessions, config, root=root)

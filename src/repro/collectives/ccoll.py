@@ -25,15 +25,10 @@ paper proves.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..runtime.cluster import SimCluster
 from . import rules
-from .base import CollectiveResult
-from .interpreter import Family, run
+from .interpreter import Family
 from .ring import MPI_ALLGATHER, MPI_REDUCE_SCATTER
 
-__all__ = ["ccoll_reduce_scatter", "ccoll_allgather", "ccoll_allreduce"]
 
 CCOLL_REDUCE_SCATTER = Family(
     "ccoll_reduce_scatter", **rules.REDUCE_SCATTER,
@@ -45,24 +40,3 @@ CCOLL_ALLGATHER = Family(
 CCOLL_ALLREDUCE = Family(
     "ccoll_allreduce", steps=(CCOLL_REDUCE_SCATTER, CCOLL_ALLGATHER)
 )
-
-
-def ccoll_reduce_scatter(
-    cluster: SimCluster, local_data: list[np.ndarray], config
-) -> CollectiveResult:
-    """C-Coll ring Reduce_scatter (DOC workflow each round)."""
-    return run(CCOLL_REDUCE_SCATTER, cluster, local_data, config)
-
-
-def ccoll_allgather(
-    cluster: SimCluster, chunks: list[np.ndarray], config
-) -> CollectiveResult:
-    """C-Coll ring Allgather: compress once, forward bytes, decompress all."""
-    return run(CCOLL_ALLGATHER, cluster, chunks, config)
-
-
-def ccoll_allreduce(
-    cluster: SimCluster, local_data: list[np.ndarray], config
-) -> CollectiveResult:
-    """C-Coll ring Allreduce: DOC Reduce_scatter then compressed Allgather."""
-    return run(CCOLL_ALLREDUCE, cluster, local_data, config)

@@ -33,21 +33,10 @@ exact in the integer domain, so the end-to-end error is bounded by
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..compression.format import CompressedField
-from ..runtime.cluster import SimCluster
 from . import rules
-from .base import CollectiveResult
-from .interpreter import Family, run
+from .interpreter import Family
 from .ring import MPI_ALLGATHER, MPI_ALLREDUCE, MPI_REDUCE_SCATTER
 
-__all__ = [
-    "hzccl_reduce_scatter",
-    "hzccl_allgather_compressed",
-    "hzccl_allreduce",
-    "hzccl_pipelined_allreduce",
-]
 
 # Stage-level fallback: a degraded stage finishes on its plain twin (the
 # outputs are then plain float blocks, fused hand-off or not) and the
@@ -88,68 +77,3 @@ HZCCL_PIPELINED_ALLREDUCE = Family(
     steps=(_PIPELINED_REDUCE_SCATTER, _PIPELINED_ALLGATHER),
     fallback=MPI_ALLREDUCE,
 )
-
-
-def hzccl_reduce_scatter(
-    cluster: SimCluster,
-    local_data: list[np.ndarray],
-    config,
-    return_compressed: bool = False,
-) -> CollectiveResult:
-    """hZCCL ring Reduce_scatter operating on compressed blocks.
-
-    With ``return_compressed=True`` the final decompression is skipped and
-    ``outputs`` holds :class:`CompressedField` objects — the fused hand-off
-    the hZCCL Allreduce exploits.
-    """
-    family = (
-        HZCCL_REDUCE_SCATTER_FUSED if return_compressed
-        else HZCCL_REDUCE_SCATTER
-    )
-    return run(family, cluster, local_data, config)
-
-
-def hzccl_allgather_compressed(
-    cluster: SimCluster, chunks: list[CompressedField], config
-) -> CollectiveResult:
-    """hZCCL Allgather stage: inputs are already compressed.
-
-    No compression happens here — sizes are synchronised, compressed bytes
-    ride the ring for ``N − 1`` rounds, and each rank decompresses the
-    gathered blocks once at the end.  Degrade: decompress the local
-    contributions and forward them plain.
-    """
-    return run(HZCCL_ALLGATHER_COMPRESSED, cluster, chunks, config)
-
-
-def hzccl_allreduce(
-    cluster: SimCluster, local_data: list[np.ndarray], config
-) -> CollectiveResult:
-    """hZCCL fused Allreduce: compressed Reduce_scatter → compressed Allgather.
-
-    The Reduce_scatter stage returns compressed blocks (no decompression),
-    the Allgather stage forwards them without compressing — the paper's
-    tailored optimisation on top of the per-stage gains.
-    """
-    return run(HZCCL_ALLREDUCE, cluster, local_data, config)
-
-
-def hzccl_pipelined_allreduce(
-    cluster: SimCluster,
-    local_data: list[np.ndarray],
-    config,
-    n_chunks: int = 2,
-) -> CollectiveResult:
-    """Chunk-pipelined hZCCL Allreduce (wire/HPR overlap per ring round).
-
-    Functionally equivalent to :func:`hzccl_allreduce` over finer blocks:
-    every block is split into ``n_chunks`` independently compressed chunks
-    whose transfers overlap the previous chunk's homomorphic fold.  The
-    overlap itself is a *cost-model* property (simulated time cannot
-    overlap wall-clock kernel runs); the outputs and the fault behaviour
-    exercise the exact staged schedule the model prices.
-    """
-    return run(
-        HZCCL_PIPELINED_ALLREDUCE, cluster, local_data, config,
-        chunks=n_chunks,
-    )

@@ -112,7 +112,8 @@ def run(
     ``params`` are the row's bound parameters (``root``, ``chunks``,
     ``nodemap``, ``inter``); the rank count and network come from the
     cluster.  Rows ignore the params they do not read, so a fallback or
-    nested row simply receives its parent's.
+    nested row simply receives its parent's; a param a stage's generator
+    reads but nobody bound is a ``ValueError`` before anything runs.
     """
     p = {
         "n": cluster.n_ranks, "network": cluster.network,
@@ -149,6 +150,8 @@ def _interpret(family: Family, cluster, data, config, p):
     """``(outputs, wire, degraded, pipeline_stats)`` of one row."""
     if family.per_session:
         p = {**p, "sessions": len(data)}  # the batch width the stage takes
+    for stage in family.stages:
+        stage.arguments(p)  # every param the generators read is bound
     for check in family.checks:
         data = check(family, data, p)
     outputs, wire, degraded, stats = data, 0, False, None

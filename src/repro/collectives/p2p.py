@@ -83,7 +83,7 @@ def p2p_hzccl_allreduce(
 ) -> list[np.ndarray]:
     """hZCCL fused Allreduce at message level.
 
-    Structure mirrors :func:`repro.collectives.hzccl.hzccl_allreduce`:
+    Structure mirrors the ``hzccl_allreduce`` row:
     compress all blocks once, homomorphically fold incoming compressed
     blocks for ``N − 1`` rounds, forward the compressed reduced blocks
     through the Allgather ring without recompressing, decompress once.

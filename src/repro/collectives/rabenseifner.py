@@ -20,14 +20,9 @@ non-power-of-two pre-step is out of scope and rejected explicitly).
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..runtime.cluster import SimCluster
 from . import rules
-from .base import CollectiveResult
-from .interpreter import Family, run
+from .interpreter import Family
 
-__all__ = ["rabenseifner_allreduce", "hzccl_rabenseifner_allreduce"]
 
 RABENSEIFNER_ALLREDUCE = Family("rabenseifner_allreduce", **rules.ALLREDUCE)
 # Degrade: rerun on the plain Rabenseifner schedule.
@@ -35,19 +30,3 @@ HZCCL_RABENSEIFNER_ALLREDUCE = Family(
     "hzccl_rabenseifner_allreduce", **rules.ALLREDUCE,
     fallback=RABENSEIFNER_ALLREDUCE,
 )
-
-
-def rabenseifner_allreduce(
-    cluster: SimCluster, local_data: list[np.ndarray]
-) -> CollectiveResult:
-    """Plain Rabenseifner Allreduce (SUM)."""
-    return run(RABENSEIFNER_ALLREDUCE, cluster, local_data)
-
-
-def hzccl_rabenseifner_allreduce(
-    cluster: SimCluster, local_data: list[np.ndarray], config
-) -> CollectiveResult:
-    """Homomorphic Rabenseifner Allreduce: pre-compress once, fold with
-    hZ-dynamic through the halving schedule, forward compressed segments
-    through the doubling schedule, decompress once."""
-    return run(HZCCL_RABENSEIFNER_ALLREDUCE, cluster, local_data, config)

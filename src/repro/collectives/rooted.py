@@ -29,22 +29,11 @@ below.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..runtime.cluster import SimCluster
 from . import rules
-from .base import CollectiveResult
 from .hzccl import HZCCL_REDUCE_SCATTER_FUSED
-from .interpreter import Family, run
+from .interpreter import Family
 from .ring import MPI_REDUCE_SCATTER
 
-__all__ = [
-    "mpi_reduce",
-    "hzccl_reduce",
-    "hzccl_reduce_direct",
-    "mpi_bcast",
-    "compressed_bcast",
-]
 
 # The gathers of reduced blocks to the root run inline under the Reduce's
 # own span (they never were collectives of their own).
@@ -85,51 +74,3 @@ COMPRESSED_BCAST = Family(
     "compressed_bcast", checks=(rules.check_payload,),
     seed=rules.seed_root_payload, gather=rules.gather_delivered,
 )
-
-
-def mpi_reduce(
-    cluster: SimCluster, local_data: list[np.ndarray], root: int = 0
-) -> CollectiveResult:
-    """Plain Reduce: ring Reduce_scatter + gather of blocks to the root."""
-    return run(MPI_REDUCE, cluster, local_data, root=root)
-
-
-def hzccl_reduce(
-    cluster: SimCluster, local_data: list[np.ndarray], config, root: int = 0
-) -> CollectiveResult:
-    """hZCCL Reduce: compressed Reduce_scatter, compressed gather, one
-    decompression at the root only."""
-    return run(HZCCL_REDUCE, cluster, local_data, config, root=root)
-
-
-def hzccl_reduce_direct(
-    cluster: SimCluster, local_data: list[np.ndarray], config, root: int = 0
-) -> CollectiveResult:
-    """hZCCL direct Reduce: flat compressed gather + one fused k-way fold.
-
-    ``N·CPR (parallel) + gather + 1 fused N-way HPR + 1·DPR`` — the fused
-    reduction engine folds all operands in a single pass, so the root's
-    homomorphic work no longer scales with ``N`` decode/encode round trips.
-    The result is byte-identical to any pairwise schedule.
-    """
-    return run(HZCCL_REDUCE_DIRECT, cluster, local_data, config, root=root)
-
-
-def mpi_bcast(
-    cluster: SimCluster, data: np.ndarray, root: int = 0
-) -> CollectiveResult:
-    """Plain binomial-tree broadcast of ``data`` from the root."""
-    return run(MPI_BCAST, cluster, data, root=root)
-
-
-def compressed_bcast(
-    cluster: SimCluster, data: np.ndarray, config, root: int = 0
-) -> CollectiveResult:
-    """Compressed broadcast: one CPR at the root, compressed bytes on the
-    tree, one DPR per receiving rank (all concurrent).
-
-    Per-rank stream loss degrades *individually*
-    (``CommOp(degrade="op")``): the root re-sends that rank's share plain
-    while every other rank still decodes the compressed stream.
-    """
-    return run(COMPRESSED_BCAST, cluster, data, config, root=root)

@@ -17,14 +17,6 @@ from .cost_model import (
     CostRates,
     calibrated_config,
     matched_network,
-    model_ccoll_allreduce,
-    model_ccoll_reduce_scatter,
-    model_hzccl_allreduce,
-    model_hzccl_hierarchical_allreduce,
-    model_hzccl_reduce_scatter,
-    model_mpi_allreduce,
-    model_mpi_hierarchical_allreduce,
-    model_mpi_reduce_scatter,
 )
 
 __all__ = [
@@ -35,14 +27,6 @@ __all__ = [
     "PAPER_BROADWELL",
     "matched_network",
     "calibrated_config",
-    "model_mpi_reduce_scatter",
-    "model_mpi_allreduce",
-    "model_ccoll_reduce_scatter",
-    "model_ccoll_allreduce",
-    "model_hzccl_reduce_scatter",
-    "model_hzccl_allreduce",
-    "model_mpi_hierarchical_allreduce",
-    "model_hzccl_hierarchical_allreduce",
     "OperationCounts",
     "reduce_scatter_counts",
     "allreduce_counts",

@@ -28,8 +28,8 @@ class CollectiveConfig:
     backend emits byte-identical streams, so ranks may disagree on it.
 
     ``tuning_table_path`` points autotuned collectives
-    (``HZCCL.allreduce(tune=True)``, :func:`repro.collectives.tuned_allreduce`)
-    at a persisted :class:`~repro.schedule.tuner.TuningTable`; ``None``
+    (``HZCCL.allreduce(tune=True)``, or any ``plan()`` of a ``tune=True``
+    request) at a persisted :class:`~repro.schedule.tuner.TuningTable`; ``None``
     falls back to ``$REPRO_TUNING_TABLE``, then to live enumeration
     (see DESIGN.md §13).
     """

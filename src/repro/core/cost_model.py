@@ -7,7 +7,11 @@ model closes both gaps:
 
 * the **per-round cost formulas** are the paper's own (Section III-C):
   C-Coll Reduce_scatter pays ``(N−1)(CPR+DPR+CPT)``, hZCCL pays
-  ``N·CPR + (N−1)·HPR + DPR``, etc.;
+  ``N·CPR + (N−1)·HPR + DPR``, etc.  They are not written out here:
+  :func:`~repro.schedule.families.family_cost` prices any family-table
+  row by name, as an analytic dry run of the very schedules the
+  interpreter executes, and the closed forms fall out of that walk
+  (``family_cost("hzccl_allreduce", total_bytes, rates, network, n=64)``);
 * the **charge rates** (seconds per input byte for CPR/DPR/HPR/CPT) come
   either from :meth:`CostRates.measure` — measured on *this* machine with
   *this* repo's kernels on a data sample — or from
@@ -31,10 +35,7 @@ import numpy as np
 
 from ..compression.fzlight import FZLight
 from ..homomorphic.hzdynamic import HZDynamic
-from ..runtime.clock import Breakdown
 from ..runtime.network import NetworkModel
-from ..runtime.nodemap import NodeMap
-from ..schedule.families import family_cost
 from ..utils.validation import ensure_positive, ensure_positive_int
 
 __all__ = [
@@ -42,16 +43,6 @@ __all__ = [
     "PAPER_BROADWELL",
     "matched_network",
     "calibrated_config",
-    "model_mpi_reduce_scatter",
-    "model_mpi_allreduce",
-    "model_ccoll_reduce_scatter",
-    "model_ccoll_allreduce",
-    "model_hzccl_reduce_scatter",
-    "model_hzccl_allreduce",
-    "model_hzccl_allreduce_pipelined",
-    "model_hzccl_reduce",
-    "model_mpi_hierarchical_allreduce",
-    "model_hzccl_hierarchical_allreduce",
 ]
 
 
@@ -251,167 +242,3 @@ def matched_network(
     if not 1e-6 <= scale <= 1e3:
         raise ValueError(f"implausible substrate scale {scale}")
     return replace(network, bandwidth_Bps=network.bandwidth_Bps * scale)
-
-
-# ---------------------------------------------------------------------- #
-# §III-C round models — analytic dry runs of the executor's schedules
-# ---------------------------------------------------------------------- #
-# Every model below prices its family-table row
-# (repro.schedule.families): the *same* Schedule objects the interpreter
-# runs, paired with each stage's codec's charge table (its Discipline)
-# instead of the codec itself.  The closed forms of §III-C — (N−1)(CPR+DPR+CPT) for
-# C-Coll, N·CPR+(N−1)·HPR+1·DPR for hZCCL, and so on — fall out of the
-# round walk instead of being hand-derived per family, so a new row is
-# priced for free (see model_hzccl_allreduce_pipelined).
-
-
-def _flat_model(family: str, doc: str, name: str | None = None):
-    """A ``model_*`` function pricing one flat (rank-count) family row."""
-
-    def model(
-        n_nodes: int,
-        total_bytes: int,
-        rates: CostRates,
-        network: NetworkModel,
-        multithread: bool = False,
-        thread_speedup: float = 6.0,
-    ) -> Breakdown:
-        ensure_positive_int(n_nodes, "n_nodes")
-        ensure_positive(total_bytes, "total_bytes")
-        return family_cost(
-            family, total_bytes, rates, network, multithread, thread_speedup,
-            n=n_nodes,
-        )
-
-    model.__doc__ = doc
-    model.__name__ = model.__qualname__ = name or f"model_{family}"
-    return model
-
-
-model_mpi_reduce_scatter = _flat_model(
-    "mpi_reduce_scatter",
-    """Plain ring Reduce_scatter: ``(N−1)`` rounds of send + local add.""",
-)
-model_mpi_allreduce = _flat_model(
-    "mpi_allreduce",
-    """Plain ring Allreduce = Reduce_scatter + Allgather.""",
-)
-model_ccoll_reduce_scatter = _flat_model(
-    "ccoll_reduce_scatter",
-    """C-Coll: ``(N−1)(CPR + DPR + CPT)`` plus compressed transfers.""",
-)
-model_ccoll_allreduce = _flat_model(
-    "ccoll_allreduce",
-    """C-Coll Allreduce: ``N·CPR + 2(N−1)·DPR + (N−1)·CPT`` (§III-C2).""",
-)
-model_hzccl_reduce_scatter = _flat_model(
-    "hzccl_reduce_scatter",
-    """hZCCL: ``N·CPR + (N−1)·HPR + 1·DPR`` plus compressed transfers.""",
-)
-model_hzccl_allreduce = _flat_model(
-    "hzccl_allreduce",
-    """hZCCL fused Allreduce: ``N·CPR + (N−1)·HPR + (N−1)·DPR`` (§III-C2).
-
-    The Reduce_scatter stage runs with ``finalize=False`` (the fused
-    hand-off: its output stays compressed) and the Allgather stage's final
-    decompression covers all gathered chunks in one batched kernel call.
-    """,
-)
-model_hzccl_reduce = _flat_model(
-    "hzccl_reduce_direct",
-    """hZCCL direct rooted Reduce: flat gather + one fused ``N``-way fold.
-
-    Every rank compresses its full vector in parallel (one CPR over
-    ``total_bytes``), the ``N − 1`` compressed streams converge on the root
-    (incast: the root's link serialises the messages), and the root pays a
-    single fused homomorphic reduction — ``N·IFE + 1·FE`` per byte via
-    :meth:`CostRates.fused_hpr_s_per_byte` instead of the pairwise fold's
-    ``(N−1)·HPR`` — followed by one decompression.
-    """,
-    name="model_hzccl_reduce",
-)
-def model_hzccl_allreduce_pipelined(
-    n_nodes: int,
-    total_bytes: int,
-    rates: CostRates,
-    network: NetworkModel,
-    multithread: bool = False,
-    thread_speedup: float = 6.0,
-    n_chunks: int = 2,
-) -> Breakdown:
-    """Chunk-pipelined hZCCL Allreduce: wire time overlaps the HPR folds.
-
-    Prices :func:`~repro.schedule.pipelined_ring_reduce_scatter`: every
-    ring round is split into ``n_chunks`` sub-rounds whose transfers
-    overlap the previous chunk's homomorphic fold, so each sub-round
-    costs ``max(wire, HPR)`` instead of ``wire + HPR``.  The buckets
-    still report the full charged work — ``total_time`` is the sum of
-    round *makespans* and is deliberately below the bucket sum whenever
-    the overlap hides anything.
-    """
-    ensure_positive_int(n_nodes, "n_nodes")
-    ensure_positive(total_bytes, "total_bytes")
-    return family_cost(
-        "hzccl_pipelined_allreduce", total_bytes, rates, network,
-        multithread, thread_speedup, n=n_nodes, chunks=n_chunks,
-    )
-
-
-def _placed_cost(
-    family, nodemap, total_bytes, rates, network, inter, multithread,
-    thread_speedup,
-) -> Breakdown:
-    ensure_positive_int(nodemap.n_ranks, "n_nodes")
-    ensure_positive(total_bytes, "total_bytes")
-    return family_cost(
-        family, total_bytes, rates, network, multithread, thread_speedup,
-        n=nodemap.n_ranks, nodemap=nodemap, inter=inter,
-    )
-
-
-def model_mpi_hierarchical_allreduce(
-    nodemap: NodeMap,
-    total_bytes: int,
-    rates: CostRates,
-    network: NetworkModel,
-    inter: str | None = None,
-    multithread: bool = False,
-    thread_speedup: float = 6.0,
-) -> Breakdown:
-    """Plain two-level hierarchical Allreduce over a :class:`NodeMap`.
-
-    One priced schedule end-to-end (no stage combination): binomial
-    intra-node reduce on ``intra_scale``-fast links at per-node
-    concurrency, the inter-node family over ``n_nodes`` leader flows,
-    binomial broadcast back.  The congestion law is evaluated with each
-    round's *declared* flow count — the whole point of the hierarchy is
-    that the fabric never sees ``n_ranks`` concurrent flows.
-    """
-    return _placed_cost(
-        "mpi_hierarchical_allreduce", nodemap, total_bytes, rates, network,
-        inter, multithread, thread_speedup,
-    )
-
-
-def model_hzccl_hierarchical_allreduce(
-    nodemap: NodeMap,
-    total_bytes: int,
-    rates: CostRates,
-    network: NetworkModel,
-    inter: str | None = None,
-    multithread: bool = False,
-    thread_speedup: float = 6.0,
-) -> Breakdown:
-    """Homomorphic hierarchical Allreduce: ``n_nodes·CPR`` once per rank,
-    HPR folds at both levels, one batched DPR.
-
-    Against the flat fused ring this trades larger HPR byte volume
-    (full-vector folds in the binomial trees) for ~``log`` rounds instead
-    of ``2(n−1)``, ``n_nodes``-way instead of ``n_ranks``-way congestion
-    on the fabric, and far fewer kernel invocations — which is exactly
-    the regime (Fig. 10's dip) where the flat schedules fall over.
-    """
-    return _placed_cost(
-        "hzccl_hierarchical_allreduce", nodemap, total_bytes, rates, network,
-        inter, multithread, thread_speedup,
-    )

@@ -1,7 +1,7 @@
 """The request → plan → execute pipeline behind every collective call.
 
 Before this module, every entry point (`HZCCL.allreduce/reduce/bcast`,
-``tuned_allreduce``, ``repro mp run``) re-derived the same
+the tuned allreduce, ``repro mp run``) re-derived the same
 config → cluster → codec → schedule → executor wiring inline, so there
 was no single object a service could cache, batch, or multiplex.  The
 pipeline makes the three stages explicit:

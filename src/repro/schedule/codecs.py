@@ -129,7 +129,7 @@ class PayloadCodec:
         """Produce the wire items for one comm (may charge encode time)."""
         return tuple(state[rank][b] for b in blocks)
 
-    def fold(self, rank, blocks, items: Sequence[Any], state, fresh=True):
+    def fold(self, rank, blocks, items: Sequence[Any], state):
         """Reduce ``items`` into the rank's partials for ``blocks``."""
         raise NotImplementedError
 
@@ -164,7 +164,7 @@ class PlainCodec(PayloadCodec):
         slots=(("setup", None), ("finalize", None)),
     )
 
-    def fold(self, rank, blocks, items, state, fresh=True):
+    def fold(self, rank, blocks, items, state):
         with self._timed(rank, "fold"):
             for b, item in zip(blocks, items):
                 # initial blocks are views into caller arrays, so the fold
@@ -202,7 +202,7 @@ class DocReduceCodec(_CompressedCodec):
                 for b in blocks
             )
 
-    def fold(self, rank, blocks, items, state, fresh=True):
+    def fold(self, rank, blocks, items, state):
         decode, add = self.buckets["fold"]
         for b, item in zip(blocks, items):
             with self.cluster.timed(rank, decode):
@@ -297,7 +297,7 @@ class HomomorphicCodec(_CompressedCodec):
     def seal(self, rank, state):
         self._encode_held(rank, tuple(state[rank]), state[rank])
 
-    def fold(self, rank, blocks, items, state, fresh=True):
+    def fold(self, rank, blocks, items, state):
         with self._timed(rank, "fold"):
             for b, item in zip(blocks, items):
                 # one fused fold of the local partial with the incoming

@@ -129,7 +129,7 @@ class ScheduleExecutor:
                         self._round(rnd, state, pending, outcome)
         except UnrecoverableStreamError:
             # the single degrade path: abort the schedule, record the
-            # degradation; the entry point reruns on its plain fallback
+            # degradation; the interpreter reruns on the row's plain fallback
             self.cluster.channel.degrade()
             outcome.degraded = outcome.aborted = True
         # what the codec still holds uncoded (say, the owned block of a
@@ -187,8 +187,7 @@ class ScheduleExecutor:
                         pending[(comm.dst, b)] = _DEGRADED
                 continue
             if comm.action == "fold":
-                codec.fold(comm.dst, comm.blocks, received, state,
-                           fresh=comm.fresh)
+                codec.fold(comm.dst, comm.blocks, received, state)
             elif comm.action == "store":
                 codec.store(comm.dst, comm.blocks, received, state)
             elif comm.action == "stage":
@@ -271,8 +270,7 @@ class ScheduleExecutor:
                 blocks.append(b)
                 items.append(item)
             if blocks:
-                codec.fold(op.rank, tuple(blocks), items, state,
-                           fresh=op.fresh)
+                codec.fold(op.rank, tuple(blocks), items, state)
         elif op.kind == "fold_fused":
             codec.fold_fused(op.rank, op.blocks, state, fanin=op.fanin,
                              out=op.out)

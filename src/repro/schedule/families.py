@@ -11,7 +11,7 @@ with the stage's ``slots`` when it overrides them
 This module holds that half of each row — :data:`STAGES` maps a family
 name to its ordered tuple of :class:`StageSpec` — so the tuner
 (:func:`~repro.schedule.tuner.candidate_stages`), the analytic model
-(``repro.core.cost_model.model_*``) and the §III-C operation counts
+(:func:`family_cost`) and the §III-C operation counts
 (``repro.core.analysis``) price, and the interpreter in
 :mod:`repro.collectives.interpreter` runs, the *same* stage objects: what
 is priced is what is executed.  The collective half of a row (span name,
@@ -42,6 +42,7 @@ from functools import cached_property, lru_cache
 from typing import Any, Callable
 
 from ..runtime.clock import Breakdown
+from ..utils.validation import ensure_positive, ensure_positive_int
 from .codecs import discipline_of
 from .cost import Discipline, combine, schedule_cost
 from .generators import (
@@ -89,15 +90,24 @@ class StageSpec:
     #: variant prices that decode)
     priced: tuple[tuple[str, Any], ...] | None = None
 
+    def arguments(self, params) -> tuple:
+        """The generator's positional arguments, read from the bound
+        ``params``; a ``ValueError`` names each one that is missing."""
+        missing = [name for name in self.args if name not in params]
+        if missing:
+            raise ValueError(
+                f"schedule generator {self.generator.__name__} needs the "
+                f"unbound parameter(s) {', '.join(map(repr, missing))}"
+            )
+        return tuple(params[name] for name in self.args)
+
     def schedule(self, priced: bool = False, **params) -> Schedule:
         """The schedule this stage executes (or, with ``priced``, is
         priced as) under the bound ``params``."""
         fixed = self.fixed
         if priced and self.priced is not None:
             fixed = self.priced
-        return self.generator(
-            *(params[name] for name in self.args), **dict(fixed)
-        )
+        return self.generator(*self.arguments(params), **dict(fixed))
 
     @cached_property
     def discipline(self) -> Discipline:
@@ -122,7 +132,7 @@ class StageSpec:
 _flat_gather = lru_cache(maxsize=None)(flat_gather)
 
 
-def _hierarchical(nodemap, inter, network):
+def _hierarchical_allreduce(nodemap, inter, network):
     if inter is None:
         # the fabric-aware default: read the congestion law's family
         inter = select_inter_family(network, nodemap)
@@ -181,8 +191,8 @@ _RABENSEIFNER_PLAIN = StageSpec(rabenseifner_allreduce_schedule, _N, "plain")
 _RABENSEIFNER_HZ = StageSpec(
     rabenseifner_allreduce_schedule, _N, "homomorphic"
 )
-_HIERARCHICAL_PLAIN = StageSpec(_hierarchical, _PLACED, "plain")
-_HIERARCHICAL_HZ = StageSpec(_hierarchical, _PLACED, "homomorphic")
+_HIERARCHICAL_PLAIN = StageSpec(_hierarchical_allreduce, _PLACED, "plain")
+_HIERARCHICAL_HZ = StageSpec(_hierarchical_allreduce, _PLACED, "homomorphic")
 
 #: family name → ordered stages.  A composed family lists the very stage
 #: objects of the families it nests (allreduce = reduce-scatter ∘
@@ -240,11 +250,16 @@ def family_cost(
     network,
     multithread: bool = False,
     thread_speedup: float = 6.0,
+    *,
+    n: int,
     **params,
 ) -> Breakdown:
-    """Price family ``name``: the sum of its stages' analytic dry runs —
-    the §III-C closed forms fall out of walking the rows the interpreter
-    runs."""
+    """Price family ``name`` on ``n`` ranks: the sum of its stages'
+    analytic dry runs — the §III-C closed forms fall out of walking the
+    rows the interpreter runs.  ``params`` are the row's other bound
+    params (``chunks``, ``sessions``, ``nodemap``, ``inter``)."""
+    ensure_positive_int(n, "n")
+    ensure_positive(total_bytes, "total_bytes")
     return combine(
         *(
             schedule_cost(
@@ -252,7 +267,7 @@ def family_cost(
                 multithread, thread_speedup,
             )
             for schedule, discipline in priced_stages(
-                name, network=network, **params
+                name, n=n, network=network, **params
             )
         )
     )

@@ -34,8 +34,8 @@ the JSON key, so tables diff cleanly in version control.
 Layering: this module stays inside :mod:`repro.schedule` and therefore
 never imports :mod:`repro.core` — scoring rates
 (:class:`~repro.core.cost_model.CostRates`) are always passed in.  The
-executable entry point consulting the table lives in
-:mod:`repro.collectives.tuned`.
+executable path consulting the table is a ``tune=True`` request through
+:func:`repro.core.pipeline.plan` (``HZCCL.allreduce(tune=True)``).
 """
 
 from __future__ import annotations
@@ -774,8 +774,8 @@ def lookup_entry(
     """Resolve a key: persisted table, then LRU memo, then enumeration.
 
     Returns ``(entry, source)`` with source ∈ {"table", "memo",
-    "enumerated"} — the entry point feeds the source straight into the
-    :mod:`repro.obs` counters.
+    "enumerated"} — ``plan()`` records it and ``execute()`` feeds it
+    straight into the :mod:`repro.obs` counters.
     """
     if table is not None:
         entry = table.lookup(key)

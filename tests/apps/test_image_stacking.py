@@ -1,10 +1,13 @@
 """Tests for the image-stacking application (§IV-E)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.apps.image_stacking import make_exposures, make_scene, stack_images
 from repro.core.config import CollectiveConfig
+from repro.runtime import FaultPlan
 
 SHAPE = (64, 64)
 
@@ -87,6 +90,16 @@ class TestStacking:
         assert hz.breakdown.buckets["HPR"] > 0
         cc = stack_images(exposures, "ccoll", config)
         assert cc.breakdown.buckets["HPR"] == 0
+
+    def test_config_fault_plan_is_honoured(self, exposures, config):
+        """Every compressed stream lost: the hzccl stack degrades to the
+        plain ring — the exact MPI stack, with the failed attempts'
+        wire billed on top."""
+        faulted = replace(config, fault_plan=FaultPlan(seed=1, corrupt_rate=1.0))
+        mpi = stack_images(exposures, "mpi", config)
+        hz = stack_images(exposures, "hzccl", faulted)
+        np.testing.assert_array_equal(hz.stacked, mpi.stacked)
+        assert hz.bytes_on_wire > mpi.bytes_on_wire
 
     def test_rejects_unknown_method(self, exposures):
         with pytest.raises(ValueError, match="method"):

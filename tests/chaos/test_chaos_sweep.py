@@ -15,27 +15,12 @@ job with ``--durations`` visibility.
 import numpy as np
 import pytest
 
-from repro.collectives.ccoll import ccoll_allreduce
-from repro.collectives.hierarchy import (
-    hzccl_hierarchical_allreduce,
-    mpi_hierarchical_allreduce,
-)
-from repro.collectives.hzccl import hzccl_allreduce, hzccl_reduce_scatter
-from repro.collectives.rabenseifner import (
-    hzccl_rabenseifner_allreduce,
-    rabenseifner_allreduce,
-)
-from repro.collectives.ring import mpi_allreduce
-from repro.collectives.rooted import (
-    compressed_bcast,
-    hzccl_reduce,
-    hzccl_reduce_direct,
-    mpi_reduce,
-)
-from repro.collectives.tuned import tuned_allreduce
+from repro.collectives import FAMILIES, run
+from repro.core import pipeline
 from repro.core.config import CollectiveConfig
 from repro.runtime import FaultPlan, NetworkModel, NodeMap, SimCluster, TraceLog
 from repro.runtime.topology import Ring
+from repro.schedule.tuner import classify_roughness
 
 pytestmark = pytest.mark.chaos
 
@@ -49,26 +34,56 @@ CONFIG = CollectiveConfig(
 
 # op name → callable(cluster, data, config) -> CollectiveResult
 OPS = {
-    "ring-mpi-allreduce": lambda cl, d, c: mpi_allreduce(cl, d),
-    "ring-ccoll-allreduce": ccoll_allreduce,
-    "ring-hzccl-allreduce": hzccl_allreduce,
-    "ring-hzccl-reduce-scatter": hzccl_reduce_scatter,
-    "rabenseifner-mpi": lambda cl, d, c: rabenseifner_allreduce(cl, d),
-    "rabenseifner-hzccl": hzccl_rabenseifner_allreduce,
-    "rooted-mpi-reduce": lambda cl, d, c: mpi_reduce(cl, d),
-    "rooted-hzccl-reduce": hzccl_reduce,
-    "rooted-hzccl-reduce-direct": hzccl_reduce_direct,
-    "rooted-hzccl-bcast": lambda cl, d, c: compressed_bcast(cl, d[0], c),
-    "hierarchical-mpi": lambda cl, d, c: mpi_hierarchical_allreduce(
-        cl, d, NodeMap.regular(N_RANKS, 2)
+    "ring-mpi-allreduce": lambda cl, d, c: run(
+        FAMILIES["mpi_allreduce"], cl, d
     ),
-    "hierarchical-hzccl": lambda cl, d, c: hzccl_hierarchical_allreduce(
-        cl, d, c, NodeMap.regular(N_RANKS, 2)
+    "ring-ccoll-allreduce": lambda cl, d, c: run(
+        FAMILIES["ccoll_allreduce"], cl, d, c
+    ),
+    "ring-hzccl-allreduce": lambda cl, d, c: run(
+        FAMILIES["hzccl_allreduce"], cl, d, c
+    ),
+    "ring-hzccl-reduce-scatter": lambda cl, d, c: run(
+        FAMILIES["hzccl_reduce_scatter"], cl, d, c
+    ),
+    "rabenseifner-mpi": lambda cl, d, c: run(
+        FAMILIES["rabenseifner_allreduce"], cl, d
+    ),
+    "rabenseifner-hzccl": lambda cl, d, c: run(
+        FAMILIES["hzccl_rabenseifner_allreduce"], cl, d, c
+    ),
+    "rooted-mpi-reduce": lambda cl, d, c: run(FAMILIES["mpi_reduce"], cl, d),
+    "rooted-hzccl-reduce": lambda cl, d, c: run(
+        FAMILIES["hzccl_reduce"], cl, d, c
+    ),
+    "rooted-hzccl-reduce-direct": lambda cl, d, c: run(
+        FAMILIES["hzccl_reduce_direct"], cl, d, c
+    ),
+    "rooted-hzccl-bcast": lambda cl, d, c: run(
+        FAMILIES["compressed_bcast"], cl, d[0], c
+    ),
+    "hierarchical-mpi": lambda cl, d, c: run(
+        FAMILIES["mpi_hierarchical_allreduce"], cl, d,
+        nodemap=NodeMap.regular(N_RANKS, 2),
+    ),
+    "hierarchical-hzccl": lambda cl, d, c: run(
+        FAMILIES["hzccl_hierarchical_allreduce"], cl, d, c,
+        nodemap=NodeMap.regular(N_RANKS, 2),
     ),
     # the autotuner's pick is deterministic per (shape, fabric, data), so
     # replay holds; the picked family's own degrade-to-plain path is what
     # keeps faulted runs correct.
-    "tuned-hzccl": tuned_allreduce,
+    "tuned-hzccl": lambda cl, d, c: pipeline.execute(
+        pipeline.plan(
+            pipeline.CollectiveRequest(
+                op="allreduce", n_ranks=len(d),
+                payload=pipeline.PayloadSpec.of(d[0]), tune=True,
+                roughness=classify_roughness(d[0], c.error_bound),
+            ),
+            c, network=cl.network,
+        ),
+        d, cluster=cl, config=c,
+    ),
 }
 
 # plan family → seed-parameterised FaultPlan factory

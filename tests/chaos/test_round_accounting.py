@@ -12,12 +12,7 @@ round durations may stretch.
 import numpy as np
 import pytest
 
-from repro.collectives import (
-    ccoll_allreduce,
-    hzccl_allreduce,
-    hzccl_rabenseifner_allreduce,
-    mpi_allreduce,
-)
+from repro.collectives import FAMILIES, run
 from repro.core.config import CollectiveConfig
 from repro.runtime import FaultPlan, NetworkModel, SimCluster, TraceLog
 
@@ -29,11 +24,11 @@ CONFIG = CollectiveConfig(
     error_bound=1e-3, block_size=8, n_threadblocks=3, network=NET
 )
 OPS = {
-    "mpi-allreduce": lambda cl, d: mpi_allreduce(cl, d),
-    "ccoll-allreduce": lambda cl, d: ccoll_allreduce(cl, d, CONFIG),
-    "hzccl-allreduce": lambda cl, d: hzccl_allreduce(cl, d, CONFIG),
-    "hzccl-rabenseifner": lambda cl, d: hzccl_rabenseifner_allreduce(
-        cl, d, CONFIG
+    "mpi-allreduce": lambda cl, d: run(FAMILIES["mpi_allreduce"], cl, d),
+    "ccoll-allreduce": lambda cl, d: run(FAMILIES["ccoll_allreduce"], cl, d, CONFIG),
+    "hzccl-allreduce": lambda cl, d: run(FAMILIES["hzccl_allreduce"], cl, d, CONFIG),
+    "hzccl-rabenseifner": lambda cl, d: run(
+        FAMILIES["hzccl_rabenseifner_allreduce"], cl, d, CONFIG,
     ),
 }
 

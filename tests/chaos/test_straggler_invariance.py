@@ -9,10 +9,7 @@ to the fault-free run — with a strictly larger makespan.
 import numpy as np
 import pytest
 
-from repro.collectives.ccoll import ccoll_allreduce
-from repro.collectives.hzccl import hzccl_allreduce, hzccl_reduce_scatter
-from repro.collectives.rabenseifner import hzccl_rabenseifner_allreduce
-from repro.collectives.ring import mpi_allreduce, mpi_reduce_scatter
+from repro.collectives import FAMILIES, run
 from repro.core.config import CollectiveConfig
 from repro.runtime import FaultPlan, NetworkModel, SimCluster
 
@@ -25,13 +22,15 @@ STRAGGLER = FaultPlan(seed=0, stragglers=(1,), straggler_factor=50.0)
 SLOW_LINK = FaultPlan(seed=0, degraded_links=((0, 1, 0.01),))
 
 OPS = {
-    "mpi-allreduce": lambda cl, d: mpi_allreduce(cl, d),
-    "mpi-reduce-scatter": lambda cl, d: mpi_reduce_scatter(cl, d),
-    "ccoll-allreduce": lambda cl, d: ccoll_allreduce(cl, d, CONFIG),
-    "hzccl-allreduce": lambda cl, d: hzccl_allreduce(cl, d, CONFIG),
-    "hzccl-reduce-scatter": lambda cl, d: hzccl_reduce_scatter(cl, d, CONFIG),
-    "hzccl-rabenseifner": lambda cl, d: hzccl_rabenseifner_allreduce(
-        cl, d, CONFIG
+    "mpi-allreduce": lambda cl, d: run(FAMILIES["mpi_allreduce"], cl, d),
+    "mpi-reduce-scatter": lambda cl, d: run(FAMILIES["mpi_reduce_scatter"], cl, d),
+    "ccoll-allreduce": lambda cl, d: run(FAMILIES["ccoll_allreduce"], cl, d, CONFIG),
+    "hzccl-allreduce": lambda cl, d: run(FAMILIES["hzccl_allreduce"], cl, d, CONFIG),
+    "hzccl-reduce-scatter": lambda cl, d: run(
+        FAMILIES["hzccl_reduce_scatter"], cl, d, CONFIG,
+    ),
+    "hzccl-rabenseifner": lambda cl, d: run(
+        FAMILIES["hzccl_rabenseifner_allreduce"], cl, d, CONFIG,
     ),
 }
 

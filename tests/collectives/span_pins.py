@@ -1,15 +1,18 @@
 """Span-tree characterisation of every collective family (helper module).
 
-``characterise()`` runs each named entry point at n = 4, healthy and with
-every compressed stream forced unrecoverable, and records the trace's
-span tree as ``[kind, name]`` pairs in walk order plus the degraded flag.
+``characterise()`` runs each case at n = 4, healthy and with every
+compressed stream forced unrecoverable, and records the trace's span tree
+as ``[kind, name]`` pairs in walk order plus the degraded flag.
 ``tests/collectives/family_spans.json`` holds the result as generated at
-the commit *before* the family table existed::
+the commit *before* the family table existed, through that commit's
+per-family entry points (a case is named after the entry point and, in
+brackets, the flag it was called with)::
 
-    PYTHONPATH=<parent>/src python -m tests.collectives.span_pins \
+    PYTHONPATH=<that commit>/src python -m tests.collectives.span_pins \
         > tests/collectives/family_spans.json
 
-so it only imports names that commit already had.
+Each case now runs its family-table row through ``run()``; the pin is
+never regenerated, so a row that drifts from the old span tree fails.
 """
 
 from __future__ import annotations
@@ -18,28 +21,7 @@ import json
 
 import numpy as np
 
-from repro.collectives import (
-    ccoll_allgather,
-    ccoll_allreduce,
-    ccoll_reduce_scatter,
-    compressed_bcast,
-    hzccl_allgather_compressed,
-    hzccl_allreduce,
-    hzccl_batched_reduce,
-    hzccl_hierarchical_allreduce,
-    hzccl_pipelined_allreduce,
-    hzccl_rabenseifner_allreduce,
-    hzccl_reduce,
-    hzccl_reduce_direct,
-    hzccl_reduce_scatter,
-    mpi_allgather,
-    mpi_allreduce,
-    mpi_bcast,
-    mpi_hierarchical_allreduce,
-    mpi_reduce,
-    mpi_reduce_scatter,
-    rabenseifner_allreduce,
-)
+from repro.collectives import FAMILIES, run
 from repro.core.config import CollectiveConfig
 from repro.runtime import FaultPlan, SimCluster
 from repro.runtime.nodemap import NodeMap
@@ -64,52 +46,60 @@ def _compressed_chunks(data):
     # a healthy reduce-scatter on a side cluster, so the cluster under
     # test traces only the compressed allgather
     side = SimCluster(len(data))
-    return hzccl_reduce_scatter(
-        side, data, CONFIG, return_compressed=True
-    ).outputs
+    return run(FAMILIES["hzccl_reduce_scatter_fused"], side, data, CONFIG).outputs
 
 
 CASES = {
-    "mpi_reduce_scatter": lambda cl, d: mpi_reduce_scatter(cl, d),
-    "mpi_allgather": lambda cl, d: mpi_allgather(cl, [a[:300] for a in d]),
-    "mpi_allreduce": lambda cl, d: mpi_allreduce(cl, d),
-    "ccoll_reduce_scatter": lambda cl, d: ccoll_reduce_scatter(cl, d, CONFIG),
-    "ccoll_allgather": lambda cl, d: ccoll_allgather(
-        cl, [a[:300] for a in d], CONFIG
+    "mpi_reduce_scatter": lambda cl, d: run(FAMILIES["mpi_reduce_scatter"], cl, d),
+    "mpi_allgather": lambda cl, d: run(
+        FAMILIES["mpi_allgather"], cl, [a[:300] for a in d],
     ),
-    "ccoll_allreduce": lambda cl, d: ccoll_allreduce(cl, d, CONFIG),
-    "hzccl_reduce_scatter": lambda cl, d: hzccl_reduce_scatter(cl, d, CONFIG),
+    "mpi_allreduce": lambda cl, d: run(FAMILIES["mpi_allreduce"], cl, d),
+    "ccoll_reduce_scatter": lambda cl, d: run(
+        FAMILIES["ccoll_reduce_scatter"], cl, d, CONFIG,
+    ),
+    "ccoll_allgather": lambda cl, d: run(
+        FAMILIES["ccoll_allgather"], cl, [a[:300] for a in d], CONFIG,
+    ),
+    "ccoll_allreduce": lambda cl, d: run(FAMILIES["ccoll_allreduce"], cl, d, CONFIG),
+    "hzccl_reduce_scatter": lambda cl, d: run(
+        FAMILIES["hzccl_reduce_scatter"], cl, d, CONFIG,
+    ),
     "hzccl_reduce_scatter[return_compressed]": lambda cl, d: (
-        hzccl_reduce_scatter(cl, d, CONFIG, return_compressed=True)
+        run(FAMILIES["hzccl_reduce_scatter_fused"], cl, d, CONFIG)
     ),
-    "hzccl_allgather_compressed": lambda cl, d: hzccl_allgather_compressed(
-        cl, _compressed_chunks(d), CONFIG
+    "hzccl_allgather_compressed": lambda cl, d: run(
+        FAMILIES["hzccl_allgather_compressed"], cl, _compressed_chunks(d),
+        CONFIG,
     ),
-    "hzccl_allreduce": lambda cl, d: hzccl_allreduce(cl, d, CONFIG),
-    "hzccl_pipelined_allreduce": lambda cl, d: hzccl_pipelined_allreduce(
-        cl, d, CONFIG
+    "hzccl_allreduce": lambda cl, d: run(FAMILIES["hzccl_allreduce"], cl, d, CONFIG),
+    "hzccl_pipelined_allreduce": lambda cl, d: run(
+        FAMILIES["hzccl_pipelined_allreduce"], cl, d, CONFIG, chunks=2,
     ),
-    "mpi_reduce": lambda cl, d: mpi_reduce(cl, d, root=1),
-    "hzccl_reduce": lambda cl, d: hzccl_reduce(cl, d, CONFIG, root=1),
-    "hzccl_reduce_direct": lambda cl, d: hzccl_reduce_direct(
-        cl, d, CONFIG, root=1
+    "mpi_reduce": lambda cl, d: run(FAMILIES["mpi_reduce"], cl, d, root=1),
+    "hzccl_reduce": lambda cl, d: run(FAMILIES["hzccl_reduce"], cl, d, CONFIG, root=1),
+    "hzccl_reduce_direct": lambda cl, d: run(
+        FAMILIES["hzccl_reduce_direct"], cl, d, CONFIG, root=1,
     ),
-    "mpi_bcast": lambda cl, d: mpi_bcast(cl, d[0], root=1),
-    "compressed_bcast": lambda cl, d: compressed_bcast(
-        cl, d[0], CONFIG, root=1
+    "mpi_bcast": lambda cl, d: run(FAMILIES["mpi_bcast"], cl, d[0], root=1),
+    "compressed_bcast": lambda cl, d: run(
+        FAMILIES["compressed_bcast"], cl, d[0], CONFIG, root=1,
     ),
-    "hzccl_batched_reduce": lambda cl, d: hzccl_batched_reduce(
-        cl, [d, [a * 2 for a in d]], CONFIG
+    "hzccl_batched_reduce": lambda cl, d: run(
+        FAMILIES["hzccl_batched_reduce"], cl, [d, [a * 2 for a in d]], CONFIG,
     ),
-    "rabenseifner_allreduce": lambda cl, d: rabenseifner_allreduce(cl, d),
+    "rabenseifner_allreduce": lambda cl, d: run(FAMILIES["rabenseifner_allreduce"], cl, d),
     "hzccl_rabenseifner_allreduce": lambda cl, d: (
-        hzccl_rabenseifner_allreduce(cl, d, CONFIG)
+        run(FAMILIES["hzccl_rabenseifner_allreduce"], cl, d, CONFIG)
     ),
-    "mpi_hierarchical_allreduce": lambda cl, d: mpi_hierarchical_allreduce(
-        cl, d, NODEMAP
+    "mpi_hierarchical_allreduce": lambda cl, d: run(
+        FAMILIES["mpi_hierarchical_allreduce"], cl, d, nodemap=NODEMAP,
     ),
     "hzccl_hierarchical_allreduce": lambda cl, d: (
-        hzccl_hierarchical_allreduce(cl, d, CONFIG, NODEMAP, "rabenseifner")
+        run(
+            FAMILIES["hzccl_hierarchical_allreduce"], cl, d, CONFIG,
+            nodemap=NODEMAP, inter="rabenseifner",
+        )
     ),
 }
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives import hzccl_batched_reduce, hzccl_reduce, mpi_reduce
+from repro.collectives import FAMILIES, run
 from repro.core.config import CollectiveConfig
 from repro.runtime import SimCluster
 from repro.runtime.faults import FaultPlan
@@ -30,51 +30,62 @@ def _batch(k: int, n_ranks: int, elements: int, seed: int = 0):
 class TestBatchedReduce:
     def test_outputs_indexed_by_session_and_bit_identical(self, config):
         batch = _batch(3, 4, 517)
-        result = hzccl_batched_reduce(SimCluster(n_ranks=4), batch, config)
+        result = run(
+            FAMILIES["hzccl_batched_reduce"], SimCluster(n_ranks=4), batch,
+            config,
+        )
         assert len(result.outputs) == 3
         for s, session in enumerate(batch):
-            lone = hzccl_reduce(SimCluster(n_ranks=4), session, config)
+            lone = run(FAMILIES["hzccl_reduce"], SimCluster(n_ranks=4), session, config)
             assert np.array_equal(result.outputs[s], lone.outputs[0])
 
     def test_nonzero_root_holds_the_fold(self, config):
         batch = _batch(2, 4, 300, seed=3)
-        result = hzccl_batched_reduce(
-            SimCluster(n_ranks=4), batch, config, root=2
+        result = run(
+            FAMILIES["hzccl_batched_reduce"], SimCluster(n_ranks=4), batch,
+            config, root=2,
         )
-        lone = hzccl_reduce(SimCluster(n_ranks=4), batch[0], config, root=2)
+        lone = run(
+            FAMILIES["hzccl_reduce"], SimCluster(n_ranks=4), batch[0], config,
+            root=2,
+        )
         assert np.array_equal(result.outputs[0], lone.outputs[2])
 
     def test_batching_amortises_wire_bytes(self, config):
         k = 4
         batch = _batch(k, 4, 1024, seed=5)
-        fused = hzccl_batched_reduce(SimCluster(n_ranks=4), batch, config)
+        fused = run(
+            FAMILIES["hzccl_batched_reduce"], SimCluster(n_ranks=4), batch,
+            config,
+        )
         independent = sum(
-            hzccl_reduce(SimCluster(n_ranks=4), s, config).bytes_on_wire
+            run(FAMILIES["hzccl_reduce"], SimCluster(n_ranks=4), s, config).bytes_on_wire
             for s in batch
         )
         assert fused.bytes_on_wire <= independent
 
     def test_root_out_of_range(self, config):
         with pytest.raises(IndexError, match="root 9 out of range"):
-            hzccl_batched_reduce(
-                SimCluster(n_ranks=4), _batch(1, 4, 64), config, root=9
+            run(
+                FAMILIES["hzccl_batched_reduce"], SimCluster(n_ranks=4),
+                _batch(1, 4, 64), config, root=9,
             )
 
     def test_empty_batch_rejected(self, config):
         with pytest.raises(ValueError, match="empty batch"):
-            hzccl_batched_reduce(SimCluster(n_ranks=4), [], config)
+            run(FAMILIES["hzccl_batched_reduce"], SimCluster(n_ranks=4), [], config)
 
     def test_rank_count_mismatch_names_the_session(self, config):
         batch = _batch(2, 4, 64)
         batch[1] = batch[1][:3]
         with pytest.raises(ValueError, match="session 1: got 3 rank arrays"):
-            hzccl_batched_reduce(SimCluster(n_ranks=4), batch, config)
+            run(FAMILIES["hzccl_batched_reduce"], SimCluster(n_ranks=4), batch, config)
 
     def test_shape_mismatch_names_the_session(self, config):
         batch = _batch(2, 4, 64)
         batch[1] = [np.zeros(65, dtype=np.float32) for _ in range(4)]
         with pytest.raises(ValueError, match="session 1: shape"):
-            hzccl_batched_reduce(SimCluster(n_ranks=4), batch, config)
+            run(FAMILIES["hzccl_batched_reduce"], SimCluster(n_ranks=4), batch, config)
 
 
 class TestBatchedDegrade:
@@ -83,19 +94,22 @@ class TestBatchedDegrade:
         cluster = SimCluster(
             n_ranks=4, faults=FaultPlan(seed=1, corrupt_rate=0.9)
         )
-        result = hzccl_batched_reduce(cluster, batch, config)
+        result = run(FAMILIES["hzccl_batched_reduce"], cluster, batch, config)
         assert result.degraded
         for s, session in enumerate(batch):
-            exact = mpi_reduce(SimCluster(n_ranks=4), session).outputs[0]
+            exact = run(FAMILIES["mpi_reduce"], SimCluster(n_ranks=4), session).outputs[0]
             np.testing.assert_array_equal(result.outputs[s], exact)
 
     def test_degrade_bills_both_attempts(self, config):
         batch = _batch(2, 4, 300, seed=7)
-        degraded = hzccl_batched_reduce(
+        degraded = run(
+            FAMILIES["hzccl_batched_reduce"],
             SimCluster(n_ranks=4, faults=FaultPlan(seed=1, corrupt_rate=0.9)),
-            batch,
+            batch, config,
+        )
+        clean = run(
+            FAMILIES["hzccl_batched_reduce"], SimCluster(n_ranks=4), batch,
             config,
         )
-        clean = hzccl_batched_reduce(SimCluster(n_ranks=4), batch, config)
         assert degraded.degraded and not clean.degraded
         assert degraded.bytes_on_wire > clean.bytes_on_wire

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.collectives import (
-    ccoll_allgather,
-    ccoll_allreduce,
-    ccoll_reduce_scatter,
-    mpi_reduce_scatter,
-    split_blocks,
-)
+from repro.collectives import FAMILIES, run, split_blocks
 from repro.runtime.cluster import SimCluster
 from repro.runtime.topology import Ring
 
@@ -28,7 +22,7 @@ class TestReduceScatter:
         """C-Coll requantises every round; error ≤ (2N−3)·eb."""
         local = rank_data(rng, n_ranks)
         cluster = SimCluster(n_ranks, network=fast_network)
-        res = ccoll_reduce_scatter(cluster, local, config)
+        res = run(FAMILIES["ccoll_reduce_scatter"], cluster, local, config)
         exact = exact_total(local)
         ring = Ring(n_ranks)
         blocks = split_blocks(exact, n_ranks)
@@ -41,7 +35,7 @@ class TestReduceScatter:
 
     def test_all_doc_buckets_charged(self, rng, fast_network, config):
         cluster = SimCluster(4, network=fast_network)
-        res = ccoll_reduce_scatter(cluster, rank_data(rng, 4), config)
+        res = run(FAMILIES["ccoll_reduce_scatter"], cluster, rank_data(rng, 4), config)
         bd = res.breakdown
         assert bd.buckets["CPR"] > 0
         assert bd.buckets["DPR"] > 0
@@ -50,13 +44,22 @@ class TestReduceScatter:
 
     def test_sends_fewer_bytes_than_mpi(self, rng, fast_network, config):
         local = rank_data(rng, 4)
-        cc = ccoll_reduce_scatter(SimCluster(4, network=fast_network), local, config)
-        mpi = mpi_reduce_scatter(SimCluster(4, network=fast_network), local)
+        cc = run(
+            FAMILIES["ccoll_reduce_scatter"],
+            SimCluster(4, network=fast_network), local, config,
+        )
+        mpi = run(
+            FAMILIES["mpi_reduce_scatter"],
+            SimCluster(4, network=fast_network), local,
+        )
         assert cc.bytes_on_wire < mpi.bytes_on_wire
 
     def test_wrong_rank_count(self, rng, fast_network, config):
         with pytest.raises(ValueError):
-            ccoll_reduce_scatter(SimCluster(3, network=fast_network), rank_data(rng, 4), config)
+            run(
+                FAMILIES["ccoll_reduce_scatter"],
+                SimCluster(3, network=fast_network), rank_data(rng, 4), config,
+            )
 
 
 class TestAllgather:
@@ -64,7 +67,7 @@ class TestAllgather:
         n_ranks = 4
         chunks = [rng.normal(0, 1, 500).astype(np.float32) for _ in range(n_ranks)]
         cluster = SimCluster(n_ranks, network=fast_network)
-        res = ccoll_allgather(cluster, chunks, config)
+        res = run(FAMILIES["ccoll_allgather"], cluster, chunks, config)
         ring = Ring(n_ranks)
         expected = np.concatenate(
             [chunks[[r for r in range(n_ranks) if ring.owned_block(r) == k][0]]
@@ -76,7 +79,10 @@ class TestAllgather:
     def test_own_chunk_kept_exact(self, rng, fast_network, config):
         n_ranks = 3
         chunks = [rng.normal(0, 1, 300).astype(np.float32) for _ in range(n_ranks)]
-        res = ccoll_allgather(SimCluster(n_ranks, network=fast_network), chunks, config)
+        res = run(
+            FAMILIES["ccoll_allgather"],
+            SimCluster(n_ranks, network=fast_network), chunks, config,
+        )
         ring = Ring(n_ranks)
         for i in range(n_ranks):
             k = ring.owned_block(i)
@@ -88,7 +94,10 @@ class TestAllreduce:
     @pytest.mark.parametrize("n_ranks", [2, 4])
     def test_error_bounded(self, rng, fast_network, config, n_ranks):
         local = rank_data(rng, n_ranks)
-        res = ccoll_allreduce(SimCluster(n_ranks, network=fast_network), local, config)
+        res = run(
+            FAMILIES["ccoll_allreduce"],
+            SimCluster(n_ranks, network=fast_network), local, config,
+        )
         exact = exact_total(local)
         bound = (2 * n_ranks + 1) * config.error_bound
         for out in res.outputs:
@@ -96,15 +105,23 @@ class TestAllreduce:
 
     def test_rank_outputs_agree_within_eb(self, rng, fast_network, config):
         local = rank_data(rng, 4)
-        res = ccoll_allreduce(SimCluster(4, network=fast_network), local, config)
+        res = run(
+            FAMILIES["ccoll_allreduce"], SimCluster(4, network=fast_network),
+            local, config,
+        )
         base = res.outputs[0].astype(np.float64)
         for out in res.outputs[1:]:
             assert np.abs(out.astype(np.float64) - base).max() <= 2 * config.error_bound
 
     def test_multithread_reduces_compute_share(self, rng, fast_network, config):
         local = rank_data(rng, 4)
-        st = ccoll_allreduce(SimCluster(4, network=fast_network), local, config)
-        mt = ccoll_allreduce(
-            SimCluster(4, network=fast_network, multithread=True), local, config
+        st = run(
+            FAMILIES["ccoll_allreduce"], SimCluster(4, network=fast_network),
+            local, config,
+        )
+        mt = run(
+            FAMILIES["ccoll_allreduce"],
+            SimCluster(4, network=fast_network, multithread=True), local,
+            config,
         )
         assert mt.breakdown.doc_time < st.breakdown.doc_time

@@ -10,14 +10,13 @@ import pytest
 
 from repro.collectives import FAMILIES, Family, run
 from repro.collectives.ring import MPI_ALLGATHER, MPI_REDUCE_SCATTER
-from repro.core import cost_model
 from repro.core.cost_model import PAPER_BROADWELL
 from repro.core.pipeline import CollectiveRequest, plan
 from repro.runtime import SimCluster
 from repro.runtime.nodemap import NodeMap
 from repro.schedule import ScheduleExecutor, families
 from repro.schedule.codecs import CODECS
-from repro.schedule.families import STAGES
+from repro.schedule.families import STAGES, family_cost
 from repro.schedule.tuner import (
     TUNABLE_OPS,
     Candidate,
@@ -201,37 +200,28 @@ def test_candidates_price_the_objects_the_interpreter_runs(op, n, executed):
         _assert_priced_is_run(FAMILIES[name], priced, executed, bound)
 
 
+#: row → the params it is priced and run with: the ten rows the figure
+#: benchmarks price by name (the ``ccoll_*`` and reduce-scatter rows are
+#: no tuner candidates, so the test above never reaches them)
 MODELS = {
-    "model_mpi_reduce_scatter": ("mpi_reduce_scatter", {}),
-    "model_mpi_allreduce": ("mpi_allreduce", {}),
-    "model_ccoll_reduce_scatter": ("ccoll_reduce_scatter", {}),
-    "model_ccoll_allreduce": ("ccoll_allreduce", {}),
-    "model_hzccl_reduce_scatter": ("hzccl_reduce_scatter", {}),
-    "model_hzccl_allreduce": ("hzccl_allreduce", {}),
-    "model_hzccl_allreduce_pipelined": (
-        "hzccl_pipelined_allreduce", {"chunks": 2},
-    ),
-    "model_hzccl_reduce": ("hzccl_reduce_direct", {}),
-    "model_mpi_hierarchical_allreduce": (
-        "mpi_hierarchical_allreduce", {"nodemap": span_pins.NODEMAP},
-    ),
-    "model_hzccl_hierarchical_allreduce": (
-        "hzccl_hierarchical_allreduce", {"nodemap": span_pins.NODEMAP},
-    ),
+    "mpi_reduce_scatter": {},
+    "mpi_allreduce": {},
+    "ccoll_reduce_scatter": {},
+    "ccoll_allreduce": {},
+    "hzccl_reduce_scatter": {},
+    "hzccl_allreduce": {},
+    "hzccl_pipelined_allreduce": {"chunks": 2},
+    "hzccl_reduce_direct": {},
+    "mpi_hierarchical_allreduce": {"nodemap": span_pins.NODEMAP},
+    "hzccl_hierarchical_allreduce": {"nodemap": span_pins.NODEMAP},
 }
 
 
-def test_every_model_is_listed():
-    assert set(MODELS) == {
-        name for name in cost_model.__all__ if name.startswith("model_")
-    }
-
-
-@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("name", sorted(MODELS))
 def test_models_price_the_objects_the_interpreter_runs(
-    model, executed, monkeypatch
+    name, executed, monkeypatch
 ):
-    name, params = MODELS[model]
+    params = MODELS[name]
     priced = []
     real = families.schedule_cost
 
@@ -241,8 +231,10 @@ def test_models_price_the_objects_the_interpreter_runs(
 
     monkeypatch.setattr(families, "schedule_cost", spy)
     cluster = SimCluster(span_pins.N)
-    first = params.get("nodemap", span_pins.N)
-    getattr(cost_model, model)(first, 1 << 20, PAPER_BROADWELL, cluster.network)
+    family_cost(
+        name, 1 << 20, PAPER_BROADWELL, cluster.network, n=span_pins.N,
+        **params,
+    )
     run(
         FAMILIES[name], cluster, span_pins.fields(), span_pins.CONFIG,
         **params,
@@ -252,6 +244,40 @@ def test_models_price_the_objects_the_interpreter_runs(
         "network": cluster.network, **params,
     }
     _assert_priced_is_run(FAMILIES[name], priced, executed, bound)
+
+
+UNBOUND = [
+    ("hzccl_pipelined_allreduce", "pipelined_ring_reduce_scatter", "chunks"),
+    ("mpi_hierarchical_allreduce", "_hierarchical_allreduce", "nodemap"),
+    ("hzccl_hierarchical_allreduce", "_hierarchical_allreduce", "nodemap"),
+]
+
+
+@pytest.mark.parametrize("name,generator,param", UNBOUND)
+def test_run_names_an_unbound_param(name, generator, param):
+    with pytest.raises(
+        ValueError, match=f"generator {generator} needs .*'{param}'"
+    ):
+        run(
+            FAMILIES[name], SimCluster(span_pins.N), span_pins.fields(),
+            span_pins.CONFIG,
+        )
+
+
+@pytest.mark.parametrize("name,generator,param", UNBOUND)
+def test_family_cost_names_an_unbound_param(name, generator, param):
+    network = SimCluster(span_pins.N).network
+    with pytest.raises(
+        ValueError, match=f"generator {generator} needs .*'{param}'"
+    ):
+        family_cost(name, 1 << 20, PAPER_BROADWELL, network, n=span_pins.N)
+
+
+@pytest.mark.parametrize("n,total", [(0, 1 << 20), (2.5, 1 << 20), (4, 0)])
+def test_family_cost_checks_its_inputs(n, total):
+    network = SimCluster(span_pins.N).network
+    with pytest.raises(ValueError, match="must be a positive"):
+        family_cost("hzccl_allreduce", total, PAPER_BROADWELL, network, n=n)
 
 
 # --------------------------------------------------------------------- #

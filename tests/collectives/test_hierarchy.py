@@ -12,10 +12,7 @@ schedule, never the answer.
 import numpy as np
 import pytest
 
-from repro.collectives import (
-    hzccl_hierarchical_allreduce,
-    mpi_hierarchical_allreduce,
-)
+from repro.collectives import FAMILIES, run
 from repro.collectives.base import split_blocks
 from repro.compression.fzlight import FZLight
 from repro.core import HZCCL
@@ -67,8 +64,9 @@ class TestPlain:
         data = _data(n)
         exact = np.sum(np.stack(data), axis=0, dtype=np.float64)
         cluster = SimCluster(n)
-        result = mpi_hierarchical_allreduce(
-            cluster, data, NodeMap.regular(n, rpn), inter=inter
+        result = run(
+            FAMILIES["mpi_hierarchical_allreduce"], cluster, data,
+            nodemap=NodeMap.regular(n, rpn), inter=inter,
         )
         assert not result.degraded
         for out in result.outputs:
@@ -78,17 +76,18 @@ class TestPlain:
         n, rpn = 16, 4
         data = _data(n)
         exact = np.sum(np.stack(data), axis=0, dtype=np.float64)
-        result = mpi_hierarchical_allreduce(
-            SimCluster(n), data, NodeMap.regular(n, rpn),
-            inter="rabenseifner",
+        result = run(
+            FAMILIES["mpi_hierarchical_allreduce"], SimCluster(n), data,
+            nodemap=NodeMap.regular(n, rpn), inter="rabenseifner",
         )
         for out in result.outputs:
             np.testing.assert_allclose(out, exact, rtol=1e-4, atol=1e-5)
 
     def test_rank_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="NodeMap places"):
-            mpi_hierarchical_allreduce(
-                SimCluster(8), _data(8), NodeMap.regular(4, 2)
+            run(
+                FAMILIES["mpi_hierarchical_allreduce"], SimCluster(8),
+                _data(8), nodemap=NodeMap.regular(4, 2),
             )
 
 
@@ -98,8 +97,9 @@ class TestHomomorphic:
         nodemap = NodeMap.regular(n, rpn)
         data = _data(n)
         reference = _flat_fused_reference(data, nodemap.n_nodes)
-        result = hzccl_hierarchical_allreduce(
-            SimCluster(n), data, CONFIG, nodemap, inter="ring"
+        result = run(
+            FAMILIES["hzccl_hierarchical_allreduce"], SimCluster(n), data,
+            CONFIG, nodemap=nodemap, inter="ring",
         )
         assert not result.degraded
         for out in result.outputs:
@@ -115,8 +115,9 @@ class TestHomomorphic:
         reference = np.concatenate(
             _flat_fused_reference(data, nodemap.n_nodes)
         )
-        result = hzccl_hierarchical_allreduce(
-            SimCluster(n), data, CONFIG, nodemap, inter="rabenseifner"
+        result = run(
+            FAMILIES["hzccl_hierarchical_allreduce"], SimCluster(n), data,
+            CONFIG, nodemap=nodemap, inter="rabenseifner",
         )
         for out in result.outputs:
             np.testing.assert_array_equal(out, reference)
@@ -125,8 +126,9 @@ class TestHomomorphic:
     def test_within_error_bound(self, n, rpn):
         data = _data(n)
         exact = np.sum(np.stack(data), axis=0, dtype=np.float64)
-        result = hzccl_hierarchical_allreduce(
-            SimCluster(n), data, CONFIG, NodeMap.regular(n, rpn)
+        result = run(
+            FAMILIES["hzccl_hierarchical_allreduce"], SimCluster(n), data,
+            CONFIG, nodemap=NodeMap.regular(n, rpn),
         )
         for out in result.outputs:
             assert np.max(np.abs(out - exact)) <= n * EB + 1e-12
@@ -135,11 +137,13 @@ class TestHomomorphic:
         n, rpn = 16, 4
         data = _data(n, elements=4096)
         nodemap = NodeMap.regular(n, rpn)
-        plain = mpi_hierarchical_allreduce(
-            SimCluster(n), data, nodemap, inter="ring"
+        plain = run(
+            FAMILIES["mpi_hierarchical_allreduce"], SimCluster(n), data,
+            nodemap=nodemap, inter="ring",
         )
-        hz = hzccl_hierarchical_allreduce(
-            SimCluster(n), data, CONFIG, nodemap, inter="ring"
+        hz = run(
+            FAMILIES["hzccl_hierarchical_allreduce"], SimCluster(n), data,
+            CONFIG, nodemap=nodemap, inter="ring",
         )
         assert hz.bytes_on_wire < plain.bytes_on_wire
 
@@ -150,8 +154,9 @@ class TestHomomorphic:
         nodemap = NodeMap.regular(n, rpn)
         for network in (DragonflyNetwork(), TorusNetwork()):
             cluster = SimCluster(n, network=network, trace=TraceLog())
-            result = hzccl_hierarchical_allreduce(
-                cluster, data, CONFIG, nodemap
+            result = run(
+                FAMILIES["hzccl_hierarchical_allreduce"], cluster, data,
+                CONFIG, nodemap=nodemap,
             )
             assert not result.degraded
             reference = np.concatenate(
@@ -170,8 +175,9 @@ class TestDegrade:
         cluster = SimCluster(
             n, faults=FaultPlan(seed=3, corrupt_rate=0.9), trace=TraceLog()
         )
-        result = hzccl_hierarchical_allreduce(
-            cluster, data, CONFIG, NodeMap.regular(n, 2)
+        result = run(
+            FAMILIES["hzccl_hierarchical_allreduce"], cluster, data, CONFIG,
+            nodemap=NodeMap.regular(n, 2),
         )
         assert result.degraded
         for out in result.outputs:

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.collectives import (
-    ccoll_reduce_scatter,
-    hzccl_allgather_compressed,
-    hzccl_allreduce,
-    hzccl_reduce_scatter,
-    split_blocks,
-)
+from repro.collectives import FAMILIES, run, split_blocks
 from repro.compression.common import dequantize, quantize
 from repro.compression.format import CompressedField
 from repro.runtime.cluster import SimCluster
@@ -35,7 +29,10 @@ class TestReduceScatter:
     def test_matches_integer_oracle(self, rng, fast_network, config, n_ranks):
         """hZCCL reduces in the integer domain — bit-exact vs the oracle."""
         local = rank_data(rng, n_ranks)
-        res = hzccl_reduce_scatter(SimCluster(n_ranks, network=fast_network), local, config)
+        res = run(
+            FAMILIES["hzccl_reduce_scatter"],
+            SimCluster(n_ranks, network=fast_network), local, config,
+        )
         oracle = quantised_exact_blocks(local, config.error_bound, n_ranks)
         ring = Ring(n_ranks)
         for i in range(n_ranks):
@@ -44,7 +41,10 @@ class TestReduceScatter:
     def test_single_quantisation_error_bound(self, rng, fast_network, config):
         n_ranks = 6
         local = rank_data(rng, n_ranks)
-        res = hzccl_reduce_scatter(SimCluster(n_ranks, network=fast_network), local, config)
+        res = run(
+            FAMILIES["hzccl_reduce_scatter"],
+            SimCluster(n_ranks, network=fast_network), local, config,
+        )
         exact = np.sum(np.stack(local).astype(np.float64), axis=0)
         ring = Ring(n_ranks)
         blocks = split_blocks(exact, n_ranks)
@@ -74,20 +74,30 @@ class TestReduceScatter:
             )
             return float(np.sqrt(np.mean(errs**2)))
 
-        hz = hzccl_reduce_scatter(SimCluster(n_ranks, network=fast_network), local, config)
-        cc = ccoll_reduce_scatter(SimCluster(n_ranks, network=fast_network), local, config)
+        hz = run(
+            FAMILIES["hzccl_reduce_scatter"],
+            SimCluster(n_ranks, network=fast_network), local, config,
+        )
+        cc = run(
+            FAMILIES["ccoll_reduce_scatter"],
+            SimCluster(n_ranks, network=fast_network), local, config,
+        )
         assert rms(hz) <= rms(cc) * 1.25
         assert rms(hz) <= n_ranks * config.error_bound  # and absolutely bounded
 
     def test_return_compressed(self, rng, fast_network, config):
         local = rank_data(rng, 4)
-        res = hzccl_reduce_scatter(
-            SimCluster(4, network=fast_network), local, config, return_compressed=True
+        res = run(
+            FAMILIES["hzccl_reduce_scatter_fused"],
+            SimCluster(4, network=fast_network), local, config,
         )
         assert all(isinstance(o, CompressedField) for o in res.outputs)
 
     def test_buckets(self, rng, fast_network, config):
-        res = hzccl_reduce_scatter(SimCluster(4, network=fast_network), rank_data(rng, 4), config)
+        res = run(
+            FAMILIES["hzccl_reduce_scatter"],
+            SimCluster(4, network=fast_network), rank_data(rng, 4), config,
+        )
         bd = res.breakdown
         assert bd.buckets["CPR"] > 0
         assert bd.buckets["HPR"] > 0
@@ -95,7 +105,10 @@ class TestReduceScatter:
         assert bd.buckets["CPT"] == 0  # never touches the float domain
 
     def test_pipeline_stats_present(self, rng, fast_network, config):
-        res = hzccl_reduce_scatter(SimCluster(4, network=fast_network), rank_data(rng, 4), config)
+        res = run(
+            FAMILIES["hzccl_reduce_scatter"],
+            SimCluster(4, network=fast_network), rank_data(rng, 4), config,
+        )
         assert res.pipeline_stats is not None
         assert res.pipeline_stats.total > 0
 
@@ -109,8 +122,9 @@ class TestAllgatherCompressed:
         ring = Ring(n_ranks)
         payloads = [rng.normal(0, 1, 500).astype(np.float32) for _ in range(n_ranks)]
         chunks = [comp.compress(p, abs_eb=config.error_bound) for p in payloads]
-        res = hzccl_allgather_compressed(
-            SimCluster(n_ranks, network=fast_network), chunks, config
+        res = run(
+            FAMILIES["hzccl_allgather_compressed"],
+            SimCluster(n_ranks, network=fast_network), chunks, config,
         )
         expected = np.concatenate(
             [comp.decompress(chunks[[r for r in range(n_ranks) if ring.owned_block(r) == k][0]])
@@ -127,7 +141,10 @@ class TestAllgatherCompressed:
             comp.compress(rng.normal(0, 1, 300).astype(np.float32), abs_eb=config.error_bound)
             for _ in range(3)
         ]
-        res = hzccl_allgather_compressed(SimCluster(3, network=fast_network), chunks, config)
+        res = run(
+            FAMILIES["hzccl_allgather_compressed"],
+            SimCluster(3, network=fast_network), chunks, config,
+        )
         assert res.breakdown.buckets["CPR"] == 0  # the fused optimisation
 
 
@@ -135,7 +152,10 @@ class TestAllreduce:
     @pytest.mark.parametrize("n_ranks", [2, 4, 8])
     def test_matches_integer_oracle(self, rng, fast_network, config, n_ranks):
         local = rank_data(rng, n_ranks)
-        res = hzccl_allreduce(SimCluster(n_ranks, network=fast_network), local, config)
+        res = run(
+            FAMILIES["hzccl_allreduce"],
+            SimCluster(n_ranks, network=fast_network), local, config,
+        )
         eb = config.error_bound
         oracle = dequantize(
             sum(quantize(a, eb).astype(np.int64) for a in local), eb
@@ -147,23 +167,33 @@ class TestAllreduce:
         """Unlike C-Coll, every rank decompresses the same compressed
         blocks, so outputs agree bit-for-bit."""
         local = rank_data(rng, 4)
-        res = hzccl_allreduce(SimCluster(4, network=fast_network), local, config)
+        res = run(
+            FAMILIES["hzccl_allreduce"], SimCluster(4, network=fast_network),
+            local, config,
+        )
         for out in res.outputs[1:]:
             np.testing.assert_array_equal(out, res.outputs[0])
 
     def test_sends_fewer_bytes_than_uncompressed(self, rng, fast_network, config):
-        from repro.collectives import mpi_allreduce
 
         local = rank_data(rng, 4)
-        hz = hzccl_allreduce(SimCluster(4, network=fast_network), local, config)
-        mpi = mpi_allreduce(SimCluster(4, network=fast_network), local)
+        hz = run(
+            FAMILIES["hzccl_allreduce"], SimCluster(4, network=fast_network),
+            local, config,
+        )
+        mpi = run(FAMILIES["mpi_allreduce"], SimCluster(4, network=fast_network), local)
         assert hz.bytes_on_wire < mpi.bytes_on_wire
 
     def test_multithread_mode(self, rng, fast_network, config):
         local = rank_data(rng, 4)
-        st = hzccl_allreduce(SimCluster(4, network=fast_network), local, config)
-        mt = hzccl_allreduce(
-            SimCluster(4, network=fast_network, multithread=True), local, config
+        st = run(
+            FAMILIES["hzccl_allreduce"], SimCluster(4, network=fast_network),
+            local, config,
+        )
+        mt = run(
+            FAMILIES["hzccl_allreduce"],
+            SimCluster(4, network=fast_network, multithread=True), local,
+            config,
         )
         assert mt.breakdown.doc_time < st.breakdown.doc_time
         np.testing.assert_array_equal(mt.outputs[0], st.outputs[0])

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.collectives import (
-    hzccl_allreduce,
-    mpi_reduce_scatter,
+    FAMILIES,
     p2p_allreduce,
     p2p_hzccl_allreduce,
     p2p_reduce_scatter,
+    run,
 )
 from repro.core.config import CollectiveConfig
 from repro.runtime.cluster import SimCluster
@@ -27,7 +27,7 @@ class TestPlainP2P:
     def test_reduce_scatter_matches_bulk(self, rng, n):
         local = rank_data(rng, n)
         p2p = p2p_reduce_scatter(Communicator(n, network=NET), local)
-        bulk = mpi_reduce_scatter(SimCluster(n, network=NET), local).outputs
+        bulk = run(FAMILIES["mpi_reduce_scatter"], SimCluster(n, network=NET), local).outputs
         for a, b in zip(p2p, bulk):
             np.testing.assert_array_equal(a, b)
 
@@ -56,7 +56,7 @@ class TestHzcclP2P:
         local = rank_data(rng, n)
         config = CollectiveConfig(error_bound=1e-4, network=NET)
         p2p = p2p_hzccl_allreduce(Communicator(n, network=NET), local, config)
-        bulk = hzccl_allreduce(SimCluster(n, network=NET), local, config).outputs
+        bulk = run(FAMILIES["hzccl_allreduce"], SimCluster(n, network=NET), local, config).outputs
         for a, b in zip(p2p, bulk):
             np.testing.assert_array_equal(a, b)
 

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.collectives import (
-    mpi_allgather,
-    mpi_allreduce,
-    mpi_reduce_scatter,
-    split_blocks,
-    validate_local_data,
-)
+from repro.collectives import FAMILIES, run, split_blocks, validate_local_data
 from repro.runtime.cluster import SimCluster
 from repro.runtime.topology import Ring
 
@@ -50,7 +44,7 @@ class TestReduceScatter:
     def test_correct_sums(self, rng, fast_network, n_ranks):
         local = rank_data(rng, n_ranks)
         cluster = make_cluster(n_ranks, fast_network)
-        res = mpi_reduce_scatter(cluster, local)
+        res = run(FAMILIES["mpi_reduce_scatter"], cluster, local)
         exact = exact_total(local)
         ring = Ring(n_ranks)
         blocks = split_blocks(exact, n_ranks)
@@ -61,10 +55,16 @@ class TestReduceScatter:
 
     def test_wrong_rank_count_rejected(self, rng, fast_network):
         with pytest.raises(ValueError, match="rank"):
-            mpi_reduce_scatter(make_cluster(4, fast_network), rank_data(rng, 3))
+            run(
+                FAMILIES["mpi_reduce_scatter"], make_cluster(4, fast_network),
+                rank_data(rng, 3),
+            )
 
     def test_only_cpt_and_mpi_buckets(self, rng, fast_network):
-        res = mpi_reduce_scatter(make_cluster(4, fast_network), rank_data(rng, 4))
+        res = run(
+            FAMILIES["mpi_reduce_scatter"], make_cluster(4, fast_network),
+            rank_data(rng, 4),
+        )
         bd = res.breakdown
         assert bd.buckets["CPR"] == 0
         assert bd.buckets["DPR"] == 0
@@ -74,7 +74,10 @@ class TestReduceScatter:
 
     def test_bytes_on_wire(self, rng, fast_network):
         n_ranks, n = 4, 1000
-        res = mpi_reduce_scatter(make_cluster(n_ranks, fast_network), rank_data(rng, n_ranks, n))
+        res = run(
+            FAMILIES["mpi_reduce_scatter"],
+            make_cluster(n_ranks, fast_network), rank_data(rng, n_ranks, n),
+        )
         assert res.bytes_on_wire == pytest.approx(n * 4 * (n_ranks - 1), rel=0.01)
 
 
@@ -86,7 +89,7 @@ class TestAllgather:
         chunks = [None] * n_ranks
         for i in range(n_ranks):
             chunks[i] = np.full(5, float(ring.owned_block(i)), dtype=np.float32)
-        res = mpi_allgather(make_cluster(n_ranks, fast_network), chunks)
+        res = run(FAMILIES["mpi_allgather"], make_cluster(n_ranks, fast_network), chunks)
         expected = np.concatenate(
             [np.full(5, float(k), dtype=np.float32) for k in range(n_ranks)]
         )
@@ -95,25 +98,34 @@ class TestAllgather:
 
     def test_wrong_chunk_count(self, fast_network):
         with pytest.raises(ValueError):
-            mpi_allgather(make_cluster(3, fast_network), [np.zeros(2)] * 2)
+            run(
+                FAMILIES["mpi_allgather"], make_cluster(3, fast_network),
+                [np.zeros(2)] * 2,
+            )
 
 
 class TestAllreduce:
     @pytest.mark.parametrize("n_ranks", [2, 4, 7])
     def test_all_ranks_identical_and_correct(self, rng, fast_network, n_ranks):
         local = rank_data(rng, n_ranks)
-        res = mpi_allreduce(make_cluster(n_ranks, fast_network), local)
+        res = run(FAMILIES["mpi_allreduce"], make_cluster(n_ranks, fast_network), local)
         exact = exact_total(local)
         for out in res.outputs:
             np.testing.assert_allclose(out, exact, rtol=1e-5, atol=1e-4)
 
     def test_wire_bytes_double_reduce_scatter(self, rng, fast_network):
         local = rank_data(rng, 4, 1000)
-        rs = mpi_reduce_scatter(make_cluster(4, fast_network), local)
-        ar = mpi_allreduce(make_cluster(4, fast_network), local)
+        rs = run(FAMILIES["mpi_reduce_scatter"], make_cluster(4, fast_network), local)
+        ar = run(FAMILIES["mpi_allreduce"], make_cluster(4, fast_network), local)
         assert ar.bytes_on_wire == pytest.approx(2 * rs.bytes_on_wire, rel=0.02)
 
     def test_time_grows_with_data(self, rng, fast_network):
-        small = mpi_allreduce(make_cluster(4, fast_network), rank_data(rng, 4, 1000))
-        big = mpi_allreduce(make_cluster(4, fast_network), rank_data(rng, 4, 100_000))
+        small = run(
+            FAMILIES["mpi_allreduce"], make_cluster(4, fast_network),
+            rank_data(rng, 4, 1000),
+        )
+        big = run(
+            FAMILIES["mpi_allreduce"], make_cluster(4, fast_network),
+            rank_data(rng, 4, 100_000),
+        )
         assert big.total_time > small.total_time

@@ -1,16 +1,21 @@
-"""Executed behaviour of the autotuned allreduce entry point.
+"""Executed behaviour of the autotuned allreduce.
 
 Covers the lookup chain end-to-end (explicit table → config path → env
 var → live enumeration), the no-placement demotion of hierarchical
 picks, the obs counters, and the facade's ``allreduce(tune=True)``.
+A test that forces a table plans a ``tune=True`` request itself and
+executes the plan on its own cluster.
 """
 
 import numpy as np
 import pytest
 
-from repro.collectives import mpi_allreduce, tuned_allreduce
+from dataclasses import replace
+
+from repro.collectives import FAMILIES, run
 from repro.core import HZCCL
 from repro.core.config import CollectiveConfig
+from repro.core.pipeline import CollectiveRequest, PayloadSpec, execute, plan
 from repro.obs.metrics import metrics_enabled
 from repro.runtime import NodeMap, SimCluster, TorusNetwork
 from repro.schedule.tuner import (
@@ -26,7 +31,7 @@ EB = 1e-3
 CONFIG = CollectiveConfig(error_bound=EB)
 N = 4
 N_ELEMENTS = 720
-
+TORUS = replace(CONFIG, network=TorusNetwork())
 
 def _data(n: int = N) -> list[np.ndarray]:
     return [
@@ -50,6 +55,18 @@ def _key_for(data, network, n: int = N) -> TuningKey:
     )
 
 
+def _tuned(data, nodemap: NodeMap | None = None) -> CollectiveRequest:
+    """The ``tune=True`` allreduce request the facade builds for ``data``."""
+    return CollectiveRequest(
+        op="allreduce",
+        n_ranks=len(data),
+        payload=PayloadSpec.of(data[0]),
+        nodemap=nodemap,
+        tune=True,
+        roughness=classify_roughness(data[0], EB),
+    )
+
+
 def _forced_table(key: TuningKey, slug: str, flat_slug: str | None = None) -> TuningTable:
     pick = Candidate.parse(slug)
     flat = Candidate.parse(flat_slug or slug)
@@ -61,8 +78,7 @@ def _forced_table(key: TuningKey, slug: str, flat_slug: str | None = None) -> Tu
 def test_tuned_allreduce_is_correct_on_a_miss():
     """No table anywhere: live enumeration picks something that works."""
     data = _data()
-    cluster = SimCluster(N, network=TorusNetwork())
-    result = tuned_allreduce(cluster, data, CONFIG)
+    result = HZCCL(TORUS).allreduce(data, tune=True)
     assert not result.degraded
     bound = (2 * N + 1) * EB
     for out in result.outputs:
@@ -75,12 +91,15 @@ def test_forced_table_pick_is_honoured():
     table = _forced_table(_key_for(data, net), "ring-plain")
     cluster = SimCluster(N, network=net)
     with metrics_enabled() as registry:
-        result = tuned_allreduce(cluster, data, CONFIG, table=table)
+        result = execute(
+            plan(_tuned(data), CONFIG, network=net, table=table), data,
+            cluster=cluster,
+        )
     assert registry.counter("tuner.lookups") == 1
     assert registry.counter("tuner.source.table") == 1
     assert registry.counter("tuner.pick.ring-plain") == 1
     # ring-plain is exact up to float associativity — no quantisation
-    reference = mpi_allreduce(SimCluster(N, network=net), data)
+    reference = run(FAMILIES["mpi_allreduce"], SimCluster(N, network=net), data)
     for out, ref in zip(result.outputs, reference.outputs):
         np.testing.assert_array_equal(out, ref)
 
@@ -93,9 +112,9 @@ def test_hierarchical_pick_runs_with_nodemap():
     )
     nodemap = NodeMap.regular(N, 2)
     with metrics_enabled() as registry:
-        result = tuned_allreduce(
-            SimCluster(N, network=net), data, CONFIG, nodemap=nodemap,
-            table=table,
+        result = execute(
+            plan(_tuned(data, nodemap), CONFIG, network=net, table=table),
+            data, cluster=SimCluster(N, network=net),
         )
     assert registry.counter("tuner.pick.hier-ring2-hz") == 1
     assert registry.counter("tuner.flat_fallback") == 0
@@ -111,8 +130,9 @@ def test_hierarchical_pick_demotes_to_flat_without_nodemap():
         _key_for(data, net), "hier-ring2-hz", flat_slug="rabenseifner-hz"
     )
     with metrics_enabled() as registry:
-        result = tuned_allreduce(
-            SimCluster(N, network=net), data, CONFIG, table=table
+        result = execute(
+            plan(_tuned(data), CONFIG, network=net, table=table), data,
+            cluster=SimCluster(N, network=net),
         )
     assert registry.counter("tuner.flat_fallback") == 1
     assert registry.counter("tuner.pick.rabenseifner-hz") == 1
@@ -128,30 +148,30 @@ def test_table_resolution_config_and_env(tmp_path, monkeypatch):
     config_path = tmp_path / "config_table.json"
     table.save(str(config_path))
     config = CollectiveConfig(
-        error_bound=EB, tuning_table_path=str(config_path)
+        error_bound=EB, network=net, tuning_table_path=str(config_path)
     )
     with metrics_enabled() as registry:
-        tuned_allreduce(SimCluster(N, network=net), data, config)
+        HZCCL(config).allreduce(data, tune=True)
     assert registry.counter("tuner.source.table") == 1
 
     env_path = tmp_path / "env_table.json"
     table.save(str(env_path))
     monkeypatch.setenv("REPRO_TUNING_TABLE", str(env_path))
     with metrics_enabled() as registry:
-        tuned_allreduce(SimCluster(N, network=net), data, CONFIG)
+        HZCCL(TORUS).allreduce(data, tune=True)
     assert registry.counter("tuner.source.table") == 1
 
     # a configured-but-missing table degrades to a miss, not an error
     monkeypatch.setenv("REPRO_TUNING_TABLE", str(tmp_path / "absent.json"))
     with metrics_enabled() as registry:
-        result = tuned_allreduce(SimCluster(N, network=net), data, CONFIG)
+        result = HZCCL(TORUS).allreduce(data, tune=True)
     assert registry.counter("tuner.source.table") == 0
     assert not result.degraded
 
 
 def test_rank_count_mismatch_rejected():
     with pytest.raises(ValueError):
-        tuned_allreduce(SimCluster(3), _data(4), CONFIG)
+        execute(plan(_tuned(_data(4)), CONFIG), _data(4), cluster=SimCluster(3))
 
 
 def test_facade_tune_flag():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.collectives import FAMILIES, run
 from repro.core.analysis import (
     allreduce_counts,
     cost_advantage_allreduce,
@@ -12,6 +13,7 @@ from repro.core.analysis import (
     reduce_scatter_counts,
 )
 from repro.core.cost_model import PAPER_BROADWELL, CostRates
+from repro.schedule import family_cost
 
 
 class TestOperationCounts:
@@ -102,7 +104,6 @@ class TestPaperIdentities:
         buckets (network excluded)."""
         from dataclasses import replace
 
-        from repro.core.cost_model import model_hzccl_allreduce
         from repro.runtime.network import NetworkModel
 
         n, total = 16, 16 * 10**6
@@ -111,7 +112,7 @@ class TestPaperIdentities:
         # decompression into one invocation, which the pure counts do not
         # distinguish — with overhead off the identities are exact
         rates = replace(PAPER_BROADWELL, op_overhead_s=0.0)
-        bd = model_hzccl_allreduce(n, total, rates, net)
+        bd = family_cost("hzccl_allreduce", total, rates, net, n=n)
         counts = allreduce_counts(n, "hzccl")
         assert bd.doc_time == pytest.approx(counts.cost(rates, total / n), rel=1e-6)
 
@@ -138,7 +139,6 @@ class TestErrorBounds:
     def test_monte_carlo_validation(self, rng, fast_network):
         """Functional runs respect the bounds; RMS estimates land within a
         small factor of measurement."""
-        from repro.collectives import hzccl_allreduce
         from repro.core.config import CollectiveConfig
         from repro.runtime.cluster import SimCluster
 
@@ -146,7 +146,10 @@ class TestErrorBounds:
         local = [rng.normal(0, 1, 8000).astype(np.float32) for _ in range(n)]
         exact = np.sum(np.stack(local).astype(np.float64), axis=0)
         config = CollectiveConfig(error_bound=eb, network=fast_network)
-        res = hzccl_allreduce(SimCluster(n, network=fast_network), local, config)
+        res = run(
+            FAMILIES["hzccl_allreduce"], SimCluster(n, network=fast_network),
+            local, config,
+        )
         err = res.outputs[0].astype(np.float64) - exact
         bounds = error_bounds(n, eb, "hzccl")
         assert np.abs(err).max() <= bounds.max_error * 1.001

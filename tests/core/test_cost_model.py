@@ -2,19 +2,9 @@
 
 import pytest
 
-from repro.core.cost_model import (
-    PAPER_BROADWELL,
-    CostRates,
-    matched_network,
-    model_ccoll_allreduce,
-    model_ccoll_reduce_scatter,
-    model_hzccl_allreduce,
-    model_hzccl_reduce,
-    model_hzccl_reduce_scatter,
-    model_mpi_allreduce,
-    model_mpi_reduce_scatter,
-)
+from repro.core.cost_model import PAPER_BROADWELL, CostRates, matched_network
 from repro.runtime.network import NetworkModel
+from repro.schedule import family_cost
 
 NET = NetworkModel(latency_s=1e-6, bandwidth_Bps=1e9, congestion_per_log2=0.0)
 RATES = CostRates(
@@ -32,14 +22,14 @@ class TestFormulas:
 
     def test_mpi_reduce_scatter(self):
         n, total = 4, 4000
-        bd = model_mpi_reduce_scatter(n, total, RATES, NET)
+        bd = family_cost("mpi_reduce_scatter", total, RATES, NET, n=n)
         block = 1000
         assert bd.buckets["CPT"] == pytest.approx(3 * block * 1e-10)
         assert bd.buckets["MPI"] == pytest.approx(3 * NET.transfer_time(block, n))
 
     def test_ccoll_reduce_scatter_counts(self):
         n, total = 4, 4000
-        bd = model_ccoll_reduce_scatter(n, total, RATES, NET)
+        bd = family_cost("ccoll_reduce_scatter", total, RATES, NET, n=n)
         block = 1000
         assert bd.buckets["CPR"] == pytest.approx(3 * block * 1e-9)
         assert bd.buckets["DPR"] == pytest.approx(3 * block * 5e-10)
@@ -48,7 +38,7 @@ class TestFormulas:
     def test_hzccl_reduce_scatter_counts(self):
         """N·CPR + (N−1)·HPR + 1·DPR — the paper's §III-C1 total."""
         n, total = 4, 4000
-        bd = model_hzccl_reduce_scatter(n, total, RATES, NET)
+        bd = family_cost("hzccl_reduce_scatter", total, RATES, NET, n=n)
         block = 1000
         assert bd.buckets["CPR"] == pytest.approx(4 * block * 1e-9)
         assert bd.buckets["HPR"] == pytest.approx(3 * block * 2e-10)
@@ -56,7 +46,7 @@ class TestFormulas:
 
     def test_hzccl_allreduce_counts(self):
         n, total = 4, 4000
-        bd = model_hzccl_allreduce(n, total, RATES, NET)
+        bd = family_cost("hzccl_allreduce", total, RATES, NET, n=n)
         block = 1000
         assert bd.buckets["CPR"] == pytest.approx(4 * block * 1e-9)
         assert bd.buckets["HPR"] == pytest.approx(3 * block * 2e-10)
@@ -65,26 +55,26 @@ class TestFormulas:
     def test_ccoll_allreduce_counts(self):
         """N·CPR + 2(N−1)·DPR + (N−1)·CPT (§III-C2)."""
         n, total = 4, 4000
-        bd = model_ccoll_allreduce(n, total, RATES, NET)
+        bd = family_cost("ccoll_allreduce", total, RATES, NET, n=n)
         block = 1000
         assert bd.buckets["CPR"] == pytest.approx(4 * block * 1e-9)
         assert bd.buckets["DPR"] == pytest.approx(6 * block * 5e-10)
 
     def test_compressed_transfers(self):
         n, total = 4, 40_000
-        cc = model_ccoll_reduce_scatter(n, total, RATES, NET)
-        mpi = model_mpi_reduce_scatter(n, total, RATES, NET)
+        cc = family_cost("ccoll_reduce_scatter", total, RATES, NET, n=n)
+        mpi = family_cost("mpi_reduce_scatter", total, RATES, NET, n=n)
         # 10× smaller messages ⇒ MPI bucket strictly smaller
         assert cc.buckets["MPI"] < mpi.buckets["MPI"]
 
     def test_total_is_bucket_sum(self):
-        bd = model_hzccl_allreduce(8, 10**6, RATES, NET)
+        bd = family_cost("hzccl_allreduce", 10**6, RATES, NET, n=8)
         assert bd.total_time == pytest.approx(sum(bd.buckets.values()))
 
     def test_hzccl_reduce_direct_counts(self):
         """CPR on the full vector + incast + fused N-way HPR + one DPR."""
         n, total = 4, 4000
-        bd = model_hzccl_reduce(n, total, RATES, NET)
+        bd = family_cost("hzccl_reduce_direct", total, RATES, NET, n=n)
         assert bd.buckets["CPR"] == pytest.approx(total * 1e-9)
         assert bd.buckets["HPR"] == pytest.approx(
             total * RATES.fused_hpr_s_per_byte(n)
@@ -112,9 +102,9 @@ class TestPaperShapes:
         from repro.runtime.network import OMNIPATH_100G
 
         total = 646_000_000
-        mpi = model_mpi_allreduce(n, total, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
-        cc = model_ccoll_allreduce(n, total, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
-        hz = model_hzccl_allreduce(n, total, PAPER_BROADWELL, OMNIPATH_100G, mt).total_time
+        mpi = family_cost("mpi_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, mt, n=n).total_time
+        cc = family_cost("ccoll_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, mt, n=n).total_time
+        hz = family_cost("hzccl_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, mt, n=n).total_time
         assert hz < cc
         if n >= 64 or mt:
             assert cc < mpi
@@ -124,8 +114,8 @@ class TestPaperShapes:
 
         speedups = []
         for total in (10**7, 10**8, 6 * 10**8):
-            mpi = model_mpi_allreduce(64, total, PAPER_BROADWELL, OMNIPATH_100G, True)
-            hz = model_hzccl_allreduce(64, total, PAPER_BROADWELL, OMNIPATH_100G, True)
+            mpi = family_cost("mpi_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, True, n=64)
+            hz = family_cost("hzccl_allreduce", total, PAPER_BROADWELL, OMNIPATH_100G, True, n=64)
             speedups.append(mpi.total_time / hz.total_time)
         assert speedups == sorted(speedups)
 
@@ -136,8 +126,14 @@ class TestPaperShapes:
         total = 646_000_000
         speedups = {}
         for n in (8, 128, 512):
-            mpi = model_mpi_reduce_scatter(n, total, PAPER_BROADWELL, OMNIPATH_100G, True)
-            hz = model_hzccl_reduce_scatter(n, total, PAPER_BROADWELL, OMNIPATH_100G, True)
+            mpi = family_cost(
+                "mpi_reduce_scatter", total, PAPER_BROADWELL, OMNIPATH_100G,
+                True, n=n,
+            )
+            hz = family_cost(
+                "hzccl_reduce_scatter", total, PAPER_BROADWELL, OMNIPATH_100G,
+                True, n=n,
+            )
             speedups[n] = mpi.total_time / hz.total_time
         assert speedups[128] > speedups[8]
         assert speedups[512] < speedups[128]
@@ -145,8 +141,8 @@ class TestPaperShapes:
     def test_multithread_faster(self):
         from repro.runtime.network import OMNIPATH_100G
 
-        st = model_hzccl_allreduce(64, 10**8, PAPER_BROADWELL, OMNIPATH_100G, False)
-        mt = model_hzccl_allreduce(64, 10**8, PAPER_BROADWELL, OMNIPATH_100G, True)
+        st = family_cost("hzccl_allreduce", 10**8, PAPER_BROADWELL, OMNIPATH_100G, False, n=64)
+        mt = family_cost("hzccl_allreduce", 10**8, PAPER_BROADWELL, OMNIPATH_100G, True, n=64)
         assert mt.total_time < st.total_time
 
 

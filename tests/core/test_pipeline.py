@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import HZCCL, CollectiveConfig
-from repro.collectives import CollectiveResult, hzccl_allreduce
+from repro.collectives import FAMILIES, CollectiveResult, run
 from repro.core.pipeline import (
     PLAN_CACHE,
     REQUEST_OPS,
@@ -95,8 +95,9 @@ class TestStaticDispatch:
         p = plan(CollectiveRequest(op="allreduce", n_ranks=4), config,
                  cache=None)
         via_pipeline = execute(p, data4, config=config)
-        direct = hzccl_allreduce(
-            SimCluster(n_ranks=4, network=config.network), data4, config
+        direct = run(
+            FAMILIES["hzccl_allreduce"],
+            SimCluster(n_ranks=4, network=config.network), data4, config,
         )
         assert via_pipeline.bytes_on_wire == direct.bytes_on_wire
         for a, b in zip(via_pipeline.outputs, direct.outputs):

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.collectives import (
-    hzccl_allreduce,
+    FAMILIES,
     p2p_hzccl_allreduce,
     p2p_reduce_scatter,
-    mpi_reduce_scatter,
+    run,
 )
 from repro.core.analysis import error_bounds
 from repro.core.config import CollectiveConfig
@@ -34,7 +34,10 @@ class TestImplementationsAgree:
             s.ravel()[:40_000] for s in snapshot_series(name, 4, scale=0.01, seed=9)
         ]
         config = CollectiveConfig(error_bound=1e-4, network=NET)
-        bulk = hzccl_allreduce(SimCluster(4, network=NET), snapshots, config).outputs
+        bulk = run(
+            FAMILIES["hzccl_allreduce"], SimCluster(4, network=NET), snapshots,
+            config,
+        ).outputs
         p2p = p2p_hzccl_allreduce(Communicator(4, network=NET), snapshots, config)
         for a, b in zip(bulk, p2p):
             np.testing.assert_array_equal(a, b)
@@ -44,7 +47,7 @@ class TestImplementationsAgree:
     def test_plain_rs_property(self, n, seed):
         rng = np.random.default_rng(seed)
         local = [rng.normal(0, 1, 1000 + seed % 97).astype(np.float32) for _ in range(n)]
-        bulk = mpi_reduce_scatter(SimCluster(n, network=NET), local).outputs
+        bulk = run(FAMILIES["mpi_reduce_scatter"], SimCluster(n, network=NET), local).outputs
         p2p = p2p_reduce_scatter(Communicator(n, network=NET), local)
         for a, b in zip(bulk, p2p):
             np.testing.assert_array_equal(a, b)
@@ -57,13 +60,12 @@ class TestTheoryMatchesExecution:
         local = [rng.normal(0, 1, 9000).astype(np.float32) for _ in range(n)]
         exact = np.sum(np.stack(local).astype(np.float64), axis=0)
         config = CollectiveConfig(error_bound=eb, network=NET)
-        res = hzccl_allreduce(SimCluster(n, network=NET), local, config)
+        res = run(FAMILIES["hzccl_allreduce"], SimCluster(n, network=NET), local, config)
         bound = error_bounds(n, eb, "hzccl")
         err = np.abs(res.outputs[0].astype(np.float64) - exact).max()
         assert err <= bound.max_error * 1.001
 
     def test_ccoll_error_within_analysis_bound(self, rng):
-        from repro.collectives import ccoll_allreduce
 
         n, eb = 6, 1e-3
         local = [
@@ -71,7 +73,7 @@ class TestTheoryMatchesExecution:
         ]
         exact = np.sum(np.stack(local).astype(np.float64), axis=0)
         config = CollectiveConfig(error_bound=eb, network=NET)
-        res = ccoll_allreduce(SimCluster(n, network=NET), local, config)
+        res = run(FAMILIES["ccoll_allreduce"], SimCluster(n, network=NET), local, config)
         # the allreduce adds one more requantisation chain on the gather
         bound = error_bounds(n, eb, "ccoll").max_error + n * eb
         err = np.abs(res.outputs[0].astype(np.float64) - exact).max()
@@ -86,7 +88,10 @@ class TestTheoryMatchesExecution:
             local = [rng.normal(0, 1, 20_000).astype(np.float32) for _ in range(n)]
             exact = np.sum(np.stack(local).astype(np.float64), axis=0)
             config = CollectiveConfig(error_bound=eb, network=NET)
-            res = hzccl_allreduce(SimCluster(n, network=NET), local, config)
+            res = run(
+                FAMILIES["hzccl_allreduce"], SimCluster(n, network=NET), local,
+                config,
+            )
             err = res.outputs[0].astype(np.float64) - exact
             rms[n] = float(np.sqrt(np.mean(err**2)))
         growth = rms[16] / rms[4]
@@ -101,7 +106,7 @@ class TestTimingConsistency:
         n = 6
         local = [rng.normal(0, 1, 200_000).astype(np.float32) for _ in range(n)]
         slow_net = NetworkModel(latency_s=1e-6, bandwidth_Bps=5e7, congestion_per_log2=0)
-        bulk = mpi_reduce_scatter(SimCluster(n, network=slow_net), local)
+        bulk = run(FAMILIES["mpi_reduce_scatter"], SimCluster(n, network=slow_net), local)
         comm = Communicator(n, network=slow_net)
         p2p_reduce_scatter(comm, local)
         ratio = comm.makespan / bulk.total_time

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives import hzccl_allreduce, mpi_allreduce, mpi_reduce_scatter
+from repro.collectives import FAMILIES, run
 from repro.core.config import CollectiveConfig
 from repro.runtime.cluster import SimCluster
 from repro.runtime.faults import FaultPlan, RetryPolicy
@@ -120,7 +120,7 @@ class TestClusterIntegration:
     def test_collective_produces_trace(self, rng):
         local = [rng.normal(0, 1, 4003).astype(np.float32) for _ in range(4)]
         cluster = SimCluster(4, network=NET, trace=TraceLog())
-        mpi_reduce_scatter(cluster, local)
+        run(FAMILIES["mpi_reduce_scatter"], cluster, local)
         assert cluster.trace.n_rounds == 3  # N − 1 ring rounds
         summaries = cluster.trace.round_summaries()
         assert all(s.bytes_moved > 0 for s in summaries)
@@ -128,7 +128,7 @@ class TestClusterIntegration:
     def test_round_durations_sum_to_total(self, rng):
         local = [rng.normal(0, 1, 4003).astype(np.float32) for _ in range(4)]
         cluster = SimCluster(4, network=NET, trace=TraceLog())
-        res = mpi_reduce_scatter(cluster, local)
+        res = run(FAMILIES["mpi_reduce_scatter"], cluster, local)
         total = sum(s.duration for s in cluster.trace.round_summaries())
         assert total == pytest.approx(res.total_time)
 
@@ -138,29 +138,30 @@ class TestClusterIntegration:
         ]
         config = CollectiveConfig(error_bound=1e-4, network=NET)
         cluster = SimCluster(4, network=NET, trace=TraceLog())
-        hzccl_allreduce(cluster, local, config)
+        run(FAMILIES["hzccl_allreduce"], cluster, local, config)
         buckets = {e.bucket for e in cluster.trace.events if e.kind == "compute"}
         assert {"CPR", "HPR", "DPR"} <= buckets
 
     def test_bytes_per_round_available(self, rng):
         local = [rng.normal(0, 1, 4003).astype(np.float32) for _ in range(3)]
         cluster = SimCluster(3, network=NET, trace=TraceLog())
-        mpi_reduce_scatter(cluster, local)
+        run(FAMILIES["mpi_reduce_scatter"], cluster, local)
         per_round = cluster.trace.bytes_per_round()
         assert len(per_round) == 2
 
     def test_no_trace_by_default(self, rng):
         cluster = SimCluster(3, network=NET)
         assert cluster.trace is None
-        res = mpi_reduce_scatter(
-            cluster, [rng.normal(0, 1, 99).astype(np.float32)] * 3
+        res = run(
+            FAMILIES["mpi_reduce_scatter"], cluster,
+            [rng.normal(0, 1, 99).astype(np.float32)] * 3,
         )
         assert res.trace is None
 
     def test_result_carries_scoped_trace(self, rng):
         local = [rng.normal(0, 1, 4003).astype(np.float32) for _ in range(4)]
         cluster = SimCluster(4, network=NET, trace=TraceLog())
-        res = mpi_reduce_scatter(cluster, local)
+        res = run(FAMILIES["mpi_reduce_scatter"], cluster, local)
         assert res.trace is not None
         assert res.trace is not cluster.trace
         assert res.trace.n_rounds == cluster.trace.n_rounds == 3
@@ -222,8 +223,9 @@ class TestWaitAccounting:
             np.cumsum(rng.normal(0, 0.05, 4096)).astype(np.float32)
             for _ in range(8)
         ]
-        res = hzccl_allreduce(
-            cluster, local, CollectiveConfig(error_bound=1e-4, network=NET)
+        res = run(
+            FAMILIES["hzccl_allreduce"], cluster, local,
+            CollectiveConfig(error_bound=1e-4, network=NET),
         )
         summaries = _assert_invariant(res.trace)
         assert any(s.wait_time > 0 for s in summaries), (
@@ -235,7 +237,7 @@ class TestWaitAccounting:
         plan = FaultPlan(seed=7, drop_rate=0.2)
         cluster = SimCluster(4, network=NET, trace=TraceLog(), faults=plan)
         local = [rng.normal(0, 1, 2048).astype(np.float32) for _ in range(4)]
-        res = mpi_allreduce(cluster, local)
+        res = run(FAMILIES["mpi_allreduce"], cluster, local)
         summaries = _assert_invariant(res.trace)
         assert any(s.wait_time > 0 for s in summaries)
 
@@ -268,9 +270,9 @@ class TestResetRotation:
     def test_back_to_back_collectives_on_one_cluster(self, rng):
         local = [rng.normal(0, 1, 4003).astype(np.float32) for _ in range(4)]
         cluster = SimCluster(4, network=NET, trace=TraceLog())
-        first = mpi_reduce_scatter(cluster, local)
+        first = run(FAMILIES["mpi_reduce_scatter"], cluster, local)
         cluster.reset()
-        second = mpi_reduce_scatter(cluster, local)
+        second = run(FAMILIES["mpi_reduce_scatter"], cluster, local)
         # without rotation the second summaries would contain 6 rounds
         assert cluster.trace.n_rounds == 3
         assert second.trace.n_rounds == 3
@@ -418,8 +420,9 @@ class TestThreadModeAndDegradedLinks:
         cluster = SimCluster(
             4, network=NET, multithread=multithread, trace=TraceLog()
         )
-        res = hzccl_allreduce(
-            cluster, local, CollectiveConfig(error_bound=1e-4, network=NET)
+        res = run(
+            FAMILIES["hzccl_allreduce"], cluster, local,
+            CollectiveConfig(error_bound=1e-4, network=NET),
         )
         assert sum(s.bytes_moved for s in res.trace.round_summaries()) == (
             res.bytes_on_wire
@@ -435,7 +438,7 @@ class TestThreadModeAndDegradedLinks:
         )
         cluster = SimCluster(4, network=NET, trace=TraceLog(), faults=plan)
         local = [rng.normal(0, 1, 4096).astype(np.float32) for _ in range(4)]
-        res = mpi_allreduce(cluster, local)
+        res = run(FAMILIES["mpi_allreduce"], cluster, local)
         summaries = _assert_invariant(res.trace)
         # the stretched per-rank transfer exceeds the round's modelled comm
         comm_events = [
@@ -453,7 +456,8 @@ class TestThreadModeAndDegradedLinks:
             np.cumsum(rng.normal(0, 0.05, 2048)).astype(np.float32)
             for _ in range(4)
         ]
-        res = hzccl_allreduce(
-            cluster, local, CollectiveConfig(error_bound=1e-4, network=NET)
+        res = run(
+            FAMILIES["hzccl_allreduce"], cluster, local,
+            CollectiveConfig(error_bound=1e-4, network=NET),
         )
         _assert_invariant(res.trace)

@@ -20,20 +20,7 @@ import pathlib
 
 import numpy as np
 
-from repro.collectives import (
-    ccoll_allreduce,
-    compressed_bcast,
-    hzccl_allreduce,
-    hzccl_rabenseifner_allreduce,
-    hzccl_reduce,
-    hzccl_reduce_direct,
-    hzccl_reduce_scatter,
-    mpi_allreduce,
-    mpi_bcast,
-    mpi_reduce,
-    mpi_reduce_scatter,
-    rabenseifner_allreduce,
-)
+from repro.collectives import FAMILIES, run
 from repro.core.config import CollectiveConfig
 from repro.runtime.cluster import SimCluster
 from repro.runtime.network import NetworkModel
@@ -45,21 +32,23 @@ CONFIG = CollectiveConfig(
     error_bound=1e-4, block_size=8, n_threadblocks=3, network=NET
 )
 
-#: op name → callable(cluster, per-rank data, config) -> CollectiveResult
-OPS = {
-    "mpi_reduce_scatter": lambda cl, d, c: mpi_reduce_scatter(cl, d),
-    "mpi_allreduce": lambda cl, d, c: mpi_allreduce(cl, d),
-    "ccoll_allreduce": ccoll_allreduce,
-    "hzccl_reduce_scatter": hzccl_reduce_scatter,
-    "hzccl_allreduce": hzccl_allreduce,
-    "rabenseifner_allreduce": lambda cl, d, c: rabenseifner_allreduce(cl, d),
-    "hzccl_rabenseifner_allreduce": hzccl_rabenseifner_allreduce,
-    "mpi_reduce": lambda cl, d, c: mpi_reduce(cl, d),
-    "hzccl_reduce": hzccl_reduce,
-    "hzccl_reduce_direct": hzccl_reduce_direct,
-    "mpi_bcast": lambda cl, d, c: mpi_bcast(cl, d[0]),
-    "compressed_bcast": lambda cl, d, c: compressed_bcast(cl, d[0], c),
-}
+#: the family-table rows with a fixture each, run as
+#: ``run(FAMILIES[name], cluster, data, CONFIG)`` — the broadcasts send
+#: rank 0's vector (``data[0]``), every other row takes all ranks' data
+OPS = (
+    "mpi_reduce_scatter",
+    "mpi_allreduce",
+    "ccoll_allreduce",
+    "hzccl_reduce_scatter",
+    "hzccl_allreduce",
+    "rabenseifner_allreduce",
+    "hzccl_rabenseifner_allreduce",
+    "mpi_reduce",
+    "hzccl_reduce",
+    "hzccl_reduce_direct",
+    "mpi_bcast",
+    "compressed_bcast",
+)
 
 RANK_COUNTS = (2, 4, 8)
 
@@ -76,9 +65,10 @@ def main() -> None:
     FIXTURE_DIR.mkdir(exist_ok=True)
     for n in RANK_COUNTS:
         data = make_data(n)
-        for name, op in OPS.items():
+        for name in OPS:
             cluster = SimCluster(n, network=NET)
-            result = op(cluster, data, CONFIG)
+            inputs = data[0] if name.endswith("bcast") else data
+            result = run(FAMILIES[name], cluster, inputs, CONFIG)
             payload: dict[str, np.ndarray] = {
                 "bytes_on_wire": np.int64(result.bytes_on_wire),
             }

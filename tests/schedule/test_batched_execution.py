@@ -79,24 +79,33 @@ HZ_ALLREDUCES = {
     # what no comm sent.
     # ring: n−1 reduce-scatter sends per rank + the seal of the owned
     # block at the fused hand-off; the allgather forwards streams only
-    "ring": (lambda cl, d: C.hzccl_allreduce(cl, d, CONFIG), N, N * N, 56,
-             2 * N),
+    "ring": (
+        lambda cl, d: C.run(C.FAMILIES["hzccl_allreduce"], cl, d, CONFIG),
+        N, N * N, 56, 2 * N,
+    ),
     # two chunks per ring round: 2·(n−1) sends per rank + one seal of
     # both owned chunks
     "pipelined": (
-        lambda cl, d: C.hzccl_pipelined_allreduce(cl, d, CONFIG, n_chunks=2),
+        lambda cl, d: C.run(
+            C.FAMILIES["hzccl_pipelined_allreduce"], cl, d, CONFIG, chunks=2
+        ),
         N, N * (2 * (N - 1) + 1), 2 * 56, 2 * N,
     ),
     # log2 n halving sends per rank + the first doubling send of the
     # owned block; later doublings forward streams
     "rabenseifner": (
-        lambda cl, d: C.hzccl_rabenseifner_allreduce(cl, d, CONFIG),
+        lambda cl, d: C.run(
+            C.FAMILIES["hzccl_rabenseifner_allreduce"], cl, d, CONFIG
+        ),
         N, N * (3 + 1), 56, N,
     ),
     # 4 non-leaders send their vector; 4 leaders send once per inter-ring
     # reduce-scatter round (3) and once more their owned block
     "hierarchical": (
-        lambda cl, d: C.hzccl_hierarchical_allreduce(cl, d, CONFIG, PAIRS),
+        lambda cl, d: C.run(
+            C.FAMILIES["hzccl_hierarchical_allreduce"], cl, d, CONFIG,
+            nodemap=PAIRS,
+        ),
         N, 4 + 4 * (3 + 1), 28, N,
     ),
 }
@@ -119,8 +128,9 @@ def test_hz_allreduce_sweeps_once_per_rank(kernel_calls, family):
 
 def test_batched_reduce_is_one_sweep_per_rank_and_one_at_the_root(kernel_calls):
     sessions = [make_data(size=1031) for _ in range(5)]
-    result = C.hzccl_batched_reduce(
-        SimCluster(N, network=CONFIG.network), sessions, CONFIG
+    result = C.run(
+        C.FAMILIES["hzccl_batched_reduce"],
+        SimCluster(N, network=CONFIG.network), sessions, CONFIG,
     )
     # the n−1 senders code their 5 vectors in one call each; the root folds
     # its own quantised and decodes none of them
@@ -132,13 +142,19 @@ def test_batched_reduce_is_one_sweep_per_rank_and_one_at_the_root(kernel_calls):
 
 def test_rooted_and_bcast_counts(kernel_calls):
     data = make_data()
-    C.hzccl_reduce(SimCluster(N, network=CONFIG.network), data, CONFIG)
+    C.run(
+        C.FAMILIES["hzccl_reduce"], SimCluster(N, network=CONFIG.network),
+        data, CONFIG,
+    )
     # the fused reduce-scatter's n−1 sends + seal per rank, as in "ring"
     assert dict(kernel_calls) == {
         "quantise": N, "CPR": N * N, "HPR": 56, "DPR": 1,
     }
     kernel_calls.clear()
-    C.compressed_bcast(SimCluster(N, network=CONFIG.network), data[0], CONFIG)
+    C.run(
+        C.FAMILIES["compressed_bcast"], SimCluster(N, network=CONFIG.network),
+        data[0], CONFIG,
+    )
     assert dict(kernel_calls) == {"CPR": 1, "DPR": N - 1}
 
 
@@ -149,14 +165,20 @@ def test_doc_baseline_stays_one_invocation_per_block(kernel_calls):
     rank's block once (n) and decodes every foreign block alone
     (n·(n−1))."""
     data = make_data()
-    result = C.ccoll_allreduce(SimCluster(N, network=CONFIG.network), data, CONFIG)
+    result = C.run(
+        C.FAMILIES["ccoll_allreduce"], SimCluster(N, network=CONFIG.network),
+        data, CONFIG,
+    )
     assert not result.degraded
     assert dict(kernel_calls) == {
         "CPR": N * (N - 1) + N,
         "DPR": 2 * N * (N - 1),
     }
     kernel_calls.clear()
-    C.ccoll_reduce_scatter(SimCluster(N, network=CONFIG.network), data, CONFIG)
+    C.run(
+        C.FAMILIES["ccoll_reduce_scatter"],
+        SimCluster(N, network=CONFIG.network), data, CONFIG,
+    )
     assert dict(kernel_calls) == {"CPR": N * (N - 1), "DPR": N * (N - 1)}
 
 
@@ -174,7 +196,7 @@ class ChargeLog(SimCluster):
 
 def test_clock_buckets_charged_once_per_rank_per_phase(kernel_calls):
     cluster = ChargeLog(N, network=CONFIG.network)
-    result = C.hzccl_allreduce(cluster, make_data(), CONFIG)
+    result = C.run(C.FAMILIES["hzccl_allreduce"], cluster, make_data(), CONFIG)
     per_rank = Counter((rank, bucket) for rank, bucket, _ in cluster.charges)
     for rank in range(N):
         # the setup sweep, n−1 sends and the seal of the owned block
@@ -201,7 +223,7 @@ class RecordingCodec(PayloadCodec):
     def prepare(self, rank, blocks, state):
         self.prepared.append((rank, tuple(blocks)))
 
-    def fold(self, rank, blocks, items, state, fresh=True):
+    def fold(self, rank, blocks, items, state):
         for b, item in zip(blocks, items):
             state[rank][b] = state[rank][b] + item
 
@@ -324,7 +346,9 @@ def test_a_ring_fold_decodes_only_the_stream_it_received(monkeypatch):
     monkeypatch.setattr(HZDynamic, "reduce_fused", fold)
     cluster = ChargeLog(N, network=CONFIG.network)
     with use_backend("numpy"):
-        result = C.hzccl_reduce_scatter(cluster, make_data(), CONFIG)
+        result = C.run(
+            C.FAMILIES["hzccl_reduce_scatter"], cluster, make_data(), CONFIG
+        )
     assert not result.degraded
     assert per_fold == [1] * (N * (N - 1))
     assert decodes["all"] == N * (N - 1)  # none at the finalize

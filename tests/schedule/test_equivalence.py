@@ -19,7 +19,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.collectives import hzccl_allreduce, hzccl_pipelined_allreduce
+from repro.collectives import FAMILIES, run
 from repro.runtime.cluster import SimCluster
 
 from .make_fixtures import CONFIG, NET, OPS, RANK_COUNTS, make_data
@@ -31,8 +31,9 @@ FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_bit_identical_to_legacy_fixture(name, n):
     fixture = np.load(FIXTURE_DIR / f"{name}_n{n}.npz")
-    cluster = SimCluster(n, network=NET)
-    result = OPS[name](cluster, make_data(n), CONFIG)
+    data = make_data(n)
+    inputs = data[0] if name.endswith("bcast") else data
+    result = run(FAMILIES[name], SimCluster(n, network=NET), inputs, CONFIG)
     assert result.bytes_on_wire == int(fixture["bytes_on_wire"])
     for i, out in enumerate(result.outputs):
         key = f"out_{i}"
@@ -52,13 +53,16 @@ def test_pipelined_allreduce_matches_unpipelined_accuracy(n, n_chunks):
     element) and the exact float reference must hold identically."""
     data = make_data(n)
     reference = np.sum(np.stack(data, dtype=np.float64), axis=0)
-    result = hzccl_pipelined_allreduce(
-        SimCluster(n, network=NET), data, CONFIG, n_chunks=n_chunks
+    result = run(
+        FAMILIES["hzccl_pipelined_allreduce"], SimCluster(n, network=NET),
+        data, CONFIG, chunks=n_chunks,
     )
     assert not result.degraded
     bound = n * CONFIG.error_bound * 1.0001
     for out in result.outputs:
         assert np.max(np.abs(out.astype(np.float64) - reference)) <= bound
-    baseline = hzccl_allreduce(SimCluster(n, network=NET), data, CONFIG)
+    baseline = run(
+        FAMILIES["hzccl_allreduce"], SimCluster(n, network=NET), data, CONFIG
+    )
     for out, ref in zip(result.outputs, baseline.outputs):
         assert np.max(np.abs(out - ref)) <= bound

@@ -26,13 +26,14 @@ import numpy as np
 import pytest
 
 from repro.bench.tuner import FABRICS, RANKS_PER_NODE
-from repro.collectives import hzccl_allreduce, mpi_allreduce, run_candidate
+from repro.collectives import FAMILIES, run
 from repro.core.config import CollectiveConfig
 from repro.core.cost_model import PAPER_BROADWELL
 from repro.runtime import NodeMap, SimCluster
 from repro.schedule.tuner import (
     Candidate,
     TuningKey,
+    candidate_family,
     classify_roughness,
     tune_point,
 )
@@ -83,7 +84,8 @@ def _run(slug: str, entry: dict, data: list[np.ndarray]):
         if cand.hierarchical
         else None
     )
-    result = run_candidate(cand, cluster, data, CONFIG, nodemap)
+    name, params = candidate_family(cand, "allreduce", nodemap)
+    result = run(FAMILIES[name], cluster, data, CONFIG, **params)
     assert not result.degraded
     return result
 
@@ -114,12 +116,14 @@ def test_tuned_pick_agrees_with_best_static_family(entry):
     static = _run(entry["flat_pick"], entry, data)
 
     # the hz reference: the flat fused ring on the same cluster geometry
-    hz_ref = hzccl_allreduce(
-        SimCluster(n, network=FABRICS[entry["fabric"]]), data, CONFIG
+    hz_ref = run(
+        FAMILIES["hzccl_allreduce"],
+        SimCluster(n, network=FABRICS[entry["fabric"]]), data, CONFIG,
     )
     assert not hz_ref.degraded
-    plain_ref = mpi_allreduce(
-        SimCluster(n, network=FABRICS[entry["fabric"]]), data
+    plain_ref = run(
+        FAMILIES["mpi_allreduce"],
+        SimCluster(n, network=FABRICS[entry["fabric"]]), data,
     )
 
     bound = (2 * n + 1) * EB
