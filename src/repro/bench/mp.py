@@ -27,6 +27,7 @@ magnitude), not scheduler jitter.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -222,17 +223,31 @@ def states_equal(a: list, b: list) -> bool:
 # --------------------------------------------------------------------- #
 def _measure(
     cluster: MPCluster, case: MPCase, repeats: int
-) -> MPRun:
-    """Best-of-``repeats`` run of one case (minimum makespan wins)."""
-    best: MPRun | None = None
+) -> tuple[MPRun, float]:
+    """Best-of-``repeats`` run of one case (minimum makespan wins), with
+    the parent's wall-clock around that run."""
+    best: tuple[MPRun, float] | None = None
     for _ in range(repeats):
-        run = MPExecutor(cluster, case.spec).run(
-            case.schedule, case.make_state()
-        )
-        if best is None or run.makespan_s < best.makespan_s:
-            best = run
+        state = case.make_state()
+        start = time.perf_counter()
+        run = MPExecutor(cluster, case.spec).run(case.schedule, state)
+        wall = time.perf_counter() - start
+        if best is None or run.makespan_s < best[0].makespan_s:
+            best = (run, wall)
     assert best is not None
     return best
+
+
+def _fit_summary(fit) -> dict:
+    return {
+        "alpha_s": fit.alpha_s,
+        "beta_s_per_byte": fit.beta_s_per_byte,
+        "bandwidth_GBps": (
+            1.0 / fit.beta_s_per_byte / 1e9
+            if fit.beta_s_per_byte > 0
+            else None
+        ),
+    }
 
 
 def calibrate(
@@ -244,23 +259,29 @@ def calibrate(
 ) -> dict:
     """Measure every family × ranks × size point and fit α–β.
 
-    Returns the ``BENCH_mp.json`` document: fitted coefficients, one row
-    per measured point (measured vs modelled makespan, relative error)
-    and the worst error per family.  Prefer one rank count per fit: on an
-    oversubscribed host the makespan partly serialises across ranks, so
-    rank counts shift the effective per-hop cost in a way a single α
-    cannot absorb.
+    Returns the ``BENCH_mp.json`` document: one α–β fit per rank count
+    (``fits``), one row per measured point (measured makespan, the
+    parent's overhead — wall-clock around the run minus its makespan —,
+    and the makespan its rank count's fit models, with the relative
+    error) and the worst error per family.  A rank count gets a fit of
+    its own because on an oversubscribed host the makespan partly
+    serialises across ranks, so rank counts shift the effective per-hop
+    cost in a way a single α cannot absorb.  The top-level coefficients
+    pool every row: the fit ``repro tune run --calibration`` makes from
+    the rows (:func:`samples_from_document`).
     """
-    measured: list[tuple[MPCase, MPRun]] = []
+    measured: list[tuple[MPCase, MPRun, float]] = []
     for n in ranks:
         with MPCluster(n) as cluster:
             for family in families:
                 for elems in elements:
                     case = build_case(family, n, elems, seed=seed)
-                    measured.append((case, _measure(cluster, case, repeats)))
+                    measured.append(
+                        (case, *_measure(cluster, case, repeats))
+                    )
 
     samples = []
-    for case, run in measured:
+    for case, run, _ in measured:
         ws = wire_summary(case.schedule, case.payload_bytes)
         # achieved wire scale: 1.0 for plain runs (measured wire equals
         # the plain total exactly), the real compression ratio otherwise
@@ -274,39 +295,46 @@ def calibrate(
                 compute_s=run.compute_s,
             )
         )
-    fit = fit_alpha_beta(samples)
 
+    fits: dict[str, dict] = {}
     rows = []
-    for (case, run), report in zip(measured, fit.report()):
-        rows.append(
-            {
-                "family": case.family,
-                "ranks": case.n_ranks,
-                "elements": case.elements,
-                "codec": case.spec.kind,
-                "hops": report["hops"],
-                "crit_bytes": report["crit_bytes"],
-                "wire_bytes": run.wire,
-                "compute_s": run.compute_s,
-                "measured_s": report["measured_s"],
-                "modelled_s": report["modelled_s"],
-                "rel_err": report["rel_err"],
-            }
-        )
+    family_errors: dict[str, float] = {}
+    for n in dict.fromkeys(ranks):
+        points = [
+            (point, sample)
+            for point, sample in zip(measured, samples)
+            if point[0].n_ranks == n
+        ]
+        fit = fit_alpha_beta(sample for _, sample in points)
+        fits[str(n)] = {**_fit_summary(fit), "max_rel_err": fit.max_rel_err()}
+        for family, err in fit.family_errors().items():
+            family_errors[family] = max(err, family_errors.get(family, 0.0))
+        for ((case, run, wall), _), report in zip(points, fit.report()):
+            rows.append(
+                {
+                    "family": case.family,
+                    "ranks": case.n_ranks,
+                    "elements": case.elements,
+                    "codec": case.spec.kind,
+                    "hops": report["hops"],
+                    "crit_bytes": report["crit_bytes"],
+                    "wire_bytes": run.wire,
+                    "compute_s": run.compute_s,
+                    "measured_s": report["measured_s"],
+                    "overhead_s": wall - run.makespan_s,
+                    "modelled_s": report["modelled_s"],
+                    "rel_err": report["rel_err"],
+                }
+            )
     return {
         "ranks": list(ranks),
         "elements": list(elements),
         "repeats": repeats,
-        "alpha_s": fit.alpha_s,
-        "beta_s_per_byte": fit.beta_s_per_byte,
-        "bandwidth_GBps": (
-            1.0 / fit.beta_s_per_byte / 1e9
-            if fit.beta_s_per_byte > 0
-            else None
-        ),
+        **_fit_summary(fit_alpha_beta(samples)),
+        "fits": fits,
         "rows": rows,
-        "family_errors": fit.family_errors(),
-        "max_rel_err": fit.max_rel_err(),
+        "family_errors": family_errors,
+        "max_rel_err": max(family_errors.values(), default=0.0),
     }
 
 
@@ -347,6 +375,7 @@ def calibration_rows(doc: dict) -> list[list[str]]:
                 str(r["ranks"]),
                 str(r["elements"]),
                 f"{r['measured_s'] * 1e6:.0f}",
+                f"{r['overhead_s'] * 1e6:.0f}",
                 f"{r['modelled_s'] * 1e6:.0f}",
                 f"{r['rel_err']:.0%}",
             ]

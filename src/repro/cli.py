@@ -590,17 +590,18 @@ def _cmd_mp(args) -> int:
         repeats=args.repeats,
     )
     print(format_table(
-        ["family", "ranks", "elements", "measured µs", "modelled µs", "err"],
+        ["family", "ranks", "elements", "measured µs", "overhead µs",
+         "modelled µs", "err"],
         calibration_rows(doc),
-        title=(
-            f"α = {doc['alpha_s'] * 1e6:.0f} µs/hop, "
+        title="; ".join(
+            f"{n} ranks: α = {fit['alpha_s'] * 1e6:.0f} µs/hop, "
             + (
-                f"β⁻¹ = {doc['bandwidth_GBps']:.2f} GB/s, "
-                if doc["bandwidth_GBps"]
-                else "β⁻¹ = n/a (latency-bound fit), "
+                f"β⁻¹ = {fit['bandwidth_GBps']:.2f} GB/s"
+                if fit["bandwidth_GBps"]
+                else "β⁻¹ = n/a (latency-bound fit)"
             )
-            + f"worst family error {doc['max_rel_err']:.0%}"
-        ),
+            for n, fit in doc["fits"].items()
+        ) + f"; worst family error {doc['max_rel_err']:.0%}",
     ))
     if args.output:
         Path(args.output).write_text(

@@ -4,7 +4,9 @@ This module is *pure transport*: fixed-header frames moved between OS
 processes over socket channels, with **real** wall-clock deadlines on
 every blocking operation, the one serialiser that turns wire items into
 frame payloads, and the long-lived sender threads that drain frames into
-channels.  What a frame *means* (fault injection, retransmission
+channels — each frame is first tried inline, with one non-blocking
+``sendmsg`` toward an idle destination, and a thread takes only what the
+socket did not.  What a frame *means* (fault injection, retransmission
 accounting, codec actions) lives in :mod:`repro.schedule.mp_executor`;
 process lifecycle lives in :mod:`repro.runtime.mp_cluster`.
 
@@ -220,6 +222,32 @@ class SocketChannel:
         """Whether a read would not block: data waits, or the peer is gone."""
         return bool(self._readable.poll(0))
 
+    def send_once(self, buffers: Sequence[Any]) -> list:
+        """One non-blocking gathering ``sendmsg`` of ``buffers``, in order.
+
+        Returns what is left unsent (empty when all of it went); raises
+        ``BlockingIOError`` when the socket takes nothing.
+        """
+        views = [memoryview(b).cast("B") for b in buffers]
+        views = [v for v in views if v.nbytes]
+        if not views:
+            return views
+        try:
+            sent = self.sock.sendmsg(views[:_IOV_BATCH], (), socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            raise
+        except OSError as exc:
+            raise MPChannelError(f"socket write failed: {exc}") from exc
+        i = 0
+        while sent:
+            n = views[i].nbytes
+            if sent < n:
+                views[i] = views[i][sent:]
+                break
+            sent -= n
+            i += 1
+        return views[i:]
+
     def send_buffers(
         self,
         buffers: Sequence[Any],
@@ -228,28 +256,13 @@ class SocketChannel:
     ) -> None:
         """Write every buffer fully, in order, with gathering ``sendmsg``."""
         start = time.monotonic()
-        views = [memoryview(b).cast("B") for b in buffers]
-        views = [v for v in views if v.nbytes]
-        i = 0
-        while i < len(views):
+        while buffers:
             try:
-                sent = self.sock.sendmsg(
-                    views[i:i + _IOV_BATCH], (), socket.MSG_DONTWAIT
-                )
+                buffers = self.send_once(buffers)
             except BlockingIOError:
                 self._wait(
                     self._writable, "socket write", start, deadline, poll
                 )
-                continue
-            except OSError as exc:
-                raise MPChannelError(f"socket write failed: {exc}") from exc
-            while sent:
-                n = views[i].nbytes
-                if sent < n:
-                    views[i] = views[i][sent:]
-                    break
-                sent -= n
-                i += 1
 
     def recv_into(
         self,
@@ -413,14 +426,19 @@ def load_items(body) -> tuple[Any, ...]:
 class SenderPool:
     """One long-lived writer thread per destination rank.
 
-    A worker starts its pool once.  The main thread enqueues frames;
-    each thread drains its queue into that destination's channel.
-    Per-destination threads mean a full socket
-    toward one slow receiver can never delay frames bound for another
-    rank — the property that makes arbitrary schedules deadlock-free.  A
-    job ends in :meth:`flush` (every queue joined) or :meth:`abort` (what
-    is still queued is dropped, then every queue joined), so the threads
-    outlive the job and the queues are empty when the next one starts.
+    A worker starts its pool once.  The main thread is the only producer:
+    it first tries each frame inline — one non-blocking ``sendmsg`` when
+    nothing is queued or in flight toward that destination and its
+    sender has not failed — and enqueues only what the socket did not
+    take; each thread drains its queue into that destination's channel.
+    Since a frame goes inline only behind an idle queue, the bytes toward
+    one destination stay in order, and since the inline try never blocks,
+    a full socket toward one slow receiver can never delay frames bound
+    for another rank — the property that makes arbitrary schedules
+    deadlock-free.  A job ends in :meth:`flush` (every queue joined) or
+    :meth:`abort` (what is still queued is dropped, then every queue
+    joined), so the threads outlive the job and the queues are empty
+    when the next one starts.
     """
 
     def __init__(self, channels: dict[int, Any]) -> None:
@@ -428,6 +446,7 @@ class SenderPool:
         self.deadline_s = 10.0
         self._abort = threading.Event()
         self._failures: dict[int, str] = {}
+        self._channels = channels
         self._queues: dict[int, queue.Queue] = {}
         self._threads: list[threading.Thread] = []
         for dst, channel in channels.items():
@@ -467,7 +486,21 @@ class SenderPool:
 
     # ------------------------------------------------------------------ #
     def put_frame(self, dst: int, frame: Frame) -> None:
-        self._queues[dst].put(frame_buffers(frame))
+        buffers = frame_buffers(frame)
+        q = self._queues[dst]
+        # ``unfinished_tasks`` counts queued and in-flight frames; only
+        # this thread raises it, so a 0 read here stays 0 until the put
+        if not q.unfinished_tasks and dst not in self._failures:
+            try:
+                buffers = self._channels[dst].send_once(buffers)
+            except BlockingIOError:
+                pass
+            except MPChannelError as exc:  # surfaced by flush()
+                self._failures[dst] = f"{type(exc).__name__}: {exc}"
+                return
+            if not buffers:
+                return
+        q.put(buffers)
 
     def flush(self) -> None:
         """Block until every queued frame is on the wire; raise on failure."""

@@ -9,9 +9,22 @@ each worker its rank-local job, collects per-rank results, and merges
 them.  All data-plane traffic flows worker ↔ worker over the channels;
 the parent never touches payload bytes.
 
+Like an MPI-4 persistent collective (set up once, started many times),
+a cluster ships each schedule to its workers once.  A job is a program
+key plus the rank's state: the parent's program table maps a schedule
+*object* to its key (row generators are cached, so a row's schedule is
+one object, and nothing is hashed per op), the first job of a key also
+carries the schedule, and every worker keeps ``{key: schedule}``.  The
+table belongs to one cluster and holds :data:`PROGRAM_SLOTS` schedules;
+the next new one starts it afresh, and its key 0 tells the workers to
+drop theirs too.  A reply carries only what the run changed: a block
+still the very object its job delivered comes back as :data:`KEPT`, and
+:func:`rebuild_state` puts the parent's own array back in its place.
+
 Each worker has one more socket pair, its control link to the parent,
 and it carries frames of the data plane's own format and nothing else:
-``FRAME_JOB`` for a job and for the worker's reply (bodies of the one
+``FRAME_JOB`` for a job — the items ``(job,)``, or ``(job, schedule)``
+for the first of its key — and for the worker's reply (bodies of the one
 serialiser, :func:`~repro.runtime.mp_channel.dump_items`, written with
 ``sendmsg`` straight from the arrays), ``FRAME_ABORT`` and
 ``FRAME_STOP``.  An idle worker waits for its next control frame with no
@@ -78,13 +91,37 @@ from .mp_channel import (
     send_frame,
 )
 
-__all__ = ["MPCluster", "MPClusterError", "MPRun", "RankResult"]
+__all__ = [
+    "KEPT",
+    "MPCluster",
+    "MPClusterError",
+    "MPRun",
+    "RankResult",
+    "rebuild_state",
+]
 
 #: a worker's per-frame receive deadline during a job — generous enough
 #: for a loaded CI box, small enough that a wedged run fails in seconds.
 DEFAULT_RECV_TIMEOUT_S = 10.0
 #: parent-side ceiling on one schedule end to end
 JOB_TIMEOUT_S = 120.0
+#: schedules one cluster keeps on its workers; the next new one after
+#: that many starts the table afresh on both sides
+PROGRAM_SLOTS = 64
+
+
+class _Kept:
+    """Type of :data:`KEPT`; pickled by name, so it unpickles as ``KEPT``."""
+
+    def __reduce__(self) -> str:
+        return "KEPT"
+
+    def __repr__(self) -> str:
+        return "KEPT"
+
+
+#: a reply's stand-in for a block the run left as the job delivered it
+KEPT = _Kept()
 
 
 class MPClusterError(RuntimeError):
@@ -96,6 +133,8 @@ class RankResult:
     """One worker's answer for one schedule job."""
 
     rank: int
+    #: the rank's blocks after the run; :data:`KEPT` where the block is
+    #: still the one its job delivered
     state: dict
     wire: int = 0
     degraded: bool = False
@@ -129,6 +168,15 @@ class MPRun:
     stats: dict = field(default_factory=dict)
 
 
+def rebuild_state(reply: dict, sent: dict) -> dict:
+    """A rank's state from its trimmed reply: every :data:`KEPT` block
+    is the array the parent sent it."""
+    return {
+        block: sent[block] if value is KEPT else value
+        for block, value in reply.items()
+    }
+
+
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
@@ -139,6 +187,7 @@ def _worker_main(rank, n_ranks, ctl_sock, send_channels, recv_channels) -> None:
 
     ctl = SocketChannel(ctl_sock)
     pool = SenderPool(send_channels)  # started once, reused by every job
+    programs: dict[int, Any] = {}  # program key → schedule
 
     def poll_control() -> None:
         """Raise MPAbortedError once the parent has sent anything: mid-job
@@ -157,9 +206,14 @@ def _worker_main(rank, n_ranks, ctl_sock, send_channels, recv_channels) -> None:
         if frame.kind != FRAME_JOB:  # the stale abort of a job answered
             continue
         try:
-            (job,) = load_items(frame.payload)
+            job, *shipped = load_items(frame.payload)
+            if shipped:  # the first job of its key carries the schedule
+                if job.program == 0:  # the parent started its table afresh
+                    programs.clear()
+                programs[job.program] = shipped[0]
             result = execute_rank(
-                rank, n_ranks, pool, recv_channels, job, poll_control
+                rank, n_ranks, pool, recv_channels, job,
+                programs[job.program], poll_control,
             )
             reply = dump_items(("ok", rank, result))
         except MPAbortedError:
@@ -219,6 +273,11 @@ class MPCluster:
         self._started = False
         self._closed = False
         self._poisoned: str | None = None
+        #: id(schedule) → (program key, schedule): what the workers hold;
+        #: the entry keeps the schedule alive, so its id stays its own
+        self._programs: dict[int, tuple[int, Any]] = {}
+        #: schedules shipped to the workers, once per key (each to all)
+        self.programs_shipped = 0
 
     # ------------------------------------------------------------------ #
     def __enter__(self) -> "MPCluster":
@@ -287,7 +346,8 @@ class MPCluster:
         """Execute one schedule across the workers and merge the results.
 
         ``state`` is the usual rank-indexed list of block dicts; each
-        worker receives only its own slice.  ``spec`` is a
+        worker receives only its own slice, and ``schedule`` itself only
+        the first time this cluster runs it.  ``spec`` is a
         :class:`~repro.schedule.mp_executor.CodecSpec` — codecs hold
         numpy arrays and engines, so they are rebuilt worker-side from
         this picklable description rather than shipped.
@@ -319,9 +379,10 @@ class MPCluster:
         retry = retry if retry is not None else RetryPolicy()
         from ..schedule.mp_executor import RankJob  # lazy, see module doc
 
+        key, shipped = self._program(schedule)
         for rank in range(self.n_ranks):
             job = RankJob(
-                schedule=schedule,
+                program=key,
                 spec=spec,
                 state=state[rank],
                 plan=plan,
@@ -331,7 +392,7 @@ class MPCluster:
             try:
                 send_frame(
                     self._ctl[rank],
-                    Frame(FRAME_JOB, payload=dump_items((job,))),
+                    Frame(FRAME_JOB, payload=dump_items((job, *shipped))),
                     time.monotonic() + self.recv_timeout_s,
                 )
             except (OSError, MPChannelError) as exc:
@@ -341,10 +402,25 @@ class MPCluster:
                     f"worker {rank} unreachable at dispatch ({exc}); "
                     "start a fresh MPCluster"
                 ) from exc
-        return self._collect()
+        return self._collect(state)
+
+    def _program(self, schedule) -> tuple[int, tuple]:
+        """``schedule``'s key in the program table, and what the job must
+        carry for the workers to run it: the schedule itself the first
+        time, nothing after.  Keys count up from 0, so the key 0 of a
+        table started afresh tells the workers to drop theirs too."""
+        entry = self._programs.get(id(schedule))
+        if entry is not None:
+            return entry[0], ()
+        if len(self._programs) >= PROGRAM_SLOTS:
+            self._programs.clear()
+        key = len(self._programs)
+        self._programs[id(schedule)] = (key, schedule)
+        self.programs_shipped += 1
+        return key, (schedule,)
 
     # ------------------------------------------------------------------ #
-    def _collect(self) -> MPRun:
+    def _collect(self, sent: list) -> MPRun:
         n = self.n_ranks
         results: dict[int, RankResult] = {}
         failures: dict[int, str] = {}
@@ -432,7 +508,7 @@ class MPCluster:
         state: list = [None] * n
         stats: dict[str, int] = {}
         for r, res in results.items():
-            state[r] = res.state
+            state[r] = rebuild_state(res.state, sent[r])
             for key, val in res.stats.items():
                 stats[key] = stats.get(key, 0) + val
         return MPRun(

@@ -15,6 +15,13 @@ and both degrade paths are therefore the simulator's by construction;
 the rank-local cluster doubles as the codec's compute-charge sink, so
 each rank reports real measured kernel seconds for the calibration loop.
 
+A :class:`RankJob` is a program key plus the rank's state, codec recipe
+and fault plan; the schedule the key names reaches a worker once per
+cluster, with the first job of that key (see :mod:`repro.runtime.
+mp_cluster`).  :func:`execute_rank` answers with only what the run
+changed: a block that is still the object the job delivered comes back
+as :data:`~repro.runtime.mp_cluster.KEPT`.
+
 The correctness contract is **bit-identical** ``state``, **identical**
 ``wire`` and equal fault counters versus the simulator for every
 schedule × codec pair, seeded faults and per-op degrades included — on
@@ -45,9 +52,11 @@ charging rules, which is what makes ``bytes_on_wire`` match to the byte.
 Deadlock freedom: each worker runs one background sender thread **per
 destination** (so a slow receiver can never block frames bound for a
 different rank; the worker starts them once, see
-:class:`~repro.runtime.mp_channel.SenderPool`) and receivers drain their
-incoming comms in schedule order; since every frame queued in a round is
-consumed in that same round, the only waits are true data dependencies.
+:class:`~repro.runtime.mp_channel.SenderPool`), a frame toward an idle
+destination is first tried inline with a send that never blocks, and
+receivers drain their incoming comms in schedule order; since every
+frame queued in a round is consumed in that same round, the only waits
+are true data dependencies.
 """
 
 from __future__ import annotations
@@ -82,7 +91,7 @@ from ..runtime.mp_channel import (
     load_items,
     recv_frame,
 )
-from ..runtime.mp_cluster import MPCluster, RankResult
+from ..runtime.mp_cluster import KEPT, MPCluster, RankResult
 from .codecs import CODECS, discipline_of
 from .executor import Outcome, ScheduleExecutor, carriage
 from .ir import Schedule
@@ -139,9 +148,12 @@ class CodecSpec:
 
 @dataclass(frozen=True)
 class RankJob:
-    """Everything one worker needs to run its slice of a schedule."""
+    """Everything one worker needs to run its slice of a schedule, bar
+    the schedule itself: ``program`` is its key in the cluster's program
+    table (see :class:`~repro.runtime.mp_cluster.MPCluster`), which a
+    worker fills from the first job of each key."""
 
-    schedule: Schedule
+    program: int
     spec: CodecSpec
     state: dict
     plan: FaultPlan | None
@@ -325,12 +337,20 @@ def execute_rank(
     pool: SenderPool,
     recv_channels: dict[int, Any],
     job: RankJob,
+    schedule: Schedule,
     poll_control,
 ) -> RankResult:
-    """Worker entry point: run one rank's share of one schedule.
+    """Worker entry point: run one rank's share of ``schedule``, the
+    program ``job.program`` names.
 
     ``pool`` is the worker's long-lived sender pool; the job leaves it
-    empty — flushed, or on an abort or an error drained unsent.
+    empty — flushed, or on an abort or an error drained unsent.  The
+    result's state is trimmed: a block that is still the very object the
+    job delivered comes back as :data:`~repro.runtime.mp_cluster.KEPT`,
+    which the parent replaces by the array it sent.  That is sound
+    because no codec writes a job's input arrays — a fold allocates its
+    sum, a pack reads, and the homomorphic codec replaces every block at
+    ``prepare``.
     """
     # rank-local simulator: the codec's compute-charge sink, the channel
     # self-deliveries go through, and the per-link fault index table
@@ -346,10 +366,11 @@ def execute_rank(
     # accidental cross-rank access loudly fatal
     state: list = [None] * n_ranks
     state[rank] = job.state
+    delivered = dict(job.state)  # the run refills job.state in place
     start = time.perf_counter()
     try:
         outcome = ScheduleExecutor(sim, codec, rank, wire).run(
-            job.schedule, state
+            schedule, state
         )
         if not outcome.aborted:
             pool.flush()
@@ -362,7 +383,10 @@ def execute_rank(
     faults = sim.channel.stats
     return RankResult(
         rank=rank,
-        state=state[rank],
+        state={
+            block: KEPT if delivered.get(block, KEPT) is value else value
+            for block, value in state[rank].items()
+        },
         wire=outcome.wire,
         degraded=outcome.degraded,
         schedule_aborted=outcome.aborted,

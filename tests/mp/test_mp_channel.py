@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 
@@ -266,6 +267,133 @@ class TestSenderPool:
             pool.close()
             a.close()
             b.close()
+
+
+class _CountingChannel(SocketChannel):
+    """A channel that counts the sends tried on it inline."""
+
+    tries = 0
+
+    def send_once(self, buffers):
+        self.tries += 1
+        return super().send_once(buffers)
+
+
+class TestInlineSend:
+    def test_idle_destination_takes_a_small_frame_inline(self, pair):
+        tx, rx = pair
+        pool = SenderPool({1: tx})
+        try:
+            pool.put_frame(1, Frame(FRAME_DATA, nbytes=3, payload=b"abc"))
+            # the socket took it all: nothing was handed to the thread
+            assert pool._queues[1].unfinished_tasks == 0
+            got = recv_frame(rx, _deadline())
+            assert got.payload == b"abc" and got.nbytes == 3
+        finally:
+            pool.close()
+
+    def test_big_frame_then_small_ones_arrive_whole_and_in_order(self, pair):
+        tx, rx = pair
+        pool = SenderPool({1: tx})
+        blob = _oversized(tx)
+        try:
+            pool.put_frame(1, Frame(FRAME_DATA, payload=blob))
+            for i in range(3):
+                pool.put_frame(1, Frame(FRAME_DATA, attempt=i, payload=b"%d" % i))
+            # the inline try filled the socket: the big frame's remainder
+            # is in flight and the small frames queue behind it
+            assert pool._queues[1].unfinished_tasks == 4
+            got: list = []
+            reader = threading.Thread(
+                target=lambda: got.extend(
+                    recv_frame(rx, _deadline(10.0)) for _ in range(4)
+                )
+            )
+            reader.start()
+            pool.flush()
+            reader.join(10.0)
+            assert got[0].payload == blob
+            assert [(f.attempt, bytes(f.payload)) for f in got[1:]] == [
+                (0, b"0"), (1, b"1"), (2, b"2"),
+            ]
+        finally:
+            pool.close()
+
+    def test_stress_many_frames_to_many_destinations_stay_in_order(self):
+        # the main thread and three sender threads share each queue's
+        # count; with a tiny switch interval, frames of mixed sizes toward
+        # three readers — enough bytes to fill the socket buffers — must
+        # arrive whole and in order, however the inline tries and the
+        # threads interleave
+        dsts = (1, 2, 3)
+        pairs = {d: socket.socketpair() for d in dsts}
+        channels = {d: SocketChannel(a) for d, (a, _) in pairs.items()}
+        sizes = np.random.default_rng(0).integers(0, 3 << 20, 30)
+        blob = memoryview(bytes(range(256)) * ((3 << 20) // 256))
+        got: dict[int, list] = {d: [] for d in dsts}
+
+        def read(d: int) -> None:
+            rx = SocketChannel(pairs[d][1])
+            for _ in sizes:
+                frame = recv_frame(rx, _deadline(20.0))
+                whole = frame.payload == blob[:sizes[frame.attempt]]
+                got[d].append((frame.attempt, whole))
+
+        readers = [threading.Thread(target=read, args=(d,)) for d in dsts]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        pool = SenderPool(channels)
+        try:
+            for t in readers:
+                t.start()
+            for i, size in enumerate(sizes):
+                for d in dsts:
+                    pool.put_frame(
+                        d, Frame(FRAME_DATA, attempt=i, payload=blob[:size])
+                    )
+            pool.flush()
+            for t in readers:
+                t.join(20.0)
+            assert not any(t.is_alive() for t in readers)
+        finally:
+            sys.setswitchinterval(switch)
+            pool.close()
+            for a, b in pairs.values():
+                a.close()
+                b.close()
+        for d in dsts:
+            assert got[d] == [(i, True) for i in range(len(sizes))]
+
+    def test_nothing_goes_inline_toward_a_failed_destination(self):
+        a, b = socket.socketpair()
+        b.close()  # the peer is gone: the first write fails
+        channel = _CountingChannel(a)
+        pool = SenderPool({1: channel})
+        try:
+            for _ in range(3):
+                pool.put_frame(1, Frame(FRAME_DATA, payload=b"x"))
+            assert channel.tries == 1
+            with pytest.raises(RuntimeError, match="sender threads failed"):
+                pool.flush()
+        finally:
+            pool.abort()
+            pool.close()
+            a.close()
+
+    def test_abort_after_a_partial_inline_send_empties_every_queue(self, pair):
+        tx, _ = pair  # nobody reads
+        pool = SenderPool({1: tx})
+        try:
+            pool.put_frame(1, Frame(FRAME_DATA, payload=_oversized(tx)))
+            assert pool._queues[1].unfinished_tasks == 1  # the remainder
+            pool.put_frame(1, Frame(FRAME_DATA, payload=b"behind"))
+            pool.abort()
+            assert all(
+                q.empty() and not q.unfinished_tasks
+                for q in pool._queues.values()
+            )
+        finally:
+            pool.close()
 
 
 class TestSocketChannel:
