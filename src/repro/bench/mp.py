@@ -15,8 +15,9 @@ committed ``BENCH_mp.json``.  Two jobs:
 
 Calibration methodology: each sample's communication residual is
 ``makespan − measured compute`` (the codec charges real kernel seconds
-into the rank-local clock, so compute is measured, not modelled).  The
-structural wire terms come from :func:`wire_summary`; compressed runs
+into the rank-local clock, so compute is measured, not modelled), fitted
+as a per-op constant plus α·hops + β·bytes.  The structural wire terms
+come from :func:`wire_summary`; compressed runs
 scale the critical-path bytes by the *achieved* ratio (measured wire ÷
 plain total), so no compression ratio is ever assumed.  Makespans on
 socket channels between co-located processes are milliseconds-scale and
@@ -163,10 +164,7 @@ def build_case(
         n_ranks=n,
         elements=elements,
         schedule=stage.schedule(**params),
-        spec=CodecSpec(
-            kind, slots=stage.slots,
-            bcast_data=data if kind == "compressed-bcast" else None,
-        ),
+        spec=CodecSpec(kind, slots=stage.slots),
         make_state=lambda: row.seed(data, params),
         # each rank contributes `sessions` whole vectors, so the plain
         # payload the wire summary prices is the batch total
@@ -240,6 +238,7 @@ def _measure(
 
 def _fit_summary(fit) -> dict:
     return {
+        "op_s": fit.op_s,
         "alpha_s": fit.alpha_s,
         "beta_s_per_byte": fit.beta_s_per_byte,
         "bandwidth_GBps": (
@@ -257,9 +256,9 @@ def calibrate(
     repeats: int = 3,
     seed: int = 0,
 ) -> dict:
-    """Measure every family × ranks × size point and fit α–β.
+    """Measure every family × ranks × size point and fit the comm model.
 
-    Returns the ``BENCH_mp.json`` document: one α–β fit per rank count
+    Returns the ``BENCH_mp.json`` document: one fit per rank count
     (``fits``), one row per measured point (measured makespan, the
     parent's overhead — wall-clock around the run minus its makespan —,
     and the makespan its rank count's fit models, with the relative

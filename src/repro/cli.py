@@ -560,16 +560,15 @@ def _cmd_mp(args) -> int:
         if args.no_verify:
             return 0
         ref, _ = sim_reference(case, plan=plan)
-        if ref.aborted:
-            # a schedule-level degrade aborts at rank-dependent points; the
-            # contract is the degraded flag, not matching state.  Per-op
-            # degrades (bcast) finish the run and are compared in full.
+        if ref.degraded:
+            # a degrade aborts at rank-dependent points; the contract is
+            # the degraded flag, not matching state
             ok, verdict = run.degraded, "both degraded (flags match)"
         else:
             ok = (
                 states_equal(run.state, ref.state)
                 and run.wire == ref.wire
-                and run.degraded == ref.degraded
+                and not run.degraded
             )
             verdict = f"bit-identical to the simulator (wire {ref.wire} B)"
         if not ok:
@@ -594,7 +593,8 @@ def _cmd_mp(args) -> int:
          "modelled µs", "err"],
         calibration_rows(doc),
         title="; ".join(
-            f"{n} ranks: α = {fit['alpha_s'] * 1e6:.0f} µs/hop, "
+            f"{n} ranks: {fit['op_s'] * 1e6:.0f} µs/op + "
+            f"α = {fit['alpha_s'] * 1e6:.0f} µs/hop, "
             + (
                 f"β⁻¹ = {fit['bandwidth_GBps']:.2f} GB/s"
                 if fit["bandwidth_GBps"]

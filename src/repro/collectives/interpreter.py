@@ -18,8 +18,8 @@ steps' stages, in order, are exactly the tuple the schedule half lists
 for the family — so how a collective nests can never drift from what the
 tuner and the cost model price.
 
-Where a quirk goes: a stage-level one (size-sync charge, unspanned
-phases, per-op degrade) is a field of the ``StageSpec``; a
+Where a quirk goes: a stage-level one (size-sync charge, unspanned or
+skipped phases) is a field of the ``StageSpec``; a
 collective-level one is a field here — ``compressed_input`` (inputs
 arrive compressed: on a fallback they are first decoded locally, and
 after an earlier stage fell back the row is skipped for its fallback),
@@ -157,9 +157,7 @@ def _interpret(family: Family, cluster, data, config, p):
     outputs, wire, degraded, stats = data, 0, False, None
     try:
         if family.seed is not None:
-            outputs, wire, degraded, stats = _run_stage(
-                family, cluster, data, config, p
-            )
+            outputs, wire, stats = _run_stage(family, cluster, data, config, p)
         for step in family.steps:
             if degraded and step.compressed_input:
                 # an earlier stage already fell back: the blocks are plain
@@ -205,16 +203,13 @@ def _run_stage(family: Family, cluster, data, config, p):
     knobs = () if config is None else (
         config.error_bound, config.block_size, config.n_threadblocks
     )
-    codec = CodecSpec(
-        stage.codec, *knobs, slots=stage.slots,
-        bcast_data=data if stage.codec == "compressed-bcast" else None,
-    ).build(cluster)
+    codec = CodecSpec(stage.codec, *knobs, slots=stage.slots).build(cluster)
     schedule = stage.schedule(**p)
     outcome = ScheduleExecutor(cluster, codec).run(schedule, state)
     stats = codec.engine.stats if stage.folds(schedule) else None
-    if outcome.degraded and not stage.per_op_degrade:
+    if outcome.degraded:
         raise _Aborted(outcome.wire, stats)
-    return family.gather(state, data, p), outcome.wire, outcome.degraded, stats
+    return family.gather(state, data, p), outcome.wire, stats
 
 
 def _decode_locally(cluster, chunks, config) -> list[np.ndarray]:

@@ -15,8 +15,11 @@ that compose naturally with the ring machinery:
   encode)`` a pairwise fold pays) before decompressing once.  The best
   schedule at small/medium scale, where the flat gather's incast is cheaper
   than ``N − 1`` ring latencies.
-* **Bcast** — root compresses once, the bytes ride a binomial tree, every
-  rank decompresses once: ``1·CPR + (N−1 messages) + N−1 parallel DPR``.
+* **Bcast** — root compresses once, each holder forwards the compressed
+  bytes down a binomial tree (``⌈log₂ N⌉`` rounds, one receive per
+  non-root), and every other rank decompresses once: ``1·CPR + (N−1
+  messages) + N−1 parallel DPR``.  An unrecoverable stream aborts the
+  tree and the broadcast reruns plain, like every other compressed row.
 
 All schedules come from :mod:`repro.schedule.generators`
 (:func:`~repro.schedule.flat_gather`, :func:`~repro.schedule.direct_reduce`,
@@ -66,11 +69,11 @@ HZCCL_REDUCE_DIRECT = Family(
 )
 MPI_BCAST = Family(
     "mpi_bcast", checks=(rules.check_payload,),
-    seed=rules.seed_root_payload, gather=rules.gather_replicas,
+    seed=rules.seed_root_payload, gather=rules.gather_delivered,
 )
-# Per-rank stream loss degrades *individually* (the stage's
-# ``per_op_degrade``), so there is no family to fall back to.
+# Degrade: rerun as a plain broadcast from the root's payload.
 COMPRESSED_BCAST = Family(
     "compressed_bcast", checks=(rules.check_payload,),
     seed=rules.seed_root_payload, gather=rules.gather_delivered,
+    fallback=MPI_BCAST,
 )

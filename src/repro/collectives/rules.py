@@ -172,13 +172,12 @@ def gather_session_folds(state, batch, p):
     return [state[p["root"]]["f", s] for s in range(len(batch))]
 
 
-def gather_replicas(state, data, p):
-    return [data.copy() for _ in range(p["n"])]
-
-
 def gather_delivered(state, data, p):
+    """Every rank's copy of the broadcast payload: the root's is the
+    caller's array, the others' what the tree delivered.  Each is copied,
+    so no output aliases the input or another rank's output."""
     return [
-        data.copy() if i == p["root"] else mine["data"]
+        (data if i == p["root"] else mine["data"]).copy()
         for i, mine in enumerate(state)
     ]
 

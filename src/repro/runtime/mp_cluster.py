@@ -43,7 +43,7 @@ Fail-clean is the design rule real OS processes force on us:
   reply and a crash wake it alike — a crashed rank turns into an
   ``MPClusterError`` naming the rank and exit code at once, long before
   any peer's receive deadline;
-* any error or schedule-level degrade triggers an **abort broadcast**:
+* any error or degrade triggers an **abort broadcast**:
   pending workers see their control socket turn readable (polled inside
   every channel wait), unwind with
   :class:`~repro.runtime.mp_channel.MPAbortedError`, acknowledge, and
@@ -137,11 +137,9 @@ class RankResult:
     #: still the one its job delivered
     state: dict
     wire: int = 0
+    #: an ``UnrecoverableStreamError`` aborted the schedule on this rank —
+    #: peers may be stuck waiting and the parent must abort them
     degraded: bool = False
-    #: True when an ``UnrecoverableStreamError`` escaped the whole
-    #: schedule (``degrade="schedule"``) — peers may be stuck waiting and
-    #: the parent must abort them.
-    schedule_aborted: bool = False
     seconds: float = 0.0
     compute_seconds: float = 0.0
     stats: dict = field(default_factory=dict)
@@ -477,7 +475,7 @@ class MPCluster:
                     continue
                 if msg[0] == "ok":
                     results[r] = msg[2]
-                    if msg[2].schedule_aborted:
+                    if msg[2].degraded:
                         # peers may block forever on frames this rank
                         # will never send — release them now
                         broadcast_abort()
@@ -500,10 +498,11 @@ class MPCluster:
                 detail += "\n--- first worker traceback ---\n" + first_traceback
             raise MPClusterError(f"schedule run failed: {detail}")
 
-        degraded = any(res.degraded for res in results.values())
-        if aborted or any(res.schedule_aborted for res in results.values()):
-            self._poisoned = "schedule-level degrade aborted the run"
-            degraded = True
+        degraded = bool(aborted) or any(
+            res.degraded for res in results.values()
+        )
+        if degraded:
+            self._poisoned = "a degrade aborted the run"
 
         state: list = [None] * n
         stats: dict[str, int] = {}

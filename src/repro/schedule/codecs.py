@@ -67,7 +67,6 @@ from ..compression.fzlight import FZLight
 from ..homomorphic.hzdynamic import HZDynamic
 from ..runtime.cluster import SimCluster
 from .cost import Discipline
-from .ir import CommOp
 
 __all__ = [
     "SYNC_OVERHEAD_S",
@@ -151,10 +150,6 @@ class PayloadCodec:
     def finalize_local(self, rank: int, blocks, state: State) -> None:
         """Decode/copy the rank's own contribution (uncharged in the model)."""
 
-    def degrade_receive(self, comm: CommOp, state: State) -> int:
-        """Per-op fallback for ``degrade="op"`` comms; returns wire bytes."""
-        raise NotImplementedError
-
 
 class PlainCodec(PayloadCodec):
     """The "MPI" baseline: raw float blocks, folds are CPT float adds."""
@@ -180,6 +175,13 @@ class _CompressedCodec(PayloadCodec):
             n_threadblocks=config.n_threadblocks,
         )
         self.eb = config.error_bound
+
+    def finalize(self, rank, blocks, state):
+        """Decode ``blocks`` in one ``decompress`` sweep."""
+        mine = state[rank]
+        with self._timed(rank, "finalize"):
+            decoded = self.comp.decompress([mine[b] for b in blocks])
+        mine.update(zip(blocks, decoded))
 
 
 class DocReduceCodec(_CompressedCodec):
@@ -315,35 +317,20 @@ class HomomorphicCodec(_CompressedCodec):
             if isinstance(mine[b], QuantisedField):
                 del mine[b]
 
-    def finalize(self, rank, blocks, state):
-        mine = state[rank]
-        with self._timed(rank, "finalize"):
-            decoded = self.comp.decompress([mine[b] for b in blocks])
-        mine.update(zip(blocks, decoded))
-
     # executed (and charged) like any decode, but booked as the paper's
     # uncharged own-block decompress by the cost model
-    finalize_local = finalize
+    finalize_local = _CompressedCodec.finalize
 
 
 class CompressedBcastCodec(_CompressedCodec):
-    """Compressed broadcast: CPR at the root, per-rank validated DPR.
-
-    The delivery ``store`` is the decode, charged like a finalize (the dry
-    run prices it through the generator's ``finalize=True`` variant, as it
-    cannot see a store).  A rank whose stream is unrecoverable degrades
-    *individually*: the root re-sends that rank's share plain
-    (``degrade_receive``).
-    """
+    """Compressed broadcast (C-Coll's Bcast): CPR once at the root, the
+    stream forwarded down the tree as it arrived, one DPR on every other
+    rank."""
 
     discipline = Discipline(
         "hz-bcast", compressed_wire=True, prepare=(("CPR", "cpr"),),
         finalize=(("DPR", "dpr"),), slots=_SPANNED,
     )
-
-    def __init__(self, cluster: SimCluster, config, data: np.ndarray) -> None:
-        super().__init__(cluster, config)
-        self.data = data
 
     def prepare(self, rank, blocks, state):
         mine = state[rank]
@@ -352,17 +339,6 @@ class CompressedBcastCodec(_CompressedCodec):
                 [mine[b] for b in blocks], abs_eb=self.eb
             )
         mine.update(zip(blocks, fields))
-
-    def store(self, rank, blocks, items, state):
-        for b, item in zip(blocks, items):
-            with self._timed(rank, "finalize"):
-                state[rank][b] = self.comp.decompress(item)
-
-    def degrade_receive(self, comm, state):
-        self.cluster.charge_comm(comm.dst, self.data.nbytes)
-        for b in comm.blocks:
-            state[comm.dst][b] = self.data.copy()
-        return self.data.nbytes
 
 
 #: codec kind (what a family stage and a

@@ -33,7 +33,10 @@ from __future__ import annotations
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Any
+
+import numpy as np
 
 from ..runtime.clock import BUCKETS, Breakdown
 from ..runtime.network import NetworkModel
@@ -178,19 +181,17 @@ def _profile(schedule: Schedule, discipline: Discipline | None) -> list:
         tot_nd, tot_w, n_msgs = 0, 0.0, 0
         for comm in rnd.comms:
             nd, w = _coeff(schedule, comm.blocks)
-            if comm.transport != "faults-only":
-                # all-links totals (calibration): a flow comm stands for
-                # wire_count concurrent copies of the same message
-                tot_nd += comm.wire_count * nd
-                tot_w += comm.wire_count * w
-                n_msgs += comm.wire_count
-                if rnd.kind == "incast":
-                    incast.append((nd, w))
-                elif wire_max is None or (
-                    nd / schedule.n_ranks + w
-                    > wire_max[0] / schedule.n_ranks + wire_max[1]
-                ):
-                    wire_max = (nd, w)
+            # all-links totals (calibration)
+            tot_nd += nd
+            tot_w += w
+            n_msgs += 1
+            if rnd.kind == "incast":
+                incast.append((nd, w))
+            elif wire_max is None or (
+                nd / schedule.n_ranks + w
+                > wire_max[0] / schedule.n_ranks + wire_max[1]
+            ):
+                wire_max = (nd, w)
             for bucket, rate in pack:
                 add(serial, comm.src, bucket, rate, nd, w, 1)
             if comm.action == "fold":
@@ -438,7 +439,7 @@ class CalibrationSample:
     ``crit_bytes`` should already carry the achieved compression ratio
     (measured wire / plain total) when the run was compressed, and
     ``compute_s`` is the slowest rank's measured compute, so the residual
-    ``comm_s`` isolates the α·hops + β·bytes communication term.
+    ``comm_s`` isolates the per-op constant + α·hops + β·bytes term.
     """
 
     family: str
@@ -454,16 +455,24 @@ class CalibrationSample:
 
 @dataclass(frozen=True)
 class CalibrationFit:
-    """Fitted α–β coefficients plus the per-sample model report."""
+    """Fitted coefficients plus the per-sample model report.
+
+    ``op_s`` is the per-op constant every run pays whatever its hop count
+    (starting the run on each rank, closing it): without it a fit charges
+    that cost to α, so schedules with more rounds than a ring are
+    modelled far slower than they run.
+    """
 
     alpha_s: float
     beta_s_per_byte: float
     samples: tuple[CalibrationSample, ...]
+    op_s: float = 0.0
 
     def modelled_s(self, sample: CalibrationSample) -> float:
-        """Modelled makespan: measured compute + fitted α–β comm terms."""
+        """Modelled makespan: measured compute + the fitted comm terms."""
         return (
             sample.compute_s
+            + self.op_s
             + self.alpha_s * sample.hops
             + self.beta_s_per_byte * sample.crit_bytes
         )
@@ -498,11 +507,13 @@ class CalibrationFit:
         return max((r["rel_err"] for r in self.report()), default=0.0)
 
     def as_network(self, congestion_per_log2: float = 0.0) -> NetworkModel:
-        """The fitted coefficients as a NetworkModel for dry runs.
+        """The fitted wire coefficients as a NetworkModel for dry runs.
 
-        Coefficients are floored at tiny positive values because the
-        model rejects zero latency/bandwidth; a floored coefficient means
-        the fit attributed that term no measurable cost at these sizes.
+        The per-op constant is left out: every candidate pays it once, so
+        it cannot change which one is cheapest.  Coefficients are floored
+        at tiny positive values because the model rejects zero
+        latency/bandwidth; a floored coefficient means the fit attributed
+        that term no measurable cost at these sizes.
         """
         alpha = max(self.alpha_s, 1e-9)
         beta = max(self.beta_s_per_byte, 1e-15)
@@ -514,48 +525,49 @@ class CalibrationFit:
 
 
 def fit_alpha_beta(samples) -> CalibrationFit:
-    """Least-squares fit of ``comm_s ≈ α·hops + β·crit_bytes``.
+    """Non-negative least-squares fit of ``comm_s ≈ op + α·hops +
+    β·crit_bytes`` in relative terms.
 
-    Plain 2×2 normal equations with non-negativity enforced by clamping:
-    if the unconstrained solution turns a coefficient negative, that term
-    is dropped and the other refit alone — the textbook active-set step
-    for a two-variable NNLS, exact here because there are only two
-    constraint patterns to try.
+    Each sample's equation is divided by its measured makespan, so the
+    fit minimises the squared *relative* error the calibration gate
+    judges; unweighted, the few slowest runs (hz rounds on an
+    oversubscribed host) set every coefficient and the fast plain runs
+    miss by more than their own makespan.  Three coefficients, so the
+    exact NNLS is a scan of their supports: the unconstrained solution on
+    each subset of terms, kept when no coefficient is negative, and the
+    smallest residual wins (the optimum's support is one of the subsets).
+    Smaller supports are tried first and keep a tie, α before β before
+    the constant (one sample is all α, as a one-term fit would make it).
     """
     samples = tuple(samples)
     if not samples:
         raise ValueError("fit_alpha_beta needs at least one sample")
-    shh = shb = sbb = sht = sbt = 0.0
-    for s in samples:
-        h, b, t = float(s.hops), float(s.crit_bytes), s.comm_s
-        shh += h * h
-        shb += h * b
-        sbb += b * b
-        sht += h * t
-        sbt += b * t
-
-    det = shh * sbb - shb * shb
-    if det > 0.0:
-        alpha = (sht * sbb - sbt * shb) / det
-        beta = (sbt * shh - sht * shb) / det
-    else:  # degenerate design (collinear or single sample): 1-D fits
-        alpha = -1.0
-        beta = -1.0
-    if alpha < 0.0 or beta < 0.0:
-        alpha_only = sht / shh if shh > 0.0 else 0.0
-        beta_only = sbt / sbb if sbb > 0.0 else 0.0
-
-        def sse(a: float, b: float) -> float:
-            return sum((a * s.hops + b * s.crit_bytes - s.comm_s) ** 2
-                       for s in samples)
-
-        alpha, beta = min(
-            (max(alpha_only, 0.0), 0.0),
-            (0.0, max(beta_only, 0.0)),
-            key=lambda ab: sse(*ab),
-        )
+    weight = np.array([1.0 / max(s.measured_s, 1e-12) for s in samples])
+    columns = np.array(
+        [[s.hops, s.crit_bytes, 1.0] for s in samples], dtype=np.float64
+    ) * weight[:, None]
+    target = np.array([s.comm_s for s in samples]) * weight
+    # scale each column to unit size so the solve is well conditioned
+    norms = np.linalg.norm(columns, axis=0)
+    norms[norms == 0.0] = 1.0
+    columns = columns / norms
+    best, best_sse = np.zeros(3), float(target @ target)
+    for size in (1, 2, 3):
+        for support in combinations(range(3), size):
+            cols = list(support)
+            coef = np.linalg.lstsq(columns[:, cols], target, rcond=None)[0]
+            if (coef < 0.0).any():
+                continue
+            full = np.zeros(3)
+            full[cols] = coef
+            resid = columns @ full - target
+            sse = float(resid @ resid)
+            if sse < best_sse * (1.0 - 1e-12):
+                best, best_sse = full, sse
+    alpha, beta, op = best / norms
     return CalibrationFit(
-        alpha_s=max(alpha, 0.0),
-        beta_s_per_byte=max(beta, 0.0),
+        alpha_s=float(alpha),
+        beta_s_per_byte=float(beta),
         samples=samples,
+        op_s=float(op),
     )

@@ -5,11 +5,11 @@ here exactly once: channel delivery (what each ``CommOp.transport`` name
 means is the :data:`TRANSPORT` table), per-round ``max_msg``/``end_round``
 accounting, ``cluster.timed`` compute charging (delegated to the codec),
 span recording via ``cluster.phase``, and the ``UnrecoverableStreamError``
-→ ``channel.degrade()`` single degrade path (per-op degradation for
-``degrade="op"`` comms).  Both planes run it: the simulator plays every
-rank in one process; a multi-process worker plays its own rank and hands
-the comms whose other end is elsewhere to a wire (see
-:class:`ScheduleExecutor`).
+→ ``channel.degrade()`` single degrade path (the schedule stops; the
+interpreter finishes on the row's plain fallback).  Both planes run it:
+the simulator plays every rank in one process; a multi-process worker
+plays its own rank and hands the comms whose other end is elsewhere to a
+wire (see :class:`ScheduleExecutor`).
 
 Round accounting uses the *sent* payload size — the size the sender
 scheduled, which the receivers' clocks synchronise on — never the
@@ -38,20 +38,15 @@ from .ir import CommOp, LocalOp, Round, Schedule
 
 __all__ = ["Outcome", "ScheduleExecutor", "TRANSPORT", "carriage"]
 
-#: pending-table sentinel: this staged block was lost to a per-op degrade
-#: (``degrade_receive`` already patched state), so the later fold skips it
-#: instead of dying on a missing key.
-_DEGRADED = object()
-
 
 #: What each ``CommOp.transport`` name means, per wire kind: *(who pays
 #: the scheduled transfer, how the items ride)*.
 #:
 #: payer — ``"channel"``: the ride charges it, message by message (for
 #: streams: each with its base charge); ``"link"``: one aggregate
-#: ``charge_link`` ahead of the ride; ``"sender"`` / ``"receiver"``: that
-#: rank's clock (the receiver's stands for ``wire_count`` copies on the
-#: wire); ``None``: it was charged elsewhere.
+#: ``charge_link`` ahead of the ride; ``"sender"``: the sender's clock.
+#: A payer other than the channel puts the scheduled size on the wire
+#: once, on top of what the ride's fault handling adds.
 #: ride — ``"plain"``: the reliable retrying path, all items as one
 #: message; ``"stream"``: every compressed item validated on its own;
 #: ``"raw"``: handed over untouched, no fault machinery.
@@ -63,33 +58,25 @@ TRANSPORT = {
     ("bundle", True): ("link", "stream"),
     ("sender", False): ("sender", "raw"),
     ("sender", True): ("sender", "stream"),
-    ("flow", False): ("receiver", "raw"),
-    ("flow", True): ("receiver", "raw"),
-    ("faults-only", False): (None, "raw"),
-    ("faults-only", True): (None, "stream"),
 }
 
 
-def carriage(comm: CommOp, compressed: bool) -> tuple[str | None, str, int]:
-    """``comm``'s :data:`TRANSPORT` row plus how many copies of the
-    scheduled size a payer outside the channel puts on the wire (0: none,
-    the channel's own charges are the whole bill)."""
-    payer, ride = TRANSPORT[comm.transport, compressed]
-    if payer in ("channel", None):
-        return payer, ride, 0
-    return payer, ride, comm.wire_count if payer == "receiver" else 1
+def carriage(comm: CommOp, compressed: bool) -> tuple[str, str]:
+    """``comm``'s :data:`TRANSPORT` row: *(payer, ride)*."""
+    return TRANSPORT[comm.transport, compressed]
 
 
 @dataclass
 class Outcome:
-    """What one schedule run produced: final state + wire accounting."""
+    """What one schedule run produced: final state + wire accounting.
+
+    ``degraded`` means an unrecoverable stream stopped the run where it
+    failed: ``state`` is partial and the caller finishes on a plain
+    fallback."""
 
     state: State
     wire: int = 0
     degraded: bool = False
-    #: the degrade was schedule-level: the run stopped where the stream
-    #: failed and ``state`` is partial (a per-op degrade finishes the run)
-    aborted: bool = False
 
 
 class ScheduleExecutor:
@@ -131,7 +118,7 @@ class ScheduleExecutor:
             # the single degrade path: abort the schedule, record the
             # degradation; the interpreter reruns on the row's plain fallback
             self.cluster.channel.degrade()
-            outcome.degraded = outcome.aborted = True
+            outcome.degraded = True
         # what the codec still holds uncoded (say, the owned block of a
         # fused hand-off) leaves the run in wire-ready form
         for rank in range(len(state)) if self.rank is None else (self.rank,):
@@ -167,33 +154,17 @@ class ScheduleExecutor:
         for comm, entry in zip(rnd.comms, packed):
             if not everyone and comm.dst != me:
                 continue
-            try:
-                if entry is None:  # packed in another process
-                    received = self.wire.receive(comm, outcome)
-                else:
-                    received = self._deliver(comm, *entry, outcome,
-                                             flows, scale)
-            except UnrecoverableStreamError:
-                if comm.degrade != "op":
-                    raise
-                cluster.channel.degrade()
-                outcome.degraded = True
-                outcome.wire += codec.degrade_receive(comm, state)
-                if comm.action == "stage":
-                    # mark the staged blocks consumed-by-degrade so the
-                    # later fold LocalOp skips them cleanly (a truly
-                    # missing key still raises — that is a schedule bug)
-                    for b in comm.blocks:
-                        pending[(comm.dst, b)] = _DEGRADED
-                continue
+            if entry is None:  # packed in another process
+                received = self.wire.receive(comm, outcome)
+            else:
+                received = self._deliver(comm, *entry, outcome, flows, scale)
             if comm.action == "fold":
                 codec.fold(comm.dst, comm.blocks, received, state)
             elif comm.action == "store":
                 codec.store(comm.dst, comm.blocks, received, state)
-            elif comm.action == "stage":
+            else:  # "stage"
                 for b, item in zip(comm.blocks, received):
                     pending[(comm.dst, b)] = item
-            # "account": wire/clock accounting only
         self._locals([op for op in rnd.ops if everyone or op.rank == me],
                      state, pending)
         if rnd.kind == "compute":
@@ -215,14 +186,15 @@ class ScheduleExecutor:
         :data:`TRANSPORT` row."""
         cluster = self.cluster
         channel = cluster.channel
-        payer, ride, copies = carriage(comm, self.codec.discipline.compressed_wire)
+        payer, ride = carriage(comm, self.codec.discipline.compressed_wire)
         src, dst = comm.src, comm.dst
-        if payer == "link":
-            channel.charge_link(src, dst, sent, flows, scale)
-        elif payer == "sender" or payer == "receiver":
-            cluster.charge_comm(dst if payer == "receiver" else src, sent,
-                                n_flows=flows, link_scale=scale)
-        outcome.wire += copies * sent
+        if payer != "channel":
+            if payer == "link":
+                channel.charge_link(src, dst, sent, flows, scale)
+            else:  # "sender"
+                cluster.charge_comm(src, sent, n_flows=flows,
+                                    link_scale=scale)
+            outcome.wire += sent
         if ride == "raw":
             return items
         if ride == "plain":
@@ -262,15 +234,8 @@ class ScheduleExecutor:
     def _local(self, op: LocalOp, state, pending) -> None:
         codec = self.codec
         if op.kind == "fold":
-            blocks, items = [], []
-            for b in op.blocks:
-                item = pending.pop((op.rank, b))
-                if item is _DEGRADED:
-                    continue  # handled by the per-op degrade path
-                blocks.append(b)
-                items.append(item)
-            if blocks:
-                codec.fold(op.rank, tuple(blocks), items, state)
+            items = [pending.pop((op.rank, b)) for b in op.blocks]
+            codec.fold(op.rank, op.blocks, items, state)
         elif op.kind == "fold_fused":
             codec.fold_fused(op.rank, op.blocks, state, fanin=op.fanin,
                              out=op.out)

@@ -23,10 +23,9 @@ plus one row: a ``StageSpec`` tuple here, a ``Family`` there.
 
 A quirk of one family is a field of its stage, never a branch in the
 interpreter: ``sync_sizes`` (the size-sync charge ahead of a compressed
-allgather), ``slots`` (phases run unspanned or skipped — a skipped phase
-is skipped by the dry run too), ``per_op_degrade`` (the compressed
-broadcast degrades rank by rank and never aborts) and ``priced`` (a
-pricing-only schedule variant).
+allgather) and ``slots`` (phases run unspanned or skipped — a skipped
+phase is skipped by the dry run too).  Every stage is priced as the very
+schedule it runs.
 
 A stage's schedule is a generator call written as data: the generator,
 the names of the run's bound params it takes positionally (``n``,
@@ -81,14 +80,6 @@ class StageSpec:
     #: charge ``SYNC_OVERHEAD_S`` per rank before the stage (sizes of the
     #: already-compressed inputs are exchanged, nothing is compressed)
     sync_sizes: bool = False
-    #: every compressed delivery degrades on its own (``degrade="op"``),
-    #: so a degraded outcome is a completed run, not an aborted one
-    per_op_degrade: bool = False
-    #: fixed keywords of the pricing-only schedule variant, where the dry
-    #: run cannot charge what the executed schedule does (the broadcast
-    #: decodes on the delivery store; its generator's ``finalize=True``
-    #: variant prices that decode)
-    priced: tuple[tuple[str, Any], ...] | None = None
 
     def arguments(self, params) -> tuple:
         """The generator's positional arguments, read from the bound
@@ -101,13 +92,10 @@ class StageSpec:
             )
         return tuple(params[name] for name in self.args)
 
-    def schedule(self, priced: bool = False, **params) -> Schedule:
-        """The schedule this stage executes (or, with ``priced``, is
-        priced as) under the bound ``params``."""
-        fixed = self.fixed
-        if priced and self.priced is not None:
-            fixed = self.priced
-        return self.generator(*self.arguments(params), **dict(fixed))
+    def schedule(self, **params) -> Schedule:
+        """The schedule this stage executes, and is priced as, under the
+        bound ``params``."""
+        return self.generator(*self.arguments(params), **dict(self.fixed))
 
     @cached_property
     def discipline(self) -> Discipline:
@@ -182,11 +170,7 @@ _BATCHED_HZ = StageSpec(
     batched_fused_reduce, ("n", "sessions", "root"), "homomorphic"
 )
 _BCAST_PLAIN = StageSpec(binomial_bcast, _ROOTED, "plain")
-_BCAST_HZ = StageSpec(
-    binomial_bcast, _ROOTED, "compressed-bcast",
-    fixed=(("deliver", True),), per_op_degrade=True,
-    priced=(("finalize", True),),
-)
+_BCAST_HZ = StageSpec(binomial_bcast, _ROOTED, "compressed-bcast")
 _RABENSEIFNER_PLAIN = StageSpec(rabenseifner_allreduce_schedule, _N, "plain")
 _RABENSEIFNER_HZ = StageSpec(
     rabenseifner_allreduce_schedule, _N, "homomorphic"
@@ -238,7 +222,7 @@ def priced_stages(
     """
     bound = {"root": 0, "inter": None, "network": None, **params}
     return tuple(
-        (stage.schedule(priced=True, **bound), stage.discipline)
+        (stage.schedule(**bound), stage.discipline)
         for stage in STAGES[name]
     )
 

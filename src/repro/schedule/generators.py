@@ -564,85 +564,49 @@ def batched_fused_reduce(n: int, sessions: int, root: int = 0) -> Schedule:
 
 
 @lru_cache(maxsize=None)
-def binomial_bcast(n: int, root: int, deliver: bool = False,
-                   finalize: bool = False) -> Schedule:
+def binomial_bcast(n: int, root: int) -> Schedule:
     """Binomial-tree broadcast of the single block ``"data"``.
 
-    Dissemination rounds use representative-flow accounting (all of a
-    round's sends are concurrent; ``wire_count`` copies hit the wire).
-    With ``deliver=True`` a trailing per-rank validated delivery round is
-    appended (the compressed broadcast's decode step, which degrades
-    *per rank* — the root re-sends that rank's share plain).
+    The root prepares the block; in round ``t`` every rank that holds it
+    — relative rank ``r < 2ᵗ``, counted from the root — sends it on to
+    relative rank ``r + 2ᵗ``, so ``⌈log₂ n⌉`` rounds reach every rank and
+    each non-root receives once, from its binomial parent.  A closing
+    ``finalize`` phase has every non-root decode what it received (a
+    plain codec skips it).
     """
     setup = Round(kind="compute", ops=(LocalOp(root, "prepare", ("data",)),))
     tree: list[Round] = []
-    holders = 1
-    while holders < n:
-        senders = min(holders, n - holders)
+    step = 1
+    while step < n:
         tree.append(
             Round(
                 kind="exchange",
-                comms=(
+                comms=tuple(
                     CommOp(
-                        src=root,
-                        dst=root,
+                        src=(root + r) % n,
+                        dst=(root + r + step) % n,
                         blocks=("data",),
-                        action="account",
-                        transport="flow",
-                        wire_count=senders,
-                    ),
+                        action="store",
+                    )
+                    for r in range(min(step, n - step))
                 ),
             )
         )
-        holders += senders
-    phases = [Phase("setup", (setup,)), Phase("tree", tuple(tree))]
-    if finalize:
-        # cost-model pricing variant only: the executed compressed bcast
-        # decodes on the delivery round's store (deliver=True), which the
-        # dry-run profiler cannot charge — this explicit per-rank decode
-        # round prices the same work (all decodes run in parallel).
-        phases.append(
-            Phase(
-                "decode",
-                (
-                    Round(
-                        kind="compute",
-                        ops=tuple(
-                            LocalOp(i, "finalize", ("data",))
-                            for i in range(n)
-                            if i != root
-                        ),
-                    ),
-                ),
-            )
-        )
-    if deliver:
-        phases.append(
-            Phase(
-                "finalize",
-                (
-                    Round(
-                        kind="compute",
-                        comms=tuple(
-                            CommOp(
-                                src=root,
-                                dst=i,
-                                blocks=("data",),
-                                action="store",
-                                transport="faults-only",
-                                degrade="op",
-                            )
-                            for i in range(n)
-                            if i != root
-                        ),
-                    ),
-                ),
-            )
-        )
+        step *= 2
+    decode = Round(
+        kind="compute",
+        ops=tuple(
+            LocalOp(i, "finalize", ("data",)) for i in range(n) if i != root
+        ),
+    )
     return Schedule(
         name=f"binomial-bcast(n={n},root={root})",
         n_ranks=n,
-        phases=tuple(phases),
+        phases=(
+            Phase("setup", (setup,)),
+            Phase("tree", tuple(tree)),
+            Phase("finalize", (decode,)),
+        ),
         weights={"data": 1.0},
     ).validate()
 

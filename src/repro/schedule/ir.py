@@ -19,8 +19,9 @@ Vocabulary
   what the receiver does with them (``action``) and how the transfer is
   charged (``transport``).
 * A :class:`LocalOp` marks rank-local compute — prepare (pre-schedule
-  encode), pack (per-round encode), fold, finalize (decode) — whose
-  concrete meaning (kernel + clock bucket) the codec supplies.  ``fresh``
+  encode), fold, finalize (decode) — whose concrete meaning (kernel +
+  clock bucket) the codec supplies; a per-round encode is the codec's
+  ``pack`` of each outgoing comm, never an op of its own.  ``fresh``
   distinguishes a new kernel invocation from the *continuation* of a
   running one: continuations charge no per-invocation overhead in the
   cost model, which is what makes chunk pipelining profitable (a chunked
@@ -51,13 +52,12 @@ from typing import Hashable, Iterator, Mapping
 __all__ = ["CommOp", "LocalOp", "Round", "Phase", "Schedule"]
 
 #: CommOp.action values: what the receiver does with the payload.
-ACTIONS = ("fold", "store", "stage", "account")
+ACTIONS = ("fold", "store", "stage")
 #: CommOp.transport values: how the transfer is charged/validated.
-TRANSPORTS = ("link", "bundle", "sender", "flow", "faults-only")
+TRANSPORTS = ("link", "bundle", "sender")
 #: LocalOp.kind values.
 LOCAL_KINDS = (
     "prepare",
-    "pack",
     "fold",
     "fold_fused",
     "finalize",
@@ -75,31 +75,22 @@ class CommOp:
         ``fold``   — reduce each block into the receiver's partial;
         ``store``  — the receiver keeps the payload (allgather/bcast);
         ``stage``  — the payload is parked; a later ``fold`` LocalOp
-        consumes it (the chunk-pipelined ring's deliver-now-fold-later);
-        ``account``— wire/clock accounting only, no payload handling
-        (binomial-tree dissemination rounds, where delivery happens in a
-        later round).
+        consumes it (the chunk-pipelined ring's deliver-now-fold-later).
 
     ``transport``
-        ``link``       — one per-block message through the resilient
-        channel (the ring default);
-        ``bundle``     — all blocks ride one aggregate message: the
-        scheduled transfer is charged once, compressed items are then
-        validated individually (Rabenseifner's halving/doubling bundles);
-        ``sender``     — concurrent direct send charged to the *sender*'s
-        clock (flat-gather incast);
-        ``flow``       — representative-flow accounting charged to the
-        receiver, with ``wire_count`` copies on the wire (binomial tree);
-        ``faults-only``— the scheduled transfer was charged elsewhere;
-        only fault handling (validation, retransmits) is charged.
+        ``link``   — one per-block message through the resilient channel
+        (the ring and broadcast-tree default);
+        ``bundle`` — all blocks ride one aggregate message: the scheduled
+        transfer is charged once, compressed items are then validated
+        individually (Rabenseifner's halving/doubling bundles);
+        ``sender`` — concurrent direct send charged to the *sender*'s
+        clock (flat-gather incast).
 
     ``fresh=False`` marks the receive-side fold as the continuation of the
     previous sub-round's kernel invocation (chunk pipelining).
 
-    ``degrade`` selects what an unrecoverable stream does: ``"schedule"``
-    aborts the whole schedule (the executor's single degrade path);
-    ``"op"`` degrades just this delivery via the codec's per-op fallback
-    (compressed bcast re-sends that rank's share plain).
+    An unrecoverable stream on any comm aborts the whole schedule (the
+    executor's single degrade path).
     """
 
     src: int
@@ -107,9 +98,7 @@ class CommOp:
     blocks: tuple[Hashable, ...]
     action: str = "fold"
     transport: str = "link"
-    wire_count: int = 1
     fresh: bool = True
-    degrade: str = "schedule"
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,10 @@ moving the payloads whose other end is another process — bytes over
 socket pairs (see :mod:`repro.runtime.mp_channel`),
 under the cluster's wall-clock receive deadline, with the faults of the
 same :class:`~repro.runtime.faults.FaultPlan` the simulator models.  Pack
-order, delivery order, fold/store/stage, local ops, self-deliveries
-(``src == dst`` comms, e.g. the broadcast tree's representative flows)
-and both degrade paths are therefore the simulator's by construction;
-the rank-local cluster doubles as the codec's compute-charge sink, so
-each rank reports real measured kernel seconds for the calibration loop.
+order, delivery order, fold/store/stage, local ops and the degrade path
+are therefore the simulator's by construction; the rank-local cluster
+doubles as the codec's compute-charge sink, so each rank reports real
+measured kernel seconds for the calibration loop.
 
 A :class:`RankJob` is a program key plus the rank's state, codec recipe
 and fault plan; the schedule the key names reaches a worker once per
@@ -24,13 +23,12 @@ as :data:`~repro.runtime.mp_cluster.KEPT`.
 
 The correctness contract is **bit-identical** ``state``, **identical**
 ``wire`` and equal fault counters versus the simulator for every
-schedule × codec pair, seeded faults and per-op degrades included — on
-every run that does not *abort* at schedule level.  When a
-``degrade="schedule"`` stream is unrecoverable the ranks stop at
-different comms, so an aborted run matches the simulator on ``degraded``
-only: its ``wire`` and counters are the sum of wherever each rank
-happened to stop, its state is partial, and the cluster is poisoned
-(undelivered frames may sit in the channels).
+schedule × codec pair, seeded faults included — on every run that does
+not degrade.  When a stream is unrecoverable the schedule aborts and the
+ranks stop at different comms, so a degraded run matches the simulator
+on ``degraded`` only: its ``wire`` and counters are the sum of wherever
+each rank happened to stop, its state is partial, and the cluster is
+poisoned (undelivered frames may sit in the channels).
 
 How the fault semantics carry over
 ----------------------------------
@@ -65,8 +63,6 @@ import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any
-
-import numpy as np
 
 from ..runtime.cluster import SimCluster
 from ..runtime.faults import (
@@ -119,16 +115,12 @@ class CodecSpec:
     #: slot → span-name overrides (``None`` skips the phase), as items so
     #: the spec stays hashable; ``None`` keeps the codec's defaults.
     slots: tuple[tuple[str, str | None], ...] | None = None
-    #: full payload for the compressed broadcast's per-rank plain fallback
-    bcast_data: Any = None
 
     def __post_init__(self) -> None:
         if self.kind not in CODECS:
             raise ValueError(
                 f"unknown codec kind {self.kind!r}; one of {tuple(CODECS)}"
             )
-        if self.kind == "compressed-bcast" and self.bcast_data is None:
-            raise ValueError("compressed-bcast needs bcast_data")
 
     def build(self, cluster: SimCluster):
         """Construct the codec bound to ``cluster`` as its charge sink,
@@ -138,10 +130,7 @@ class CodecSpec:
             n_threadblocks=self.n_threadblocks,
             error_bound=self.error_bound,
         )
-        data = () if self.bcast_data is None else (
-            np.asarray(self.bcast_data, dtype=np.float32),
-        )
-        codec = CODECS[self.kind](cluster, config, *data)
+        codec = CODECS[self.kind](cluster, config)
         codec.discipline = discipline_of(self.kind, self.slots)
         return codec
 
@@ -177,7 +166,8 @@ class _RankWire:
     ``send`` / ``receive`` read a comm's :data:`~repro.schedule.executor.
     TRANSPORT` row the way the simulator's ``_deliver`` does: a payer
     outside the channel becomes a ``RAW`` frame announcing the scheduled
-    size, a managed ride becomes the frames of one attempt walk.
+    size (carrying the items on a raw ride), a managed ride becomes the
+    frames of one attempt walk.
     """
 
     def __init__(
@@ -192,7 +182,7 @@ class _RankWire:
     ) -> None:
         self.rank = rank
         #: the rank-local simulator's channel: the per-link fault indices
-        #: (one table with the self-deliveries) and the fault counters
+        #: and the fault counters
         self.channel = channel
         self.compressed = compressed
         self.recv_channels = recv_channels
@@ -209,8 +199,8 @@ class _RankWire:
         self.stats["frames_sent"] += 1
 
     def send(self, comm, items, sent: int) -> None:
-        _, ride, copies = carriage(comm, self.compressed)
-        if ride == "raw" or copies:
+        payer, ride = carriage(comm, self.compressed)
+        if payer != "channel":
             # the scheduled transfer itself; the items ride in it when
             # nothing manages them
             blob = dump_items(items) if ride == "raw" else b""
@@ -283,12 +273,12 @@ class _RankWire:
     def receive(self, comm, outcome: Outcome):
         """Receive one comm's payload, accounting wire bytes exactly as the
         simulator's :meth:`ScheduleExecutor._deliver` would."""
-        payer, ride, copies = carriage(comm, self.compressed)
-        if ride == "raw" or copies:
+        payer, ride = carriage(comm, self.compressed)
+        if payer != "channel":
             frame = self._recv_frame(comm.src)
             if frame.kind != FRAME_RAW:
                 raise _desync(comm, frame, "a raw transfer")
-            outcome.wire += copies * frame.nbytes
+            outcome.wire += frame.nbytes
         if ride == "raw":
             return load_items(frame.payload)
         if ride == "plain":
@@ -352,8 +342,8 @@ def execute_rank(
     sum, a pack reads, and the homomorphic codec replaces every block at
     ``prepare``.
     """
-    # rank-local simulator: the codec's compute-charge sink, the channel
-    # self-deliveries go through, and the per-link fault index table
+    # rank-local simulator: the codec's compute-charge sink and the
+    # per-link fault index table
     sim = SimCluster(n_ranks, faults=job.plan, retry=job.retry)
     codec = job.spec.build(sim)
     pool.deadline_s = job.recv_deadline_s
@@ -372,7 +362,7 @@ def execute_rank(
         outcome = ScheduleExecutor(sim, codec, rank, wire).run(
             schedule, state
         )
-        if not outcome.aborted:
+        if not outcome.degraded:
             pool.flush()
     finally:
         # after a flush this is a no-op; after an abort or an error it
@@ -389,7 +379,6 @@ def execute_rank(
         },
         wire=outcome.wire,
         degraded=outcome.degraded,
-        schedule_aborted=outcome.aborted,
         seconds=seconds,
         compute_seconds=sum(
             buckets.get(b, 0.0) for b in SimCluster._COMPUTE_BUCKETS

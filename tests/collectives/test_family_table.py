@@ -46,7 +46,7 @@ def test_fallback_chain_ends_in_a_plain_row(name):
         assert row not in seen, "fallback cycle"
         seen.append(row)
         row = row.fallback
-    if _is_plain(row) or all(s.per_op_degrade for s in row.stages):
+    if _is_plain(row):
         return
     if row.span is None:
         # an inline stage aborts up to the composed row that nests it
@@ -175,10 +175,7 @@ def _assert_priced_is_run(row: Family, priced, executed, params):
         assert p_disc is stage.discipline
         assert x_codec == CODEC_CLASS[stage.codec]
         assert x_sched is stage.schedule(**params)
-        if stage.priced is None:
-            assert p_sched is x_sched
-        else:  # the declared pricing-only variant, nothing else
-            assert p_sched is stage.schedule(priced=True, **params)
+        assert p_sched is x_sched
 
 
 @pytest.mark.parametrize("n", [4, 8])

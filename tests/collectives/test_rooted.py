@@ -186,6 +186,23 @@ class TestBcast:
         mb = run(FAMILIES["mpi_bcast"], SimCluster(8, network=fast_network), data)
         assert cb.bytes_on_wire < mb.bytes_on_wire
 
+    @pytest.mark.parametrize("name", ["mpi_bcast", "compressed_bcast"])
+    def test_bcast_outputs_alias_nothing(self, rng, fast_network, config,
+                                         name):
+        # the plain tree hands every rank the root's array object: the
+        # gather copies, so no output is the input or another rank's
+        data = rng.normal(0, 1, 3000).astype(np.float32)
+        for n in (1, 2, 5, 8):
+            for root in range(n):
+                outputs = run(
+                    FAMILIES[name], SimCluster(n, network=fast_network),
+                    data, config, root=root,
+                ).outputs
+                for i, out in enumerate(outputs):
+                    assert not np.shares_memory(out, data)
+                    for other in outputs[i + 1:]:
+                        assert not np.shares_memory(out, other)
+
     def test_compressed_bcast_one_cpr(self, rng, fast_network, config):
         data = rng.normal(0, 1, 5000).astype(np.float32)
         cluster = SimCluster(4, network=fast_network)

@@ -113,7 +113,7 @@ def test_delivered_arrays_stay_untouched_and_replies_rebuild(family, seed):
     plan = None if seed is None else FaultPlan.chaos(seed, N, intensity=0.1)
     sent, images, results = _run_ranks_in_threads(case, plan)
     ref, _ = sim_reference(case, plan)
-    assert not ref.aborted
+    assert not ref.degraded
 
     for rank in range(N):
         for block, value in sent[rank].items():

@@ -268,7 +268,7 @@ def test_rank_filtered_locals_coalesce_too():
     state[3] = {}
     outcome = ScheduleExecutor(cluster, codec, rank=3).run(setup_only, state)
     assert codec.prepared == [(3, tuple(range(N)))]
-    assert not outcome.degraded and not outcome.aborted
+    assert not outcome.degraded
 
 
 def test_coalescing_never_crosses_ranks_or_kinds():

@@ -153,6 +153,26 @@ def test_rooted_schedules_deliver_everything_to_the_root(n, root_frac):
 
     state = [dict() for _ in range(n)]
     state[root]["data"] = frozenset({root})
-    state = run_symbolic(binomial_bcast(n, root, deliver=True), state)
+    state = run_symbolic(binomial_bcast(n, root), state)
     for i in range(n):
         assert state[i]["data"] == frozenset({root})
+
+
+def test_bcast_is_a_binomial_tree():
+    """The root sends ⌈log₂ n⌉ times; every other rank receives ``"data"``
+    once, from its binomial parent (its offset from the root with the
+    highest bit cleared)."""
+    for n in range(1, 17):
+        for root in range(n):
+            comms = list(binomial_bcast(n, root).comms())
+            assert sum(c.src == root for c in comms) == (n - 1).bit_length()
+            for i in range(n):
+                into = [c for c in comms if c.dst == i]
+                if i == root:
+                    assert not into
+                    continue
+                offset = (i - root) % n
+                parent = (root + offset - (1 << offset.bit_length() - 1)) % n
+                assert [(c.src, c.blocks) for c in into] == [
+                    (parent, ("data",))
+                ]
