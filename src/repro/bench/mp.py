@@ -72,6 +72,8 @@ _CASES: dict[str, tuple[str, dict]] = {
     # one incast, the root folds each with its own fused reduction
     "batched-reduce": ("hzccl_batched_reduce", {"sessions": 3}),
     "bcast": ("compressed_bcast", {}),
+    # the plain incast: every rank's block to the root, no fold
+    "gather": ("plain_gather", {}),
     "hierarchical": ("mpi_hierarchical_allreduce", {"inter": "ring"}),
     "hierarchical-hz": ("hzccl_hierarchical_allreduce", {"inter": "ring"}),
 }

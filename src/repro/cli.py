@@ -41,6 +41,7 @@ _MP_FAMILIES = (
     "direct-reduce",
     "batched-reduce",
     "bcast",
+    "gather",
     "hierarchical",
     "hierarchical-hz",
 )

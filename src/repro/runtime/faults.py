@@ -33,6 +33,12 @@ sender walks it emitting frames:
 * the **plain** path models a transport with reliable checksummed
   delivery: faults cost time (timeouts, retransmissions), but the payload
   always arrives intact, which is why it is a safe fallback floor.
+
+One billing rule covers every message: the sender's first transmission
+is billed once at the scheduled size (:meth:`ResilientChannel.
+charge_link`, whether it arrives or not), and a walk bills only what the
+faults add — the waits, each retransmission that reaches the wire, each
+duplicate copy.
 """
 
 from __future__ import annotations
@@ -352,9 +358,9 @@ class UnrecoverableStreamError(RuntimeError):
 class Delivery(NamedTuple):
     """Outcome of one (possibly retransmitted) delivery.
 
-    ``nbytes`` counts the bytes this delivery put on the wire *through the
-    channel* — with ``charge_base=False`` only the retransmissions, since
-    the caller charged the scheduled transfer itself.
+    ``nbytes`` counts the bytes the fault handling added on the wire — the
+    retransmissions and duplicates; the caller billed the scheduled
+    transfer itself.
     """
 
     payload: Any
@@ -489,25 +495,36 @@ class ResilientChannel:
             blob, source, dest, index, truncate=verdict == "TRUNCATE"
         )
 
-    def _deliver(
-        self, source, dest, payload, nbytes, stream, charge_base, n_flows, link_scale
+    def deliver(
+        self,
+        source: int,
+        dest: int,
+        payload: Any,
+        nbytes: int,
+        compressed: bool = False,
+        n_flows: int | None = None,
+        link_scale: float = 1.0,
     ) -> Delivery:
-        """Walk one message, charging virtual time per attempt.
+        """Walk one message, charging only its fault handling.
 
-        ``stream`` is ``None`` on the plain path.  The two paths differ in
-        three places only: the base-charge rule (``charge_base``), what
-        damaged means (the plain transport's checksum always catches it; a
-        compressed stream is damaged byte for byte and must fail the wire
-        format's validation), and exhaustion (``reliable``).
+        The caller has billed the scheduled transfer once (see
+        :meth:`charge_link`); the walk adds the waits (timeouts, NACK
+        round trips, backoff), every retransmitted attempt that reaches
+        the wire and every duplicate copy.  A plain message (``payload``
+        any object) travels the reliable path: the transport checksum
+        catches damage, and after ``max_attempts`` it is forced through,
+        so the payload always arrives intact — the floor the compressed
+        paths degrade to.  A ``compressed`` one is a
+        :class:`CompressedField`: damage is injected on its serialised
+        bytes and must fail the wire format's checksummed parse, as a
+        real receiver would see it; after ``max_attempts`` failures it
+        raises :class:`UnrecoverableStreamError` for the collective to
+        degrade on.
         """
         self.stats.messages += 1
         cluster = self.cluster
         if cluster.faults is None:  # healthy fabric: no walk to take
-            if charge_base:
-                cluster.charge_comm(
-                    dest, nbytes, n_flows=n_flows, link_scale=link_scale
-                )
-            return Delivery(payload, nbytes if charge_base else 0)
+            return Delivery(payload, 0)
         policy = self.retry
         charged = 0
 
@@ -517,7 +534,7 @@ class ResilientChannel:
             charged += nbytes
 
         for attempt, index, verdict, duplicate in self.attempts(
-            source, dest, reliable=stream is None
+            source, dest, reliable=not compressed
         ):
             if verdict == "DROP":
                 cluster.record_fault(dest, "DROP", nbytes=nbytes)
@@ -525,13 +542,13 @@ class ResilientChannel:
                 continue
             if verdict == "FORCED":
                 self._wait(dest, policy.timeout_s, "TIMEOUT")
-            if charge_base or attempt > 0:
+            if attempt > 0:
                 charge()
             if verdict in DAMAGE_VERDICTS:
                 cluster.record_fault(dest, verdict, nbytes=nbytes)
-                rejected = stream is None
-                if not rejected:
-                    blob = stream.to_bytes()
+                rejected = not compressed
+                if compressed:
+                    blob = payload.to_bytes()
                     damaged = self.damage(blob, source, dest, index, verdict)
                     # the checksummed parse does the rejecting; bytes that
                     # parsed yet differ would be a checksum collision —
@@ -548,53 +565,6 @@ class ResilientChannel:
                 cluster.record_fault(dest, "DUPLICATE", nbytes=nbytes)
                 charge()
             return Delivery(payload, charged, attempt + 1)
-
-    def deliver_plain(
-        self,
-        source: int,
-        dest: int,
-        payload: Any,
-        nbytes: int,
-        n_flows: int | None = None,
-        link_scale: float = 1.0,
-    ) -> Delivery:
-        """Deliver over the reliable (checksummed, retrying) plain path.
-
-        Faults cost virtual time and show up in the stats/trace, but the
-        payload always arrives intact — plain delivery is the floor the
-        compressed paths degrade to, so it can never fail itself.
-        """
-        return self._deliver(
-            source, dest, payload, nbytes, None, True, n_flows, link_scale
-        )
-
-    def deliver_compressed(
-        self,
-        source: int,
-        dest: int,
-        stream,
-        charge_base: bool = True,
-        n_flows: int | None = None,
-        link_scale: float = 1.0,
-    ) -> Delivery:
-        """Deliver a :class:`CompressedField`, validating the byte stream.
-
-        Corruption is injected on the *serialised* bytes and detected by the
-        wire format's checksum on decode, exactly as a real receiver would
-        see it.  Each failure costs a NACK round-trip plus backoff; after
-        ``max_attempts`` failures the stream is declared unrecoverable and
-        :class:`UnrecoverableStreamError` is raised for the collective to
-        degrade on.
-
-        With ``charge_base=False`` the caller has already charged the
-        scheduled transfer (aggregate-message schedules like Rabenseifner's
-        bundles or the broadcast tree); the channel then charges only the
-        fault handling (timeouts, retransmissions).
-        """
-        return self._deliver(
-            source, dest, stream, stream.nbytes, stream, charge_base,
-            n_flows, link_scale,
-        )
 
     # ------------------------------------------------------------------ #
     def degrade(self, reason: str = "stream-unrecoverable") -> None:

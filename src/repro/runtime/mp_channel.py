@@ -82,7 +82,6 @@ __all__ = [
     "FRAME_DATA",
     "FRAME_FORCED",
     "FRAME_FAIL",
-    "FRAME_RAW",
     "FRAME_JOB",
     "FRAME_ABORT",
     "FRAME_STOP",
@@ -110,7 +109,6 @@ _HEADER = struct.Struct("<4sBBHQQ")
 FRAME_DATA = 1    # one transmission attempt's payload
 FRAME_FORCED = 2  # plain path's escalated delivery after max_attempts
 FRAME_FAIL = 3    # compressed stream unrecoverable; no payload
-FRAME_RAW = 4     # unmanaged transfer (no fault machinery)
 FRAME_JOB = 5     # control plane: a rank's job, or its reply
 FRAME_ABORT = 6   # control plane: abandon the running job
 FRAME_STOP = 7    # control plane: leave the job loop

@@ -102,7 +102,7 @@ class PayloadCodec:
 
     #: the verb → kernel table; the base one charges nothing and skips no
     #: phase
-    discipline = Discipline("raw", compressed_wire=False)
+    discipline = Discipline("base", compressed_wire=False)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

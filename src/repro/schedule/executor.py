@@ -1,10 +1,11 @@
 """The schedule executor: the one round loop every collective runs on.
 
 Everything the five legacy collectives hand-rolled in lock-step lives
-here exactly once: channel delivery (what each ``CommOp.transport`` name
-means is the :data:`TRANSPORT` table), per-round ``max_msg``/``end_round``
-accounting, ``cluster.timed`` compute charging (delegated to the codec),
-span recording via ``cluster.phase``, and the ``UnrecoverableStreamError``
+here exactly once: channel delivery (every comm is one message, billed
+once — see :meth:`ScheduleExecutor._deliver`), per-round
+``max_msg``/``end_round`` accounting, ``cluster.timed`` compute
+charging (delegated to the codec), span recording via
+``cluster.phase``, and the ``UnrecoverableStreamError``
 → ``channel.degrade()`` single degrade path (the schedule stops; the
 interpreter finishes on the row's plain fallback).  Both planes run it:
 the simulator plays every rank in one process; a multi-process worker
@@ -36,34 +37,7 @@ from ..runtime.faults import UnrecoverableStreamError
 from .codecs import PayloadCodec, State
 from .ir import CommOp, LocalOp, Round, Schedule
 
-__all__ = ["Outcome", "ScheduleExecutor", "TRANSPORT", "carriage"]
-
-
-#: What each ``CommOp.transport`` name means, per wire kind: *(who pays
-#: the scheduled transfer, how the items ride)*.
-#:
-#: payer — ``"channel"``: the ride charges it, message by message (for
-#: streams: each with its base charge); ``"link"``: one aggregate
-#: ``charge_link`` ahead of the ride; ``"sender"``: the sender's clock.
-#: A payer other than the channel puts the scheduled size on the wire
-#: once, on top of what the ride's fault handling adds.
-#: ride — ``"plain"``: the reliable retrying path, all items as one
-#: message; ``"stream"``: every compressed item validated on its own;
-#: ``"raw"``: handed over untouched, no fault machinery.
-TRANSPORT = {
-    # (transport, compressed wire?): (payer, ride)
-    ("link", False): ("channel", "plain"),
-    ("link", True): ("channel", "stream"),
-    ("bundle", False): ("channel", "plain"),
-    ("bundle", True): ("link", "stream"),
-    ("sender", False): ("sender", "raw"),
-    ("sender", True): ("sender", "stream"),
-}
-
-
-def carriage(comm: CommOp, compressed: bool) -> tuple[str, str]:
-    """``comm``'s :data:`TRANSPORT` row: *(payer, ride)*."""
-    return TRANSPORT[comm.transport, compressed]
+__all__ = ["Outcome", "ScheduleExecutor"]
 
 
 @dataclass
@@ -182,31 +156,25 @@ class ScheduleExecutor:
         flows: int | None,
         scale: float,
     ):
-        """Move one comm's payload inside this process, charging per its
-        :data:`TRANSPORT` row."""
-        cluster = self.cluster
-        channel = cluster.channel
-        payer, ride = carriage(comm, self.codec.discipline.compressed_wire)
+        """Move one comm's payload inside this process.
+
+        The scheduled transfer is billed once on its link; the channel
+        then walks the payload — a plain comm as one message, a
+        compressed one item by item, each stream validated on its own —
+        billing only the fault handling."""
+        channel = self.cluster.channel
         src, dst = comm.src, comm.dst
-        if payer != "channel":
-            if payer == "link":
-                channel.charge_link(src, dst, sent, flows, scale)
-            else:  # "sender"
-                cluster.charge_comm(src, sent, n_flows=flows,
-                                    link_scale=scale)
-            outcome.wire += sent
-        if ride == "raw":
-            return items
-        if ride == "plain":
-            delivery = channel.deliver_plain(src, dst, items, sent,
-                                             flows, scale)
+        channel.charge_link(src, dst, sent, flows, scale)
+        outcome.wire += sent
+        if not self.codec.discipline.compressed_wire:
+            delivery = channel.deliver(src, dst, items, sent, False,
+                                       flows, scale)
             outcome.wire += delivery.nbytes
             return delivery.payload
         received = []
         for item in items:
-            delivery = channel.deliver_compressed(
-                src, dst, item, payer == "channel", flows, scale
-            )
+            delivery = channel.deliver(src, dst, item, int(item.nbytes),
+                                       True, flows, scale)
             outcome.wire += delivery.nbytes
             received.append(delivery.payload)
         return tuple(received)

@@ -137,7 +137,6 @@ def ring_allgather(n: int, chunks: int = 1) -> Schedule:
                         chunks,
                     ),
                     action="store",
-                    transport="link" if chunks == 1 else "bundle",
                 )
                 for i in range(n)
             ),
@@ -326,8 +325,8 @@ def rabenseifner_ranges(n: int, rank: int, levels: int):
 def rabenseifner_allreduce_schedule(n: int) -> Schedule:
     """Rabenseifner allreduce: halving reduce-scatter + doubling allgather.
 
-    ``2·log2 n`` rounds; every transfer is a bundled message over a block
-    range (``transport="bundle"``), matching MPICH's vector halving.
+    ``2·log2 n`` rounds; every transfer is one message over a block
+    range, matching MPICH's vector halving.
     """
     levels = _check_power_of_two(n)
     setup = Round(
@@ -349,7 +348,6 @@ def rabenseifner_allreduce_schedule(n: int) -> Schedule:
                         range(schedules[i][k][2][0], schedules[i][k][2][1])
                     ),
                     action="fold",
-                    transport="bundle",
                 )
                 for i in range(n)
             ),
@@ -372,7 +370,6 @@ def rabenseifner_allreduce_schedule(n: int) -> Schedule:
                     dst=i,
                     blocks=tuple(snapshot[partner]),
                     action="store",
-                    transport="bundle",
                 )
             )
             holdings[i] = snapshot[i] + [
@@ -409,17 +406,16 @@ def flat_gather(
 ) -> Schedule:
     """Flat gather of one block per rank to the root (concurrent sends).
 
-    The incast is charged to each *sender* (``transport="sender"``); the
-    root's optional ``finalize`` decode covers every gathered block in
-    one batched invocation.
+    The incast round serialises the messages at the root; the root's
+    optional ``finalize`` decode covers every gathered block in one
+    batched invocation.
     """
     ring = Ring(n)
     ids = block_of if block_of is not None else ring.owned_block
     gather = Round(
         kind="incast",
         comms=tuple(
-            CommOp(src=i, dst=root, blocks=(ids(i),), action="store",
-                   transport="sender")
+            CommOp(src=i, dst=root, blocks=(ids(i),), action="store")
             for i in range(n)
             if i != root
         ),
@@ -467,8 +463,7 @@ def direct_reduce(n: int, root: int) -> Schedule:
     gather = Round(
         kind="incast",
         comms=tuple(
-            CommOp(src=i, dst=root, blocks=(vec[i],), action="store",
-                   transport="sender")
+            CommOp(src=i, dst=root, blocks=(vec[i],), action="store")
             for i in range(n)
             if i != root
         ),
@@ -534,7 +529,7 @@ def batched_fused_reduce(n: int, sessions: int, root: int = 0) -> Schedule:
         comms=tuple(
             CommOp(src=i, dst=root,
                    blocks=tuple(vec[s, i] for s in range(sessions)),
-                   action="store", transport="sender")
+                   action="store")
             for i in range(n)
             if i != root
         ),
@@ -654,7 +649,6 @@ def _intra_rounds(
                         dst=lo if direction == "reduce" else hi,
                         blocks=blocks,
                         action="fold" if direction == "reduce" else "store",
-                        transport="bundle",
                     )
                 )
                 sends += 1

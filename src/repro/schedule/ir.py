@@ -15,9 +15,8 @@ Vocabulary
   :class:`~repro.runtime.topology.Ring`); the chunk-pipelined generator
   uses ``(block, chunk)`` pairs; the direct rooted reduce uses
   ``("vec", rank)`` whole-vector ids.
-* A :class:`CommOp` moves the listed blocks ``src → dst`` and declares
-  what the receiver does with them (``action``) and how the transfer is
-  charged (``transport``).
+* A :class:`CommOp` moves the listed blocks ``src → dst`` as one
+  message and declares what the receiver does with them (``action``).
 * A :class:`LocalOp` marks rank-local compute — prepare (pre-schedule
   encode), fold, finalize (decode) — whose concrete meaning (kernel +
   clock bucket) the codec supplies; a per-round encode is the codec's
@@ -53,8 +52,6 @@ __all__ = ["CommOp", "LocalOp", "Round", "Phase", "Schedule"]
 
 #: CommOp.action values: what the receiver does with the payload.
 ACTIONS = ("fold", "store", "stage")
-#: CommOp.transport values: how the transfer is charged/validated.
-TRANSPORTS = ("link", "bundle", "sender")
 #: LocalOp.kind values.
 LOCAL_KINDS = (
     "prepare",
@@ -69,22 +66,15 @@ ROUND_KINDS = ("exchange", "incast", "compute")
 
 @dataclass(frozen=True)
 class CommOp:
-    """One scheduled transfer of ``blocks`` from ``src`` to ``dst``.
+    """One scheduled transfer of ``blocks`` from ``src`` to ``dst``, one
+    message billed once at its scheduled size (faults add only their
+    waits, retransmissions and duplicates).
 
     ``action``
         ``fold``   — reduce each block into the receiver's partial;
         ``store``  — the receiver keeps the payload (allgather/bcast);
         ``stage``  — the payload is parked; a later ``fold`` LocalOp
         consumes it (the chunk-pipelined ring's deliver-now-fold-later).
-
-    ``transport``
-        ``link``   — one per-block message through the resilient channel
-        (the ring and broadcast-tree default);
-        ``bundle`` — all blocks ride one aggregate message: the scheduled
-        transfer is charged once, compressed items are then validated
-        individually (Rabenseifner's halving/doubling bundles);
-        ``sender`` — concurrent direct send charged to the *sender*'s
-        clock (flat-gather incast).
 
     ``fresh=False`` marks the receive-side fold as the continuation of the
     previous sub-round's kernel invocation (chunk pipelining).
@@ -97,7 +87,6 @@ class CommOp:
     dst: int
     blocks: tuple[Hashable, ...]
     action: str = "fold"
-    transport: str = "link"
     fresh: bool = True
 
 
@@ -195,10 +184,6 @@ class Schedule:
             for comm in rnd.comms:
                 if comm.action not in ACTIONS:
                     raise ValueError(f"unknown comm action {comm.action!r}")
-                if comm.transport not in TRANSPORTS:
-                    raise ValueError(
-                        f"unknown comm transport {comm.transport!r}"
-                    )
                 for end, label in ((comm.src, "src"), (comm.dst, "dst")):
                     if not 0 <= end < self.n_ranks:
                         raise ValueError(

@@ -60,7 +60,7 @@ are true data dependencies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Any
 
@@ -80,7 +80,6 @@ from ..runtime.mp_channel import (
     FRAME_DATA,
     FRAME_FAIL,
     FRAME_FORCED,
-    FRAME_RAW,
     Frame,
     SenderPool,
     dump_items,
@@ -89,7 +88,7 @@ from ..runtime.mp_channel import (
 )
 from ..runtime.mp_cluster import KEPT, MPCluster, RankResult
 from .codecs import CODECS, discipline_of
-from .executor import Outcome, ScheduleExecutor, carriage
+from .executor import Outcome, ScheduleExecutor
 from .ir import Schedule
 
 __all__ = ["CodecSpec", "MPExecutor", "RankJob", "execute_rank"]
@@ -163,11 +162,10 @@ def _desync(comm, frame: Frame, expected: str) -> RuntimeError:
 class _RankWire:
     """Moves one rank's cross-process payloads for :class:`ScheduleExecutor`.
 
-    ``send`` / ``receive`` read a comm's :data:`~repro.schedule.executor.
-    TRANSPORT` row the way the simulator's ``_deliver`` does: a payer
-    outside the channel becomes a ``RAW`` frame announcing the scheduled
-    size (carrying the items on a raw ride), a managed ride becomes the
-    frames of one attempt walk.
+    ``send`` / ``receive`` split a comm the way the simulator's
+    ``_deliver`` does: a plain comm is one message, a compressed one a
+    message per stream, and each message is the frames of one attempt
+    walk.
     """
 
     def __init__(
@@ -199,26 +197,20 @@ class _RankWire:
         self.stats["frames_sent"] += 1
 
     def send(self, comm, items, sent: int) -> None:
-        payer, ride = carriage(comm, self.compressed)
-        if payer != "channel":
-            # the scheduled transfer itself; the items ride in it when
-            # nothing manages them
-            blob = dump_items(items) if ride == "raw" else b""
-            self._emit(comm.dst, Frame(FRAME_RAW, nbytes=sent, payload=blob))
-        if ride == "plain":
+        if not self.compressed:
             self._transmit(comm.dst, dump_items(items), sent, 0)
-        elif ride == "stream":
-            for item in items:
-                self._transmit(
-                    comm.dst, item.to_bytes(), int(item.nbytes), FLAG_COMPRESSED
-                )
+            return
+        for item in items:
+            self._transmit(
+                comm.dst, item.to_bytes(), int(item.nbytes), FLAG_COMPRESSED
+            )
 
     def _transmit(self, dst: int, blob, nbytes: int, flags: int) -> None:
-        """One managed message: a frame per non-dropped attempt of the
-        channel's walk (``flags``: 0 plain — ``blob`` is the parts of
+        """One message: a frame per non-dropped attempt of the channel's
+        walk (``flags``: 0 plain — ``blob`` is the parts of
         :func:`dump_items` —, ``FLAG_COMPRESSED`` a stream's bytes).
 
-        A damaged plain frame keeps its payload — the transport checksum
+        A damaged plain frame keeps its payload — the plain path's checksum
         is modelled by the flag; a damaged stream is damaged **for real**
         and the receiver's validation does the rejecting.  An exhausted
         stream ends in a ``FAIL`` frame: the receiver raises.
@@ -273,28 +265,20 @@ class _RankWire:
     def receive(self, comm, outcome: Outcome):
         """Receive one comm's payload, accounting wire bytes exactly as the
         simulator's :meth:`ScheduleExecutor._deliver` would."""
-        payer, ride = carriage(comm, self.compressed)
-        if payer != "channel":
-            frame = self._recv_frame(comm.src)
-            if frame.kind != FRAME_RAW:
-                raise _desync(comm, frame, "a raw transfer")
-            outcome.wire += frame.nbytes
-        if ride == "raw":
-            return load_items(frame.payload)
-        if ride == "plain":
-            return self._collect(comm, outcome, 0, True)
+        if not self.compressed:
+            return self._collect(comm, outcome, 0)
         return tuple(
-            self._collect(comm, outcome, FLAG_COMPRESSED, payer == "channel")
-            for _ in comm.blocks
+            self._collect(comm, outcome, FLAG_COMPRESSED) for _ in comm.blocks
         )
 
-    def _collect(self, comm, outcome: Outcome, flags: int, charge_base: bool):
-        """Counterpart of :meth:`_transmit`: frames are charged under the
-        simulator's rule (the base charge only when ``charge_base`` or on a
-        retransmission; duplicates always) and every payload goes through
-        its decoder — a stream's is the wire format's checksummed parser —
-        until one is accepted.  A ``FAIL`` frame raises with nothing billed,
-        like the simulated delivery that raised."""
+    def _collect(self, comm, outcome: Outcome, flags: int):
+        """Counterpart of :meth:`_transmit`: frames are billed under the
+        simulator's rule — the accepted message once, at its scheduled
+        size, plus every retransmitted (``attempt > 0``) and duplicate
+        frame — and every payload goes through its decoder (a stream's is
+        the wire format's checksummed parser) until one is accepted.  A
+        ``FAIL`` frame raises with nothing billed: the run degrades, and a
+        degraded run promises no ``wire``."""
         charged = 0
         kinds = (FRAME_DATA,) if flags else (FRAME_DATA, FRAME_FORCED)
         decode = parse_stream if flags else load_items
@@ -309,7 +293,7 @@ class _RankWire:
                     comm, frame, "a stream" if flags else "a plain message"
                 )
             duplicate = frame.flags & FLAG_DUPLICATE
-            if duplicate or charge_base or frame.attempt > 0:
+            if duplicate or frame.attempt > 0:
                 charged += frame.nbytes
             if duplicate:
                 continue
@@ -317,7 +301,7 @@ class _RankWire:
             # a flagged frame that still parsed would be a checksum
             # collision on damaged bytes: rejected like the simulator does
             if payload is not None and not frame.flags & FLAG_DAMAGED:
-                outcome.wire += charged
+                outcome.wire += charged + frame.nbytes
                 return payload
 
 
@@ -343,8 +327,11 @@ def execute_rank(
     ``prepare``.
     """
     # rank-local simulator: the codec's compute-charge sink and the
-    # per-link fault index table
-    sim = SimCluster(n_ranks, faults=job.plan, retry=job.retry)
+    # per-link fault index table.  Its plan models no stragglers: a
+    # straggler's slowdown is the simulator's stand-in for a slow
+    # process, and here the compute charges are the measured seconds.
+    plan = job.plan and replace(job.plan, stragglers=())
+    sim = SimCluster(n_ranks, faults=plan, retry=job.retry)
     codec = job.spec.build(sim)
     pool.deadline_s = job.recv_deadline_s
     wire = _RankWire(

@@ -11,11 +11,13 @@ before such a refactor with::
     PYTHONPATH=src python -m tests.schedule.test_schedule_pins \
         > tests/schedule/schedule_pins.json
 
-It was regenerated once on purpose, when ``CommOp`` lost its
+It was regenerated twice on purpose, each time checked against the
+previous tree (CHANGES.md gives the checks): when ``CommOp`` lost its
 ``wire_count`` and ``degrade`` fields and the broadcast became a real
-tree: every non-broadcast hash then equalled the previous tree's hash of
-a ``repr`` with ``, wire_count=1`` and ``, degrade='schedule'`` removed
-(CHANGES.md gives the check).
+tree, every non-broadcast hash equalled the previous tree's hash of a
+``repr`` with ``, wire_count=1`` and ``, degrade='schedule'`` removed;
+when ``CommOp`` lost its ``transport`` field, every hash equalled the
+previous tree's hash of a ``repr`` with ``, transport='…'`` removed.
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
 """The schedule IR's vocabulary is live: every word is run by some row.
 
-Every value of ``ACTIONS``, ``TRANSPORTS``, ``LOCAL_KINDS`` and
-``ROUND_KINDS``, and every ``(transport, compressed)`` row of
-``executor.TRANSPORT``, must be emitted by at least one family-table
-stage's schedule in a phase its codec runs, at n ∈ {2, …, 8} (the
+Every value of ``ACTIONS``, ``LOCAL_KINDS`` and ``ROUND_KINDS`` must be
+emitted by at least one family-table stage's schedule in a phase its codec runs, at n ∈ {2, …, 8} (the
 hierarchical rows on every ``NodeMap.regular`` placement with both inter
 families).  A word no row emits is still accepted by ``validate()``,
 priced by ``schedule_cost`` and dispatched by the executor: dead
@@ -19,14 +17,12 @@ from repro.runtime import SimCluster
 from repro.runtime.network import NetworkModel
 from repro.runtime.nodemap import NodeMap
 from repro.schedule import PlainCodec, ScheduleExecutor
-from repro.schedule.executor import TRANSPORT
 from repro.schedule.families import STAGES
 from repro.schedule.generators import INTER_FAMILIES
 from repro.schedule.ir import (
     ACTIONS,
     LOCAL_KINDS,
     ROUND_KINDS,
-    TRANSPORTS,
     LocalOp,
     Phase,
     Round,
@@ -48,8 +44,7 @@ def _bindings(n: int):
 @pytest.fixture(scope="module")
 def emitted() -> dict[str, set]:
     words: dict[str, set] = {
-        "actions": set(), "transports": set(), "local_kinds": set(),
-        "round_kinds": set(), "transport_rows": set(),
+        "actions": set(), "local_kinds": set(), "round_kinds": set(),
     }
     for stages in STAGES.values():
         for stage in stages:
@@ -68,21 +63,16 @@ def emitted() -> dict[str, set]:
                             words["local_kinds"].update(
                                 op.kind for op in rnd.ops
                             )
-                            for comm in rnd.comms:
-                                words["actions"].add(comm.action)
-                                words["transports"].add(comm.transport)
-                                words["transport_rows"].add(
-                                    (comm.transport, table.compressed_wire)
-                                )
+                            words["actions"].update(
+                                comm.action for comm in rnd.comms
+                            )
     return words
 
 
 VOCABULARIES = {
     "actions": ACTIONS,
-    "transports": TRANSPORTS,
     "local_kinds": LOCAL_KINDS,
     "round_kinds": ROUND_KINDS,
-    "transport_rows": tuple(TRANSPORT),
 }
 
 
