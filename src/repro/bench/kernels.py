@@ -26,7 +26,11 @@ the dense 256 KB ``fold_split`` block, the ring step the gate weighs the
 fold against.  The ``hpr_*`` rows are the paper's HPR (two compressed
 operands); the ``ring_fold_*`` rows are one ring round's compute as the
 collectives run it — a quantised own partial plus one received stream,
-then the encode of the sum.  ``fold_split`` takes one dense
+then the encode of the sum.  Those rows repeat one input, so the sum's
+stream layout is built once and found after; ``cpr_2kb`` and
+``ring_fold_2kb`` (a ``sim-small`` ring block) take a fresh input on
+every call, from more than the layout cache keeps, so every encode
+builds its layout as in a real ring.  ``fold_split`` takes one dense
 k = 2 fold apart (engine wrapper, operand decodes, accumulate, classify +
 encode, result container), the stages timed inside the fold, at a 2 KB
 ring block, the 4 KB floor probe and a 256 KB block: the biggest row is
@@ -40,7 +44,7 @@ import platform
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -62,6 +66,7 @@ from ..kernels.dispatch import (
     use_backend,
 )
 from ..kernels.numpy_backend import make_reduce_fused
+from ..kernels.plan import LAYOUT_CACHE_ENTRIES
 from .timing import best_of, best_of_each, throughput_gbps
 
 __all__ = [
@@ -85,6 +90,8 @@ _FLOOR_THREADBLOCKS = 18
 _FLOOR_EB = 1e-4
 #: floor calls take ~0.1–1 ms: best-of needs many more runs than a 16 MB kernel
 _FLOOR_REPEAT_SCALE = 20
+#: calls per turn of the rows that take a fresh input every call
+_FRESH_CALLS = 64
 
 #: The stages one dense fold is split into, in execution order.
 FOLD_STAGES = ("wrapper", "decode", "accumulate", "classify_encode", "container")
@@ -229,6 +236,20 @@ def _dense_pair(n: int) -> list[np.ndarray]:
     return [np.cumsum(rng.normal(0, 0.02, n)).astype(np.float32) for _ in range(2)]
 
 
+def _in_turn(items: list, fn) -> Callable[[], None]:
+    """A case that calls ``fn`` on the next :data:`_FRESH_CALLS` of
+    ``items``, wrapping around: each call of the case is that many calls."""
+    at = [0]
+
+    def case() -> None:
+        start = at[0]
+        for i in range(start, start + _FRESH_CALLS):
+            fn(items[i % len(items)])
+        at[0] = (start + _FRESH_CALLS) % len(items)
+
+    return case
+
+
 def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
     """Per-call fixed cost on tiny fields, where orchestration is the work,
     and the same three calls on the dense 256 KB ``fold_split`` block; at
@@ -251,7 +272,17 @@ def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
         partial = replace(own, deltas=own.deltas.copy())
         return comp.compress(engine.reduce_fused((partial, received)))
 
+    # sim-small's ring rounds, one fresh signature per call: more inputs
+    # than the layout cache keeps, taken in turn, so every encode builds
+    # its layout as a ring round's does
+    cycle = LAYOUT_CACHE_ENTRIES + _FRESH_CALLS
+    ring_2kb = [walk(512) for _ in range(2 * cycle)]
+
     with use_backend(backend):
+        own_2kb = comp.quantise(ring_2kb[:cycle], abs_eb=_FLOOR_EB)
+        received_2kb = [comp.compress(w, abs_eb=_FLOOR_EB) for w in ring_2kb[cycle:]]
+        for field in received_2kb:  # its sender built the layout
+            field.layout.staging
         pair = comp.compress([field_a, field_b], abs_eb=_FLOOR_EB)
         fields = comp.compress(blocks, abs_eb=_FLOOR_EB)
         ring = comp.compress(ring_walks, abs_eb=_FLOOR_EB)
@@ -262,6 +293,10 @@ def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
             "dpr_4kb": lambda: comp.decompress(pair[0]),
             "hpr_4kb": lambda: engine.reduce_fused(pair),
             "ring_fold_4kb": lambda: ring_fold(own_4kb, pair[1]),
+            "cpr_2kb": _in_turn(own_2kb, lambda q: comp.compress([q])),
+            "ring_fold_2kb": _in_turn(
+                list(zip(own_2kb, received_2kb)), lambda p: ring_fold(*p)
+            ),
             "cpr_256kb": lambda: comp.compress(ring_walks[0], abs_eb=_FLOOR_EB),
             "dpr_256kb": lambda: comp.decompress(ring[0]),
             "hpr_256kb": lambda: engine.reduce_fused(ring),
@@ -280,6 +315,8 @@ def _bench_call_floor(backend: str, repeats: int) -> dict[str, Any]:
                 cases, repeats=repeats, warmup=3
             ).items()
         }
+    for name in ("cpr_2kb", "ring_fold_2kb"):
+        rows[name]["seconds"] /= _FRESH_CALLS  # per call, not per turn
     for kernel in ("cpr", "dpr"):
         rows[f"{kernel}_8x2kb_sweep"]["speedup_over_calls"] = (
             rows[f"{kernel}_8x2kb_calls"]["seconds"]

@@ -264,7 +264,9 @@ def calibrate(
     (``fits``), one row per measured point (measured makespan, the
     parent's overhead — wall-clock around the run minus its makespan —,
     and the makespan its rank count's fit models, with the relative
-    error) and the worst error per family.  A rank count gets a fit of
+    error) and the worst error per family.  The fit subtracts each run's
+    compute on the critical path (``critical_compute_s``: per round, the
+    slowest rank's), not the slowest rank's total.  A rank count gets a fit of
     its own because on an oversubscribed host the makespan partly
     serialises across ranks, so rank counts shift the effective per-hop
     cost in a way a single α cannot absorb.  The top-level coefficients
@@ -293,7 +295,7 @@ def calibrate(
                 hops=ws.hops,
                 crit_bytes=ws.crit_bytes * scale,
                 measured_s=run.makespan_s,
-                compute_s=run.compute_s,
+                compute_s=run.critical_compute_s,
             )
         )
 
@@ -321,6 +323,7 @@ def calibrate(
                     "crit_bytes": report["crit_bytes"],
                     "wire_bytes": run.wire,
                     "compute_s": run.compute_s,
+                    "critical_compute_s": run.critical_compute_s,
                     "measured_s": report["measured_s"],
                     "overhead_s": wall - run.makespan_s,
                     "modelled_s": report["modelled_s"],
@@ -356,7 +359,9 @@ def samples_from_document(doc: dict) -> list[CalibrationSample]:
                 hops=int(r["hops"]),
                 crit_bytes=float(r["crit_bytes"]),
                 measured_s=float(r["measured_s"]),
-                compute_s=float(r["compute_s"]),
+                # the compute the fit subtracted (documents before the
+                # critical-path split carried only the slowest total)
+                compute_s=float(r.get("critical_compute_s", r["compute_s"])),
             )
             for r in rows
         ]

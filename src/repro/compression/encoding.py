@@ -67,6 +67,8 @@ MAX_CODE_LENGTH = 32
 
 
 def _check_block_size(block_size: int) -> int:
+    if type(block_size) is int and block_size > 0 and not block_size % 8:
+        return block_size
     block_size = ensure_positive_int(block_size, "block_size")
     if block_size % 8:
         raise ValueError(f"block_size must be a multiple of 8, got {block_size}")
@@ -74,7 +76,8 @@ def _check_block_size(block_size: int) -> int:
 
 
 def _check_deltas(deltas: np.ndarray, block_size: int) -> np.ndarray:
-    deltas = np.asarray(deltas)
+    if type(deltas) is not np.ndarray:
+        deltas = np.asarray(deltas)
     if deltas.ndim != 2 or deltas.shape[1] != block_size:
         raise ValueError(
             f"deltas must have shape (n_blocks, {block_size}), got {deltas.shape}"

@@ -38,16 +38,14 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..kernels.arena import get_arena
+from ..kernels.arena import bucket, get_arena
 from ..kernels.plan import stream_layout
-from ..utils.validation import (
-    ensure_float_array,
-    ensure_positive_int,
-)
+from ..utils.validation import as_float_array, ensure_positive_int
 from .common import code_dtype, resolve_error_bound
 from .encoding import (
     DEFAULT_BLOCK_SIZE,
@@ -92,17 +90,23 @@ class _Group:
     and the last one takes the remainder, so a group's deltas live in two
     regular runs — a ``(members, heads, head_len)`` matrix and one tail row
     per member — and prediction / prefix sums take a few strided kernel
-    calls per group however many members or thread-blocks it has.
+    calls per group however many members or thread-blocks it has.  Every
+    integer the runs need is worked out once per geometry (:func:`_layout`).
     """
 
     structure: BlockStructure
     members: tuple[int, ...]  # positions in the caller's sequence
     elem0: int  # first element in the sweep's per-element buffers
     block0: int  # first row in the sweep's block grid
+    n: int  # elements per member
+    blocks: int  # blocks per member
+    head_len: int  # elements per head thread-block (0: no head matrix)
+    pad: int  # padded elements per head thread-block
+    slabs: tuple[slice, ...]  # head thread-block columns, slab by slab
 
     def rows(self, per_element: np.ndarray) -> np.ndarray:
         """This group's ``(members, n)`` slice of a sweep-wide element buffer."""
-        m, n = len(self.members), self.structure.n
+        m, n = len(self.members), self.n
         return per_element[self.elem0 : self.elem0 + m * n].reshape(m, n)
 
     def runs(self, grid: np.ndarray, rows: np.ndarray):
@@ -114,27 +118,33 @@ class _Group:
         slabs of about :data:`_SLAB_ELEMS` elements so that a caller
         chaining several kernels over a slab finds it still cached.
         """
-        s, m = self.structure, len(self.members)
-        width = s.total_blocks * s.block_size
-        lo = self.block0 * s.block_size
+        m, bs = len(self.members), self.structure.block_size
+        width = self.blocks * bs
+        lo = self.block0 * bs
         g = grid[lo : lo + m * width].reshape(m, width)
-        heads = s.n_threadblocks - 1
-        head_len = s.n // s.n_threadblocks
+        heads = self.structure.n_threadblocks - 1
         cut_e = cut_g = 0
-        if heads and head_len:
-            pad = int(s.blocks_per_tb[0]) * s.block_size
-            cut_e, cut_g = heads * head_len, heads * pad
-            g_heads = g[:, :cut_g].reshape(m, heads, pad)[:, :, :head_len]
-            e_heads = rows[:, :cut_e].reshape(m, heads, head_len)
-            step = max(1, _SLAB_ELEMS // (m * head_len))
-            for t in range(0, heads, step):
-                cols = slice(t, min(t + step, heads))
+        if self.head_len:
+            cut_e, cut_g = heads * self.head_len, heads * self.pad
+            g_heads = g[:, :cut_g].reshape(m, heads, self.pad)[:, :, : self.head_len]
+            e_heads = rows[:, :cut_e].reshape(m, heads, self.head_len)
+            for cols in self.slabs:
                 yield g_heads[:, cols], cols, e_heads[:, cols]
         yield (
-            g[:, None, cut_g : cut_g + s.n - cut_e],
+            g[:, None, cut_g : cut_g + self.n - cut_e],
             slice(heads, heads + 1),
             rows[:, None, cut_e:],
         )
+
+
+class _Sweep(NamedTuple):
+    """How one sweep's members lie in its buffers (see :func:`_layout`)."""
+
+    groups: tuple[_Group, ...]
+    order: tuple[int, ...]  # caller positions, in grid order
+    block_ends: tuple[int, ...]  # each member's last grid row + 1, grid order
+    n_blocks: int
+    n_elements: int
 
 
 def _refs_when_unreferenced() -> int:
@@ -196,44 +206,49 @@ def _free_grid(n: int, dtype) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _layout(
-    shapes: tuple[tuple[int, int], ...], block_size: int
-) -> tuple[tuple[_Group, ...], int]:
-    """Group ``(n, n_threadblocks)`` shapes; returns the groups and total blocks.
+def _layout(shapes: tuple[tuple[int, int], ...], block_size: int) -> _Sweep:
+    """Group ``(n, n_threadblocks)`` shapes and place every member.
 
     Memoised: a collective sweeps the same shapes every round.
     """
     by_shape: dict[tuple[int, int], list[int]] = {}
     for i, shape in enumerate(shapes):
         by_shape.setdefault(shape, []).append(i)
-    groups, elem0, block0 = [], 0, 0
+    groups, order, ends, elem0, block0 = [], [], [], 0, 0
     for (n, n_tb), members in by_shape.items():
         structure = block_structure(n, block_size, n_tb)
-        groups.append(_Group(structure, tuple(members), elem0, block0))
+        blocks, heads, head_len = structure.total_blocks, n_tb - 1, n // n_tb
+        slabs: tuple[slice, ...] = ()
+        if heads and head_len:
+            step = max(1, _SLAB_ELEMS // (len(members) * head_len))
+            slabs = tuple(
+                slice(t, min(t + step, heads)) for t in range(0, heads, step)
+            )
+        else:
+            head_len = 0
+        groups.append(
+            _Group(
+                structure, tuple(members), elem0, block0, n, blocks, head_len,
+                int(structure.blocks_per_tb[0]) * block_size, slabs,
+            )
+        )
+        order += members
+        ends += [block0 + blocks * (j + 1) for j in range(len(members))]
         elem0 += n * len(members)
-        block0 += structure.total_blocks * len(members)
-    return tuple(groups), block0
+        block0 += blocks * len(members)
+    return _Sweep(tuple(groups), tuple(order), tuple(ends), block0, elem0)
 
 
-def _back_to_back(parts: list[np.ndarray], tag: str) -> np.ndarray:
-    """``parts`` concatenated in arena scratch; a lone part is used as is."""
+def _back_to_back(parts: list[np.ndarray], tag: str, size: int) -> np.ndarray:
+    """``parts`` (``size`` elements in all) concatenated in arena scratch,
+    cast to the first one's dtype; a lone part is used as is."""
     if len(parts) == 1:
         return parts[0]
-    out = get_arena().take(tag, sum(p.size for p in parts), parts[0].dtype)
-    return np.concatenate(parts, out=out)
+    out = get_arena().take(tag, bucket(size), parts[0].dtype)[:size]
+    return np.concatenate(parts, out=out, casting="unsafe")
 
 
-def _deltas_back_to_back(held: list[QuantisedField]) -> np.ndarray:
-    """The deltas of ``held``, back to back, in the widest of their dtypes."""
-    widest = max(held, key=lambda q: q.deltas.itemsize).deltas.dtype
-    parts = [q.deltas.reshape(-1) for q in held]
-    if len(parts) == 1:
-        return parts[0]
-    out = get_arena().take("fz.grid", sum(p.size for p in parts), widest)
-    return np.concatenate(parts, out=out)
-
-
-def _caller_order(positions: list[int], items: list) -> list:
+def _caller_order(positions: Sequence[int], items: list) -> list:
     """``items`` (one per caller position in ``positions``) in caller order."""
     out = [None] * len(items)
     for i, item in zip(positions, items):
@@ -242,15 +257,15 @@ def _caller_order(positions: list[int], items: list) -> list:
 
 
 def _encode(grid: np.ndarray, held: list[QuantisedField]) -> list[CompressedField]:
-    """Code ``grid`` — the deltas of ``held``, back to back — in one pass
-    and slice the stream into one field per member (views of the sweep's
-    arrays)."""
+    """Code ``grid`` — the ``(blocks, block_size)`` deltas of ``held``,
+    back to back — in one pass and slice the stream into one field per
+    member (views of the sweep's arrays)."""
     bs = held[0].block_size
-    code_lengths, payload, offsets = encode_into(grid.reshape(-1, bs), bs)
-    fields, b0 = [], 0
+    code_lengths, payload, offsets = encode_into(grid, bs)
+    fields, b0, lo = [], 0, 0
     for q in held:
-        b1 = b0 + q.structure.total_blocks
-        lo, hi = int(offsets[b0]), int(offsets[b1])
+        b1 = b0 + q.deltas.shape[0]
+        hi = int(offsets[b1])
         fields.append(
             CompressedField(
                 n=q.n,
@@ -260,18 +275,20 @@ def _encode(grid: np.ndarray, held: list[QuantisedField]) -> list[CompressedFiel
                 outliers=q.outliers,
                 code_lengths=code_lengths[b0:b1],
                 payload=payload[lo:hi],
-                _offsets=offsets[b0 : b1 + 1] - lo,
+                # from byte 0 (a lone member) a view of the layout's own
+                _offsets=offsets[b0 : b1 + 1] - lo if lo else offsets[b0 : b1 + 1],
             )
         )
-        b0 = b1
+        b0, lo = b1, hi
     return fields
 
 
 def _is_quantised(data) -> bool:
-    return isinstance(data, QuantisedField) or (
+    """A non-empty sequence of quantised fields."""
+    return (
         isinstance(data, (list, tuple))
         and bool(data)
-        and all(isinstance(q, QuantisedField) for q in data)
+        and all(map(isinstance, data, repeat(QuantisedField)))
     )
 
 
@@ -350,25 +367,29 @@ class FZLight:
         it already carries its error bound — into exactly the stream
         compressing its original array gives.
         """
-        if _is_quantised(data):
+        lone = isinstance(data, QuantisedField)
+        if lone or _is_quantised(data):
             if abs_eb is not None or rel_eb is not None:
                 raise ValueError("a quantised field already has its error bound")
-            batch = not isinstance(data, QuantisedField)
-            held = list(data) if batch else [data]
-            fields = []
-            for lo, hi in _sweeps(
-                [q.n for q in held], [q.block_size for q in held]
-            ):
-                part = held[lo:hi]
-                fields += _encode(_deltas_back_to_back(part), part)
-            return fields if batch else fields[0]
+            held = [data] if lone else list(data)
+            if len(held) == 1:  # a ring's send: one field, its own grid
+                fields = _encode(held[0].deltas, held)
+            else:
+                fields = []
+                for lo, hi in _sweeps(
+                    [q.n for q in held], [q.block_size for q in held]
+                ):
+                    part = held[lo:hi]
+                    fields += _encode(_deltas_back_to_back(part), part)
+            return fields[0] if lone else fields
         batch, arrays = self._arrays(data, "compress")
         fields: list[CompressedField] = []
         for lo, hi in _sweeps([a.size for a in arrays]):
-            grid, positions, held = self._quantise_sweep(
+            grid, sweep, held = self._quantise_sweep(
                 arrays[lo:hi], abs_eb, rel_eb, private=False
             )
-            fields += _caller_order(positions, _encode(grid, held))
+            ordered = [held[i] for i in sweep.order]
+            fields += _caller_order(sweep.order, _encode(grid, ordered))
         return fields if batch else fields[0]
 
     def quantise(
@@ -388,49 +409,58 @@ class FZLight:
         batch, arrays = self._arrays(data, "quantise")
         held: list[QuantisedField] = []
         for lo, hi in _sweeps([a.size for a in arrays]):
-            _, positions, part = self._quantise_sweep(
+            held += self._quantise_sweep(
                 arrays[lo:hi], abs_eb, rel_eb, private=True
-            )
-            held += _caller_order(positions, part)
+            )[2]
         return held if batch else held[0]
 
     @staticmethod
     def _arrays(data, verb: str) -> tuple[bool, list[np.ndarray]]:
-        """``(is a batch, the float32 arrays)`` of one array or a sequence."""
+        """``(is a batch, the float32 arrays)`` of one array or a sequence.
+
+        Finiteness is checked by the sweep, on the range it reads anyway.
+        """
         batch = isinstance(data, (list, tuple)) and all(
-            isinstance(a, np.ndarray) for a in data
+            map(isinstance, data, repeat(np.ndarray))
         )
-        arrays = [ensure_float_array(a) for a in (data if batch else (data,))]
+        arrays = [as_float_array(a) for a in (data if batch else (data,))]
         if not arrays:
             raise ValueError(f"cannot {verb} an empty batch")
         return batch, arrays
 
     def _quantise_sweep(
         self, arrays: list[np.ndarray], abs_eb, rel_eb, private: bool
-    ) -> tuple[np.ndarray, list[int], list[QuantisedField]]:
+    ) -> tuple[np.ndarray, _Sweep, list[QuantisedField]]:
         """Quantise → predict every array in one pass each.
 
-        Returns the sweep's delta grid, the caller positions of its
-        members in grid order, and the members in that order, each a view
-        of its slice of the grid.  The grid is arena scratch unless
+        Returns the sweep's ``(blocks, block_size)`` delta grid, its
+        :class:`_Sweep` and the members in caller order, each a view of
+        its slice of the grid.  The grid is arena scratch unless
         ``private`` (the members then outlive the sweep).
         """
-        bounds = [
-            resolve_error_bound(a, abs_eb=abs_eb, rel_eb=rel_eb) for a in arrays
-        ]
         bs, n_tb = self.block_size, self.n_threadblocks
         arena = get_arena()
-        groups, n_blocks = _layout(tuple((a.size, n_tb) for a in arrays), bs)
-
-        ordered = [arrays[i] for group in groups for i in group.members]
-        raw = _back_to_back(ordered, "fz.raw")
+        sweep = _layout(tuple([(a.size, n_tb) for a in arrays]), bs)
+        groups = sweep.groups
+        raw = _back_to_back(
+            [arrays[i] for i in sweep.order], "fz.raw", sweep.n_elements
+        )
+        top, bottom = float(np.maximum.reduce(raw)), float(np.minimum.reduce(raw))
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise ValueError("data contains NaN or infinite values")
+        if rel_eb is None:  # one absolute bound for every member
+            bounds = [resolve_error_bound(raw, abs_eb=abs_eb)] * len(arrays)
+        else:
+            bounds = [
+                resolve_error_bound(a, abs_eb=abs_eb, rel_eb=rel_eb) for a in arrays
+            ]
         inverse = [1.0 / (2.0 * bound) for bound in bounds]
         scales = [np.array([inverse[i] for i in group.members]) for group in groups]
         # The largest |x / 2eb| is the largest |x| times its scale.  Across
         # the whole sweep that is a bound; it is exact when the scales agree,
         # and only a bound that reaches the int32 limit needs the exact
         # per-member product (dtype and overflow must match a lone call).
-        peak = max(abs(float(raw.max())), abs(float(raw.min()))) * max(inverse)
+        peak = max(abs(top), abs(bottom)) * max(inverse)
         if peak >= 2**30:
             peak = 0.0
             for group, scale in zip(groups, scales):
@@ -445,20 +475,23 @@ class FZLight:
         # of every thread-block stays 0; its code is the thread-block's
         # outlier.
         dtype = code_dtype(peak)
+        size = sweep.n_blocks * bs
         if private:
-            grid = _free_grid(n_blocks * bs, dtype)
+            grid = _free_grid(size, dtype)
         else:
-            grid = arena.take("fz.grid", n_blocks * bs, dtype, zero=True)
+            grid = arena.take("fz.grid", size, dtype, zero=True)
         outliers = [
             np.zeros((len(group.members), n_tb), dtype=np.int64) for group in groups
         ]
         for group, scale, firsts in zip(groups, scales, outliers):
             for slots, cols, values in group.runs(grid, group.rows(raw)):
-                scaled = arena.take("fz.f64", values.shape, np.float64)
+                scaled, codes = arena.take_many((
+                    ("fz.f64", values.shape, np.float64),
+                    ("fz.codes", values.shape, dtype),
+                ))
                 np.multiply(values, scale[:, None, None], out=scaled)
                 np.rint(scaled, out=scaled)
-                codes = arena.take("fz.codes", values.shape, dtype)
-                np.copyto(codes, scaled, casting="unsafe")
+                codes[...] = scaled
                 np.subtract(codes[:, :, 1:], codes[:, :, :-1], out=slots[:, :, 1:])
                 firsts[:, cols] = codes[:, :, 0]
 
@@ -466,26 +499,22 @@ class FZLight:
         bound = 2 * math.ceil(peak)
         if private:
             bound = ensure_codable(grid, bound)
-        positions, held = [], []
+        grid = grid.reshape(sweep.n_blocks, bs)
+        held: list = [None] * len(arrays)
         for group, firsts in zip(groups, outliers):
-            per_field = group.structure.total_blocks
+            per_field = group.blocks
             for j, i in enumerate(group.members):
                 b0 = group.block0 + j * per_field
-                positions.append(i)
-                held.append(
-                    QuantisedField(
-                        n=group.structure.n,
-                        error_bound=bounds[i],
-                        block_size=bs,
-                        n_threadblocks=n_tb,
-                        outliers=firsts[j],
-                        deltas=grid[b0 * bs : (b0 + per_field) * bs].reshape(
-                            per_field, bs
-                        ),
-                        bound=bound,
-                    )
+                held[i] = QuantisedField(
+                    n=group.n,
+                    error_bound=bounds[i],
+                    block_size=bs,
+                    n_threadblocks=n_tb,
+                    outliers=firsts[j],
+                    deltas=grid[b0 : b0 + per_field],
+                    bound=bound,
                 )
-        return grid, positions, held
+        return grid, sweep, held
 
     # ------------------------------------------------------------------ #
     # decompression
@@ -508,10 +537,7 @@ class FZLight:
         if not fields:
             raise ValueError("cannot decompress an empty batch")
         out: list[np.ndarray] = []
-        for lo, hi in _sweeps(
-            [f.n for f in fields],
-            [(f.block_size, isinstance(f, QuantisedField)) for f in fields],
-        ):
+        for lo, hi in _sweeps([f.n for f in fields], [f.block_size for f in fields]):
             out += self._decompress_sweep(fields[lo:hi])
         return out if batch else out[0]
 
@@ -522,66 +548,99 @@ class FZLight:
         (each thread-block's real deltas sit in one run; padding only
         trails it), so neither they nor the dequantise pay a gather — the
         memory-access property the paper's multi-layer partitioning exists
-        to provide.  Quantised members bring that grid already decoded.
+        to provide.  Quantised members bring their deltas already decoded.
         """
         arena = get_arena()
         bs = fields[0].block_size
-        groups, n_blocks = _layout(
-            tuple((f.n, f.n_threadblocks) for f in fields), bs
-        )
-        ordered = [fields[i] for group in groups for i in group.members]
-        if isinstance(ordered[0], QuantisedField):
-            flat = _deltas_back_to_back(ordered)
-        else:
-            flat = self._decode_sweep(ordered, n_blocks, bs).reshape(-1)
-        out: list[np.ndarray | None] = [None] * len(fields)
-        for group in groups:
-            m, structure = len(group.members), group.structure
-            outliers = arena.take("fz.out", (m, structure.n_threadblocks), np.int64)
-            twice_eb = np.empty((m, 1, 1))
-            for j, i in enumerate(group.members):
+        sweep = _layout(tuple([(f.n, f.n_threadblocks) for f in fields]), bs)
+        ordered = [fields[i] for i in sweep.order]
+        flat = _delta_grid(ordered, sweep, bs).reshape(-1)
+        out: list = [None] * len(fields)
+        for group in sweep.groups:
+            m, members = len(group.members), group.members
+            outliers, twice_eb = arena.take_many((
+                ("fz.out", (m, group.structure.n_threadblocks), np.int64),
+                ("fz.eb", (m, 1, 1), np.float64),
+            ))
+            for j, i in enumerate(members):
                 outliers[j] = fields[i].outliers
                 twice_eb[j] = 2.0 * fields[i].error_bound
             # members of one geometry come back as the rows of one array
-            decoded = np.empty((m, structure.n), dtype=np.float32)
+            decoded = np.empty((m, group.n), dtype=np.float32)
             for slots, cols, values in group.runs(flat, decoded):
                 codes = arena.take("fz.codes", slots.shape, np.int64)
-                np.cumsum(slots, axis=2, dtype=np.int64, out=codes)
+                slots.cumsum(axis=2, dtype=np.int64, out=codes)
                 codes += outliers[:, cols, None]
                 np.multiply(codes, twice_eb, out=values, dtype=np.float64)
-            for j, i in enumerate(group.members):
+            for j, i in enumerate(members):
                 out[i] = decoded[j]
         return out
 
-    @staticmethod
-    def _decode_sweep(
-        ordered: list[CompressedField], n_blocks: int, bs: int
-    ) -> np.ndarray:
-        """The deltas of ``ordered``'s streams, back to back, in arena scratch."""
-        code_lengths = _back_to_back([f.code_lengths for f in ordered], "fz.lens")
-        payload = _back_to_back([f.payload for f in ordered], "fz.pay")
-        # a lone field brings its layout; a batch is one longer stream
-        layout = (
-            ordered[0].layout
-            if len(ordered) == 1
-            else stream_layout(code_lengths, bs)
-        )
-        offsets = layout.offsets
-        # a stream whose sizes disagree with its geometry would shift every
-        # later member's slice: refuse it before decoding anything
-        b0 = 0
-        for fld in ordered:
-            b1 = b0 + fld.structure.total_blocks
-            if fld.code_lengths.size != b1 - b0 or (
-                int(offsets[b1]) - int(offsets[b0]) != fld.payload.size
-            ):
-                fld.validate()  # raises, naming the mismatch
-            b0 = b1
 
-        grid = get_arena().take(
-            "fz.grid", (n_blocks, bs), np.int64 if layout.max_c > 31 else np.int32
-        )
-        return decode_blocks(code_lengths, payload, bs, out=grid, layout=layout)
+def _deltas_back_to_back(held: list[QuantisedField]) -> np.ndarray:
+    """The ``(blocks, block_size)`` deltas of ``held``, back to back, in
+    the widest of their dtypes."""
+    parts = [q.deltas for q in held]
+    if len(parts) == 1:
+        return parts[0]
+    out = get_arena().take(
+        "fz.grid",
+        (sum([p.shape[0] for p in parts]), held[0].block_size),
+        np.result_type(*parts),
+    )
+    return np.concatenate(parts, out=out)
+
+
+def _delta_grid(ordered: list, sweep: _Sweep, bs: int) -> np.ndarray:
+    """The deltas of ``ordered``'s members, back to back, in arena scratch.
+
+    The streams are decoded in one pass; a quantised member's blocks are
+    constant to that pass, and its own deltas are copied in after it.
+    """
+    held = list(map(isinstance, ordered, repeat(QuantisedField)))
+    if all(held):
+        return _deltas_back_to_back(ordered)
+    # a stream whose sizes disagree with its geometry would shift every
+    # later member's slice: refuse it before decoding anything
+    b0, wide = 0, False
+    for f, q, b1 in zip(ordered, held, sweep.block_ends):
+        if q:
+            wide = wide or f.deltas.dtype == np.int64
+        elif f.code_lengths.size != b1 - b0:
+            f.validate()  # raises, naming the mismatch
+        b0 = b1
+    code_lengths = _back_to_back(
+        [
+            np.zeros(f.deltas.shape[0], np.uint8) if q else f.code_lengths
+            for f, q in zip(ordered, held)
+        ],
+        "fz.lens",
+        sweep.n_blocks,
+    )
+    # a lone stream brings its layout; a batch is one longer stream
+    layout = (
+        ordered[0].layout
+        if len(ordered) == 1
+        else stream_layout(code_lengths, bs)
+    )
+    p0 = 0
+    ends = layout.offsets[list(sweep.block_ends)].tolist()
+    for f, q, p1 in zip(ordered, held, ends):
+        if not q and p1 - p0 != f.payload.size:
+            f.validate()
+        p0 = p1
+    payload = _back_to_back(
+        [f.payload for f, q in zip(ordered, held) if not q], "fz.pay", p0
+    )
+    wide = wide or layout.max_c > 31
+    grid = get_arena().take(
+        "fz.grid", (sweep.n_blocks, bs), np.int64 if wide else np.int32
+    )
+    decode_blocks(code_lengths, payload, bs, out=grid, layout=layout)
+    for f, q, b1 in zip(ordered, held, sweep.block_ends):
+        if q:
+            grid[b1 - f.deltas.shape[0] : b1] = f.deltas
+    return grid
 
 
 def compress(

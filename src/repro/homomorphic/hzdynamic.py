@@ -50,6 +50,8 @@ fold over all-stream operands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -127,6 +129,14 @@ class PipelineStats:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         p = self.percentages
         return " ".join(f"P{i + 1}={p[i]:.2f}%" for i in range(4))
+
+
+@lru_cache(maxsize=64)
+def _unit_weights(k: int) -> np.ndarray:
+    """The default weights, ``k`` ones (shared, so read-only)."""
+    w = np.ones(k, dtype=np.int64)
+    w.setflags(write=False)
+    return w
 
 
 def _row_copy_indices(
@@ -292,7 +302,7 @@ class HZDynamic:
         if k == 0:
             raise ValueError("reduce requires at least one field")
         if weights is None:
-            w = np.ones(k, dtype=np.int64)
+            w = _unit_weights(k)
         else:
             if len(weights) != k:
                 raise ValueError(
@@ -309,7 +319,8 @@ class HZDynamic:
                     "operands are not homomorphically compatible (need "
                     "identical length, block geometry and error bound)"
                 )
-        held = [j for j, f in enumerate(fields) if isinstance(f, QuantisedField)]
+        quantised = list(map(isinstance, fields, repeat(QuantisedField)))
+        held = [j for j, q in enumerate(quantised) if q]
         if len(held) > 1:
             raise ValueError(
                 f"at most one quantised operand per fold, got {len(held)}"
@@ -328,29 +339,34 @@ class HZDynamic:
         if held:
             # a quantised block would code to a non-zero length iff any
             # of its deltas is non-zero
-            nzmat = np.array([
-                f.deltas.any(axis=1) if j == held[0] else f.code_lengths != 0
-                for j, f in enumerate(fields)
-            ])
+            nb = fields[held[0]].deltas.shape[0]
+            nzmat = np.empty((k, nb), dtype=bool)
+            for j, f in enumerate(fields):
+                if quantised[j]:
+                    np.logical_or.reduce(f.deltas, axis=1, out=nzmat[j])
+                else:
+                    np.not_equal(f.code_lengths, 0, out=nzmat[j])
         else:
             lens_mat = np.array([f.code_lengths for f in fields])
             nzmat = lens_mat != 0
+            nb = nzmat.shape[1]
         if weights is not None:
             nzmat &= (w != 0)[:, None]
         contrib = np.add.reduce(nzmat, axis=0, dtype=np.intp)
-        nb = contrib.size
+        # blocks with no, one, and (the rest) several contributors
+        tally = np.bincount(contrib, minlength=2).tolist()
+        const_count = tally[0]
 
         # a block with one contributor is that operand's bytes verbatim —
         # unless its weight scales them, which takes the accumulator
-        single = contrib == 1
+        owner = copy_mask = None
         if weights is None:
-            owner, copy_mask = None, single
+            copy_count = tally[1]
         else:
             owner = np.argmax(nzmat, axis=0)
-            copy_mask = single & (w[owner] == 1)
-        copy_count = int(np.count_nonzero(copy_mask))
-        acc_count = int(np.count_nonzero(contrib)) - copy_count
-        const_count = nb - copy_count - acc_count
+            copy_mask = (contrib == 1) & (w[owner] == 1)
+            copy_count = int(np.add.reduce(copy_mask, dtype=np.intp))
+        acc_count = nb - const_count - copy_count
 
         if self.collect_stats:
             self.stats.fused_calls += 1
@@ -374,6 +390,7 @@ class HZDynamic:
         else:
             if owner is None:
                 owner = np.argmax(nzmat, axis=0)
+                copy_mask = contrib == 1
             code_lengths, payload, out_offsets = self._accumulate_sparse(
                 backend, fields, w, lens_mat, nzmat, owner, copy_mask,
                 ~(copy_mask | (contrib == 0)), const_count, bs,
@@ -414,15 +431,17 @@ class HZDynamic:
         dense strategy's, from partial sums taken in operand order.
         """
         own = fields[p]
-        k = len(fields)
-        # streams that add something: a constant stream decodes to zeros
-        adds = [
-            j for j, f in enumerate(fields)
-            if j != p and w[j] and f.layout.max_c
-        ]
-        bound = own.bound + sum(
-            abs(int(w[j])) * ((1 << fields[j].layout.max_c) - 1) for j in adds
-        )
+        k, nb = nzmat.shape
+        weights = w.tolist()
+        # streams that add something (a constant stream decodes to zeros),
+        # and the largest magnitude the sum can reach
+        adds, bound = [], own.bound
+        for j, f in enumerate(fields):
+            if j != p and weights[j]:
+                max_c = f.layout.max_c
+                if max_c:
+                    adds.append(j)
+                    bound += abs(weights[j]) * ((1 << max_c) - 1)
         grid = own.deltas
         if grid.dtype == np.int32 and bound > _INT32_MAX:
             grid = grid.astype(np.int64)
@@ -436,8 +455,7 @@ class HZDynamic:
         if rows and p > 0:
             acc = arena.take("hz.acc", grid.shape, grid.dtype, zero=True)
         if track:
-            zero_after = np.empty((k - 1, nzmat.shape[1]), dtype=bool)
-            zero_after[0] = ~nzmat[0]
+            zero_after = ~nzmat[:-1]  # row 0 is; rows 1.. are set below
         for j, f in enumerate(fields):
             added = j in adds
             if added:
@@ -445,8 +463,8 @@ class HZDynamic:
                     f.code_lengths, f.payload, own.block_size,
                     offsets=f.offsets, out=scratch, layout=f.layout,
                 )
-                if w[j] != 1:
-                    decoded *= int(w[j])
+                if weights[j] != 1:
+                    decoded *= weights[j]
                 np.add(acc, decoded, out=acc)
             if j == p and acc is not grid:
                 np.add(grid, acc, out=grid)
@@ -617,13 +635,12 @@ class HZDynamic:
         therefore reads ``zero_after[j-1]`` against operand *j*'s
         constancy, and all ``k − 1`` steps reduce in one vectorised pass.
         """
-        az, nz_b = zero_after, nzmat[1:]
-        # three counts fix the 2 x 2 table of (partial is zero, operand is)
-        a_zero = int(np.count_nonzero(az))
-        b_nonzero = int(np.count_nonzero(nz_b))
-        p2 = int(np.count_nonzero(az & nz_b))
-        p1, p4 = a_zero - p2, b_nonzero - p2
-        self.stats.counts += (p1, p2, az.size - p1 - p2 - p4, p4)
+        # one count of the 2 x 2 table of (operand is non-constant, partial
+        # is zero): 0 → pipeline 3, 1 → 1, 2 → 4, 3 → 2
+        table = nzmat[1:] * 2
+        table += zero_after
+        p3, p1, p4, p2 = np.bincount(table.reshape(-1), minlength=4).tolist()
+        self.stats.counts += (p1, p2, p3, p4)
 
     def _record_fold_step(self, azero: np.ndarray, bzero: np.ndarray) -> np.ndarray:
         """Record one fold step's pipeline counts; returns pipeline-4 rows.

@@ -20,8 +20,10 @@ Rules of the road:
   :meth:`~ScratchArena.clear` to release them (tests, memory-pressure
   hooks).
 * A view is built once per ``(tag, shape, dtype)`` and handed out again
-  until the tag's buffer is replaced: a kernel asks for the same few dozen
-  views on every call, and constructing one costs more than the lookup.
+  until the tag's buffer is replaced: a kernel asks for the same views on
+  every call, and constructing one costs more than the lookup.  A kernel
+  takes all of its scratch in one :meth:`~ScratchArena.take_many` call,
+  sized for the whole stream, and slices it per group.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["ScratchArena", "get_arena"]
+__all__ = ["ScratchArena", "bucket", "get_arena"]
 
 #: Views remembered per arena.  A view is ~100 bytes and holds no data of
 #: its own, but shapes follow the data (one per group size), so the memo is
@@ -44,6 +46,7 @@ class ScratchArena:
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
         self._views: dict[tuple, np.ndarray] = {}
+        self._sets: dict[tuple, tuple[np.ndarray, ...]] = {}
         #: Count of backing-buffer creations/growths since construction (or
         #: the last :meth:`clear`).  A warmed steady state must not move
         #: this — the allocation-freedom tests pin exactly that.
@@ -75,6 +78,21 @@ class ScratchArena:
             view.fill(0)
         return view
 
+    def take_many(self, requests: tuple) -> tuple[np.ndarray, ...]:
+        """Views for several ``(tag, shape, dtype)`` requests, one lookup.
+
+        The same as one :meth:`take` per request, remembered as a set: a
+        kernel asks for the same set on every call.  The tags of one
+        request must differ (views of one tag alias).
+        """
+        views = self._sets.get(requests)
+        if views is None:
+            views = tuple([self.take(*request) for request in requests])
+            if len(self._sets) >= VIEW_MEMO_ENTRIES:
+                self._sets.clear()
+            self._sets[requests] = views
+        return views
+
     def _new_view(self, tag: str, shape, dtype) -> np.ndarray:
         """Size ``tag``'s buffer for the request and build the view on it."""
         if isinstance(shape, (int, np.integer)):
@@ -96,6 +114,7 @@ class ScratchArena:
             # again: they would keep it alive and alias nothing current
             for stale in [key for key in self._views if key[0] == tag]:
                 del self._views[stale]
+            self._sets.clear()
         return buf[:nbytes].view(dtype).reshape(shape)
 
     @property
@@ -111,7 +130,15 @@ class ScratchArena:
         """Drop every buffer (memory is released to the allocator)."""
         self._buffers.clear()
         self._views.clear()
+        self._sets.clear()
         self.allocations = 0
+
+
+def bucket(n: int) -> int:
+    """``n`` rounded up to a power of two.  Scratch sized by a stream's
+    payload varies call by call; requested in buckets and sliced, it comes
+    in a few sizes whose views are found again."""
+    return 1 << (n - 1).bit_length() if n > 1 else n
 
 
 _TLS = threading.local()
@@ -119,8 +146,8 @@ _TLS = threading.local()
 
 def get_arena() -> ScratchArena:
     """The calling thread's arena (created on first use)."""
-    arena = getattr(_TLS, "arena", None)
-    if arena is None:
-        arena = ScratchArena()
-        _TLS.arena = arena
-    return arena
+    try:
+        return _TLS.arena
+    except AttributeError:
+        arena = _TLS.arena = ScratchArena()
+        return arena

@@ -204,12 +204,21 @@ def get_backend(name: str | None = None) -> KernelBackend:
     and GB/s histograms (``kernel.<backend>.<op>.*``); the disabled path
     returns the raw backend and pays one attribute load.
     """
-    _probe_builtins()
-    resolved = _resolve_name(name)
-    try:
-        backend = _registry[resolved]
-    except KeyError:  # pragma: no cover - _resolve_name validates first
-        raise _unknown_backend_error(resolved) from None
+    if not _probed:
+        _probe_builtins()
+    backend = None
+    if name is None:
+        # the innermost use_backend scope holds a resolved name already
+        try:
+            backend = _registry.get(_tls.stack[-1])
+        except (AttributeError, IndexError):
+            pass
+    if backend is None:
+        resolved = _resolve_name(name)
+        try:
+            backend = _registry[resolved]
+        except KeyError:  # pragma: no cover - _resolve_name validates first
+            raise _unknown_backend_error(resolved) from None
     if METRICS.enabled:
         return _instrumented(backend)
     return backend

@@ -3,30 +3,27 @@
 This is the reworked hot path behind :mod:`repro.compression.encoding`.
 Relative to the original in-module kernels it
 
-* walks one :class:`~repro.kernels.plan.StreamLayout` per stream — the
-  groups of a single stable radix argsort, each with its row size, its
-  slice / run copies / gather indices already worked out — instead of
-  ``np.unique`` plus a full ``code_lengths == c`` scan and fancy gather
-  per distinct code length.  A layout is a pure function of the code
-  lengths, so it is built once per signature and shared: the encoder asks
-  for the one of the stream it emits, a field hands its own to
+* works on one :class:`~repro.kernels.plan.StreamLayout` per stream,
+  whose staging regroups the payload by kind of byte — the sign bits of
+  every non-constant block, each byte plane of the blocks that have it,
+  each code length's residual bits — so a kernel moves every plane of
+  every code length with one vectorised copy, and one gather (decode) or
+  scatter (encode) moves the payload.  A layout is a pure function of the
+  code lengths, built once per signature and shared: the encoder asks for
+  the one of the stream it emits, a field hands its own to
   ``decode_blocks`` / ``reduce_fused``, and nothing about a stream is
   derived twice;
-* serves every temporary (magnitude planes, sign masks, index matrices,
-  per-group row buffers) from the thread-local scratch
-  :class:`~repro.kernels.arena.ScratchArena`, so steady-state calls make no
-  large allocations;
+* takes all of a call's temporaries in one
+  :meth:`~repro.kernels.arena.ScratchArena.take_many` from the
+  thread-local arena, sized for the whole stream and sliced per group, so
+  steady-state calls make no large allocations;
 * moves payload bytes at word granularity: when ``block_size % 32 == 0``
-  every row size and offset is a multiple of 4, so gathers/scatters run on
-  a ``uint32`` view with 4× smaller index matrices — and groups whose
-  blocks are consecutive in the stream collapse to plain slice copies
-  (zero-copy views on the decode side);
-* replaces the per-bit Horner loops of the residual-bit codec with
-  ``packbits``/sliding-``uint16``-window kernels, and the masked
-  ``np.negative(..., where=signs)`` with a branchless xor/subtract;
-* keeps the gather/scatter index matrices it still has to build (streams
-  too long for their layout to keep them) in ``int32`` whenever the payload
-  is under 2 GiB, halving the index-construction traffic;
+  every row size and offset is a multiple of 4, so the staging gather /
+  scatter runs on a ``uint32`` view with a 4× smaller index, ``int32``
+  whenever the payload is under 2 GiB;
+* reads byte planes straight off the magnitudes' bytes, packs eight
+  residuals with one integer product, unpacks them through a sliding
+  ``uint16`` window, and signs every row with one branchless xor/subtract;
 * classifies a block by one OR-reduction over the ``uint32`` magnitudes
   the payload is built from, and folds in ``int32`` whenever the operands'
   code lengths prove the sum fits.
@@ -37,18 +34,13 @@ to the Numba backend) — the wire format is pinned by the parity suite.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 import numpy as np
 
-from .arena import ScratchArena, get_arena
-from .plan import (
-    GroupLayout,
-    StreamLayout,
-    flat_row_indices,
-    required_bits,
-    stream_layout,
-)
+from .arena import ScratchArena, bucket, get_arena
+from .plan import Staging, StreamLayout, required_bits, stream_layout
 
 __all__ = [
     "NAME",
@@ -77,8 +69,23 @@ _OVERFLOW_MSG = (
 
 
 # --------------------------------------------------------------------- #
-# row movement: slice fast paths + word-granularity gather/scatter
+# staging: one gather in, one scatter out
 # --------------------------------------------------------------------- #
+#: where byte ``k`` of a native ``uint32`` sits in its four bytes
+_BYTE = (0, 1, 2, 3) if sys.byteorder == "little" else (3, 2, 1, 0)
+#: the low ``r`` bytes of a native ``uint64``, most significant first
+_LOW_BYTES = [
+    slice(r - 1, None, -1) if sys.byteorder == "little" else slice(8 - r, None)
+    for r in range(8)
+]
+#: per residual width ``r``, the weights that merge eight ``r``-bit values
+#: into one big-endian ``8·r``-bit word
+_MERGE = [
+    np.left_shift(np.uint64(1), np.arange(7, -1, -1, dtype=np.uint64) * np.uint64(r))
+    for r in range(8)
+]
+
+
 def _word_view(payload: np.ndarray, layout: StreamLayout) -> np.ndarray | None:
     """``uint32`` view of ``payload`` when the geometry/alignment allows it.
 
@@ -93,120 +100,48 @@ def _word_view(payload: np.ndarray, layout: StreamLayout) -> np.ndarray | None:
     return words if words.flags.aligned else None
 
 
-def _row_indices(
-    group: GroupLayout,
-    layout: StreamLayout,
-    unit: int,
-    arena: ScratchArena,
+def _in_units(
+    payload: np.ndarray, layout: StreamLayout, arena: ScratchArena
 ) -> np.ndarray:
-    """Flat ``unit``-byte indices of the group's rows in the payload.
-
-    The layout's own when it keeps them at this granularity; otherwise
-    built into scratch, in ``int32`` whenever the payload is under 2 GiB.
-    """
-    if unit == layout.unit:
-        if group.index is not None:
-            return group.index
-        first = group.first
-    else:  # a word-granular layout over a payload that is not word-aligned
-        first = group.first * layout.unit
-    idx_dtype = np.int32 if int(layout.offsets[-1]) < 2**31 else np.int64
-    width = group.row_nbytes // unit
-    out = arena.take("mv.idx", (group.ng, width), idx_dtype)
-    return flat_row_indices(first, width, out=out)
+    """``payload`` as an array of the layout's ``unit``-byte elements: the
+    word view, or, for a payload that does not start on a word boundary
+    (a caller's slice), a word-aligned copy in scratch."""
+    if layout.unit == 1:
+        return payload
+    words = _word_view(payload, layout)
+    if words is None:
+        words = arena.take("mv.words", -(-payload.size // 4), np.uint32)
+        words.view(np.uint8)[: payload.size] = payload
+    return words
 
 
-def _gather_rows(
-    group: GroupLayout,
-    layout: StreamLayout,
-    payload: np.ndarray,
-    pay32: np.ndarray | None,
-    arena: ScratchArena,
-) -> np.ndarray:
-    """Collect the group's ``(ng, row_nbytes)`` payload rows."""
-    ng, row_nbytes = group.ng, group.row_nbytes
-    if group.lo >= 0:
-        return payload[group.lo : group.lo + ng * row_nbytes].reshape(
-            ng, row_nbytes
-        )
-    rows = arena.take("mv.rows", (ng, row_nbytes), np.uint8)
-    if group.runs is not None:
-        flat = arena.take("mv.rows", ng * row_nbytes, np.uint8)
-        for r0, r1, lo in group.runs:
-            flat[r0:r1] = payload[lo : lo + r1 - r0]
-    elif pay32 is not None:
-        pay32.take(
-            _row_indices(group, layout, 4, arena),
-            out=arena.take("mv.rows", ng * row_nbytes // 4, np.uint32),
-        )
-    else:
-        payload.take(
-            _row_indices(group, layout, 1, arena),
-            out=arena.take("mv.rows", ng * row_nbytes, np.uint8),
-        )
-    return rows
-
-
-def _scatter_rows(
-    group: GroupLayout,
-    layout: StreamLayout,
-    rows: np.ndarray,
-    payload: np.ndarray,
-    pay32: np.ndarray | None,
-    arena: ScratchArena,
-) -> None:
-    """Place the group's encoded ``rows`` into the payload (inverse gather)."""
-    if group.runs is not None:
-        flat = rows.reshape(-1)
-        for r0, r1, lo in group.runs:
-            payload[lo : lo + r1 - r0] = flat[r0:r1]
-    elif pay32 is not None:
-        pay32[_row_indices(group, layout, 4, arena)] = rows.view(
-            np.uint32
-        ).reshape(-1)
-    else:
-        payload[_row_indices(group, layout, 1, arena)] = rows.reshape(-1)
+def _index(layout: StreamLayout, staging: Staging, arena: ScratchArena) -> np.ndarray:
+    """The staging index: the layout's own, or built into scratch (in
+    ``int32`` whenever the payload is under 2 GiB)."""
+    if staging.index is not None:
+        return staging.index
+    dtype = np.int32 if int(layout.offsets[-1]) < 2**31 else np.int64
+    n = staging.nbytes // layout.unit
+    return layout.staged_index(staging, arena.take("mv.idx", bucket(n), dtype)[:n])
 
 
 # --------------------------------------------------------------------- #
-# per-group codecs
+# residual bits (the only per-group work)
 # --------------------------------------------------------------------- #
-def _encode_group(
-    mags: np.ndarray,
-    signs: np.ndarray,
-    c: int,
-    out: np.ndarray,
-    arena: ScratchArena,
-) -> None:
-    """Encode equal-code-length blocks into ``(ng, bs//8·(1+c))`` rows."""
-    ng, bs = mags.shape
-    unit = bs // 8
-    out[:, :unit] = np.packbits(signs, axis=1)
-    byte_count, rem = c // 8, c % 8
-    pos = unit
-    for k in range(byte_count):
-        if k == 0:
-            out[:, pos : pos + bs] = mags  # unsafe cast keeps the low byte
-        else:
-            t = arena.take("cg.t32", (ng, bs), np.uint32)
-            np.right_shift(mags, np.uint32(8 * k), out=t)
-            out[:, pos : pos + bs] = t
-        pos += bs
-    if rem:
-        t = arena.take("cg.t32", (ng, bs), np.uint32)
-        np.right_shift(mags, np.uint32(8 * byte_count), out=t)
-        np.bitwise_and(t, np.uint32((1 << rem) - 1), out=t)
-        r8 = arena.take("cg.r8", (ng, bs), np.uint8)
-        if rem == 1:
-            r8[...] = t
-            out[:, pos:] = np.packbits(r8, axis=1)
-        else:
-            # left-align the residual in its byte, then unpackbits exposes
-            # exactly the rem leading bits of each element for one packbits
-            np.left_shift(t, np.uint32(8 - rem), out=t)
-            r8[...] = t
-            bits = np.unpackbits(r8, axis=1).reshape(ng, bs, 8)[:, :, :rem]
-            out[:, pos:] = np.packbits(bits.reshape(ng, bs * rem), axis=1)
+def _encode_residual(high: np.ndarray, rem: int, out: np.ndarray) -> None:
+    """Pack ``(ng, bs)`` residuals (each below ``2**rem``) into the
+    ``(ng, rem·bs/8)`` rows ``out``, ``rem`` bits per element, MSB first."""
+    if rem == 1:
+        out[...] = np.packbits(high, axis=1)
+        return
+    # eight rem-bit residuals are rem bytes, big-endian: one product with
+    # the weights 2**(rem·(7-j)) merges them, and the low rem bytes of the
+    # 64-bit word are the packed bits
+    ng, bs = high.shape
+    words = (high.reshape(-1, 8) @ _MERGE[rem]).view(np.uint8)
+    out.reshape(ng, bs // 8, rem)[...] = words.reshape(ng, bs // 8, 8)[
+        :, :, _LOW_BYTES[rem]
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -226,73 +161,26 @@ def _residual_window(rem: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
     return first_byte, shift
 
 
-def _decode_group(
-    rows: np.ndarray,
-    c: int,
-    bs: int,
-    target: np.ndarray,
-    arena: ScratchArena,
-) -> None:
-    """Decode equal-code-length rows into signed ``target`` ``(ng, bs)``."""
-    ng = rows.shape[0]
-    unit = bs // 8
-    byte_count, rem = c // 8, c % 8
-    pos = unit
-    if target.dtype == np.int32:
-        # magnitudes < 2**31 here, so the int32 rows double as the u32
-        # accumulator — one full write pass saved
-        acc = target.view(np.uint32)
-    else:
-        acc = arena.take("cg.acc", (ng, bs), np.uint32)
-    filled = False
-    for k in range(byte_count):
-        if k == 0:
-            acc[...] = rows[:, pos : pos + bs]
-            filled = True
-        else:
-            t = arena.take("cg.t32", (ng, bs), np.uint32)
-            t[...] = rows[:, pos : pos + bs]
-            np.left_shift(t, np.uint32(8 * k), out=t)
-            np.bitwise_or(acc, t, out=acc)
-        pos += bs
-    if rem:
-        if rem == 1:
-            bits = np.unpackbits(np.ascontiguousarray(rows[:, pos:]), axis=1)
-            high = bits
-        else:
-            # sliding uint16 window over the packed residual bytes: each
-            # element's rem bits live in (at most) two adjacent bytes, so
-            # one gather + one variable shift recovers every value
-            packed = rows[:, pos:]
-            w = arena.take("cg.w16", packed.shape, np.uint16)
-            w[...] = packed
-            np.left_shift(w, np.uint16(8), out=w)
-            w[:, :-1] |= packed[:, 1:]
-            first_byte, shift = _residual_window(rem, bs)
-            g16 = arena.take("cg.g16", (ng, bs), np.uint16)
-            w.take(first_byte, axis=1, out=g16)
-            np.right_shift(g16, shift, out=g16)
-            np.bitwise_and(g16, np.uint16((1 << rem) - 1), out=g16)
-            high = g16
-        if byte_count:
-            t = arena.take("cg.t32", (ng, bs), np.uint32)
-            t[...] = high
-            np.left_shift(t, np.uint32(8 * byte_count), out=t)
-            np.bitwise_or(acc, t, out=acc)
-        else:
-            acc[...] = high
-            filled = True
-    if not filled:  # c == 0 never reaches here; defensive only
-        acc.fill(0)
-    if target.dtype != np.int32:
-        target[...] = acc
-    # branchless sign: x -> (x ^ -s) - (-s)·... i.e. (x ^ m) - m, m = -s
-    sign_bits = np.unpackbits(np.ascontiguousarray(rows[:, :unit]), axis=1)
-    m = arena.take("cg.sgn", (ng, bs), target.dtype)
-    m[...] = sign_bits
-    np.negative(m, out=m)
-    np.bitwise_xor(target, m, out=target)
-    np.subtract(target, m, out=target)
+def _decode_residual(
+    packed: np.ndarray, rem: int, bs: int, w16: np.ndarray
+) -> np.ndarray:
+    """The ``(ng, bs)`` residuals packed ``rem`` bits each in ``packed``.
+
+    ``w16`` is ``uint16`` scratch of at least ``(ng, rem·bs/8)``.
+    """
+    if rem == 1:
+        return np.unpackbits(packed, axis=1)
+    # sliding uint16 window over the packed residual bytes: each element's
+    # rem bits live in (at most) two adjacent bytes, so one gather + one
+    # variable shift recovers every value
+    w = w16[:, : packed.shape[1]]
+    np.left_shift(packed, 8, out=w, dtype=np.uint16)
+    w[:, :-1] |= packed[:, 1:]
+    first_byte, shift = _residual_window(rem, bs)
+    high = w[:, first_byte]
+    high >>= shift
+    high &= (1 << rem) - 1
+    return high
 
 
 # --------------------------------------------------------------------- #
@@ -305,7 +193,6 @@ def encode_with_offsets(
 
     The offsets are the emitted stream's shared layout's, hence read-only.
     """
-    arena = get_arena()
     deltas = np.ascontiguousarray(deltas)
     nb, bs = deltas.shape
     if nb == 0:
@@ -314,7 +201,12 @@ def encode_with_offsets(
     # A block's code length is the bit length of its largest magnitude,
     # which is the bit length of the OR of all of them: one reduction over
     # the magnitudes the payload is built from anyway.
-    mags = arena.take("enc.mags", deltas.shape, np.uint32)
+    arena = get_arena()
+    mags, negative, staged_mags = arena.take_many((
+        ("enc.mags", deltas.shape, np.uint32),
+        ("enc.signs", deltas.shape, np.bool_),
+        ("enc.smags", deltas.shape, np.uint32),
+    ))
     if deltas.dtype == np.int32:
         # abs maps -2**31 onto itself, whose uint32 view is exactly 2**31
         np.abs(deltas, out=mags.view(np.int32))
@@ -335,29 +227,36 @@ def encode_with_offsets(
     payload = np.empty(total, dtype=np.uint8)
     if total == 0:
         return code_lengths, payload, offsets
-    signs = arena.take("enc.signs", deltas.shape, np.bool_)
-    np.less(deltas, 0, out=signs)
-    pay32 = _word_view(payload, layout)
-    for group in layout.groups:
-        c, ng = group.c, group.ng
-        if c == 0:
-            continue
-        if group.row0 >= 0:
-            gm = mags[group.row0 : group.row0 + ng]
-            gs = signs[group.row0 : group.row0 + ng]
-        else:
-            gm = arena.take("enc.gmags", (ng, bs), np.uint32)
-            mags.take(group.rows, axis=0, out=gm)
-            gs = arena.take("enc.gsigns", (ng, bs), np.bool_)
-            signs.take(group.rows, axis=0, out=gs)
-        if group.lo >= 0:
-            # one run of blocks: encode straight into its payload slice
-            rows = payload[group.lo : group.lo + ng * group.row_nbytes]
-            _encode_group(gm, gs, c, rows.reshape(ng, group.row_nbytes), arena)
-        else:
-            rows = arena.take("enc.rows", (ng, group.row_nbytes), np.uint8)
-            _encode_group(gm, gs, c, rows, arena)
-            _scatter_rows(group, layout, rows, payload, pay32, arena)
+    staging = layout.staging
+    staged = arena.take("enc.pay", bucket(total), np.uint8)
+    live, order = staging.live, staging.order[staging.live :]
+    # the live rows' magnitudes and sign bits, staged: one gather each
+    mags.take(order, axis=0, out=staged_mags[live:])
+    np.less(deltas, 0, out=negative)
+    np.packbits(negative, axis=1).take(
+        order, axis=0, out=staged[: (nb - live) * (bs // 8)].reshape(nb - live, bs // 8)
+    )
+    # every byte plane with one copy for all the rows that have it
+    m8 = staged_mags.view(np.uint8).reshape(nb, bs, 4)
+    for k, (first, lo) in enumerate(staging.planes):
+        plane = staged[lo : lo + (nb - first) * bs].reshape(nb - first, bs)
+        # the lowest plane by the cast (it keeps the low byte), contiguous
+        plane[...] = m8[first:, :, _BYTE[k]] if k else staged_mags[first:]
+    # the residual bits: byte c // 8 of every magnitude, below 2**(c % 8)
+    for c, ng, _, _, r0, lo in staging.groups:
+        if lo >= 0:
+            rem = c & 7
+            _encode_residual(
+                m8[r0 : r0 + ng, :, _BYTE[c >> 3]],
+                rem,
+                staged[lo : lo + ng * rem * (bs // 8)].reshape(ng, rem * (bs // 8)),
+            )
+    # one scatter puts every staged byte where the stream keeps it
+    index, staged = _index(layout, staging, arena), staged[:total]
+    if layout.unit == 4:  # both fresh, so word-aligned
+        payload.view(np.uint32)[index] = staged.view(np.uint32)
+    else:
+        payload[index] = staged
     return code_lengths, payload, offsets
 
 
@@ -448,25 +347,62 @@ def _decode_grouped(
     out: np.ndarray,
     arena: ScratchArena,
 ) -> None:
-    """Shared decode driver: one gather + one group decode per code length."""
-    block_size = layout.block_size
-    pay32 = _word_view(payload, layout)
-    for group in layout.groups:
-        ng = group.ng
-        if group.c == 0:
-            if group.row0 >= 0:
-                out[group.row0 : group.row0 + ng] = 0
-            else:
-                out[group.rows] = 0
-            continue
-        rows = _gather_rows(group, layout, payload, pay32, arena)
-        if group.row0 >= 0:  # output rows contiguous: in place
-            target = out[group.row0 : group.row0 + ng]
-            _decode_group(rows, group.c, block_size, target, arena)
+    """Shared decode driver: stage the payload with one gather, move every
+    byte plane into the staged rows with one copy each, add each group's
+    residual bits, apply every sign at once, and put the rows where
+    ``out`` keeps them with one scatter."""
+    staging = layout.staging
+    (n, bs), dtype = out.shape, out.dtype
+    live = staging.live
+    units = _in_units(payload, layout, arena)
+    requests = (
+        ("dec.rows", out.shape, dtype),
+        ("dec.sign", out.shape, dtype),
+        ("dec.w16", out.shape, np.uint16),
+        ("dec.pay", bucket(staging.nbytes // layout.unit), units.dtype),
+    )
+    if dtype != np.int32:
+        requests += (("dec.acc", out.shape, np.uint32),)
+    rows, sign, w16, staged, *acc = arena.take_many(requests)
+    staged = staged[: staging.nbytes // layout.unit]
+    staged = units.take(_index(layout, staging, arena), out=staged).view(np.uint8)
+    # magnitudes < 2**31 when the rows are int32, so they double as the
+    # uint32 accumulator
+    acc = acc[0] if acc else rows.view(np.uint32)
+    acc8 = acc.view(np.uint8).reshape(n, bs, 4)
+    for k, (first, lo) in enumerate(staging.planes):
+        plane = staged[lo : lo + (n - first) * bs].reshape(n - first, bs)
+        # the lowest plane as whole words clears the bytes above it
+        if k:
+            acc8[first:, :, _BYTE[k]] = plane
         else:
-            dec = arena.take("dec.rows", (ng, block_size), out.dtype)
-            _decode_group(rows, group.c, block_size, dec, arena)
-            out[group.rows] = dec
+            acc[first:] = plane
+    for c, ng, _, _, r0, lo in staging.groups:
+        if lo >= 0:
+            rem, r1 = c & 7, r0 + ng
+            high = _decode_residual(
+                staged[lo : lo + ng * rem * (bs // 8)].reshape(ng, rem * (bs // 8)),
+                rem,
+                bs,
+                w16[r0:r1],
+            )
+            if c >> 3:
+                acc8[r0:r1, :, _BYTE[c >> 3]] = high
+            else:
+                acc[r0:r1] = high
+    rows[:live] = 0
+    value, m = rows[live:], sign[live:]
+    if dtype != np.int32:
+        value[...] = acc[live:]
+    # branchless sign: x -> (x ^ m) - m with m = -s
+    np.negative(
+        np.unpackbits(staged[: (n - live) * (bs // 8)].reshape(n - live, bs // 8), axis=1),
+        out=m,
+        dtype=dtype,
+    )
+    np.bitwise_xor(value, m, out=value)
+    np.subtract(value, m, out=value)
+    out[staging.order] = rows
 
 
 # --------------------------------------------------------------------- #

@@ -14,16 +14,19 @@ passes over the code-length array, plus a fancy gather per group.  A
 :class:`GroupingPlan` replaces all of that with **one** stable argsort
 (radix sort for uint8 keys, O(n)): group ``g`` is simply the contiguous
 slice ``order[bounds[g]:bounds[g+1]]``, already sorted by block index
-within the group (stability), which is what makes the contiguous-run fast
-paths in the backends possible.
+within the group (stability).
 
-Both are pure functions of ``(code_lengths, block_size)``, and so is
-everything the grouped kernels derive from them per group: the row size,
-whether the group's blocks are one slice of the payload, where its runs
-start, the flat gather/scatter indices.  A :class:`StreamLayout` holds all
-of that, built **once** per code-length signature (:func:`stream_layout`,
-a small LRU keyed on the code-length bytes) and shared, read-only, by every
-field and every kernel call that sees the same signature.
+Both are pure functions of ``(code_lengths, block_size)``, and so is what
+the grouped kernels work on: the stream *staged* in that order
+(:class:`Staging`) — every group's rows one slice of the staged block
+grid, every kind of byte (sign bits, each byte plane, each group's
+residual bits) one slice of the staged payload, and the index that moves
+a payload into staged order (one gather) or back (one scatter).  A :class:`StreamLayout` holds all of that, built **once** per
+code-length signature (:func:`stream_layout`, a small LRU keyed on the
+code-length bytes) and shared, read-only, by every field and every kernel
+call that sees the same signature.  A build is a few whole-stream array
+operations however many groups the stream has, since a ring encodes a
+stream of a new signature on every round.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -39,6 +43,7 @@ import numpy as np
 __all__ = [
     "GroupingPlan",
     "GroupLayout",
+    "Staging",
     "StreamLayout",
     "stream_layout",
     "required_bits",
@@ -51,26 +56,26 @@ LAYOUT_CACHE_ENTRIES = 256
 #: ... and at most this many bytes of them; a layout over an eighth of the
 #: budget is handed out but never kept.
 LAYOUT_CACHE_BYTES = 1 << 20
-#: A group split into runs averaging at least this many rows is moved by
-#: one slice copy per run; shorter runs by one gather over index arrays.
-MIN_RUN_ROWS = 8
-#: A layout keeps flat gather/scatter indices when its whole payload has at
-#: most this many elements to index (fields up to about 64 KB).  Beyond it
+#: A layout keeps its staging index when its whole payload has at most
+#: this many elements to index (fields up to about 64 KB).  Beyond it
 #: building them is a per cent of the kernel time, and keeping them would
 #: cost twice the memory of the payload they index.
 INDEX_CACHE_ENTRIES = 4096
 
 
+#: ``2**b`` for every bit a magnitude the format admits can have
+_POWERS_OF_TWO = np.left_shift(1, np.arange(32, dtype=np.int64))
+_POWERS_OF_TWO.setflags(write=False)
+
+
 def required_bits(max_magnitudes: np.ndarray) -> np.ndarray:
     """Bit width needed to store each magnitude (0 for zero).
 
-    ``bits(m) = floor(log2(m)) + 1`` for ``m > 0``, which is exactly the
-    binary exponent ``np.frexp`` returns (float64 represents every uint32
-    value exactly, so the result is exact for all magnitudes the format
-    admits — and frexp is cheaper than the log2/ceil formulation).
+    ``bits(m) = floor(log2(m)) + 1`` for ``m > 0``: the number of powers
+    of two at most ``m``, which one binary search per magnitude counts
+    exactly for every magnitude below ``2**32`` the format admits.
     """
-    m = np.asarray(max_magnitudes)
-    return np.frexp(m)[1].astype(np.uint8)
+    return _POWERS_OF_TWO.searchsorted(max_magnitudes, side="right").astype(np.uint8)
 
 
 def block_payload_nbytes(code_lengths: np.ndarray, block_size: int) -> np.ndarray:
@@ -81,13 +86,34 @@ def block_payload_nbytes(code_lengths: np.ndarray, block_size: int) -> np.ndarra
     return sizes
 
 
+@lru_cache(maxsize=16)
+def _row_nbytes(block_size: int) -> np.ndarray:
+    """:func:`block_payload_nbytes` of every ``uint8`` code length."""
+    table = block_payload_nbytes(np.arange(256), block_size)
+    table.setflags(write=False)
+    return table
+
+
 def payload_offsets(code_lengths: np.ndarray, block_size: int) -> np.ndarray:
-    """Exclusive prefix sum of payload sizes: ``(n_blocks + 1,)`` offsets."""
-    sizes = block_payload_nbytes(code_lengths, block_size)
-    offsets = np.empty(sizes.size + 1, dtype=np.int64)
+    """Exclusive prefix sum of payload sizes: ``(n_blocks + 1,)`` offsets.
+
+    The code lengths are ``uint8`` by the format (every stream is
+    validated to at most 32), so each size is one table lookup.
+    """
+    c = code_lengths if type(code_lengths) is np.ndarray else np.asarray(code_lengths)
+    offsets = np.empty(c.size + 1, dtype=np.int64)
     offsets[0] = 0
-    np.cumsum(sizes, out=offsets[1:])
+    sizes = _row_nbytes(block_size).take(c, out=offsets[1:])
+    np.add.accumulate(sizes, out=sizes)
     return offsets
+
+
+def _sort_and_count(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """One stable O(n) radix argsort of ``uint8`` keys (read-only) and the
+    count of every value up to the largest: the groups, in order."""
+    order = keys.argsort(kind="stable")
+    order.setflags(write=False)
+    return order, np.bincount(keys, minlength=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -115,15 +141,9 @@ class GroupingPlan:
     @classmethod
     def from_code_lengths(cls, code_lengths: np.ndarray) -> "GroupingPlan":
         """Build the plan with one O(n) radix argsort of the uint8 keys."""
-        keys = np.asarray(code_lengths)
-        order = keys.argsort(kind="stable")
-        order.setflags(write=False)
-        if not keys.size:
-            return cls(order=order, values=(), bounds=(0,))
-        sorted_c = keys[order]
-        changes = (sorted_c[1:] != sorted_c[:-1]).nonzero()[0].tolist()
-        bounds = (0, *[i + 1 for i in changes], keys.size)
-        values = tuple(sorted_c[list(bounds[:-1])].tolist())
+        order, counts = _sort_and_count(np.asarray(code_lengths))
+        values = tuple([c for c, count in enumerate(counts) if count])
+        bounds = tuple(accumulate([counts[c] for c in values], initial=0))
         return cls(order=order, values=values, bounds=bounds)
 
     @property
@@ -140,34 +160,64 @@ class GroupingPlan:
 class GroupLayout(NamedTuple):
     """One equal-code-length group of a :class:`StreamLayout`.
 
-    ``rows`` are the group's rows in the decoded block grid, ascending.
-    Its payload bytes are found in exactly one of three ways: ``lo >= 0``
-    — the blocks are one run, so the bytes are the slice starting there;
-    ``runs`` — a few long runs, each a ``(row byte start, row byte stop,
-    payload byte start)`` slice copy; otherwise ``first`` holds every
-    block's payload offset in the layout's ``unit``-byte elements, and
-    ``index`` (small streams only) the flat gather/scatter indices built
-    from it.
+    ``rows`` are the group's rows in the block grid, ascending; staged
+    (:class:`Staging`) they are rows ``r0 .. r0 + ng``.  Its sign bits and
+    byte planes are staged with every other group's; its residual bits
+    (``c % 8`` per element) are one slice of the staged payload: ``ng``
+    rows of ``(c % 8) · block_size / 8`` bytes from byte ``lo`` (-1 when
+    ``c % 8 == 0``).
     """
 
     c: int
     ng: int
     row_nbytes: int  # 0 for the constant group, which stores nothing
     rows: np.ndarray
-    row0: int  # first row when ``rows`` is one run, else -1
+    r0: int
     lo: int
-    runs: tuple[tuple[int, int, int], ...] | None
-    first: np.ndarray | None
+
+
+#: a ``GroupLayout`` from the tuple of its fields, with no Python-level
+#: constructor call (a layout build makes one per group)
+_group = partial(tuple.__new__, GroupLayout)
+
+
+class Staging(NamedTuple):
+    """A stream's payload regrouped by kind of byte, as the kernels work.
+
+    Staged rows are the blocks in code-length order: ``order`` maps each
+    to its row of the block grid (ascending within a group), ``starts`` to
+    where its bytes start in the payload, in ``unit``-byte elements.  The
+    constant rows come first; rows ``live`` onwards store something.  The
+    staged payload holds, back to back, the sign bits of every live row,
+    then byte plane ``k`` of every row that has one — rows whose code
+    length is at least ``8 (k + 1)``, a run of staged rows from
+    ``planes[k][0]``, from staged byte ``planes[k][1]`` — then each
+    group's residual bits.  So every kind of byte is one slice, one
+    vectorised operation for all groups; only the residual bits differ per
+    group.  ``index`` (small streams only) holds, for each staged element,
+    the payload element it is: one gather stages a payload, one scatter
+    writes one back.
+    """
+
+    groups: tuple[GroupLayout, ...]
+    order: np.ndarray
+    starts: np.ndarray
     index: np.ndarray | None
+    live: int
+    planes: tuple[tuple[int, int], ...]
+    nbytes: int  # of the staged payload
+    #: every slice of the staged payload as ``(first row, rows, first
+    #: element within a row, elements per row, first staged element)``
+    sections: tuple[tuple[int, int, int, int, int], ...]
 
 
 class StreamLayout:
     """Everything the grouped kernels derive from one code-length signature.
 
     ``offsets`` and ``max_c`` are computed on construction (every backend
-    needs them); ``groups`` on first use, since only the grouped NumPy
-    kernels walk them.  Nothing refers to a payload, so one layout serves
-    every stream with these code lengths — get the shared one from
+    needs them); the :class:`Staging` on first use, since only the grouped
+    NumPy kernels walk it.  Nothing refers to a payload, so one layout
+    serves every stream with these code lengths — get the shared one from
     :func:`stream_layout`.  The constructor keeps ``code_lengths`` and
     ``offsets`` as given: hand it arrays nobody will write to.
 
@@ -175,8 +225,8 @@ class StreamLayout:
     full stream that ``offsets`` describes; rows then number the subset.
     """
 
-    __slots__ = ("block_size", "n_blocks", "offsets", "max_c", "unit",
-                 "keeps_indices", "footprint", "_keys", "_blocks", "_groups")
+    __slots__ = ("block_size", "n_blocks", "offsets", "unit", "keeps_indices",
+                 "footprint", "_keys", "_blocks", "_staging", "_max_c")
 
     def __init__(
         self,
@@ -191,119 +241,113 @@ class StreamLayout:
         self.block_size = block_size
         self.n_blocks = code_lengths.size
         self.offsets = offsets
-        self.max_c = int(code_lengths.max(initial=0))
         #: gathers and scatters move 4-byte words when every row is a whole
         #: number of them, bytes otherwise
         self.unit = 4 if block_size % 32 == 0 else 1
         elements = int(offsets[-1]) // self.unit
         self.keeps_indices = elements <= INDEX_CACHE_ENTRIES
-        #: upper bound on the bytes this layout keeps alive once its groups
-        #: are built (offsets, order, starts, indices, the cache's key)
+        #: upper bound on the bytes this layout keeps alive once staged
+        #: (offsets, order, starts, index, the cache's key)
         self.footprint = offsets.nbytes + 17 * self.n_blocks + (
             8 * elements if self.keeps_indices else 0
         )
         self._keys = code_lengths
         self._blocks = blocks
-        self._groups: tuple[GroupLayout, ...] | None = None
+        self._staging: Staging | None = None
+        self._max_c: int | None = None
+
+    @property
+    def max_c(self) -> int:
+        """The largest code length (0 for an empty or all-constant stream)."""
+        if self._max_c is None:
+            self._max_c = int(np.maximum.reduce(self._keys, initial=0))
+        return self._max_c
+
+    @property
+    def staging(self) -> Staging:
+        """The staged order (built once, then kept)."""
+        if self._staging is None:
+            # threads that race here build equal stagings; the last one stays
+            self._staging = self._stage()
+        return self._staging
 
     @property
     def groups(self) -> tuple[GroupLayout, ...]:
-        """The groups in ascending code length (built once, then kept)."""
-        if self._groups is None:
-            # threads that race here build equal tuples; the last one stays
-            self._groups = self._build_groups()
-        return self._groups
+        """The groups in ascending code length."""
+        return self.staging.groups
 
-    def _build_groups(self) -> tuple[GroupLayout, ...]:
-        """Group, find the runs and lay out the gathers.
+    def _stage(self) -> Staging:
+        """Group, place every kind of byte, and lay out the gather.
 
-        Everything that is one value per group is computed for all groups
-        in one array operation and read as a list, so a stream of three
-        groups costs little more than a stream of one.
+        One argsort, one count and a gather of the row starts; the rest
+        is arithmetic on the (at most 33) group sizes, plus, on small
+        streams, one broadcast add per slice to build the index.
         """
-        plan = GroupingPlan.from_code_lengths(self._keys)
-        order, bounds, blocks = plan.order, plan.bounds, self._blocks
-        if not plan.values:
-            return ()
-        heads = list(bounds[:-1])
-        tails = [b - 1 for b in bounds[1:]]
-        first_rows, last_rows = order[heads].tolist(), order[tails].tolist()
-        # ``ids``: the block each sorted row reads its bytes from
-        ids = order if blocks is None else blocks[order]
-        starts = self.offsets[ids]
-        if self.unit == 4:
+        order, counts = _sort_and_count(self._keys)
+        blocks, bs, n, unit = self._blocks, self.block_size, self.n_blocks, self.unit
+        starts = self.offsets.take(order if blocks is None else blocks.take(order))
+        if unit == 4:
             starts >>= 2
         starts.setflags(write=False)
-        # A jump: sorted neighbours that are not neighbours in the stream;
-        # those strictly inside a group cut it into runs.  In a whole stream
-        # a group's ids ascend, so its ends tell whether it has any, and
-        # counting them only matters where a few run copies could replace a
-        # gather — so most streams never look.
-        jumps = spans = None
-
+        # rows below code length c: the first staged row of every group
+        below = list(accumulate(counts, initial=0))
+        live, top = below[1], len(below)
+        self._max_c = top - 2  # the count runs to the largest code length
+        signs, plane = bs // 8 // unit, bs // unit
+        sections = [(live, n - live, 0, signs, 0)]
+        lo = (n - live) * signs  # staged elements so far
+        planes = []
+        for k in range(4):
+            first = below[8 * k + 8] if 8 * k + 8 < top else n
+            if first < n:
+                planes.append((first, lo * unit))
+                sections.append((first, n - first, signs + k * plane, plane, lo))
+                lo += (n - first) * plane
         groups = []
-        for g, c in enumerate(plan.values):
-            b0, b1 = bounds[g], bounds[g + 1]
-            ng, rows = b1 - b0, order[b0:b1]
-            row0 = first_rows[g] if last_rows[g] - first_rows[g] == ng - 1 else -1
-            if c == 0:
-                groups.append(GroupLayout(0, ng, 0, rows, row0, -1, None, None, None))
-                continue
-            row_nbytes = (self.block_size // 8) * (1 + c)
-            if blocks is None and (row0 >= 0 or ng < 2 * MIN_RUN_ROWS):
-                n_cuts = 0 if row0 >= 0 else ng  # none, or too many to matter
-            else:
-                if jumps is None:
-                    jumps = (ids[1:] - ids[:-1] != 1).nonzero()[0]
-                    spans = jumps.searchsorted(heads + tails).tolist()
-                j0, j1 = spans[g], spans[len(heads) + g]
-                n_cuts = j1 - j0
-            lo, runs, first, index = -1, None, None, None
-            if n_cuts == 0:
-                lo = int(starts[b0]) * self.unit
-            elif n_cuts + 1 <= ng // MIN_RUN_ROWS:
-                # few long runs: plain slice copies, no index matrices at all
-                edges = [b0, *(jumps[j0:j1] + 1).tolist(), b1]
-                run_starts = (starts[edges[:-1]] * self.unit).tolist()
-                runs = tuple(
-                    ((s - b0) * row_nbytes, (e - b0) * row_nbytes, byte)
-                    for s, e, byte in zip(edges, edges[1:], run_starts)
-                )
-            else:
-                first = starts[b0:b1]
-                if self.keeps_indices:
-                    index = flat_row_indices(first, row_nbytes // self.unit)
-                    index.setflags(write=False)
-            groups.append(
-                GroupLayout(c, ng, row_nbytes, rows, row0, lo, runs, first, index)
-            )
-        return tuple(groups)
+        for c, ng in enumerate(counts):
+            if ng:
+                r0, at = below[c], -1
+                if c & 7:
+                    width = (c & 7) * bs // 8 // unit
+                    sections.append((r0, ng, signs + (c >> 3) * plane, width, lo))
+                    at, lo = lo * unit, lo + ng * width
+                groups.append(_group((
+                    c, ng, (bs // 8) * (1 + c) if c else 0,
+                    order[r0 : r0 + ng], r0, at,
+                )))
+        index = None
+        if self.keeps_indices:
+            index = _fill_index(sections, starts, np.empty(lo, np.intp))
+            index.setflags(write=False)
+        return Staging(
+            tuple(groups), order, starts, index, live, tuple(planes), lo * unit,
+            tuple(sections),
+        )
+
+    @staticmethod
+    def staged_index(staging: Staging, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (any integer type) with the payload element of every
+        staged element: row start plus offset within the row, one
+        broadcast add per slice of the staged payload."""
+        return _fill_index(staging.sections, staging.starts, out)
 
 
-@lru_cache(maxsize=64)
-def _iota(n: int) -> np.ndarray:
-    """``arange(n)``, kept: row widths are a handful of small numbers."""
-    out = np.arange(n, dtype=np.intp)
-    out.setflags(write=False)
+def _fill_index(sections, starts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    for first, rows, at, width, u0 in sections:
+        np.add(
+            starts[first : first + rows, None],
+            _span(at, width),
+            out=out[u0 : u0 + rows * width].reshape(rows, width),
+        )
     return out
 
 
-def flat_row_indices(
-    first: np.ndarray, width: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Flat indices of ``width``-element rows starting at elements ``first``.
-
-    Into ``out`` (``(len(first), width)``, any integer type) when given,
-    with the sums done in its type.
-    """
-    if out is None:
-        return (first[:, None] + _iota(width)).reshape(-1)
-    np.add(
-        first.astype(out.dtype, copy=False)[:, None],
-        _iota(width).astype(out.dtype, copy=False),
-        out=out,
-    )
-    return out.reshape(-1)
+@lru_cache(maxsize=256)
+def _span(start: int, n: int) -> np.ndarray:
+    """``arange(start, start + n)``, kept: a handful of offsets recur."""
+    out = np.arange(start, start + n, dtype=np.intp)
+    out.setflags(write=False)
+    return out
 
 
 _cache: "OrderedDict[tuple[bytes, int], StreamLayout]" = OrderedDict()
@@ -326,7 +370,9 @@ def stream_layout(
     the ones a collective is folding right now are worth keeping.
     """
     global _cache_bytes
-    key = (np.asarray(code_lengths, dtype=np.uint8).tobytes(), block_size)
+    if type(code_lengths) is not np.ndarray or code_lengths.dtype != np.uint8:
+        code_lengths = np.asarray(code_lengths, dtype=np.uint8)
+    key = (code_lengths.tobytes(), block_size)
     with _cache_lock:
         layout = _cache.get(key)
         if layout is not None:

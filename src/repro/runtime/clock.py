@@ -87,7 +87,7 @@ class Breakdown:
     ) -> "Breakdown":
         """Rank-average the clocks into one report."""
         n = max(len(clocks), 1)
-        buckets = {b: sum(c.buckets[b] for c in clocks) / n for b in BUCKETS}
+        buckets = {b: sum([c.buckets[b] for c in clocks]) / n for b in BUCKETS}
         return cls(buckets=buckets, total_time=total_time)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

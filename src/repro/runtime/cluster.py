@@ -61,6 +61,24 @@ class TraceScope:
     trace: TraceLog | None = None
 
 
+class _Timed:
+    """The ``with`` scope of :meth:`SimCluster.timed`: a plain class, as it
+    wraps every kernel call a collective makes."""
+
+    __slots__ = ("cluster", "rank", "bucket", "start")
+
+    def __init__(self, cluster: "SimCluster", rank: int, bucket: str) -> None:
+        self.cluster, self.rank, self.bucket = cluster, rank, bucket
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        self.cluster.charge_compute(
+            self.rank, self.bucket, time.perf_counter() - self.start
+        )
+
+
 @dataclass
 class SimCluster:
     """N virtual ranks + a network model + per-rank virtual clocks.
@@ -189,14 +207,10 @@ class SimCluster:
             if seconds > 0.0:
                 METRICS.inc("faults.wait_s", seconds)
 
-    @contextmanager
-    def timed(self, rank: int, bucket: str) -> Iterator[None]:
-        """Measure the enclosed kernel call and charge it to ``rank``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.charge_compute(rank, bucket, time.perf_counter() - start)
+    def timed(self, rank: int, bucket: str) -> "_Timed":
+        """Measure the enclosed kernel call and charge it to ``rank``
+        (also when it raises)."""
+        return _Timed(self, rank, bucket)
 
     # ------------------------------------------------------------------ #
     # round synchronisation

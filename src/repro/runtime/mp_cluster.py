@@ -70,8 +70,9 @@ import socket
 import time
 import traceback
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from multiprocessing.connection import wait
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import multiprocessing as mp
 
@@ -142,6 +143,9 @@ class RankResult:
     degraded: bool = False
     seconds: float = 0.0
     compute_seconds: float = 0.0
+    #: ``compute_seconds`` split by round, in schedule order (the last
+    #: entry is what the run charged after its last round)
+    round_compute: tuple = ()
     stats: dict = field(default_factory=dict)
 
 
@@ -163,7 +167,21 @@ class MPRun:
     rank_seconds: tuple = ()
     #: slowest rank's measured kernel time (CPR/DPR/CPT/HPR buckets)
     compute_s: float = 0.0
+    #: the kernel time on the critical path: every round waits for its
+    #: slowest rank, so the sum over rounds of the slowest rank's compute
+    critical_compute_s: float = 0.0
     stats: dict = field(default_factory=dict)
+
+
+def critical_compute(rounds: Iterable[Sequence[float]]) -> float:
+    """Σ over rounds of the largest per-rank compute that round.
+
+    ``rounds`` holds one per-round sequence per rank.  In a schedule of
+    bulk-synchronous rounds a rank that is slow in one round and fast in
+    the next holds everyone up only in the first, so the critical path is
+    this sum, not the largest per-rank total.
+    """
+    return sum(max(step) for step in zip_longest(*rounds, fillvalue=0.0))
 
 
 def rebuild_state(reply: dict, sent: dict) -> dict:
@@ -523,6 +541,9 @@ class MPCluster:
             ),
             compute_s=max(
                 (res.compute_seconds for res in results.values()), default=0.0
+            ),
+            critical_compute_s=critical_compute(
+                res.round_compute for res in results.values()
             ),
             stats=stats,
         )

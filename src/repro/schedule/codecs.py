@@ -126,7 +126,7 @@ class PayloadCodec:
 
     def pack(self, rank: int, blocks, state: State) -> tuple[Any, ...]:
         """Produce the wire items for one comm (may charge encode time)."""
-        return tuple(state[rank][b] for b in blocks)
+        return tuple([state[rank][b] for b in blocks])
 
     def fold(self, rank, blocks, items: Sequence[Any], state):
         """Reduce ``items`` into the rank's partials for ``blocks``."""

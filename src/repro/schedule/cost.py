@@ -438,8 +438,9 @@ class CalibrationSample:
 
     ``crit_bytes`` should already carry the achieved compression ratio
     (measured wire / plain total) when the run was compressed, and
-    ``compute_s`` is the slowest rank's measured compute, so the residual
-    ``comm_s`` isolates the per-op constant + α·hops + β·bytes term.
+    ``compute_s`` is the measured compute on the critical path (per round,
+    the slowest rank's), so the residual ``comm_s`` isolates the per-op
+    constant + α·hops + β·bytes term.
     """
 
     family: str

@@ -117,7 +117,7 @@ class ScheduleExecutor:
             entry = None
             if everyone or comm.src == me:
                 items = codec.pack(comm.src, comm.blocks, state)
-                sent = sum(int(item.nbytes) for item in items)
+                sent = sum([int(item.nbytes) for item in items])
                 max_sent = max(max_sent, sent)
                 entry = items, sent
                 if not everyone and comm.dst != me:

@@ -60,7 +60,7 @@ are true data dependencies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Any
 
@@ -305,6 +305,30 @@ class _RankWire:
                 return payload
 
 
+@dataclass
+class _RankCluster(SimCluster):
+    """A worker's rank-local simulator that also splits its rank's
+    measured kernel time by round, where the critical path is decided."""
+
+    rank: int = 0
+    rounds: list = field(default_factory=list)
+    _spent: float = 0.0
+
+    def close_round(self) -> None:
+        buckets = self.clocks[self.rank].buckets
+        spent = sum(buckets.get(b, 0.0) for b in self._COMPUTE_BUCKETS)
+        self.rounds.append(spent - self._spent)
+        self._spent = spent
+
+    def end_round(self, *args, **kwargs) -> float:
+        self.close_round()
+        return super().end_round(*args, **kwargs)
+
+    def end_compute_phase(self) -> float:
+        self.close_round()
+        return super().end_compute_phase()
+
+
 def execute_rank(
     rank: int,
     n_ranks: int,
@@ -331,7 +355,7 @@ def execute_rank(
     # straggler's slowdown is the simulator's stand-in for a slow
     # process, and here the compute charges are the measured seconds.
     plan = job.plan and replace(job.plan, stragglers=())
-    sim = SimCluster(n_ranks, faults=plan, retry=job.retry)
+    sim = _RankCluster(n_ranks, faults=plan, retry=job.retry, rank=rank)
     codec = job.spec.build(sim)
     pool.deadline_s = job.recv_deadline_s
     wire = _RankWire(
@@ -356,7 +380,7 @@ def execute_rank(
         # drops the frames nobody will read
         pool.abort()
     seconds = time.perf_counter() - start
-    buckets = sim.clocks[rank].buckets
+    sim.close_round()  # what the run charged after its last round (seal)
     faults = sim.channel.stats
     return RankResult(
         rank=rank,
@@ -367,9 +391,8 @@ def execute_rank(
         wire=outcome.wire,
         degraded=outcome.degraded,
         seconds=seconds,
-        compute_seconds=sum(
-            buckets.get(b, 0.0) for b in SimCluster._COMPUTE_BUCKETS
-        ),
+        compute_seconds=sim._spent,
+        round_compute=tuple(sim.rounds),
         # the walk's counters under the data plane's key names
         stats=wire.stats | {
             "retransmits": faults.retransmissions,

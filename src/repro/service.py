@@ -301,10 +301,14 @@ class AggregationService:
             result = await asyncio.to_thread(
                 execute, plan_, batch, config=self.config
             )
-        except Exception as exc:  # noqa: BLE001 — fan the failure out
-            for s in live:
-                if not s.future.done():
-                    s.future.set_exception(exc)
+        except Exception as exc:  # noqa: BLE001 — settle who failed
+            if len(live) > 1:
+                # one session's data must not fail its batch-mates: each
+                # runs again alone, so only the offender fails
+                for s in live:
+                    await self._run_batch(key, [s])
+            elif not live[0].future.done():
+                live[0].future.set_exception(exc)
             return
         self._count("batches")
         self._count("sessions_batched", len(live))

@@ -13,6 +13,7 @@ from typing import Any, Sequence
 import numpy as np
 
 __all__ = [
+    "as_float_array",
     "ensure_float_array",
     "ensure_positive",
     "ensure_positive_int",
@@ -36,16 +37,25 @@ def ensure_float_array(data: Any, name: str = "data") -> np.ndarray:
     ValueError
         If the array is empty or contains non-finite values.
     """
+    arr = as_float_array(data, name)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains NaN or infinite values")
+    return arr
+
+
+def as_float_array(data: Any, name: str = "data") -> np.ndarray:
+    """:func:`ensure_float_array` without the finiteness pass, for a caller
+    that reads every value's range anyway and checks it there."""
     arr = np.asarray(data)
     if arr.dtype.kind not in "fiu":
         raise TypeError(
             f"{name} must be a numeric array, got dtype {arr.dtype!r}"
         )
-    arr = np.ascontiguousarray(arr, dtype=np.float32).ravel()
+    arr = np.ascontiguousarray(arr, dtype=np.float32)
+    if arr.ndim != 1:
+        arr = arr.ravel()
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or infinite values")
     return arr
 
 

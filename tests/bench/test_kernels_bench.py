@@ -19,6 +19,7 @@ from repro.bench.kernels import (
 
 FLOOR_ROWS = (
     "cpr_4kb", "dpr_4kb", "hpr_4kb", "ring_fold_4kb",
+    "cpr_2kb", "ring_fold_2kb",
     "cpr_256kb", "dpr_256kb", "hpr_256kb", "ring_fold_256kb",
     "cpr_8x2kb_calls", "cpr_8x2kb_sweep",
     "dpr_8x2kb_calls", "dpr_8x2kb_sweep",
@@ -126,9 +127,45 @@ class TestCompare:
         failures = compare_to_baseline(slowed, small_doc, tolerance=2.0)
         assert len(failures) == 2 and "numpy/hpr_4kb" in failures[1]
         assert "10.00x slower" in failures[1]
+        # ... and so are the rows that take a fresh input every call
+        slowed["call_floor"]["numpy"]["ring_fold_2kb"]["seconds"] *= 10.0
+        failures = compare_to_baseline(slowed, small_doc, tolerance=2.0)
+        assert len(failures) == 3 and "numpy/ring_fold_2kb" in failures[2]
         # a baseline from before the floor rows existed compares clean
         old = {k: v for k, v in small_doc.items() if k != "call_floor"}
         assert compare_to_baseline(slowed, old, tolerance=2.0) == []
+        # ... and one from before the fresh-input rows gates the rest
+        older = json.loads(json.dumps(small_doc))
+        for row in ("cpr_2kb", "ring_fold_2kb"):
+            del older["call_floor"]["numpy"][row]
+        assert len(compare_to_baseline(slowed, older, tolerance=2.0)) == 2
+
+    def test_fresh_input_rows_build_a_layout_every_call(self):
+        """``cpr_2kb`` / ``ring_fold_2kb`` cycle through more inputs than
+        the layout cache keeps, so no encode finds its layout built."""
+        from repro.bench import kernels as kernels_module
+        from repro.kernels import plan
+
+        built = []
+        original = plan.StreamLayout._stage
+
+        def counting(layout):
+            built.append(layout.n_blocks)
+            return original(layout)
+
+        plan.StreamLayout._stage = counting
+        try:
+            rows = kernels_module._bench_call_floor("numpy", repeats=1)
+        finally:
+            plan.StreamLayout._stage = original
+        assert set(rows) == set(FLOOR_ROWS)
+        # 19-block streams: the 2 KB encodes (the 4 KB probe's are 36)
+        fresh = built.count(19)
+        # setup stages each received stream once; then every timed call
+        # of both rows (warm-ups included) builds its encode's layout
+        turns = 3 + 1  # best_of_each warm-ups + repeats
+        cycle = plan.LAYOUT_CACHE_ENTRIES + kernels_module._FRESH_CALLS
+        assert fresh >= cycle + 2 * turns * kernels_module._FRESH_CALLS
 
     def test_new_backend_in_current_is_ignored(self, small_doc):
         baseline = json.loads(json.dumps(small_doc))

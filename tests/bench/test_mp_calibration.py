@@ -61,3 +61,32 @@ def test_a_single_sample_is_all_alpha():
 def test_committed_document_passes_its_own_gate():
     doc = json.loads(BENCH_MP.read_text())
     assert check_document(doc, ceiling=DEFAULT_ERROR_CEILING) == []
+
+
+def test_critical_compute_is_the_sum_of_each_rounds_slowest_rank():
+    """Two ranks whose slow rounds alternate: every round waits for its
+    slow rank, so the critical path is Σ max (4 ms), not max Σ (2 ms)."""
+    from repro.runtime.mp_cluster import RankResult, critical_compute
+
+    slow, fast = 1e-3, 0.0
+    results = [
+        RankResult(rank=0, state={}, round_compute=(slow, fast, slow, fast)),
+        RankResult(rank=1, state={}, round_compute=(fast, slow, fast, slow)),
+    ]
+    rounds = [res.round_compute for res in results]
+    assert critical_compute(rounds) == pytest.approx(4e-3)
+    assert max(sum(r) for r in rounds) == pytest.approx(2e-3)
+    # a rank that aborted early contributes nothing to the rounds it missed
+    assert critical_compute([(slow,), (fast, slow)]) == pytest.approx(2e-3)
+
+
+def test_a_document_row_is_fitted_on_its_critical_compute():
+    from repro.bench.mp import samples_from_document
+
+    row = {"family": "f", "hops": 1, "crit_bytes": 1.0, "measured_s": 5e-3,
+           "compute_s": 4e-3, "critical_compute_s": 3e-3}
+    (sample,) = samples_from_document({"rows": [row]})
+    assert sample.compute_s == 3e-3
+    del row["critical_compute_s"]  # a document written before the split
+    (sample,) = samples_from_document({"rows": [row]})
+    assert sample.compute_s == 4e-3

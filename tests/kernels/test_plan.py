@@ -100,38 +100,56 @@ class TestStreamLayout:
         np.testing.assert_array_equal(layout.offsets, payload_offsets(self.LENS, 32))
 
     def test_each_group_finds_its_bytes_one_way(self):
-        """Slice, run copies or gather indices — exactly one per group."""
+        """Staged, every kind of byte is one slice: the live rows' sign
+        bits, each byte plane of the rows that have it, each group's
+        residual bits — and the index is what stages a payload."""
         rng = np.random.default_rng(3)
         for lens in (
             self.LENS,
             np.repeat(np.array([3, 0, 7, 3], dtype=np.uint8), 40),  # long runs
             rng.integers(0, 4, size=600).astype(np.uint8),  # fragmented
+            rng.integers(0, 33, size=300).astype(np.uint8),  # every plane
+            np.repeat(np.array([0, 2, 5], dtype=np.uint8), 7),  # in order
         ):
             layout = StreamLayout(lens, 32)
+            staging = layout.staging
             offsets = payload_offsets(lens, 32)
+            payload = rng.integers(0, 256, int(offsets[-1]), dtype=np.uint8)
+            index = staging.index
+            if index is None:  # a long stream builds it per call
+                index = layout.staged_index(staging, np.empty(staging.nbytes // 4, int))
+            staged = payload.view(np.uint32)[index].view(np.uint8)
+            assert staged.size == staging.nbytes
+            np.testing.assert_array_equal(
+                np.sort(staging.order), np.arange(lens.size)
+            )
+            np.testing.assert_array_equal(
+                staging.starts * layout.unit, offsets[staging.order]
+            )
+            block = [payload[offsets[b] : offsets[b + 1]] for b in staging.order]
+            live = staging.live
+            assert (lens[staging.order[:live]] == 0).all()
+            assert (lens[staging.order[live:]] > 0).all()
+            signs = staged[: (lens.size - live) * 4].reshape(-1, 4)
+            for row, got in zip(block[live:], signs):
+                np.testing.assert_array_equal(got, row[:4])
+            for k, (first, lo) in enumerate(staging.planes):
+                assert (lens[staging.order[first:]] >= 8 * (k + 1)).all()
+                assert (lens[staging.order[:first]] < 8 * (k + 1)).all()
+                plane = staged[lo : lo + (lens.size - first) * 32].reshape(-1, 32)
+                for row, got in zip(block[first:], plane):
+                    np.testing.assert_array_equal(got, row[4 + 32 * k : 36 + 32 * k])
             for g in layout.groups:
-                if g.c == 0:
-                    assert (g.lo, g.runs, g.first) == (-1, None, None)
+                np.testing.assert_array_equal(g.rows, staging.order[g.r0 : g.r0 + g.ng])
+                assert (lens[g.rows] == g.c).all()
+                assert g.row_nbytes == (4 * (1 + g.c) if g.c else 0)
+                if g.c % 8 == 0:
+                    assert g.lo == -1
                     continue
-                ways = [g.lo >= 0, g.runs is not None, g.first is not None]
-                assert sum(ways) == 1
-                starts = offsets[g.rows]
-                if g.lo >= 0:
-                    want = g.lo + g.row_nbytes * np.arange(g.ng)
-                    np.testing.assert_array_equal(starts, want)
-                elif g.runs is not None:
-                    assert len(g.runs) <= max(g.ng // 8, 1)
-                    for r0, r1, lo in g.runs:
-                        rows = slice(r0 // g.row_nbytes, r1 // g.row_nbytes)
-                        want = lo + g.row_nbytes * np.arange(rows.stop - rows.start)
-                        np.testing.assert_array_equal(starts[rows], want)
-                else:
-                    np.testing.assert_array_equal(g.first * layout.unit, starts)
-                    want = (
-                        starts[:, None] // layout.unit
-                        + np.arange(g.row_nbytes // layout.unit)
-                    ).reshape(-1)
-                    np.testing.assert_array_equal(g.index, want)
+                width = 4 * (g.c % 8)
+                residual = staged[g.lo : g.lo + g.ng * width].reshape(g.ng, width)
+                for row, got in zip(block[g.r0 : g.r0 + g.ng], residual):
+                    np.testing.assert_array_equal(got, row[-width:])
 
     def test_selection_rows_number_the_subset(self):
         picks = np.array([9, 3, 3, 0, 5], dtype=np.int64)
@@ -142,8 +160,10 @@ class TestStreamLayout:
         np.testing.assert_array_equal(by_c[9].rows, [0, 1, 2, 4])
         np.testing.assert_array_equal(by_c[5].rows, [3])
         offsets = payload_offsets(self.LENS, 32)
+        g = by_c[9]
         np.testing.assert_array_equal(
-            by_c[9].first * layout.unit, offsets[picks[by_c[9].rows]]
+            layout.staging.starts[g.r0 : g.r0 + g.ng] * layout.unit,
+            offsets[picks[g.rows]],
         )
 
     def test_equal_signatures_share_one_layout(self):
@@ -167,10 +187,10 @@ class TestStreamLayout:
     def test_mutating_a_shared_layout_raises(self):
         rng = np.random.default_rng(4)
         layout = stream_layout(rng.integers(0, 4, size=64).astype(np.uint8), 32)
-        shared = [layout.offsets]
-        for g in layout.groups:
-            shared += [a for a in (g.rows, g.first, g.index) if a is not None]
-        assert any(g.index is not None for g in layout.groups)
+        staging = layout.staging
+        assert staging.index is not None
+        shared = [layout.offsets, staging.order, staging.starts, staging.index]
+        shared += [g.rows for g in layout.groups]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
@@ -202,5 +222,5 @@ class TestStreamLayout:
         lens = rng.integers(1, 9, size=4096).astype(np.uint8)
         layout = StreamLayout(lens, 32)
         assert not layout.keeps_indices
-        assert all(g.index is None for g in layout.groups)
-        assert any(g.first is not None for g in layout.groups)
+        assert layout.staging.index is None
+        assert layout.staging.starts.size == lens.size

@@ -85,3 +85,12 @@ def test_a_straggler_does_not_inflate_measured_compute():
         )
     assert not run.degraded
     assert 0.0 < run.compute_s <= run.makespan_s
+
+
+def test_critical_compute_covers_the_slowest_rank(cluster2):
+    # Σ over rounds of the slowest rank's compute is at least any one
+    # rank's total compute
+    case = build_case("ring-rs-hz", 2, 4096, seed=0)
+    run = MPExecutor(cluster2, case.spec).run(case.schedule, case.make_state())
+    assert not run.degraded
+    assert 0.0 < run.compute_s <= run.critical_compute_s

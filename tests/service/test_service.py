@@ -113,6 +113,29 @@ class TestBatchingEquivalence:
             np.testing.assert_array_equal(r.output, exact)
 
 
+    def test_one_failing_session_does_not_fail_its_batch_mates(self):
+        # values the coder cannot hold at the default bound (|x|/2eb past
+        # int64) fail the batch they ride in; the batch reruns alone
+        good = [_session_data(3, 200, 40 + s) for s in range(3)]
+        bad = [np.full(200, 3e38 * (-1) ** r, dtype=np.float32) for r in range(3)]
+
+        async def go():
+            async with AggregationService(window_s=0.05, max_batch=4) as svc:
+                return await asyncio.gather(
+                    *(svc.submit(b) for b in good + [bad]),
+                    return_exceptions=True,
+                ), svc.stats()
+
+        results, stats = asyncio.run(go())
+        assert isinstance(results[3], OverflowError)
+        solo = _submit_all(AggregationService(window_s=0.05, max_batch=1), good)
+        for got, alone in zip(results[:3], solo):
+            assert np.array_equal(got.output, alone.output)
+        # the failed batch of four counts nothing; each good session then
+        # ran as a batch of one
+        assert stats["sessions_batched"] == 3 and stats["batches"] == 3
+
+
 class TestAdmissionControl:
     def test_backpressure_rejects_above_max_pending(self):
         data = _session_data(2, 100, 0)
