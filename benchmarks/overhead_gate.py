@@ -10,7 +10,10 @@ kernels the bench-smoke job measures:
    identical uninstrumented backend object;
 2. **timing gate** — encode/decode/decode_selected through the dispatch
    path (metrics disabled) must be within ``--tolerance`` (default 5%) of
-   calling the raw backend callables directly, best-of-N on each side;
+   calling the raw backend callables directly, best-of-N on each side,
+   the raw and the dispatched call taking turns round by round (the
+   order flipping every round) so a box whose speed drifts during the
+   run slows both sides alike;
 3. **informational** — the same kernels with metrics *enabled*, so the
    log shows what turning instrumentation on actually costs.
 
@@ -26,11 +29,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
 from repro.bench.kernels import _BLOCK_SIZE, _make_deltas
-from repro.bench.timing import best_of
 from repro.compression import encoding
 from repro.kernels.dispatch import get_backend
 from repro.obs.metrics import METRICS, metrics_enabled
@@ -41,16 +44,34 @@ def _workload(mb: float, seed: int = 7):
         _BLOCK_SIZE, int(mb * 1e6 / 4) // _BLOCK_SIZE * _BLOCK_SIZE
     )
     blocks = _make_deltas(n_elements, seed=seed)
-    lens, payload = encoding.encode_blocks(blocks, _BLOCK_SIZE)
-    offsets = encoding.payload_offsets(lens, _BLOCK_SIZE)
+    lens, payload, offsets = encoding.encode_into(blocks, _BLOCK_SIZE)
     sel = np.random.default_rng(3).permutation(lens.size)[
         : max(1, lens.size // 4)
     ]
     return blocks, lens, payload, offsets, sel
 
 
-def _time_kernels(fns: dict, repeats: int) -> dict[str, float]:
-    return {op: best_of(fn, repeats=repeats).seconds for op, fn in fns.items()}
+def _time_kernels(sides: dict[str, dict], repeats: int) -> dict[str, dict]:
+    """Best seconds of every side's every kernel.
+
+    Round by round, each kernel runs once on every side in turn, and the
+    sides' order flips every round: a box whose speed drifts slows every
+    side alike, and the warm caches a call leaves its successor favour
+    no side.
+    """
+    names = list(sides)
+    best = {side: dict.fromkeys(fns, float("inf")) for side, fns in sides.items()}
+    for fns in sides.values():  # warm-up
+        for fn in fns.values():
+            fn()
+    for turn in range(repeats):
+        order = names if turn % 2 == 0 else names[::-1]
+        for op in best[names[0]]:
+            for side in order:
+                t0 = time.perf_counter()
+                sides[side][op]()
+                best[side][op] = min(best[side][op], time.perf_counter() - t0)
+    return best
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,29 +108,23 @@ def main(argv: list[str] | None = None) -> int:
             ),
         }
 
-    # pre-observability floor: the raw backend callables, no dispatch
-    floor = _time_kernels(
-        fns(raw.encode_blocks, raw.decode_blocks, raw.decode_selected),
-        args.repeats,
+    # the raw backend callables, no dispatch, against the production
+    # disabled path: through dispatch, metrics off
+    dispatched = fns(
+        encoding.encode_into, encoding.decode_blocks, encoding.decode_selected
     )
-    # production disabled path: through dispatch, metrics off
-    disabled = _time_kernels(
-        fns(
-            encoding.encode_blocks,
-            encoding.decode_blocks,
-            encoding.decode_selected,
-        ),
-        args.repeats,
-    )
-    with metrics_enabled() as registry:
-        enabled = _time_kernels(
-            fns(
-                encoding.encode_blocks,
-                encoding.decode_blocks,
-                encoding.decode_selected,
+    timed = _time_kernels(
+        {
+            "raw": fns(
+                raw.encode_with_offsets, raw.decode_blocks, raw.decode_selected
             ),
-            args.repeats,
-        )
+            "disabled": dispatched,
+        },
+        args.repeats,
+    )
+    floor, disabled = timed["raw"], timed["disabled"]
+    with metrics_enabled() as registry:
+        enabled = _time_kernels({"enabled": dispatched}, args.repeats)["enabled"]
         observed = sorted(
             k for k in registry.counters() if k.startswith("kernel.")
         )

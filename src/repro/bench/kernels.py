@@ -1,8 +1,10 @@
 """Kernel-level perf-regression harness (``repro bench-kernels``).
 
-Measures the throughput of the hot kernels — ``encode_blocks``, the fused
-``classify_encode``, ``decode_blocks``, ``decode_selected`` and the fused
-k-way ``reduce_fused`` at k ∈ {2, 8, 16} — per available backend, on the
+Measures the throughput of the hot kernels — the encode through
+``encode_blocks`` (row ``encode``) and through ``encode_into`` (row
+``classify_encode``, the name CI's floors use), ``decode_blocks``,
+``decode_selected`` and the fused k-way ``reduce_fused`` at
+k ∈ {2, 8, 16} — per available backend, on the
 same random-walk field family every run, and emits the machine-readable
 ``BENCH_kernels.json`` that CI diffs against the committed baseline.
 
@@ -346,7 +348,8 @@ def _fold_stages(
     the difference is a fifth of a 2 KB fold.  The engine runs over the
     reference k-way pipeline (:func:`make_reduce_fused` — what the NumPy
     backend runs) on ``kernels``' own ``decode_blocks`` and
-    ``classify_encode``, each behind a stopwatch; ``accumulate`` is the
+    ``encode_with_offsets`` (stage ``classify_encode``), each behind a
+    stopwatch; ``accumulate`` is the
     pipeline less those two (zero-fill, adds, the statistics' zero
     tracking, glue), ``wrapper`` the engine less the pipeline and less the
     ``container`` it ends with, which is timed apart.  Reported: the split
@@ -367,8 +370,7 @@ def _fold_stages(
 
     pipeline = make_reduce_fused(
         staged(kernels.decode_blocks, "decode"),
-        staged(kernels.classify_encode, "classify_encode"),
-        pass_layouts=True,
+        staged(kernels.encode_with_offsets, "classify_encode"),
     )
     stopwatched = replace(kernels, reduce_fused=staged(pipeline, "pipeline"))
 

@@ -52,13 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="hZCCL (SC'24) reproduction — homomorphic-compression collectives",
     )
-    parser.add_argument(
-        "--kernel-backend",
-        default=None,
-        metavar="NAME",
-        help="fixed-length kernel backend for this run (auto | numpy | numba; "
-             "overrides the REPRO_KERNEL_BACKEND environment variable)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("info", help="package / registry / calibration summary")
@@ -832,10 +825,6 @@ def _cmd_trace(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.kernel_backend:
-        from repro.kernels.dispatch import set_backend
-
-        set_backend(args.kernel_backend)
     handlers = {
         "info": lambda: _cmd_info(),
         "stream": lambda: _cmd_stream(args),

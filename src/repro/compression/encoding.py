@@ -17,12 +17,10 @@ group of equal-``c`` blocks can be encoded/decoded with a handful of
 vectorised operations.
 
 This module is the stable entry point; the actual kernels live in
-:mod:`repro.kernels` behind a backend dispatch layer (reference NumPy
-backend, optional Numba-JIT backend — select with
-``repro.kernels.set_backend``/``use_backend`` or the
-``REPRO_KERNEL_BACKEND`` environment variable).  All backends emit
-byte-identical streams, so backend choice never affects the wire format or
-the homomorphic invariants.
+:mod:`repro.kernels`, in the Numba-JIT backend when ``numba`` imports and
+the NumPy reference otherwise.  All backends emit byte-identical streams,
+so the backend never affects the wire format or the homomorphic
+invariants.
 
 Everything here is *block-shape agnostic*: callers hand in a 2-D
 ``(n_blocks, block_size)`` array of integer deltas and get back per-block
@@ -102,9 +100,8 @@ def encode_blocks(
     OverflowError
         If any magnitude needs more than :data:`MAX_CODE_LENGTH` bits.
     """
-    block_size = _check_block_size(block_size)
-    deltas = _check_deltas(deltas, block_size)
-    return get_backend().encode_blocks(deltas, block_size)
+    code_lengths, payload, _ = encode_into(deltas, block_size)
+    return code_lengths, payload
 
 
 def decode_blocks(
@@ -170,13 +167,11 @@ def encode_into(
 
     Convenience for callers (the homomorphic engine, the wire format) that
     need the offsets anyway — the backend computes them as part of laying
-    out the payload, so nothing is recomputed.  Dispatches to the backend's
-    ``classify_encode`` — the fused single-pass classification + encode on
-    backends that ship one (Numba), the two-pass reference otherwise.
+    out the payload, so nothing is recomputed.
     """
     block_size = _check_block_size(block_size)
     deltas = _check_deltas(deltas, block_size)
-    return get_backend().classify_encode(deltas, block_size)
+    return get_backend().encode_with_offsets(deltas, block_size)
 
 
 def ensure_codable(deltas: np.ndarray, bound: int) -> int:

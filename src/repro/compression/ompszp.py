@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels.plan import GroupingPlan
+from ..kernels.plan import _sort_and_count
 from ..utils.chunking import num_blocks, pad_to_multiple
 from ..utils.validation import ensure_float_array, ensure_positive_int
 from .common import dequantize, quantize, resolve_error_bound
@@ -260,10 +260,8 @@ class OmpSZp:
         lens[zero_mask] = 0
         ordered_lens = lens[order]
         ordered_offsets = offsets[:-1][order]
-        for c, sel in GroupingPlan.from_code_lengths(ordered_lens).groups():
-            if c == 0:
-                continue
-            rows = _bitshuffle_encode(mags[sel], signs[sel], int(c))
+        for c, sel in _coded_groups(ordered_lens):
+            rows = _bitshuffle_encode(mags[sel], signs[sel], c)
             dest = ordered_offsets[sel][:, None] + np.arange(
                 rows.shape[1], dtype=np.int64
             )
@@ -296,13 +294,11 @@ class OmpSZp:
         order = self._interleave_order(n_blocks)
         ordered_lens = eff_lens[order]
         ordered_offsets = offsets[:-1][order]
-        for c, sel in GroupingPlan.from_code_lengths(ordered_lens).groups():
-            if c == 0:
-                continue
-            row_nbytes = (bs // 8) * (1 + int(c))
+        for c, sel in _coded_groups(ordered_lens):
+            row_nbytes = (bs // 8) * (1 + c)
             src = ordered_offsets[sel][:, None] + np.arange(row_nbytes, dtype=np.int64)
             rows = compressed.payload[src.ravel()].reshape(sel.size, row_nbytes)
-            deltas[order[sel]] = _bitshuffle_decode(rows, int(c), bs)
+            deltas[order[sel]] = _bitshuffle_decode(rows, c, bs)
 
         # Block-local prefix sum from each block's own outlier.
         codes = np.cumsum(deltas, axis=1)
@@ -319,6 +315,17 @@ class OmpSZp:
 # ---------------------------------------------------------------------- #
 # plane-major ("bit-shuffle") codec
 # ---------------------------------------------------------------------- #
+def _coded_groups(lens: np.ndarray):
+    """``(c, positions)`` of every non-zero code length, ascending, the
+    positions ascending too: one stable argsort and one ``bincount``."""
+    order, counts = _sort_and_count(lens)
+    start = counts[0]
+    for c in range(1, len(counts)):
+        if counts[c]:
+            yield c, order[start : start + counts[c]]
+        start += counts[c]
+
+
 def _bitshuffle_encode(mags: np.ndarray, signs: np.ndarray, c: int) -> np.ndarray:
     """Encode equal-length blocks plane-major: signs, then bits 0..c−1."""
     nb, bs = mags.shape

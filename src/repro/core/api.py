@@ -25,7 +25,6 @@ from ..collectives.base import validate_local_data
 from ..compression.format import CompressedField
 from ..compression.fzlight import FZLight
 from ..homomorphic.hzdynamic import HZDynamic
-from ..kernels.dispatch import use_backend
 from ..runtime.nodemap import NodeMap
 from ..schedule.tuner import classify_roughness
 from .config import CollectiveConfig
@@ -74,22 +73,19 @@ class HZCCL:
         """
         if abs_eb is None and rel_eb is None:
             abs_eb = self.config.error_bound
-        with use_backend(self.config.kernel_backend):
-            return self._compressor.compress(data, abs_eb=abs_eb, rel_eb=rel_eb)
+        return self._compressor.compress(data, abs_eb=abs_eb, rel_eb=rel_eb)
 
     def decompress(
         self, compressed: CompressedField | Sequence[CompressedField]
     ) -> np.ndarray | list[np.ndarray]:
         """fZ-light decompression (a sequence of fields → a list of arrays)."""
-        with use_backend(self.config.kernel_backend):
-            return self._compressor.decompress(compressed)
+        return self._compressor.decompress(compressed)
 
     def homomorphic_sum(
         self, a: CompressedField, b: CompressedField
     ) -> CompressedField:
         """hZ-dynamic reduction directly on two compressed fields."""
-        with use_backend(self.config.kernel_backend):
-            return self._engine.add(a, b)
+        return self._engine.add(a, b)
 
     # ------------------------------------------------------------------ #
     # collectives

@@ -23,10 +23,6 @@ class CollectiveConfig:
     every delivery; ``retry`` governs the timeout/backoff retransmission
     schedule (see DESIGN.md §8).
 
-    ``kernel_backend`` selects the fixed-length kernel implementation
-    (``"auto"``, ``"numpy"``, or ``"numba"`` — see DESIGN.md §9); every
-    backend emits byte-identical streams, so ranks may disagree on it.
-
     ``tuning_table_path`` points autotuned collectives
     (``HZCCL.allreduce(tune=True)``, or any ``plan()`` of a ``tune=True``
     request) at a persisted :class:`~repro.schedule.tuner.TuningTable`; ``None``
@@ -42,7 +38,6 @@ class CollectiveConfig:
     network: NetworkModel = field(default_factory=lambda: OMNIPATH_100G)
     fault_plan: FaultPlan | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    kernel_backend: str = "auto"
     tuning_table_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -51,8 +46,6 @@ class CollectiveConfig:
         ensure_positive(self.thread_speedup, "thread_speedup")
         if self.block_size % 8 or self.block_size <= 0:
             raise ValueError("block_size must be a positive multiple of 8")
-        if not isinstance(self.kernel_backend, str) or not self.kernel_backend:
-            raise ValueError("kernel_backend must be a non-empty string")
         if self.tuning_table_path is not None and (
             not isinstance(self.tuning_table_path, str)
             or not self.tuning_table_path

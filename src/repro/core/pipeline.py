@@ -41,7 +41,6 @@ from typing import Any, Hashable
 import numpy as np
 
 from ..collectives import FAMILIES, CollectiveResult, Family, run
-from ..kernels.dispatch import use_backend
 from ..obs.metrics import METRICS
 from ..runtime.cluster import SimCluster
 from ..runtime.nodemap import NodeMap
@@ -423,11 +422,10 @@ def execute(
 
     ``cluster=None`` builds a :class:`SimCluster` from the execute-time
     ``config`` (default: the plan's) — fault plan, retry, thread mode and
-    ``trace`` are read here, never from the cached plan.  The row runs
-    under the configured kernel backend; a tuned plan emits its
-    ``tuner.*`` counters.  To run an ad-hoc ``(schedule, codec spec,
-    state)`` triple, call :class:`~repro.schedule.ScheduleExecutor` or
-    :class:`~repro.schedule.MPExecutor` directly.
+    ``trace`` are read here, never from the cached plan.  A tuned plan
+    emits its ``tuner.*`` counters.  To run an ad-hoc ``(schedule, codec
+    spec, state)`` triple, call :class:`~repro.schedule.ScheduleExecutor`
+    or :class:`~repro.schedule.MPExecutor` directly.
     """
     config = config or plan_.config
     if cluster is None:
@@ -438,7 +436,4 @@ def execute(
         METRICS.inc(f"tuner.pick.{plan_.pick.slug()}")
         if plan_.flat_fallback:
             METRICS.inc("tuner.flat_fallback")
-    with use_backend(config.kernel_backend):
-        return run(
-            plan_.spec, cluster, local_data, plan_.config, **plan_.params
-        )
+    return run(plan_.spec, cluster, local_data, plan_.config, **plan_.params)

@@ -601,7 +601,9 @@ class HZDynamic:
                         acc[sel] += dj
                 if p4 is not None and p4.size:
                     azero[p4] = ~acc[p4].any(axis=1)
-            lens_acc, payload_acc, offsets_acc = backend.classify_encode(acc, bs)
+            lens_acc, payload_acc, offsets_acc = backend.encode_with_offsets(
+                acc, bs
+            )
             out_lengths[acc_idx] = lens_acc
 
         out_offsets = payload_offsets(out_lengths, bs)

@@ -1,14 +1,15 @@
-"""Pluggable fixed-length kernel backends for the compression hot path.
+"""Fixed-length kernel backends for the compression hot path.
 
 Public surface:
 
-* :mod:`repro.kernels.dispatch` — backend registry, resolution policy
-  (explicit override > ``REPRO_KERNEL_BACKEND`` env var > auto), and the
-  :func:`use_backend` scoping context manager;
-* :mod:`repro.kernels.plan` — the shared argsort-based
-  :class:`~repro.kernels.plan.GroupingPlan`, payload geometry, and the
-  per-signature :class:`~repro.kernels.plan.StreamLayout` the grouped
-  kernels walk (:func:`~repro.kernels.plan.stream_layout`);
+* :mod:`repro.kernels.dispatch` — the backend registry: a backend is the
+  four kernels ``encode_with_offsets``, ``decode_blocks``,
+  ``decode_selected`` and ``reduce_fused``, and the one that runs is
+  ``numba`` if it imports, else ``numpy``, unless the calling thread is
+  inside a :func:`use_backend` scope;
+* :mod:`repro.kernels.plan` — payload geometry and the per-signature
+  :class:`~repro.kernels.plan.StreamLayout` the grouped kernels walk
+  (:func:`~repro.kernels.plan.stream_layout`);
 * :mod:`repro.kernels.arena` — the thread-local scratch-buffer arena.
 
 The stable entry point for callers is still
@@ -18,18 +19,15 @@ backend.  All backends emit byte-identical streams.
 
 from .arena import ScratchArena, get_arena
 from .dispatch import (
-    ENV_VAR,
     KernelBackend,
     available_backends,
     backend_status,
     current_backend_name,
     get_backend,
     register_backend,
-    set_backend,
     use_backend,
 )
 from .plan import (
-    GroupingPlan,
     StreamLayout,
     block_payload_nbytes,
     payload_offsets,
@@ -38,8 +36,6 @@ from .plan import (
 )
 
 __all__ = [
-    "ENV_VAR",
-    "GroupingPlan",
     "KernelBackend",
     "ScratchArena",
     "StreamLayout",
@@ -52,7 +48,6 @@ __all__ = [
     "payload_offsets",
     "register_backend",
     "required_bits",
-    "set_backend",
     "stream_layout",
     "use_backend",
 ]

@@ -177,8 +177,8 @@ def encode_from_deltas_loop(deltas, code_lengths, offsets, payload):
 
     Signs and magnitudes are computed inline per element — no ``abs``
     array, no sign mask, no per-group gathers.  Combined with
-    :func:`classify_blocks_loop` this is the single-sweep
-    ``classify_encode`` kernel: one cheap metadata pass, one payload pass,
+    :func:`classify_blocks_loop` this is the Numba backend's single-sweep
+    ``encode_with_offsets``: one cheap metadata pass, one payload pass,
     zero full-size temporaries.  Blocks are independent (each writes its
     own ``[offsets[i], offsets[i+1])`` byte range), so the outer loop is a
     ``prange`` under the JIT.

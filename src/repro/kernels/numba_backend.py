@@ -9,7 +9,7 @@ compiled in ``nopython`` mode with on-disk caching, ``nogil`` (FZLight's
 pool workers run them truly in parallel) and ``parallel=True`` so the
 per-block outer loops fan out over thread-blocks with ``prange``:
 
-* ``classify_encode`` — the fused single-pass encode: one sweep computes
+* ``encode_with_offsets`` — the fused single-pass encode: one sweep computes
   the block classification (code lengths) and a second ``prange`` sweep
   emits the compressed stream straight from the deltas.  No ``abs`` array,
   no sign mask, no per-group gathers — the temporaries the NumPy backend
@@ -43,9 +43,7 @@ except ImportError as exc:  # pragma: no cover
 
 __all__ = [
     "NAME",
-    "encode_blocks",
     "encode_with_offsets",
-    "classify_encode",
     "decode_blocks",
     "decode_selected",
     "reduce_fused",
@@ -70,7 +68,7 @@ _encode_from_deltas_loop = _pjit(_kernels_py.encode_from_deltas_loop)
 _reduce_accumulate_loop = _pjit(_kernels_py.reduce_accumulate_loop)
 
 
-def classify_encode(
+def encode_with_offsets(
     deltas: np.ndarray, block_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fused single-pass classification + encode (see module docstring)."""
@@ -88,19 +86,6 @@ def classify_encode(
     payload = np.empty(int(offsets[-1]), dtype=np.uint8)
     _encode_from_deltas_loop(deltas, code_lengths, offsets, payload)
     return code_lengths, payload, offsets
-
-
-#: The fused kernel *is* this backend's encode — the two entry points are
-#: one function here (the NumPy backend keeps them distinct because its
-#: two-pass path is the bit-layout reference).
-encode_with_offsets = classify_encode
-
-
-def encode_blocks(
-    deltas: np.ndarray, block_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    code_lengths, payload, _ = classify_encode(deltas, block_size)
-    return code_lengths, payload
 
 
 def decode_blocks(
@@ -235,7 +220,7 @@ def warm_jit_cache(block_size: int = 32) -> None:
     """Compile every JIT kernel on a tiny workload (CI cache warming)."""
     deltas = np.arange(2 * block_size, dtype=np.int64).reshape(2, block_size)
     deltas[0] = 0
-    lens, payload, offsets = classify_encode(deltas, block_size)
+    lens, payload, offsets = encode_with_offsets(deltas, block_size)
     decode_blocks(lens, payload, block_size, offsets=offsets)
     decode_selected(
         np.arange(2, dtype=np.int64), lens, offsets, payload, block_size

@@ -45,9 +45,7 @@ from .plan import Staging, StreamLayout, required_bits, stream_layout
 __all__ = [
     "NAME",
     "MAX_CODE_LENGTH",
-    "encode_blocks",
     "encode_with_offsets",
-    "classify_encode",
     "decode_blocks",
     "decode_selected",
     "reduce_fused",
@@ -260,13 +258,6 @@ def encode_with_offsets(
     return code_lengths, payload, offsets
 
 
-def encode_blocks(
-    deltas: np.ndarray, block_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    code_lengths, payload, _ = encode_with_offsets(deltas, block_size)
-    return code_lengths, payload
-
-
 def decode_blocks(
     code_lengths: np.ndarray,
     payload: np.ndarray,
@@ -406,31 +397,20 @@ def _decode_grouped(
 
 
 # --------------------------------------------------------------------- #
-# fused entry points (classification + encode, k-way reduce)
+# the k-way reduce
 # --------------------------------------------------------------------- #
-#: The NumPy backend *is* the two-pass reference: classification runs as a
-#: vectorised metadata pass and serialisation as grouped kernels, so the
-#: fused entry point simply aliases :func:`encode_with_offsets`.  JIT/GPU
-#: backends override this with a genuinely single-sweep kernel; the parity
-#: suite pins all of them byte-identical to this function.
-classify_encode = encode_with_offsets
-
-
-def make_reduce_fused(decode_blocks_fn, classify_encode_fn, pass_layouts=False):
-    """Build a reference k-way ``reduce_fused`` from a backend's own kernels.
+def make_reduce_fused(decode_blocks_fn, encode_fn):
+    """Build the dense k-way ``reduce_fused`` on a decode and an encode.
 
     The returned callable implements the dense full-stream strategy —
     decode each operand contiguously, accumulate with integer weights,
-    re-encode once — on top of whatever ``decode_blocks`` /
-    ``classify_encode`` the backend provides.  The dispatch layer installs
-    this as the fallback for backends (custom or stub) that do not ship a
-    native fused kernel, so ``HZDynamic.reduce_fused`` can rely on the
-    entry point existing everywhere.
+    re-encode once.  This backend's :func:`reduce_fused` is it on its own
+    kernels; the ``bench-kernels`` fold split builds it on stopwatched
+    ones.
 
     ``offs_mat`` is only ever indexed by operand, so any sequence of ``k``
     offset arrays will do.  ``layouts`` (the operands' stream layouts, when
-    the caller holds them) reach ``decode_blocks_fn`` only with
-    ``pass_layouts``; a backend that has no use for them ignores them.
+    the caller holds them) reach ``decode_blocks_fn``.
 
     The fold accumulates in int32 whenever the operands' widest code
     lengths prove every partial sum fits (``Σ |w_j|·(2**max_c_j − 1) ≤
@@ -457,7 +437,6 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn, pass_layouts=False):
                 f"{acc.shape} {acc.dtype}"
             )
         w_list = weights.tolist()
-        hand_over = pass_layouts and layouts is not None
         widths = [
             int(lens.max(initial=0)) if layout is None else layout.max_c
             for lens, layout in zip(lens_mat, layouts or [None] * k)
@@ -492,7 +471,7 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn, pass_layouts=False):
                     block_size,
                     offsets=offs_mat[j],
                     out=scratch if started else acc,
-                    **({"layout": layouts[j]} if hand_over else {}),
+                    layout=None if layouts is None else layouts[j],
                 )
                 if w != 1:
                     decoded *= w
@@ -506,7 +485,7 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn, pass_layouts=False):
                     zero_after[j] = zero_after[j - 1]
         if not started:
             acc.fill(0)
-        out_lengths, payload, offsets = classify_encode_fn(acc, block_size)
+        out_lengths, payload, offsets = encode_fn(acc, block_size)
         if track:
             np.equal(out_lengths, 0, out=zero_after[k - 1])
         return out_lengths, payload, offsets, zero_after
@@ -518,4 +497,4 @@ def make_reduce_fused(decode_blocks_fn, classify_encode_fn, pass_layouts=False):
 #: :func:`make_reduce_fused` for the contract; the Numba backend replaces
 #: this with a single-sweep JIT kernel (one pass over each block across all
 #: k operands, ``prange`` over thread-blocks).
-reduce_fused = make_reduce_fused(decode_blocks, classify_encode, pass_layouts=True)
+reduce_fused = make_reduce_fused(decode_blocks, encode_with_offsets)

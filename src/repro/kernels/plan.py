@@ -1,4 +1,4 @@
-"""Shared block-grouping plan, payload geometry and the stream layout.
+"""Payload geometry, block grouping and the stream layout.
 
 Every fixed-length kernel (encode, decode, subset decode) needs the same
 two pieces of information:
@@ -8,13 +8,9 @@ two pieces of information:
 * **grouping** — which blocks share a code length ``c``, because blocks with
   equal ``c`` are processed by one vectorised (or one JIT) kernel call.
 
-The grouping used to be recomputed per kernel as ``np.unique`` followed by a
-full-array ``code_lengths == c`` scan *per distinct c* — up to 33 extra
-passes over the code-length array, plus a fancy gather per group.  A
-:class:`GroupingPlan` replaces all of that with **one** stable argsort
-(radix sort for uint8 keys, O(n)): group ``g`` is simply the contiguous
-slice ``order[bounds[g]:bounds[g+1]]``, already sorted by block index
-within the group (stability).
+The grouping is **one** stable argsort (radix sort for uint8 keys, O(n))
+and one ``bincount``: each group is a contiguous slice of the order,
+already sorted by block index within the group (stability).
 
 Both are pure functions of ``(code_lengths, block_size)``, and so is what
 the grouped kernels work on: the stream *staged* in that order
@@ -33,15 +29,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "GroupingPlan",
     "GroupLayout",
     "Staging",
     "StreamLayout",
@@ -114,47 +108,6 @@ def _sort_and_count(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
     order = keys.argsort(kind="stable")
     order.setflags(write=False)
     return order, np.bincount(keys, minlength=1).tolist()
-
-
-@dataclass(frozen=True)
-class GroupingPlan:
-    """Equal-code-length block groups from one stable argsort.
-
-    Attributes
-    ----------
-    order : ``(n,)`` read-only — block positions sorted by code length;
-        within a group the positions keep their original ascending order
-        (stable sort), so a group whose blocks are consecutive in the
-        stream shows up as a consecutive ``order`` slice.
-    values : the distinct code lengths, ascending.
-    bounds : ``n_groups + 1`` ints — group ``g`` is
-        ``order[bounds[g]:bounds[g+1]]``.
-
-    Nothing here can be written to: a plan is shared by everything that
-    holds the layout built from it.
-    """
-
-    order: np.ndarray
-    values: tuple[int, ...]
-    bounds: tuple[int, ...]
-
-    @classmethod
-    def from_code_lengths(cls, code_lengths: np.ndarray) -> "GroupingPlan":
-        """Build the plan with one O(n) radix argsort of the uint8 keys."""
-        order, counts = _sort_and_count(np.asarray(code_lengths))
-        values = tuple([c for c, count in enumerate(counts) if count])
-        bounds = tuple(accumulate([counts[c] for c in values], initial=0))
-        return cls(order=order, values=values, bounds=bounds)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.values)
-
-    def groups(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(code_length, block_positions)`` per group, ascending c."""
-        bounds = self.bounds
-        for g, c in enumerate(self.values):
-            yield c, self.order[bounds[g] : bounds[g + 1]]
 
 
 class GroupLayout(NamedTuple):

@@ -1,31 +1,66 @@
-"""Backend registry/dispatch: resolution policy, fallback, scoping."""
+"""Backend registry/dispatch: the four-kernel contract, the one selection
+rule (auto unless inside a ``use_backend`` scope), fallback, scoping."""
 
+import dataclasses
 import sys
+import threading
+import types
 
 import numpy as np
 import pytest
 
 from repro.kernels import dispatch
 from repro.kernels.dispatch import (
-    ENV_VAR,
     KernelBackend,
     available_backends,
     backend_status,
     current_backend_name,
     get_backend,
     register_backend,
-    set_backend,
     use_backend,
 )
 
+KERNELS = ("encode_with_offsets", "decode_blocks", "decode_selected", "reduce_fused")
+
 
 @pytest.fixture(autouse=True)
-def fresh_dispatch(monkeypatch):
-    """Each test drives discovery from scratch and leaves no override."""
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def fresh_dispatch():
+    """Each test drives discovery from scratch and leaves no scope."""
     dispatch._reset_for_tests()
     yield
     dispatch._reset_for_tests()
+
+
+def _copy_of(backend: KernelBackend, name: str) -> KernelBackend:
+    return dataclasses.replace(backend, name=name)
+
+
+class TestContract:
+    def test_kernel_fields_are_the_four_names(self):
+        names = [f.name for f in dataclasses.fields(KernelBackend)]
+        assert names == ["name", *KERNELS]
+
+    def test_module_missing_an_entry_is_unavailable(self, monkeypatch):
+        """A backend module without one of the four kernels is reported,
+        not patched up, and auto skips it."""
+        from repro.kernels import numpy_backend
+
+        partial = types.ModuleType("partial_backend")
+        partial.NAME = "partial"
+        for kernel in KERNELS[:-1]:
+            setattr(partial, kernel, getattr(numpy_backend, kernel))
+        monkeypatch.setitem(sys.modules, "partial_backend", partial)
+        monkeypatch.setattr(
+            dispatch,
+            "_BUILTIN_MODULES",
+            {"partial": "partial_backend", **dispatch._BUILTIN_MODULES},
+        )
+        status = backend_status()
+        assert "reduce_fused" in status["partial"]
+        assert "partial" not in available_backends()
+        assert current_backend_name() in ("numba", "numpy")
+        with pytest.raises(ValueError, match="reduce_fused"):
+            get_backend("partial")
 
 
 class TestDiscovery:
@@ -44,15 +79,15 @@ class TestDiscovery:
         else:
             assert name == "numpy"
 
-    def test_cupy_is_never_auto_selected(self, monkeypatch):
-        # even if cupy loaded, "auto" must resolve to numba/numpy only
-        monkeypatch.delenv(dispatch.ENV_VAR, raising=False)
+    def test_cupy_is_never_auto_selected(self):
+        # a registered backend is reachable by name only, never by auto
+        register_backend(_copy_of(get_backend("numpy"), "cupy"))
         assert current_backend_name() in ("numba", "numpy")
 
 
 class TestNumbaAbsentFallback:
     def test_auto_falls_back_to_numpy_when_numba_hidden(self, monkeypatch):
-        """The acceptance-criteria test: hide the import, nothing breaks."""
+        """Hide the import, nothing breaks."""
         monkeypatch.setitem(sys.modules, "numba", None)  # import -> ImportError
         monkeypatch.delitem(
             sys.modules, "repro.kernels.numba_backend", raising=False
@@ -79,37 +114,16 @@ class TestNumbaAbsentFallback:
 
 
 class TestResolutionPolicy:
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert current_backend_name() == "numpy"
-
-    def test_set_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "nonexistent")
-        set_backend("numpy")
-        assert current_backend_name() == "numpy"
-
-    def test_set_backend_none_restores_policy(self):
-        set_backend("numpy")
-        set_backend(None)
-        assert current_backend_name() in available_backends()
-
-    def test_set_backend_validates_eagerly(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_backend("not-a-backend")
+    def test_environment_does_not_pick_the_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "nonexistent")
+        assert get_backend() is get_backend("auto")
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(ValueError, match="available"):
             get_backend("not-a-backend")
-
-    def test_whitespace_only_env_means_auto(self, monkeypatch):
-        # regression: "   " used to fall through as the (unknown) empty
-        # backend name instead of the auto policy
-        monkeypatch.setenv(ENV_VAR, "   ")
-        assert current_backend_name() in available_backends()
-
-    def test_env_value_is_stripped(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "  numpy\t")
-        assert current_backend_name() == "numpy"
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            with use_backend("not-a-backend"):
+                pass
 
     def test_use_backend_scopes_and_restores(self):
         before = current_backend_name()
@@ -122,92 +136,40 @@ class TestResolutionPolicy:
         with use_backend(None):
             assert current_backend_name() in available_backends()
 
-    def test_use_backend_beats_set_backend_inside_scope(self):
-        set_backend("numpy")
-        with use_backend("numpy"):
-            assert current_backend_name() == "numpy"
+    def test_use_backend_nesting_is_per_thread(self):
+        register_backend(_copy_of(get_backend("numpy"), "outer"))
+        register_backend(_copy_of(get_backend("numpy"), "inner"))
+        seen = {}
+
+        def other_thread():
+            seen["other"] = current_backend_name()
+            with use_backend("inner"):
+                seen["other_scoped"] = current_backend_name()
+
+        with use_backend("outer"):
+            with use_backend("inner"):
+                assert current_backend_name() == "inner"
+                worker = threading.Thread(target=other_thread)
+                worker.start()
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            assert current_backend_name() == "outer"
+        assert current_backend_name() in ("numba", "numpy")
+        assert seen == {
+            "other": current_backend_name(),
+            "other_scoped": "inner",
+        }
 
 
 class TestRegistry:
     def test_register_custom_backend(self):
-        numpy_backend = get_backend("numpy")
-        custom = KernelBackend(
-            name="custom",
-            encode_blocks=numpy_backend.encode_blocks,
-            encode_with_offsets=numpy_backend.encode_with_offsets,
-            decode_blocks=numpy_backend.decode_blocks,
-            decode_selected=numpy_backend.decode_selected,
-        )
+        custom = _copy_of(get_backend("numpy"), "custom")
         register_backend(custom)
         assert "custom" in available_backends()
         assert get_backend("custom") is custom
 
-    def test_custom_backend_gets_fused_fallbacks(self):
-        """Omitted fused entry points are filled from the backend's own
-        kernels, so HZDynamic can call them unconditionally."""
-        numpy_backend = get_backend("numpy")
-        custom = KernelBackend(
-            name="custom-fallback",
-            encode_blocks=numpy_backend.encode_blocks,
-            encode_with_offsets=numpy_backend.encode_with_offsets,
-            decode_blocks=numpy_backend.decode_blocks,
-            decode_selected=numpy_backend.decode_selected,
-        )
-        assert custom.classify_encode is custom.encode_with_offsets
-        deltas = np.arange(64, dtype=np.int64).reshape(2, 32) - 20
-        lens, payload, offsets = custom.classify_encode(deltas, 32)
-        out = custom.reduce_fused(
-            np.stack([lens, lens]),
-            np.stack([offsets, offsets]),
-            [payload, payload],
-            np.ones(2, dtype=np.int64),
-            32,
-            track=True,
-        )
-        exp_lens, exp_payload, _ = numpy_backend.encode_with_offsets(
-            2 * deltas, 32
-        )
-        np.testing.assert_array_equal(out[0], exp_lens)
-        np.testing.assert_array_equal(out[1], exp_payload)
-        assert out[3].shape == (2, 2)
-
     def test_every_resolved_backend_has_full_surface(self):
         for name in available_backends():
             backend = get_backend(name)
-            assert callable(backend.classify_encode), name
-            assert callable(backend.reduce_fused), name
-
-
-class TestConfigAndCLIWiring:
-    def test_collective_config_field(self):
-        from repro.core.config import CollectiveConfig
-
-        config = CollectiveConfig(kernel_backend="numpy")
-        assert config.kernel_backend == "numpy"
-        with pytest.raises(ValueError):
-            CollectiveConfig(kernel_backend="")
-
-    def test_facade_respects_config_backend(self):
-        from repro.core.api import HZCCL
-        from repro.core.config import CollectiveConfig
-
-        lib = HZCCL(CollectiveConfig(kernel_backend="numpy"))
-        data = np.sin(np.linspace(0, 9, 2048)).astype(np.float32)
-        field = lib.compress(data)
-        out = lib.decompress(field)
-        assert np.max(np.abs(out - data)) <= field.error_bound
-
-    def test_facade_rejects_unknown_backend_on_use(self):
-        from repro.core.api import HZCCL
-        from repro.core.config import CollectiveConfig
-
-        lib = HZCCL(CollectiveConfig(kernel_backend="not-a-backend"))
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            lib.compress(np.zeros(64, dtype=np.float32))
-
-    def test_cli_global_flag(self, capsys):
-        from repro.cli import main
-
-        assert main(["--kernel-backend", "numpy", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "active: numpy" in out
+            for kernel in KERNELS:
+                assert callable(getattr(backend, kernel)), (name, kernel)

@@ -2,8 +2,8 @@
 
 Two invariants pin the fused hot path:
 
-* ``classify_encode`` (single-sweep classification + serialisation) is
-  **bit-identical** to the two-pass reference — same code lengths, same
+* ``encode_with_offsets`` (Numba's single-sweep classification +
+  serialisation) is **bit-identical** to the two-pass reference — same code lengths, same
   payload bytes, same offsets — for every backend and for the uncompiled
   scalar loops the Numba backend JIT-compiles;
 * ``reduce_fused`` (k-way accumulate) emits the same stream as encoding
@@ -149,7 +149,7 @@ def test_classify_encode_bit_identical_across_backends(case):
     decoded = get_backend("numpy").decode_blocks(lens, payload, bs)
     np.testing.assert_array_equal(decoded, deltas)
     for name in available_backends():
-        b_lens, b_payload, b_offsets = get_backend(name).classify_encode(
+        b_lens, b_payload, b_offsets = get_backend(name).encode_with_offsets(
             deltas, bs
         )
         np.testing.assert_array_equal(b_lens, lens, err_msg=name)
@@ -295,7 +295,7 @@ class TestFusedOverflow:
         deltas = np.zeros((2, 32), dtype=np.int32)
         deltas[0, 0], deltas[0, 1], deltas[1, 3] = -(2**31), 5, -4
         for name in available_backends():
-            lens, payload, offsets = get_backend(name).classify_encode(deltas, 32)
+            lens, payload, offsets = get_backend(name).encode_with_offsets(deltas, 32)
             np.testing.assert_array_equal(lens, [32, 3], err_msg=name)
             decoded = get_backend(name).decode_blocks(
                 lens, payload, 32, offsets=offsets
@@ -306,7 +306,7 @@ class TestFusedOverflow:
         deltas = np.full((1, 8), 1 << 32, dtype=np.int64)
         for name in available_backends():
             with pytest.raises(OverflowError):
-                get_backend(name).classify_encode(deltas, 8)
+                get_backend(name).encode_with_offsets(deltas, 8)
 
     def test_reduce_fused_rejects_accumulated_overflow(self):
         """Two max-magnitude operands overflow only after accumulation."""

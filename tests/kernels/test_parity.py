@@ -21,8 +21,7 @@ BLOCK_SIZES = (8, 32, 64)
 
 
 @pytest.fixture(autouse=True)
-def fresh_dispatch(monkeypatch):
-    monkeypatch.delenv(dispatch.ENV_VAR, raising=False)
+def fresh_dispatch():
     dispatch._reset_for_tests()
     yield
     dispatch._reset_for_tests()

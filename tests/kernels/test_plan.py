@@ -1,61 +1,16 @@
-"""GroupingPlan: the one-argsort replacement for np.unique + per-c masks."""
+"""Payload geometry and the shared, read-only stream layout."""
 
 import numpy as np
 import pytest
 
 from repro.kernels import plan as plan_module
 from repro.kernels.plan import (
-    GroupingPlan,
     StreamLayout,
     block_payload_nbytes,
     payload_offsets,
     required_bits,
     stream_layout,
 )
-
-
-class TestGroupingPlan:
-    def test_matches_unique_nonzero(self):
-        rng = np.random.default_rng(0)
-        lens = rng.integers(0, 33, size=500).astype(np.uint8)
-        plan = GroupingPlan.from_code_lengths(lens)
-        expected = {int(c): np.nonzero(lens == c)[0] for c in np.unique(lens)}
-        got = {c: idx for c, idx in plan.groups()}
-        assert sorted(got) == sorted(expected)
-        for c, idx in expected.items():
-            np.testing.assert_array_equal(got[c], idx)
-
-    def test_groups_ascending_by_code_length(self):
-        lens = np.array([5, 1, 5, 0, 3], dtype=np.uint8)
-        plan = GroupingPlan.from_code_lengths(lens)
-        assert [c for c, _ in plan.groups()] == [0, 1, 3, 5]
-
-    def test_within_group_positions_ascending(self):
-        # stability of the argsort is what enables the contiguous-run
-        # fast paths; it must hold for every group
-        rng = np.random.default_rng(1)
-        lens = rng.integers(0, 4, size=1000).astype(np.uint8)
-        for _, idx in GroupingPlan.from_code_lengths(lens).groups():
-            assert np.all(np.diff(idx) > 0)
-
-    def test_contiguous_runs_visible_in_order(self):
-        lens = np.array([2, 2, 2, 7, 7], dtype=np.uint8)
-        plan = GroupingPlan.from_code_lengths(lens)
-        groups = dict(plan.groups())
-        np.testing.assert_array_equal(groups[2], [0, 1, 2])
-        np.testing.assert_array_equal(groups[7], [3, 4])
-
-    def test_empty(self):
-        plan = GroupingPlan.from_code_lengths(np.zeros(0, dtype=np.uint8))
-        assert plan.n_groups == 0
-        assert list(plan.groups()) == []
-
-    def test_single_value(self):
-        plan = GroupingPlan.from_code_lengths(np.full(7, 9, dtype=np.uint8))
-        assert plan.n_groups == 1
-        ((c, idx),) = plan.groups()
-        assert c == 9
-        np.testing.assert_array_equal(idx, np.arange(7))
 
 
 class TestGeometryHelpers:
@@ -194,9 +149,6 @@ class TestStreamLayout:
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
-        plan = GroupingPlan.from_code_lengths(self.LENS)
-        with pytest.raises(ValueError, match="read-only"):
-            plan.order[0] = 1
 
     def test_cache_is_bounded_in_entries_and_bytes(self):
         rng = np.random.default_rng(5)
