@@ -11,7 +11,7 @@ so the gate travels between laptops and CI runners without retuning:
    committed floor (``--min-frac``, per ``backend:kernel:frac`` triple);
 3. **relative speedup** — a fast backend must actually beat the reference
    on the kernels it reimplements (``--min-speedup fast:ref:kernel:ratio``,
-   e.g. ``numba:numpy:classify_encode:5``);
+   e.g. ``numba:numpy:encode:5``);
 4. **sweep amortisation** — on the NumPy reference backend, one batched
    CPR / DPR sweep over eight 2 KB blocks must be at least
    :data:`SWEEP_FLOOR` times faster than eight single calls: the per-call
@@ -41,8 +41,8 @@ Usage::
     PYTHONPATH=src python benchmarks/kernel_gate.py
         [--mb 8] [--repeats 3]
         [--require numba]
-        [--min-frac numba:classify_encode:0.05 ...]
-        [--min-speedup numba:numpy:classify_encode:5 ...]
+        [--min-frac numba:encode:0.05 ...]
+        [--min-speedup numba:numpy:encode:5 ...]
 
 With no ``--min-frac``/``--min-speedup`` the gate still measures and
 reports everything (and enforces ``--require``), so the job log always

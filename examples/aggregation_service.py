@@ -1,11 +1,14 @@
 """Serve many concurrent reductions through the aggregation service.
 
 Three tenants ("climate", "gradients", "seismic") fire rooted SUM
-reductions at the service at once.  Same-shaped sessions landing inside
-the batching window coalesce into one fused ``batched-reduce`` plan —
+reductions at the service at once.  Same-shaped sessions submitted in
+the same event-loop tick — or while a batch of their shape is running,
+up to ``window_s`` — coalesce into one fused ``batched-reduce`` plan —
 one compression pass per rank covering the whole batch, fused k-way
 folds at the root — while odd-shaped sessions run alone; either way
 every tenant's result is bit-identical to a lone ``HZCCL.reduce`` call.
+A session with no batch of its shape in flight runs at once: batching
+never makes a lone caller wait.
 
 The run also injects a chaos fault plan (dropped + corrupted packets on
 the simulated data plane) to show the degrade-to-plain contract riding

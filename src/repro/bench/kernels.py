@@ -1,8 +1,7 @@
 """Kernel-level perf-regression harness (``repro bench-kernels``).
 
-Measures the throughput of the hot kernels — the encode through
-``encode_blocks`` (row ``encode``) and through ``encode_into`` (row
-``classify_encode``, the name CI's floors use), ``decode_blocks``,
+Measures the throughput of the hot kernels — the encode
+(``encode_blocks``, row ``encode``), ``decode_blocks``,
 ``decode_selected`` and the fused k-way ``reduce_fused`` at
 k ∈ {2, 8, 16} — per available backend, on the
 same random-walk field family every run, and emits the machine-readable
@@ -54,7 +53,6 @@ from ..compression.encoding import (
     decode_blocks,
     decode_selected,
     encode_blocks,
-    encode_into,
     payload_offsets,
 )
 from ..compression.format import CompressedField, QuantisedField
@@ -195,11 +193,6 @@ def _bench_backend(
 
         t = best_of(lambda: encode_blocks(blocks, _BLOCK_SIZE), repeats=repeats)
         kernels["encode"] = {
-            "seconds": t.seconds,
-            "gbps": throughput_gbps(nbytes, t.seconds),
-        }
-        t = best_of(lambda: encode_into(blocks, _BLOCK_SIZE), repeats=repeats)
-        kernels["classify_encode"] = {
             "seconds": t.seconds,
             "gbps": throughput_gbps(nbytes, t.seconds),
         }

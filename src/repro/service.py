@@ -11,17 +11,27 @@ is the asyncio front door that closes the gap (DESIGN.md §16):
   (backpressure is an error the caller handles, not a silent stall),
   and optional per-tenant in-flight quotas refuse with
   :class:`TenantQuotaExceeded`;
-* **batching window** — the first session of a given shape arms a
-  ``window_s`` timer; every same-shaped session arriving inside the
-  window joins the batch (up to ``max_batch``, which flushes early).
-  One :class:`~repro.core.pipeline.CollectiveRequest` with
+* **work-conserving batching** — a shape (:class:`BatchKey`) with no
+  batch in flight flushes its new bucket at the end of the current
+  event-loop tick, so a lone session never waits, while sessions
+  submitted in the same tick (a ``gather``, or the clients that one
+  batch's results wake) still share one batch.  While a batch of a
+  shape runs, new sessions of that shape collect in its bucket, which
+  flushes on whichever comes first: the running batch settles, the
+  bucket reaches ``max_batch``, or ``window_s`` expires — so
+  ``window_s`` is the longest a session waits behind a running batch
+  of its shape.  Batches grow with load, as in a database's group
+  commit.  One :class:`~repro.core.pipeline.CollectiveRequest` with
   ``op="batched-reduce"`` covers the whole batch, so repeated shapes
   hit the process-wide :data:`~repro.core.pipeline.PLAN_CACHE` and the
   fused fold keeps every session **bit-identical** to a lone call;
 * **observability** — ``service.*`` counters in :data:`repro.obs.METRICS`
   plus per-tenant submit counters (the first :data:`TENANT_COUNTERS`
-  tenants by name, the rest as ``other``), mirrored by :meth:`stats`;
-* **graceful drain** — :meth:`drain` flushes every open window and waits
+  tenants by name, the rest as ``other``), mirrored by :meth:`stats`,
+  and two latency histograms: ``service.queue_ms`` (admission → batch
+  start) and ``service.exec_ms`` (the batch's ``execute`` wall, thread
+  hop included);
+* **graceful drain** — :meth:`drain` flushes every waiting bucket and waits
   for in-flight batches; :meth:`stop` closes admission first.  A caller
   that cancels its ``submit`` before the flush is skipped without
   disturbing the rest of its batch.
@@ -43,6 +53,7 @@ event loop keeps admitting and coalescing while a batch reduces.
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,23 +140,33 @@ class _Session:
     tenant: str
     arrays: list[np.ndarray]
     future: asyncio.Future
+    admitted: float  # perf_counter at admission (``service.queue_ms``)
 
 
 @dataclass
 class _Bucket:
+    #: the scheduled flush: end of tick for an idle shape, ``window_s``
+    #: (or the running batch settling) for a busy one
+    timer: asyncio.Handle
     sessions: list[_Session] = field(default_factory=list)
-    timer: asyncio.Task | None = None
 
 
 class AggregationService:
     """Asyncio front door batching rooted reductions onto fused plans.
+
+    Batching is work-conserving: a shape with no batch in flight runs
+    its sessions at the end of the current event-loop tick, and a shape
+    whose batch is running collects new sessions until that batch
+    settles, the bucket reaches ``max_batch`` or ``window_s`` expires.
 
     Parameters
     ----------
     config : collective configuration for every batch (fault plans ride
         along here — chaos testing injects ``config.fault_plan`` and the
         degrade-to-plain contract covers the whole batch).
-    window_s : batching window armed by the first session of a shape.
+    window_s : the longest a session waits behind a running batch of its
+        shape before its bucket flushes anyway; a shape with no batch in
+        flight never waits it.
     max_batch : flush a shape's bucket early at this many sessions;
         ``1`` disables coalescing (every session runs alone).
     max_pending : bound on admitted-but-unresolved sessions across all
@@ -175,6 +196,8 @@ class AggregationService:
         self.tenant_quota = tenant_quota
         self._buckets: dict[BatchKey, _Bucket] = {}
         self._tasks: set[asyncio.Task] = set()
+        #: batches in flight per shape, decremented by the batch itself
+        self._running: dict[BatchKey, int] = {}
         self._pending = 0
         self._tenant_pending: dict[str, int] = {}
         self._metric_tenants: set[str] = set()
@@ -238,15 +261,20 @@ class AggregationService:
             METRICS.inc(f"service.tenant.{label}.submitted")
 
         key = BatchKey.of(arrays, root)
+        loop = asyncio.get_running_loop()
         session = _Session(
             tenant=tenant,
             arrays=arrays,
-            future=asyncio.get_running_loop().create_future(),
+            future=loop.create_future(),
+            admitted=time.perf_counter(),
         )
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self._buckets[key] = _Bucket()
-            bucket.timer = asyncio.create_task(self._window(key))
+            if key in self._running:
+                timer = loop.call_later(self.window_s, self._flush, key)
+            else:
+                timer = loop.call_soon(self._flush, key)
+            bucket = self._buckets[key] = _Bucket(timer)
         bucket.sessions.append(session)
         if len(bucket.sessions) >= self.max_batch:
             self._flush(key)
@@ -255,23 +283,42 @@ class AggregationService:
         finally:
             self._release(session)
 
-    async def _window(self, key: BatchKey) -> None:
-        try:
-            await asyncio.sleep(self.window_s)
-        except asyncio.CancelledError:
-            return
-        self._flush(key)
-
     def _flush(self, key: BatchKey) -> None:
-        """Close a shape's window and hand its batch to a worker."""
+        """Close a shape's bucket and hand its batch to a worker."""
         bucket = self._buckets.pop(key, None)
         if bucket is None:
             return
-        if bucket.timer is not None and bucket.timer is not asyncio.current_task():
-            bucket.timer.cancel()
-        task = asyncio.create_task(self._run_batch(key, bucket.sessions))
+        bucket.timer.cancel()
+        if METRICS.enabled:
+            now = time.perf_counter()
+            for s in bucket.sessions:
+                if not s.future.cancelled():
+                    METRICS.observe("service.queue_ms", 1e3 * (now - s.admitted))
+        self._running[key] = self._running.get(key, 0) + 1
+        task = asyncio.create_task(self._settle(key, bucket.sessions))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+
+    async def _settle(self, key: BatchKey, sessions: list[_Session]) -> None:
+        """Run one flushed batch, then flush the shape's waiting bucket.
+
+        The in-flight count drops here, after the futures are set, not in
+        a done-callback: that runs a tick later, after the woken clients
+        have resubmitted, and their next batch would sit out the window.
+        """
+        try:
+            await self._run_batch(key, sessions)
+        finally:
+            left = self._running.pop(key) - 1
+            if left:
+                self._running[key] = left
+            bucket = self._buckets.get(key)
+            if bucket is not None:
+                # end of tick: the clients just woken join this bucket
+                bucket.timer.cancel()
+                bucket.timer = asyncio.get_running_loop().call_soon(
+                    self._flush, key
+                )
 
     # ------------------------------------------------------------------ #
     # execution (worker thread via asyncio.to_thread)
@@ -298,9 +345,11 @@ class AggregationService:
         batch = [s.arrays for s in live]
         try:
             plan_ = plan(request, self.config)
+            t0 = time.perf_counter()
             result = await asyncio.to_thread(
                 execute, plan_, batch, config=self.config
             )
+            exec_s = time.perf_counter() - t0
         except Exception as exc:  # noqa: BLE001 — settle who failed
             if len(live) > 1:
                 # one session's data must not fail its batch-mates: each
@@ -315,6 +364,7 @@ class AggregationService:
         self._count("wire_bytes", result.bytes_on_wire)
         if METRICS.enabled:
             METRICS.observe("service.batch.sessions", len(live))
+            METRICS.observe("service.exec_ms", 1e3 * exec_s)
             if result.degraded:
                 METRICS.inc("service.batches.degraded")
         for i, s in enumerate(live):
@@ -346,7 +396,7 @@ class AggregationService:
     # lifecycle
     # ------------------------------------------------------------------ #
     async def drain(self) -> None:
-        """Flush every open window and wait for in-flight batches."""
+        """Flush every waiting bucket and wait for in-flight batches."""
         while self._buckets or self._tasks:
             for key in list(self._buckets):
                 self._flush(key)

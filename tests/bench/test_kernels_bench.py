@@ -24,7 +24,7 @@ FLOOR_ROWS = (
     "cpr_8x2kb_calls", "cpr_8x2kb_sweep",
     "dpr_8x2kb_calls", "dpr_8x2kb_sweep",
 )
-EXPECTED_KERNELS = {"encode", "classify_encode", "decode", "decode_selected"} | {
+EXPECTED_KERNELS = {"encode", "decode", "decode_selected"} | {
     f"reduce_fused_k{k}" for k in REDUCE_KS
 }
 

@@ -12,12 +12,14 @@ withdrawal, drain/stop.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.service
 from repro import HZCCL, CollectiveConfig
 from repro.obs.metrics import METRICS, metrics_enabled
 from repro.runtime.faults import FaultPlan
@@ -285,6 +287,117 @@ class TestLifecycle:
         assert [r.batched for r in results] == [2, 2]
 
 
+@pytest.fixture
+def blocked_execute(monkeypatch):
+    """Make the first batch's ``execute`` block until ``gate`` is set.
+
+    Yields ``(gate, calls)``: ``calls`` lists each batch's session count
+    in the order the batches reached ``execute``.
+    """
+    gate = threading.Event()
+    calls: list[int] = []
+    real = repro.service.execute
+
+    def execute(plan_, batch, **kw):
+        calls.append(len(batch))
+        if len(calls) == 1:
+            gate.wait(30)
+        return real(plan_, batch, **kw)
+
+    monkeypatch.setattr(repro.service, "execute", execute)
+    try:
+        yield gate, calls
+    finally:
+        gate.set()  # never leave a worker thread blocked
+
+
+async def _until(predicate, timeout: float = 10.0) -> None:
+    async def poll():
+        while not predicate():
+            await asyncio.sleep(0.002)
+
+    await asyncio.wait_for(poll(), timeout)
+
+
+class TestWorkConserving:
+    """A shape with no batch in flight runs at once; a busy shape collects
+    until its batch settles, ``max_batch`` or ``window_s``."""
+
+    def test_lone_session_does_not_wait_the_window(self):
+        data = _session_data(2, 100, 0)
+
+        async def go():
+            async with AggregationService(window_s=60.0) as svc:
+                return await asyncio.wait_for(svc.submit(data), 10)
+
+        assert asyncio.run(go()).batched == 1
+
+    def test_woken_clients_batch_together_every_round(self):
+        # max_batch above the client count: only the settle rule can
+        # flush, so the in-flight mark must be clear before the woken
+        # clients resubmit, or each round sits out the 60 s window
+        batches = [_session_data(2, 100, s) for s in range(8)]
+
+        async def client(svc, data):
+            return [(await svc.submit(data)).batched for _ in range(3)]
+
+        async def go():
+            async with AggregationService(window_s=60.0, max_batch=16) as svc:
+                return await asyncio.gather(
+                    *(client(svc, b) for b in batches)
+                )
+
+        rounds = asyncio.run(asyncio.wait_for(go(), 30))
+        assert rounds == [[8, 8, 8]] * 8
+
+    def test_sessions_behind_a_running_batch_form_the_next_batch(
+        self, blocked_execute
+    ):
+        gate, calls = blocked_execute
+        batches = [_session_data(2, 100, s) for s in range(4)]
+
+        async def go():
+            svc = AggregationService(window_s=60.0, max_batch=8)
+            first = asyncio.ensure_future(svc.submit(batches[0]))
+            await _until(lambda: calls)
+            rest = [asyncio.ensure_future(svc.submit(b)) for b in batches[1:]]
+            await asyncio.sleep(0.05)
+            assert calls == [1]  # they wait behind the running batch
+            gate.set()
+            results = await asyncio.wait_for(
+                asyncio.gather(first, *rest), 30
+            )
+            await svc.stop()
+            return results
+
+        results = asyncio.run(go())
+        assert [r.batched for r in results] == [1, 3, 3, 3]
+        assert calls == [1, 3]
+        lib = HZCCL()
+        for data, r in zip(batches, results):
+            assert np.array_equal(r.output, lib.reduce(data).outputs[0])
+
+    def test_window_bounds_the_wait_behind_a_running_batch(
+        self, blocked_execute
+    ):
+        gate, calls = blocked_execute
+        batches = [_session_data(2, 100, s) for s in range(2)]
+
+        async def go():
+            svc = AggregationService(window_s=0.05, max_batch=8)
+            first = asyncio.ensure_future(svc.submit(batches[0]))
+            await _until(lambda: calls)
+            second = await asyncio.wait_for(svc.submit(batches[1]), 10)
+            assert not first.done() and not gate.is_set()
+            gate.set()
+            await asyncio.wait_for(first, 30)
+            await svc.stop()
+            return second
+
+        assert asyncio.run(go()).batched == 1
+        assert calls == [1, 1]
+
+
 class TestObservability:
     def test_service_counters_and_tenant_attribution(self):
         batches = [_session_data(2, 100, s) for s in range(3)]
@@ -321,6 +434,27 @@ class TestObservability:
             assert METRICS.counter("service.tenant.other.submitted") == (
                 1000 - TENANT_COUNTERS
             )
+
+    def test_queue_and_exec_histograms(self):
+        data = _session_data(2, 100, 0)
+
+        async def go():
+            async with AggregationService(window_s=60.0) as svc:
+                await asyncio.wait_for(svc.submit(data), 10)
+
+        with metrics_enabled():
+            asyncio.run(go())
+            queue = METRICS.histogram("service.queue_ms")
+            exec_ = METRICS.histogram("service.exec_ms")
+            assert queue.count == 1 and exec_.count == 1
+            assert 0 <= queue.vmax < 1_000  # far below the 60 000 ms window
+            assert exec_.vmax > 0
+
+    def test_histograms_stay_off_with_metrics_disabled(self):
+        METRICS.reset()
+        _submit_all(AggregationService(), [_session_data(2, 100, 0)])
+        assert METRICS.histogram("service.queue_ms") is None
+        assert METRICS.histogram("service.exec_ms") is None
 
     def test_stats_reports_plan_cache(self):
         svc = AggregationService()
