@@ -20,14 +20,18 @@ to serve them, measured end to end:
   and this row should cost what the unbatched one does.
 
 Because the fused fold is exact in the integer domain, batching changes
-no output byte — the comparison is pure amortisation.  The gate
-requires the batched service to clear **``--min-speedup`` (default 2×)
-the per-request baseline's per-session throughput** at the 64 KB
-payload point, and the lone row to stay within
-:data:`LONE_OVER_UNBATCHED_LIMIT` of the unbatched one (a lone session
-that sat out the window would cost ~10 ms more each); the report
-includes the :data:`~repro.core.pipeline.PLAN_CACHE` hit rate the
-serving loop achieved.
+no output byte — the comparison is pure amortisation.  The rows take
+turns: every round runs each row once, the order rotated by one row per
+round, so a slow minute of the box lands on every row alike instead of
+on whichever ran then.  Each row reports its median over the rounds, and
+the gate reads the median of the per-round ratios.  It requires the
+batched service to clear **``--min-speedup`` (default 2×) the
+per-request baseline's per-session throughput** at the 64 KB payload
+point, and the lone row to stay within :data:`LONE_OVER_UNBATCHED_LIMIT`
+of the unbatched one (a lone session that sat out the window would cost
+~10 ms more each); the report includes the
+:data:`~repro.core.pipeline.PLAN_CACHE` hit rate the serving loop
+achieved.
 
 Usage::
 
@@ -53,7 +57,8 @@ from repro.service import AggregationService
 N_RANKS = 4
 ELEMENTS = 16_384  # 64 KB of float32 — the gate's payload point
 SESSIONS = 8
-REPEATS = 5
+#: rounds, each running every row once
+REPEATS = 9
 SEED = 20260808
 #: ``--check`` bound on the lone row's time over the unbatched row's
 LONE_OVER_UNBATCHED_LIMIT = 1.5
@@ -107,8 +112,30 @@ def _serve_once(
     return asyncio.run(go())
 
 
-def _best_of(fn, repeats: int) -> tuple[float, int]:
-    return min(fn() for _ in range(repeats))
+def _rows(batch) -> dict:
+    """The four ways to serve ``batch``, each one ``(seconds, wire)`` call."""
+    return {
+        "per_request": lambda: _facade_once(batch),
+        "service_unbatched": lambda: _serve_once(
+            batch, coalesce=False, concurrent=False
+        ),
+        "batched": lambda: _serve_once(batch, coalesce=True, concurrent=True),
+        "service_lone": lambda: _serve_once(
+            batch, coalesce=True, concurrent=False
+        ),
+    }
+
+
+def _take_turns(rows: dict, rounds: int) -> dict[str, list]:
+    """Every row's results over ``rounds`` rounds: each round runs every
+    row once, starting one row further along than the round before."""
+    names = list(rows)
+    results: dict[str, list] = {name: [] for name in names}
+    for turn in range(rounds):
+        shift = turn % len(names)
+        for name in names[shift:] + names[:shift]:
+            results[name].append(rows[name]())
+    return results
 
 
 def measure(repeats: int = REPEATS) -> dict:
@@ -116,39 +143,39 @@ def measure(repeats: int = REPEATS) -> dict:
     _facade_once(batch)  # warm kernels + plan cache
     _serve_once(batch, coalesce=False, concurrent=False)
     PLAN_CACHE.clear()
-    per_request_s, per_request_wire = _best_of(
-        lambda: _facade_once(batch), repeats
-    )
-    unbatched_s, unbatched_wire = _best_of(
-        lambda: _serve_once(batch, coalesce=False, concurrent=False), repeats
-    )
-    batched_s, batched_wire = _best_of(
-        lambda: _serve_once(batch, coalesce=True, concurrent=True), repeats
-    )
-    lone_s, lone_wire = _best_of(
-        lambda: _serve_once(batch, coalesce=True, concurrent=False), repeats
+    results = _take_turns(_rows(batch), repeats)
+    secs = {row: np.array([r[0] for r in runs]) for row, runs in results.items()}
+    wire = {row: runs[-1][1] for row, runs in results.items()}
+
+    def ratio(num: str, den: str) -> float:
+        """The median over rounds of one round's ``num / den``."""
+        return float(np.median(secs[num] / secs[den]))
+
+    per_request_s, unbatched_s, batched_s, lone_s = (
+        float(np.median(secs[row]))
+        for row in ("per_request", "service_unbatched", "batched", "service_lone")
     )
     return {
         "ranks": N_RANKS,
         "elements": ELEMENTS,
         "payload_bytes": ELEMENTS * 4,
         "sessions": SESSIONS,
-        "repeats": repeats,
+        "rounds": repeats,
         "per_request_s": per_request_s,
         "service_unbatched_s": unbatched_s,
         "batched_s": batched_s,
         "service_lone_s": lone_s,
-        "lone_over_unbatched": lone_s / unbatched_s,
-        "speedup": per_request_s / batched_s,
-        "speedup_vs_unbatched": unbatched_s / batched_s,
+        "lone_over_unbatched": ratio("service_lone", "service_unbatched"),
+        "speedup": ratio("per_request", "batched"),
+        "speedup_vs_unbatched": ratio("service_unbatched", "batched"),
         "per_request_sessions_per_s": SESSIONS / per_request_s,
         "service_unbatched_sessions_per_s": SESSIONS / unbatched_s,
         "batched_sessions_per_s": SESSIONS / batched_s,
         "service_lone_sessions_per_s": SESSIONS / lone_s,
-        "per_request_wire_bytes": per_request_wire,
-        "service_unbatched_wire_bytes": unbatched_wire,
-        "batched_wire_bytes": batched_wire,
-        "service_lone_wire_bytes": lone_wire,
+        "per_request_wire_bytes": wire["per_request"],
+        "service_unbatched_wire_bytes": wire["service_unbatched"],
+        "batched_wire_bytes": wire["batched"],
+        "service_lone_wire_bytes": wire["service_lone"],
         "plan_cache": PLAN_CACHE.stats(),
     }
 
@@ -163,7 +190,8 @@ def report(doc: dict) -> str:
     return "\n".join(
         [
             f"aggregation service @ {doc['payload_bytes'] >> 10} KB x "
-            f"{doc['sessions']} sessions ({doc['ranks']} ranks)",
+            f"{doc['sessions']} sessions ({doc['ranks']} ranks), medians "
+            f"of {doc['rounds']} rounds",
             row("per-request", doc["per_request_s"],
                 doc["per_request_sessions_per_s"]),
             row("service, unbatched", doc["service_unbatched_s"],
@@ -172,6 +200,7 @@ def report(doc: dict) -> str:
                 doc["batched_sessions_per_s"]),
             row("service, lone", doc["service_lone_s"],
                 doc["service_lone_sessions_per_s"]),
+            "  per-round ratios, median:",
             f"  speedup           : {doc['speedup']:.2f}x vs per-request, "
             f"{doc['speedup_vs_unbatched']:.2f}x vs unbatched service",
             f"  lone / unbatched  : {doc['lone_over_unbatched']:.2f}x "
@@ -189,7 +218,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="gate: batched must clear --min-speedup, and "
                         "lone stay within LONE_OVER_UNBATCHED_LIMIT")
     parser.add_argument("--min-speedup", type=float, default=2.0)
-    parser.add_argument("--repeats", type=int, default=REPEATS)
+    parser.add_argument("--repeats", type=int, default=REPEATS,
+                        help="rounds; each runs every row once")
     parser.add_argument("-o", "--output", default=None,
                         help="write the measurement as JSON")
     args = parser.parse_args(argv)

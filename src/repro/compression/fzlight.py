@@ -72,6 +72,8 @@ __all__ = [
 DEFAULT_THREADBLOCKS = 36
 
 
+#: decompress sums codes in int32 when they provably stay within this
+_INT32_MAX = (1 << 31) - 1
 #: Elements per prediction / prefix-sum slab: 128 KB of int64, so a slab
 #: written by one kernel is still in cache when the next one reads it.
 _SLAB_ELEMS = 1 << 14
@@ -103,6 +105,7 @@ class _Group:
     head_len: int  # elements per head thread-block (0: no head matrix)
     pad: int  # padded elements per head thread-block
     slabs: tuple[slice, ...]  # head thread-block columns, slab by slab
+    run: int  # elements in the longest thread-block (one prefix sum)
 
     def rows(self, per_element: np.ndarray) -> np.ndarray:
         """This group's ``(members, n)`` slice of a sweep-wide element buffer."""
@@ -156,7 +159,11 @@ def _refs_when_unreferenced() -> int:
 
 
 _UNREFERENCED = _refs_when_unreferenced()
-#: bytes of grids kept for reuse; beyond them a grid is not kept
+#: grids kept for reuse, at most this many and this many bytes of them;
+#: beyond either a grid is not kept.  The count bounds the scan a call
+#: makes, so a burst of live fields cannot slow every later quantise.  The
+#: repo benchmark's workloads keep at most 16.
+_KEPT_GRIDS = 32
 _KEPT_BYTES = 8 << 20
 _KEPT: list[np.ndarray] = []
 _KEPT_LOCK = threading.Lock()
@@ -183,7 +190,8 @@ def _free_grid(n: int, dtype) -> np.ndarray:
     4K aliasing.  So grids are recycled: the smallest kept grid that is
     large enough and that nothing but the pool refers to (every field
     viewing it is gone) is taken again, and one is allocated only when
-    none is free.  One pool per process, so threads share its bound.
+    none is free.  One pool per process, so threads share its bounds
+    (:data:`_KEPT_GRIDS` grids, :data:`_KEPT_BYTES` bytes).
     """
     nbytes = n * np.dtype(dtype).itemsize
     with _KEPT_LOCK:
@@ -197,7 +205,10 @@ def _free_grid(n: int, dtype) -> np.ndarray:
                 best = grid
         if best is None:
             best = np.empty(nbytes, dtype=np.uint8)
-            if sum(grid.nbytes for grid in _KEPT) + nbytes <= _KEPT_BYTES:
+            if (
+                len(_KEPT) < _KEPT_GRIDS
+                and sum(grid.nbytes for grid in _KEPT) + nbytes <= _KEPT_BYTES
+            ):
                 _KEPT.append(best)
         # viewed before the lock goes, so no other thread can take it
         grid = best[:nbytes]
@@ -230,6 +241,7 @@ def _layout(shapes: tuple[tuple[int, int], ...], block_size: int) -> _Sweep:
             _Group(
                 structure, tuple(members), elem0, block0, n, blocks, head_len,
                 int(structure.blocks_per_tb[0]) * block_size, slabs,
+                max(head_len, n - heads * head_len),
             )
         )
         order += members
@@ -554,7 +566,8 @@ class FZLight:
         bs = fields[0].block_size
         sweep = _layout(tuple([(f.n, f.n_threadblocks) for f in fields]), bs)
         ordered = [fields[i] for i in sweep.order]
-        flat = _delta_grid(ordered, sweep, bs).reshape(-1)
+        grid, peak = _delta_grid(ordered, sweep, bs)
+        flat = grid.reshape(-1)
         out: list = [None] * len(fields)
         for group in sweep.groups:
             m, members = len(group.members), group.members
@@ -565,16 +578,33 @@ class FZLight:
             for j, i in enumerate(members):
                 outliers[j] = fields[i].outliers
                 twice_eb[j] = 2.0 * fields[i].error_bound
+            dtype = _code_dtype(group.run, peak, outliers)
+            outliers = outliers.astype(dtype, copy=False)
             # members of one geometry come back as the rows of one array
             decoded = np.empty((m, group.n), dtype=np.float32)
             for slots, cols, values in group.runs(flat, decoded):
-                codes = arena.take("fz.codes", slots.shape, np.int64)
-                slots.cumsum(axis=2, dtype=np.int64, out=codes)
+                codes = arena.take("fz.codes", slots.shape, dtype)
+                slots.cumsum(axis=2, dtype=dtype, out=codes)
                 codes += outliers[:, cols, None]
+                # every code is exact in float64, whatever it was summed in
                 np.multiply(codes, twice_eb, out=values, dtype=np.float64)
             for j, i in enumerate(members):
                 out[i] = decoded[j]
         return out
+
+
+def _code_dtype(run: int, peak: int, outliers: np.ndarray):
+    """``int32`` when it holds every prefix sum of a decompress, else ``int64``.
+
+    A code is its thread-block's outlier (``outliers``, ``int64``) plus at
+    most ``run`` deltas, each at most ``peak`` in magnitude, so ``run·peak
+    + max |outlier| <= 2**31 − 1`` proves no partial sum leaves ``int32``.
+    """
+    # abs(-2**63) stays negative as int64, and is 2**63 read as uint64
+    reach = np.maximum.reduce(np.abs(outliers).view(np.uint64), axis=None)
+    if run * peak + int(reach) <= _INT32_MAX:
+        return np.int32
+    return np.int64
 
 
 def _deltas_back_to_back(held: list[QuantisedField]) -> np.ndarray:
@@ -591,21 +621,23 @@ def _deltas_back_to_back(held: list[QuantisedField]) -> np.ndarray:
     return np.concatenate(parts, out=out)
 
 
-def _delta_grid(ordered: list, sweep: _Sweep, bs: int) -> np.ndarray:
-    """The deltas of ``ordered``'s members, back to back, in arena scratch.
+def _delta_grid(ordered: list, sweep: _Sweep, bs: int) -> tuple[np.ndarray, int]:
+    """The deltas of ``ordered``'s members, back to back, in arena scratch,
+    and a bound on their magnitudes.
 
     The streams are decoded in one pass; a quantised member's blocks are
     constant to that pass, and its own deltas are copied in after it.
     """
     held = list(map(isinstance, ordered, repeat(QuantisedField)))
     if all(held):
-        return _deltas_back_to_back(ordered)
+        return _deltas_back_to_back(ordered), max([q.bound for q in ordered])
     # a stream whose sizes disagree with its geometry would shift every
     # later member's slice: refuse it before decoding anything
-    b0, wide = 0, False
+    b0, wide, peak = 0, False, 0
     for f, q, b1 in zip(ordered, held, sweep.block_ends):
         if q:
             wide = wide or f.deltas.dtype == np.int64
+            peak = max(peak, f.bound)
         elif f.code_lengths.size != b1 - b0:
             f.validate()  # raises, naming the mismatch
         b0 = b1
@@ -640,7 +672,9 @@ def _delta_grid(ordered: list, sweep: _Sweep, bs: int) -> np.ndarray:
     for f, q, b1 in zip(ordered, held, sweep.block_ends):
         if q:
             grid[b1 - f.deltas.shape[0] : b1] = f.deltas
-    return grid
+    # a decoded magnitude has at most max_c bits
+    top = (1 << layout.max_c) - 1
+    return grid, top if top > peak else peak
 
 
 def compress(

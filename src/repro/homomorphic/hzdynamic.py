@@ -64,6 +64,7 @@ from ..compression.encoding import (
 from ..compression.format import CompressedField, QuantisedField
 from ..kernels.arena import get_arena
 from ..kernels.dispatch import KernelBackend, get_backend
+from ..kernels.numpy_backend import block_words
 from ..obs.metrics import METRICS
 
 __all__ = ["PipelineStats", "HZDynamic", "homomorphic_sum"]
@@ -343,7 +344,7 @@ class HZDynamic:
             nzmat = np.empty((k, nb), dtype=bool)
             for j, f in enumerate(fields):
                 if quantised[j]:
-                    np.logical_or.reduce(f.deltas, axis=1, out=nzmat[j])
+                    np.not_equal(block_words(f.deltas), 0, out=nzmat[j])
                 else:
                     np.not_equal(f.code_lengths, 0, out=nzmat[j])
         else:
@@ -470,9 +471,10 @@ class HZDynamic:
                 np.add(grid, acc, out=grid)
                 acc, added = grid, True
             if rows and 0 < j < k - 1:
-                zero_after[j] = (
-                    ~acc.any(axis=1) if added else zero_after[j - 1]
-                )
+                if added:
+                    np.equal(block_words(acc), 0, out=zero_after[j])
+                else:
+                    zero_after[j] = zero_after[j - 1]
         if track:
             self._record_fold_stats(zero_after, nzmat)
         return QuantisedField(
@@ -600,7 +602,7 @@ class HZDynamic:
                             dj *= w[j]
                         acc[sel] += dj
                 if p4 is not None and p4.size:
-                    azero[p4] = ~acc[p4].any(axis=1)
+                    azero[p4] = block_words(acc[p4]) == 0
             lens_acc, payload_acc, offsets_acc = backend.encode_with_offsets(
                 acc, bs
             )

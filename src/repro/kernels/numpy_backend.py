@@ -19,8 +19,12 @@ Relative to the original in-module kernels it
   steady-state calls make no large allocations;
 * moves payload bytes at word granularity: when ``block_size % 32 == 0``
   every row size and offset is a multiple of 4, so the staging gather /
-  scatter runs on a ``uint32`` view with a 4× smaller index, ``int32``
-  whenever the payload is under 2 GiB;
+  scatter runs on a ``uint32`` view with a 4× smaller index;
+* runs every operation over the whole stream, never one block per NumPy
+  inner loop: a block's ``bs`` sign bits (and one-bit residuals) are
+  ``bs/8`` whole bytes, so one flat ``packbits`` / ``unpackbits`` serves
+  every row, and decoded rows go back to grid order with one ``take`` by
+  the staging's inverse order;
 * reads byte planes straight off the magnitudes' bytes, packs eight
   residuals with one integer product, unpacks them through a sliding
   ``uint16`` window, and signs every row with one branchless xor/subtract;
@@ -50,6 +54,7 @@ __all__ = [
     "decode_selected",
     "reduce_fused",
     "make_reduce_fused",
+    "block_words",
 ]
 
 NAME = "numpy"
@@ -114,24 +119,39 @@ def _in_units(
 
 
 def _index(layout: StreamLayout, staging: Staging, arena: ScratchArena) -> np.ndarray:
-    """The staging index: the layout's own, or built into scratch (in
-    ``int32`` whenever the payload is under 2 GiB)."""
+    """The staging index: the layout's own, or built into scratch."""
     if staging.index is not None:
         return staging.index
-    dtype = np.int32 if int(layout.offsets[-1]) < 2**31 else np.int64
     n = staging.nbytes // layout.unit
-    return layout.staged_index(staging, arena.take("mv.idx", bucket(n), dtype)[:n])
+    return layout.staged_index(staging, arena.take("mv.idx", bucket(n), np.intp)[:n])
+
+
+#: the unsigned type of ``bs/8`` bytes, for the block sizes one word holds
+_WORD = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
+
+
+def block_words(grid: np.ndarray) -> np.ndarray:
+    """One unsigned word per row of the ``(n, bs)`` integer ``grid``, zero
+    iff the row is all zeros.
+
+    One flat compare and one flat pack give every row's ``bs`` flags as
+    ``bs/8`` whole bytes, read as one word when ``bs <= 64`` — where a
+    row-wise ``any`` runs one row per NumPy inner loop.
+    """
+    n, bs = grid.shape
+    bits = np.packbits(np.not_equal(grid, 0))
+    if bs in _WORD:
+        return bits.view(_WORD[bs])
+    return np.bitwise_or.reduce(bits.reshape(n, bs // 8), axis=1)
 
 
 # --------------------------------------------------------------------- #
 # residual bits (the only per-group work)
 # --------------------------------------------------------------------- #
 def _encode_residual(high: np.ndarray, rem: int, out: np.ndarray) -> None:
-    """Pack ``(ng, bs)`` residuals (each below ``2**rem``) into the
-    ``(ng, rem·bs/8)`` rows ``out``, ``rem`` bits per element, MSB first."""
-    if rem == 1:
-        out[...] = np.packbits(high, axis=1)
-        return
+    """Pack ``(ng, bs)`` residuals (each below ``2**rem``, ``rem > 1``) into
+    the ``(ng, rem·bs/8)`` rows ``out``, ``rem`` bits per element, MSB
+    first."""
     # eight rem-bit residuals are rem bytes, big-endian: one product with
     # the weights 2**(rem·(7-j)) merges them, and the low rem bytes of the
     # 64-bit word are the packed bits
@@ -162,20 +182,21 @@ def _residual_window(rem: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
 def _decode_residual(
     packed: np.ndarray, rem: int, bs: int, w16: np.ndarray
 ) -> np.ndarray:
-    """The ``(ng, bs)`` residuals packed ``rem`` bits each in ``packed``.
+    """The ``(ng, bs)`` residuals packed ``rem`` bits each (``rem > 1``)
+    in the flat bytes ``packed``.
 
-    ``w16`` is ``uint16`` scratch of at least ``(ng, rem·bs/8)``.
+    ``w16`` is flat ``uint16`` scratch of at least ``packed.size``.
     """
-    if rem == 1:
-        return np.unpackbits(packed, axis=1)
     # sliding uint16 window over the packed residual bytes: each element's
     # rem bits live in (at most) two adjacent bytes, so one gather + one
-    # variable shift recovers every value
-    w = w16[:, : packed.shape[1]]
+    # variable shift recovers every value.  Built over the whole group at
+    # once: a row's last window takes the next row's first byte, which
+    # that row's last element (it ends on the row's last bit) never reads
+    w = w16[: packed.size]
     np.left_shift(packed, 8, out=w, dtype=np.uint16)
-    w[:, :-1] |= packed[:, 1:]
+    w[:-1] |= packed[1:]
     first_byte, shift = _residual_window(rem, bs)
-    high = w[:, first_byte]
+    high = w.reshape(-1, rem * (bs // 8))[:, first_byte]
     high >>= shift
     high &= (1 << rem) - 1
     return high
@@ -228,11 +249,17 @@ def encode_with_offsets(
     staging = layout.staging
     staged = arena.take("enc.pay", bucket(total), np.uint8)
     live, order = staging.live, staging.order[staging.live :]
-    # the live rows' magnitudes and sign bits, staged: one gather each
-    mags.take(order, axis=0, out=staged_mags[live:])
+    # the live rows' magnitudes and sign bits, staged: one gather each (a
+    # block's bs sign bits are bs/8 whole bytes, so one flat pack makes
+    # every row's); the order is valid, so "clip" spares the bounds check
+    # and the copy of out= a checked take makes
+    mags.take(order, axis=0, out=staged_mags[live:], mode="clip")
     np.less(deltas, 0, out=negative)
-    np.packbits(negative, axis=1).take(
-        order, axis=0, out=staged[: (nb - live) * (bs // 8)].reshape(nb - live, bs // 8)
+    np.packbits(negative).reshape(nb, bs // 8).take(
+        order,
+        axis=0,
+        out=staged[: (nb - live) * (bs // 8)].reshape(nb - live, bs // 8),
+        mode="clip",
     )
     # every byte plane with one copy for all the rows that have it
     m8 = staged_mags.view(np.uint8).reshape(nb, bs, 4)
@@ -244,11 +271,20 @@ def encode_with_offsets(
     for c, ng, _, _, r0, lo in staging.groups:
         if lo >= 0:
             rem = c & 7
-            _encode_residual(
-                m8[r0 : r0 + ng, :, _BYTE[c >> 3]],
-                rem,
-                staged[lo : lo + ng * rem * (bs // 8)].reshape(ng, rem * (bs // 8)),
-            )
+            out = staged[lo : lo + ng * rem * (bs // 8)]
+            if rem == 1:
+                # below 2**c, bit c - 1 is set iff the magnitude reaches
+                # 2**(c - 1): one compare and one flat pack (the sign
+                # flags are spent, so they hold the bits)
+                top = negative[:ng]
+                np.greater_equal(staged_mags[r0 : r0 + ng], 1 << (c - 1), out=top)
+                out[...] = np.packbits(top)
+            else:
+                _encode_residual(
+                    m8[r0 : r0 + ng, :, _BYTE[c >> 3]],
+                    rem,
+                    out.reshape(ng, rem * (bs // 8)),
+                )
     # one scatter puts every staged byte where the stream keeps it
     index, staged = _index(layout, staging, arena), staged[:total]
     if layout.unit == 4:  # both fresh, so word-aligned
@@ -349,7 +385,7 @@ def _decode_grouped(
     requests = (
         ("dec.rows", out.shape, dtype),
         ("dec.sign", out.shape, dtype),
-        ("dec.w16", out.shape, np.uint16),
+        ("dec.w16", out.size, np.uint16),
         ("dec.pay", bucket(staging.nbytes // layout.unit), units.dtype),
     )
     if dtype != np.int32:
@@ -371,12 +407,11 @@ def _decode_grouped(
     for c, ng, _, _, r0, lo in staging.groups:
         if lo >= 0:
             rem, r1 = c & 7, r0 + ng
-            high = _decode_residual(
-                staged[lo : lo + ng * rem * (bs // 8)].reshape(ng, rem * (bs // 8)),
-                rem,
-                bs,
-                w16[r0:r1],
-            )
+            packed = staged[lo : lo + ng * rem * (bs // 8)]
+            if rem == 1:  # a row's bs bits are bs/8 whole bytes
+                high = np.unpackbits(packed).reshape(ng, bs)
+            else:
+                high = _decode_residual(packed, rem, bs, w16)
             if c >> 3:
                 acc8[r0:r1, :, _BYTE[c >> 3]] = high
             else:
@@ -385,15 +420,16 @@ def _decode_grouped(
     value, m = rows[live:], sign[live:]
     if dtype != np.int32:
         value[...] = acc[live:]
-    # branchless sign: x -> (x ^ m) - m with m = -s
+    # branchless sign: x -> (x ^ m) - m with m = -s; a row's bs sign bits
+    # are bs/8 whole bytes, so one flat unpack gives every row's
     np.negative(
-        np.unpackbits(staged[: (n - live) * (bs // 8)].reshape(n - live, bs // 8), axis=1),
+        np.unpackbits(staged[: (n - live) * (bs // 8)]).reshape(n - live, bs),
         out=m,
         dtype=dtype,
     )
     np.bitwise_xor(value, m, out=value)
     np.subtract(value, m, out=value)
-    out[staging.order] = rows
+    rows.take(staging.inverse, axis=0, out=out, mode="clip")
 
 
 # --------------------------------------------------------------------- #
@@ -480,7 +516,7 @@ def make_reduce_fused(decode_blocks_fn, encode_fn):
                 started = True
             if track and 0 < j < k - 1:
                 if w != 0:
-                    np.logical_not(acc.any(axis=1), out=zero_after[j])
+                    np.equal(block_words(acc), 0, out=zero_after[j])
                 else:  # an operand that adds nothing leaves the sum as it was
                     zero_after[j] = zero_after[j - 1]
         if not started:

@@ -17,7 +17,8 @@ the grouped kernels work on: the stream *staged* in that order
 (:class:`Staging`) — every group's rows one slice of the staged block
 grid, every kind of byte (sign bits, each byte plane, each group's
 residual bits) one slice of the staged payload, and the index that moves
-a payload into staged order (one gather) or back (one scatter).  A :class:`StreamLayout` holds all of that, built **once** per
+a payload into staged order (one gather) or back (one scatter).  A
+:class:`StreamLayout` holds all of that, built **once** per
 code-length signature (:func:`stream_layout`, a small LRU keyed on the
 code-length bytes) and shared, read-only, by every field and every kernel
 call that sees the same signature.  A build is a few whole-stream array
@@ -138,7 +139,8 @@ class Staging(NamedTuple):
     """A stream's payload regrouped by kind of byte, as the kernels work.
 
     Staged rows are the blocks in code-length order: ``order`` maps each
-    to its row of the block grid (ascending within a group), ``starts`` to
+    to its row of the block grid (ascending within a group), ``inverse``
+    each row of the grid to its staged row, ``starts`` each staged row to
     where its bytes start in the payload, in ``unit``-byte elements.  The
     constant rows come first; rows ``live`` onwards store something.  The
     staged payload holds, back to back, the sign bits of every live row,
@@ -154,6 +156,7 @@ class Staging(NamedTuple):
 
     groups: tuple[GroupLayout, ...]
     order: np.ndarray
+    inverse: np.ndarray
     starts: np.ndarray
     index: np.ndarray | None
     live: int
@@ -200,8 +203,8 @@ class StreamLayout:
         elements = int(offsets[-1]) // self.unit
         self.keeps_indices = elements <= INDEX_CACHE_ENTRIES
         #: upper bound on the bytes this layout keeps alive once staged
-        #: (offsets, order, starts, index, the cache's key)
-        self.footprint = offsets.nbytes + 17 * self.n_blocks + (
+        #: (offsets, order, its inverse, starts, index, the cache's key)
+        self.footprint = offsets.nbytes + 25 * self.n_blocks + (
             8 * elements if self.keeps_indices else 0
         )
         self._keys = code_lengths
@@ -232,12 +235,16 @@ class StreamLayout:
     def _stage(self) -> Staging:
         """Group, place every kind of byte, and lay out the gather.
 
-        One argsort, one count and a gather of the row starts; the rest
-        is arithmetic on the (at most 33) group sizes, plus, on small
-        streams, one broadcast add per slice to build the index.
+        One argsort, one count, the inverse order and a gather of the row
+        starts; the rest is arithmetic on the (at most 33) group sizes,
+        plus, on small streams, the index (:func:`_fill_index`).
         """
         order, counts = _sort_and_count(self._keys)
         blocks, bs, n, unit = self._blocks, self.block_size, self.n_blocks, self.unit
+        # the decoder puts staged rows back with one gather by this
+        inverse = np.empty(n, np.intp)
+        inverse[order] = np.arange(n)
+        inverse.setflags(write=False)
         starts = self.offsets.take(order if blocks is None else blocks.take(order))
         if unit == 4:
             starts >>= 2
@@ -273,34 +280,64 @@ class StreamLayout:
             index = _fill_index(sections, starts, np.empty(lo, np.intp))
             index.setflags(write=False)
         return Staging(
-            tuple(groups), order, starts, index, live, tuple(planes), lo * unit,
-            tuple(sections),
+            tuple(groups), order, inverse, starts, index, live, tuple(planes),
+            lo * unit, tuple(sections),
         )
 
     @staticmethod
     def staged_index(staging: Staging, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (any integer type) with the payload element of every
-        staged element: row start plus offset within the row, one
-        broadcast add per slice of the staged payload."""
+        staged element: row start plus offset within the row
+        (:func:`_fill_index`)."""
         return _fill_index(staging.sections, staging.starts, out)
 
 
+#: rows a kept ramp covers at most; a longer slice is indexed that many
+#: rows at a time
+_RAMP_ROWS = 4096
+#: ``(at, width)`` → ``at .. at + width − 1`` over and over, kept: a
+#: geometry has a handful of slice shapes
+_ramps: dict[tuple[int, int], np.ndarray] = {}
+
+
 def _fill_index(sections, starts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each slice of the staged payload is ``rows`` runs of ``width``
+    consecutive payload elements: every row start repeated ``width`` times
+    plus a kept ramp ``at, at + 1, …`` — whole-slice passes, where a
+    broadcast add would run one row of 1–8 elements per inner loop."""
     for first, rows, at, width, u0 in sections:
-        np.add(
-            starts[first : first + rows, None],
-            _span(at, width),
-            out=out[u0 : u0 + rows * width].reshape(rows, width),
-        )
+        if width == 1:
+            np.add(starts[first : first + rows], at, out=out[u0 : u0 + rows])
+            continue
+        ramp = _ramps.get((at, width))
+        if ramp is None or (
+            ramp.size < rows * width and ramp.size < _RAMP_ROWS * width
+        ):
+            ramp = _grow_ramp(at, width, rows, ramp)
+        r0 = 0
+        while r0 < rows:
+            r1 = rows if rows - r0 <= _RAMP_ROWS else r0 + _RAMP_ROWS
+            np.add(
+                starts[first + r0 : first + r1].repeat(width),
+                ramp[: (r1 - r0) * width],
+                out=out[u0 + r0 * width : u0 + r1 * width],
+            )
+            r0 = r1
     return out
 
 
-@lru_cache(maxsize=256)
-def _span(start: int, n: int) -> np.ndarray:
-    """``arange(start, start + n)``, kept: a handful of offsets recur."""
-    out = np.arange(start, start + n, dtype=np.intp)
-    out.setflags(write=False)
-    return out
+def _grow_ramp(at: int, width: int, rows: int, ramp: np.ndarray | None) -> np.ndarray:
+    """A ramp for at least ``rows`` rows (at most :data:`_RAMP_ROWS`): 256
+    at first, then doubling, so the kept ramps grow with the streams
+    indexed and a 2 KB stream's stay a few KB."""
+    kept = 256 if ramp is None else 2 * (ramp.size // width)
+    rows = min(_RAMP_ROWS, max(rows, kept))
+    ramp = np.tile(np.arange(at, at + width, dtype=np.intp), rows)
+    ramp.setflags(write=False)
+    if len(_ramps) >= 64:
+        _ramps.clear()
+    _ramps[at, width] = ramp
+    return ramp
 
 
 _cache: "OrderedDict[tuple[bytes, int], StreamLayout]" = OrderedDict()

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.format import QuantisedField
+from repro.compression import fzlight
 from repro.compression.fzlight import FZLight
 from repro.homomorphic.hzdynamic import HZDynamic
 
@@ -111,6 +112,23 @@ class TestQuantiseIsCompressMinusCoding:
         HZDynamic().reduce_fused((held[0], stream))
         for q, copy in zip(held[1:], before[1:]):
             np.testing.assert_array_equal(q.deltas, copy)
+
+
+    def test_a_released_burst_leaves_a_bounded_pool_that_is_reused(self):
+        """More live fields than the grid pool keeps: the pool never grows
+        past its cap, and once the burst is released the next quantise
+        takes a kept grid instead of a new one."""
+        rng = np.random.default_rng(4)
+        arrays = [rng.normal(0, 1, 512).astype(np.float32) for _ in range(3)]
+        burst = [
+            COMP.quantise(arrays[0], abs_eb=EB)
+            for _ in range(3 * fzlight._KEPT_GRIDS)
+        ]
+        assert len(fzlight._KEPT) <= fzlight._KEPT_GRIDS
+        del burst
+        assert len(fzlight._KEPT) <= fzlight._KEPT_GRIDS
+        held = COMP.quantise(arrays[1], abs_eb=EB)
+        assert any(np.shares_memory(held.deltas, grid) for grid in fzlight._KEPT)
 
 
 class TestQuantisedFold:

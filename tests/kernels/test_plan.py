@@ -144,7 +144,8 @@ class TestStreamLayout:
         layout = stream_layout(rng.integers(0, 4, size=64).astype(np.uint8), 32)
         staging = layout.staging
         assert staging.index is not None
-        shared = [layout.offsets, staging.order, staging.starts, staging.index]
+        shared = [layout.offsets, staging.order, staging.inverse, staging.starts]
+        shared.append(staging.index)
         shared += [g.rows for g in layout.groups]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
