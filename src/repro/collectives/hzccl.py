@@ -9,11 +9,13 @@ The paper's co-design (§III-C).  Differences from C-Coll:
   decompresses only the single owned block:
   ``N·CPR + (N−1)·HPR + 1·DPR`` (§III-C1).
 * **Allreduce** — fuses the two stages: the Reduce_scatter stage *skips its
-  final decompression* and hands the compressed reduced blocks (and their
-  sizes) straight to the Allgather stage, which *skips its compression*,
-  forwards bytes, and decompresses everything once at the end:
-  ``N·CPR + (N−1)·HPR + N·DPR`` total (the paper books ``N−1`` DPR by not
-  counting the own-block decompress; we execute and charge all ``N``).
+  final decompression* and hands its reduced block, still quantised,
+  straight to the Allgather stage, which *skips its compression* (its
+  first send codes that block, the encode the Reduce_scatter skipped),
+  forwards bytes, and decodes every gathered block once at the end:
+  ``N·CPR + (N−1)·HPR + (N−1)·DPR`` — the paper's count.  A rank's own
+  block is only dequantised, in the same one decompress call as its
+  foreign blocks and straight into the vector it returns.
 * **Pipelined Allreduce** — the schedule-IR payoff: every ring round is
   split into chunks so the wire time of chunk ``s`` overlaps the
   homomorphic fold of chunk ``s − 1``
@@ -45,7 +47,8 @@ HZCCL_REDUCE_SCATTER = Family(
     "hzccl_reduce_scatter", **rules.REDUCE_SCATTER,
     fallback=MPI_REDUCE_SCATTER,
 )
-#: the fused hand-off: no final decompression, ``outputs`` stay compressed
+#: the fused hand-off: no final decompression; inside a composed row the
+#: ``outputs`` stay quantised for the next stage, run alone they are coded
 HZCCL_REDUCE_SCATTER_FUSED = Family(
     "hzccl_reduce_scatter_fused", span="hzccl_reduce_scatter",
     **rules.REDUCE_SCATTER, fallback=MPI_REDUCE_SCATTER,

@@ -134,20 +134,22 @@ def run(
     )
 
 
-def _nested(family: Family, cluster, data, config, p):
-    """A step or fallback row: inline rows share the caller's span (and
-    skip the result object — a rank-averaged breakdown per step is not
-    free); the rest are collectives of their own."""
+def _nested(family: Family, cluster, data, config, p, seal: bool = True):
+    """A step or fallback row: inline rows share the caller's span; the
+    rest open a collective span of their own.  Neither builds a result
+    object (a rank-averaged breakdown per step is not free)."""
     if family.span is None:
-        return _interpret(family, cluster, data, config, p)
-    part = run(family, cluster, data, config, **p)
-    return (
-        part.outputs, part.bytes_on_wire, part.degraded, part.pipeline_stats
-    )
+        return _interpret(family, cluster, data, config, p, seal)
+    with cluster.collective(family.span):
+        return _interpret(family, cluster, data, config, p, seal)
 
 
-def _interpret(family: Family, cluster, data, config, p):
-    """``(outputs, wire, degraded, pipeline_stats)`` of one row."""
+def _interpret(family: Family, cluster, data, config, p, seal: bool = True):
+    """``(outputs, wire, degraded, pipeline_stats)`` of one row.
+
+    ``seal=False`` lets the row's outputs stay in the codec's deferred form
+    (quantised blocks): only a step whose successor takes compressed input
+    runs so, and never a row a caller sees the outputs of."""
     if family.per_session:
         p = {**p, "sessions": len(data)}  # the batch width the stage takes
     for stage in family.stages:
@@ -157,13 +159,21 @@ def _interpret(family: Family, cluster, data, config, p):
     outputs, wire, degraded, stats = data, 0, False, None
     try:
         if family.seed is not None:
-            outputs, wire, stats = _run_stage(family, cluster, data, config, p)
-        for step in family.steps:
+            outputs, wire, stats = _run_stage(
+                family, cluster, data, config, p, seal
+            )
+        for i, step in enumerate(family.steps):
             if degraded and step.compressed_input:
                 # an earlier stage already fell back: the blocks are plain
                 step = step.fallback
+            # the fused hand-off: a step whose successor takes compressed
+            # input passes its blocks on as held, a quantised owned block
+            # included, so the successor codes it on its first send and
+            # decodes nothing of its own
+            following = family.steps[i + 1 : i + 2]
             outputs, step_wire, step_degraded, step_stats = _nested(
-                step, cluster, outputs, config, p
+                step, cluster, outputs, config, p,
+                seal=not following[0].compressed_input if following else seal,
             )
             wire += step_wire
             degraded = degraded or step_degraded
@@ -193,7 +203,7 @@ def _interpret(family: Family, cluster, data, config, p):
     return outputs, wire, degraded, stats
 
 
-def _run_stage(family: Family, cluster, data, config, p):
+def _run_stage(family: Family, cluster, data, config, p, seal: bool = True):
     """Seed, run and gather a leaf row's one stage."""
     (stage,) = family.stages
     state = family.seed(data, p)
@@ -205,7 +215,7 @@ def _run_stage(family: Family, cluster, data, config, p):
     )
     codec = CodecSpec(stage.codec, *knobs, slots=stage.slots).build(cluster)
     schedule = stage.schedule(**p)
-    outcome = ScheduleExecutor(cluster, codec).run(schedule, state)
+    outcome = ScheduleExecutor(cluster, codec, seal=seal).run(schedule, state)
     stats = codec.engine.stats if stage.folds(schedule) else None
     if outcome.degraded:
         raise _Aborted(outcome.wire, stats)
@@ -213,8 +223,8 @@ def _run_stage(family: Family, cluster, data, config, p):
 
 
 def _decode_locally(cluster, chunks, config) -> list[np.ndarray]:
-    """Decompress each rank's own contribution (charged DPR) so the
-    plain fallback can forward it."""
+    """Decompress (or, handed off quantised, dequantise) each rank's own
+    contribution, charged DPR, so the plain fallback can forward it."""
     comp = FZLight(
         block_size=config.block_size, n_threadblocks=config.n_threadblocks
     )

@@ -8,6 +8,8 @@ that compose naturally with the ring machinery:
   blocks to the root.  The hZCCL variant gathers the blocks *compressed*
   and decompresses only at the root: non-root ranks never run a single
   decompression, an even stronger asymmetry than the Allreduce fusion.
+  The root's own reduced block arrives from the Reduce_scatter still
+  quantised, so it is neither coded nor decoded, only dequantised.
 * **Direct Reduce** — every rank compresses its full vector once, the
   compressed streams gather to the root in one flat exchange, and the root
   folds all ``N`` operands with **one fused k-way homomorphic reduction**

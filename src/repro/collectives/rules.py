@@ -146,11 +146,44 @@ def gather_owned_chunks(state, data, p):
 
 
 def gather_concat(state, data, p):
-    """Every block a rank holds, concatenated in block-id order."""
+    """Every block a rank holds, in block-id order, as one fresh vector.
+
+    A compressed codec's finalize decodes a rank's blocks into one new
+    vector and leaves views of it: when the blocks tile such a vector in
+    order, it is the output as it stands.  Anything else (plain or DOC
+    blocks, or a vector that is the input's memory) is concatenated, so
+    no output aliases the input or another rank's output.
+    """
+    inputs = [a for a in data if isinstance(a, np.ndarray)]
     return [
-        np.concatenate([mine[block] for block in sorted(mine)])
+        _tiled([mine[block] for block in sorted(mine)], inputs)
         for mine in state
     ]
+
+
+def _tiled(blocks: list[np.ndarray], inputs: list[np.ndarray]) -> np.ndarray:
+    """The vector ``blocks`` are consecutive views of, from its first
+    element to its last, or their concatenation."""
+    whole = blocks[0].base
+    if (
+        whole is not None
+        and whole.ndim == 1
+        and whole.dtype == np.float32
+        and whole.size == sum([b.size for b in blocks])
+        and not any([np.may_share_memory(whole, a) for a in inputs])
+    ):
+        at = whole.__array_interface__["data"][0]
+        for b in blocks:
+            if (
+                b.base is not whole
+                or not b.flags.c_contiguous
+                or b.__array_interface__["data"][0] != at
+            ):
+                break
+            at += b.nbytes
+        else:
+            return whole
+    return np.concatenate(blocks)
 
 
 def _at_root(value: Any, p) -> list:

@@ -38,7 +38,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -534,6 +534,7 @@ class FZLight:
     def decompress(
         self,
         compressed: CompressedField | QuantisedField | Sequence,
+        out: np.ndarray | None = None,
     ) -> np.ndarray | list[np.ndarray]:
         """Reconstruct float32 data; error is bounded by ``error_bound``.
 
@@ -543,17 +544,37 @@ class FZLight:
         one block size share a decode sweep.  A :class:`QuantisedField`
         has nothing to decode: it is only dequantised, bit-identical to
         decompressing its compressed stream.
+
+        ``out``, a flat C-contiguous float32 array of exactly the members'
+        total length, receives the members back to back in caller order;
+        the arrays returned are then views of it, each written in place by
+        the sweep (no copy) wherever a geometry's members sit side by side.
         """
         batch = not isinstance(compressed, (CompressedField, QuantisedField))
         fields = list(compressed) if batch else [compressed]
         if not fields:
             raise ValueError("cannot decompress an empty batch")
-        out: list[np.ndarray] = []
-        for lo, hi in _sweeps([f.n for f in fields], [f.block_size for f in fields]):
-            out += self._decompress_sweep(fields[lo:hi])
-        return out if batch else out[0]
+        sizes = [f.n for f in fields]
+        starts = None
+        if out is not None:
+            starts = list(accumulate(sizes, initial=0))
+            if not (
+                isinstance(out, np.ndarray)
+                and out.dtype == np.float32
+                and out.shape == (starts[-1],)
+                and out.flags.c_contiguous
+            ):
+                raise ValueError(
+                    "out must be a C-contiguous float32 vector of "
+                    f"{starts[-1]} elements"
+                )
+        decoded: list[np.ndarray] = []
+        for lo, hi in _sweeps(sizes, [f.block_size for f in fields]):
+            into = None if out is None else (out, starts[lo:hi])
+            decoded += self._decompress_sweep(fields[lo:hi], into)
+        return decoded if batch else decoded[0]
 
-    def _decompress_sweep(self, fields: list) -> list[np.ndarray]:
+    def _decompress_sweep(self, fields: list, into=None) -> list[np.ndarray]:
         """Decode → segmented prefix sum → dequantise, one pass each.
 
         The prefix sums run on *contiguous* runs of the decoded delta grid
@@ -561,6 +582,8 @@ class FZLight:
         trails it), so neither they nor the dequantise pay a gather — the
         memory-access property the paper's multi-layer partitioning exists
         to provide.  Quantised members bring their deltas already decoded.
+        ``into`` is ``(out, starts)``: the caller's vector and where each
+        member starts in it.
         """
         arena = get_arena()
         bs = fields[0].block_size
@@ -568,7 +591,7 @@ class FZLight:
         ordered = [fields[i] for i in sweep.order]
         grid, peak = _delta_grid(ordered, sweep, bs)
         flat = grid.reshape(-1)
-        out: list = [None] * len(fields)
+        result: list = [None] * len(fields)
         for group in sweep.groups:
             m, members = len(group.members), group.members
             outliers, twice_eb = arena.take_many((
@@ -580,8 +603,10 @@ class FZLight:
                 twice_eb[j] = 2.0 * fields[i].error_bound
             dtype = _code_dtype(group.run, peak, outliers)
             outliers = outliers.astype(dtype, copy=False)
-            # members of one geometry come back as the rows of one array
-            decoded = np.empty((m, group.n), dtype=np.float32)
+            # members of one geometry come back as the rows of one array:
+            # the caller's, when they sit side by side in it
+            rows = _rows(into, members, group.n)
+            decoded = np.empty((m, group.n), np.float32) if rows is None else rows
             for slots, cols, values in group.runs(flat, decoded):
                 codes = arena.take("fz.codes", slots.shape, dtype)
                 slots.cumsum(axis=2, dtype=dtype, out=codes)
@@ -589,8 +614,28 @@ class FZLight:
                 # every code is exact in float64, whatever it was summed in
                 np.multiply(codes, twice_eb, out=values, dtype=np.float64)
             for j, i in enumerate(members):
-                out[i] = decoded[j]
-        return out
+                result[i] = decoded[j]
+            if into is not None and rows is None:
+                # members apart in the caller's vector: each is copied in
+                out, starts = into
+                for i in members:
+                    place = out[starts[i] : starts[i] + group.n]
+                    place[...] = result[i]
+                    result[i] = place
+        return result
+
+
+def _rows(into, members: tuple[int, ...], n: int) -> np.ndarray | None:
+    """The ``(members, n)`` rows ``members`` fill in the caller's vector,
+    when they are consecutive there (``None`` otherwise)."""
+    if into is None:
+        return None
+    out, starts = into
+    first, m = members[0], len(members)
+    if members != tuple(range(first, first + m)):
+        return None
+    lo = starts[first]
+    return out[lo : lo + m * n].reshape(m, n)
 
 
 def _code_dtype(run: int, peak: int, outliers: np.ndarray):

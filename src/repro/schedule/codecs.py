@@ -4,15 +4,17 @@ A :class:`PayloadCodec` supplies the *meaning* of the IR's abstract verbs
 — what ``prepare``/``pack``/``fold``/``finalize`` do to rank state, which
 kernel runs, and which virtual-clock bucket it is charged to:
 
-===============  ==========  ================  ====================  ===============
+===============  ==========  ================  ====================  ================
 codec            wire        encode            fold                  decode
-===============  ==========  ================  ====================  ===============
+===============  ==========  ================  ====================  ================
 plain            raw floats  —                 float add (CPT)       —
 DOC (C-Coll)     compressed  CPR per block     DPR + CPT per round   DPR per block
 homomorphic      compressed  one quantise      HPR ``reduce_fused``  one DPR sweep
-                             sweep; CPR codes  (decodes only the     (dequantises
-                             what is sent      received stream)      the own block)
-===============  ==========  ================  ====================  ===============
+                             sweep; CPR codes  (decodes only the     per rank, into
+                             what is sent,     received stream)      its result; the
+                             once                                    own block only
+                                                                     dequantised
+===============  ==========  ================  ====================  ================
 
 Each codec class declares its row **once**, as its ``discipline``: a
 :class:`~repro.schedule.cost.Discipline` naming every verb's charges,
@@ -28,24 +30,32 @@ family stage names to its class.
 ``prepare`` / ``finalize`` to **one** ``FZLight.quantise`` /
 ``FZLight.decompress`` call, which runs a single kernel pass over the
 concatenated block grid (the paper's compress-once / decode-once;
-``finalize_batched=True``).  The DOC codecs stay one kernel invocation
-per block on purpose — that *is* the C-Coll discipline
-(``finalize_batched=False``), and the baseline must not get faster by
-accident.
+``finalize_batched=True``).  The executor hands such a codec a rank's
+adjacent ``finalize`` and ``finalize_local`` ops as one ``finalize``
+call, and a compressed codec's finalize decodes straight into one new
+vector per call, in block-id order, leaving each block a view of it — the
+result a gather of every block returns without a copy.  The DOC codecs
+stay one kernel invocation per block on purpose — that *is* the C-Coll
+discipline (``finalize_batched=False``), and the baseline must not get
+faster by accident.
 
 Rank state is ``state[rank][block_id]``: plain ``np.ndarray`` blocks for
 the plain codec, :class:`~repro.compression.format.CompressedField`
 streams for the compressed ones (the homomorphic codec's whole point is
-that state *stays* compressed across every fold).  Inside a run the
-homomorphic codec keeps a rank's own blocks one step earlier, as
+that state *stays* compressed across every fold).  Inside a collective
+the homomorphic codec keeps a rank's own blocks one step earlier, as
 :class:`~repro.compression.format.QuantisedField` — the Lorenzo deltas
-an encode would code: a block is coded when a comm first sends it (and
-the stream replaces it), a fold adds a received stream into the rank's
-quantised partial in place, and a finalize dequantises it without a
-decode.  The table still prices the paper's ``N·CPR + (N−1)·HPR + DPR``;
-the deferred encodes are charged to ``prepare``'s bucket.  The executor
-ends every run with :meth:`PayloadCodec.seal`, which codes what is still
-quantised, so a run hands back arrays and streams only.
+an encode would code: a block is coded when a comm first sends it (the
+codec records the stream, and the rank keeps its quantised partial), a
+fold adds a received stream into the rank's quantised partial in place
+(dropping any stream recorded for it), and a finalize dequantises it
+without a decode.  The table still prices the paper's ``N·CPR +
+(N−1)·HPR + DPR``; the deferred encodes are charged to ``prepare``'s
+bucket.  The executor ends a run with :meth:`PayloadCodec.seal`, which
+swaps each quantised block for its recorded stream and codes the rest,
+so a run hands back arrays and streams only — every run but the fused
+hand-off inside one composed row, which the interpreter runs unsealed
+so that the next stage takes the owned blocks still quantised.
 
 ``slots`` maps a phase's abstract slot name to the user-facing span name;
 ``None`` skips the phase entirely (a plain ring has no compress phase) —
@@ -177,10 +187,15 @@ class _CompressedCodec(PayloadCodec):
         self.eb = config.error_bound
 
     def finalize(self, rank, blocks, state):
-        """Decode ``blocks`` in one ``decompress`` sweep."""
+        """Decode ``blocks`` in one ``decompress`` sweep, straight into one
+        new vector in block-id order: each block becomes its view of it, so
+        a gather of every block has nothing left to copy."""
         mine = state[rank]
+        blocks = sorted(blocks)
+        fields = [mine[b] for b in blocks]
         with self._timed(rank, "finalize"):
-            decoded = self.comp.decompress([mine[b] for b in blocks])
+            result = np.empty(sum([f.n for f in fields]), dtype=np.float32)
+            decoded = self.comp.decompress(fields, out=result)
         mine.update(zip(blocks, decoded))
 
 
@@ -255,17 +270,23 @@ class HomomorphicCodec(_CompressedCodec):
     """hZCCL: compress once, fold compressed with HPR, decode once.
 
     A rank's own blocks stay quantised (:class:`~repro.compression.format.
-    QuantisedField`) until a comm sends them: ``prepare`` is one quantise
-    sweep, ``pack`` codes only what leaves (once — the stream replaces the
-    block in state), a fold decodes only the received stream and adds it
-    into the rank's partial in place, and ``finalize`` dequantises a
-    still-quantised block without decoding it.  Coding is charged where
-    the table prices it, to ``prepare``'s bucket; the run's ``seal`` codes
-    what no comm sent (the fused hand-off's owned block), so nothing
-    quantised leaves a run.  "Once" is one kernel sweep per call:
-    ``prepare`` / ``finalize`` pass their whole ``blocks`` tuple to a
-    single ``quantise`` / ``decompress``.  A k-way ``fold_fused`` is
-    charged like a fold.
+    QuantisedField`) for the whole run: ``prepare`` is one quantise sweep,
+    ``pack`` codes a quantised block the first time a comm sends it and
+    records that stream (a later send of the same block reuses it; a fold
+    into the block drops it), a fold decodes only the received stream and
+    adds it into the rank's partial in place, and ``finalize`` dequantises
+    a quantised block without decoding anything.  Coding is charged where
+    the table prices it, to ``prepare``'s bucket.  The run's ``seal``
+    swaps each quantised block for its recorded stream and codes the ones
+    no comm sent; an unsealed run hands its quantised blocks to the next
+    stage of the collective instead (the fused hand-off: the allgather's
+    first send codes the owned block, and its finalize dequantises it).
+    "Once" is one kernel sweep per call: ``prepare`` / ``finalize`` pass
+    their whole ``blocks`` tuple to a single ``quantise`` / ``decompress``
+    — the executor hands a rank's adjacent ``finalize`` and
+    ``finalize_local`` over as one call, so a rank decodes its foreign
+    streams and dequantises its own block in one sweep, into its result
+    vector.  A k-way ``fold_fused`` is charged like a fold.
     """
 
     discipline = Discipline(
@@ -276,6 +297,8 @@ class HomomorphicCodec(_CompressedCodec):
     def __init__(self, cluster: SimCluster, config) -> None:
         super().__init__(cluster, config)
         self.engine = HZDynamic()
+        #: rank → {block: the stream a comm sent of its quantised block}
+        self._sent: dict[int, dict[Hashable, Any]] = {}
 
     def prepare(self, rank, blocks, state):
         mine = state[rank]
@@ -283,30 +306,50 @@ class HomomorphicCodec(_CompressedCodec):
             held = self.comp.quantise([mine[b] for b in blocks], abs_eb=self.eb)
         mine.update(zip(blocks, held))
 
-    def _encode_held(self, rank: int, blocks, mine: dict) -> None:
-        """Code the still-quantised ones of ``blocks`` in one sweep, in
-        place, charged as the prepare encode it was deferred from."""
-        held = [b for b in blocks if isinstance(mine[b], QuantisedField)]
-        if held:
+    def _streams(self, rank: int, blocks, mine: dict) -> list:
+        """``blocks`` in wire form: a stream as held, a quantised block as
+        its recorded stream — coded once, in one sweep with the call's
+        other uncoded blocks, charged as the prepare encode it was
+        deferred from."""
+        sent = self._sent.setdefault(rank, {})
+        fresh = [
+            b for b in blocks
+            if isinstance(mine[b], QuantisedField) and b not in sent
+        ]
+        if fresh:
             with self._timed(rank, "prepare"):
-                fields = self.comp.compress([mine[b] for b in held])
-            mine.update(zip(held, fields))
+                fields = self.comp.compress([mine[b] for b in fresh])
+            sent.update(zip(fresh, fields))
+        return [
+            sent[b] if isinstance(mine[b], QuantisedField) else mine[b]
+            for b in blocks
+        ]
 
     def pack(self, rank, blocks, state):
-        self._encode_held(rank, blocks, state[rank])
-        return super().pack(rank, blocks, state)
+        return tuple(self._streams(rank, blocks, state[rank]))
 
     def seal(self, rank, state):
-        self._encode_held(rank, tuple(state[rank]), state[rank])
+        mine = state[rank]
+        held = [b for b, v in mine.items() if isinstance(v, QuantisedField)]
+        if held:
+            mine.update(zip(held, self._streams(rank, held, mine)))
+        self._sent.pop(rank, None)
+
+    def _drop_sent(self, rank: int, blocks) -> None:
+        """Forget the streams recorded for ``blocks``: a fold changed them."""
+        sent = self._sent.get(rank)
+        if sent:
+            for b in blocks:
+                sent.pop(b, None)
 
     def fold(self, rank, blocks, items, state):
+        mine = state[rank]
         with self._timed(rank, "fold"):
             for b, item in zip(blocks, items):
                 # one fused fold of the local partial with the incoming
                 # compressed block (k = 2 instance of the k-way kernel)
-                state[rank][b] = self.engine.reduce_fused(
-                    (state[rank][b], item)
-                )
+                mine[b] = self.engine.reduce_fused((mine[b], item))
+        self._drop_sent(rank, blocks)
 
     def fold_fused(self, rank, blocks, state, fanin, out="fused"):
         mine = state[rank]
@@ -316,9 +359,11 @@ class HomomorphicCodec(_CompressedCodec):
         for b in blocks:
             if isinstance(mine[b], QuantisedField):
                 del mine[b]
+        self._drop_sent(rank, (*blocks, out))
 
-    # executed (and charged) like any decode, but booked as the paper's
-    # uncharged own-block decompress by the cost model
+    # executed (and charged) like any decode — in the same sweep as the
+    # foreign blocks when it follows their finalize — but booked as the
+    # paper's uncharged own-block decompress by the cost model
     finalize_local = _CompressedCodec.finalize
 
 

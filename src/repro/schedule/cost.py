@@ -221,8 +221,10 @@ def _profile(schedule: Schedule, discipline: Discipline | None) -> list:
                 n_inv = 1 if discipline.finalize_batched else len(op.blocks)
                 for bucket, rate in finalize:
                     add(serial, op.rank, bucket, rate, nd, w, n_inv)
-            # finalize_local: executed functionally, uncharged here — the
-            # paper books N−1 decodes by not counting the own-block one
+            # finalize_local: executed functionally (the homomorphic codec
+            # only dequantises the own block, in the finalize's sweep),
+            # uncharged here — the paper books N−1 decodes by not counting
+            # the own-block one
 
         # collapse ranks to distinct (serial, overlap) charge rows — in the
         # symmetric ring all 512 ranks become one row

@@ -61,6 +61,12 @@ class ScheduleExecutor:
     ``wire.send(comm, items, sent)`` / ``wire.receive(comm, outcome)``
     moving the payloads whose other end lives in another process (see
     :mod:`repro.schedule.mp_executor`).
+
+    A run ends by sealing every rank it plays (:meth:`PayloadCodec.seal`),
+    so its state holds wire-ready types only.  ``seal=False`` leaves a
+    codec's deferred forms (quantised blocks) in place for the next stage
+    of the same collective to pick up: the interpreter's fused hand-off,
+    and nothing else.
     """
 
     def __init__(
@@ -69,14 +75,18 @@ class ScheduleExecutor:
         codec: PayloadCodec,
         rank: int | None = None,
         wire: Any = None,
+        seal: bool = True,
     ) -> None:
         self.cluster = cluster
         self.codec = codec
         self.rank = rank
         self.wire = wire
+        self.seal = seal
 
     # ------------------------------------------------------------------ #
     def run(self, schedule: Schedule, state: State) -> Outcome:
+        """Run ``schedule`` on ``state`` in place; see the class for how a
+        run ends."""
         outcome = Outcome(state=state)
         pending: dict[tuple[int, Hashable], Any] = {}
         try:
@@ -93,10 +103,11 @@ class ScheduleExecutor:
             # degradation; the interpreter reruns on the row's plain fallback
             self.cluster.channel.degrade()
             outcome.degraded = True
-        # what the codec still holds uncoded (say, the owned block of a
-        # fused hand-off) leaves the run in wire-ready form
-        for rank in range(len(state)) if self.rank is None else (self.rank,):
-            self.codec.seal(rank, state)
+        if self.seal:
+            # what the codec still holds uncoded (say, a rank's owned block
+            # after a reduce-scatter) leaves the run in wire-ready form
+            for rank in range(len(state)) if self.rank is None else (self.rank,):
+                self.codec.seal(rank, state)
         return outcome
 
     # ------------------------------------------------------------------ #
@@ -186,18 +197,31 @@ class ScheduleExecutor:
         Adjacent ``prepare`` ops of one rank reach the codec as a single
         call over all their blocks, so a codec that encodes a call's blocks
         in one kernel sweep pays its fixed cost once per rank per setup
-        however finely the generator itemised the blocks.  Execution
-        policy only: the ``Schedule`` (and so ``schedule_cost``) still
-        holds one op per block.
+        however finely the generator itemised the blocks.  Likewise a
+        rank's adjacent ``finalize`` / ``finalize_local`` ops reach a codec
+        whose finalize is one sweep (``finalize_batched``) as one
+        ``finalize`` call: the foreign blocks and the own one decode in one
+        pass.  Execution policy only: the ``Schedule`` (and so
+        ``schedule_cost``) still holds the ops as emitted.
         """
-        runs = groupby(ops, key=lambda op: (op.rank, op.kind == "prepare"))
-        for (owner, prepare), run in runs:
-            if prepare:
-                blocks = tuple(b for op in run for b in op.blocks)
-                self.codec.prepare(owner, blocks, state)
-            else:
+        sweeps = (
+            ("finalize", "finalize_local")
+            if self.codec.discipline.finalize_batched
+            else ()
+        )
+
+        def coalesced(op: LocalOp):
+            if op.kind == "prepare":
+                return op.rank, "prepare"
+            return op.rank, "finalize" if op.kind in sweeps else None
+
+        for (owner, verb), run in groupby(ops, key=coalesced):
+            if verb is None:
                 for op in run:
                     self._local(op, state, pending)
+            else:
+                blocks = tuple(b for op in run for b in op.blocks)
+                getattr(self.codec, verb)(owner, blocks, state)
 
     def _local(self, op: LocalOp, state, pending) -> None:
         codec = self.codec

@@ -47,10 +47,11 @@ def test_driver_protocol_and_traced_kernel_counts():
     assert list(traced["metrics"]) == [m["name"] for m in declared["per_layer"]]
     got = {k: v["value"] for k, v in traced["metrics"].items()}
     # 8 ranks: per rank 8 encodes (7 reduce-scatter sends of a quantised
-    # partial + the seal of the owned block; the quantise sweep is not a
-    # traced target), 7 ring folds, and one DPR sweep over the foreign
-    # blocks plus one for its own
+    # partial + the allgather's send of the owned block, handed off
+    # quantised; the quantise sweep is not a traced target), 7 ring folds,
+    # and one DPR sweep that decodes the foreign blocks and dequantises
+    # its own
     assert got["compression.cpr_calls_per_op"] == 64
     assert got["homomorphic.hpr_calls_per_op"] == 56
-    assert got["compression.dpr_calls_per_op"] == 16
+    assert got["compression.dpr_calls_per_op"] == 8
     assert got["core.layers_sum_frac"] >= 0.95

@@ -1,11 +1,15 @@
-"""A quantised block never leaves a run, on either plane.
+"""A quantised block never leaves a sealed run, on either plane.
 
 The homomorphic codec keeps a rank's own blocks as
-:class:`~repro.compression.format.QuantisedField` until a comm sends them,
-and ``ScheduleExecutor.run`` ends by coding whatever it still holds.  So
-the state a run hands back — to the interpreter on the simulator, to the
-parent through ``execute_rank`` on real processes — holds only the types
-it held before: arrays and compressed streams.  Checked for every family
+:class:`~repro.compression.format.QuantisedField` for the whole run, and
+``ScheduleExecutor.run`` ends by coding whatever it still holds.  So
+the state a sealed run hands back — every run on real processes (through
+``execute_rank``) and every simulator run but one kind — holds only the
+types it held before: arrays and compressed streams.  The one kind is the
+fused hand-off inside a composed row, which the interpreter runs unsealed
+so that the next stage takes the owned blocks still quantised; what a
+caller finally gets is checked in
+``tests/collectives/test_result_boundary.py``.  Checked for every family
 row, fault-free and with every compressed stream forced unrecoverable
 (runs that abort at schedule level included).
 """
@@ -43,13 +47,20 @@ def _held(state: list) -> list:
 
 def test_no_family_row_leaves_a_quantised_block_in_state(monkeypatch):
     """Every stage of the family table, run by the interpreter through the
-    named entry points, healthy and forced to degrade."""
+    named entry points, healthy and forced to degrade: every sealed run
+    leaves nothing quantised, and only a fused hand-off (a reduce-scatter
+    without its decode phase) runs unsealed."""
     run, run_stage = ScheduleExecutor.run, interpreter._run_stage
-    leaks, stages = [], set()
+    leaks, stages, handed_off = [], set(), set()
 
     def checked_run(self, schedule, state):
         outcome = run(self, schedule, state)
-        leaks.extend((schedule.name, *held) for held in _held(state))
+        if self.seal:
+            leaks.extend((schedule.name, *held) for held in _held(state))
+        else:
+            handed_off.add(
+                (schedule.name, [p.slot for p in schedule.phases][-1])
+            )
         return outcome
 
     def recorded_stage(family, *args, **kwargs):
@@ -65,6 +76,10 @@ def test_no_family_row_leaves_a_quantised_block_in_state(monkeypatch):
             cluster = SimCluster(N, trace=TraceLog(), faults=faults)
             aborted += call(cluster, data).degraded
     assert not leaks
+    assert handed_off == {
+        ("ring-reduce-scatter(n=4)", "exchange"),
+        ("pipelined-ring-reduce-scatter(n=4,chunks=2)", "exchange"),
+    }
     assert aborted  # the forced runs did degrade
     # composed rows list the very stage objects of the rows they nest
     assert stages == {stage for row in STAGES.values() for stage in row}

@@ -2,14 +2,16 @@
 
 The homomorphic codec hands each ``prepare`` / ``finalize`` to one
 ``FZLight`` call and the executor coalesces a rank's adjacent ``prepare``
-ops, so an hz collective launches the quantise sweep (its CPR pass) once
-per rank per setup and the DPR kernel at most twice per rank per finalize
-(foreign blocks, own block) — while the DOC baseline keeps C-Coll's one
+ops, and its adjacent ``finalize`` / ``finalize_local`` ops, so an hz
+collective launches the quantise sweep (its CPR pass) once per rank per
+setup and the DPR kernel once per rank per finalize (foreign blocks and
+own block in one sweep) — while the DOC baseline keeps C-Coll's one
 invocation per block.  A rank's own blocks stay quantised until a comm
-sends them, so the hz encodes (``FZLight.compress``) are one per packed
-block set plus one per block no comm sent, and a ring fold decodes only
-the stream it received.  Counts are taken the way the repo benchmark's
-traced pass takes them: by wrapping the public kernel entry points.
+sends them, across the fused hand-off too, so the hz encodes
+(``FZLight.compress``) are one per packed block set plus one per block no
+comm sent, and a ring fold decodes only the stream it received.  Counts
+are taken the way the repo benchmark's traced pass takes them: by
+wrapping the public kernel entry points.
 """
 
 import time
@@ -77,19 +79,20 @@ HZ_ALLREDUCES = {
     # family: (runner, quantise, CPR encodes, HPR, DPR).  Encodes: one per
     # comm that sends a still-quantised block set, plus the run's seal of
     # what no comm sent.
-    # ring: n−1 reduce-scatter sends per rank + the seal of the owned
-    # block at the fused hand-off; the allgather forwards streams only
+    # ring: n−1 reduce-scatter sends per rank + the allgather's first send
+    # of the owned block, handed off quantised; later sends forward
+    # streams, and one DPR sweep per rank dequantises the owned block
     "ring": (
         lambda cl, d: C.run(C.FAMILIES["hzccl_allreduce"], cl, d, CONFIG),
-        N, N * N, 56, 2 * N,
+        N, N * N, 56, N,
     ),
-    # two chunks per ring round: 2·(n−1) sends per rank + one seal of
+    # two chunks per ring round: 2·(n−1) sends per rank + one send of
     # both owned chunks
     "pipelined": (
         lambda cl, d: C.run(
             C.FAMILIES["hzccl_pipelined_allreduce"], cl, d, CONFIG, chunks=2
         ),
-        N, N * (2 * (N - 1) + 1), 2 * 56, 2 * N,
+        N, N * (2 * (N - 1) + 1), 2 * 56, N,
     ),
     # log2 n halving sends per rank + the first doubling send of the
     # owned block; later doublings forward streams
@@ -120,7 +123,7 @@ def test_hz_allreduce_sweeps_once_per_rank(kernel_calls, family):
     assert dict(kernel_calls) == {
         "quantise": quantise, "CPR": cpr, "HPR": hpr, "DPR": dpr,
     }
-    assert kernel_calls["DPR"] <= 2 * N
+    assert kernel_calls["DPR"] == N
     exact = np.sum(np.stack(data, dtype=np.float64), axis=0)
     for out in result.outputs:
         assert np.abs(out - exact).max() <= N * CONFIG.error_bound * 1.0001
@@ -146,9 +149,11 @@ def test_rooted_and_bcast_counts(kernel_calls):
         C.FAMILIES["hzccl_reduce"], SimCluster(N, network=CONFIG.network),
         data, CONFIG,
     )
-    # the fused reduce-scatter's n−1 sends + seal per rank, as in "ring"
+    # the fused reduce-scatter's n−1 sends per rank, then each non-root's
+    # gather send of its owned block, handed off quantised; the root codes
+    # its own not at all and dequantises it in its one DPR sweep
     assert dict(kernel_calls) == {
-        "quantise": N, "CPR": N * N, "HPR": 56, "DPR": 1,
+        "quantise": N, "CPR": N * N - 1, "HPR": 56, "DPR": 1,
     }
     kernel_calls.clear()
     C.run(
@@ -199,9 +204,10 @@ def test_clock_buckets_charged_once_per_rank_per_phase(kernel_calls):
     result = C.run(C.FAMILIES["hzccl_allreduce"], cluster, make_data(), CONFIG)
     per_rank = Counter((rank, bucket) for rank, bucket, _ in cluster.charges)
     for rank in range(N):
-        # the setup sweep, n−1 sends and the seal of the owned block
+        # the setup sweep, n−1 sends and the allgather's send of the
+        # owned block
         assert per_rank[rank, "CPR"] == 1 + N
-        assert per_rank[rank, "DPR"] == 2  # foreign blocks + own block
+        assert per_rank[rank, "DPR"] == 1  # foreign blocks + own block
         assert per_rank[rank, "HPR"] == N - 1  # one fold per ring round
     # a charge is the wall time of its kernel call plus the codec's list
     # building around it: never less, and not noticeably more
