@@ -41,6 +41,7 @@ from ..runtime.mp_cluster import MPCluster, MPRun
 from ..runtime.nodemap import NodeMap
 from ..schedule.cost import CalibrationSample, fit_alpha_beta, wire_summary
 from ..schedule.executor import Outcome, ScheduleExecutor
+from ..schedule.families import DEFAULT_PARAMS
 from ..schedule.ir import Schedule
 from ..schedule.mp_executor import CodecSpec, MPExecutor
 
@@ -146,11 +147,11 @@ def build_case(
     kind = FAMILIES[family]
     row = ROWS[name]
     (stage,) = row.stages
-    params = {"n": n, "root": 0, "network": None, **bound}
-    if "inter" in params:
+    params = {**DEFAULT_PARAMS, "n": n, **bound}
+    if params["inter"] is not None:
         per_node = 2 if n % 2 == 0 and n >= 4 else 1
         params["nodemap"] = NodeMap.regular(n, per_node)
-    sessions = params.get("sessions", 1)
+    sessions = params["sessions"]
     batch = [
         _rank_fields(n, elements, seed + 101 * s) for s in range(sessions)
     ]

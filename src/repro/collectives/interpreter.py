@@ -18,21 +18,21 @@ steps' stages, in order, are exactly the tuple the schedule half lists
 for the family — so how a collective nests can never drift from what the
 tuner and the cost model price.
 
-Where a quirk goes: a stage-level one (size-sync charge, unspanned or
-skipped phases) is a field of the ``StageSpec``; a
-collective-level one is a field here — ``compressed_input`` (inputs
-arrive compressed: on a fallback they are first decoded locally, and
-after an earlier stage fell back the row is skipped for its fallback),
-``bill_aborted_wire`` (the rooted reduce's aborted compressed gather
-never completed as a message), ``per_session`` (the batched reduce falls
-back one plain reduce per session).  The interpreter branches on fields,
-never on which family it is running.
+Where a quirk goes: a stage-level one (size-sync charge, skipped
+phases) is a field of the ``StageSpec``; a collective-level one is a
+field here — ``compressed_input`` (inputs arrive compressed: on a
+fallback they are first decoded locally, and after an earlier stage fell
+back the row is skipped for its fallback), ``per_session`` (the batched
+reduce falls back one plain reduce per session).  The interpreter
+branches on fields, never on which family it is running.
 
 Degrades resolve at the nearest enclosing row that names a ``fallback``:
 a leaf with one reruns there (stage-level fallback); inline leaves
 without one abort up to their composed row, which reruns the whole
 collective from its own input (whole-collective fallback).  Wire spent
-before the abort is billed on top of the fallback's.
+before the abort is billed on top of the fallback's, for every row.  A
+row run on its own whose abort no row catches raises
+:class:`~repro.runtime.faults.UnrecoverableStreamError`.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ import numpy as np
 
 from ..compression.fzlight import FZLight
 from ..runtime.cluster import SimCluster
+from ..runtime.faults import UnrecoverableStreamError
 from ..schedule import SYNC_OVERHEAD_S, CodecSpec, ScheduleExecutor
-from ..schedule.families import STAGES, StageSpec
+from ..schedule.families import DEFAULT_PARAMS, STAGES, StageSpec
 from .base import CollectiveResult, channel_stats
 
 __all__ = ["Family", "FAMILIES", "run"]
@@ -76,8 +77,6 @@ class Family:
     fallback: "Family | None" = None
     #: inputs arrive compressed (decoded locally before a fallback)
     compressed_input: bool = False
-    #: bill the aborted stage's wire on top of the fallback's
-    bill_aborted_wire: bool = True
     #: ``data`` is a batch of sessions; the fallback runs once per session
     per_session: bool = False
     stages: tuple[StageSpec, ...] = field(init=False)
@@ -95,11 +94,18 @@ class Family:
         FAMILIES[self.name] = self
 
 
-class _Aborted(Exception):
-    """A stage's schedule hit an unrecoverable stream and stopped."""
+class _Aborted(UnrecoverableStreamError):
+    """A stage's schedule hit an unrecoverable stream and stopped.
 
-    def __init__(self, wire: int, stats) -> None:
-        super().__init__("stage aborted with no enclosing fallback")
+    The nearest enclosing row with a fallback catches it; when no row
+    does, it reaches the caller as the public error, naming the row."""
+
+    def __init__(self, row: str, wire: int, stats) -> None:
+        RuntimeError.__init__(
+            self,
+            f"{row}: an unrecoverable stream aborted the stage and no "
+            "enclosing row has a plain fallback",
+        )
         self.wire = wire
         self.stats = stats
 
@@ -110,14 +116,18 @@ def run(
     """Run one family row on ``cluster`` inside its collective span.
 
     ``params`` are the row's bound parameters (``root``, ``chunks``,
-    ``nodemap``, ``inter``); the rank count and network come from the
-    cluster.  Rows ignore the params they do not read, so a fallback or
-    nested row simply receives its parent's; a param a stage's generator
-    reads but nobody bound is a ``ValueError`` before anything runs.
+    ``nodemap``, ``inter``) over
+    :data:`~repro.schedule.families.DEFAULT_PARAMS`; the rank count and
+    network come from the cluster.  Rows ignore the params they do not
+    read, so a fallback or nested row simply receives its parent's; a
+    param a stage's generator reads but nobody bound is a ``ValueError``
+    before anything runs.  A row with no fallback of its own (an inline
+    stage run alone) that hits an unrecoverable stream raises
+    :class:`~repro.runtime.faults.UnrecoverableStreamError` naming it.
     """
     p = {
-        "n": cluster.n_ranks, "network": cluster.network,
-        "root": 0, "inter": None, **params,
+        **DEFAULT_PARAMS, "n": cluster.n_ranks, "network": cluster.network,
+        **params,
     }
     with cluster.collective(family.span) as scope:
         outputs, wire, degraded, stats = _interpret(
@@ -184,8 +194,7 @@ def _interpret(family: Family, cluster, data, config, p, seal: bool = True):
             raise  # an inline stage: the enclosing row owns the fallback
         # the single degrade epilogue: finish on the plain family, from
         # this row's own input, billing the wire already spent
-        if family.bill_aborted_wire:
-            wire += aborted.wire
+        wire += aborted.wire
         if stats is None:
             stats = aborted.stats
         if family.compressed_input:
@@ -218,7 +227,7 @@ def _run_stage(family: Family, cluster, data, config, p, seal: bool = True):
     outcome = ScheduleExecutor(cluster, codec, seal=seal).run(schedule, state)
     stats = codec.engine.stats if stage.folds(schedule) else None
     if outcome.degraded:
-        raise _Aborted(outcome.wire, stats)
+        raise _Aborted(family.name, outcome.wire, stats)
     return family.gather(state, data, p), outcome.wire, stats
 
 

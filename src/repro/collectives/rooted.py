@@ -16,7 +16,8 @@ that compose naturally with the ring machinery:
   (``N`` decodes + 1 encode, instead of the ``(N−1)·(2 decodes + 1
   encode)`` a pairwise fold pays) before decompressing once.  The best
   schedule at small/medium scale, where the flat gather's incast is cheaper
-  than ``N − 1`` ring latencies.
+  than ``N − 1`` ring latencies.  It is the one-session run of the
+  batched reduce's fused-fold incast: the same stage, session 0's ids.
 * **Bcast** — root compresses once, each holder forwards the compressed
   bytes down a binomial tree (``⌈log₂ N⌉`` rounds, one receive per
   non-root), and every other rank decompresses once: ``1·CPR + (N−1
@@ -24,12 +25,13 @@ that compose naturally with the ring machinery:
   tree and the broadcast reruns plain, like every other compressed row.
 
 All schedules come from :mod:`repro.schedule.generators`
-(:func:`~repro.schedule.flat_gather`, :func:`~repro.schedule.direct_reduce`,
+(:func:`~repro.schedule.flat_gather`,
+:func:`~repro.schedule.batched_fused_reduce`,
 :func:`~repro.schedule.binomial_bcast`) and run as rows of the family
 table under :func:`repro.collectives.interpreter.run`; the compressed
 gather's two degrade situations (mid-gather stream loss vs. an already
-degraded Reduce_scatter) both end on the one unspanned plain-gather row
-below.
+degraded Reduce_scatter) both end on the plain-gather row below, and
+every phase of either gather runs under its span.
 """
 
 from __future__ import annotations
@@ -43,16 +45,11 @@ from .ring import MPI_REDUCE_SCATTER
 # The gathers of reduced blocks to the root run inline under the Reduce's
 # own span (they never were collectives of their own).
 _PLAIN_GATHER = Family("plain_gather", span=None, **rules.ROOT_GATHER)
-_PLAIN_GATHER_UNSPANNED = Family(
-    "plain_gather_unspanned", span=None, **rules.ROOT_GATHER
-)
 # Degrade: decompress at the owners, gather the plain blocks (the aborted
-# compressed gather's partial wire is not billed — its transfers never
-# completed as a message).
+# compressed gather's wire is billed on top, as every abort's is).
 _HZCCL_GATHER = Family(
     "hzccl_gather", span=None, **rules.ROOT_GATHER,
-    fallback=_PLAIN_GATHER_UNSPANNED, compressed_input=True,
-    bill_aborted_wire=False,
+    fallback=_PLAIN_GATHER, compressed_input=True,
 )
 MPI_REDUCE = Family(
     "mpi_reduce", checks=(rules.check_root,),
@@ -62,11 +59,12 @@ HZCCL_REDUCE = Family(
     "hzccl_reduce", checks=(rules.check_root,),
     steps=(HZCCL_REDUCE_SCATTER_FUSED, _HZCCL_GATHER),
 )
-# Degrade: rerun as a plain rooted Reduce.
+# Session 0 of the batched reduce's stage.  Degrade: rerun as a plain
+# rooted Reduce.
 HZCCL_REDUCE_DIRECT = Family(
     "hzccl_reduce_direct",
     checks=(rules.check_arrays, rules.check_root),
-    seed=rules.seed_vectors, gather=rules.gather_root_fused,
+    seed=rules.seed_session, gather=rules.gather_root_session,
     fallback=MPI_REDUCE,
 )
 MPI_BCAST = Family(

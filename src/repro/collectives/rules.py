@@ -112,8 +112,9 @@ def seed_owned_chunks(chunked, p):
     ]
 
 
-def seed_vectors(arrays, p):
-    return [{("vec", i): a} for i, a in enumerate(arrays)]
+def seed_session(arrays, p):
+    """One rooted reduce, seeded as session 0 of the fused-fold incast."""
+    return seed_sessions([arrays], p)
 
 
 def seed_sessions(batch, p):
@@ -196,8 +197,8 @@ def gather_root_concat(state, data, p):
     return _at_root(gather_concat([state[p["root"]]], data, p)[0], p)
 
 
-def gather_root_fused(state, data, p):
-    return _at_root(state[p["root"]]["fused"], p)
+def gather_root_session(state, data, p):
+    return _at_root(state[p["root"]]["f", 0], p)
 
 
 def gather_session_folds(state, batch, p):

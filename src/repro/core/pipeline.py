@@ -334,9 +334,10 @@ def _plan_uncached(request, config, network, table, rates) -> Plan:
     name = _STATIC.get((op, request.kernel))
     if name is None:
         raise ValueError(f"{_EXPECTED_KERNEL[op]}, got {request.kernel!r}")
-    params: dict[str, Any] = {
-        "root": request.root, "sessions": request.sessions,
-    }
+    params: dict[str, Any] = {"root": request.root}
+    if FAMILIES[name].per_session:
+        # the batch width; every other row runs its stage's one session
+        params["sessions"] = request.sessions
     inter = request.inter
     if hierarchical:
         if inter is None:

@@ -44,7 +44,6 @@ from .generators import (
     INTER_FAMILIES,
     batched_fused_reduce,
     binomial_bcast,
-    direct_reduce,
     flat_gather,
     hierarchical_allreduce_schedule,
     pipelined_ring_reduce_scatter,
@@ -94,7 +93,6 @@ __all__ = [
     "rabenseifner_allreduce_schedule",
     "rabenseifner_ranges",
     "flat_gather",
-    "direct_reduce",
     "batched_fused_reduce",
     "binomial_bcast",
     "hierarchical_allreduce_schedule",

@@ -59,10 +59,9 @@ so that the next stage takes the owned blocks still quantised.
 
 ``slots`` maps a phase's abstract slot name to the user-facing span name;
 ``None`` skips the phase entirely (a plain ring has no compress phase) —
-in the executor and in the dry run alike — and ``""`` runs the phase
-without opening a span (the rooted reduce's historical un-spanned
-gather).  A family stage that overrides them runs, and is priced, under
-its codec's table with its own ``slots`` (:func:`discipline_of`).
+in the executor and in the dry run alike.  Every phase that runs, runs
+under a span.  A family stage that overrides them runs, and is priced,
+under its codec's table with its own ``slots`` (:func:`discipline_of`).
 """
 
 from __future__ import annotations
@@ -399,6 +398,6 @@ CODECS: dict[str, type[PayloadCodec]] = {
 
 def discipline_of(kind: str, slots=None) -> Discipline:
     """Codec ``kind``'s table, with ``slots`` replacing its phase slots
-    when given (a family stage that runs phases unspanned or skips them)."""
+    when given (a family stage that skips or renames phases)."""
     table = CODECS[kind].discipline
     return table if slots is None else replace(table, slots=slots)

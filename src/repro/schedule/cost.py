@@ -90,8 +90,8 @@ class Discipline:
     slots: tuple[tuple[str, str | None], ...] = ()
 
     def phase_name(self, slot: str) -> str | None:
-        """The span a ``slot`` phase runs under: ``None`` skips the phase
-        (executor and dry run alike), ``""`` runs it without a span."""
+        """The span a ``slot`` phase runs under, or ``None``: the phase is
+        skipped (executor and dry run alike)."""
         return dict(self.slots).get(slot, slot)
 
 

@@ -27,7 +27,6 @@ sequences, are the same on both planes and unchanged by any refactor.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Any, Hashable
@@ -94,8 +93,7 @@ class ScheduleExecutor:
                 name = self.codec.discipline.phase_name(phase.slot)
                 if name is None:
                     continue  # this discipline has nothing to do here
-                # "" runs the phase without opening a span
-                with self.cluster.phase(name) if name else nullcontext():
+                with self.cluster.phase(name):
                     for rnd in phase.rounds:
                         self._round(rnd, state, pending, outcome)
         except UnrecoverableStreamError:

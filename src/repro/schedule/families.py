@@ -23,21 +23,23 @@ plus one row: a ``StageSpec`` tuple here, a ``Family`` there.
 
 A quirk of one family is a field of its stage, never a branch in the
 interpreter: ``sync_sizes`` (the size-sync charge ahead of a compressed
-allgather) and ``slots`` (phases run unspanned or skipped — a skipped
-phase is skipped by the dry run too).  Every stage is priced as the very
-schedule it runs.
+allgather) and ``slots`` (phases skipped or renamed — a skipped phase is
+skipped by the dry run too; every phase that runs opens a span).  Every
+stage is priced as the very schedule it runs.
 
 A stage's schedule is a generator call written as data: the generator,
 the names of the run's bound params it takes positionally (``n``,
 ``root``, ``chunks``, ``sessions``, ``nodemap``, ``inter``, ``network``)
 and its fixed keywords.  Generators are ``lru_cache``-d, so every reader
-of a row gets the same ``Schedule`` object.
+of a row gets the same ``Schedule`` object.  :data:`DEFAULT_PARAMS` holds
+the one set of defaults every reader — the interpreter, the pricer and
+the multi-process bench — binds under the caller's params.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any, Callable
 
 from ..runtime.clock import Breakdown
@@ -47,7 +49,6 @@ from .cost import Discipline, combine, schedule_cost
 from .generators import (
     batched_fused_reduce,
     binomial_bcast,
-    direct_reduce,
     flat_gather,
     hierarchical_allreduce_schedule,
     pipelined_ring_reduce_scatter,
@@ -58,7 +59,9 @@ from .generators import (
 )
 from .ir import Schedule
 
-__all__ = ["StageSpec", "STAGES", "priced_stages", "family_cost"]
+__all__ = [
+    "StageSpec", "STAGES", "DEFAULT_PARAMS", "priced_stages", "family_cost",
+]
 
 Slots = tuple[tuple[str, "str | None"], ...]
 
@@ -74,8 +77,8 @@ class StageSpec:
     #: :data:`~repro.schedule.codecs.CODECS` kind
     codec: str
     fixed: tuple[tuple[str, Any], ...] = ()
-    #: slot → span name (``None`` skips the phase, ``""`` runs it without
-    #: a span); ``None`` keeps the codec's defaults
+    #: slot → span name (``None`` skips the phase); ``None`` keeps the
+    #: codec's defaults
     slots: Slots | None = None
     #: charge ``SYNC_OVERHEAD_S`` per rank before the stage (sizes of the
     #: already-compressed inputs are exchanged, nothing is compressed)
@@ -115,11 +118,6 @@ class StageSpec:
         )
 
 
-# flat_gather takes an optional callable, so the generator itself is not
-# cached; the table only ever calls it with hashable arguments
-_flat_gather = lru_cache(maxsize=None)(flat_gather)
-
-
 def _hierarchical_allreduce(nodemap, inter, network):
     if inter is None:
         # the fabric-aware default: read the congestion law's family
@@ -135,10 +133,6 @@ _FUSED = (("finalize", False),)
 #: inputs arrive compressed: no setup phase at all (the ring allgather's
 #: prepare ops are neither run nor priced)
 _GATHER_SLOTS = (("setup", None), ("finalize", "decompress"))
-#: the compressed rooted reduce historically ran its gather and root
-#: decode without opening spans — ``""`` keeps the trace shape intact
-_UNSPANNED_REDUCE_SLOTS = (("setup", None), ("gather", ""), ("finalize", ""))
-_UNSPANNED_PLAIN_SLOTS = (("setup", None), ("finalize", None), ("gather", ""))
 
 _RS_PLAIN = StageSpec(ring_reduce_scatter, _N, "plain")
 _AG_PLAIN = StageSpec(ring_allgather, _N, "plain")
@@ -157,16 +151,10 @@ _PIPELINED_AG = StageSpec(
     ring_allgather, ("n", "chunks"), "homomorphic",
     slots=_GATHER_SLOTS, sync_sizes=True,
 )
-_GATHER_PLAIN = StageSpec(_flat_gather, _ROOTED, "plain")
-_GATHER_PLAIN_UNSPANNED = StageSpec(
-    _flat_gather, _ROOTED, "plain", slots=_UNSPANNED_PLAIN_SLOTS
-)
-_GATHER_HZ = StageSpec(
-    _flat_gather, _ROOTED, "homomorphic",
-    fixed=(("finalize", True),), slots=_UNSPANNED_REDUCE_SLOTS,
-)
-_DIRECT_HZ = StageSpec(direct_reduce, _ROOTED, "homomorphic")
-_BATCHED_HZ = StageSpec(
+_GATHER_PLAIN = StageSpec(flat_gather, _ROOTED, "plain")
+_GATHER_HZ = StageSpec(flat_gather, _ROOTED, "homomorphic", slots=_GATHER_SLOTS)
+#: the fused-fold incast: the direct rooted reduce is its one-session run
+_FUSED_REDUCE_HZ = StageSpec(
     batched_fused_reduce, ("n", "sessions", "root"), "homomorphic"
 )
 _BCAST_PLAIN = StageSpec(binomial_bcast, _ROOTED, "plain")
@@ -196,12 +184,11 @@ STAGES: dict[str, tuple[StageSpec, ...]] = {
     "pipelined_allgather": (_PIPELINED_AG,),
     "hzccl_pipelined_allreduce": (_PIPELINED_RS, _PIPELINED_AG),
     "plain_gather": (_GATHER_PLAIN,),
-    "plain_gather_unspanned": (_GATHER_PLAIN_UNSPANNED,),
     "hzccl_gather": (_GATHER_HZ,),
     "mpi_reduce": (_RS_PLAIN, _GATHER_PLAIN),
     "hzccl_reduce": (_RS_HZ_FUSED, _GATHER_HZ),
-    "hzccl_reduce_direct": (_DIRECT_HZ,),
-    "hzccl_batched_reduce": (_BATCHED_HZ,),
+    "hzccl_reduce_direct": (_FUSED_REDUCE_HZ,),
+    "hzccl_batched_reduce": (_FUSED_REDUCE_HZ,),
     "mpi_bcast": (_BCAST_PLAIN,),
     "compressed_bcast": (_BCAST_HZ,),
     "rabenseifner_allreduce": (_RABENSEIFNER_PLAIN,),
@@ -211,16 +198,21 @@ STAGES: dict[str, tuple[StageSpec, ...]] = {
 }
 
 
+#: the bound params a run, a price or an MP case takes when its caller
+#: binds none: the canonical root (rooted generators are root-isomorphic),
+#: the fabric-aware inter family, no network, one session
+DEFAULT_PARAMS = {"root": 0, "inter": None, "network": None, "sessions": 1}
+
+
 def priced_stages(
     name: str, **params
 ) -> tuple[tuple[Schedule, Discipline], ...]:
     """The ``(schedule, discipline)`` pairs family ``name`` is priced as.
 
     ``params`` are the bound params the stages' generator calls read
-    (``n`` always).  Rooted families price the canonical ``root=0``
-    schedules — their generators are root-isomorphic.
+    (``n`` always), over :data:`DEFAULT_PARAMS`.
     """
-    bound = {"root": 0, "inter": None, "network": None, **params}
+    bound = {**DEFAULT_PARAMS, **params}
     return tuple(
         (stage.schedule(**bound), stage.discipline)
         for stage in STAGES[name]

@@ -11,9 +11,10 @@ Block-id conventions
 --------------------
 * ring / Rabenseifner: integer block index ``0 … n−1``;
 * chunk-pipelined ring: ``(block, chunk)`` pairs;
-* flat gather: whatever ids the caller's state uses (``block_of``);
-* direct rooted reduce: ``("vec", rank)`` whole vectors plus ``"fused"``
-  for the folded result;
+* flat gather: the ring's integer block ids, one owned block per rank;
+* fused rooted reduce: ``("v", session, rank)`` whole vectors plus
+  ``("f", session)`` for each session's folded result (a single rooted
+  reduce is session 0 of a one-session batch);
 * broadcast: the single id ``"data"``.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Callable, Hashable
+from typing import Hashable
 
 from ..runtime.fabrics import DragonflyNetwork
 from ..runtime.network import NetworkModel
@@ -36,7 +37,6 @@ __all__ = [
     "rabenseifner_allreduce_schedule",
     "rabenseifner_ranges",
     "flat_gather",
-    "direct_reduce",
     "batched_fused_reduce",
     "binomial_bcast",
     "hierarchical_allreduce_schedule",
@@ -398,115 +398,61 @@ def rabenseifner_allreduce_schedule(n: int) -> Schedule:
 # --------------------------------------------------------------------- #
 # rooted trees
 # --------------------------------------------------------------------- #
-def flat_gather(
-    n: int,
-    root: int,
-    block_of: Callable[[int], Hashable] | None = None,
-    finalize: bool = False,
-) -> Schedule:
-    """Flat gather of one block per rank to the root (concurrent sends).
+@lru_cache(maxsize=None)
+def flat_gather(n: int, root: int) -> Schedule:
+    """Flat gather of each rank's owned ring block to the root (concurrent
+    sends).
 
     The incast round serialises the messages at the root; the root's
-    optional ``finalize`` decode covers every gathered block in one
-    batched invocation.
+    ``finalize`` decode covers every gathered block in one batched
+    invocation (a codec with nothing to decode skips the phase).
     """
     ring = Ring(n)
-    ids = block_of if block_of is not None else ring.owned_block
     gather = Round(
         kind="incast",
         comms=tuple(
-            CommOp(src=i, dst=root, blocks=(ids(i),), action="store")
+            CommOp(src=i, dst=root, blocks=(ring.owned_block(i),),
+                   action="store")
             for i in range(n)
             if i != root
         ),
     )
-    phases = [Phase("gather", (gather,))]
-    if finalize:
-        phases.append(
-            Phase(
+    decode = Round(
+        kind="compute",
+        ops=(
+            LocalOp(
+                root,
                 "finalize",
-                (
-                    Round(
-                        kind="compute",
-                        ops=(
-                            LocalOp(
-                                root,
-                                "finalize",
-                                tuple(sorted(ids(i) for i in range(n))),
-                            ),
-                        ),
-                    ),
-                ),
-            )
-        )
+                tuple(sorted(ring.owned_block(i) for i in range(n))),
+            ),
+        ),
+    )
     return Schedule(
         name=f"flat-gather(n={n},root={root})",
         n_ranks=n,
-        phases=tuple(phases),
-    ).validate()
-
-
-@lru_cache(maxsize=None)
-def direct_reduce(n: int, root: int) -> Schedule:
-    """Direct rooted reduce: whole-vector gather + one fused k-way fold.
-
-    Every rank prepares its full vector (``("vec", i)``, weight 1), the
-    ``n−1`` streams converge on the root, and the root folds all ``n``
-    operands with a single fused reduction before one decode — the
-    ``N·IFE + FE`` schedule of the fused engine.
-    """
-    vec = tuple(("vec", i) for i in range(n))
-    setup = Round(
-        kind="compute",
-        ops=tuple(LocalOp(i, "prepare", (vec[i],)) for i in range(n)),
-    )
-    gather = Round(
-        kind="incast",
-        comms=tuple(
-            CommOp(src=i, dst=root, blocks=(vec[i],), action="store")
-            for i in range(n)
-            if i != root
-        ),
-    )
-    fold = Round(
-        kind="compute",
-        ops=(
-            LocalOp(root, "fold_fused", vec, fanin=n),
-            LocalOp(root, "finalize", ("fused",)),
-        ),
-    )
-    weights = {v: 1.0 for v in vec}
-    weights["fused"] = 1.0
-    return Schedule(
-        name=f"direct-reduce(n={n},root={root})",
-        n_ranks=n,
-        phases=(
-            Phase("setup", (setup,)),
-            Phase("gather", (gather,)),
-            Phase("fused-fold", (fold,)),
-        ),
-        weights=weights,
+        phases=(Phase("gather", (gather,)), Phase("finalize", (decode,))),
     ).validate()
 
 
 @lru_cache(maxsize=None)
 def batched_fused_reduce(n: int, sessions: int, root: int = 0) -> Schedule:
-    """``sessions`` independent rooted reduces coalesced into one schedule.
+    """``sessions`` independent rooted reduces in one incast schedule.
 
-    The aggregation service's batching window lands here: each rank
-    prepares one vector per session (``("v", s, i)``, weight
-    ``1/sessions``), all of a rank's session vectors ride one incast
-    stream to the root, and the root runs one fused k-way fold *per
-    session* — each landing in its own ``("f", s)`` key via
-    ``LocalOp.out`` — before a single batched decode.  Under the
-    homomorphic codec both ends are literal kernel sweeps: a rank's
-    ``sessions`` vectors are one ``FZLight.compress`` call and the root's
-    ``sessions`` results one ``FZLight.decompress`` call (a DOC codec
-    would still invoke the kernel once per vector).  Amortises the
-    per-message α and the per-call setup across the whole batch while
-    keeping every session's arithmetic identical to a standalone
-    :func:`direct_reduce` (the fused fold is exact in the integer
-    domain, so coalescing cannot change decoded values).
+    Every rank prepares one whole vector per session (``("v", s, i)``,
+    weight ``1/sessions``), all of a rank's session vectors ride one
+    incast stream to the root, and the root folds each session's ``n``
+    operands with a single fused k-way reduction — landing in its own
+    ``("f", s)`` key via ``LocalOp.out`` — before one batched decode: the
+    ``N·IFE + FE`` schedule of the fused engine.  ``sessions=1`` is the
+    direct rooted reduce; the aggregation service's batching window runs
+    it wider.  Under the homomorphic codec both ends are literal kernel
+    sweeps: a rank's ``sessions`` vectors are one quantise call and the
+    root's ``sessions`` results one ``FZLight.decompress`` call (a DOC
+    codec would still invoke the kernel once per vector).  Batching
+    amortises the per-message α and the per-call setup while keeping
+    every session's arithmetic identical to a one-session run (the fused
+    fold is exact in the integer domain, so coalescing cannot change
+    decoded values).
     """
     if sessions < 1:
         raise ValueError(f"sessions must be >= 1, got {sessions}")

@@ -13,8 +13,8 @@ Vocabulary
 * **Block ids** are opaque hashables.  Ring schedules use the integers
   ``0 … n−1`` (the standard block indexing of
   :class:`~repro.runtime.topology.Ring`); the chunk-pipelined generator
-  uses ``(block, chunk)`` pairs; the direct rooted reduce uses
-  ``("vec", rank)`` whole-vector ids.
+  uses ``(block, chunk)`` pairs; the fused rooted reduce uses
+  ``("v", session, rank)`` whole-vector ids.
 * A :class:`CommOp` moves the listed blocks ``src → dst`` as one
   message and declares what the receiver does with them (``action``).
 * A :class:`LocalOp` marks rank-local compute — prepare (pre-schedule

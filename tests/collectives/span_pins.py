@@ -13,9 +13,13 @@ brackets, the flag it was called with)::
 
 Each case now runs its family-table row through ``run()``; the pin is
 never regenerated, so a row that drifts from the old span tree fails.
-One entry was edited on purpose: ``compressed_bcast`` / ``forced``, when
-the compressed broadcast stopped degrading rank by rank — its forced run
-now aborts in the tree and reruns as an ``mpi_bcast`` collective.
+Entries edited on purpose: ``compressed_bcast`` / ``forced``, when the
+compressed broadcast stopped degrading rank by rank — its forced run now
+aborts in the tree and reruns as an ``mpi_bcast`` collective; and
+``hzccl_reduce`` / ``healthy`` and ``forced``, when every phase came to
+run under a span — the compressed root gather gained its ``gather`` and
+``decompress`` phases, and the plain gather it falls back to its
+``gather`` phase.
 """
 
 from __future__ import annotations

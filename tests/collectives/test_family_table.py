@@ -16,7 +16,7 @@ from repro.runtime import SimCluster
 from repro.runtime.nodemap import NodeMap
 from repro.schedule import ScheduleExecutor, families
 from repro.schedule.codecs import CODECS
-from repro.schedule.families import STAGES, family_cost
+from repro.schedule.families import DEFAULT_PARAMS, STAGES, family_cost
 from repro.schedule.tuner import (
     TUNABLE_OPS,
     Candidate,
@@ -193,7 +193,9 @@ def test_candidates_price_the_objects_the_interpreter_runs(op, n, executed):
             FAMILIES[name], cluster, data[0] if op == "bcast" else data,
             span_pins.CONFIG, **params,
         )
-        bound = {"n": n, "root": 0, "network": cluster.network, **params}
+        bound = {
+            **DEFAULT_PARAMS, "n": n, "network": cluster.network, **params,
+        }
         _assert_priced_is_run(FAMILIES[name], priced, executed, bound)
 
 
@@ -237,8 +239,8 @@ def test_models_price_the_objects_the_interpreter_runs(
         **params,
     )
     bound = {
-        "n": span_pins.N, "root": 0, "inter": None,
-        "network": cluster.network, **params,
+        **DEFAULT_PARAMS, "n": span_pins.N, "network": cluster.network,
+        **params,
     }
     _assert_priced_is_run(FAMILIES[name], priced, executed, bound)
 

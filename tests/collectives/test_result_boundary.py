@@ -16,7 +16,7 @@ import pytest
 
 from repro.collectives import FAMILIES, interpreter, run
 from repro.compression.format import QuantisedField
-from repro.runtime import SimCluster
+from repro.runtime import SimCluster, UnrecoverableStreamError
 
 from .span_pins import CONFIG, FORCED, N, NODEMAP, fields
 
@@ -66,9 +66,6 @@ CALLS = {
     ),
     "plain_gather": lambda cl, d: run(
         FAMILIES["plain_gather"], cl, _short(d), root=1
-    ),
-    "plain_gather_unspanned": lambda cl, d: run(
-        FAMILIES["plain_gather_unspanned"], cl, _short(d), root=1
     ),
     "hzccl_gather": lambda cl, d: run(
         FAMILIES["hzccl_gather"], cl,
@@ -121,9 +118,11 @@ def test_every_row_is_called():
 def test_no_quantised_block_reaches_a_result(name, faults):
     try:
         result = CALLS[name](SimCluster(N, faults=faults), fields())
-    except interpreter._Aborted:
-        # an inline stage run on its own has no fallback: no result at all
+    except UnrecoverableStreamError as error:
+        # an inline stage run on its own has no fallback: no result at
+        # all, and the error names the row
         assert faults is not None and FAMILIES[name].fallback is None
+        assert str(error).startswith(f"{name}: ")
         return
     assert not any(map(_quantised, result.outputs))
 

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from repro.runtime.topology import Ring
 from repro.schedule import (
     Schedule,
+    batched_fused_reduce,
     binomial_bcast,
-    direct_reduce,
     flat_gather,
     pipelined_ring_reduce_scatter,
     rabenseifner_allreduce_schedule,
@@ -147,9 +147,9 @@ def test_rooted_schedules_deliver_everything_to_the_root(n, root_frac):
     state = run_symbolic(flat_gather(n, root), state)
     assert {b for b in state[root]} == set(range(n))
 
-    state = [{("vec", i): frozenset({i})} for i in range(n)]
-    state = run_symbolic(direct_reduce(n, root), state)
-    assert state[root]["fused"] == frozenset(range(n))
+    state = [{("v", 0, i): frozenset({i})} for i in range(n)]
+    state = run_symbolic(batched_fused_reduce(n, 1, root), state)
+    assert state[root]["f", 0] == frozenset(range(n))
 
     state = [dict() for _ in range(n)]
     state[root]["data"] = frozenset({root})
